@@ -8,8 +8,8 @@ the scheme's security statements exactly by rank arithmetic over the
 source symbols.
 """
 
-from .field import FieldElement, PrimeField
-from .matrix import EvaluationPoints, GfMatrix, make_points, vandermonde
+from .field import PrimeField
+from .matrix import GfMatrix, make_points, vandermonde
 from .patterns import CommPattern, enumerate_patterns, parse_pattern, sample_pattern
 from .protocol import (
     Gradient,
@@ -29,9 +29,7 @@ from .protocol import (
 )
 
 __all__ = [
-    "FieldElement",
     "PrimeField",
-    "EvaluationPoints",
     "GfMatrix",
     "make_points",
     "vandermonde",

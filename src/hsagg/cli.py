@@ -17,7 +17,7 @@ from . import harness
 from .field import FieldError
 from .matrix import MatrixError
 from .patterns import PatternError
-from .protocol import BadBlockLength, BadParams, Infeasible, ProtocolError, SchemeParams
+from .protocol import ProtocolError, SchemeParams
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -196,9 +196,6 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (
         harness.ConfigError,
-        Infeasible,
-        BadParams,
-        BadBlockLength,
         PatternError,
         MatrixError,
         FieldError,

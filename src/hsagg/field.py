@@ -1,9 +1,12 @@
 """Exact arithmetic in prime fields GF(q).
 
 Only prime moduli are supported; extension fields are rejected at
-construction.  Every element is kept as its canonical representative in
-[0, q-1] with no lazy reduction, so equal elements always compare equal
-and serialized transcripts are reproducible bit for bit.
+construction.  Field elements are plain ints: the matrix and protocol
+layers add and multiply them as integers and store every result as its
+canonical residue in [0, q-1], so equal elements always compare equal
+and serialized transcripts are reproducible bit for bit.  The field
+supplies what ``%`` alone does not: a validated modulus, inverses and
+powers.
 """
 
 __all__ = [
@@ -12,7 +15,6 @@ __all__ = [
     "ZeroInverse",
     "is_prime",
     "PrimeField",
-    "FieldElement",
 ]
 
 
@@ -45,10 +47,8 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """The prime field GF(q).
 
-    Primality of ``q`` is verified at construction.  Arithmetic methods
-    (`add`, `mul`, `inv`, ...) operate on canonical integer residues and
-    are what the matrix and protocol layers use in bulk; `element`
-    wraps a residue in a :class:`FieldElement` for scalar work.
+    Primality of ``q`` is verified at construction.  `inv` and `pow`
+    take any integer and return its canonical residue result.
     """
 
     __slots__ = ("q",)
@@ -69,21 +69,6 @@ class PrimeField:
 
     # -- arithmetic on canonical residues ---------------------------------
 
-    def reduce(self, a: int) -> int:
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse, via Fermat's little theorem."""
         if a % self.q == 0:
@@ -95,106 +80,3 @@ class PrimeField:
         if e < 0:
             raise ValueError("exponent must be non-negative")
         return pow(a % self.q, e, self.q)
-
-    # -- element construction ---------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def elements(self):
-        """Iterate over all field elements in value order."""
-        for v in range(self.q):
-            yield FieldElement(v, self)
-
-
-class FieldElement:
-    """An element of GF(q), stored as its canonical residue.
-
-    Supports ``+ - * / **`` against elements of the same field (mixing
-    fields raises :class:`ModulusMismatch`) and plain ints, which are
-    reduced into the field first.
-    """
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.q
-        self.field = field
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.field.q})"
-
-    def __int__(self):
-        return self.value
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.field == other.field
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.field.q))
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ModulusMismatch(
-                    f"GF({self.field.q}) vs GF({other.field.q})"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.add(self.value, v), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.sub(self.value, v), self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.sub(v, self.value), self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.mul(self.value, v), self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(
-            self.field.mul(self.value, self.field.inv(v)), self.field
-        )

@@ -132,10 +132,7 @@ def _resolve_pattern(config: RunConfig, params: SchemeParams) -> pt.CommPattern:
     elif config.drop_prob is not None:
         pattern = pt.sample_pattern(params, config.drop_prob, f"pattern:{config.seed}")
     else:
-        helpers = frozenset(range(1, params.num_helpers + 1))
-        pattern = pt.CommPattern(
-            tuple(helpers for _ in range(params.num_users)), helpers
-        )
+        pattern = pt.no_straggler_pattern(params)
     pt.validate(pattern, params)
     if pattern.survivors is None:
         raise ConfigError("round execution needs a survivor set (hm=...)")
@@ -154,6 +151,8 @@ def _load_gradients(
         return grads, {g.owner: params.gradient_len for g in grads}
     with open(config.gradient_file, "r", encoding="utf-8") as fh:
         table = json.load(fh)
+    if not isinstance(table, dict):
+        raise ConfigError("gradient file must map user ids to symbol lists")
     grads = []
     original: dict[int, int] = {}
     for k in range(1, params.num_users + 1):
@@ -161,9 +160,11 @@ def _load_gradients(
             raw = table[str(k)]
         except KeyError:
             raise ConfigError(f"gradient file has no entry for user {k}") from None
-        if any(not isinstance(v, int) or not 0 <= v < params.modulus for v in raw):
+        if not isinstance(raw, list) or any(
+            not isinstance(v, int) or not 0 <= v < params.modulus for v in raw
+        ):
             raise ConfigError(
-                f"user {k}: symbols must be integers in [0, {params.modulus - 1}]"
+                f"user {k}: symbols must be a list of integers in [0, {params.modulus - 1}]"
             )
         padded, orig = pad_symbols(raw, params.block_count)
         if len(padded) != params.gradient_len:
@@ -443,6 +444,8 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
 
 def run_verify(config: RunConfig) -> VerifyReport:
     """Run the verification campaign over the configured grid."""
+    if config.draws < 1:
+        raise ConfigError(f"draws must be at least 1, got {config.draws}")
     grid = config.grid or ((config.params,) if config.params else DEFAULT_GRID)
     feasible_work = 0
     for params in grid:
@@ -478,11 +481,9 @@ def run_rates(config: RunConfig) -> list[dict]:
             for k in range(1, params.num_users + 1)
         ]
         keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
-        helpers = frozenset(range(1, params.num_helpers + 1))
-        pattern = pt.CommPattern(
-            tuple(helpers for _ in range(params.num_users)), helpers
+        transcript = proto.run_round(
+            ctx, pt.no_straggler_pattern(params), grads, noises, keys
         )
-        transcript = proto.run_round(ctx, pattern, grads, noises, keys)
         rx, ry = proto.measure_rates(transcript)
         bound = params.rate_bound
         rows.append(
@@ -536,6 +537,12 @@ def run_leakage(config: RunConfig) -> dict:
 
     helpers = list(range(1, params.num_helpers + 1))
     users = list(range(1, params.num_users + 1))
+    if config.uset is not None and not set(config.uset) <= set(users):
+        raise ConfigError(f"uset {config.uset} names users outside 1..{params.num_users}")
+    if config.tset is not None and not set(config.tset) <= set(helpers):
+        raise ConfigError(
+            f"tset {config.tset} names helpers outside 1..{params.num_helpers}"
+        )
     usets = [config.uset] if config.uset is not None else list(_subsets(users))
     tsets = (
         [config.tset]

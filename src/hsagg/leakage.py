@@ -2,18 +2,25 @@
 
 Every protocol variable is a fixed linear map of the canonical source
 vector of independent uniform field symbols (gradient parts, user
-randomness parts, dealer noise).  For such variables, q-ary joint
-entropy equals ``rank(coefficient matrix) * block_len`` exactly, and
-conditional mutual information reduces to the rank quadruple
+randomness parts, dealer noise).  Those maps are written only in the
+protocol roles: running the roles once on unit inputs, with block length
+equal to the number of source slots and slot ``s`` holding the unit
+vector ``e_s``, makes every payload its own coefficient rows.  This
+module names the variables, fixes the source layout and does the rank
+arithmetic.
+
+For such variables, q-ary joint entropy equals
+``rank(coefficient matrix) * block_len`` exactly, and conditional
+mutual information reduces to the rank quadruple
 
     I(A; B | C) = rank(AC) + rank(BC) - rank(ABC) - rank(C)
 
 in symbols.  Entropies and MI values are exact rationals, never floats,
 so zero leakage is decided exactly.
 
-A brute-force oracle cross-validates the rank formula on tiny instances
-by enumerating every source assignment through the concrete protocol
-code path, independent of the coefficient representation.
+A brute-force oracle checks the rank-to-entropy step independently on
+tiny instances: it runs the same roles on every source assignment and
+counts the joint distributions, with no rank arithmetic.
 """
 
 import random
@@ -25,17 +32,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .matrix import GfMatrix, RowSpace
-from .patterns import CommPattern, format_pattern
+from .patterns import CommPattern, format_pattern, no_straggler_pattern
 from .protocol import (
     Gradient,
+    RoundTranscript,
     SchemeContext,
     SchemeParams,
     UserRandomness,
-    encode_uploads,
-    helper_recover,
-    helper_respond,
-    helper_share,
     keys_from_noise,
+    run_round,
     setup,
 )
 
@@ -51,6 +56,7 @@ __all__ = [
     "MaskStructureReport",
     "RecoverabilityReport",
     "WitnessReport",
+    "unit_round",
     "build_static_vars",
     "build_linear_transcript",
     "joint_rank",
@@ -152,127 +158,129 @@ class LinearVar:
         return self.coeffs.data
 
 
-def _unit_row(dim: int, slot: int, value: int = 1) -> list[int]:
-    row = [0] * dim
-    row[slot] = value
-    return row
+# -- the transcript: the roles run on a source assignment ----------------
 
 
-def build_static_vars(ctx: SchemeContext) -> dict[str, LinearVar]:
-    """Pattern-independent variables: gradients, randomness, the sum,
-    every upload, and every dealer mask."""
+def _run_on_sources(
+    ctx: SchemeContext, pattern: CommPattern, assignment: Sequence[int]
+) -> tuple[RoundTranscript, dict[str, tuple[int, ...]]]:
+    """One round on a full source assignment, and its named values.
+
+    ``assignment`` lists ``dim * block_len`` symbols in layout order.  A
+    pattern without a survivor set runs with every active helper
+    surviving.
+    """
+    params = ctx.params
+    layout = SourceLayout(params)
+    l = params.block_len
+    users = range(1, params.num_users + 1)
+
+    def slot(i: int) -> tuple[int, ...]:
+        return tuple(assignment[i * l:(i + 1) * l])
+
+    gradients = [
+        Gradient(
+            k,
+            tuple(slot(layout.w_slot(k, i)) for i in range(1, params.block_count + 1)),
+        )
+        for k in users
+    ]
+    noises = [
+        UserRandomness(
+            k, tuple(slot(layout.f_slot(k, j)) for j in range(1, params.collusion + 1))
+        )
+        for k in users
+    ]
+    dealer_noise = {
+        (n, j, k): slot(layout.q_slot(n, j, k))
+        for n in range(1, params.num_helpers + 1)
+        for j in range(1, params.resiliency)
+        for k in users
+    }
+    if pattern.survivors is None:
+        pattern = pattern.with_survivors(pattern.active_helpers)
+    t = run_round(ctx, pattern, gradients, noises, keys_from_noise(ctx, dealer_noise))
+
+    vals: dict[str, tuple[int, ...]] = {}
+    for g, f in zip(gradients, noises):
+        vals[f"W[{g.owner}]"] = g.symbols()
+        vals[f"F[{f.owner}]"] = tuple(s for part in f.parts for s in part)
+    vals["W"] = tuple(
+        sum(column) % params.modulus for column in zip(*(g.symbols() for g in gradients))
+    )
+    for u in t.uploads:
+        vals[f"X[{u.user},{u.helper}]"] = u.payload
+    for (i, n, k), vec in t.keys.masks.items():
+        vals[f"Z[{i},{n},{k}]"] = vec
+    for m in t.messages:
+        for k, vec in m.payloads.items():
+            vals[f"M[{m.sender}->{m.receiver},{k}]"] = vec
+    for (k, n), vec in t.recovered.items():
+        vals[f"Xhat[{k},{n}]"] = vec
+    for r in t.responses:
+        vals[f"Y[{r.helper}]"] = r.payload
+    return t, vals
+
+
+def concrete_transcript_values(
+    ctx: SchemeContext, pattern: CommPattern, assignment: Sequence[int]
+) -> dict[str, tuple[int, ...]]:
+    """Run the protocol roles on one full source assignment.
+
+    ``assignment`` lists ``dim * block_len`` symbols in layout order; it
+    is split into gradients, user randomness and dealer noise and run
+    through ``run_round`` (every active helper surviving when the
+    pattern names no survivors).  Returns every named variable's value.
+    The linear model is this same run on unit inputs, so comparing the
+    two on random assignments checks that the roles are linear.
+    """
+    return _run_on_sources(ctx, pattern, assignment)[1]
+
+
+def unit_round(
+    ctx: SchemeContext, pattern: CommPattern
+) -> tuple[RoundTranscript, dict[str, LinearVar]]:
+    """The round run on unit inputs, and every variable's coefficients.
+
+    Block length becomes ``dim`` and source slot ``s`` holds the unit
+    vector ``e_s``.  The roles act on each payload column alike and
+    linearly, so column ``s`` of a payload is its coefficient on slot
+    ``s``: each ``dim``-wide chunk of a value is one coefficient row.
+    """
     params = ctx.params
     layout = SourceLayout(params)
     dim = layout.dim
-    field = ctx.field
-
-    def var(name, rows):
-        return LinearVar(name, layout, GfMatrix(field, rows))
-
-    out: dict[str, LinearVar] = {}
-    for k in range(1, params.num_users + 1):
-        out[f"W[{k}]"] = var(
-            f"W[{k}]",
-            [_unit_row(dim, layout.w_slot(k, i)) for i in range(1, params.block_count + 1)],
+    unit_ctx = replace(ctx, params=replace(params, gradient_len=dim * params.block_count))
+    identity = [int(i == s) for s in range(dim) for i in range(dim)]
+    transcript, vals = _run_on_sources(unit_ctx, pattern, identity)
+    tvars = {
+        name: LinearVar(
+            name,
+            layout,
+            GfMatrix(ctx.field, [v[i:i + dim] for i in range(0, len(v), dim)]),
         )
-        out[f"F[{k}]"] = var(
-            f"F[{k}]",
-            [_unit_row(dim, layout.f_slot(k, j)) for j in range(1, params.collusion + 1)],
-        )
-    sum_rows = []
-    for i in range(1, params.block_count + 1):
-        row = [0] * dim
-        for k in range(1, params.num_users + 1):
-            row[layout.w_slot(k, i)] = 1
-        sum_rows.append(row)
-    out["W"] = var("W", sum_rows)
-
-    v = ctx.upload_matrix
-    for k in range(1, params.num_users + 1):
-        for n in range(1, params.num_helpers + 1):
-            row = [0] * dim
-            for i in range(1, params.block_count + 1):
-                row[layout.w_slot(k, i)] = v[n - 1, i - 1]
-            for j in range(1, params.collusion + 1):
-                row[layout.f_slot(k, j)] = v[n - 1, params.block_count + j - 1]
-            out[f"X[{k},{n}]"] = var(f"X[{k},{n}]", [row])
-
-    for n in range(1, params.num_helpers + 1):
-        coeffs = ctx.mask_maps[n - 1]
-        for k in range(1, params.num_users + 1):
-            for i in range(1, params.num_helpers + 1):
-                row = [0] * dim
-                for j in range(1, params.resiliency):
-                    row[layout.q_slot(n, j, k)] = coeffs[i - 1, j - 1]
-                out[f"Z[{i},{n},{k}]"] = var(f"Z[{i},{n},{k}]", [row])
-    return out
+        for name, v in vals.items()
+    }
+    return transcript, tvars
 
 
 def build_linear_transcript(
     ctx: SchemeContext, pattern: CommPattern
 ) -> dict[str, LinearVar]:
-    """Coefficient-level transcript of one round under the pattern.
+    """Coefficient-level transcript of one round under the pattern: the
+    sources, uploads, masks, inter-helper shares, recovered uploads and
+    responses, read off the unit-input round."""
+    return unit_round(ctx, pattern)[1]
 
-    Extends the static variables with the inter-helper shares, the
-    recovered uploads (built through the same row-selection/inversion
-    composition the concrete helper uses), and the responses.
-    Instantiating any source assignment through these maps reproduces
-    the concrete transcript exactly, which is tested.
-    """
-    params = ctx.params
-    q = params.modulus
-    out = build_static_vars(ctx)
-    layout = out["W"].layout
-    field = ctx.field
 
-    def var(name, rows):
-        return LinearVar(name, layout, GfMatrix(field, rows))
-
-    def add_rows(*rows_list):
-        acc = [0] * layout.dim
-        for row in rows_list:
-            for i, c in enumerate(row):
-                acc[i] += c
-        return [c % q for c in acc]
-
-    active = sorted(pattern.active_helpers)
-    all_users = range(1, params.num_users + 1)
-
-    for n in active:
-        own = pattern.users_of(n)
-        for i in range(1, params.num_helpers + 1):
-            if i == n:
-                continue
-            for k in sorted(own - pattern.users_of(i)):
-                rows = add_rows(
-                    out[f"X[{k},{n}]"].rows[0], out[f"Z[{n},{i},{k}]"].rows[0]
-                )
-                out[f"M[{n}->{i},{k}]"] = var(f"M[{n}->{i},{k}]", [rows])
-
-    for n in active:
-        own = pattern.users_of(n)
-        for k in all_users:
-            if k in own:
-                continue
-            senders = sorted(pattern.receivers_of(k))[: params.resiliency]
-            sub = ctx.decode_matrices[n - 1].select_rows([i - 1 for i in senders])
-            first_row = sub.inv().row(0)
-            acc = [0] * layout.dim
-            for c, i in zip(first_row, senders):
-                if c:
-                    mrow = out[f"M[{i}->{n},{k}]"].rows[0]
-                    for pos, v in enumerate(mrow):
-                        acc[pos] += c * v
-            out[f"Xhat[{k},{n}]"] = var(f"Xhat[{k},{n}]", [[v % q for v in acc]])
-
-    for n in active:
-        own = pattern.users_of(n)
-        terms = [
-            out[f"X[{k},{n}]" if k in own else f"Xhat[{k},{n}]"].rows[0]
-            for k in all_users
-        ]
-        out[f"Y[{n}]"] = var(f"Y[{n}]", [add_rows(*terms)])
-    return out
+def build_static_vars(ctx: SchemeContext) -> dict[str, LinearVar]:
+    """Pattern-independent variables: gradients, randomness, the sum,
+    every upload, and every dealer mask."""
+    tvars = build_linear_transcript(ctx, no_straggler_pattern(ctx.params))
+    return {
+        name: var for name, var in tvars.items()
+        if name.partition("[")[0] in ("W", "F", "X", "Z")
+    }
 
 
 # -- rank arithmetic -------------------------------------------------------
@@ -290,10 +298,6 @@ def _common_layout(variables: Iterable[LinearVar]) -> SourceLayout | None:
     return layout
 
 
-def _space_for(layout: SourceLayout, ctx_field) -> RowSpace:
-    return RowSpace(ctx_field, layout.dim)
-
-
 def joint_rank(variables: Sequence[LinearVar]) -> int:
     """Rank of the stacked coefficient rows of the given variables."""
     layout = _common_layout(variables)
@@ -301,8 +305,7 @@ def joint_rank(variables: Sequence[LinearVar]) -> int:
         return 0
     space = RowSpace(variables[0].coeffs.field, layout.dim)
     for v in variables:
-        for row in v.rows:
-            space.insert(row)
+        space.insert_matrix(v.coeffs)
     return space.rank
 
 
@@ -326,12 +329,10 @@ def cond_entropy(
     f = (target + given)[0].coeffs.field
     space = RowSpace(f, layout.dim)
     for v in given:
-        for row in v.rows:
-            space.insert(row)
+        space.insert_matrix(v.coeffs)
     r_c = space.rank
     for v in target:
-        for row in v.rows:
-            space.insert(row)
+        space.insert_matrix(v.coeffs)
     return Fraction((space.rank - r_c) * layout.block_len)
 
 
@@ -353,23 +354,24 @@ def rank_quadruple(query: MiQuery) -> tuple[int, int, int, int]:
     f = everything[0].coeffs.field
     base = RowSpace(f, layout.dim)
     for v in query.given:
-        for row in v.rows:
-            base.insert(row)
+        base.insert_matrix(v.coeffs)
     r_c = base.rank
     with_a = base.clone()
     for v in query.target:
-        for row in v.rows:
-            with_a.insert(row)
+        with_a.insert_matrix(v.coeffs)
     r_ac = with_a.rank
     for v in query.observed:
-        for row in v.rows:
-            base.insert(row)
+        base.insert_matrix(v.coeffs)
     r_bc = base.rank
     for v in query.target:
-        for row in v.rows:
-            base.insert(row)
+        base.insert_matrix(v.coeffs)
     r_abc = base.rank
     return (r_ac, r_bc, r_abc, r_c)
+
+
+def _mi_from_ranks(ranks: tuple[int, int, int, int], block_len: int) -> Fraction:
+    r_ac, r_bc, r_abc, r_c = ranks
+    return Fraction((r_ac + r_bc - r_abc - r_c) * block_len)
 
 
 def cond_mutual_info(query: MiQuery) -> Fraction:
@@ -378,8 +380,7 @@ def cond_mutual_info(query: MiQuery) -> Fraction:
     layout = _common_layout(everything)
     if layout is None:
         return Fraction(0)
-    r_ac, r_bc, r_abc, r_c = rank_quadruple(query)
-    return Fraction((r_ac + r_bc - r_abc - r_c) * layout.block_len)
+    return _mi_from_ranks(rank_quadruple(query), layout.block_len)
 
 
 # -- the scheme's security statements --------------------------------------
@@ -444,6 +445,41 @@ def _all_gradients(tvars, params) -> tuple[LinearVar, ...]:
     return tuple(tvars[f"W[{k}]"] for k in range(1, params.num_users + 1))
 
 
+def _leakage_record(
+    kind: str,
+    ctx: SchemeContext,
+    pattern: CommPattern,
+    users: Sequence[int],
+    tset: Sequence[int],
+    tvars: Mapping[str, LinearVar] | None,
+    exploratory: bool,
+    make_query,
+) -> LeakageRecord:
+    """Evaluate ``make_query(tvars, view of tset)`` into a record.
+
+    A colluding set beyond the collusion bound raises unless the query
+    is ``exploratory``; the transcript defaults to the pattern's.
+    """
+    params = ctx.params
+    oversized = len(set(tset)) > params.collusion
+    if oversized and not exploratory:
+        raise BadSubset(
+            f"{len(set(tset))} colluding helpers exceeds bound {params.collusion}"
+        )
+    if tvars is None:
+        tvars = build_linear_transcript(ctx, pattern)
+    ranks = rank_quadruple(make_query(tvars, helper_observation(tvars, ctx, pattern, tset)))
+    return LeakageRecord(
+        kind=kind,
+        colluding_users=tuple(sorted(users)),
+        colluding_helpers=tuple(sorted(tset)),
+        pattern=format_pattern(pattern),
+        ranks=ranks,
+        value=_mi_from_ranks(ranks, params.block_len),
+        exploratory=oversized,
+    )
+
+
 def check_security_helpers(
     ctx: SchemeContext,
     pattern: CommPattern,
@@ -459,26 +495,13 @@ def check_security_helpers(
     whenever ``len(tset) <= collusion``; larger sets require
     ``exploratory=True`` and the value is reported rather than judged.
     """
-    params = ctx.params
-    if len(set(tset)) > params.collusion and not exploratory:
-        raise BadSubset(
-            f"{len(set(tset))} colluding helpers exceeds bound {params.collusion}"
-        )
-    if tvars is None:
-        tvars = build_linear_transcript(ctx, pattern)
-    query = MiQuery(
-        target=_all_gradients(tvars, params),
-        observed=helper_observation(tvars, ctx, pattern, tset),
-        given=_collusion_vars(tvars, users),
-    )
-    return LeakageRecord(
-        kind="helpers",
-        colluding_users=tuple(sorted(users)),
-        colluding_helpers=tuple(sorted(tset)),
-        pattern=format_pattern(pattern),
-        ranks=rank_quadruple(query),
-        value=cond_mutual_info(query),
-        exploratory=len(set(tset)) > params.collusion,
+    return _leakage_record(
+        "helpers", ctx, pattern, users, tset, tvars, exploratory,
+        lambda tv, view: MiQuery(
+            target=_all_gradients(tv, ctx.params),
+            observed=view,
+            given=_collusion_vars(tv, users),
+        ),
     )
 
 
@@ -496,29 +519,13 @@ def check_security_master(
     colluding helpers and users contribute; conditioning includes the
     gradient sum itself.
     """
-    params = ctx.params
-    if len(set(tset)) > params.collusion and not exploratory:
-        raise BadSubset(
-            f"{len(set(tset))} colluding helpers exceeds bound {params.collusion}"
-        )
-    if tvars is None:
-        tvars = build_linear_transcript(ctx, pattern)
-    responses = tuple(
-        tvars[f"Y[{n}]"] for n in sorted(pattern.active_helpers)
-    )
-    query = MiQuery(
-        target=_all_gradients(tvars, params),
-        observed=responses + helper_observation(tvars, ctx, pattern, tset),
-        given=(tvars["W"],) + _collusion_vars(tvars, users),
-    )
-    return LeakageRecord(
-        kind="master",
-        colluding_users=tuple(sorted(users)),
-        colluding_helpers=tuple(sorted(tset)),
-        pattern=format_pattern(pattern),
-        ranks=rank_quadruple(query),
-        value=cond_mutual_info(query),
-        exploratory=len(set(tset)) > params.collusion,
+    return _leakage_record(
+        "master", ctx, pattern, users, tset, tvars, exploratory,
+        lambda tv, view: MiQuery(
+            target=_all_gradients(tv, ctx.params),
+            observed=tuple(tv[f"Y[{n}]"] for n in sorted(pattern.active_helpers)) + view,
+            given=(tv["W"],) + _collusion_vars(tv, users),
+        ),
     )
 
 
@@ -631,42 +638,19 @@ def check_sharing_leakage(
     """Inter-helper shares reveal nothing new about uploads:
     I(all uploads; shares seen by tset | tset's uploads and masks) = 0."""
     params = ctx.params
-    if len(set(tset)) > params.collusion:
-        raise BadSubset(
-            f"{len(set(tset))} colluding helpers exceeds bound {params.collusion}"
+
+    def query(tv, view):
+        return MiQuery(
+            target=tuple(
+                tv[f"X[{k},{n}]"]
+                for k in range(1, params.num_users + 1)
+                for n in range(1, params.num_helpers + 1)
+            ),
+            observed=tuple(v for v in view if v.name.startswith("M[")),
+            given=tuple(v for v in view if not v.name.startswith("M[")),
         )
-    if tvars is None:
-        tvars = build_linear_transcript(ctx, pattern)
-    all_uploads = tuple(
-        tvars[f"X[{k},{n}]"]
-        for k in range(1, params.num_users + 1)
-        for n in range(1, params.num_helpers + 1)
-    )
-    received = []
-    given = []
-    for t in sorted(tset):
-        for k in range(1, params.num_users + 1):
-            given.append(tvars[f"X[{k},{t}]"])
-        for n in range(1, params.num_helpers + 1):
-            if n != t:
-                for k in range(1, params.num_users + 1):
-                    given.append(tvars[f"Z[{t},{n},{k}]"])
-        for i in sorted(pattern.active_helpers):
-            if i == t:
-                continue
-            for k in range(1, params.num_users + 1):
-                name = f"M[{i}->{t},{k}]"
-                if name in tvars:
-                    received.append(tvars[name])
-    query = MiQuery(target=all_uploads, observed=tuple(received), given=tuple(given))
-    return LeakageRecord(
-        kind="sharing",
-        colluding_users=(),
-        colluding_helpers=tuple(sorted(tset)),
-        pattern=format_pattern(pattern),
-        ranks=rank_quadruple(query),
-        value=cond_mutual_info(query),
-    )
+
+    return _leakage_record("sharing", ctx, pattern, (), tset, tvars, False, query)
 
 
 @dataclass
@@ -707,29 +691,15 @@ def check_upload_recoverability(ctx: SchemeContext) -> RecoverabilityReport:
 def response_entropy_given_sum(
     ctx: SchemeContext, tset: Sequence[int]
 ) -> Fraction:
-    """H of all aggregate responses given the gradient sum and the
-    uploads seen by ``tset``; the design makes this exactly 0 when
-    ``len(tset) == collusion``."""
-    params = ctx.params
-    svars = build_static_vars(ctx)
-    layout = svars["W"].layout
-    q = params.modulus
-    aggregates = []
-    for n in range(1, params.num_helpers + 1):
-        acc = [0] * layout.dim
-        for k in range(1, params.num_users + 1):
-            for i, c in enumerate(svars[f"X[{k},{n}]"].rows[0]):
-                acc[i] += c
-        aggregates.append(
-            LinearVar(
-                f"sumX[{n}]", layout, GfMatrix(ctx.field, [[c % q for c in acc]])
-            )
-        )
-    given = [svars["W"]]
-    for t in sorted(tset):
-        for k in range(1, params.num_users + 1):
-            given.append(svars[f"X[{k},{t}]"])
-    return cond_entropy(aggregates, given)
+    """H of all responses under no stragglers given the gradient sum and
+    the view of ``tset`` (its uploads and masks); the design makes this
+    exactly 0 when ``len(tset) == collusion``."""
+    pattern = no_straggler_pattern(ctx.params)
+    tvars = build_linear_transcript(ctx, pattern)
+    responses = [tvars[f"Y[{n}]"] for n in range(1, ctx.params.num_helpers + 1)]
+    return cond_entropy(
+        responses, (tvars["W"],) + helper_observation(tvars, ctx, pattern, tset)
+    )
 
 
 @dataclass(frozen=True)
@@ -766,17 +736,10 @@ def infeasibility_witness(params: SchemeParams) -> WitnessReport:
     sibling = replace(params, collusion=params.resiliency - 1)
     ctx = setup(sibling)
     svars = build_static_vars(ctx)
-    view: list[LinearVar] = []
-    tset = range(1, params.resiliency + 1)
-    for t in tset:
-        for k in range(1, params.num_users + 1):
-            view.append(svars[f"X[{k},{t}]"])
-    for t in tset:
-        for n in range(1, params.num_helpers + 1):
-            if n != t:
-                for k in range(1, params.num_users + 1):
-                    view.append(svars[f"Z[{t},{n},{k}]"])
-    query = MiQuery(target=(svars["W"],), observed=tuple(view))
+    view = helper_observation(
+        svars, ctx, no_straggler_pattern(sibling), range(1, params.resiliency + 1)
+    )
+    query = MiQuery(target=(svars["W"],), observed=view)
     return WitnessReport(
         params=params,
         sibling_collusion=sibling.collusion,
@@ -788,95 +751,17 @@ def infeasibility_witness(params: SchemeParams) -> WitnessReport:
 # -- brute-force oracle -----------------------------------------------------
 
 
-def concrete_transcript_values(
-    ctx: SchemeContext, pattern: CommPattern, assignment: Sequence[int]
-) -> dict[str, tuple[int, ...]]:
-    """Run the concrete protocol on one full source assignment.
-
-    ``assignment`` lists ``dim * block_len`` symbols in layout order.
-    Returns every named variable's value; this path exercises the real
-    role functions and never touches the coefficient representation.
-    """
-    params = ctx.params
-    layout = SourceLayout(params)
-    l = params.block_len
-
-    def slot(i: int) -> tuple[int, ...]:
-        return tuple(assignment[i * l:(i + 1) * l])
-
-    gradients = {
-        k: Gradient(
-            k,
-            tuple(slot(layout.w_slot(k, i)) for i in range(1, params.block_count + 1)),
-        )
-        for k in range(1, params.num_users + 1)
-    }
-    noises = {
-        k: UserRandomness(
-            k,
-            tuple(slot(layout.f_slot(k, j)) for j in range(1, params.collusion + 1)),
-        )
-        for k in range(1, params.num_users + 1)
-    }
-    dealer_noise = {
-        (n, j, k): slot(layout.q_slot(n, j, k))
-        for n in range(1, params.num_helpers + 1)
-        for j in range(1, params.resiliency)
-        for k in range(1, params.num_users + 1)
-    }
-    keys = keys_from_noise(ctx, dealer_noise)
-
-    vals: dict[str, tuple[int, ...]] = {}
-    q = params.modulus
-    for k, g in gradients.items():
-        vals[f"W[{k}]"] = g.symbols()
-        vals[f"F[{k}]"] = tuple(s for part in noises[k].parts for s in part)
-    vals["W"] = tuple(
-        sum(gradients[k].symbols()[i] for k in gradients) % q
-        for i in range(params.gradient_len)
-    )
-
-    payload: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k in sorted(gradients):
-        for msg in encode_uploads(ctx, gradients[k], noises[k]):
-            payload[(k, msg.helper)] = msg.payload
-            vals[f"X[{k},{msg.helper}]"] = msg.payload
-    for key, vec in keys.masks.items():
-        i, n, k = key
-        vals[f"Z[{i},{n},{k}]"] = vec
-
-    active = sorted(pattern.active_helpers)
-    received = {
-        n: {k: payload[(k, n)] for k in sorted(pattern.users_of(n))} for n in active
-    }
-    inbox: dict[int, dict[int, dict[int, tuple[int, ...]]]] = {}
-    for n in active:
-        for msg in helper_share(ctx, keys, pattern, n, received[n]):
-            for k, vec in msg.payloads.items():
-                vals[f"M[{n}->{msg.receiver},{k}]"] = vec
-                inbox.setdefault(msg.receiver, {}).setdefault(k, {})[n] = vec
-
-    for n in active:
-        own = pattern.users_of(n)
-        recovered = {}
-        for k in range(1, params.num_users + 1):
-            if k in own:
-                continue
-            xhat = helper_recover(ctx, pattern, n, k, inbox.get(n, {}).get(k, {}))
-            recovered[k] = xhat
-            vals[f"Xhat[{k},{n}]"] = xhat
-        vals[f"Y[{n}]"] = helper_respond(ctx, pattern, n, received[n], recovered).payload
-    return vals
-
-
 class BruteForceOracle:
     """Exact entropies on a tiny instance by full source enumeration.
 
     Enumerates every assignment of the source vector, pushes each one
-    through the concrete protocol, and tabulates the resulting joint
-    distributions.  The scheme's variables are uniform over a subspace,
-    so every joint entropy is an exact integer number of q-ary symbols;
-    non-uniformity would indicate a broken scheme and raises.
+    through the protocol roles, and tabulates the resulting joint
+    distributions.  The linear model is the same roles run on unit
+    inputs, so the oracle does not check the protocol's maps; it checks
+    the rank-to-entropy step by counting, with no rank arithmetic.  The
+    scheme's variables are uniform over a subspace, so every joint
+    entropy is an exact integer number of q-ary symbols; non-uniformity
+    would indicate a broken scheme and raises.
     """
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern, limit: int = 10**6):

@@ -9,10 +9,9 @@ Row and column indices are 0-based throughout this module.  Protocol
 code translates 1-based helper/user ids before calling in.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .field import FieldElement, PrimeField
+from .field import ModulusMismatch, PrimeField
 
 __all__ = [
     "MatrixError",
@@ -21,7 +20,6 @@ __all__ = [
     "IndexOutOfRange",
     "FieldTooSmall",
     "GfMatrix",
-    "EvaluationPoints",
     "make_points",
     "vandermonde",
     "extended_vandermonde",
@@ -49,12 +47,6 @@ class FieldTooSmall(MatrixError):
     """The field has too few nonzero elements for the requested points."""
 
 
-def _as_int(entry) -> int:
-    if isinstance(entry, FieldElement):
-        return entry.value
-    return int(entry)
-
-
 class GfMatrix:
     """An immutable rows x cols matrix over GF(q)."""
 
@@ -63,7 +55,7 @@ class GfMatrix:
     def __init__(self, field: PrimeField, rows_data: Iterable[Sequence]):
         q = field.q
         data = tuple(
-            tuple(_as_int(e) % q for e in row) for row in rows_data
+            tuple(int(e) % q for e in row) for row in rows_data
         )
         if data:
             width = len(data[0])
@@ -108,8 +100,6 @@ class GfMatrix:
         if not isinstance(other, GfMatrix):
             return NotImplemented
         if self.field != other.field:
-            from .field import ModulusMismatch
-
             raise ModulusMismatch(
                 f"GF({self.field.q}) vs GF({other.field.q})"
             )
@@ -143,12 +133,6 @@ class GfMatrix:
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError("row indices must be strictly increasing")
         return GfMatrix(self.field, [self.data[i] for i in idx])
-
-    def transpose(self) -> "GfMatrix":
-        return GfMatrix(
-            self.field,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
 
     def inv(self) -> "GfMatrix":
         """Inverse by Gauss-Jordan elimination.
@@ -246,55 +230,36 @@ class RowSpace:
             self.insert(row)
 
 
-@dataclass(frozen=True)
-class EvaluationPoints:
-    """The N + Nr - 1 pairwise-distinct nonzero evaluation points.
+def make_points(field: PrimeField, num_helpers: int, resiliency: int) -> tuple[int, ...]:
+    """Canonical evaluation points alpha_i = i, i in [1, N + Nr - 1].
 
     The first ``num_helpers`` points parameterize helper rows of the
     upload matrix; the remaining ``resiliency - 1`` tail points extend
-    it for the helper-side key construction.
-    """
-
-    field: PrimeField
-    alphas: tuple[int, ...]
-
-    def __post_init__(self):
-        q = self.field.q
-        if any(a % q == 0 for a in self.alphas):
-            raise ValueError("evaluation points must be nonzero")
-        if len(set(a % q for a in self.alphas)) != len(self.alphas):
-            raise ValueError("evaluation points must be pairwise distinct")
-
-    def __len__(self):
-        return len(self.alphas)
-
-
-def make_points(field: PrimeField, num_helpers: int, resiliency: int) -> EvaluationPoints:
-    """Canonical evaluation points alpha_i = i, i in [1, N + Nr - 1].
-
-    Deterministic so that every matrix, transcript and golden vector is
-    reproducible.  Raises :class:`FieldTooSmall` when GF(q) cannot host
-    the required number of distinct nonzero points (q < N + Nr).
+    it for the helper-side key construction.  Deterministic so that
+    every matrix, transcript and golden vector is reproducible.  Raises
+    :class:`FieldTooSmall` when GF(q) cannot host the required number
+    of distinct nonzero points (q < N + Nr).
     """
     count = num_helpers + resiliency - 1
     if field.q < count + 1:
         raise FieldTooSmall(
             f"need {count} distinct nonzero points, GF({field.q}) has {field.q - 1}"
         )
-    return EvaluationPoints(field, tuple(range(1, count + 1)))
+    return tuple(range(1, count + 1))
 
 
-def vandermonde(field: PrimeField, points: Sequence, cols: int) -> GfMatrix:
+def vandermonde(field: PrimeField, points: Sequence[int], cols: int) -> GfMatrix:
     """Vandermonde matrix with entry (i, j) = points[i] ** j, j < cols."""
     if cols < 1:
         raise ValueError("need at least one column")
-    pts = [_as_int(p) for p in points]
     return GfMatrix(
-        field, [[field.pow(p, j) for j in range(cols)] for p in pts]
+        field, [[field.pow(p, j) for j in range(cols)] for p in points]
     )
 
 
-def extended_vandermonde(points: EvaluationPoints, num_helpers: int, resiliency: int) -> GfMatrix:
+def extended_vandermonde(
+    field: PrimeField, points: Sequence[int], num_helpers: int, resiliency: int
+) -> GfMatrix:
     """The Nr x (Nr - 1) key-mixing matrix.
 
     Its first row is all zero; row 1 + i is the Vandermonde row of tail
@@ -303,10 +268,9 @@ def extended_vandermonde(points: EvaluationPoints, num_helpers: int, resiliency:
     """
     if len(points) != num_helpers + resiliency - 1:
         raise DimensionMismatch("points do not match (N, Nr)")
-    field = points.field
     width = resiliency - 1
     rows = [[0] * width]
     for i in range(1, resiliency):
-        alpha = points.alphas[num_helpers + i - 1]
+        alpha = points[num_helpers + i - 1]
         rows.append([field.pow(alpha, j) for j in range(width)])
     return GfMatrix(field, rows)

@@ -22,6 +22,7 @@ __all__ = [
     "CommPattern",
     "parse_pattern",
     "format_pattern",
+    "no_straggler_pattern",
     "validate",
     "enumerate_patterns",
     "enumerate_survivors",
@@ -129,6 +130,12 @@ def format_pattern(pattern: CommPattern) -> str:
     if pattern.survivors is not None:
         text += f" hm={','.join(str(h) for h in sorted(pattern.survivors))}"
     return text
+
+
+def no_straggler_pattern(params) -> CommPattern:
+    """Every user reaches every helper, and every helper survives."""
+    helpers = frozenset(range(1, params.num_helpers + 1))
+    return CommPattern((helpers,) * params.num_users, helpers)
 
 
 def validate(pattern: CommPattern, params) -> None:

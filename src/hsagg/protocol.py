@@ -210,18 +210,18 @@ def setup(params: SchemeParams) -> SchemeContext:
             f"block count {nr - t} does not divide gradient length {length}"
         )
 
-    upload = vandermonde(field, points.alphas[:n], nr)
-    tail = points.alphas[n:]
+    upload = vandermonde(field, points[:n], nr)
+    tail = points[n:]
     bases = tuple(
-        vandermonde(field, (points.alphas[h],) + tail, nr) for h in range(n)
+        vandermonde(field, (points[h],) + tail, nr) for h in range(n)
     )
-    mask_basis = extended_vandermonde(points, n, nr)
+    mask_basis = extended_vandermonde(field, points, n, nr)
     decode = tuple(upload @ b.inv() for b in bases)
     mask_maps = tuple(s @ mask_basis for s in decode)
     return SchemeContext(
         params=params,
         field=field,
-        points=points.alphas,
+        points=points,
         upload_matrix=upload,
         basis_matrices=bases,
         mask_basis=mask_basis,
@@ -300,8 +300,8 @@ def keys_from_noise(
 ) -> DealerKeys:
     """Derive the mask table from given noise vectors.
 
-    Shared by the seeded dealer and by the exhaustive leakage oracle,
-    which feeds enumerated noise through this same code path.
+    Shared by the seeded dealer and by the leakage module, which feeds
+    enumerated or unit noise through this same code path.
     """
     params = ctx.params
     q = params.modulus
@@ -368,7 +368,9 @@ class HelperResponse:
 
 @dataclass
 class RoundTranscript:
-    """Every message produced in one round, plus the decoded sum."""
+    """Every message produced in one round, the uploads each helper
+    recovered (keyed (k, n): user k's upload as rebuilt by helper n),
+    plus the decoded sum."""
 
     params: SchemeParams
     pattern: CommPattern
@@ -376,6 +378,7 @@ class RoundTranscript:
     keys: DealerKeys
     messages: tuple[InterHelperMessage, ...]
     responses: tuple[HelperResponse, ...]
+    recovered: dict[tuple[int, int], Vector]
     decoded: Vector | None = None
 
 
@@ -556,15 +559,17 @@ def run_round(
                 inbox[msg.receiver].setdefault(k, {})[msg.sender] = vec
 
     responses: list[HelperResponse] = []
+    recovered: dict[tuple[int, int], Vector] = {}
     for n in active:
         missing = sorted(
             frozenset(range(1, params.num_users + 1)) - pattern.users_of(n)
         )
-        recovered = {
+        rebuilt = {
             k: helper_recover(ctx, pattern, n, k, inbox[n].get(k, {}))
             for k in missing
         }
-        responses.append(helper_respond(ctx, pattern, n, received[n], recovered))
+        recovered.update(((k, n), vec) for k, vec in rebuilt.items())
+        responses.append(helper_respond(ctx, pattern, n, received[n], rebuilt))
 
     surviving = [r for r in responses if r.helper in pattern.survivors]
     decoded = master_decode(ctx, surviving)
@@ -575,6 +580,7 @@ def run_round(
         keys=keys,
         messages=tuple(messages),
         responses=tuple(responses),
+        recovered=recovered,
         decoded=decoded,
     )
 

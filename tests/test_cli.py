@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hsagg.cli import main
 
 EXAMPLE_ARGS = ["--params", "2,4,3,1,7,2"]
@@ -133,3 +135,24 @@ def test_unknown_format_rejected(capsys):
 
 def test_missing_config_file(capsys):
     assert main(["round", "--config", "/nonexistent/file.cfg"]) == 2
+
+
+BAD_INPUTS = {
+    "uset-outside-users": ["leakage", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3;2:1,2,4",
+                           "--uset", "9"],
+    "tset-outside-helpers": ["leakage", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3;2:1,2,4",
+                             "--tset", "9"],
+    "zero-draws": ["verify", "--grid", "2,3,2,1,5,1", "--draws", "0"],
+    "gradient-not-a-list": ["round", *EXAMPLE_ARGS, "--gradients", "GRADIENTS"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
+    gradients = tmp_path / "gradients.json"
+    gradients.write_text(json.dumps({"1": 5, "2": [1, 2]}))
+    argv = [str(gradients) if a == "GRADIENTS" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

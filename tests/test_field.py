@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hsagg.field import ModulusMismatch, PrimeField, ZeroInverse, is_prime
+from hsagg.matrix import GfMatrix
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -22,97 +23,105 @@ def test_composite_modulus_rejected():
 
 
 def test_addition():
+    # residues add as integers; the matrix layer reduces every sum
     f7 = PrimeField(7)
-    assert f7.element(5) + f7.element(4) == f7.element(2)
-    f3 = PrimeField(3)
-    assert f3.element(2) + f3.element(2) == f3.element(1)
+    ones = GfMatrix(f7, [(1, 1)])
+    assert (ones @ GfMatrix(f7, [(5,), (4,)])).data == ((2,),)
+    assert (GfMatrix(PrimeField(3), [(1, 1)]) @ GfMatrix(PrimeField(3), [(2,), (2,)])).data == ((1,),)
     for x in range(7):
-        assert f7.zero() + f7.element(x) == f7.element(x)
+        assert (ones @ GfMatrix(f7, [(0,), (x,)])).data == ((x,),)
 
 
 def test_multiplication():
     f7 = PrimeField(7)
-    assert f7.element(3) * f7.element(3) == f7.element(2)
-    assert f7.element(4) * f7.element(4) == f7.element(2)
+    assert (GfMatrix(f7, [(3,)]) @ GfMatrix(f7, [(3,)])).data == ((2,),)
+    assert (GfMatrix(f7, [(4,)]) @ GfMatrix(f7, [(4,)])).data == ((2,),)
     for x in range(7):
-        assert f7.one() * f7.element(x) == f7.element(x)
+        assert (GfMatrix(f7, [(1,)]) @ GfMatrix(f7, [(x,)])).data == ((x,),)
 
 
 def test_inverse():
     f7 = PrimeField(7)
-    assert f7.element(2).inv() == f7.element(4)
-    assert f7.element(1).inv() == f7.element(1)
-    assert PrimeField(5).element(3).inv() == PrimeField(5).element(2)
-    with pytest.raises(ZeroInverse):
-        f7.zero().inv()
+    assert f7.inv(2) == 4
+    assert f7.inv(1) == 1
+    assert PrimeField(5).inv(3) == 2
     with pytest.raises(ZeroInverse):
         f7.inv(0)
+    with pytest.raises(ZeroInverse):
+        f7.inv(14)
 
 
 def test_power():
     f7 = PrimeField(7)
-    assert f7.element(3) ** 2 == f7.element(2)
-    assert f7.element(4) ** 2 == f7.element(2)
+    assert f7.pow(3, 2) == 2
+    assert f7.pow(4, 2) == 2
     for x in range(7):
-        assert f7.element(x) ** 0 == f7.one()
+        assert f7.pow(x, 0) == 1
     with pytest.raises(ValueError):
         f7.pow(3, -1)
 
 
 def test_modulus_mismatch():
-    a = PrimeField(7).element(3)
-    b = PrimeField(5).element(3)
+    a = GfMatrix(PrimeField(7), [(3,)])
+    b = GfMatrix(PrimeField(5), [(3,)])
+    assert PrimeField(7) != PrimeField(5)
     with pytest.raises(ModulusMismatch):
-        a + b
+        a @ b
     with pytest.raises(ModulusMismatch):
-        a * b
+        b @ a
 
 
 def test_int_interop_and_canonical_form():
+    # any integer is accepted and comes back as its canonical residue
     f7 = PrimeField(7)
-    assert f7.element(10) == f7.element(3)
-    assert (f7.element(3) + 6).value == 2
-    assert int(2 * f7.element(4)) == 1
-    assert (3 - f7.element(5)).value == 5
-    assert -f7.element(2) == f7.element(5)
-    assert f7.element(3) / f7.element(5) == f7.element(2)
+    assert GfMatrix(f7, [(10, -1, 14)]).data == ((3, 6, 0),)
+    assert f7.pow(10, 1) == 3
+    assert f7.pow(-2, 1) == 5
+    assert f7.inv(9) == f7.inv(2) == 4
+    assert f7.inv(-2) == 3
+    # 3 / 5 = 3 * inv(5)
+    assert 3 * f7.inv(5) % 7 == 2
 
 
 @st.composite
 def field_and_values(draw, count):
     q = draw(st.sampled_from(PRIMES))
-    f = PrimeField(q)
-    vals = [f.element(draw(st.integers(0, q - 1))) for _ in range(count)]
-    return (f, *vals)
+    return (PrimeField(q), *(draw(st.integers(0, q - 1)) for _ in range(count)))
 
 
 @given(field_and_values(3))
 def test_field_axioms(fv):
-    _, a, b, c = fv
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a + b == b + a
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
+    # powers and inverses respect the multiplicative structure of GF(q)
+    f, a, b, c = fv
+    q = f.q
+    assert f.pow(a * b, c) == f.pow(a, c) * f.pow(b, c) % q
+    assert f.pow(a, b + c) == f.pow(a, b) * f.pow(a, c) % q
+    assert f.pow(a + q, c) == f.pow(a, c)
+    if a and b:
+        assert f.inv(a * b) == f.inv(a) * f.inv(b) % q
+        assert f.pow(a, q - 1) == 1
 
 
 @given(field_and_values(1))
 def test_inverse_cancels(fv):
-    _, a = fv
-    if a.value != 0:
-        assert a * a.inv() == 1
+    f, a = fv
+    if a != 0:
+        assert a * f.inv(a) % f.q == 1
+        assert f.inv(f.inv(a)) == a
 
 
 @given(field_and_values(1), st.integers(0, 16))
 def test_pow_matches_repeated_multiplication(fv, e):
     f, a = fv
-    acc = f.one()
+    acc = 1
     for _ in range(e):
-        acc = acc * a
-    assert a**e == acc
+        acc = acc * a % f.q
+    assert f.pow(a, e) == acc
 
 
 def test_elements_enumeration():
-    f5 = PrimeField(5)
-    assert [int(x) for x in f5.elements()] == [0, 1, 2, 3, 4]
-    assert hash(f5.element(2)) == hash(PrimeField(5).element(7))
+    # every nonzero residue has exactly one inverse, and fields hash by modulus
+    for q in PRIMES:
+        f = PrimeField(q)
+        assert sorted(f.inv(x) for x in range(1, q)) == list(range(1, q))
+    assert hash(PrimeField(5)) == hash(PrimeField(5))

@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from hsagg import protocol
 from hsagg.leakage import (
     BadSubset,
     BruteForceOracle,
@@ -26,9 +28,11 @@ from hsagg.leakage import (
     infeasibility_witness,
     rank_quadruple,
     response_entropy_given_sum,
+    unit_round,
 )
-from hsagg.patterns import enumerate_patterns, parse_pattern
-from hsagg.protocol import SchemeParams, setup
+from hsagg.matrix import GfMatrix
+from hsagg.patterns import enumerate_patterns, enumerate_survivors, parse_pattern
+from hsagg.protocol import InterHelperMessage, SchemeParams, setup
 
 EXAMPLE = SchemeParams(2, 4, 3, 1, 7, 2)
 EXAMPLE_PATTERN = parse_pattern("nu=1:1,2,3;2:1,2,4 hm=2,3,4")
@@ -129,6 +133,74 @@ def test_linear_model_reproduces_concrete_transcript(ctx):
         assert set(concrete) == set(tv)
         for name, var in tv.items():
             assert apply_linear(var, assignment, 7, EXAMPLE.block_len) == concrete[name], name
+
+
+@pytest.mark.parametrize(
+    "params, cases",
+    [
+        (SchemeParams(2, 4, 3, 1, 7, 2), 109),
+        (SchemeParams(3, 4, 3, 2, 11, 1), 609),
+        (SchemeParams(2, 5, 4, 2, 11, 2), 191),
+    ],
+    ids=["2,4,3,1,7,2", "3,4,3,2,11,1", "2,5,4,2,11,2"],
+)
+def test_unit_round_decodes_the_sum_symbolically(params, cases):
+    """The roles are linear, so a round on unit inputs whose decoded
+    rows are the rows of W decodes the sum for every input."""
+    ctx = setup(params)
+    dim = SourceLayout(params).dim
+    seen = 0
+    for pattern in enumerate_patterns(params):
+        for survivors in enumerate_survivors(pattern, params):
+            transcript, tv = unit_round(ctx, pattern.with_survivors(survivors))
+            decoded = transcript.decoded
+            rows = tuple(decoded[i:i + dim] for i in range(0, len(decoded), dim))
+            assert rows == tv["W"].rows, (pattern, survivors)
+            seen += 1
+    assert seen == cases
+
+
+def _forward_unmasked_shares(ctx, monkeypatch):
+    share = protocol.helper_share
+
+    def unmasked(ctx, keys, pattern, helper, received):
+        return tuple(
+            InterHelperMessage(m.sender, m.receiver, {k: received[k] for k in m.payloads})
+            for m in share(ctx, keys, pattern, helper, received)
+        )
+
+    monkeypatch.setattr(protocol, "helper_share", unmasked)
+    return ctx
+
+
+def _zero_masks(ctx, monkeypatch):
+    zeros = tuple(GfMatrix.zeros(ctx.field, m.rows, m.cols) for m in ctx.mask_maps)
+    return replace(ctx, mask_maps=zeros)
+
+
+def _helper4_upload_without_randomness(ctx, monkeypatch):
+    # Zeroing the randomness columns of every row would leave no
+    # invertible Nr-row submatrix for the master's decode; the master
+    # decodes from helpers 1-3 here, so helper 4's row is free to break.
+    rows = list(ctx.upload_matrix.data)
+    rows[3] = rows[3][: EXAMPLE.block_count] + (0,) * EXAMPLE.collusion
+    return replace(ctx, upload_matrix=GfMatrix(ctx.field, rows))
+
+
+@pytest.mark.parametrize(
+    "break_scheme, leaks",
+    [
+        (_forward_unmasked_shares, [0, 0, 2, 2]),
+        (_zero_masks, [0, 0, 2, 2]),
+        (_helper4_upload_without_randomness, [0, 0, 1, 2]),
+    ],
+    ids=["unmasked-shares", "zero-masks", "upload-row-without-randomness"],
+)
+def test_verifier_reports_leakage_of_broken_schemes(ctx, monkeypatch, break_scheme, leaks):
+    broken = break_scheme(ctx, monkeypatch)
+    pattern = parse_pattern("nu=1:1,2,3;2:1,2,4")
+    got = [check_security_helpers(broken, pattern, [], [t]).value for t in (1, 2, 3, 4)]
+    assert got == leaks
 
 
 def test_entropy_examples(tvars, ctx):

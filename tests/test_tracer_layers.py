@@ -1,0 +1,24 @@
+"""Every function the benchmark's tracer wraps must exist under the name
+it uses, so that renaming one fails here rather than in a traced run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_traced_layers_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, entries in tracer.LAYERS.items():
+        home = importlib.import_module(f"hsagg.{module}")
+        for _, path in entries:
+            owner_name, _, attr = path.rpartition(".")
+            # a method must sit in its class's own dict, where the tracer rebinds it
+            owner = getattr(home, owner_name, None) if owner_name else home
+            if owner is None or not callable(vars(owner).get(attr)):
+                missing.append(f"hsagg.{module}.{path}")
+    assert missing == []
