@@ -30,17 +30,34 @@ class ZeroInverse(FieldError):
     """A multiplicative inverse of zero was requested."""
 
 
+# The first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every n < 2^64 (Sorenson and Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test; moduli here are small."""
+    """Exact primality by deterministic Miller-Rabin, for n < 2^64.
+    Larger numbers raise ValueError rather than get an unproven answer."""
+    if n >= 2**64:
+        raise ValueError(f"primality of {n} >= 2^64 is not decided exactly")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

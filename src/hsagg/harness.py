@@ -419,15 +419,16 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                     f"sharing leakage {rec.value} at T={rec.colluding_helpers} {rec.pattern}"
                 )
 
-    mask_report = lk.check_mask_independence(ctx)
+    static = lk.build_linear_transcript(ctx, pt.no_straggler_pattern(params))
+    mask_report = lk.check_mask_independence(ctx, tvars=static)
     report.invariant_checks += mask_report.families_checked + mask_report.subsets_checked
     report.failures.extend(mask_report.violations)
-    recovery_report = lk.check_upload_recoverability(ctx)
+    recovery_report = lk.check_upload_recoverability(ctx, tvars=static)
     report.invariant_checks += recovery_report.checks
     report.failures.extend(recovery_report.violations)
     for tset in combinations(helpers, params.collusion):
         report.invariant_checks += 1
-        h = lk.response_entropy_given_sum(ctx, tset)
+        h = lk.response_entropy_given_sum(ctx, tset, tvars=static)
         if h != 0:
             report.failures.append(
                 f"responses not determined by sum and uploads of {tset}: H = {h}"

@@ -18,20 +18,40 @@ mutual information reduces to the rank quadruple
 in symbols.  Entropies and MI values are exact rationals, never floats,
 so zero leakage is decided exactly.
 
+Helper and master queries have a shape that makes most of this work
+shareable: their target A and given C lie in the user-source columns
+(the first ``K * Nr`` slots: gradient and user-randomness parts), and
+only the observed B touches the dealer noise.  Reducing B once with the
+noise columns pivoted first splits its span into ``r_noise`` rows with
+noise pivots and ``K = span(B) ∩ user coordinates``, so that
+
+    rank(BC) = r_noise + rank(K, C),   rank(ABC) = r_noise + rank(K, A, C).
+
+Unit rows of A and C (every ``W[k]`` and ``F[k]``) condition by deleting
+their columns, so each query is left with one small elimination over
+the remaining user columns.  A ``LinearTranscript`` keeps the reduction
+of each observed set, which every user subset shares; a query takes the
+split only when it carries one.  Queries of any other shape (a given
+with masks, as in the sharing check) and queries without a transcript
+take the incremental path, which is also the reference the split is
+tested against.
+
 A brute-force oracle checks the rank-to-entropy step independently on
 tiny instances: it runs the same roles on every source assignment and
 counts the joint distributions, with no rank arithmetic.
 """
 
 import random
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .matrix import GfMatrix, RowSpace
+from .field import PrimeField
+from .matrix import GfMatrix, RowSpace, Singular
 from .patterns import CommPattern, format_pattern, no_straggler_pattern
 from .protocol import (
     Gradient,
@@ -40,6 +60,7 @@ from .protocol import (
     SchemeParams,
     UserRandomness,
     keys_from_noise,
+    master_decode,
     run_round,
     setup,
 )
@@ -114,9 +135,13 @@ class SourceLayout:
     @property
     def dim(self) -> int:
         p = self.params
-        return p.num_users * p.resiliency + (
-            p.num_helpers * p.num_users * (p.resiliency - 1)
-        )
+        return self.user_dim + p.num_helpers * p.num_users * (p.resiliency - 1)
+
+    @property
+    def user_dim(self) -> int:
+        """Number of user-source slots (gradient and randomness parts),
+        which come before the dealer noise."""
+        return self.params.num_users * self.params.resiliency
 
     def w_slot(self, user: int, part: int) -> int:
         return (user - 1) * self.params.block_count + (part - 1)
@@ -157,6 +182,68 @@ class LinearVar:
     def rows(self) -> tuple:
         return self.coeffs.data
 
+    @cached_property
+    def user_split(self) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]] | None:
+        """The columns of the unit rows and the other nonzero rows, if
+        every row lies in the user-source columns; None otherwise."""
+        u = self.layout.user_dim
+        units, rest = set(), []
+        for row in self.rows:
+            if any(row[u:]):
+                return None
+            support = [j for j in range(u) if row[j]]
+            if len(support) == 1:
+                units.add(support[0])
+            elif support:
+                rest.append(row)
+        return frozenset(units), tuple(rest)
+
+
+class LinearTranscript(Mapping):
+    """A round's variables by name, plus the work its queries share.
+
+    Read-only.  It memoizes each colluding set's helper view and each
+    observed set's split reduction (see ``rank_quadruple``), keyed by
+    the set and the observed variables' names; both live and die with
+    the transcript.
+    """
+
+    def __init__(self, tvars: Mapping[str, LinearVar]):
+        self._vars = dict(tvars)
+        self._views: dict[tuple, tuple[LinearVar, ...]] = {}
+        self._reductions: dict[tuple[str, ...], tuple] = {}
+
+    def __getitem__(self, name: str) -> LinearVar:
+        return self._vars[name]
+
+    def __iter__(self):
+        return iter(self._vars)
+
+    def __len__(self) -> int:
+        return len(self._vars)
+
+    def helper_view(
+        self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
+    ) -> tuple[LinearVar, ...]:
+        """``helper_observation`` of ``tset``, computed once."""
+        key = (pattern.active_helpers, tuple(sorted(tset)))
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = helper_observation(self, ctx, pattern, tset)
+        return view
+
+    def split_reduction(
+        self, observed: Sequence[LinearVar], layout: SourceLayout
+    ) -> tuple[int, tuple[list[int], ...]]:
+        """``_split_observed`` of the observed variables, computed once."""
+        key = tuple(v.name for v in observed)
+        hit = self._reductions.get(key)
+        if hit is not None and all(a is b for a, b in zip(hit[0], observed)):
+            return hit[1]
+        reduction = _split_observed(observed, layout)
+        self._reductions[key] = (tuple(observed), reduction)
+        return reduction
+
 
 # -- the transcript: the roles run on a source assignment ----------------
 
@@ -168,7 +255,9 @@ def _run_on_sources(
 
     ``assignment`` lists ``dim * block_len`` symbols in layout order.  A
     pattern without a survivor set runs with every active helper
-    surviving.
+    surviving.  The round stops at the responses: no named value
+    depends on the master's decode, and a scheme whose master cannot
+    decode still has a transcript whose leakage can be measured.
     """
     params = ctx.params
     layout = SourceLayout(params)
@@ -199,7 +288,9 @@ def _run_on_sources(
     }
     if pattern.survivors is None:
         pattern = pattern.with_survivors(pattern.active_helpers)
-    t = run_round(ctx, pattern, gradients, noises, keys_from_noise(ctx, dealer_noise))
+    t = run_round(
+        ctx, pattern, gradients, noises, keys_from_noise(ctx, dealer_noise), decode=False
+    )
 
     vals: dict[str, tuple[int, ...]] = {}
     for g, f in zip(gradients, noises):
@@ -229,8 +320,9 @@ def concrete_transcript_values(
 
     ``assignment`` lists ``dim * block_len`` symbols in layout order; it
     is split into gradients, user randomness and dealer noise and run
-    through ``run_round`` (every active helper surviving when the
-    pattern names no survivors).  Returns every named variable's value.
+    through ``run_round`` up to the responses (every active helper
+    surviving when the pattern names no survivors; the master does not
+    decode).  Returns every named variable's value.
     The linear model is this same run on unit inputs, so comparing the
     two on random assignments checks that the roles are linear.
     """
@@ -246,6 +338,8 @@ def unit_round(
     vector ``e_s``.  The roles act on each payload column alike and
     linearly, so column ``s`` of a payload is its coefficient on slot
     ``s``: each ``dim``-wide chunk of a value is one coefficient row.
+    The transcript's ``decoded`` holds the coefficient rows of the
+    master's decoded sum, or None if the master cannot decode.
     """
     params = ctx.params
     layout = SourceLayout(params)
@@ -253,6 +347,11 @@ def unit_round(
     unit_ctx = replace(ctx, params=replace(params, gradient_len=dim * params.block_count))
     identity = [int(i == s) for s in range(dim) for i in range(dim)]
     transcript, vals = _run_on_sources(unit_ctx, pattern, identity)
+    responses = [r for r in transcript.responses if r.helper in transcript.pattern.survivors]
+    try:
+        transcript.decoded = master_decode(unit_ctx, responses)
+    except Singular:
+        pass
     tvars = {
         name: LinearVar(
             name,
@@ -266,11 +365,11 @@ def unit_round(
 
 def build_linear_transcript(
     ctx: SchemeContext, pattern: CommPattern
-) -> dict[str, LinearVar]:
+) -> LinearTranscript:
     """Coefficient-level transcript of one round under the pattern: the
     sources, uploads, masks, inter-helper shares, recovered uploads and
     responses, read off the unit-input round."""
-    return unit_round(ctx, pattern)[1]
+    return LinearTranscript(unit_round(ctx, pattern)[1])
 
 
 def build_static_vars(ctx: SchemeContext) -> dict[str, LinearVar]:
@@ -291,7 +390,7 @@ def _common_layout(variables: Iterable[LinearVar]) -> SourceLayout | None:
     for v in variables:
         if layout is None:
             layout = v.layout
-        elif v.layout != layout:
+        elif v.layout is not layout and v.layout != layout:
             raise LayoutMismatch(
                 f"{v.name} uses a different source layout"
             )
@@ -338,21 +437,52 @@ def cond_entropy(
 
 @dataclass(frozen=True)
 class MiQuery:
-    """A conditional mutual-information query I(target; observed | given)."""
+    """A conditional mutual-information query I(target; observed | given).
+
+    ``transcript`` names the transcript the variables come from; a
+    ``LinearTranscript`` there lets a query of the split shape use the
+    reduction of ``observed`` it keeps for every query that observes
+    the same variables.  Without one, the query takes the incremental
+    path.
+    """
 
     target: tuple[LinearVar, ...]
     observed: tuple[LinearVar, ...]
     given: tuple[LinearVar, ...] = ()
+    transcript: Mapping[str, LinearVar] | None = dc_field(
+        default=None, compare=False, repr=False
+    )
 
 
 def rank_quadruple(query: MiQuery) -> tuple[int, int, int, int]:
-    """(rank(AC), rank(BC), rank(ABC), rank(C)) for the query."""
+    """(rank(AC), rank(BC), rank(ABC), rank(C)) for the query.
+
+    When the query carries a ``LinearTranscript`` and every target and
+    given row lies in the user-source columns, as in every helper and
+    master query, the ranks come from the transcript's split reduction
+    of the observed rows (see the module docstring); any other query
+    takes the incremental path.
+    """
     everything = list(query.target) + list(query.observed) + list(query.given)
     layout = _common_layout(everything)
     if layout is None:
         return (0, 0, 0, 0)
-    f = everything[0].coeffs.field
-    base = RowSpace(f, layout.dim)
+    field = everything[0].coeffs.field
+    if not isinstance(query.transcript, LinearTranscript):
+        return _incremental_quadruple(query, layout, field)
+    target, given = _unit_split(query.target), _unit_split(query.given)
+    if target is None or given is None:
+        return _incremental_quadruple(query, layout, field)
+    reduction = query.transcript.split_reduction(query.observed, layout)
+    return _split_quadruple(target, given, reduction, layout.user_dim, field)
+
+
+def _incremental_quadruple(
+    query: MiQuery, layout: SourceLayout, field: PrimeField
+) -> tuple[int, int, int, int]:
+    """The four ranks by inserting C, then A or B, then A, into row
+    spaces of full width: valid for any query."""
+    base = RowSpace(field, layout.dim)
     for v in query.given:
         base.insert_matrix(v.coeffs)
     r_c = base.rank
@@ -366,6 +496,87 @@ def rank_quadruple(query: MiQuery) -> tuple[int, int, int, int]:
     for v in query.target:
         base.insert_matrix(v.coeffs)
     r_abc = base.rank
+    return (r_ac, r_bc, r_abc, r_c)
+
+
+def _split_observed(
+    observed: Sequence[LinearVar], layout: SourceLayout
+) -> tuple[int, tuple[list[int], ...]]:
+    """Reduce the observed rows with the dealer-noise columns pivoted
+    first.
+
+    Returns ``r_noise``, the number of basis rows with a noise pivot,
+    and the other basis rows cut to the user-source columns: they are
+    zero on the noise columns, and span(observed) ∩ user coordinates.
+    """
+    if not observed:
+        return 0, ()
+    u = layout.user_dim
+    width = layout.dim - u
+    space = RowSpace(observed[0].coeffs.field, layout.dim)
+    for v in observed:
+        for row in v.rows:
+            space.insert(row[u:] + row[:u])
+    user_rows = tuple(
+        b[width:] for p, b in zip(space.pivots, space.basis) if p >= width
+    )
+    return space.rank - len(user_rows), user_rows
+
+
+def _unit_split(
+    variables: Sequence[LinearVar],
+) -> tuple[set[int], list[tuple[int, ...]]] | None:
+    """``LinearVar.user_split`` of several variables together."""
+    units: set[int] = set()
+    rest: list[tuple[int, ...]] = []
+    for v in variables:
+        split = v.user_split
+        if split is None:
+            return None
+        units |= split[0]
+        rest += split[1]
+    return units, rest
+
+
+def _split_quadruple(
+    target: tuple[set[int], list],
+    given: tuple[set[int], list],
+    reduction: tuple[int, tuple[list[int], ...]],
+    user_dim: int,
+    field: PrimeField,
+) -> tuple[int, int, int, int]:
+    """The rank quadruple from unit-split A and C and the split
+    reduction (r_noise, K) of B.
+
+    rank(BC) = r_noise + rank(K, C) and rank(ABC) = r_noise + rank(K,
+    A, C); unit rows on columns E condition by deleting those columns.
+    The rest is one elimination over the columns outside E_C, those
+    outside E_AC first, so that the pivots among them count the rank
+    with E_AC deleted as well.
+    """
+    (e_a, rest_a), (e_c, rest_c) = target, given
+    r_noise, kernel = reduction
+    e_ac = e_a | e_c
+    order = [j for j in range(user_dim) if j not in e_ac] + sorted(e_a - e_c)
+    cut = user_dim - len(e_ac)
+    space = RowSpace(field, len(order))
+
+    def insert(into: RowSpace, rows) -> None:
+        for row in rows:
+            into.insert([row[j] for j in order])
+
+    def narrow_rank(of: RowSpace) -> int:
+        return sum(p < cut for p in of.pivots)
+
+    insert(space, rest_c)
+    r_c = len(e_c) + space.rank
+    with_a = space.clone() if rest_a else space
+    insert(with_a, rest_a)
+    r_ac = len(e_ac) + narrow_rank(with_a)
+    insert(space, kernel)
+    r_bc = r_noise + len(e_c) + space.rank
+    insert(space, rest_a)
+    r_abc = r_noise + len(e_ac) + narrow_rank(space)
     return (r_ac, r_bc, r_abc, r_c)
 
 
@@ -468,7 +679,9 @@ def _leakage_record(
         )
     if tvars is None:
         tvars = build_linear_transcript(ctx, pattern)
-    ranks = rank_quadruple(make_query(tvars, helper_observation(tvars, ctx, pattern, tset)))
+    elif not isinstance(tvars, LinearTranscript):
+        tvars = LinearTranscript(tvars)
+    ranks = rank_quadruple(make_query(tvars, tvars.helper_view(ctx, pattern, tset)))
     return LeakageRecord(
         kind=kind,
         colluding_users=tuple(sorted(users)),
@@ -501,6 +714,7 @@ def check_security_helpers(
             target=_all_gradients(tv, ctx.params),
             observed=view,
             given=_collusion_vars(tv, users),
+            transcript=tv,
         ),
     )
 
@@ -525,6 +739,7 @@ def check_security_master(
             target=_all_gradients(tv, ctx.params),
             observed=tuple(tv[f"Y[{n}]"] for n in sorted(pattern.active_helpers)) + view,
             given=(tv["W"],) + _collusion_vars(tv, users),
+            transcript=tv,
         ),
     )
 
@@ -548,7 +763,11 @@ class MaskStructureReport:
         return not self.violations
 
 
-def check_mask_independence(ctx: SchemeContext, family_samples: int = 128) -> MaskStructureReport:
+def check_mask_independence(
+    ctx: SchemeContext,
+    family_samples: int = 128,
+    tvars: Mapping[str, LinearVar] | None = None,
+) -> MaskStructureReport:
     """Verify the mask entropy structure.
 
     (a) the per-(helper, user) mask groups are mutually independent:
@@ -557,9 +776,10 @@ def check_mask_independence(ctx: SchemeContext, family_samples: int = 128) -> Ma
     checked exhaustively when there are at most 4096 of them, otherwise
     a seeded sample is drawn.  (b) any mask subset within one group of
     size at most resiliency - 1 has full entropy, exhaustively.
+    ``tvars`` is the no-straggler transcript, built here if not given.
     """
     params = ctx.params
-    svars = build_static_vars(ctx)
+    svars = build_static_vars(ctx) if tvars is None else tvars
     n_all = range(1, params.num_helpers + 1)
     users = range(1, params.num_users + 1)
     report = MaskStructureReport(families_checked=0, subsets_checked=0)
@@ -665,10 +885,15 @@ class RecoverabilityReport:
         return not self.violations
 
 
-def check_upload_recoverability(ctx: SchemeContext) -> RecoverabilityReport:
-    """I(gradient k; its uploads to any >= resiliency helpers) = L."""
+def check_upload_recoverability(
+    ctx: SchemeContext, tvars: Mapping[str, LinearVar] | None = None
+) -> RecoverabilityReport:
+    """I(gradient k; its uploads to any >= resiliency helpers) = L.
+
+    ``tvars`` is the no-straggler transcript, built here if not given.
+    """
     params = ctx.params
-    svars = build_static_vars(ctx)
+    svars = build_static_vars(ctx) if tvars is None else tvars
     helpers = range(1, params.num_helpers + 1)
     report = RecoverabilityReport(checks=0)
     expected = Fraction(params.gradient_len)
@@ -689,13 +914,17 @@ def check_upload_recoverability(ctx: SchemeContext) -> RecoverabilityReport:
 
 
 def response_entropy_given_sum(
-    ctx: SchemeContext, tset: Sequence[int]
+    ctx: SchemeContext,
+    tset: Sequence[int],
+    tvars: Mapping[str, LinearVar] | None = None,
 ) -> Fraction:
     """H of all responses under no stragglers given the gradient sum and
     the view of ``tset`` (its uploads and masks); the design makes this
-    exactly 0 when ``len(tset) == collusion``."""
+    exactly 0 when ``len(tset) == collusion``.  ``tvars`` is the
+    no-straggler transcript, built here if not given."""
     pattern = no_straggler_pattern(ctx.params)
-    tvars = build_linear_transcript(ctx, pattern)
+    if tvars is None:
+        tvars = build_linear_transcript(ctx, pattern)
     responses = [tvars[f"Y[{n}]"] for n in range(1, ctx.params.num_helpers + 1)]
     return cond_entropy(
         responses, (tvars["W"],) + helper_observation(tvars, ctx, pattern, tset)

@@ -522,11 +522,14 @@ def run_round(
     gradients: Sequence[Gradient],
     noises: Sequence[UserRandomness],
     keys: DealerKeys,
+    decode: bool = True,
 ) -> RoundTranscript:
     """Execute uploading, sharing-and-computation, and reconstruction.
 
     The pattern must carry a survivor set.  Returns the full transcript
-    with the decoded gradient sum.
+    with the decoded gradient sum.  With ``decode=False`` the round
+    stops at the responses and ``decoded`` stays None, so a scheme whose
+    master cannot decode still yields every message it sends.
     """
     params = ctx.params
     patterns_mod.validate(pattern, params)
@@ -571,8 +574,11 @@ def run_round(
         recovered.update(((k, n), vec) for k, vec in rebuilt.items())
         responses.append(helper_respond(ctx, pattern, n, received[n], rebuilt))
 
-    surviving = [r for r in responses if r.helper in pattern.survivors]
-    decoded = master_decode(ctx, surviving)
+    decoded = None
+    if decode:
+        decoded = master_decode(
+            ctx, [r for r in responses if r.helper in pattern.survivors]
+        )
     return RoundTranscript(
         params=params,
         pattern=pattern,

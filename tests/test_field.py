@@ -14,6 +14,33 @@ def test_primality_check():
     assert not is_prime(-7)
 
 
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_matches_trial_division_below_1e5():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [
+        n for n in range(-3, 10**5) if _trial_division(n)
+    ]
+
+
+def test_primality_of_64_bit_moduli():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**64 - 59)  # the largest prime below 2^64
+    assert not is_prime(3_215_031_751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(2_147_483_647 * 2_147_483_629)  # two 31-bit primes
+    assert not is_prime(2**64 - 1)
+    with pytest.raises(ValueError):
+        is_prime(2**64 + 13)
+
+
 def test_composite_modulus_rejected():
     for bad in (1, 4, 6, 9, 15):
         with pytest.raises(ValueError):

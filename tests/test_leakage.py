@@ -4,15 +4,20 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsagg import protocol
+from hsagg.field import PrimeField
 from hsagg.leakage import (
     BadSubset,
     BruteForceOracle,
     LayoutMismatch,
+    LinearTranscript,
+    LinearVar,
     MiQuery,
     SourceLayout,
     TooLargeToEnumerate,
+    _incremental_quadruple,
     brute_force_entropy,
     build_linear_transcript,
     build_static_vars,
@@ -25,12 +30,13 @@ from hsagg.leakage import (
     cond_entropy,
     cond_mutual_info,
     entropy_rank,
+    helper_observation,
     infeasibility_witness,
     rank_quadruple,
     response_entropy_given_sum,
     unit_round,
 )
-from hsagg.matrix import GfMatrix
+from hsagg.matrix import GfMatrix, Singular
 from hsagg.patterns import enumerate_patterns, enumerate_survivors, parse_pattern
 from hsagg.protocol import InterHelperMessage, SchemeParams, setup
 
@@ -179,11 +185,18 @@ def _zero_masks(ctx, monkeypatch):
 
 
 def _helper4_upload_without_randomness(ctx, monkeypatch):
-    # Zeroing the randomness columns of every row would leave no
-    # invertible Nr-row submatrix for the master's decode; the master
-    # decodes from helpers 1-3 here, so helper 4's row is free to break.
+    # One row stripped: every other helper's uploads stay masked, so
+    # the leak is confined to the views that include helper 4's data.
     rows = list(ctx.upload_matrix.data)
     rows[3] = rows[3][: EXAMPLE.block_count] + (0,) * EXAMPLE.collusion
+    return replace(ctx, upload_matrix=GfMatrix(ctx.field, rows))
+
+
+def _uploads_without_randomness(ctx, monkeypatch):
+    # No Nr-row submatrix is invertible now, so the master cannot
+    # decode; the linear transcript stops at the responses and the
+    # leakage is still measured.
+    rows = [r[: EXAMPLE.block_count] + (0,) * EXAMPLE.collusion for r in ctx.upload_matrix.data]
     return replace(ctx, upload_matrix=GfMatrix(ctx.field, rows))
 
 
@@ -193,14 +206,33 @@ def _helper4_upload_without_randomness(ctx, monkeypatch):
         (_forward_unmasked_shares, [0, 0, 2, 2]),
         (_zero_masks, [0, 0, 2, 2]),
         (_helper4_upload_without_randomness, [0, 0, 1, 2]),
+        (_uploads_without_randomness, [2, 2, 2, 2]),
     ],
-    ids=["unmasked-shares", "zero-masks", "upload-row-without-randomness"],
+    ids=[
+        "unmasked-shares",
+        "zero-masks",
+        "upload-row-without-randomness",
+        "uploads-without-randomness",
+    ],
 )
 def test_verifier_reports_leakage_of_broken_schemes(ctx, monkeypatch, break_scheme, leaks):
     broken = break_scheme(ctx, monkeypatch)
     pattern = parse_pattern("nu=1:1,2,3;2:1,2,4")
     got = [check_security_helpers(broken, pattern, [], [t]).value for t in (1, 2, 3, 4)]
     assert got == leaks
+
+
+def test_undecodable_scheme_is_measured_but_its_rounds_raise(ctx, monkeypatch):
+    broken = _uploads_without_randomness(ctx, monkeypatch)
+    pattern = parse_pattern("nu=1:1,2,3;2:1,2,4")
+    got = [check_security_master(broken, pattern, [], [t]).value for t in (1, 2, 3, 4)]
+    assert got == [1, 1, 1, 1]
+    rng = random.Random(3)
+    grads = [protocol.Gradient.random(k, EXAMPLE, rng) for k in (1, 2)]
+    noises = [protocol.UserRandomness.random(k, EXAMPLE, rng) for k in (1, 2)]
+    keys = protocol.dealer_generate(broken, "dealer:0")
+    with pytest.raises(Singular):
+        protocol.run_round(broken, pattern.with_survivors({1, 2, 3}), grads, noises, keys)
 
 
 def test_entropy_examples(tvars, ctx):
@@ -368,3 +400,116 @@ def test_cond_entropy_examples(tvars):
     )
     assert h == 0
     assert cond_entropy((tvars["W[1]"],), ()) == Fraction(2)
+
+
+# -- the split kernel against the incremental path ---------------------------
+
+
+def _security_queries(ctx, pattern, tv):
+    """Every helper and master query of the pattern, built as the checks
+    build them, each with its check."""
+    params = ctx.params
+    users = range(1, params.num_users + 1)
+    targets = tuple(tv[f"W[{k}]"] for k in users)
+    responses = tuple(tv[f"Y[{n}]"] for n in sorted(pattern.active_helpers))
+    for size in range(params.num_users + 1):
+        for uset in combinations(users, size):
+            colluders = tuple(tv[f"{v}[{u}]"] for u in uset for v in ("W", "F"))
+            for tsize in range(params.collusion + 1):
+                for tset in combinations(range(1, params.num_helpers + 1), tsize):
+                    view = helper_observation(tv, ctx, pattern, tset)
+                    yield check_security_helpers, uset, tset, MiQuery(
+                        targets, view, colluders, transcript=tv
+                    )
+                    yield check_security_master, uset, tset, MiQuery(
+                        targets, responses + view, (tv["W"],) + colluders, transcript=tv
+                    )
+
+
+@pytest.mark.parametrize(
+    "params, stride, queries",
+    [(SchemeParams(2, 4, 3, 1, 7, 2), 1, 1000), (SchemeParams(3, 4, 3, 2, 11, 1), 9, 2464)],
+    ids=["2,4,3,1,7,2", "3,4,3,2,11,1"],
+)
+def test_split_kernel_matches_incremental_path(params, stride, queries):
+    ctx = setup(params)
+    layout = SourceLayout(params)
+    seen = 0
+    for pattern in list(enumerate_patterns(params))[::stride]:
+        tv = build_linear_transcript(ctx, pattern)
+        assert isinstance(tv, LinearTranscript)
+        plain = dict(tv)
+        for check, uset, tset, query in _security_queries(ctx, pattern, tv):
+            expect = _incremental_quadruple(query, layout, ctx.field)
+            # tv shares its reductions across queries; a fresh memo reduces anew
+            assert rank_quadruple(query) == expect
+            assert rank_quadruple(replace(query, transcript=LinearTranscript(plain))) == expect
+            assert check(ctx, pattern, uset, tset, tvars=tv).ranks == expect
+            assert check(ctx, pattern, uset, tset, tvars=plain).ranks == expect
+            seen += 1
+    assert seen == queries
+
+
+SPLIT_PARAMS = {q: SchemeParams(2, 4, 3, 1, q, 2) for q in (5, 11)}
+
+
+@st.composite
+def split_queries(draw):
+    """Random queries of the split shape: observed rows over every
+    column; target and given rows in the user columns, unit rows mixed
+    with arbitrary ones (the way W and W[k] mix)."""
+    q = draw(st.sampled_from(sorted(SPLIT_PARAMS)))
+    layout = SourceLayout(SPLIT_PARAMS[q])
+    field = PrimeField(q)
+    u, dim = layout.user_dim, layout.dim
+    symbol = st.integers(0, q - 1)
+
+    def user_row():
+        if draw(st.booleans()):
+            row = [0] * dim
+            row[draw(st.integers(0, u - 1))] = draw(st.integers(1, q - 1))
+            return row
+        return draw(st.lists(symbol, min_size=u, max_size=u)) + [0] * (dim - u)
+
+    def variables(name, make_row, max_vars):
+        return tuple(
+            LinearVar(
+                f"{name}{i}",
+                layout,
+                GfMatrix(field, [make_row() for _ in range(draw(st.integers(1, 3)))]),
+            )
+            for i in range(draw(st.integers(0, max_vars)))
+        )
+
+    def any_row():
+        return draw(st.lists(symbol, min_size=dim, max_size=dim))
+
+    return MiQuery(
+        target=variables("A", user_row, 3),
+        observed=variables("B", any_row, 5),
+        given=variables("C", user_row, 4),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_queries())
+def test_split_kernel_matches_incremental_path_on_random_rows(query):
+    everything = query.target + query.observed + query.given
+    expect = (
+        _incremental_quadruple(query, everything[0].layout, everything[0].coeffs.field)
+        if everything
+        else (0, 0, 0, 0)
+    )
+    memo = LinearTranscript({v.name: v for v in everything})
+    cached = replace(query, transcript=memo)
+    assert rank_quadruple(cached) == expect
+    assert rank_quadruple(cached) == expect  # answered from the memo
+
+
+def test_split_memo_checks_the_variables_behind_the_names(tvars):
+    """A memo hit needs the very variables it reduced, not just the names."""
+    query = MiQuery((tvars["W[1]"],), (tvars["X[1,1]"],), (tvars["F[1]"],), transcript=tvars)
+    assert rank_quadruple(query) == (3, 2, 3, 1)
+    impostor = replace(tvars["Z[1,3,1]"], name="X[1,1]")
+    assert rank_quadruple(replace(query, observed=(impostor,))) == (3, 2, 4, 1)
+    assert rank_quadruple(query) == (3, 2, 3, 1)
