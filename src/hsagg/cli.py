@@ -83,29 +83,19 @@ def _build_config(args: argparse.Namespace) -> harness.RunConfig:
         values = harness.load_config_file(args.config)
 
     def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        if key in values:
-            return values[key]
-        return default
+        return flag if flag is not None else values.get(key, default)
 
     config = harness.RunConfig(mode=args.mode)
     params_text = pick(args.params, "params")
     if params_text:
-        try:
-            config.params = SchemeParams.from_csv(params_text)
-        except ValueError as exc:
-            raise harness.ConfigError(str(exc)) from exc
+        config.params = SchemeParams.from_csv(params_text)
     grid_text = pick(getattr(args, "grid", None), "grid")
     if grid_text:
-        try:
-            config.grid = tuple(
-                SchemeParams.from_csv(part)
-                for part in grid_text.split(";")
-                if part.strip()
-            )
-        except ValueError as exc:
-            raise harness.ConfigError(str(exc)) from exc
+        config.grid = tuple(
+            SchemeParams.from_csv(part)
+            for part in grid_text.split(";")
+            if part.strip()
+        )
     # a pattern source given on the command line displaces the file's
     # other source, so flag overrides stay well-defined
     if args.pattern is not None:
@@ -116,17 +106,15 @@ def _build_config(args: argparse.Namespace) -> harness.RunConfig:
         config.drop_prob = args.drop_prob
     elif args.pattern is None and "drop_prob" in values:
         config.drop_prob = float(values["drop_prob"])
-    config.seed = str(pick(args.seed, "seed", "0"))
-    config.dealer_seed = str(pick(args.dealer_seed, "dealer_seed", "0"))
+    config.seed = str(pick(args.seed, "seed", config.seed))
+    config.dealer_seed = str(pick(args.dealer_seed, "dealer_seed", config.dealer_seed))
     config.gradient_file = pick(getattr(args, "gradient_file", None), "gradient_file")
     config.out = pick(args.out, "out")
-    config.fmt = pick(args.fmt, "format", "json")
+    config.fmt = pick(args.fmt, "format", config.fmt)
     if config.fmt not in ("json", "csv"):
         raise harness.ConfigError(f"unknown format {config.fmt!r}")
-    budget = pick(args.budget, "budget")
-    config.budget = int(budget) if budget is not None else harness.DEFAULT_BUDGET
-    draws = pick(getattr(args, "draws", None), "draws")
-    config.draws = int(draws) if draws is not None else 20
+    config.budget = int(pick(args.budget, "budget", config.budget))
+    config.draws = int(pick(getattr(args, "draws", None), "draws", config.draws))
     uset = pick(getattr(args, "uset", None), "uset")
     config.uset = _parse_int_set(uset) if uset is not None else None
     tset = pick(getattr(args, "tset", None), "tset")
@@ -134,7 +122,11 @@ def _build_config(args: argparse.Namespace) -> harness.RunConfig:
     return config
 
 
-def _emit(config: harness.RunConfig, payload: bytes) -> None:
+def _emit(config: harness.RunConfig, doc, render_csv=None) -> None:
+    """Write ``render_csv()`` if CSV is asked for and the mode has a CSV
+    form, else ``doc`` as JSON."""
+    csv_wanted = config.fmt == "csv" and render_csv is not None
+    payload = render_csv() if csv_wanted else harness.render_json(doc)
     if config.out:
         with open(config.out, "wb") as fh:
             fh.write(payload)
@@ -147,7 +139,7 @@ def _run(config: harness.RunConfig) -> int:
     start = time.perf_counter()
     if config.mode == "round":
         _, doc = harness.run_single_round(config)
-        _emit(config, harness.render_json(doc))
+        _emit(config, doc)
         if not doc["result"]["match"]:
             print("decode mismatch", file=sys.stderr)
             return EXIT_FAIL
@@ -155,10 +147,7 @@ def _run(config: harness.RunConfig) -> int:
 
     if config.mode == "verify":
         report = harness.run_verify(config)
-        if config.fmt == "csv":
-            _emit(config, harness.render_verify_csv(report))
-        else:
-            _emit(config, harness.render_json(report.to_json()))
+        _emit(config, report.to_json(), lambda: harness.render_verify_csv(report))
         print(
             f"verify: {len(report.points)} grid points in "
             f"{time.perf_counter() - start:.1f}s",
@@ -168,19 +157,13 @@ def _run(config: harness.RunConfig) -> int:
 
     if config.mode == "rates":
         rows = harness.run_rates(config)
-        if config.fmt == "csv":
-            _emit(config, harness.render_rates_csv(rows))
-        else:
-            _emit(config, harness.render_json({"rates": rows}))
+        _emit(config, {"rates": rows}, lambda: harness.render_rates_csv(rows))
         feasible = [r for r in rows if r["feasible"]]
         return EXIT_PASS if all(r["equal"] for r in feasible) else EXIT_FAIL
 
     if config.mode == "leakage":
         doc = harness.run_leakage(config)
-        if config.fmt == "csv":
-            _emit(config, harness.render_leakage_csv(doc))
-        else:
-            _emit(config, harness.render_json(doc))
+        _emit(config, doc, lambda: harness.render_leakage_csv(doc))
         return EXIT_PASS if doc["pass"] else EXIT_FAIL
 
     raise harness.ConfigError(f"unknown mode {config.mode!r}")

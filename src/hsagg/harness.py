@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 from . import leakage as lk
 from . import patterns as pt
@@ -50,7 +51,6 @@ DEFAULT_GRID = (
     SchemeParams(2, 5, 4, 2, 11, 2),
 )
 
-DEFAULT_BUDGET = 1_000_000
 EXHAUSTIVE_USER_LIMIT = 4  # larger user counts sample collusion subsets
 USER_SUBSET_SAMPLES = 16
 
@@ -77,7 +77,7 @@ class RunConfig:
     gradient_file: str | None = None
     out: str | None = None
     fmt: str = "json"
-    budget: int = DEFAULT_BUDGET
+    budget: int = 1_000_000
     draws: int = 20
     uset: tuple[int, ...] | None = None
     tset: tuple[int, ...] | None = None
@@ -101,6 +101,30 @@ def load_config_file(path: str) -> dict[str, str]:
 def _subsets(items: Sequence[int], max_size: int | None = None) -> Iterable[tuple[int, ...]]:
     cap = len(items) if max_size is None else min(max_size, len(items))
     return chain.from_iterable(combinations(items, r) for r in range(cap + 1))
+
+
+def _grid(config: RunConfig) -> tuple[SchemeParams, ...]:
+    """The configured grid, else the one point ``params``, else the default."""
+    return config.grid or ((config.params,) if config.params else DEFAULT_GRID)
+
+
+def _check_ids(name: str, ids: tuple[int, ...] | None, count: int) -> None:
+    """Reject an explicit id set that repeats an id or leaves 1..count."""
+    if ids is not None and (
+        len(set(ids)) < len(ids) or not set(ids) <= set(range(1, count + 1))
+    ):
+        raise ConfigError(f"{name} {ids} must list distinct ids in 1..{count}")
+
+
+def _draw_inputs(
+    params: SchemeParams, rng: random.Random
+) -> tuple[list[Gradient], list[UserRandomness]]:
+    """Every user's gradient, then every user's randomness, from ``rng``."""
+    users = range(1, params.num_users + 1)
+    return (
+        [Gradient.random(k, params, rng) for k in users],
+        [UserRandomness.random(k, params, rng) for k in users],
+    )
 
 
 def _frac(value: Fraction) -> dict:
@@ -161,7 +185,7 @@ def _load_gradients(
         except KeyError:
             raise ConfigError(f"gradient file has no entry for user {k}") from None
         if not isinstance(raw, list) or any(
-            not isinstance(v, int) or not 0 <= v < params.modulus for v in raw
+            type(v) is not int or not 0 <= v < params.modulus for v in raw
         ):
             raise ConfigError(
                 f"user {k}: symbols must be a list of integers in [0, {params.modulus - 1}]"
@@ -180,7 +204,7 @@ def transcript_to_json(t: proto.RoundTranscript) -> dict:
     """Canonical transcript document: params, pattern, then message
     arrays keyed (k,n) / (n,j,k) / (i,n,k) / (n,i,k) / (n)."""
     p = t.params
-    doc = {
+    return {
         "params": {
             "K": p.num_users,
             "N": p.num_helpers,
@@ -219,7 +243,6 @@ def transcript_to_json(t: proto.RoundTranscript) -> dict:
         ],
         "decoded": list(t.decoded) if t.decoded is not None else None,
     }
-    return doc
 
 
 def run_single_round(config: RunConfig) -> tuple[proto.RoundTranscript, dict]:
@@ -240,11 +263,7 @@ def run_single_round(config: RunConfig) -> tuple[proto.RoundTranscript, dict]:
     keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
     transcript = proto.run_round(ctx, pattern, gradients, noises, keys)
 
-    q = params.modulus
-    expected = tuple(
-        sum(g.symbols()[i] for g in gradients) % q
-        for i in range(params.gradient_len)
-    )
+    expected = proto.gradient_sum(gradients, params.modulus)
     rate_x, rate_y = proto.measure_rates(transcript)
     trimmed = max(original.values())
     doc = transcript_to_json(transcript)
@@ -319,18 +338,24 @@ class VerifyReport:
         }
 
 
+def _subset_counts(params: SchemeParams) -> tuple[int, int]:
+    """(helper subsets of at least Nr members, of at most T).  The first
+    are one user's receiver sets, so the patterns number it to the power
+    K, and also the survivor sets of the full active set."""
+    n = params.num_helpers
+    return (
+        sum(comb(n, s) for s in range(params.resiliency, n + 1)),
+        sum(comb(n, s) for s in range(params.collusion + 1)),
+    )
+
+
 def estimate_work(params: SchemeParams, draws: int) -> int:
     """Upper-bound count of enumeration items for one grid point."""
-    n, k = params.num_helpers, params.num_users
-    from math import comb
-
-    per_user = sum(comb(n, s) for s in range(params.resiliency, n + 1))
-    n_patterns = per_user**k
-    n_tsets = sum(comb(n, s) for s in range(0, params.collusion + 1))
+    k = params.num_users
+    per_user, n_tsets = _subset_counts(params)
     n_usets = 2**k if k <= EXHAUSTIVE_USER_LIMIT else USER_SUBSET_SAMPLES
-    survivors = per_user  # survivor sets of the full active set
-    per_pattern = n_usets * n_tsets * 2 + survivors * draws + n_tsets
-    return n_patterns * per_pattern
+    per_pattern = n_usets * n_tsets * 2 + per_user * draws + n_tsets
+    return per_user**k * per_pattern
 
 
 def _user_subsets(params: SchemeParams, seed: str) -> list[tuple[int, ...]]:
@@ -342,6 +367,16 @@ def _user_subsets(params: SchemeParams, seed: str) -> list[tuple[int, ...]]:
     while len(picked) < USER_SUBSET_SAMPLES:
         picked.add(tuple(sorted(rng.sample(users, rng.randrange(len(users) + 1)))))
     return sorted(picked)
+
+
+def _security_sweep(ctx, pattern, tvars, usets, tsets) -> Iterator[lk.LeakageRecord]:
+    """The helper record, then the master record, of every user subset
+    and helper subset; a helper subset beyond the bound is exploratory."""
+    for uset in usets:
+        for tset in tsets:
+            exploratory = len(set(tset)) > ctx.params.collusion
+            for check in (lk.check_security_helpers, lk.check_security_master):
+                yield check(ctx, pattern, uset, tset, tvars=tvars, exploratory=exploratory)
 
 
 def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
@@ -362,7 +397,6 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
         raise ConfigError(f"grid point {params.label()}: {exc}") from exc
 
     report = PointReport(params=params, feasible=True)
-    q = params.modulus
     usets = _user_subsets(params, config.seed)
     helpers = list(range(1, params.num_helpers + 1))
     tsets = list(_subsets(helpers, params.collusion))
@@ -371,46 +405,28 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
         report.patterns += 1
         keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}:{p_idx}")
         rng = random.Random(f"verify:{config.seed}:{params.label()}:{p_idx}")
-        rates_done = False
         for survivors in pt.enumerate_survivors(pattern, params):
             report.survivor_sets += 1
             full = pattern.with_survivors(survivors)
             for _ in range(config.draws):
-                grads = [
-                    Gradient.random(k, params, rng)
-                    for k in range(1, params.num_users + 1)
-                ]
-                noises = [
-                    UserRandomness.random(k, params, rng)
-                    for k in range(1, params.num_users + 1)
-                ]
+                grads, noises = _draw_inputs(params, rng)
                 transcript = proto.run_round(ctx, full, grads, noises, keys)
-                expected = tuple(
-                    sum(g.symbols()[i] for g in grads) % q
-                    for i in range(params.gradient_len)
-                )
                 report.decode_cases += 1
-                if transcript.decoded != expected:
+                if transcript.decoded != proto.gradient_sum(grads, params.modulus):
                     report.failures.append(
                         f"decode mismatch at pattern {pt.format_pattern(full)}"
                     )
-                if not rates_done:
-                    rx, ry = proto.measure_rates(transcript)
-                    report.rate_x, report.rate_y = rx, ry
-                    rates_done = True
+                if report.rate_x is None:
+                    report.rate_x, report.rate_y = proto.measure_rates(transcript)
 
         tvars = lk.build_linear_transcript(ctx, pattern)
-        for uset in usets:
-            for tset in tsets:
-                rec_h = lk.check_security_helpers(ctx, pattern, uset, tset, tvars=tvars)
-                rec_m = lk.check_security_master(ctx, pattern, uset, tset, tvars=tvars)
-                report.security_queries += 2
-                for rec in (rec_h, rec_m):
-                    if rec.value != 0:
-                        report.failures.append(
-                            f"{rec.kind} leakage {rec.value} at U={rec.colluding_users}"
-                            f" T={rec.colluding_helpers} {rec.pattern}"
-                        )
+        for rec in _security_sweep(ctx, pattern, tvars, usets, tsets):
+            report.security_queries += 1
+            if rec.value != 0:
+                report.failures.append(
+                    f"{rec.kind} leakage {rec.value} at U={rec.colluding_users}"
+                    f" T={rec.colluding_helpers} {rec.pattern}"
+                )
         for tset in tsets:
             rec = lk.check_sharing_leakage(ctx, pattern, tset, tvars=tvars)
             report.invariant_checks += 1
@@ -419,7 +435,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                     f"sharing leakage {rec.value} at T={rec.colluding_helpers} {rec.pattern}"
                 )
 
-    static = lk.build_linear_transcript(ctx, pt.no_straggler_pattern(params))
+    static = lk.build_static_vars(ctx)
     mask_report = lk.check_mask_independence(ctx, tvars=static)
     report.invariant_checks += mask_report.families_checked + mask_report.subsets_checked
     report.failures.extend(mask_report.violations)
@@ -447,7 +463,7 @@ def run_verify(config: RunConfig) -> VerifyReport:
     """Run the verification campaign over the configured grid."""
     if config.draws < 1:
         raise ConfigError(f"draws must be at least 1, got {config.draws}")
-    grid = config.grid or ((config.params,) if config.params else DEFAULT_GRID)
+    grid = _grid(config)
     feasible_work = 0
     for params in grid:
         if params.resiliency > params.collusion:
@@ -465,22 +481,15 @@ def run_verify(config: RunConfig) -> VerifyReport:
 
 def run_rates(config: RunConfig) -> list[dict]:
     """Measured communication rates per feasible grid point."""
-    grid = config.grid or ((config.params,) if config.params else DEFAULT_GRID)
     rows = []
-    for params in grid:
+    for params in _grid(config):
         try:
             ctx = proto.setup(params)
         except proto.Infeasible:
             rows.append({"params": params.label(), "feasible": False})
             continue
         rng = random.Random(f"rates:{config.seed}:{params.label()}")
-        grads = [
-            Gradient.random(k, params, rng) for k in range(1, params.num_users + 1)
-        ]
-        noises = [
-            UserRandomness.random(k, params, rng)
-            for k in range(1, params.num_users + 1)
-        ]
+        grads, noises = _draw_inputs(params, rng)
         keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
         transcript = proto.run_round(
             ctx, pt.no_straggler_pattern(params), grads, noises, keys
@@ -523,57 +532,50 @@ def run_leakage(config: RunConfig) -> dict:
     user subsets and all helper subsets within the collusion bound;
     explicit larger ``tset`` values are evaluated and flagged
     exploratory rather than judged.  Without an explicit pattern, all
-    admissible patterns are covered.
+    admissible patterns are covered.  A sweep of more queries than
+    ``config.budget`` raises ``BudgetExceeded`` before any is run.
     """
     if config.params is None:
         raise ConfigError("leakage mode needs --params")
     params = config.params
     ctx = proto.setup(params)
     if config.pattern is not None:
-        pattern = pt.parse_pattern(config.pattern)
-        pt.validate(pattern, params)
-        patterns = [pattern]
+        patterns = [pt.parse_pattern(config.pattern)]
+        pt.validate(patterns[0], params)
     else:
-        patterns = list(pt.enumerate_patterns(params))
+        patterns = pt.enumerate_patterns(params)
+    _check_ids("uset", config.uset, params.num_users)
+    _check_ids("tset", config.tset, params.num_helpers)
 
-    helpers = list(range(1, params.num_helpers + 1))
-    users = list(range(1, params.num_users + 1))
-    if config.uset is not None and not set(config.uset) <= set(users):
-        raise ConfigError(f"uset {config.uset} names users outside 1..{params.num_users}")
-    if config.tset is not None and not set(config.tset) <= set(helpers):
-        raise ConfigError(
-            f"tset {config.tset} names helpers outside 1..{params.num_helpers}"
-        )
+    per_user, n_tsets = _subset_counts(params)
+    queries = 2 * (
+        (1 if config.pattern is not None else per_user**params.num_users)
+        * (1 if config.uset is not None else 2**params.num_users)
+        * (1 if config.tset is not None else n_tsets)
+    )
+    if queries > config.budget:
+        raise BudgetExceeded(f"{queries} leakage queries exceed budget {config.budget}")
+    users = range(1, params.num_users + 1)
+    helpers = range(1, params.num_helpers + 1)
     usets = [config.uset] if config.uset is not None else list(_subsets(users))
     tsets = (
         [config.tset]
         if config.tset is not None
         else list(_subsets(helpers, params.collusion))
     )
-
-    records = []
-    for pattern in patterns:
-        tvars = lk.build_linear_transcript(ctx, pattern)
-        for uset in usets:
-            for tset in tsets:
-                exploratory = len(set(tset)) > params.collusion
-                records.append(
-                    lk.check_security_helpers(
-                        ctx, pattern, uset, tset, tvars=tvars, exploratory=exploratory
-                    )
-                )
-                records.append(
-                    lk.check_security_master(
-                        ctx, pattern, uset, tset, tvars=tvars, exploratory=exploratory
-                    )
-                )
-    doc = {
+    records = [
+        rec
+        for pattern in patterns
+        for rec in _security_sweep(
+            ctx, pattern, lk.build_linear_transcript(ctx, pattern), usets, tsets
+        )
+    ]
+    return {
         "params": params.label(),
         "queries": len(records),
         "records": [_leakage_record_json(r) for r in records],
         "pass": all(r.ok for r in records),
     }
-    return doc
 
 
 # -- rendering ---------------------------------------------------------------
@@ -583,36 +585,38 @@ def render_json(doc) -> bytes:
     return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode()
 
 
-def render_rates_csv(rows: list[dict]) -> bytes:
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["params", "feasible", "rate_x", "rate_y", "bound", "equal"])
-    for row in rows:
-        if not row["feasible"]:
-            writer.writerow([row["params"], False, "", "", "", ""])
-        else:
-            writer.writerow(
-                [
-                    row["params"],
-                    True,
-                    row["rate_x"]["value"],
-                    row["rate_y"]["value"],
-                    row["bound"]["value"],
-                    row["equal"],
-                ]
-            )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().encode()
 
 
-def render_leakage_csv(doc: dict) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["kind", "pattern", "colluding_users", "colluding_helpers",
-         "rank_ac", "rank_bc", "rank_abc", "rank_c", "value", "exploratory", "pass"]
+def render_rates_csv(rows: list[dict]) -> bytes:
+    return _csv(
+        ["params", "feasible", "rate_x", "rate_y", "bound", "equal"],
+        (
+            [
+                row["params"],
+                True,
+                row["rate_x"]["value"],
+                row["rate_y"]["value"],
+                row["bound"]["value"],
+                row["equal"],
+            ]
+            if row["feasible"]
+            else [row["params"], False, "", "", "", ""]
+            for row in rows
+        ),
     )
-    for rec in doc["records"]:
-        writer.writerow(
+
+
+def render_leakage_csv(doc: dict) -> bytes:
+    return _csv(
+        ["kind", "pattern", "colluding_users", "colluding_helpers",
+         "rank_ac", "rank_bc", "rank_abc", "rank_c", "value", "exploratory", "pass"],
+        (
             [
                 rec["kind"],
                 rec["pattern"],
@@ -623,20 +627,17 @@ def render_leakage_csv(doc: dict) -> bytes:
                 rec["exploratory"],
                 rec["pass"],
             ]
-        )
-    return buf.getvalue().encode()
+            for rec in doc["records"]
+        ),
+    )
 
 
 def render_verify_csv(report: VerifyReport) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    return _csv(
         ["params", "feasible", "patterns", "survivor_sets", "decode_cases",
          "security_queries", "invariant_checks", "failures", "rate_x", "rate_y",
-         "rates_equal"]
-    )
-    for p in report.points:
-        writer.writerow(
+         "rates_equal"],
+        (
             [
                 p.params.label(),
                 p.feasible,
@@ -650,5 +651,6 @@ def render_verify_csv(report: VerifyReport) -> bytes:
                 str(p.rate_y) if p.rate_y is not None else "",
                 p.rates_equal if p.rates_equal is not None else "",
             ]
-        )
-    return buf.getvalue().encode()
+            for p in report.points
+        ),
+    )

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .protocol import (
     SchemeContext,
     SchemeParams,
     UserRandomness,
+    gradient_sum,
     keys_from_noise,
     master_decode,
     run_round,
@@ -113,6 +115,10 @@ class BadSubset(LeakageError):
 
 class TooLargeToEnumerate(LeakageError):
     """The source space exceeds the brute-force enumeration budget."""
+
+
+_ORACLE_ASSIGNMENT_LIMIT = 10**6  # the most source assignments an oracle enumerates
+_MASK_FAMILY_SAMPLES = 128  # families drawn when there are too many to check all
 
 
 @dataclass(frozen=True)
@@ -202,16 +208,17 @@ class LinearVar:
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
-    Read-only.  It memoizes each colluding set's helper view and each
-    observed set's split reduction (see ``rank_quadruple``), keyed by
-    the set and the observed variables' names; both live and die with
-    the transcript.
+    Read-only.  It memoizes each colluding set's helper view, each
+    observed set's split reduction (see ``rank_quadruple``) and each
+    pattern's formatted form, keyed by the set, the observed variables'
+    names and the pattern; all live and die with the transcript.
     """
 
     def __init__(self, tvars: Mapping[str, LinearVar]):
         self._vars = dict(tvars)
         self._views: dict[tuple, tuple[LinearVar, ...]] = {}
         self._reductions: dict[tuple[str, ...], tuple] = {}
+        self._labels: dict[CommPattern, str] = {}
 
     def __getitem__(self, name: str) -> LinearVar:
         return self._vars[name]
@@ -231,6 +238,13 @@ class LinearTranscript(Mapping):
         if view is None:
             view = self._views[key] = helper_observation(self, ctx, pattern, tset)
         return view
+
+    def pattern_label(self, pattern: CommPattern) -> str:
+        """``format_pattern(pattern)``, computed once."""
+        label = self._labels.get(pattern)
+        if label is None:
+            label = self._labels[pattern] = format_pattern(pattern)
+        return label
 
     def split_reduction(
         self, observed: Sequence[LinearVar], layout: SourceLayout
@@ -296,9 +310,7 @@ def _run_on_sources(
     for g, f in zip(gradients, noises):
         vals[f"W[{g.owner}]"] = g.symbols()
         vals[f"F[{f.owner}]"] = tuple(s for part in f.parts for s in part)
-    vals["W"] = tuple(
-        sum(column) % params.modulus for column in zip(*(g.symbols() for g in gradients))
-    )
+    vals["W"] = gradient_sum(gradients, params.modulus)
     for u in t.uploads:
         vals[f"X[{u.user},{u.helper}]"] = u.payload
     for (i, n, k), vec in t.keys.masks.items():
@@ -372,14 +384,11 @@ def build_linear_transcript(
     return LinearTranscript(unit_round(ctx, pattern)[1])
 
 
-def build_static_vars(ctx: SchemeContext) -> dict[str, LinearVar]:
-    """Pattern-independent variables: gradients, randomness, the sum,
-    every upload, and every dealer mask."""
-    tvars = build_linear_transcript(ctx, no_straggler_pattern(ctx.params))
-    return {
-        name: var for name, var in tvars.items()
-        if name.partition("[")[0] in ("W", "F", "X", "Z")
-    }
+def build_static_vars(ctx: SchemeContext) -> LinearTranscript:
+    """The no-straggler transcript: every link up, every helper
+    surviving.  Its gradients, randomness, sum, uploads and dealer masks
+    are the same under every pattern."""
+    return build_linear_transcript(ctx, no_straggler_pattern(ctx.params))
 
 
 # -- rank arithmetic -------------------------------------------------------
@@ -686,7 +695,7 @@ def _leakage_record(
         kind=kind,
         colluding_users=tuple(sorted(users)),
         colluding_helpers=tuple(sorted(tset)),
-        pattern=format_pattern(pattern),
+        pattern=tvars.pattern_label(pattern),
         ranks=ranks,
         value=_mi_from_ranks(ranks, params.block_len),
         exploratory=oversized,
@@ -764,9 +773,7 @@ class MaskStructureReport:
 
 
 def check_mask_independence(
-    ctx: SchemeContext,
-    family_samples: int = 128,
-    tvars: Mapping[str, LinearVar] | None = None,
+    ctx: SchemeContext, tvars: Mapping[str, LinearVar] | None = None
 ) -> MaskStructureReport:
     """Verify the mask entropy structure.
 
@@ -802,50 +809,43 @@ def check_mask_independence(
     if not family_ok(maximal):
         report.violations.append("maximal mask family is not independent")
 
+    # every subset of the other helpers, by size, per helper
     per_helper = [
-        [tuple(c) for size in range(params.num_helpers)
-         for c in combinations([i for i in n_all if i != n], size)]
+        [c for size in range(params.num_helpers) for c in combinations(maximal[n], size)]
         for n in n_all
     ]
-    family_count = 1
-    for options in per_helper:
-        family_count *= len(options)
-    if family_count <= 4096:
-        for combo in product(*per_helper):
-            family = {n: combo[n - 1] for n in n_all}
-            report.families_checked += 1
-            if not family_ok(family):
-                report.violations.append(f"family {family} does not factorize")
+    if prod(len(options) for options in per_helper) <= 4096:
+        families = ({n: combo[n - 1] for n in n_all} for combo in product(*per_helper))
     else:
         rng = random.Random(20240901)
-        for _ in range(family_samples):
-            family = {
+        families = (
+            {
                 n: tuple(sorted(rng.sample(maximal[n], rng.randrange(len(maximal[n]) + 1))))
                 for n in n_all
             }
-            report.families_checked += 1
-            if not family_ok(family):
-                report.violations.append(f"family {family} does not factorize")
+            for _ in range(_MASK_FAMILY_SAMPLES)
+        )
+    for family in families:
+        report.families_checked += 1
+        if not family_ok(family):
+            report.violations.append(f"family {family} does not factorize")
 
     l = params.block_len
     for n in n_all:
-        others = [i for i in n_all if i != n]
         for k in users:
-            for size in range(0, len(others) + 1):
-                for subset in combinations(others, size):
-                    report.subsets_checked += 1
-                    h = entropy_rank(group(subset, n, k))
-                    if size <= params.resiliency - 1:
-                        if h != Fraction(size * l):
-                            report.violations.append(
-                                f"H(masks {subset} of helper {n}, user {k}) = {h},"
-                                f" expected {size * l}"
-                            )
-                    else:
-                        report.boundary.append(
-                            f"masks {subset} of helper {n}, user {k}:"
-                            f" H = {h} (beyond hypothesis)"
-                        )
+            for subset in per_helper[n - 1]:
+                report.subsets_checked += 1
+                h = entropy_rank(group(subset, n, k))
+                if len(subset) > params.resiliency - 1:
+                    report.boundary.append(
+                        f"masks {subset} of helper {n}, user {k}:"
+                        f" H = {h} (beyond hypothesis)"
+                    )
+                elif h != Fraction(len(subset) * l):
+                    report.violations.append(
+                        f"H(masks {subset} of helper {n}, user {k}) = {h},"
+                        f" expected {len(subset) * l}"
+                    )
     return report
 
 
@@ -924,7 +924,7 @@ def response_entropy_given_sum(
     no-straggler transcript, built here if not given."""
     pattern = no_straggler_pattern(ctx.params)
     if tvars is None:
-        tvars = build_linear_transcript(ctx, pattern)
+        tvars = build_static_vars(ctx)
     responses = [tvars[f"Y[{n}]"] for n in range(1, ctx.params.num_helpers + 1)]
     return cond_entropy(
         responses, (tvars["W"],) + helper_observation(tvars, ctx, pattern, tset)
@@ -993,15 +993,16 @@ class BruteForceOracle:
     would indicate a broken scheme and raises.
     """
 
-    def __init__(self, ctx: SchemeContext, pattern: CommPattern, limit: int = 10**6):
+    def __init__(self, ctx: SchemeContext, pattern: CommPattern):
         params = ctx.params
         layout = SourceLayout(params)
         q = params.modulus
         width = layout.dim * params.block_len
         total = q**width
-        if total > limit:
+        if total > _ORACLE_ASSIGNMENT_LIMIT:
             raise TooLargeToEnumerate(
-                f"{q}^{width} = {total} assignments exceeds the budget {limit}"
+                f"{q}^{width} = {total} assignments exceeds the budget"
+                f" {_ORACLE_ASSIGNMENT_LIMIT}"
             )
         self.ctx = ctx
         self.pattern = pattern
@@ -1068,10 +1069,7 @@ class BruteForceOracle:
 
 
 def brute_force_entropy(
-    ctx: SchemeContext,
-    pattern: CommPattern,
-    names: Sequence[str],
-    limit: int = 10**6,
+    ctx: SchemeContext, pattern: CommPattern, names: Sequence[str]
 ) -> Fraction:
     """One-shot exact entropy via full enumeration; see BruteForceOracle."""
-    return BruteForceOracle(ctx, pattern, limit=limit).entropy(names)
+    return BruteForceOracle(ctx, pattern).entropy(names)

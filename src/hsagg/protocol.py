@@ -34,6 +34,7 @@ __all__ = [
     "SchemeContext",
     "Gradient",
     "UserRandomness",
+    "gradient_sum",
     "DealerKeys",
     "UploadMessage",
     "InterHelperMessage",
@@ -261,6 +262,11 @@ class Gradient:
 
     def symbols(self) -> Vector:
         return tuple(s for part in self.parts for s in part)
+
+
+def gradient_sum(gradients: Sequence[Gradient], modulus: int) -> Vector:
+    """The symbol-wise sum of the gradients: what the master decodes."""
+    return _vec_add(modulus, *(g.symbols() for g in gradients))
 
 
 @dataclass(frozen=True)

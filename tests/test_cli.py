@@ -67,6 +67,13 @@ def test_verify_budget_exceeded(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_leakage_budget_exceeded(capsys):
+    # 16,777,216 patterns: the query count is compared before any is listed
+    code = main(["leakage", "--params", "6,5,3,1,11,2", "--budget", "10"])
+    assert code == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_verify_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "--grid", "2,3,2,1,5,1", "--draws", "2", "--seed", "s",
@@ -143,15 +150,23 @@ BAD_INPUTS = {
     "tset-outside-helpers": ["leakage", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3;2:1,2,4",
                              "--tset", "9"],
     "zero-draws": ["verify", "--grid", "2,3,2,1,5,1", "--draws", "0"],
-    "gradient-not-a-list": ["round", *EXAMPLE_ARGS, "--gradients", "GRADIENTS"],
+    "gradient-not-a-list": ["round", *EXAMPLE_ARGS, "--gradients", "NOT_A_LIST"],
+    "duplicate-ids": ["leakage", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3;2:1,2,4",
+                      "--uset", "1,1", "--tset", "1,1"],
+    "boolean-symbols": ["round", *EXAMPLE_ARGS, "--gradients", "BOOLEANS"],
+}
+
+GRADIENT_FILES = {
+    "NOT_A_LIST": {"1": 5, "2": [1, 2]},
+    "BOOLEANS": {"1": [True, False], "2": [1, 2]},
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
-    gradients = tmp_path / "gradients.json"
-    gradients.write_text(json.dumps({"1": 5, "2": [1, 2]}))
-    argv = [str(gradients) if a == "GRADIENTS" else a for a in argv]
+    for name, table in GRADIENT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(table))
+    argv = [str(tmp_path / a) if a in GRADIENT_FILES else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

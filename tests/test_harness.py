@@ -1,8 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from hsagg.cli import main
 from hsagg.harness import (
     BudgetExceeded,
     ConfigError,
@@ -277,6 +279,64 @@ def test_run_leakage_exhaustive_small():
     doc = run_leakage(RunConfig(mode="leakage", params=SMALL))
     assert doc["queries"] == 16 * 4 * 4 * 2
     assert doc["pass"] is True
+
+
+def test_leakage_budget():
+    # 25 patterns x 4 user subsets x 5 helper subsets x 2 queries = 1,000
+    with pytest.raises(BudgetExceeded):
+        run_leakage(RunConfig(mode="leakage", params=EXAMPLE, budget=10))
+    # an explicit pattern, user set and helper set are one of each: two queries
+    one = RunConfig(
+        mode="leakage", params=EXAMPLE, pattern="nu=1:1,2,3;2:1,2,4",
+        uset=(), tset=(3,), budget=2,
+    )
+    assert run_leakage(one)["queries"] == 2
+    one.budget = 1
+    with pytest.raises(BudgetExceeded):
+        run_leakage(one)
+
+
+# SHA-256 of four reports, each with every unnamed field at its RunConfig
+# default, so that a change to a report's bytes shows up across commits
+# and not only between two runs in one process; the CLI writes the same
+# bytes.
+PINNED_REPORTS = {
+    "verify": (
+        lambda: render_json(
+            run_verify(RunConfig(mode="verify", grid=(SMALL, EXAMPLE), draws=2)).to_json()
+        ),
+        ["verify", "--grid", "2,3,2,1,5,1;2,4,3,1,7,2", "--draws", "2"],
+        "51f3be8bf763b81aa3f815396004c2181649e164a3f096889126fe33ba071969",
+    ),
+    "leakage": (
+        lambda: render_leakage_csv(run_leakage(RunConfig(mode="leakage", params=EXAMPLE))),
+        ["leakage", "--params", "2,4,3,1,7,2", "--format", "csv"],
+        "11246e0f18aec5618812a57a770e675a441437fd0fbd7eb96f56ab308bbc0912",
+    ),
+    "rates": (
+        lambda: render_rates_csv(run_rates(RunConfig(mode="rates"))),
+        ["rates", "--format", "csv"],
+        "1a21f510c6fd6cc02f17285c29ef30458dc058ec1840a8f3c7492469315d2558",
+    ),
+    "round": (
+        lambda: render_json(
+            run_single_round(
+                RunConfig(mode="round", params=EXAMPLE, drop_prob=0.3, seed="5")
+            )[1]
+        ),
+        ["round", "--params", "2,4,3,1,7,2", "--drop-prob", "0.3", "--seed", "5"],
+        "4e8490ac6ff897f78f3d09bb1212d9be85791516cb769a6c63267d844f2bb710",
+    ),
+}
+
+
+def test_report_bytes_pinned(tmp_path):
+    for name, (render, argv, digest) in PINNED_REPORTS.items():
+        report = render()
+        assert hashlib.sha256(report).hexdigest() == digest, name
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == report, name
 
 
 def test_render_csv_outputs():
