@@ -116,6 +116,13 @@ def _check_ids(name: str, ids: tuple[int, ...] | None, count: int) -> None:
         raise ConfigError(f"{name} {ids} must list distinct ids in 1..{count}")
 
 
+def _reject_unused(config: RunConfig, mode: str, *options: str) -> None:
+    """Raise ConfigError for options ``mode`` would otherwise ignore."""
+    given = [name for name in options if getattr(config, name) is not None]
+    if given:
+        raise ConfigError(f"{mode} does not use {' or '.join(given)}")
+
+
 def _draw_inputs(
     params: SchemeParams, rng: random.Random
 ) -> tuple[list[Gradient], list[UserRandomness]]:
@@ -461,6 +468,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
 
 def run_verify(config: RunConfig) -> VerifyReport:
     """Run the verification campaign over the configured grid."""
+    _reject_unused(config, "verify", "pattern", "drop_prob")
     if config.draws < 1:
         raise ConfigError(f"draws must be at least 1, got {config.draws}")
     grid = _grid(config)
@@ -480,7 +488,9 @@ def run_verify(config: RunConfig) -> VerifyReport:
 
 
 def run_rates(config: RunConfig) -> list[dict]:
-    """Measured communication rates per feasible grid point."""
+    """Measured communication rates per feasible grid point, each from
+    one no-straggler round."""
+    _reject_unused(config, "rates", "pattern", "drop_prob")
     rows = []
     for params in _grid(config):
         try:
@@ -535,6 +545,7 @@ def run_leakage(config: RunConfig) -> dict:
     admissible patterns are covered.  A sweep of more queries than
     ``config.budget`` raises ``BudgetExceeded`` before any is run.
     """
+    _reject_unused(config, "leakage", "drop_prob")
     if config.params is None:
         raise ConfigError("leakage mode needs --params")
     params = config.params

@@ -30,11 +30,12 @@ noise pivots and ``K = span(B) ∩ user coordinates``, so that
 Unit rows of A and C (every ``W[k]`` and ``F[k]``) condition by deleting
 their columns, so each query is left with one small elimination over
 the remaining user columns.  A ``LinearTranscript`` keeps the reduction
-of each observed set, which every user subset shares; a query takes the
-split only when it carries one.  Queries of any other shape (a given
-with masks, as in the sharing check) and queries without a transcript
-take the incremental path, which is also the reference the split is
-tested against.
+of each observed set, which every user subset shares, and builds the
+master's (the helper view, then the responses) on the helper view's; a
+query takes the split only when it carries one.  Queries of any other
+shape (a given with masks, as in the sharing check) and queries without
+a transcript take the incremental path, which is also the reference the
+split is tested against.
 
 A brute-force oracle checks the rank-to-entropy step independently on
 tiny instances: it runs the same roles on every source assignment and
@@ -42,7 +43,7 @@ counts the joint distributions, with no rank arithmetic.
 """
 
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from fractions import Fraction
@@ -84,6 +85,7 @@ __all__ = [
     "build_linear_transcript",
     "joint_rank",
     "entropy_rank",
+    "all_subset_entropies_rank",
     "cond_entropy",
     "rank_quadruple",
     "cond_mutual_info",
@@ -249,13 +251,23 @@ class LinearTranscript(Mapping):
     def split_reduction(
         self, observed: Sequence[LinearVar], layout: SourceLayout
     ) -> tuple[int, tuple[list[int], ...]]:
-        """``_split_observed`` of the observed variables, computed once."""
+        """``_split_observed`` of the observed variables, computed once.
+
+        A miss extends the reduction of the longest reduced prefix of
+        ``observed``: the master's observed set is a helper view, then
+        the responses, so it costs the responses' rows alone.
+        """
         key = tuple(v.name for v in observed)
-        hit = self._reductions.get(key)
-        if hit is not None and all(a is b for a, b in zip(hit[0], observed)):
-            return hit[1]
-        reduction = _split_observed(observed, layout)
-        self._reductions[key] = (tuple(observed), reduction)
+        base, done = None, 0
+        for n in range(len(key), 0, -1):
+            hit = self._reductions.get(key[:n])
+            if hit is not None and all(a is b for a, b in zip(hit[0], observed)):
+                if n == len(key):
+                    return hit[2]
+                base, done = hit[1], n
+                break
+        space, reduction = _split_observed(observed[done:], layout, base)
+        self._reductions[key] = (tuple(observed), space, reduction)
         return reduction
 
 
@@ -426,6 +438,32 @@ def entropy_rank(variables: Sequence[LinearVar]) -> Fraction:
     return Fraction(joint_rank(variables) * l)
 
 
+def all_subset_entropies_rank(
+    variables: Sequence[LinearVar],
+) -> Iterator[tuple[tuple[str, ...], Fraction]]:
+    """Every subset of the variables, by name, with ``entropy_rank`` of
+    it, in depth-first order (that of
+    ``BruteForceOracle.all_subset_entropies`` over the same names): a
+    subset's row space is its parent's, cloned, with its last variable
+    inserted.  The variables' names must be distinct."""
+    by_name = {v.name: v for v in variables}
+    if len(by_name) != len(variables):
+        raise ValueError("variables must have distinct names")
+    layout = _common_layout(variables)
+    if layout is None:
+        yield (), Fraction(0)
+        return
+
+    def grow(space: RowSpace, name: str) -> RowSpace:
+        child = space.clone()
+        child.insert_matrix(by_name[name].coeffs)
+        return child
+
+    root = RowSpace(variables[0].coeffs.field, layout.dim)
+    for subset, space in _depth_first(tuple(by_name), root, grow):
+        yield subset, Fraction(space.rank * layout.block_len)
+
+
 def cond_entropy(
     target: Sequence[LinearVar], given: Sequence[LinearVar]
 ) -> Fraction:
@@ -509,27 +547,32 @@ def _incremental_quadruple(
 
 
 def _split_observed(
-    observed: Sequence[LinearVar], layout: SourceLayout
-) -> tuple[int, tuple[list[int], ...]]:
+    observed: Sequence[LinearVar], layout: SourceLayout, base: RowSpace | None = None
+) -> tuple[RowSpace | None, tuple[int, tuple[list[int], ...]]]:
     """Reduce the observed rows with the dealer-noise columns pivoted
-    first.
+    first, into a clone of ``base`` (a space of rows so reduced) if
+    given.
 
-    Returns ``r_noise``, the number of basis rows with a noise pivot,
-    and the other basis rows cut to the user-source columns: they are
-    zero on the noise columns, and span(observed) ∩ user coordinates.
+    Returns the reduced space and the split: ``r_noise``, the number of
+    basis rows with a noise pivot, and the other basis rows cut to the
+    user-source columns: they are zero on the noise columns, and
+    span(observed) ∩ user coordinates.
     """
-    if not observed:
-        return 0, ()
+    if base is None and not observed:
+        return None, (0, ())
     u = layout.user_dim
     width = layout.dim - u
-    space = RowSpace(observed[0].coeffs.field, layout.dim)
+    if base is None:
+        space = RowSpace(observed[0].coeffs.field, layout.dim)
+    else:
+        space = base.clone()
     for v in observed:
         for row in v.rows:
             space.insert(row[u:] + row[:u])
     user_rows = tuple(
         b[width:] for p, b in zip(space.pivots, space.basis) if p >= width
     )
-    return space.rank - len(user_rows), user_rows
+    return space, (space.rank - len(user_rows), user_rows)
 
 
 def _unit_split(
@@ -746,7 +789,7 @@ def check_security_master(
         "master", ctx, pattern, users, tset, tvars, exploratory,
         lambda tv, view: MiQuery(
             target=_all_gradients(tv, ctx.params),
-            observed=tuple(tv[f"Y[{n}]"] for n in sorted(pattern.active_helpers)) + view,
+            observed=view + tuple(tv[f"Y[{n}]"] for n in sorted(pattern.active_helpers)),
             given=(tv["W"],) + _collusion_vars(tv, users),
             transcript=tv,
         ),
@@ -980,6 +1023,64 @@ def infeasibility_witness(params: SchemeParams) -> WitnessReport:
 # -- brute-force oracle -----------------------------------------------------
 
 
+def _depth_first(items: Sequence, root, extend) -> Iterator[tuple[tuple, object]]:
+    """Every subset of ``items`` with a state, in depth-first order.
+
+    A subset comes right before the subsets that extend it, which follow
+    in the order of their next item: the subsets, as tuples of item
+    positions, in lexicographic order.  The empty subset's state is
+    ``root``; any other's is ``extend(state of the subset without its
+    last item, last item)``.
+    """
+    stack = [((), root, 0)]
+    while stack:
+        subset, state, start = stack.pop()
+        yield subset, state
+        for i in range(len(items) - 1, start - 1, -1):
+            item = items[i]
+            stack.append((subset + (item,), extend(state, item), i + 1))
+
+
+def _base_q(symbols: np.ndarray, q: int, offset: int = 0) -> np.ndarray:
+    """Each row of ``symbols`` read as base-q digits, the first one
+    worth ``q**offset``."""
+    return symbols @ q ** np.arange(offset, offset + symbols.shape[1], dtype=np.int64)
+
+
+def _counted_entropy(keys: np.ndarray, q: int, names: Sequence[str]) -> int:
+    """log_q of the support of the outcomes ``keys``, one per equally
+    likely source assignment.
+
+    ``keys`` holds one integer code per assignment, or one row of
+    symbols per assignment when the codes would not fit in int64.  The
+    outcomes must be uniform on their support and the support a power
+    of q, or the entropy is not an exact q-ary integer: LeakageError.
+    On sorted codes with support s, uniformity means ``n % s == 0`` and
+    every run of ``n // s`` codes starting at a multiple of it constant.
+    """
+    if keys.ndim == 2:
+        keys = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    keys = np.sort(keys)
+    n = len(keys)
+    support = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    m = n // support
+    if n % support or (m > 1 and not (keys[::m] == keys[m - 1::m]).all()):
+        raise LeakageError(
+            f"joint distribution of {list(names)} is not uniform; "
+            "entropy is not an exact q-ary integer"
+        )
+    exponent = 0
+    s = support
+    while s % q == 0:
+        s //= q
+        exponent += 1
+    if s != 1:
+        raise LeakageError(
+            f"support size {support} of {list(names)} is not a power of {q}"
+        )
+    return exponent
+
+
 class BruteForceOracle:
     """Exact entropies on a tiny instance by full source enumeration.
 
@@ -991,6 +1092,14 @@ class BruteForceOracle:
     scheme's variables are uniform over a subspace, so every joint
     entropy is an exact integer number of q-ary symbols; non-uniformity
     would indicate a broken scheme and raises.
+
+    Each variable's table is also packed once into one int64 code per
+    assignment: its symbols are base-q digits at a fixed offset within
+    the concatenation of all variables' symbols (in ``names`` order), so
+    a subset's joint code is the sum of its members' codes, one gather
+    and one sum, and counting it is one sort.  The codes stay below
+    ``q**(total width)``, which must be under 2**62; a wider instance
+    keeps no packed codes and builds each subset's key from its tables.
     """
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern):
@@ -1019,39 +1128,62 @@ class BruteForceOracle:
             name: np.array(rows, dtype=np.int64) for name, rows in tables.items()
         }
 
+        self._rows = {name: i for i, name in enumerate(names)}
+        self._packed = None
+        if q ** sum(t.shape[1] for t in self.tables.values()) < 2**62:
+            self._packed = np.empty((len(names), total), dtype=np.int64)
+            offset = 0
+            for i, table in enumerate(self.tables.values()):
+                self._packed[i] = _base_q(table, q, offset)
+                offset += table.shape[1]
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self.tables)
 
     def entropy(self, names: Sequence[str]) -> Fraction:
         """Exact joint q-ary entropy of the named variables."""
-        names = list(names)
+        names = list(dict.fromkeys(names))  # a repeated code would add digits
         if not names:
             return Fraction(0)
-        arr = np.hstack([self.tables[n] for n in names])
-        width = arr.shape[1]
-        if self.q**width < 2**62:
-            powers = self.q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-            packed = arr @ powers
-            _, counts = np.unique(packed, return_counts=True)
+        if self._packed is not None:
+            keys = self._packed[[self._rows[n] for n in names]].sum(axis=0)
         else:
-            _, counts = np.unique(arr, axis=0, return_counts=True)
-        if counts.max() != counts.min():
-            raise LeakageError(
-                f"joint distribution of {names} is not uniform; "
-                "entropy is not an exact q-ary integer"
-            )
-        support = len(counts)
-        exponent = 0
-        s = support
-        while s % self.q == 0:
-            s //= self.q
-            exponent += 1
-        if s != 1:
-            raise LeakageError(
-                f"support size {support} of {names} is not a power of {self.q}"
-            )
-        return Fraction(exponent)
+            keys = np.hstack([self.tables[n] for n in names])
+            if self.q ** keys.shape[1] < 2**62:
+                keys = _base_q(keys, self.q)
+        return Fraction(_counted_entropy(keys, self.q, names))
+
+    def all_subset_entropies(self) -> Iterator[tuple[tuple[str, ...], Fraction]]:
+        """Every subset of ``names`` with its exact entropy, in the
+        depth-first order of ``all_subset_entropies_rank``.
+
+        A subset's joint code is its parent's times ``q**width`` of its
+        last variable, plus that variable's own code, counted as
+        ``entropy`` counts.  Codes stay int32 while they fit, which sorts
+        about twice as fast as int64; without packed codes each subset
+        is counted on its own.
+        """
+        if self._packed is None:
+            for subset, _ in _depth_first(self.names, None, lambda _, name: None):
+                yield subset, self.entropy(subset)
+            return
+        codes = {}
+        for name, table in self.tables.items():
+            radix, code = self.q ** table.shape[1], _base_q(table, self.q)
+            codes[name] = radix, code.astype(np.int32) if radix < 2**31 else code
+
+        def extend(state, name):
+            key, span = state
+            radix, code = codes[name]
+            span *= radix
+            if span >= 2**31:
+                key = key.astype(np.int64, copy=False)
+            return key * radix + code, span
+
+        root = (np.zeros(self.count, dtype=np.int32), 1)
+        for subset, (key, _) in _depth_first(self.names, root, extend):
+            yield subset, Fraction(_counted_entropy(key, self.q, subset))
 
     def cond_mutual_info(
         self,

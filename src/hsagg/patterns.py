@@ -89,11 +89,21 @@ class CommPattern:
         return replace(self, survivors=frozenset(survivors))
 
 
+def _helper_set(text: str, what: str) -> frozenset[int]:
+    """The comma-separated helper ids of a pattern literal; a repeated
+    id raises ``ValueError`` rather than being dropped."""
+    ids = [int(h) for h in text.split(",") if h]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"{what} repeat a helper id in pattern literal")
+    return frozenset(ids)
+
+
 def parse_pattern(text: str) -> CommPattern:
     """Parse the literal form ``nu=1:1,2,3;2:1,2,4 hm=2,3,4``.
 
     The ``hm=`` part is optional; without it the pattern carries no
-    survivor set.
+    survivor set.  A user listed twice or a helper id repeated within
+    one set raises ``ValueError``.
     """
     receivers: dict[int, frozenset[int]] = {}
     survivors = None
@@ -106,11 +116,9 @@ def parse_pattern(text: str) -> CommPattern:
                 user = int(user_s)
                 if user in receivers:
                     raise ValueError(f"duplicate user {user} in pattern literal")
-                receivers[user] = frozenset(
-                    int(h) for h in helpers_s.split(",") if h
-                )
+                receivers[user] = _helper_set(helpers_s, f"user {user}'s receivers")
         elif part.startswith("hm="):
-            survivors = frozenset(int(h) for h in part[3:].split(",") if h)
+            survivors = _helper_set(part[3:], "the survivors")
         else:
             raise ValueError(f"unrecognized pattern component {part!r}")
     if not receivers:

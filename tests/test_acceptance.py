@@ -17,6 +17,7 @@ from hsagg.harness import DEFAULT_GRID, RunConfig, render_json, run_rates, run_v
 from hsagg.leakage import (
     BruteForceOracle,
     MiQuery,
+    all_subset_entropies_rank,
     build_linear_transcript,
     check_mask_independence,
     check_sharing_leakage,
@@ -238,11 +239,28 @@ def test_criterion_8_oracle_cross_validation():
         names = list(oracle.names)
         assert set(names) == set(tvars)
 
-        for size in range(len(names) + 1):
-            for subset in combinations(names, size):
-                assert oracle.entropy(subset) == entropy_rank(
-                    [tvars[n] for n in subset]
-                ), subset
+        # every subset, both sides walked depth-first in the same order;
+        # a seeded sample is also checked against the per-call paths
+        rng = random.Random("oracle-subsets")
+        sample = set()
+        while len(sample) < 300:
+            chosen = set(rng.sample(names, rng.randrange(len(names) + 1)))
+            sample.add(tuple(n for n in names if n in chosen))
+        walks = zip(
+            oracle.all_subset_entropies(),
+            all_subset_entropies_rank([tvars[n] for n in names]),
+            strict=True,
+        )
+        compared = sampled = 0
+        for (subset, h_oracle), (rank_subset, h_rank) in walks:
+            assert subset == rank_subset and h_oracle == h_rank, subset
+            if subset in sample:
+                assert oracle.entropy(subset) == h_oracle, subset
+                assert entropy_rank([tvars[n] for n in subset]) == h_rank, subset
+                sampled += 1
+            compared += 1
+        assert compared == 2 ** len(names) == 524288
+        assert sampled == len(sample)
 
         rng = random.Random("oracle-mi")
         for _ in range(50):

@@ -154,6 +154,13 @@ BAD_INPUTS = {
     "duplicate-ids": ["leakage", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3;2:1,2,4",
                       "--uset", "1,1", "--tset", "1,1"],
     "boolean-symbols": ["round", *EXAMPLE_ARGS, "--gradients", "BOOLEANS"],
+    "repeated-receiver": ["round", *EXAMPLE_ARGS, "--pattern", "nu=1:1,1,2,3;2:1,2,4 hm=2,3,4"],
+    "repeated-survivor": ["round", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3;2:1,2,4 hm=2,2,3,4"],
+    "leakage-drop-prob": ["leakage", "--params", "2,3,2,1,5,1", "--drop-prob", "0.3"],
+    "rates-pattern": ["rates", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3;2:1,2,4 hm=2,3,4"],
+    "rates-drop-prob": ["rates", *EXAMPLE_ARGS, "--drop-prob", "0.3"],
+    "verify-pattern": ["verify", "--grid", "2,3,2,1,5,1", "--pattern", "nu=1:1,2;2:1,2 hm=1,2"],
+    "verify-drop-prob": ["verify", "--grid", "2,3,2,1,5,1", "--drop-prob", "0.3"],
 }
 
 GRADIENT_FILES = {

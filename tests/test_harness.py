@@ -296,6 +296,24 @@ def test_leakage_budget():
         run_leakage(one)
 
 
+@pytest.mark.parametrize(
+    "run, options",
+    [
+        (run_leakage, {"params": SMALL, "drop_prob": 0.3}),
+        (run_rates, {"pattern": EXAMPLE_LITERAL}),
+        (run_rates, {"drop_prob": 0.3}),
+        (run_verify, {"grid": (SMALL,), "pattern": "nu=1:1,2;2:1,2 hm=1,2"}),
+        (run_verify, {"grid": (SMALL,), "drop_prob": 0.3}),
+    ],
+    ids=["leakage-drop-prob", "rates-pattern", "rates-drop-prob", "verify-pattern",
+         "verify-drop-prob"],
+)
+def test_unused_pattern_options_raise(run, options):
+    """A mode that would ignore a pattern option refuses it instead."""
+    with pytest.raises(ConfigError, match="does not use"):
+        run(RunConfig(mode="any", **options))
+
+
 # SHA-256 of four reports, each with every unnamed field at its RunConfig
 # default, so that a change to a report's bytes shows up across commits
 # and not only between two runs in one process; the CLI writes the same

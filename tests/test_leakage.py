@@ -1,8 +1,10 @@
+import copy
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,12 +14,15 @@ from hsagg.leakage import (
     BadSubset,
     BruteForceOracle,
     LayoutMismatch,
+    LeakageError,
     LinearTranscript,
     LinearVar,
     MiQuery,
     SourceLayout,
     TooLargeToEnumerate,
+    _counted_entropy,
     _incremental_quadruple,
+    all_subset_entropies_rank,
     brute_force_entropy,
     build_linear_transcript,
     build_static_vars,
@@ -383,6 +388,68 @@ def test_oracle_matches_sharing_leakage_value(tiny_ctx, tiny_oracle):
     got = tiny_oracle.cond_mutual_info(uploads, shares, given)
     rec = check_sharing_leakage(tiny_ctx, TINY_PATTERN, [3], tvars=tv)
     assert got == rec.value == 0
+
+
+def test_oracle_count_rejects_non_uniform_keys():
+    for keys in ([0, 0, 1, 2], [0, 0, 0, 1, 2, 2]):  # 4 % 3 != 0; runs of 2 not constant
+        with pytest.raises(LeakageError, match="not uniform"):
+            _counted_entropy(np.array(keys), 3, ["x"])
+    with pytest.raises(LeakageError, match="not a power of 5"):
+        _counted_entropy(np.array([2, 0, 1, 2, 1, 0]), 5, ["x"])
+    assert _counted_entropy(np.array([7, 3, 3, 7, 1, 8, 8, 1, 4, 4, 5, 5, 9, 9, 0, 0]), 2, ["x"]) == 3
+
+
+def test_oracle_count_of_rows():
+    """Keys too wide for an int64 code come as rows of symbols."""
+    square = np.array([[a, b] for a in range(3) for b in range(3)] * 2)
+    assert _counted_entropy(square, 3, ["x"]) == 2
+    with pytest.raises(LeakageError, match="not uniform"):
+        _counted_entropy(np.vstack([square, square[:1]]), 3, ["x"])
+    with pytest.raises(LeakageError, match="not a power of 2"):
+        _counted_entropy(square[:3], 2, ["x"])
+
+
+def test_oracle_repeated_and_overlapping_names(tiny_ctx, tiny_oracle):
+    tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
+    assert tiny_oracle.entropy(["W[1]", "W[1]"]) == tiny_oracle.entropy(["W[1]"]) == 1
+    assert tiny_oracle.entropy(["X[1,1]", "W", "X[1,1]", "W[1]"]) == 2
+    # q copies of one variable's code would carry into the next one's digits
+    names = tiny_oracle.names
+    a, b = next((a, b) for a, b in zip(names, names[1:]) if tiny_oracle.entropy([a, b]) == 2)
+    assert tiny_oracle.entropy([a] * TINY.modulus + [b]) == 2
+    a, b, c = ["W[1]", "X[1,1]"], ["X[1,1]", "Y[1]", "M[1->3,1]"], ["X[1,1]", "F[1]"]
+    expect = cond_mutual_info(MiQuery(*(tuple(tv[n] for n in part) for part in (a, b, c))))
+    assert tiny_oracle.cond_mutual_info(a, b, c) == expect
+
+
+def test_oracle_without_packed_codes_counts_the_same(tiny_ctx, tiny_oracle):
+    """The path for instances too wide to pack gives the same entropies."""
+    tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
+    names = list(tiny_oracle.names)[::3]
+    small = copy.copy(tiny_oracle)
+    small.tables = {n: tiny_oracle.tables[n] for n in names}
+    packed = list(small.all_subset_entropies())
+    assert packed == list(all_subset_entropies_rank([tv[n] for n in names]))
+    small._packed = None
+    assert list(small.all_subset_entropies()) == packed
+    rng = random.Random(7)
+    for _ in range(40):
+        subset = [n for n in tiny_oracle.names if rng.random() < 0.4]
+        wide = copy.copy(tiny_oracle)
+        wide._packed = None
+        assert wide.entropy(subset) == tiny_oracle.entropy(subset)
+
+
+def test_subset_walks_are_depth_first(tvars):
+    names = ["W[1]", "W[2]", "X[1,1]"]
+    walk = list(all_subset_entropies_rank([tvars[n] for n in names]))
+    assert [subset for subset, _ in walk] == [
+        (), ("W[1]",), ("W[1]", "W[2]"), ("W[1]", "W[2]", "X[1,1]"), ("W[1]", "X[1,1]"),
+        ("W[2]",), ("W[2]", "X[1,1]"), ("X[1,1]",),
+    ]
+    assert all(h == entropy_rank([tvars[n] for n in subset]) for subset, h in walk)
+    with pytest.raises(ValueError, match="distinct names"):
+        list(all_subset_entropies_rank([tvars["W"], tvars["W"]]))
 
 
 def test_rank_quadruple_shape(tvars):

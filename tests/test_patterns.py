@@ -41,6 +41,15 @@ def test_parse_errors():
         parse_pattern("nu=1:1,2 bogus=3")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["nu=1:1,1,2,3;2:1,2,4 hm=2,3,4", "nu=1:1,2,3;2:1,2,4,2", "nu=1:1,2,3;2:1,2,4 hm=2,3,3,4"],
+)
+def test_parse_rejects_repeated_helper_ids(text):
+    with pytest.raises(ValueError, match="repeat a helper id"):
+        parse_pattern(text)
+
+
 def test_validate_worked_example():
     pattern = parse_pattern("nu=1:1,2,3;2:1,2,4 hm=2,3,4")
     validate(pattern, EXAMPLE)  # no error
