@@ -12,6 +12,7 @@ config, 3 enumeration budget exceeded.
 import argparse
 import sys
 import time
+from dataclasses import fields
 
 from . import harness
 from .field import FieldError
@@ -81,6 +82,13 @@ def _build_config(args: argparse.Namespace) -> harness.RunConfig:
     values: dict[str, str] = {}
     if args.config:
         values = harness.load_config_file(args.config)
+        # every RunConfig field but the mode is a key; fmt is "format"
+        keys = {f.name for f in fields(harness.RunConfig)} - {"mode", "fmt"} | {"format"}
+        unknown = sorted(set(values) - keys)
+        if unknown:
+            raise harness.ConfigError(
+                f"{args.config}: unknown config key {', '.join(unknown)}"
+            )
 
     def pick(flag, key, default=None):
         return flag if flag is not None else values.get(key, default)
@@ -119,14 +127,27 @@ def _build_config(args: argparse.Namespace) -> harness.RunConfig:
     config.uset = _parse_int_set(uset) if uset is not None else None
     tset = pick(getattr(args, "tset", None), "tset")
     config.tset = _parse_int_set(tset) if tset is not None else None
+
+    # options the mode would ignore that the harness cannot refuse: the
+    # seeds have defaults, so only here is it known whether they were
+    # given, and the output format is the CLI's own
+    unused = []
+    if config.mode == "round" and config.fmt == "csv":
+        unused.append("format csv")
+    if config.mode == "leakage":
+        for flag, key in ((args.seed, "seed"), (args.dealer_seed, "dealer_seed")):
+            if flag is not None or key in values:
+                unused.append(key)
+    if unused:
+        raise harness.ConfigError(f"{config.mode} does not use {' or '.join(unused)}")
     return config
 
 
 def _emit(config: harness.RunConfig, doc, render_csv=None) -> None:
-    """Write ``render_csv()`` if CSV is asked for and the mode has a CSV
-    form, else ``doc`` as JSON."""
-    csv_wanted = config.fmt == "csv" and render_csv is not None
-    payload = render_csv() if csv_wanted else harness.render_json(doc)
+    """Write ``render_csv()`` if CSV is asked for, else ``doc`` as JSON;
+    a mode without a CSV form refuses ``format csv`` in
+    ``_build_config``."""
+    payload = render_csv() if config.fmt == "csv" else harness.render_json(doc)
     if config.out:
         with open(config.out, "wb") as fh:
             fh.write(payload)

@@ -443,12 +443,10 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                 )
 
     static = lk.build_static_vars(ctx)
-    mask_report = lk.check_mask_independence(ctx, tvars=static)
-    report.invariant_checks += mask_report.families_checked + mask_report.subsets_checked
-    report.failures.extend(mask_report.violations)
-    recovery_report = lk.check_upload_recoverability(ctx, tvars=static)
-    report.invariant_checks += recovery_report.checks
-    report.failures.extend(recovery_report.violations)
+    for suite in (lk.check_mask_independence, lk.check_upload_recoverability):
+        outcome = suite(ctx, tvars=static)
+        report.invariant_checks += outcome.checks
+        report.failures.extend(outcome.violations)
     for tset in combinations(helpers, params.collusion):
         report.invariant_checks += 1
         h = lk.response_entropy_given_sum(ctx, tset, tvars=static)
@@ -468,7 +466,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
 
 def run_verify(config: RunConfig) -> VerifyReport:
     """Run the verification campaign over the configured grid."""
-    _reject_unused(config, "verify", "pattern", "drop_prob")
+    _reject_unused(config, "verify", "pattern", "drop_prob", "gradient_file")
     if config.draws < 1:
         raise ConfigError(f"draws must be at least 1, got {config.draws}")
     grid = _grid(config)
@@ -490,7 +488,7 @@ def run_verify(config: RunConfig) -> VerifyReport:
 def run_rates(config: RunConfig) -> list[dict]:
     """Measured communication rates per feasible grid point, each from
     one no-straggler round."""
-    _reject_unused(config, "rates", "pattern", "drop_prob")
+    _reject_unused(config, "rates", "pattern", "drop_prob", "gradient_file")
     rows = []
     for params in _grid(config):
         try:
@@ -545,7 +543,7 @@ def run_leakage(config: RunConfig) -> dict:
     admissible patterns are covered.  A sweep of more queries than
     ``config.budget`` raises ``BudgetExceeded`` before any is run.
     """
-    _reject_unused(config, "leakage", "drop_prob")
+    _reject_unused(config, "leakage", "drop_prob", "gradient_file")
     if config.params is None:
         raise ConfigError("leakage mode needs --params")
     params = config.params

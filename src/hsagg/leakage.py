@@ -42,13 +42,11 @@ tiny instances: it runs the same roles on every source assignment and
 counts the joint distributions, with no rank arithmetic.
 """
 
-import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
 
 import numpy as np
 
@@ -77,8 +75,7 @@ __all__ = [
     "LinearVar",
     "MiQuery",
     "LeakageRecord",
-    "MaskStructureReport",
-    "RecoverabilityReport",
+    "InvariantReport",
     "WitnessReport",
     "unit_round",
     "build_static_vars",
@@ -120,7 +117,6 @@ class TooLargeToEnumerate(LeakageError):
 
 
 _ORACLE_ASSIGNMENT_LIMIT = 10**6  # the most source assignments an oracle enumerates
-_MASK_FAMILY_SAMPLES = 128  # families drawn when there are too many to check all
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,9 @@ class LinearTranscript(Mapping):
     Read-only.  It memoizes each colluding set's helper view, each
     observed set's split reduction (see ``rank_quadruple``) and each
     pattern's formatted form, keyed by the set, the observed variables'
-    names and the pattern; all live and die with the transcript.
+    names and the pattern; all live and die with the transcript.  The
+    reduced row space behind a split reduction is kept only until a
+    longer observed set has been built on it.
     """
 
     def __init__(self, tvars: Mapping[str, LinearVar]):
@@ -254,17 +252,22 @@ class LinearTranscript(Mapping):
         """``_split_observed`` of the observed variables, computed once.
 
         A miss extends the reduction of the longest reduced prefix of
-        ``observed``: the master's observed set is a helper view, then
-        the responses, so it costs the responses' rows alone.
+        ``observed`` that still keeps its space: the master's observed
+        set is a helper view, then the responses, so it costs the
+        responses' rows alone.  An extended prefix keeps its reduction
+        but gives up its space, which is only ever extended once.
         """
         key = tuple(v.name for v in observed)
         base, done = None, 0
         for n in range(len(key), 0, -1):
             hit = self._reductions.get(key[:n])
-            if hit is not None and all(a is b for a, b in zip(hit[0], observed)):
-                if n == len(key):
-                    return hit[2]
+            if hit is None or any(a is not b for a, b in zip(hit[0], observed)):
+                continue
+            if n == len(key):
+                return hit[2]
+            if hit[1] is not None:
                 base, done = hit[1], n
+                self._reductions[key[:n]] = (hit[0], None, hit[2])
                 break
         space, reduction = _split_observed(observed[done:], layout, base)
         self._reductions[key] = (tuple(observed), space, reduction)
@@ -797,18 +800,12 @@ def check_security_master(
 
 
 @dataclass
-class MaskStructureReport:
-    """Independence and uniformity of the dealer masks.
+class InvariantReport:
+    """Outcome of one no-straggler invariant suite: the number of checks
+    run and one line per violated check."""
 
-    Violations are fatal; boundary entries record subsets beyond the
-    hypothesis (more than resiliency - 1 helpers), where the entropy
-    may legitimately fall short of |S| blocks.
-    """
-
-    families_checked: int
-    subsets_checked: int
+    checks: int = 0
     violations: list[str] = dc_field(default_factory=list)
-    boundary: list[str] = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -817,78 +814,42 @@ class MaskStructureReport:
 
 def check_mask_independence(
     ctx: SchemeContext, tvars: Mapping[str, LinearVar] | None = None
-) -> MaskStructureReport:
+) -> InvariantReport:
     """Verify the mask entropy structure.
 
     (a) the per-(helper, user) mask groups are mutually independent:
     joint rank of the maximal groups equals the sum of group ranks,
-    which implies factorization for every sub-family; families are also
-    checked exhaustively when there are at most 4096 of them, otherwise
-    a seeded sample is drawn.  (b) any mask subset within one group of
-    size at most resiliency - 1 has full entropy, exhaustively.
-    ``tvars`` is the no-straggler transcript, built here if not given.
+    which implies factorization for every sub-family.  (b) every subset
+    of 1..resiliency - 1 masks within one group has full entropy,
+    exhaustively.  ``tvars`` is the no-straggler transcript, built here
+    if not given.
     """
     params = ctx.params
     svars = build_static_vars(ctx) if tvars is None else tvars
     n_all = range(1, params.num_helpers + 1)
     users = range(1, params.num_users + 1)
-    report = MaskStructureReport(families_checked=0, subsets_checked=0)
+    others = {n: [i for i in n_all if i != n] for n in n_all}
+    report = InvariantReport(checks=1)  # the maximal family
 
     def group(subset, n, k):
         return [svars[f"Z[{i},{n},{k}]"] for i in subset]
 
-    def family_ok(family: dict[int, tuple[int, ...]]) -> bool:
-        stacked: list[LinearVar] = []
-        total = 0
-        for n in n_all:
-            for k in users:
-                g = group(family[n], n, k)
-                stacked += g
-                total += joint_rank(g)
-        return joint_rank(stacked) == total
-
-    maximal = {n: tuple(i for i in n_all if i != n) for n in n_all}
-    report.families_checked += 1
-    if not family_ok(maximal):
+    maximal = [group(others[n], n, k) for n in n_all for k in users]
+    if joint_rank([v for g in maximal for v in g]) != sum(map(joint_rank, maximal)):
         report.violations.append("maximal mask family is not independent")
-
-    # every subset of the other helpers, by size, per helper
-    per_helper = [
-        [c for size in range(params.num_helpers) for c in combinations(maximal[n], size)]
-        for n in n_all
-    ]
-    if prod(len(options) for options in per_helper) <= 4096:
-        families = ({n: combo[n - 1] for n in n_all} for combo in product(*per_helper))
-    else:
-        rng = random.Random(20240901)
-        families = (
-            {
-                n: tuple(sorted(rng.sample(maximal[n], rng.randrange(len(maximal[n]) + 1))))
-                for n in n_all
-            }
-            for _ in range(_MASK_FAMILY_SAMPLES)
-        )
-    for family in families:
-        report.families_checked += 1
-        if not family_ok(family):
-            report.violations.append(f"family {family} does not factorize")
 
     l = params.block_len
     for n in n_all:
         for k in users:
-            for subset in per_helper[n - 1]:
-                report.subsets_checked += 1
-                h = entropy_rank(group(subset, n, k))
-                if len(subset) > params.resiliency - 1:
-                    report.boundary.append(
-                        f"masks {subset} of helper {n}, user {k}:"
-                        f" H = {h} (beyond hypothesis)"
-                    )
-                elif h != Fraction(len(subset) * l):
-                    report.violations.append(
-                        f"H(masks {subset} of helper {n}, user {k}) = {h},"
-                        f" expected {len(subset) * l}"
-                    )
+            for size in range(1, params.resiliency):
+                for subset in combinations(others[n], size):
+                    report.checks += 1
+                    h = entropy_rank(group(subset, n, k))
+                    if h != size * l:
+                        report.violations.append(
+                            f"H(masks {subset} of helper {n}, user {k}) = {h},"
+                            f" expected {size * l}"
+                        )
     return report
 
 
@@ -916,21 +877,9 @@ def check_sharing_leakage(
     return _leakage_record("sharing", ctx, pattern, (), tset, tvars, False, query)
 
 
-@dataclass
-class RecoverabilityReport:
-    """Recoverability: enough uploads pin down the gradient exactly."""
-
-    checks: int
-    violations: list[str] = dc_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def check_upload_recoverability(
     ctx: SchemeContext, tvars: Mapping[str, LinearVar] | None = None
-) -> RecoverabilityReport:
+) -> InvariantReport:
     """I(gradient k; its uploads to any >= resiliency helpers) = L.
 
     ``tvars`` is the no-straggler transcript, built here if not given.
@@ -938,7 +887,7 @@ def check_upload_recoverability(
     params = ctx.params
     svars = build_static_vars(ctx) if tvars is None else tvars
     helpers = range(1, params.num_helpers + 1)
-    report = RecoverabilityReport(checks=0)
+    report = InvariantReport()
     expected = Fraction(params.gradient_len)
     for k in range(1, params.num_users + 1):
         for size in range(params.resiliency, params.num_helpers + 1):

@@ -161,6 +161,19 @@ BAD_INPUTS = {
     "rates-drop-prob": ["rates", *EXAMPLE_ARGS, "--drop-prob", "0.3"],
     "verify-pattern": ["verify", "--grid", "2,3,2,1,5,1", "--pattern", "nu=1:1,2;2:1,2 hm=1,2"],
     "verify-drop-prob": ["verify", "--grid", "2,3,2,1,5,1", "--drop-prob", "0.3"],
+    "round-format-csv": ["round", *EXAMPLE_ARGS, "--format", "csv"],
+    "round-format-csv-in-config": ["round", *EXAMPLE_ARGS, "--config", "CSV_CONFIG"],
+    "leakage-seed": ["leakage", "--params", "2,3,2,1,5,1", "--seed", "5"],
+    "leakage-dealer-seed": ["leakage", "--params", "2,3,2,1,5,1", "--dealer-seed", "5"],
+    "leakage-seed-in-config": ["leakage", "--params", "2,3,2,1,5,1", "--config", "SEED_CONFIG"],
+    "leakage-dealer-seed-in-config": ["leakage", "--params", "2,3,2,1,5,1",
+                                      "--config", "DEALER_SEED_CONFIG"],
+    "verify-gradient-file": ["verify", "--grid", "2,3,2,1,5,1", "--draws", "1",
+                             "--config", "GRADIENTS_CONFIG"],
+    "rates-gradient-file": ["rates", *EXAMPLE_ARGS, "--config", "GRADIENTS_CONFIG"],
+    "leakage-gradient-file": ["leakage", "--params", "2,3,2,1,5,1",
+                              "--config", "GRADIENTS_CONFIG"],
+    "unknown-config-key": ["round", *EXAMPLE_ARGS, "--config", "TYPO_CONFIG"],
 }
 
 GRADIENT_FILES = {
@@ -168,13 +181,42 @@ GRADIENT_FILES = {
     "BOOLEANS": {"1": [True, False], "2": [1, 2]},
 }
 
+CONFIG_FILES = {
+    "CSV_CONFIG": "format = csv\n",
+    "SEED_CONFIG": "seed = 5\n",
+    "DEALER_SEED_CONFIG": "dealer_seed = 5\n",
+    "GRADIENTS_CONFIG": "gradient_file = missing.json\n",
+    "TYPO_CONFIG": "sede = 5\n",
+}
+
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
-    for name, table in GRADIENT_FILES.items():
-        (tmp_path / name).write_text(json.dumps(table))
-    argv = [str(tmp_path / a) if a in GRADIENT_FILES else a for a in argv]
+    files = {name: json.dumps(table) for name, table in GRADIENT_FILES.items()}
+    files.update(CONFIG_FILES)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (BAD_INPUTS["round-format-csv"], "round does not use format csv"),
+        (BAD_INPUTS["leakage-seed-in-config"], "leakage does not use seed"),
+        (["leakage", "--params", "2,3,2,1,5,1", "--seed", "5", "--dealer-seed", "5"],
+         "leakage does not use seed or dealer_seed"),
+        (BAD_INPUTS["rates-gradient-file"], "rates does not use gradient_file"),
+        (BAD_INPUTS["unknown-config-key"], "unknown config key sede"),
+    ],
+    ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key"],
+)
+def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main([str(tmp_path / a) if a in CONFIG_FILES else a for a in argv]) == 2
+    assert message in capsys.readouterr().err

@@ -324,7 +324,7 @@ PINNED_REPORTS = {
             run_verify(RunConfig(mode="verify", grid=(SMALL, EXAMPLE), draws=2)).to_json()
         ),
         ["verify", "--grid", "2,3,2,1,5,1;2,4,3,1,7,2", "--draws", "2"],
-        "51f3be8bf763b81aa3f815396004c2181649e164a3f096889126fe33ba071969",
+        "fd80bb8d22171c50f625718347adb535b057f6e4a725f7fca9c2adbd74fb9022",
     ),
     "leakage": (
         lambda: render_leakage_csv(run_leakage(RunConfig(mode="leakage", params=EXAMPLE))),

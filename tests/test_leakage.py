@@ -3,13 +3,15 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsagg import protocol
+from hsagg import leakage, protocol
 from hsagg.field import PrimeField
+from hsagg.harness import DEFAULT_GRID
 from hsagg.leakage import (
     BadSubset,
     BruteForceOracle,
@@ -300,10 +302,57 @@ def test_layout_mismatch_detected(ctx):
 def test_mask_independence_report(ctx):
     report = check_mask_independence(ctx)
     assert report.ok
-    assert report.families_checked >= 4096
-    assert report.subsets_checked == 4 * 2 * 8
-    # subsets larger than resiliency - 1 are reported informationally
-    assert len(report.boundary) == 4 * 2
+    # the maximal family, then 1 or 2 of the other 3 helpers' masks per group
+    assert report.checks == 1 + 4 * 2 * 6
+
+
+def _dependent_mask_rows(ctx, monkeypatch):
+    # helper 1's masks held by helpers 2 and 3 are equal
+    rows = list(ctx.mask_maps[0].data)
+    rows[2] = rows[1]
+    return replace(ctx, mask_maps=(GfMatrix(ctx.field, rows),) + ctx.mask_maps[1:])
+
+
+def _noise_shared_across_users(ctx, monkeypatch):
+    # every user's masks come from user 1's noise: each group keeps full
+    # rank, but the groups of different users coincide
+    derive = leakage.keys_from_noise
+    monkeypatch.setattr(
+        leakage,
+        "keys_from_noise",
+        lambda ctx, noise: derive(ctx, {(n, j, k): noise[(n, j, 1)] for n, j, k in noise}),
+    )
+    return ctx
+
+
+@pytest.mark.parametrize(
+    "break_scheme, violations",
+    [
+        (_zero_masks, 48 * [" = 0, expected "]),
+        (
+            _dependent_mask_rows,
+            [f"H(masks (2, 3) of helper 1, user {k}) = 1, expected 2" for k in (1, 2)],
+        ),
+        (_noise_shared_across_users, ["maximal mask family is not independent"]),
+    ],
+    ids=["zero-masks", "dependent-mask-rows", "noise-shared-across-users"],
+)
+def test_mask_suite_catches_broken_masks(ctx, monkeypatch, break_scheme, violations):
+    report = check_mask_independence(break_scheme(ctx, monkeypatch))
+    assert report.checks == 49
+    assert len(report.violations) == len(violations)
+    assert all(want in got for want, got in zip(violations, report.violations))
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_invariant_suites_count_in_closed_form(params):
+    ctx = setup(params)
+    tvars = build_static_vars(ctx)
+    n, k, nr = params.num_helpers, params.num_users, params.resiliency
+    masks = check_mask_independence(ctx, tvars=tvars)
+    assert masks.checks == 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
+    recovery = check_upload_recoverability(ctx, tvars=tvars)
+    assert recovery.checks == k * sum(comb(n, s) for s in range(nr, n + 1))
 
 
 def test_sharing_leaks_nothing_on_worked_pattern(ctx, tvars):
