@@ -89,6 +89,10 @@ def _build_config(args: argparse.Namespace) -> harness.RunConfig:
             raise harness.ConfigError(
                 f"{args.config}: unknown config key {', '.join(unknown)}"
             )
+        # a key whose flag this mode lacks would be ignored
+        unused = [k for k in values if ("fmt" if k == "format" else k) not in vars(args)]
+        if unused:
+            raise harness.ConfigError(f"{args.mode} does not use {' or '.join(unused)}")
 
     def pick(flag, key, default=None):
         return flag if flag is not None else values.get(key, default)

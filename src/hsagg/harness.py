@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
@@ -386,6 +386,65 @@ def _security_sweep(ctx, pattern, tvars, usets, tsets) -> Iterator[lk.LeakageRec
                 yield check(ctx, pattern, uset, tset, tvars=tvars, exploratory=exploratory)
 
 
+def _stacked_decode(
+    ctx: proto.SchemeContext,
+    pattern: pt.CommPattern,
+    keys: proto.DealerKeys,
+    survivor_sets: Sequence[frozenset[int]],
+    draws: int,
+    rng: random.Random,
+) -> tuple[proto.RoundTranscript, list[tuple[frozenset[int], bool]]]:
+    """Every (survivor set, draw) decode case of a pattern from one round.
+
+    The inputs are drawn as one round per case would draw them: survivor
+    set, then draw.  The roles work column by column and only the
+    master's decode depends on the survivors, so case ``c`` becomes
+    columns ``[c * l, (c + 1) * l)`` of every payload of one round of
+    block length ``cases * l``, with the dealer noise tiled to match.
+    The master decodes each survivor set's slice of the responses with
+    one inverse.  Returns that round, stopped at the responses, and
+    each case's survivor set and whether its decode equals its sum.
+    """
+    params = ctx.params
+    l, parts = params.block_len, params.block_count
+    inputs = [_draw_inputs(params, rng) for _ in survivor_sets for _ in range(draws)]
+    cases = len(inputs)
+    wide = replace(ctx, params=replace(params, gradient_len=cases * params.gradient_len))
+
+    def stack(per_case):  # each part's symbols over the cases, in case order
+        return tuple(tuple(chain.from_iterable(part)) for part in zip(*per_case))
+
+    users = range(1, params.num_users + 1)
+    grads = [Gradient(k, stack(g[k - 1].parts for g, _ in inputs)) for k in users]
+    noises = [UserRandomness(k, stack(f[k - 1].parts for _, f in inputs)) for k in users]
+    tiled = proto.keys_from_noise(wide, {s: v * cases for s, v in keys.noise.items()})
+    transcript = proto.run_round(
+        wide, pattern.with_survivors(pattern.active_helpers), grads, noises, tiled,
+        decode=False,
+    )
+    width = draws * l  # the columns of one survivor set
+    matches = []
+    for s, survivors in enumerate(survivor_sets):
+        lo = s * width
+        decoded = proto.master_decode(
+            ctx,
+            [
+                proto.HelperResponse(r.helper, r.payload[lo:lo + width])
+                for r in transcript.responses
+                if r.helper in survivors
+            ],
+        )
+        for d in range(draws):
+            got = tuple(
+                chain.from_iterable(
+                    decoded[i * width + d * l:i * width + (d + 1) * l] for i in range(parts)
+                )
+            )
+            sum_d = proto.gradient_sum(inputs[s * draws + d][0], params.modulus)
+            matches.append((survivors, got == sum_d))
+    return transcript, matches
+
+
 def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     """Exhaustive correctness, security, and invariant sweep for one point."""
     try:
@@ -412,19 +471,21 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
         report.patterns += 1
         keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}:{p_idx}")
         rng = random.Random(f"verify:{config.seed}:{params.label()}:{p_idx}")
-        for survivors in pt.enumerate_survivors(pattern, params):
-            report.survivor_sets += 1
-            full = pattern.with_survivors(survivors)
-            for _ in range(config.draws):
-                grads, noises = _draw_inputs(params, rng)
-                transcript = proto.run_round(ctx, full, grads, noises, keys)
-                report.decode_cases += 1
-                if transcript.decoded != proto.gradient_sum(grads, params.modulus):
-                    report.failures.append(
-                        f"decode mismatch at pattern {pt.format_pattern(full)}"
-                    )
-                if report.rate_x is None:
-                    report.rate_x, report.rate_y = proto.measure_rates(transcript)
+        survivor_sets = list(pt.enumerate_survivors(pattern, params))
+        transcript, matches = _stacked_decode(
+            ctx, pattern, keys, survivor_sets, config.draws, rng
+        )
+        report.survivor_sets += len(survivor_sets)
+        report.decode_cases += len(matches)
+        for survivors, match in matches:
+            if not match:
+                full = pattern.with_survivors(survivors)
+                report.failures.append(
+                    f"decode mismatch at pattern {pt.format_pattern(full)}"
+                )
+        if report.rate_x is None:
+            # rates are length ratios, the same in every column slice
+            report.rate_x, report.rate_y = proto.measure_rates(transcript)
 
         tvars = lk.build_linear_transcript(ctx, pattern)
         for rec in _security_sweep(ctx, pattern, tvars, usets, tsets):

@@ -29,13 +29,22 @@ noise pivots and ``K = span(B) ∩ user coordinates``, so that
 
 Unit rows of A and C (every ``W[k]`` and ``F[k]``) condition by deleting
 their columns, so each query is left with one small elimination over
-the remaining user columns.  A ``LinearTranscript`` keeps the reduction
-of each observed set, which every user subset shares, and builds the
-master's (the helper view, then the responses) on the helper view's; a
-query takes the split only when it carries one.  Queries of any other
-shape (a given with masks, as in the sharing check) and queries without
-a transcript take the incremental path, which is also the reference the
-split is tested against.
+the remaining user columns.  The sharing query's target (every upload)
+also lies in the user columns, but its given (the helper view without
+the shares: uploads and masks) does not.  Split reductions of C and of
+C then B answer it:
+
+    rank(C) = r_noise(C) + |K_C|,    rank(AC) = r_noise(C) + rank(K_C, A),
+
+and the same for BC with K_BC, where A's span (its own split
+reduction, with no noise rows) is reduced once.  A ``LinearTranscript``
+keeps the reduction of each observed set, which every user subset
+shares.  It reduces a helper view as its non-share prefix, then the
+shares, and builds the master's observed set (the helper view, then
+the responses) on the helper view's.  A query takes a split only when
+it carries a transcript.  Queries whose target leaves the user
+columns, and queries without a transcript, take the incremental path,
+which is also the reference the splits are tested against.
 
 A brute-force oracle checks the rank-to-entropy step independently on
 tiny instances: it runs the same roles on every source assignment and
@@ -210,13 +219,17 @@ class LinearTranscript(Mapping):
     observed set's split reduction (see ``rank_quadruple``) and each
     pattern's formatted form, keyed by the set, the observed variables'
     names and the pattern; all live and die with the transcript.  The
-    reduced row space behind a split reduction is kept only until a
-    longer observed set has been built on it.
+    reduced row space behind a split reduction is kept only for a
+    helper view and its non-share prefix, the observed sets that queries
+    extend, and only until a longer observed set has been built on it.
     """
 
     def __init__(self, tvars: Mapping[str, LinearVar]):
         self._vars = dict(tvars)
         self._views: dict[tuple, tuple[LinearVar, ...]] = {}
+        # a helper view's names, and its non-share prefix's, to the
+        # length of that prefix
+        self._stages: dict[tuple[str, ...], int] = {}
         self._reductions: dict[tuple[str, ...], tuple] = {}
         self._labels: dict[CommPattern, str] = {}
 
@@ -237,6 +250,10 @@ class LinearTranscript(Mapping):
         view = self._views.get(key)
         if view is None:
             view = self._views[key] = helper_observation(self, ctx, pattern, tset)
+            names = tuple(v.name for v in view)
+            cut = sum(not _is_share(v) for v in view)  # the shares come last
+            self._stages[names] = cut
+            self._stages.setdefault(names[:cut], cut)
         return view
 
     def pattern_label(self, pattern: CommPattern) -> str:
@@ -251,27 +268,41 @@ class LinearTranscript(Mapping):
     ) -> tuple[int, tuple[list[int], ...]]:
         """``_split_observed`` of the observed variables, computed once.
 
-        A miss extends the reduction of the longest reduced prefix of
-        ``observed`` that still keeps its space: the master's observed
+        A helper view is reduced as its non-share prefix, whose
+        reduction is memoized on the way, then its shares.  A miss
+        extends the space of the longest reduced prefix of ``observed``
+        that still keeps one, which it takes over: the master's observed
         set is a helper view, then the responses, so it costs the
-        responses' rows alone.  An extended prefix keeps its reduction
-        but gives up its space, which is only ever extended once.
+        responses' rows alone.  Only a helper view and its prefix keep
+        their space.
         """
         key = tuple(v.name for v in observed)
+        hit = self._reductions.get(key)
+        if hit is not None and _same_vars(hit[0], observed):
+            return hit[2]
+        cut = self._stages.get(key)
+        if cut is not None and cut < len(key):
+            self.split_reduction(observed[:cut], layout)
         base, done = None, 0
-        for n in range(len(key), 0, -1):
+        for n in range(len(key) - 1, 0, -1):
             hit = self._reductions.get(key[:n])
-            if hit is None or any(a is not b for a, b in zip(hit[0], observed)):
-                continue
-            if n == len(key):
-                return hit[2]
-            if hit[1] is not None:
+            if hit is not None and hit[1] is not None and _same_vars(hit[0], observed):
                 base, done = hit[1], n
                 self._reductions[key[:n]] = (hit[0], None, hit[2])
                 break
         space, reduction = _split_observed(observed[done:], layout, base)
-        self._reductions[key] = (tuple(observed), space, reduction)
+        kept = space if cut is not None else None
+        self._reductions[key] = (tuple(observed), kept, reduction)
         return reduction
+
+def _same_vars(held: Sequence[LinearVar], variables: Sequence[LinearVar]) -> bool:
+    """Whether ``held`` are the very objects that begin ``variables``."""
+    return all(a is b for a, b in zip(held, variables))
+
+
+def _is_share(v: LinearVar) -> bool:
+    """Whether ``v`` is an inter-helper share ``M[i->n,k]``."""
+    return v.name.startswith("M[")
 
 
 # -- the transcript: the roles run on a source assignment ----------------
@@ -507,24 +538,46 @@ class MiQuery:
 def rank_quadruple(query: MiQuery) -> tuple[int, int, int, int]:
     """(rank(AC), rank(BC), rank(ABC), rank(C)) for the query.
 
-    When the query carries a ``LinearTranscript`` and every target and
-    given row lies in the user-source columns, as in every helper and
-    master query, the ranks come from the transcript's split reduction
-    of the observed rows (see the module docstring); any other query
-    takes the incremental path.
+    When the query carries a ``LinearTranscript`` and every target row
+    lies in the user-source columns, the ranks come from the
+    transcript's split reductions (see the module docstring): of the
+    observed rows when the given rows lie there too, as in every helper
+    and master query, else of the given rows and of the given, then the
+    observed rows, as in the sharing query.  Any other query takes the
+    incremental path.
     """
     everything = list(query.target) + list(query.observed) + list(query.given)
     layout = _common_layout(everything)
     if layout is None:
         return (0, 0, 0, 0)
     field = everything[0].coeffs.field
-    if not isinstance(query.transcript, LinearTranscript):
+    transcript = query.transcript
+    target = _unit_split(query.target)
+    if not isinstance(transcript, LinearTranscript) or target is None:
         return _incremental_quadruple(query, layout, field)
-    target, given = _unit_split(query.target), _unit_split(query.given)
-    if target is None or given is None:
-        return _incremental_quadruple(query, layout, field)
-    reduction = query.transcript.split_reduction(query.observed, layout)
-    return _split_quadruple(target, given, reduction, layout.user_dim, field)
+    given = _unit_split(query.given)
+    if given is not None:
+        reduction = transcript.split_reduction(query.observed, layout)
+        return _split_quadruple(target, given, reduction, layout.user_dim, field)
+    kernel_a = transcript.split_reduction(query.target, layout)[1]
+    noise_c, kernel_c = transcript.split_reduction(query.given, layout)
+    noise_bc, kernel_bc = transcript.split_reduction(query.given + query.observed, layout)
+
+    def rank_with_a(kernel) -> int:
+        u = layout.user_dim
+        if u in (len(kernel_a), len(kernel)):  # one of them spans every column
+            return u
+        space = RowSpace(field, u)
+        for row in kernel_a + kernel:
+            space.insert(row)
+        return space.rank
+
+    return (
+        noise_c + rank_with_a(kernel_c),
+        noise_bc + len(kernel_bc),
+        noise_bc + rank_with_a(kernel_bc),
+        noise_c + len(kernel_c),
+    )
 
 
 def _incremental_quadruple(
@@ -553,8 +606,8 @@ def _split_observed(
     observed: Sequence[LinearVar], layout: SourceLayout, base: RowSpace | None = None
 ) -> tuple[RowSpace | None, tuple[int, tuple[list[int], ...]]]:
     """Reduce the observed rows with the dealer-noise columns pivoted
-    first, into a clone of ``base`` (a space of rows so reduced) if
-    given.
+    first, into ``base`` (a space of rows so reduced, which it extends
+    in place) if given.
 
     Returns the reduced space and the split: ``r_noise``, the number of
     basis rows with a noise pivot, and the other basis rows cut to the
@@ -565,10 +618,7 @@ def _split_observed(
         return None, (0, ())
     u = layout.user_dim
     width = layout.dim - u
-    if base is None:
-        space = RowSpace(observed[0].coeffs.field, layout.dim)
-    else:
-        space = base.clone()
+    space = RowSpace(observed[0].coeffs.field, layout.dim) if base is None else base
     for v in observed:
         for row in v.rows:
             space.insert(row[u:] + row[:u])
@@ -870,8 +920,9 @@ def check_sharing_leakage(
                 for k in range(1, params.num_users + 1)
                 for n in range(1, params.num_helpers + 1)
             ),
-            observed=tuple(v for v in view if v.name.startswith("M[")),
-            given=tuple(v for v in view if not v.name.startswith("M[")),
+            observed=tuple(v for v in view if _is_share(v)),
+            given=tuple(v for v in view if not _is_share(v)),
+            transcript=tv,
         )
 
     return _leakage_record("sharing", ctx, pattern, (), tset, tvars, False, query)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -174,6 +178,15 @@ BAD_INPUTS = {
     "leakage-gradient-file": ["leakage", "--params", "2,3,2,1,5,1",
                               "--config", "GRADIENTS_CONFIG"],
     "unknown-config-key": ["round", *EXAMPLE_ARGS, "--config", "TYPO_CONFIG"],
+    "round-uset-in-config": ["round", *EXAMPLE_ARGS, "--config", "USET_CONFIG"],
+    "verify-uset-in-config": ["verify", "--grid", "2,3,2,1,5,1", "--draws", "1",
+                              "--config", "USET_CONFIG"],
+    "rates-tset-in-config": ["rates", *EXAMPLE_ARGS, "--config", "TSET_CONFIG"],
+    "round-grid-in-config": ["round", *EXAMPLE_ARGS, "--config", "GRID_CONFIG"],
+    "leakage-grid-in-config": ["leakage", "--params", "2,3,2,1,5,1", "--config", "GRID_CONFIG"],
+    "rates-draws-in-config": ["rates", *EXAMPLE_ARGS, "--config", "DRAWS_CONFIG"],
+    "leakage-draws-in-config": ["leakage", "--params", "2,3,2,1,5,1",
+                                "--config", "DRAWS_CONFIG"],
 }
 
 GRADIENT_FILES = {
@@ -187,6 +200,10 @@ CONFIG_FILES = {
     "DEALER_SEED_CONFIG": "dealer_seed = 5\n",
     "GRADIENTS_CONFIG": "gradient_file = missing.json\n",
     "TYPO_CONFIG": "sede = 5\n",
+    "USET_CONFIG": "uset = 1\n",
+    "TSET_CONFIG": "tset = 1\n",
+    "GRID_CONFIG": "grid = 2,3,2,1,5,1\n",
+    "DRAWS_CONFIG": "draws = 1\n",
 }
 
 
@@ -212,11 +229,38 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "leakage does not use seed or dealer_seed"),
         (BAD_INPUTS["rates-gradient-file"], "rates does not use gradient_file"),
         (BAD_INPUTS["unknown-config-key"], "unknown config key sede"),
+        (BAD_INPUTS["verify-uset-in-config"], "verify does not use uset"),
+        (BAD_INPUTS["round-grid-in-config"], "round does not use grid"),
+        (BAD_INPUTS["rates-draws-in-config"], "rates does not use draws"),
     ],
-    ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key"],
+    ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
+         "grid-key", "draws-key"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)
     assert main([str(tmp_path / a) if a in CONFIG_FILES else a for a in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    """``python -m hsagg`` from a checkout: same report, same exit codes."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "hsagg", *argv], env=env, cwd=tmp_path,
+            capture_output=True, text=True,
+        )
+
+    args = ["verify", "--grid", "2,3,2,1,5,1", "--draws", "1", "--out"]
+    done = run(*args, str(tmp_path / "module.json"))
+    assert done.returncode == 0, done.stderr
+    assert main([*args, str(tmp_path / "main.json")]) == 0
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+    bad = run("verify", "--grid", "2,3,2,1,5,1", "--draws", "0")
+    assert bad.returncode == 2 and bad.stderr.startswith("error: ")
+    assert run("verify", "--grid", "2,8,5,1,17,4", "--budget", "1000").returncode == 3

@@ -22,8 +22,11 @@ from hsagg.harness import (
     run_single_round,
     run_verify,
     transcript_to_json,
+    verify_point,
 )
-from hsagg.protocol import SchemeParams
+from hsagg import protocol
+from hsagg.patterns import enumerate_patterns, enumerate_survivors, format_pattern
+from hsagg.protocol import HelperResponse, SchemeParams
 
 EXAMPLE = SchemeParams(2, 4, 3, 1, 7, 2)
 SMALL = SchemeParams(2, 3, 2, 1, 5, 1)
@@ -164,6 +167,74 @@ def test_verify_worked_example_point():
     assert point.survivor_sets == 109
     assert point.failures == []
     assert point.rate_x == Fraction(1, 2)
+
+
+def _decode_failures(report):
+    return [f for f in report.failures if f.startswith("decode mismatch")]
+
+
+@pytest.mark.parametrize("column", [0, -1], ids=["first-column", "last-column"])
+def test_stacked_decode_catches_a_master_decode_off_by_one(monkeypatch, column):
+    decode = protocol.master_decode
+
+    def off_by_one(ctx, responses):
+        out = list(decode(ctx, responses))
+        out[column] = (out[column] + 1) % ctx.params.modulus
+        return tuple(out)
+
+    monkeypatch.setattr(protocol, "master_decode", off_by_one)
+    report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
+    assert report.decode_cases == 2 * report.survivor_sets == 218
+    # the column is one draw of each survivor set's decode
+    assert len(_decode_failures(report)) == report.survivor_sets
+
+
+def test_stacked_decode_catches_one_corrupted_survivor_slice(monkeypatch):
+    run_round = protocol.run_round
+
+    def corrupt_last_column(*args, **kwargs):
+        t = run_round(*args, **kwargs)
+        q = t.params.modulus
+        t.responses = tuple(
+            HelperResponse(r.helper, r.payload[:-1] + ((r.payload[-1] + 1) % q,))
+            for r in t.responses
+        )
+        return t
+
+    monkeypatch.setattr(protocol, "run_round", corrupt_last_column)
+    report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
+    # the last column is the last draw of the last survivor set
+    last = [
+        p.with_survivors(list(enumerate_survivors(p, EXAMPLE))[-1])
+        for p in enumerate_patterns(EXAMPLE)
+    ]
+    assert _decode_failures(report) == [
+        f"decode mismatch at pattern {format_pattern(p)}" for p in last
+    ]
+
+
+def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):
+    run_round = protocol.run_round
+
+    def corrupt_helper_1(*args, **kwargs):
+        t = run_round(*args, **kwargs)
+        q = t.params.modulus
+        t.responses = tuple(
+            HelperResponse(r.helper, tuple((v + (r.helper == 1)) % q for v in r.payload))
+            for r in t.responses
+        )
+        return t
+
+    monkeypatch.setattr(protocol, "run_round", corrupt_helper_1)
+    report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
+    # the master decodes from the Nr lowest-numbered survivors
+    assert _decode_failures(report) == [
+        f"decode mismatch at pattern {format_pattern(p.with_survivors(s))}"
+        for p in enumerate_patterns(EXAMPLE)
+        for s in enumerate_survivors(p, EXAMPLE)
+        for _ in range(2)
+        if 1 in sorted(s)[:EXAMPLE.resiliency]
+    ]
 
 
 def test_thousand_seeded_random_rounds():

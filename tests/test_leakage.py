@@ -24,6 +24,7 @@ from hsagg.leakage import (
     TooLargeToEnumerate,
     _counted_entropy,
     _incremental_quadruple,
+    _split_observed,
     all_subset_entropies_rank,
     brute_force_entropy,
     build_linear_transcript,
@@ -226,6 +227,51 @@ def test_verifier_reports_leakage_of_broken_schemes(ctx, monkeypatch, break_sche
     broken = break_scheme(ctx, monkeypatch)
     pattern = parse_pattern("nu=1:1,2,3;2:1,2,4")
     got = [check_security_helpers(broken, pattern, [], [t]).value for t in (1, 2, 3, 4)]
+    assert got == leaks
+
+
+def _sharing_query(ctx, tv, view):
+    """The sharing query of a helper view, built as
+    ``check_sharing_leakage`` builds it."""
+    params = ctx.params
+    return MiQuery(
+        target=tuple(
+            tv[f"X[{k},{n}]"]
+            for k in range(1, params.num_users + 1)
+            for n in range(1, params.num_helpers + 1)
+        ),
+        observed=tuple(v for v in view if v.name.startswith("M[")),
+        given=tuple(v for v in view if not v.name.startswith("M[")),
+        transcript=tv,
+    )
+
+
+@pytest.mark.parametrize(
+    "break_scheme, leaks",
+    [
+        (_forward_unmasked_shares, [0, 0, 2, 2]),
+        (_zero_masks, [0, 0, 2, 2]),
+        (_helper4_upload_without_randomness, [0, 0, 1, 1]),
+        (_uploads_without_randomness, [0, 0, 0, 0]),
+    ],
+    ids=[
+        "unmasked-shares",
+        "zero-masks",
+        "upload-row-without-randomness",
+        "uploads-without-randomness",
+    ],
+)
+def test_sharing_check_reports_leakage_of_broken_schemes(ctx, monkeypatch, break_scheme, leaks):
+    broken = break_scheme(ctx, monkeypatch)
+    pattern = parse_pattern("nu=1:1,2,3;2:1,2,4")
+    tv = build_linear_transcript(broken, pattern)
+    layout = SourceLayout(EXAMPLE)
+    got = []
+    for t in (1, 2, 3, 4):
+        record = check_sharing_leakage(broken, pattern, [t], tvars=tv)
+        query = _sharing_query(broken, tv, tv.helper_view(broken, pattern, [t]))
+        assert record.ranks == _incremental_quadruple(query, layout, broken.field)
+        got.append(record.value)
     assert got == leaks
 
 
@@ -566,14 +612,54 @@ def test_split_kernel_matches_incremental_path(params, stride, queries):
     assert seen == queries
 
 
+@pytest.mark.parametrize(
+    "params, stride, queries",
+    [(SchemeParams(2, 4, 3, 1, 7, 2), 1, 400), (SchemeParams(3, 4, 3, 2, 11, 1), 9, 224)],
+    ids=["2,4,3,1,7,2", "3,4,3,2,11,1"],
+)
+def test_sharing_split_matches_incremental_path(params, stride, queries):
+    """Every helper subset's sharing query, oversized ones included, on
+    a memo the security sweep filled first, on one it did not, and on a
+    fresh memo without helper views."""
+    ctx = setup(params)
+    layout = SourceLayout(params)
+    users = range(1, params.num_users + 1)
+    helpers = range(1, params.num_helpers + 1)
+    usets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
+    tsets = [t for size in range(len(helpers) + 1) for t in combinations(helpers, size)]
+    seen = 0
+    for pattern in list(enumerate_patterns(params))[::stride]:
+        swept = build_linear_transcript(ctx, pattern)
+        for uset in usets:
+            for tset in tsets:
+                for check in (check_security_helpers, check_security_master):
+                    check(ctx, pattern, uset, tset, tvars=swept, exploratory=True)
+        unswept = build_linear_transcript(ctx, pattern)
+        plain = dict(swept)
+        for tset in tsets:
+            query = _sharing_query(ctx, swept, swept.helper_view(ctx, pattern, tset))
+            expect = _incremental_quadruple(query, layout, ctx.field)
+            assert rank_quadruple(query) == expect
+            assert rank_quadruple(replace(query, transcript=LinearTranscript(plain))) == expect
+            view = unswept.helper_view(ctx, pattern, tset)
+            assert rank_quadruple(_sharing_query(ctx, unswept, view)) == expect
+            if len(tset) <= params.collusion:
+                assert check_sharing_leakage(ctx, pattern, tset, tvars=swept).ranks == expect
+                assert check_sharing_leakage(ctx, pattern, tset, tvars=plain).ranks == expect
+            seen += 1
+    assert seen == queries
+
+
 SPLIT_PARAMS = {q: SchemeParams(2, 4, 3, 1, q, 2) for q in (5, 11)}
 
 
 @st.composite
-def split_queries(draw):
+def split_queries(draw, noisy_given=False):
     """Random queries of the split shape: observed rows over every
     column; target and given rows in the user columns, unit rows mixed
-    with arbitrary ones (the way W and W[k] mix)."""
+    with arbitrary ones (the way W and W[k] mix).  With
+    ``noisy_given``, given rows over every column, as in the sharing
+    query."""
     q = draw(st.sampled_from(sorted(SPLIT_PARAMS)))
     layout = SourceLayout(SPLIT_PARAMS[q])
     field = PrimeField(q)
@@ -603,13 +689,28 @@ def split_queries(draw):
     return MiQuery(
         target=variables("A", user_row, 3),
         observed=variables("B", any_row, 5),
-        given=variables("C", user_row, 4),
+        given=variables("C", any_row if noisy_given else user_row, 4),
     )
 
 
 @settings(max_examples=150, deadline=None)
 @given(split_queries())
 def test_split_kernel_matches_incremental_path_on_random_rows(query):
+    everything = query.target + query.observed + query.given
+    expect = (
+        _incremental_quadruple(query, everything[0].layout, everything[0].coeffs.field)
+        if everything
+        else (0, 0, 0, 0)
+    )
+    memo = LinearTranscript({v.name: v for v in everything})
+    cached = replace(query, transcript=memo)
+    assert rank_quadruple(cached) == expect
+    assert rank_quadruple(cached) == expect  # answered from the memo
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_queries(noisy_given=True))
+def test_noisy_given_split_matches_incremental_path_on_random_rows(query):
     everything = query.target + query.observed + query.given
     expect = (
         _incremental_quadruple(query, everything[0].layout, everything[0].coeffs.field)
@@ -629,3 +730,26 @@ def test_split_memo_checks_the_variables_behind_the_names(tvars):
     impostor = replace(tvars["Z[1,3,1]"], name="X[1,1]")
     assert rank_quadruple(replace(query, observed=(impostor,))) == (3, 2, 4, 1)
     assert rank_quadruple(query) == (3, 2, 3, 1)
+
+
+def test_split_memo_extends_each_space_once(ctx):
+    """A helper view's reduction goes through its non-share prefix; a
+    space that a longer set took over is never extended again, and
+    after the master's set no space is kept."""
+    tv = build_linear_transcript(ctx, EXAMPLE_PATTERN)
+    layout = SourceLayout(EXAMPLE)
+    view = tv.helper_view(ctx, EXAMPLE_PATTERN, [3])
+    prefix = tuple(v for v in view if not v.name.startswith("M["))
+    assert view[:len(prefix)] == prefix and len(prefix) < len(view)
+    responses = tuple(tv[f"Y[{n}]"] for n in (2, 3, 4))
+    for observed in (
+        view,
+        prefix,
+        view + responses,
+        prefix + responses,
+        view + responses[::-1],
+    ):
+        assert tv.split_reduction(observed, layout) == _split_observed(observed, layout)[1]
+        if observed is view:  # the prefix was reduced on the way
+            assert tuple(v.name for v in prefix) in tv._reductions
+    assert all(space is None for _, space, _ in tv._reductions.values())
