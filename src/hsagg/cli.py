@@ -98,16 +98,20 @@ def _build_config(args: argparse.Namespace) -> harness.RunConfig:
         return flag if flag is not None else values.get(key, default)
 
     config = harness.RunConfig(mode=args.mode)
+    # an explicit but empty params or grid must not fall back to the
+    # default grid
     params_text = pick(args.params, "params")
-    if params_text:
+    if params_text is not None:
         config.params = SchemeParams.from_csv(params_text)
     grid_text = pick(getattr(args, "grid", None), "grid")
-    if grid_text:
+    if grid_text is not None:
         config.grid = tuple(
             SchemeParams.from_csv(part)
             for part in grid_text.split(";")
             if part.strip()
         )
+        if not config.grid:
+            raise harness.ConfigError(f"grid {grid_text!r} names no point")
     # a pattern source given on the command line displaces the file's
     # other source, so flag overrides stay well-defined
     if args.pattern is not None:

@@ -357,12 +357,16 @@ def _subset_counts(params: SchemeParams) -> tuple[int, int]:
 
 
 def estimate_work(params: SchemeParams, draws: int) -> int:
-    """Upper-bound count of enumeration items for one grid point."""
-    k = params.num_users
+    """Upper-bound count of enumeration items for one grid point: per
+    pattern, the security queries, decode cases and sharing checks; then
+    the no-straggler suites, the mask suite, recoverability and the
+    response checks."""
+    k, n, nr = params.num_users, params.num_helpers, params.resiliency
     per_user, n_tsets = _subset_counts(params)
     n_usets = 2**k if k <= EXHAUSTIVE_USER_LIMIT else USER_SUBSET_SAMPLES
     per_pattern = n_usets * n_tsets * 2 + per_user * draws + n_tsets
-    return per_user**k * per_pattern
+    masks = 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
+    return per_user**k * per_pattern + masks + k * per_user + comb(n, params.collusion)
 
 
 def _user_subsets(params: SchemeParams, seed: str) -> list[tuple[int, ...]]:

@@ -41,8 +41,14 @@ reduction, with no noise rows) is reduced once.  A ``LinearTranscript``
 keeps the reduction of each observed set, which every user subset
 shares.  It reduces a helper view as its non-share prefix, then the
 shares, and builds the master's observed set (the helper view, then
-the responses) on the helper view's.  A query takes a split only when
-it carries a transcript.  Queries whose target leaves the user
+the responses) on the helper view's.  The transcripts of one scheme
+context share a rank store that dies with the context, keyed by row
+content rather than by names: a view's prefix (uploads and stored
+masks, the same rows under every pattern) is reduced once per context
+and helper subset, an observed set whose rows the context has already
+reduced takes no elimination, and a quadruple is computed once per
+reduction, target and given.  A query takes a split only when it
+carries a transcript.  Queries whose target leaves the user
 columns, and queries without a transcript, take the incremental path,
 which is also the reference the splits are tested against.
 
@@ -56,6 +62,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
+import weakref
 
 import numpy as np
 
@@ -212,25 +219,99 @@ class LinearVar:
         return frozenset(units), tuple(rest)
 
 
+class _RankStore:
+    """Rank work that the transcripts of one scheme context share.
+
+    Every key is coefficient-row content: the source layout and each
+    variable's rows, never a name, a pattern or a helper id, so that a
+    transcript whose rows differ (a broken scheme run under the same
+    context) never reads another's entry.  It holds each observed set's
+    split reduction, the reduced space of each helper view's non-share
+    prefix, and each split-path rank quadruple, keyed by the identity
+    of its reduction (one object per content, which the store keeps
+    alive) and by the target's and the given's unit columns and other
+    rows.  The keys it keeps share one copy of each equal part.
+    """
+
+    __slots__ = ("reductions", "spaces", "quadruples", "_held", "__weakref__")
+
+    def __init__(self):
+        self.reductions: dict[tuple, tuple] = {}
+        self.spaces: dict[tuple, RowSpace] = {}
+        self.quadruples: dict[tuple, tuple[int, int, int, int]] = {}
+        self._held: dict = {}
+
+    def _hold(self, parts: Iterable) -> tuple:
+        return tuple(self._held.setdefault(x, x) for x in parts)
+
+    def add(self, content: tuple, reduction: tuple, space: RowSpace | None = None) -> tuple:
+        """Record the reduction (and space) of ``content``; returns the
+        reduction the store holds for it."""
+        layout, rows = content
+        content = layout, self._hold(rows)
+        if space is not None:
+            self.spaces[content] = space
+        return self.reductions.setdefault(content, reduction)
+
+    def quadruple(self, reduction, target, given, user_dim, field) -> tuple[int, int, int, int]:
+        """``_split_quadruple``, computed once per reduction, target and given."""
+        key = (id(reduction),) + target + given
+        ranks = self.quadruples.get(key)
+        if ranks is None:
+            ranks = _split_quadruple(target, given, reduction, user_dim, field)
+            ranks = self._held.setdefault(ranks, ranks)
+            self.quadruples[self._hold(key)] = ranks
+        return ranks
+
+
+_stores: dict[int, _RankStore] = {}  # by id of a living context; see _rank_store
+
+
+def _rank_store(ctx: SchemeContext) -> _RankStore:
+    """The context's rank store, which lives exactly as long as it."""
+    store = _stores.get(id(ctx))
+    if store is None:
+        store = _stores[id(ctx)] = _RankStore()
+        weakref.finalize(ctx, _stores.pop, id(ctx), None)
+    return store
+
+
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
-    Read-only.  It memoizes each colluding set's helper view, each
+    Read-only.  It memoizes each colluding set's helper view and the
+    master's observed set on it (the view, then the responses), the
+    all-gradients target, each user subset's collusion variables, each
     observed set's split reduction (see ``rank_quadruple``) and each
-    pattern's formatted form, keyed by the set, the observed variables'
-    names and the pattern; all live and die with the transcript.  The
-    reduced row space behind a split reduction is kept only for a
-    helper view and its non-share prefix, the observed sets that queries
-    extend, and only until a longer observed set has been built on it.
+    pattern's formatted form; all live and die with the transcript.  A
+    reduction is found by the observed tuple's identity, then by its
+    variables' names (held, and checked to be the very objects).
+
+    Beneath that sits a rank store keyed by row content (``_RankStore``).
+    ``build_linear_transcript`` hands every transcript of one scheme
+    context that context's store, so a helper view's non-share prefix is
+    reduced once per context and helper subset, each view extends a
+    clone of its prefix's space with its own shares, and an observed set
+    whose rows the context has already reduced takes no elimination.  A
+    transcript built without a store gets one of its own.  Of the
+    reduced spaces, the transcript keeps a helper view's only, until the
+    master's observed set on it takes it over.
     """
 
-    def __init__(self, tvars: Mapping[str, LinearVar]):
+    def __init__(self, tvars: Mapping[str, LinearVar], store: _RankStore | None = None):
         self._vars = dict(tvars)
-        self._views: dict[tuple, tuple[LinearVar, ...]] = {}
+        self._store = _RankStore() if store is None else store
+        # (active helpers, tset) to [helper view, master's observed set]
+        self._views: dict[tuple, list] = {}
         # a helper view's names, and its non-share prefix's, to the
         # length of that prefix
         self._stages: dict[tuple[str, ...], int] = {}
+        # names to (variables, space or None, reduction)
         self._reductions: dict[tuple[str, ...], tuple] = {}
+        # a prefix's names to (variables, the store's space)
+        self._prefixes: dict[tuple[str, ...], tuple] = {}
+        self._by_id: dict[int, tuple] = {}  # id of an observed tuple to (it, reduction)
+        self._inputs: dict[tuple, tuple[LinearVar, ...]] = {}
         self._labels: dict[CommPattern, str] = {}
 
     def __getitem__(self, name: str) -> LinearVar:
@@ -242,19 +323,57 @@ class LinearTranscript(Mapping):
     def __len__(self) -> int:
         return len(self._vars)
 
-    def helper_view(
-        self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
-    ) -> tuple[LinearVar, ...]:
-        """``helper_observation`` of ``tset``, computed once."""
+    def _view_entry(self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]) -> list:
         key = (pattern.active_helpers, tuple(sorted(tset)))
-        view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = helper_observation(self, ctx, pattern, tset)
+        entry = self._views.get(key)
+        if entry is None:
+            view = helper_observation(self, ctx, pattern, tset)
+            entry = self._views[key] = [view, None]
             names = tuple(v.name for v in view)
             cut = sum(not _is_share(v) for v in view)  # the shares come last
             self._stages[names] = cut
             self._stages.setdefault(names[:cut], cut)
-        return view
+        return entry
+
+    def helper_view(
+        self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
+    ) -> tuple[LinearVar, ...]:
+        """``helper_observation`` of ``tset``, computed once."""
+        return self._view_entry(ctx, pattern, tset)[0]
+
+    def master_view(
+        self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
+    ) -> tuple[LinearVar, ...]:
+        """What the master observes with ``tset`` colluding: its helper
+        view, then every active helper's response; computed once."""
+        entry = self._view_entry(ctx, pattern, tset)
+        if entry[1] is None:
+            entry[1] = entry[0] + tuple(
+                self._vars[f"Y[{n}]"] for n in sorted(pattern.active_helpers)
+            )
+        return entry[1]
+
+    def gradients(self, params: SchemeParams) -> tuple[LinearVar, ...]:
+        """Every user's gradient ``W[k]``, computed once."""
+        key = ("W", params.num_users)
+        out = self._inputs.get(key)
+        if out is None:
+            out = self._inputs[key] = tuple(
+                self._vars[f"W[{k}]"] for k in range(1, params.num_users + 1)
+            )
+        return out
+
+    def collusion_vars(self, users: Sequence[int], with_sum: bool = False) -> tuple[LinearVar, ...]:
+        """The gradient sum ``W`` if ``with_sum``, then each colluding
+        user's ``W[u]`` and ``F[u]``; computed once per user subset."""
+        key = (with_sum,) + tuple(sorted(users))
+        out = self._inputs.get(key)
+        if out is None:
+            out = (self._vars["W"],) if with_sum else ()
+            for u in key[1:]:
+                out += (self._vars[f"W[{u}]"], self._vars[f"F[{u}]"])
+            self._inputs[key] = out
+        return out
 
     def pattern_label(self, pattern: CommPattern) -> str:
         """``format_pattern(pattern)``, computed once."""
@@ -268,32 +387,66 @@ class LinearTranscript(Mapping):
     ) -> tuple[int, tuple[list[int], ...]]:
         """``_split_observed`` of the observed variables, computed once.
 
-        A helper view is reduced as its non-share prefix, whose
-        reduction is memoized on the way, then its shares.  A miss
-        extends the space of the longest reduced prefix of ``observed``
-        that still keeps one, which it takes over: the master's observed
-        set is a helper view, then the responses, so it costs the
-        responses' rows alone.  Only a helper view and its prefix keep
-        their space.
+        A miss asks the rank store for the same rows.  A helper view is
+        reduced as its non-share prefix, whose reduction is memoized on
+        the way and whose space the store keeps, then its shares into a
+        clone of that space.  Any other set extends the space of its
+        longest prefix that has one: a helper view's, which it takes
+        over (the master's observed set costs the responses' rows
+        alone), or a clone of a non-share prefix's.
         """
+        observed = tuple(observed)
+        hit = self._by_id.get(id(observed))
+        if hit is not None and hit[0] is observed:
+            return hit[1]
         key = tuple(v.name for v in observed)
         hit = self._reductions.get(key)
         if hit is not None and _same_vars(hit[0], observed):
-            return hit[2]
-        cut = self._stages.get(key)
-        if cut is not None and cut < len(key):
-            self.split_reduction(observed[:cut], layout)
-        base, done = None, 0
-        for n in range(len(key) - 1, 0, -1):
-            hit = self._reductions.get(key[:n])
-            if hit is not None and hit[1] is not None and _same_vars(hit[0], observed):
-                base, done = hit[1], n
-                self._reductions[key[:n]] = (hit[0], None, hit[2])
-                break
-        space, reduction = _split_observed(observed[done:], layout, base)
-        kept = space if cut is not None else None
-        self._reductions[key] = (tuple(observed), kept, reduction)
+            reduction = hit[2]
+        else:
+            reduction = self._reduce(observed, key, layout)
+        self._by_id[id(observed)] = (observed, reduction)
         return reduction
+
+    def _reduce(self, observed: tuple, key: tuple[str, ...], layout: SourceLayout) -> tuple:
+        store = self._store
+        cut = self._stages.get(key)
+        content = (layout, tuple(v.rows for v in observed))
+        if cut == len(key):  # a non-share prefix: the store keeps its space
+            space = store.spaces.get(content)
+            if space is None:
+                space, reduction = _split_observed(observed, layout)
+                reduction = store.add(content, reduction, space)
+            else:
+                reduction = store.reductions[content]
+            self._prefixes[key] = (observed, space)
+            self._reductions[key] = (observed, None, reduction)
+            return reduction
+        if cut is not None:  # a helper view
+            self.split_reduction(observed[:cut], layout)
+        reduction = store.reductions.get(content)
+        space = None
+        if reduction is None:
+            base, done = self._base(observed, key)
+            space, reduction = _split_observed(observed[done:], layout, base)
+            reduction = store.add(content, reduction)
+        self._reductions[key] = (observed, space if cut is not None else None, reduction)
+        return reduction
+
+    def _base(self, observed: tuple, key: tuple[str, ...]) -> tuple[RowSpace | None, int]:
+        """The space that the reduction of ``observed`` extends, and how
+        many of its variables that space holds."""
+        for n in range(len(key) - 1, 0, -1):
+            head = key[:n]
+            hit = self._reductions.get(head)
+            if hit is not None and hit[1] is not None and _same_vars(hit[0], observed):
+                self._reductions[head] = (hit[0], None, hit[2])
+                return hit[1], n
+            prefix = self._prefixes.get(head)
+            if prefix is not None and _same_vars(prefix[0], observed):
+                return prefix[1].clone(), n
+        return None, 0
+
 
 def _same_vars(held: Sequence[LinearVar], variables: Sequence[LinearVar]) -> bool:
     """Whether ``held`` are the very objects that begin ``variables``."""
@@ -426,8 +579,9 @@ def build_linear_transcript(
 ) -> LinearTranscript:
     """Coefficient-level transcript of one round under the pattern: the
     sources, uploads, masks, inter-helper shares, recovered uploads and
-    responses, read off the unit-input round."""
-    return LinearTranscript(unit_round(ctx, pattern)[1])
+    responses, read off the unit-input round.  Its queries share the
+    context's rank store."""
+    return LinearTranscript(unit_round(ctx, pattern)[1], _rank_store(ctx))
 
 
 def build_static_vars(ctx: SchemeContext) -> LinearTranscript:
@@ -558,7 +712,7 @@ def rank_quadruple(query: MiQuery) -> tuple[int, int, int, int]:
     given = _unit_split(query.given)
     if given is not None:
         reduction = transcript.split_reduction(query.observed, layout)
-        return _split_quadruple(target, given, reduction, layout.user_dim, field)
+        return transcript._store.quadruple(reduction, target, given, layout.user_dim, field)
     kernel_a = transcript.split_reduction(query.target, layout)[1]
     noise_c, kernel_c = transcript.split_reduction(query.given, layout)
     noise_bc, kernel_bc = transcript.split_reduction(query.given + query.observed, layout)
@@ -630,10 +784,10 @@ def _split_observed(
 
 def _unit_split(
     variables: Sequence[LinearVar],
-) -> tuple[set[int], list[tuple[int, ...]]] | None:
+) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]] | None:
     """``LinearVar.user_split`` of several variables together."""
-    units: set[int] = set()
-    rest: list[tuple[int, ...]] = []
+    units: frozenset[int] = frozenset()
+    rest: tuple[tuple[int, ...], ...] = ()
     for v in variables:
         split = v.user_split
         if split is None:
@@ -644,8 +798,8 @@ def _unit_split(
 
 
 def _split_quadruple(
-    target: tuple[set[int], list],
-    given: tuple[set[int], list],
+    target: tuple[frozenset[int], tuple],
+    given: tuple[frozenset[int], tuple],
     reduction: tuple[int, tuple[list[int], ...]],
     user_dim: int,
     field: PrimeField,
@@ -749,18 +903,6 @@ def helper_observation(
     return tuple(obs)
 
 
-def _collusion_vars(tvars, users: Sequence[int]) -> tuple[LinearVar, ...]:
-    out = []
-    for u in sorted(users):
-        out.append(tvars[f"W[{u}]"])
-        out.append(tvars[f"F[{u}]"])
-    return tuple(out)
-
-
-def _all_gradients(tvars, params) -> tuple[LinearVar, ...]:
-    return tuple(tvars[f"W[{k}]"] for k in range(1, params.num_users + 1))
-
-
 def _leakage_record(
     kind: str,
     ctx: SchemeContext,
@@ -771,7 +913,7 @@ def _leakage_record(
     exploratory: bool,
     make_query,
 ) -> LeakageRecord:
-    """Evaluate ``make_query(tvars, view of tset)`` into a record.
+    """Evaluate ``make_query(transcript)`` into a record.
 
     A colluding set beyond the collusion bound raises unless the query
     is ``exploratory``; the transcript defaults to the pattern's.
@@ -786,7 +928,7 @@ def _leakage_record(
         tvars = build_linear_transcript(ctx, pattern)
     elif not isinstance(tvars, LinearTranscript):
         tvars = LinearTranscript(tvars)
-    ranks = rank_quadruple(make_query(tvars, tvars.helper_view(ctx, pattern, tset)))
+    ranks = rank_quadruple(make_query(tvars))
     return LeakageRecord(
         kind=kind,
         colluding_users=tuple(sorted(users)),
@@ -815,10 +957,10 @@ def check_security_helpers(
     """
     return _leakage_record(
         "helpers", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, view: MiQuery(
-            target=_all_gradients(tv, ctx.params),
-            observed=view,
-            given=_collusion_vars(tv, users),
+        lambda tv: MiQuery(
+            target=tv.gradients(ctx.params),
+            observed=tv.helper_view(ctx, pattern, tset),
+            given=tv.collusion_vars(users),
             transcript=tv,
         ),
     )
@@ -840,10 +982,10 @@ def check_security_master(
     """
     return _leakage_record(
         "master", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, view: MiQuery(
-            target=_all_gradients(tv, ctx.params),
-            observed=view + tuple(tv[f"Y[{n}]"] for n in sorted(pattern.active_helpers)),
-            given=(tv["W"],) + _collusion_vars(tv, users),
+        lambda tv: MiQuery(
+            target=tv.gradients(ctx.params),
+            observed=tv.master_view(ctx, pattern, tset),
+            given=tv.collusion_vars(users, with_sum=True),
             transcript=tv,
         ),
     )
@@ -913,7 +1055,8 @@ def check_sharing_leakage(
     I(all uploads; shares seen by tset | tset's uploads and masks) = 0."""
     params = ctx.params
 
-    def query(tv, view):
+    def query(tv):
+        view = tv.helper_view(ctx, pattern, tset)
         return MiQuery(
             target=tuple(
                 tv[f"X[{k},{n}]"]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hsagg.cli import main
 
@@ -187,6 +190,12 @@ BAD_INPUTS = {
     "rates-draws-in-config": ["rates", *EXAMPLE_ARGS, "--config", "DRAWS_CONFIG"],
     "leakage-draws-in-config": ["leakage", "--params", "2,3,2,1,5,1",
                                 "--config", "DRAWS_CONFIG"],
+    "verify-empty-grid": ["verify", "--grid", ""],
+    "verify-semicolon-grid": ["verify", "--grid", ";"],
+    "rates-blank-grid": ["rates", "--grid", " ; "],
+    "verify-empty-grid-in-config": ["verify", "--config", "EMPTY_GRID_CONFIG"],
+    "verify-semicolon-grid-in-config": ["verify", "--config", "SEMICOLON_GRID_CONFIG"],
+    "verify-empty-params": ["verify", "--params", ""],
 }
 
 GRADIENT_FILES = {
@@ -204,6 +213,8 @@ CONFIG_FILES = {
     "TSET_CONFIG": "tset = 1\n",
     "GRID_CONFIG": "grid = 2,3,2,1,5,1\n",
     "DRAWS_CONFIG": "draws = 1\n",
+    "EMPTY_GRID_CONFIG": "grid =\n",
+    "SEMICOLON_GRID_CONFIG": "grid = ;\n",
 }
 
 
@@ -232,9 +243,11 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
         (BAD_INPUTS["verify-uset-in-config"], "verify does not use uset"),
         (BAD_INPUTS["round-grid-in-config"], "round does not use grid"),
         (BAD_INPUTS["rates-draws-in-config"], "rates does not use draws"),
+        (BAD_INPUTS["verify-semicolon-grid-in-config"], "grid ';' names no point"),
+        (BAD_INPUTS["rates-blank-grid"], "grid ' ; ' names no point"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
-         "grid-key", "draws-key"],
+         "grid-key", "draws-key", "empty-grid-in-config", "blank-grid"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     for name, text in CONFIG_FILES.items():
@@ -264,3 +277,94 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     bad = run("verify", "--grid", "2,3,2,1,5,1", "--draws", "0")
     assert bad.returncode == 2 and bad.stderr.startswith("error: ")
     assert run("verify", "--grid", "2,8,5,1,17,4", "--budget", "1000").returncode == 3
+
+
+# -- fuzzed argv -----------------------------------------------------------------
+
+FUZZ_FLAGS = {
+    "round": ("--params", "--pattern", "--drop-prob", "--seed", "--dealer-seed",
+              "--format", "--gradients"),
+    "verify": ("--params", "--pattern", "--drop-prob", "--seed", "--dealer-seed",
+               "--format", "--grid", "--draws"),
+    "rates": ("--params", "--pattern", "--drop-prob", "--format", "--grid"),
+    "leakage": ("--params", "--pattern", "--drop-prob", "--seed", "--format",
+                "--uset", "--tset"),
+}
+# a valid start for each subcommand, which the fuzzed flags then add to
+# or override; small feasible points only, so that no accepted run is long
+FUZZ_BASE = {
+    "round": ("--params", "2,3,2,1,5,1"),
+    "verify": ("--grid", "2,3,2,1,5,1", "--draws", "1"),
+    "rates": ("--grid", "2,3,2,1,5,1"),
+    "leakage": ("--params", "2,3,2,1,5,1", "--pattern", "nu=1:1,2;2:1,2"),
+}
+FUZZ_VALUES = {
+    "--params": ("2,3,2,1,5,1", "1,3,2,1,5,1", "2,4,2,2,7,2", "", "2,3", "x"),
+    "--grid": ("2,3,2,1,5,1", "2,4,2,2,7,2", "2,3,2,1,5,1;", "", ";", " ; ", "y"),
+    "--pattern": ("nu=1:1,2;2:1,2 hm=1,2", "nu=1:1,2;2:2,3", "nu=1:1,9;2:1,2",
+                  "nu=zzz", ""),
+    "--drop-prob": ("0", "0.3", "1", "-1", "2", "p"),
+    "--seed": ("1", "", "s"),
+    "--dealer-seed": ("1", "d"),
+    "--format": ("json", "csv", "xml"),
+    "--draws": ("1", "0", "-1", "n"),
+    "--uset": ("1", "1,2", "", "9", "1,1", "u"),
+    "--tset": ("1", "1,2", "", "9", "0", "t"),
+    "--budget": ("10", "10000", "0", "-1", "b"),
+    "--gradients": ("GOOD_GRADIENTS", "NOT_A_LIST", "BOOLEANS", "MISSING"),
+}
+FUZZ_CONFIGS = {
+    "EMPTY_GRID": "grid =\n",
+    "SEMICOLON_GRID": "grid = ;\n",
+    "PARAMS": "params = 2,3,2,1,5,1\n",
+    "BAD_BUDGET": "budget = many\n",
+    "DRAWS": "draws = 1\n",
+    "USET": "uset = 9\n",
+    "TYPO": "sede = 1\n",
+    "CSV": "format = csv\n",
+    "NO_EQUALS": "params 2,3,2,1,5,1\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {name: json.dumps(table) for name, table in GRADIENT_FILES.items()}
+    files["GOOD_GRADIENTS"] = json.dumps({"1": [1, 2], "2": [3, 4]})
+    files.update(FUZZ_CONFIGS)
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return root
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand, maybe its valid start, a budget of at most 10**4,
+    some of its flags with values from a small alphabet, and maybe a
+    config file."""
+    mode = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(FUZZ_FLAGS[mode]), unique=True, max_size=3))
+    argv = [mode, *(FUZZ_BASE[mode] if draw(st.booleans()) else ())]
+    argv += ["--budget", draw(st.sampled_from(FUZZ_VALUES["--budget"]))]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(FUZZ_VALUES[flag]))]
+    config = draw(st.none() | st.sampled_from(sorted(FUZZ_CONFIGS)))
+    if config is not None:
+        argv += ["--config", config]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_exits_cleanly(fuzz_dir, argv):
+    """Any such argv exits 0, 2 or 3, and never with a traceback."""
+    named = set(FUZZ_CONFIGS) | set(GRADIENT_FILES) | {"GOOD_GRADIENTS", "MISSING"}
+    argv = [str(fuzz_dir / a) if a in named else a for a in argv]
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the flag's form
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -297,6 +297,15 @@ def test_verify_budget():
     assert "2,8,5,1,17,4" in str(err.value)
 
 
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_estimate_covers_every_counted_check(params):
+    """With one draw the decode cases no longer pad the estimate, so it
+    holds only if it counts the no-straggler suites too."""
+    report = verify_point(params, RunConfig(mode="verify", draws=1))
+    counted = report.decode_cases + report.security_queries + report.invariant_checks
+    assert estimate_work(params, 1) >= counted
+
+
 def test_verify_deterministic_bytes():
     config = RunConfig(mode="verify", grid=(SMALL,), draws=2, seed="d", dealer_seed="d")
     a = render_json(run_verify(config).to_json())

@@ -1,5 +1,7 @@
 import copy
+import gc
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -753,3 +755,101 @@ def test_split_memo_extends_each_space_once(ctx):
         if observed is view:  # the prefix was reduced on the way
             assert tuple(v.name for v in prefix) in tv._reductions
     assert all(space is None for _, space, _ in tv._reductions.values())
+
+
+# -- the context's rank store ----------------------------------------------------
+
+
+def _campaign_sweep(ctx, params):
+    """Every pattern's helper and master records (all user subsets,
+    helper subsets within the bound) and sharing records, as the
+    campaign makes them, each with its query on the incremental path."""
+    layout = SourceLayout(params)
+    helpers = range(1, params.num_helpers + 1)
+    tsets = [t for size in range(params.collusion + 1) for t in combinations(helpers, size)]
+    out = []
+    for pattern in enumerate_patterns(params):
+        tv = build_linear_transcript(ctx, pattern)
+        for check, uset, tset, query in _security_queries(ctx, pattern, tv):
+            record = check(ctx, pattern, uset, tset, tvars=tv)
+            out.append((record, _incremental_quadruple(query, layout, ctx.field)))
+        for tset in tsets:
+            record = check_sharing_leakage(ctx, pattern, tset, tvars=tv)
+            query = _sharing_query(ctx, tv, tv.helper_view(ctx, pattern, tset))
+            out.append((record, _incremental_quadruple(query, layout, ctx.field)))
+    return out
+
+
+def test_rank_store_answers_a_broken_scheme_from_its_own_rows(monkeypatch):
+    """The store is keyed by row content, so a scheme broken under the
+    very context whose correct sweep filled it still shows its leaks."""
+    ctx = setup(EXAMPLE)
+    correct = _campaign_sweep(ctx, EXAMPLE)
+    assert len(correct) == 1125
+    assert all(record.value == 0 for record, _ in correct)
+    broken = _campaign_sweep(_noise_shared_across_users(ctx, monkeypatch), EXAMPLE)
+    assert len(broken) == 1125
+    assert all(record.ranks == expect for record, expect in broken)
+    leaks = [record.kind for record, _ in broken if record.value != 0]
+    assert {kind: leaks.count(kind) for kind in set(leaks)} == {
+        "helpers": 12,
+        "master": 4,
+        "sharing": 4,
+    }
+
+
+@pytest.mark.parametrize(
+    "params, stride",
+    [(SchemeParams(2, 4, 3, 1, 7, 2), 1), (SchemeParams(3, 4, 3, 2, 11, 1), 9)],
+    ids=["2,4,3,1,7,2", "3,4,3,2,11,1"],
+)
+def test_records_do_not_depend_on_query_order(params, stride):
+    """Each order sweeps its patterns on one context, oversized helper
+    subsets included: the patterns in reverse, or each master query
+    (and the sharing queries) before the helper query, give the same
+    records."""
+    users = range(1, params.num_users + 1)
+    helpers = range(1, params.num_helpers + 1)
+    usets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
+    tsets = [t for size in range(len(helpers) + 1) for t in combinations(helpers, size)]
+    bounded = [t for t in tsets if len(t) <= params.collusion]
+    patterns = list(enumerate_patterns(params))[::stride]
+
+    def sweep(reverse, master_first):
+        ctx = setup(params)
+        checks = (check_security_helpers, check_security_master)
+        records = {}
+
+        def sharing(tv, pattern):
+            for tset in bounded:
+                rec = check_sharing_leakage(ctx, pattern, tset, tvars=tv)
+                records[rec.kind, (), tset, rec.pattern] = rec
+
+        for pattern in patterns[::-1] if reverse else patterns:
+            tv = build_linear_transcript(ctx, pattern)
+            if master_first:
+                sharing(tv, pattern)
+            for uset in usets:
+                for tset in tsets:
+                    for check in checks[::-1] if master_first else checks:
+                        rec = check(ctx, pattern, uset, tset, tvars=tv, exploratory=True)
+                        records[rec.kind, uset, tset, rec.pattern] = rec
+            if not master_first:
+                sharing(tv, pattern)
+        return records
+
+    forward = sweep(reverse=False, master_first=False)
+    assert len(forward) == len(patterns) * (2 * len(usets) * len(tsets) + len(bounded))
+    assert sweep(reverse=True, master_first=False) == forward
+    assert sweep(reverse=False, master_first=True) == forward
+
+
+def test_rank_store_dies_with_its_context():
+    ctx = setup(EXAMPLE)
+    tv = build_linear_transcript(ctx, EXAMPLE_PATTERN)
+    check_security_master(ctx, EXAMPLE_PATTERN, [1], [3], tvars=tv)
+    assert build_linear_transcript(ctx, EXAMPLE_PATTERN)._store is tv._store
+    store = weakref.ref(tv._store)
+    del ctx, tv
+    gc.collect()
+    assert store() is None
