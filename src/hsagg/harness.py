@@ -534,6 +534,8 @@ def run_verify(config: RunConfig) -> VerifyReport:
     _reject_unused(config, "verify", "pattern", "drop_prob", "gradient_file")
     if config.draws < 1:
         raise ConfigError(f"draws must be at least 1, got {config.draws}")
+    if config.budget < 0:
+        raise ConfigError(f"budget must be at least 0, got {config.budget}")
     grid = _grid(config)
     feasible_work = 0
     for params in grid:
@@ -609,6 +611,8 @@ def run_leakage(config: RunConfig) -> dict:
     ``config.budget`` raises ``BudgetExceeded`` before any is run.
     """
     _reject_unused(config, "leakage", "drop_prob", "gradient_file")
+    if config.budget < 0:
+        raise ConfigError(f"budget must be at least 0, got {config.budget}")
     if config.params is None:
         raise ConfigError("leakage mode needs --params")
     params = config.params

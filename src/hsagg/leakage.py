@@ -39,18 +39,19 @@ C then B answer it:
 and the same for BC with K_BC, where A's span (its own split
 reduction, with no noise rows) is reduced once.  A ``LinearTranscript``
 keeps the reduction of each observed set, which every user subset
-shares.  It reduces a helper view as its non-share prefix, then the
-shares, and builds the master's observed set (the helper view, then
-the responses) on the helper view's.  The transcripts of one scheme
-context share a rank store that dies with the context, keyed by row
-content rather than by names: a view's prefix (uploads and stored
-masks, the same rows under every pattern) is reduced once per context
-and helper subset, an observed set whose rows the context has already
-reduced takes no elimination, and a quadruple is computed once per
-reduction, target and given.  A query takes a split only when it
-carries a transcript.  Queries whose target leaves the user
-columns, and queries without a transcript, take the incremental path,
-which is also the reference the splits are tested against.
+shares, and finds it by one lookup: by the observed tuple's identity,
+then by row content in a rank store that the transcripts of one scheme
+context share and that dies with the context.  It reduces a helper
+view as its non-share prefix, then the shares, and builds the master's
+observed set (the helper view, then the responses) on the helper
+view's.  A view's prefix (uploads and stored masks, the same rows
+under every pattern) is reduced once per context and helper subset,
+an observed set whose rows the context has already reduced takes no
+elimination, and a quadruple is computed once per reduction, target
+and given.  A query takes a split only when it carries a transcript.
+Queries whose target leaves the user columns, and queries without a
+transcript, take the incremental path, which is also the reference the
+splits are tested against.
 
 A brute-force oracle checks the rank-to-entropy step independently on
 tiny instances: it runs the same roles on every source assignment and
@@ -230,7 +231,9 @@ class _RankStore:
     prefix, and each split-path rank quadruple, keyed by the identity
     of its reduction (one object per content, which the store keeps
     alive) and by the target's and the given's unit columns and other
-    rows.  The keys it keeps share one copy of each equal part.
+    rows.  The keys it keeps share one copy of each equal part.  A
+    transcript reads a reduction here only when its own lookup, by the
+    observed tuple's identity, misses.
     """
 
     __slots__ = ("reductions", "spaces", "quadruples", "_held", "__weakref__")
@@ -276,41 +279,43 @@ def _rank_store(ctx: SchemeContext) -> _RankStore:
     return store
 
 
+@dataclass(slots=True)
+class _ViewEntry:
+    """A colluding set's helper view, its non-share prefix (uploads and
+    stored masks), the master's observed set on it once built, and the
+    view's reduced space until that set takes it over."""
+
+    view: tuple[LinearVar, ...]
+    prefix: tuple[LinearVar, ...]
+    master: tuple[LinearVar, ...] | None = None
+    space: RowSpace | None = None
+
+
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
-    Read-only.  It memoizes each colluding set's helper view and the
-    master's observed set on it (the view, then the responses), the
-    all-gradients target, each user subset's collusion variables, each
-    observed set's split reduction (see ``rank_quadruple``) and each
-    pattern's formatted form; all live and die with the transcript.  A
-    reduction is found by the observed tuple's identity, then by its
-    variables' names (held, and checked to be the very objects).
+    Read-only.  It memoizes, each once, every colluding set's view entry
+    (``_ViewEntry``), the all-gradients target, each user subset's
+    collusion variables, each observed set's split reduction (see
+    ``rank_quadruple``) and each pattern's formatted form; all live and
+    die with the transcript.
 
-    Beneath that sits a rank store keyed by row content (``_RankStore``).
-    ``build_linear_transcript`` hands every transcript of one scheme
-    context that context's store, so a helper view's non-share prefix is
-    reduced once per context and helper subset, each view extends a
-    clone of its prefix's space with its own shares, and an observed set
-    whose rows the context has already reduced takes no elimination.  A
-    transcript built without a store gets one of its own.  Of the
-    reduced spaces, the transcript keeps a helper view's only, until the
-    master's observed set on it takes it over.
+    A split reduction is looked up by the observed tuple's identity,
+    then by row content in the rank store (``_RankStore``), never by
+    names.  ``build_linear_transcript`` hands every transcript of one
+    scheme context that context's store, so a helper view's non-share
+    prefix is reduced once per context and helper subset, and an
+    observed set whose rows the context has already reduced takes no
+    elimination.  A transcript built without a store gets one of its own.
     """
 
     def __init__(self, tvars: Mapping[str, LinearVar], store: _RankStore | None = None):
         self._vars = dict(tvars)
         self._store = _RankStore() if store is None else store
-        # (active helpers, tset) to [helper view, master's observed set]
-        self._views: dict[tuple, list] = {}
-        # a helper view's names, and its non-share prefix's, to the
-        # length of that prefix
-        self._stages: dict[tuple[str, ...], int] = {}
-        # names to (variables, space or None, reduction)
-        self._reductions: dict[tuple[str, ...], tuple] = {}
-        # a prefix's names to (variables, the store's space)
-        self._prefixes: dict[tuple[str, ...], tuple] = {}
-        self._by_id: dict[int, tuple] = {}  # id of an observed tuple to (it, reduction)
+        self._views: dict[tuple, _ViewEntry] = {}  # by (active helpers, tset)
+        # id of an observed tuple to (it, its reduction or None, its view
+        # entry or None); holding the tuple keeps its id unique
+        self._by_id: dict[int, tuple] = {}
         self._inputs: dict[tuple, tuple[LinearVar, ...]] = {}
         self._labels: dict[CommPattern, str] = {}
 
@@ -323,23 +328,23 @@ class LinearTranscript(Mapping):
     def __len__(self) -> int:
         return len(self._vars)
 
-    def _view_entry(self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]) -> list:
+    def _view_entry(
+        self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
+    ) -> _ViewEntry:
         key = (pattern.active_helpers, tuple(sorted(tset)))
         entry = self._views.get(key)
         if entry is None:
             view = helper_observation(self, ctx, pattern, tset)
-            entry = self._views[key] = [view, None]
-            names = tuple(v.name for v in view)
-            cut = sum(not _is_share(v) for v in view)  # the shares come last
-            self._stages[names] = cut
-            self._stages.setdefault(names[:cut], cut)
+            prefix = tuple(v for v in view if not _is_share(v))  # the shares come last
+            entry = self._views[key] = _ViewEntry(view, prefix)
+            self._by_id[id(view)] = (view, None, entry)
         return entry
 
     def helper_view(
         self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
     ) -> tuple[LinearVar, ...]:
         """``helper_observation`` of ``tset``, computed once."""
-        return self._view_entry(ctx, pattern, tset)[0]
+        return self._view_entry(ctx, pattern, tset).view
 
     def master_view(
         self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
@@ -347,11 +352,12 @@ class LinearTranscript(Mapping):
         """What the master observes with ``tset`` colluding: its helper
         view, then every active helper's response; computed once."""
         entry = self._view_entry(ctx, pattern, tset)
-        if entry[1] is None:
-            entry[1] = entry[0] + tuple(
+        if entry.master is None:
+            entry.master = entry.view + tuple(
                 self._vars[f"Y[{n}]"] for n in sorted(pattern.active_helpers)
             )
-        return entry[1]
+            self._by_id[id(entry.master)] = (entry.master, None, entry)
+        return entry.master
 
     def gradients(self, params: SchemeParams) -> tuple[LinearVar, ...]:
         """Every user's gradient ``W[k]``, computed once."""
@@ -387,70 +393,43 @@ class LinearTranscript(Mapping):
     ) -> tuple[int, tuple[list[int], ...]]:
         """``_split_observed`` of the observed variables, computed once.
 
-        A miss asks the rank store for the same rows.  A helper view is
-        reduced as its non-share prefix, whose reduction is memoized on
-        the way and whose space the store keeps, then its shares into a
-        clone of that space.  Any other set extends the space of its
-        longest prefix that has one: a helper view's, which it takes
-        over (the master's observed set costs the responses' rows
-        alone), or a clone of a non-share prefix's.
+        One lookup: by the tuple's identity, then by its rows in the
+        rank store.  On a store miss a helper view extends a clone of its
+        prefix's store space with its shares, and the master's observed
+        set takes over its view's space and adds the responses (or
+        clones the prefix's space, when the view's rows were a store
+        hit).  Any other tuple is reduced on its own.
         """
         observed = tuple(observed)
         hit = self._by_id.get(id(observed))
-        if hit is not None and hit[0] is observed:
+        if hit is not None and hit[1] is not None:
             return hit[1]
-        key = tuple(v.name for v in observed)
-        hit = self._reductions.get(key)
-        if hit is not None and _same_vars(hit[0], observed):
-            reduction = hit[2]
-        else:
-            reduction = self._reduce(observed, key, layout)
-        self._by_id[id(observed)] = (observed, reduction)
-        return reduction
-
-    def _reduce(self, observed: tuple, key: tuple[str, ...], layout: SourceLayout) -> tuple:
-        store = self._store
-        cut = self._stages.get(key)
+        entry = None if hit is None else hit[2]
         content = (layout, tuple(v.rows for v in observed))
-        if cut == len(key):  # a non-share prefix: the store keeps its space
-            space = store.spaces.get(content)
-            if space is None:
-                space, reduction = _split_observed(observed, layout)
-                reduction = store.add(content, reduction, space)
-            else:
-                reduction = store.reductions[content]
-            self._prefixes[key] = (observed, space)
-            self._reductions[key] = (observed, None, reduction)
-            return reduction
-        if cut is not None:  # a helper view
-            self.split_reduction(observed[:cut], layout)
-        reduction = store.reductions.get(content)
-        space = None
+        reduction = self._store.reductions.get(content)
         if reduction is None:
-            base, done = self._base(observed, key)
+            base, done = None, 0
+            if entry is not None and entry.prefix:
+                if observed is not entry.view:  # the master's observed set
+                    self.split_reduction(entry.view, layout)
+                    base, entry.space, done = entry.space, None, len(entry.view)
+                if base is None:
+                    base, done = self._prefix_space(entry, layout).clone(), len(entry.prefix)
             space, reduction = _split_observed(observed[done:], layout, base)
-            reduction = store.add(content, reduction)
-        self._reductions[key] = (observed, space if cut is not None else None, reduction)
+            if entry is not None and observed is entry.view:
+                entry.space = space
+            reduction = self._store.add(content, reduction)
+        self._by_id[id(observed)] = (observed, reduction, entry)
         return reduction
 
-    def _base(self, observed: tuple, key: tuple[str, ...]) -> tuple[RowSpace | None, int]:
-        """The space that the reduction of ``observed`` extends, and how
-        many of its variables that space holds."""
-        for n in range(len(key) - 1, 0, -1):
-            head = key[:n]
-            hit = self._reductions.get(head)
-            if hit is not None and hit[1] is not None and _same_vars(hit[0], observed):
-                self._reductions[head] = (hit[0], None, hit[2])
-                return hit[1], n
-            prefix = self._prefixes.get(head)
-            if prefix is not None and _same_vars(prefix[0], observed):
-                return prefix[1].clone(), n
-        return None, 0
-
-
-def _same_vars(held: Sequence[LinearVar], variables: Sequence[LinearVar]) -> bool:
-    """Whether ``held`` are the very objects that begin ``variables``."""
-    return all(a is b for a, b in zip(held, variables))
+    def _prefix_space(self, entry: _ViewEntry, layout: SourceLayout) -> RowSpace:
+        """The store's reduced space of the view's non-share prefix."""
+        content = (layout, tuple(v.rows for v in entry.prefix))
+        space = self._store.spaces.get(content)
+        if space is None:
+            space, reduction = _split_observed(entry.prefix, layout)
+            self._store.add(content, reduction, space)
+        return space
 
 
 def _is_share(v: LinearVar) -> bool:

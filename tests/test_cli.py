@@ -196,6 +196,12 @@ BAD_INPUTS = {
     "verify-empty-grid-in-config": ["verify", "--config", "EMPTY_GRID_CONFIG"],
     "verify-semicolon-grid-in-config": ["verify", "--config", "SEMICOLON_GRID_CONFIG"],
     "verify-empty-params": ["verify", "--params", ""],
+    "verify-negative-budget": ["verify", "--grid", "2,3,2,1,5,1", "--budget", "-5"],
+    "leakage-negative-budget": ["leakage", "--params", "2,3,2,1,5,1", "--budget", "-1"],
+    "verify-negative-budget-in-config": ["verify", "--grid", "2,3,2,1,5,1",
+                                         "--config", "NEGATIVE_BUDGET_CONFIG"],
+    "leakage-negative-budget-in-config": ["leakage", "--params", "2,3,2,1,5,1",
+                                          "--config", "NEGATIVE_BUDGET_CONFIG"],
 }
 
 GRADIENT_FILES = {
@@ -215,6 +221,7 @@ CONFIG_FILES = {
     "DRAWS_CONFIG": "draws = 1\n",
     "EMPTY_GRID_CONFIG": "grid =\n",
     "SEMICOLON_GRID_CONFIG": "grid = ;\n",
+    "NEGATIVE_BUDGET_CONFIG": "budget = -5\n",
 }
 
 
@@ -245,9 +252,12 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
         (BAD_INPUTS["rates-draws-in-config"], "rates does not use draws"),
         (BAD_INPUTS["verify-semicolon-grid-in-config"], "grid ';' names no point"),
         (BAD_INPUTS["rates-blank-grid"], "grid ' ; ' names no point"),
+        (BAD_INPUTS["verify-negative-budget"], "budget must be at least 0, got -5"),
+        (BAD_INPUTS["leakage-negative-budget-in-config"], "budget must be at least 0, got -5"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
-         "grid-key", "draws-key", "empty-grid-in-config", "blank-grid"],
+         "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
+         "negative-budget-in-config"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     for name, text in CONFIG_FILES.items():

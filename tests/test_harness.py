@@ -1,5 +1,7 @@
 import hashlib
 import json
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from hsagg.harness import (
     verify_point,
 )
 from hsagg import protocol
+from hsagg.matrix import GfMatrix, RowSpace
 from hsagg.patterns import enumerate_patterns, enumerate_survivors, format_pattern
 from hsagg.protocol import HelperResponse, SchemeParams
 
@@ -237,6 +240,30 @@ def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):
     ]
 
 
+def test_verify_catches_a_nonzero_own_mask_row(monkeypatch):
+    """With the mask basis's first row nonzero, a helper's own mask
+    coordinate no longer vanishes: decodes fail and every kind of
+    security query leaks, while the mask suite alone sees nothing."""
+    real_setup = protocol.setup
+
+    def own_mask_row(params):
+        ctx = real_setup(params)
+        rows = [(1,) * ctx.mask_basis.cols] + list(ctx.mask_basis.data[1:])
+        basis = GfMatrix(ctx.field, rows)
+        maps = tuple(d @ basis for d in ctx.decode_matrices)
+        return replace(ctx, mask_basis=basis, mask_maps=maps)
+
+    monkeypatch.setattr(protocol, "setup", own_mask_row)
+    report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
+    assert report.decode_cases == 218
+    assert Counter(" ".join(f.split()[:2]) for f in report.failures) == {
+        "decode mismatch": 160,
+        "helpers leakage": 76,
+        "master leakage": 36,
+        "sharing leakage": 36,
+    }
+
+
 def test_thousand_seeded_random_rounds():
     """Sampled straggling at (3,5,4,2,11,2): every decode is exact."""
     import random
@@ -304,6 +331,33 @@ def test_estimate_covers_every_counted_check(params):
     report = verify_point(params, RunConfig(mode="verify", draws=1))
     counted = report.decode_cases + report.security_queries + report.invariant_checks
     assert estimate_work(params, 1) >= counted
+
+
+# RowSpace (insert, clone) calls of each point's one-draw campaign; the
+# same under any PYTHONHASHSEED
+RANK_WORK = {
+    "2,3,2,1,5,1": (646, 27),
+    "2,4,3,1,7,2": (1364, 39),
+    "3,4,3,2,11,1": (24576, 234),
+    "2,5,4,2,11,2": (9022, 173),
+}
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_rank_work_does_not_grow(params, monkeypatch):
+    """A memo change that loses reuse shows as more row reductions."""
+    calls = {"insert": 0, "clone": 0}
+    for name in calls:
+        method = getattr(RowSpace, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(RowSpace, name, counted)
+    verify_point(params, RunConfig(mode="verify", draws=1))
+    inserts, clones = RANK_WORK[params.label()]
+    assert calls["insert"] <= inserts and calls["clone"] <= clones, calls
 
 
 def test_verify_deterministic_bytes():

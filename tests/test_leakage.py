@@ -734,27 +734,34 @@ def test_split_memo_checks_the_variables_behind_the_names(tvars):
     assert rank_quadruple(query) == (3, 2, 3, 1)
 
 
-def test_split_memo_extends_each_space_once(ctx):
-    """A helper view's reduction goes through its non-share prefix; a
-    space that a longer set took over is never extended again, and
-    after the master's set no space is kept."""
+def test_split_memo_extends_each_space_once():
+    """A helper view's reduction goes through its non-share prefix,
+    whose space the store keeps; the master's set takes over the view's
+    space, after which the view entry keeps none.  The context is fresh,
+    so its store holds none of these rows yet."""
+    ctx = setup(EXAMPLE)
     tv = build_linear_transcript(ctx, EXAMPLE_PATTERN)
     layout = SourceLayout(EXAMPLE)
     view = tv.helper_view(ctx, EXAMPLE_PATTERN, [3])
     prefix = tuple(v for v in view if not v.name.startswith("M["))
     assert view[:len(prefix)] == prefix and len(prefix) < len(view)
-    responses = tuple(tv[f"Y[{n}]"] for n in (2, 3, 4))
+    responses = tuple(tv[f"Y[{n}]"] for n in sorted(EXAMPLE_PATTERN.active_helpers))
+    master = tv.master_view(ctx, EXAMPLE_PATTERN, [3])
+    assert master == view + responses
+    entry = tv._views[EXAMPLE_PATTERN.active_helpers, (3,)]
     for observed in (
         view,
         prefix,
-        view + responses,
+        master,
         prefix + responses,
         view + responses[::-1],
     ):
         assert tv.split_reduction(observed, layout) == _split_observed(observed, layout)[1]
         if observed is view:  # the prefix was reduced on the way
-            assert tuple(v.name for v in prefix) in tv._reductions
-    assert all(space is None for _, space, _ in tv._reductions.values())
+            assert (layout, tuple(v.rows for v in prefix)) in tv._store.spaces
+            assert entry.space is not None
+        if observed is master:
+            assert entry.space is None
 
 
 # -- the context's rank store ----------------------------------------------------
