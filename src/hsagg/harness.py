@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 from . import leakage as lk
 from . import patterns as pt
 from . import protocol as proto
-from .matrix import FieldTooSmall
+from .matrix import FieldTooSmall, MatrixError
 from .protocol import Gradient, SchemeParams, UserRandomness
 
 __all__ = [
@@ -406,8 +406,9 @@ def _stacked_decode(
     columns ``[c * l, (c + 1) * l)`` of every payload of one round of
     block length ``cases * l``, with the dealer noise tiled to match.
     The master decodes each survivor set's slice of the responses with
-    one inverse.  Returns that round, stopped at the responses, and
-    each case's survivor set and whether its decode equals its sum.
+    one inverse; a decode that raises fails every case of its set.
+    Returns that round, stopped at the responses, and each case's
+    survivor set and whether its decode equals its sum.
     """
     params = ctx.params
     l, parts = params.block_len, params.block_count
@@ -430,14 +431,18 @@ def _stacked_decode(
     matches = []
     for s, survivors in enumerate(survivor_sets):
         lo = s * width
-        decoded = proto.master_decode(
-            ctx,
-            [
-                proto.HelperResponse(r.helper, r.payload[lo:lo + width])
-                for r in transcript.responses
-                if r.helper in survivors
-            ],
-        )
+        try:
+            decoded = proto.master_decode(
+                ctx,
+                [
+                    proto.HelperResponse(r.helper, r.payload[lo:lo + width])
+                    for r in transcript.responses
+                    if r.helper in survivors
+                ],
+            )
+        except (MatrixError, proto.ProtocolError):
+            matches += [(survivors, False)] * draws
+            continue
         for d in range(draws):
             got = tuple(
                 chain.from_iterable(

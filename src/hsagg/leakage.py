@@ -42,13 +42,18 @@ keeps the reduction of each observed set, which every user subset
 shares, and finds it by one lookup: by the observed tuple's identity,
 then by row content in a rank store that the transcripts of one scheme
 context share and that dies with the context.  It reduces a helper
-view as its non-share prefix, then the shares, and builds the master's
-observed set (the helper view, then the responses) on the helper
-view's.  A view's prefix (uploads and stored masks, the same rows
-under every pattern) is reduced once per context and helper subset,
-an observed set whose rows the context has already reduced takes no
-elimination, and a quadruple is computed once per reduction, target
-and given.  A query takes a split only when it carries a transcript.
+view as its non-share prefix, then the shares.  A view's prefix
+(uploads and stored masks, the same rows under every pattern) is
+reduced once per context and helper subset, and an observed set whose
+rows the context has already reduced takes no elimination.  The
+master's observed set is the helper view, then the responses; when
+every response row lies in the user columns, as in the scheme, it has
+the view's ``r_noise`` and its kernel is the view's kernel plus the
+responses, reduced in user width.  The ranks depend on B only through
+K, plus ``r_noise``, so a quadruple is computed once per kernel,
+target and given: helper views of different patterns hold different
+shares but often the same kernel.  A query takes a split only when it
+carries a transcript.
 Queries whose target leaves the user columns, and queries without a
 transcript, take the incremental path, which is also the reference the
 splits are tested against.
@@ -227,13 +232,16 @@ class _RankStore:
     variable's rows, never a name, a pattern or a helper id, so that a
     transcript whose rows differ (a broken scheme run under the same
     context) never reads another's entry.  It holds each observed set's
-    split reduction, the reduced space of each helper view's non-share
-    prefix, and each split-path rank quadruple, keyed by the identity
-    of its reduction (one object per content, which the store keeps
-    alive) and by the target's and the given's unit columns and other
-    rows.  The keys it keeps share one copy of each equal part.  A
-    transcript reads a reduction here only when its own lookup, by the
-    observed tuple's identity, misses.
+    split reduction ``(r_noise, K)``, the reduced space of each helper
+    view's non-share prefix, and each split-path rank quadruple.  A
+    quadruple depends on the observed set only through its kernel K,
+    plus ``r_noise`` added to rank(BC) and rank(ABC), so it is keyed by
+    the identity of K (one object per kernel content, which the store
+    keeps alive; observed sets of different rows often share it) and by
+    the target's and the given's unit columns and other rows.  The keys
+    it keeps share one copy of each equal part.  A transcript reads a
+    reduction here only when its own lookup, by the observed tuple's
+    identity, misses.
     """
 
     __slots__ = ("reductions", "spaces", "quadruples", "_held", "__weakref__")
@@ -249,22 +257,28 @@ class _RankStore:
 
     def add(self, content: tuple, reduction: tuple, space: RowSpace | None = None) -> tuple:
         """Record the reduction (and space) of ``content``; returns the
-        reduction the store holds for it."""
+        reduction the store holds for it, whose kernel is the store's
+        one object of that content."""
         layout, rows = content
         content = layout, self._hold(rows)
         if space is not None:
             self.spaces[content] = space
-        return self.reductions.setdefault(content, reduction)
+        r_noise, kernel = reduction
+        kernel = self._held.setdefault(kernel, kernel)
+        return self.reductions.setdefault(content, (r_noise, kernel))
 
     def quadruple(self, reduction, target, given, user_dim, field) -> tuple[int, int, int, int]:
-        """``_split_quadruple``, computed once per reduction, target and given."""
-        key = (id(reduction),) + target + given
+        """``_split_quadruple`` of a reduction the store holds, computed
+        once per kernel, target and given."""
+        r_noise, kernel = reduction
+        key = (id(kernel),) + target + given
         ranks = self.quadruples.get(key)
         if ranks is None:
-            ranks = _split_quadruple(target, given, reduction, user_dim, field)
+            ranks = _split_quadruple(target, given, (0, kernel), user_dim, field)
             ranks = self._held.setdefault(ranks, ranks)
             self.quadruples[self._hold(key)] = ranks
-        return ranks
+        r_ac, r_bc, r_abc, r_c = ranks
+        return (r_ac, r_bc + r_noise, r_abc + r_noise, r_c)
 
 
 _stores: dict[int, _RankStore] = {}  # by id of a living context; see _rank_store
@@ -281,24 +295,24 @@ def _rank_store(ctx: SchemeContext) -> _RankStore:
 
 @dataclass(slots=True)
 class _ViewEntry:
-    """A colluding set's helper view, its non-share prefix (uploads and
-    stored masks), the master's observed set on it once built, and the
-    view's reduced space until that set takes it over."""
+    """A colluding set's helper view, which is its non-share prefix
+    (uploads and stored masks) followed by its shares, and the master's
+    observed set on it once built."""
 
     view: tuple[LinearVar, ...]
     prefix: tuple[LinearVar, ...]
+    shares: tuple[LinearVar, ...]
     master: tuple[LinearVar, ...] | None = None
-    space: RowSpace | None = None
 
 
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
     Read-only.  It memoizes, each once, every colluding set's view entry
-    (``_ViewEntry``), the all-gradients target, each user subset's
-    collusion variables, each observed set's split reduction (see
-    ``rank_quadruple``) and each pattern's formatted form; all live and
-    die with the transcript.
+    (``_ViewEntry``), the all-gradients and all-uploads targets, each
+    user subset's collusion variables, each observed set's split
+    reduction (see ``rank_quadruple``) and each pattern's formatted
+    form; all live and die with the transcript.
 
     A split reduction is looked up by the observed tuple's identity,
     then by row content in the rank store (``_RankStore``), never by
@@ -336,7 +350,8 @@ class LinearTranscript(Mapping):
         if entry is None:
             view = helper_observation(self, ctx, pattern, tset)
             prefix = tuple(v for v in view if not _is_share(v))  # the shares come last
-            entry = self._views[key] = _ViewEntry(view, prefix)
+            entry = self._views[key] = _ViewEntry(view, prefix, view[len(prefix):])
+            self._by_id[id(prefix)] = (prefix, None, entry)
             self._by_id[id(view)] = (view, None, entry)
         return entry
 
@@ -369,6 +384,18 @@ class LinearTranscript(Mapping):
             )
         return out
 
+    def uploads(self, params: SchemeParams) -> tuple[LinearVar, ...]:
+        """Every upload ``X[k,n]``, computed once."""
+        key = ("X", params.num_users, params.num_helpers)
+        out = self._inputs.get(key)
+        if out is None:
+            out = self._inputs[key] = tuple(
+                self._vars[f"X[{k},{n}]"]
+                for k in range(1, params.num_users + 1)
+                for n in range(1, params.num_helpers + 1)
+            )
+        return out
+
     def collusion_vars(self, users: Sequence[int], with_sum: bool = False) -> tuple[LinearVar, ...]:
         """The gradient sum ``W`` if ``with_sum``, then each colluding
         user's ``W[u]`` and ``F[u]``; computed once per user subset."""
@@ -394,11 +421,13 @@ class LinearTranscript(Mapping):
         """``_split_observed`` of the observed variables, computed once.
 
         One lookup: by the tuple's identity, then by its rows in the
-        rank store.  On a store miss a helper view extends a clone of its
-        prefix's store space with its shares, and the master's observed
-        set takes over its view's space and adds the responses (or
-        clones the prefix's space, when the view's rows were a store
-        hit).  Any other tuple is reduced on its own.
+        rank store.  On a store miss the master's observed set, when
+        every response row lies in the user columns, takes its view's
+        ``r_noise`` and extends its view's kernel with the responses in
+        user width (``_extended_kernel``).  A helper view, its prefix,
+        or a master's set whose responses touch the noise columns
+        extends a clone of its prefix's store space.  Any other tuple is
+        reduced on its own.
         """
         observed = tuple(observed)
         hit = self._by_id.get(id(observed))
@@ -408,19 +437,31 @@ class LinearTranscript(Mapping):
         content = (layout, tuple(v.rows for v in observed))
         reduction = self._store.reductions.get(content)
         if reduction is None:
-            base, done = None, 0
-            if entry is not None and entry.prefix:
-                if observed is not entry.view:  # the master's observed set
-                    self.split_reduction(entry.view, layout)
-                    base, entry.space, done = entry.space, None, len(entry.view)
-                if base is None:
-                    base, done = self._prefix_space(entry, layout).clone(), len(entry.prefix)
-            space, reduction = _split_observed(observed[done:], layout, base)
-            if entry is not None and observed is entry.view:
-                entry.space = space
+            master = entry is not None and observed is entry.master
+            responses = observed[len(entry.view):] if master else ()
+            if responses and all(v.user_split is not None for v in responses):
+                r_noise, kernel = self.split_reduction(entry.view, layout)
+                reduction = r_noise, _extended_kernel(kernel, responses, layout)
+            elif entry is not None and entry.prefix:
+                base = self._prefix_space(entry, layout).clone()
+                reduction = _split_observed(observed[len(entry.prefix):], layout, base)[1]
+            else:
+                reduction = _split_observed(observed, layout)[1]
             reduction = self._store.add(content, reduction)
         self._by_id[id(observed)] = (observed, reduction, entry)
         return reduction
+
+    def joined(
+        self, first: tuple[LinearVar, ...], second: tuple[LinearVar, ...]
+    ) -> tuple[LinearVar, ...]:
+        """``first + second``; the helper view itself when they are its
+        non-share prefix and its shares, so that its lookup hits by
+        identity."""
+        hit = self._by_id.get(id(first))
+        entry = None if hit is None else hit[2]
+        if entry is not None and first is entry.prefix and second is entry.shares:
+            return entry.view
+        return tuple(first) + tuple(second)
 
     def _prefix_space(self, entry: _ViewEntry, layout: SourceLayout) -> RowSpace:
         """The store's reduced space of the view's non-share prefix."""
@@ -694,7 +735,9 @@ def rank_quadruple(query: MiQuery) -> tuple[int, int, int, int]:
         return transcript._store.quadruple(reduction, target, given, layout.user_dim, field)
     kernel_a = transcript.split_reduction(query.target, layout)[1]
     noise_c, kernel_c = transcript.split_reduction(query.given, layout)
-    noise_bc, kernel_bc = transcript.split_reduction(query.given + query.observed, layout)
+    noise_bc, kernel_bc = transcript.split_reduction(
+        transcript.joined(query.given, query.observed), layout
+    )
 
     def rank_with_a(kernel) -> int:
         u = layout.user_dim
@@ -743,9 +786,10 @@ def _split_observed(
     in place) if given.
 
     Returns the reduced space and the split: ``r_noise``, the number of
-    basis rows with a noise pivot, and the other basis rows cut to the
-    user-source columns: they are zero on the noise columns, and
-    span(observed) ∩ user coordinates.
+    basis rows with a noise pivot, and the kernel, the other basis rows
+    cut to the user-source columns: they are zero on the noise columns,
+    and span(observed) ∩ user coordinates.  The kernel is in canonical
+    form (``_kernel``), so equal kernels are equal tuples.
     """
     if base is None and not observed:
         return None, (0, ())
@@ -755,10 +799,41 @@ def _split_observed(
     for v in observed:
         for row in v.rows:
             space.insert(row[u:] + row[:u])
-    user_rows = tuple(
-        b[width:] for p, b in zip(space.pivots, space.basis) if p >= width
+    kernel = _kernel(space, width)
+    return space, (space.rank - len(kernel), kernel)
+
+
+def _kernel(space: RowSpace, cut: int) -> tuple[tuple[int, ...], ...]:
+    """The basis rows of ``space`` with a pivot at or past column
+    ``cut``, from that column on, in pivot order.  The basis is the
+    reduced echelon form, which is unique, so these rows are too: the
+    reduced echelon form of the span's intersection with those
+    columns."""
+    return tuple(
+        tuple(b[cut:])
+        for p, b in sorted(zip(space.pivots, space.basis))  # pivots are distinct
+        if p >= cut
     )
-    return space, (space.rank - len(user_rows), user_rows)
+
+
+def _extended_kernel(
+    kernel: tuple[tuple[int, ...], ...], added: Sequence[LinearVar], layout: SourceLayout
+) -> tuple[tuple[int, ...], ...]:
+    """The kernel of an observed set B extended by variables Y whose
+    rows all lie in the user columns U, reduced in user width.
+
+    For Y ⊂ U, span(B ∪ Y) ∩ U = (span(B) ∩ U) + span(Y), and the noise
+    rank of B ∪ Y is that of B.  ``kernel`` is in reduced echelon form,
+    so it seeds the space as it is, with no elimination.
+    """
+    u = layout.user_dim
+    space = RowSpace(added[0].coeffs.field, u)
+    space.basis = [list(row) for row in kernel]
+    space.pivots = [row.index(1) for row in kernel]  # each row's first nonzero is 1
+    for v in added:
+        for row in v.rows:
+            space.insert(row[:u])
+    return _kernel(space, 0)
 
 
 def _unit_split(
@@ -1032,18 +1107,13 @@ def check_sharing_leakage(
 ) -> LeakageRecord:
     """Inter-helper shares reveal nothing new about uploads:
     I(all uploads; shares seen by tset | tset's uploads and masks) = 0."""
-    params = ctx.params
 
     def query(tv):
-        view = tv.helper_view(ctx, pattern, tset)
+        entry = tv._view_entry(ctx, pattern, tset)
         return MiQuery(
-            target=tuple(
-                tv[f"X[{k},{n}]"]
-                for k in range(1, params.num_users + 1)
-                for n in range(1, params.num_helpers + 1)
-            ),
-            observed=tuple(v for v in view if _is_share(v)),
-            given=tuple(v for v in view if not _is_share(v)),
+            target=tv.uploads(ctx.params),
+            observed=entry.shares,
+            given=entry.prefix,
             transcript=tv,
         )
 

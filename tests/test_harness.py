@@ -26,7 +26,7 @@ from hsagg.harness import (
     transcript_to_json,
     verify_point,
 )
-from hsagg import protocol
+from hsagg import leakage as lk, protocol
 from hsagg.matrix import GfMatrix, RowSpace
 from hsagg.patterns import enumerate_patterns, enumerate_survivors, format_pattern
 from hsagg.protocol import HelperResponse, SchemeParams
@@ -240,6 +240,27 @@ def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):
     ]
 
 
+def test_verify_fails_a_master_that_decodes_from_too_few_responses(monkeypatch, capsys):
+    """A master that inverts only Nr - 1 responses cannot decode: every
+    decode case fails and verify exits 1, not 2 as for a bad
+    configuration."""
+
+    def nr_minus_one(ctx, responses):
+        by_helper = {r.helper: r.payload for r in responses}
+        chosen = sorted(by_helper)[:ctx.params.resiliency - 1]
+        sub = ctx.upload_matrix.select_rows([n - 1 for n in chosen])
+        return sub.inv() @ GfMatrix(ctx.field, [by_helper[n] for n in chosen])
+
+    monkeypatch.setattr(protocol, "master_decode", nr_minus_one)
+    code = main(["verify", "--grid", EXAMPLE.label(), "--draws", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in err and "error:" not in err
+    (point,) = json.loads(out)["grid"]
+    assert len(point["failures"]) == point["decode_cases"] == 109
+    assert all(f.startswith("decode mismatch at pattern ") for f in point["failures"])
+
+
 def test_verify_catches_a_nonzero_own_mask_row(monkeypatch):
     """With the mask basis's first row nonzero, a helper's own mask
     coordinate no longer vanishes: decodes fail and every kind of
@@ -333,21 +354,22 @@ def test_estimate_covers_every_counted_check(params):
     assert estimate_work(params, 1) >= counted
 
 
-# RowSpace (insert, clone) calls of each point's one-draw campaign; the
-# same under any PYTHONHASHSEED
+# RowSpace (insert, clone) calls and _split_quadruple eliminations of
+# each point's one-draw campaign; the same under any PYTHONHASHSEED
 RANK_WORK = {
-    "2,3,2,1,5,1": (646, 27),
-    "2,4,3,1,7,2": (1364, 39),
-    "3,4,3,2,11,1": (24576, 234),
-    "2,5,4,2,11,2": (9022, 173),
+    "2,3,2,1,5,1": (298, 20, 33),
+    "2,4,3,1,7,2": (612, 26, 41),
+    "3,4,3,2,11,1": (3616, 206, 177),
+    "2,5,4,2,11,2": (3002, 118, 129),
 }
 
 
 @pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
 def test_rank_work_does_not_grow(params, monkeypatch):
-    """A memo change that loses reuse shows as more row reductions."""
-    calls = {"insert": 0, "clone": 0}
-    for name in calls:
+    """A memo change that loses reuse shows as more row reductions or
+    more quadruple eliminations."""
+    calls = {"insert": 0, "clone": 0, "split": 0}
+    for name in ("insert", "clone"):
         method = getattr(RowSpace, name)
 
         def counted(self, *args, _name=name, _method=method):
@@ -355,9 +377,18 @@ def test_rank_work_does_not_grow(params, monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(RowSpace, name, counted)
+    split_quadruple = lk._split_quadruple
+
+    def counted_split(*args):
+        calls["split"] += 1
+        return split_quadruple(*args)
+
+    monkeypatch.setattr(lk, "_split_quadruple", counted_split)
     verify_point(params, RunConfig(mode="verify", draws=1))
-    inserts, clones = RANK_WORK[params.label()]
-    assert calls["insert"] <= inserts and calls["clone"] <= clones, calls
+    inserts, clones, splits = RANK_WORK[params.label()]
+    assert (
+        calls["insert"] <= inserts and calls["clone"] <= clones and calls["split"] <= splits
+    ), calls
 
 
 def test_verify_deterministic_bytes():

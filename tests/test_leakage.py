@@ -46,9 +46,9 @@ from hsagg.leakage import (
     response_entropy_given_sum,
     unit_round,
 )
-from hsagg.matrix import GfMatrix, Singular
+from hsagg.matrix import GfMatrix, RowSpace, Singular
 from hsagg.patterns import enumerate_patterns, enumerate_survivors, parse_pattern
-from hsagg.protocol import InterHelperMessage, SchemeParams, setup
+from hsagg.protocol import HelperResponse, InterHelperMessage, SchemeParams, setup
 
 EXAMPLE = SchemeParams(2, 4, 3, 1, 7, 2)
 EXAMPLE_PATTERN = parse_pattern("nu=1:1,2,3;2:1,2,4 hm=2,3,4")
@@ -652,6 +652,30 @@ def test_sharing_split_matches_incremental_path(params, stride, queries):
     assert seen == queries
 
 
+def test_sharing_queries_take_their_tuples_from_the_transcript():
+    """The sharing query's target, given and given-plus-observed are
+    the transcript's all-uploads tuple, view prefix and view, so
+    running a pattern's sharing queries again adds no lookup entry."""
+    params = SchemeParams(3, 4, 3, 2, 11, 1)
+    ctx = setup(params)
+    pattern = list(enumerate_patterns(params))[7]
+    tv = build_linear_transcript(ctx, pattern)
+    helpers = range(1, params.num_helpers + 1)
+    tsets = [t for size in range(params.collusion + 1) for t in combinations(helpers, size)]
+    for size in range(params.num_users + 1):
+        for uset in combinations(range(1, params.num_users + 1), size):
+            for tset in tsets:
+                check_security_helpers(ctx, pattern, uset, tset, tvars=tv)
+                check_security_master(ctx, pattern, uset, tset, tvars=tv)
+    swept = len(tv._by_id)
+    first = [check_sharing_leakage(ctx, pattern, tset, tvars=tv) for tset in tsets]
+    assert len(tv._by_id) == swept + 1  # the all-uploads target
+    again = [check_sharing_leakage(ctx, pattern, tset, tvars=tv) for tset in tsets]
+    assert len(tv._by_id) == swept + 1
+    assert again == first
+    assert all(record.value == 0 for record in first)
+
+
 SPLIT_PARAMS = {q: SchemeParams(2, 4, 3, 1, q, 2) for q in (5, 11)}
 
 
@@ -734,11 +758,12 @@ def test_split_memo_checks_the_variables_behind_the_names(tvars):
     assert rank_quadruple(query) == (3, 2, 3, 1)
 
 
-def test_split_memo_extends_each_space_once():
+def test_split_memo_extends_each_space_once(monkeypatch):
     """A helper view's reduction goes through its non-share prefix,
-    whose space the store keeps; the master's set takes over the view's
-    space, after which the view entry keeps none.  The context is fresh,
-    so its store holds none of these rows yet."""
+    whose space the store keeps; the master's set, whose responses lie
+    in the user columns, extends the view's kernel in user width, one
+    insert per response row.  The context is fresh, so its store holds
+    none of these rows yet."""
     ctx = setup(EXAMPLE)
     tv = build_linear_transcript(ctx, EXAMPLE_PATTERN)
     layout = SourceLayout(EXAMPLE)
@@ -746,9 +771,14 @@ def test_split_memo_extends_each_space_once():
     prefix = tuple(v for v in view if not v.name.startswith("M["))
     assert view[:len(prefix)] == prefix and len(prefix) < len(view)
     responses = tuple(tv[f"Y[{n}]"] for n in sorted(EXAMPLE_PATTERN.active_helpers))
+    assert all(not any(row[layout.user_dim:]) for v in responses for row in v.rows)
     master = tv.master_view(ctx, EXAMPLE_PATTERN, [3])
     assert master == view + responses
-    entry = tv._views[EXAMPLE_PATTERN.active_helpers, (3,)]
+    widths = []
+    insert = RowSpace.insert
+    monkeypatch.setattr(
+        RowSpace, "insert", lambda space, row: widths.append(space.width) or insert(space, row)
+    )
     for observed in (
         view,
         prefix,
@@ -756,12 +786,13 @@ def test_split_memo_extends_each_space_once():
         prefix + responses,
         view + responses[::-1],
     ):
-        assert tv.split_reduction(observed, layout) == _split_observed(observed, layout)[1]
+        widths.clear()
+        reduction = tv.split_reduction(observed, layout)
         if observed is view:  # the prefix was reduced on the way
             assert (layout, tuple(v.rows for v in prefix)) in tv._store.spaces
-            assert entry.space is not None
         if observed is master:
-            assert entry.space is None
+            assert widths == [layout.user_dim] * sum(len(v.rows) for v in responses)
+        assert reduction == _split_observed(observed, layout)[1]
 
 
 # -- the context's rank store ----------------------------------------------------
@@ -803,6 +834,42 @@ def test_rank_store_answers_a_broken_scheme_from_its_own_rows(monkeypatch):
         "master": 4,
         "sharing": 4,
     }
+
+
+def _responses_with_a_dealer_mask(ctx, monkeypatch):
+    # each helper adds to its response the mask it stores for the next
+    # helper and user 1, so every response row touches the noise columns
+    share, respond = protocol.helper_share, protocol.helper_respond
+    round_keys = {}
+
+    def keep_keys(ctx, keys, *args):
+        round_keys["now"] = keys
+        return share(ctx, keys, *args)
+
+    def masked(ctx, pattern, helper, *args):
+        payload = respond(ctx, pattern, helper, *args).payload
+        mask = round_keys["now"].masks[helper, helper % ctx.params.num_helpers + 1, 1]
+        q = ctx.params.modulus
+        return HelperResponse(helper, tuple((a + b) % q for a, b in zip(payload, mask)))
+
+    monkeypatch.setattr(protocol, "helper_share", keep_keys)
+    monkeypatch.setattr(protocol, "helper_respond", masked)
+    return ctx
+
+
+def test_rank_store_extends_a_kernel_only_by_user_rows(monkeypatch):
+    """Responses that carry a dealer mask touch the noise columns, so
+    the master's set cannot extend its view's kernel in user width.
+    Swept on the context whose store the correct sweep filled, every
+    record equals the incremental path, and the master's records see
+    the changed responses."""
+    ctx = setup(EXAMPLE)
+    correct = _campaign_sweep(ctx, EXAMPLE)
+    masked = _campaign_sweep(_responses_with_a_dealer_mask(ctx, monkeypatch), EXAMPLE)
+    assert len(masked) == len(correct) == 1125
+    assert all(record.ranks == expect for record, expect in masked)
+    changed = [m.kind for (m, _), (c, _) in zip(masked, correct) if m.ranks != c.ranks]
+    assert changed and set(changed) == {"master"}
 
 
 @pytest.mark.parametrize(
