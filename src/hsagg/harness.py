@@ -360,11 +360,13 @@ def estimate_work(params: SchemeParams, draws: int) -> int:
     """Upper-bound count of enumeration items for one grid point: per
     pattern, the security queries, decode cases and sharing checks; then
     the no-straggler suites, the mask suite, recoverability and the
-    response checks."""
+    response checks.  A decode case counts ``block_len`` items, one per
+    symbol of each payload, since its cost grows with the gradient
+    length."""
     k, n, nr = params.num_users, params.num_helpers, params.resiliency
     per_user, n_tsets = _subset_counts(params)
     n_usets = 2**k if k <= EXHAUSTIVE_USER_LIMIT else USER_SUBSET_SAMPLES
-    per_pattern = n_usets * n_tsets * 2 + per_user * draws + n_tsets
+    per_pattern = n_usets * n_tsets * 2 + per_user * draws * params.block_len + n_tsets
     masks = 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
     return per_user**k * per_pattern + masks + k * per_user + comb(n, params.collusion)
 

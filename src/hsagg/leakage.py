@@ -37,26 +37,28 @@ C then B answer it:
     rank(C) = r_noise(C) + |K_C|,    rank(AC) = r_noise(C) + rank(K_C, A),
 
 and the same for BC with K_BC, where A's span (its own split
-reduction, with no noise rows) is reduced once.  A ``LinearTranscript``
-keeps the reduction of each observed set, which every user subset
-shares, and finds it by one lookup: by the observed tuple's identity,
-then by row content in a rank store that the transcripts of one scheme
-context share and that dies with the context.  It reduces a helper
-view as its non-share prefix, then the shares.  A view's prefix
-(uploads and stored masks, the same rows under every pattern) is
-reduced once per context and helper subset, and an observed set whose
-rows the context has already reduced takes no elimination.  The
-master's observed set is the helper view, then the responses; when
-every response row lies in the user columns, as in the scheme, it has
-the view's ``r_noise`` and its kernel is the view's kernel plus the
-responses, reduced in user width.  The ranks depend on B only through
-K, plus ``r_noise``, so a quadruple is computed once per kernel,
-target and given: helper views of different patterns hold different
-shares but often the same kernel.  A query takes a split only when it
-carries a transcript.
-Queries whose target leaves the user columns, and queries without a
-transcript, take the incremental path, which is also the reference the
-splits are tested against.
+reduction, with no noise rows) is reduced once.
+
+A colluding helper set's observations form one chain, which
+``LinearTranscript.collusion`` reduces once for every user subset and
+every check: the non-share prefix (uploads and stored masks, the same
+rows under every pattern), the view (the prefix, then the shares it
+receives) and the master's set (the view, then the responses).  The
+prefix's reduced space comes from a rank store that the transcripts of
+one scheme context share and that dies with the context, found by row
+content, so it is reduced once per context and helper subset.  The view
+extends a clone of it with the shares.  When every response row lies
+in the user columns, as in the scheme, the master's set has the view's
+``r_noise`` and its kernel is the view's kernel plus the responses,
+reduced in user width; otherwise it extends a clone of the prefix's
+space.  An observed set whose rows the context has already reduced
+takes no elimination.  The ranks depend on B only through K, plus
+``r_noise``, so a quadruple is computed once per kernel, target and
+given: helper views of different patterns hold different shares but
+often the same kernel.  ``rank_quadruple`` is the incremental path,
+valid for any query; it is the reference the splits are tested
+against, and it answers a check whose target or given leaves the user
+columns.
 
 A brute-force oracle checks the rank-to-entropy step independently on
 tiny instances: it runs the same roles on every source assignment and
@@ -231,17 +233,15 @@ class _RankStore:
     Every key is coefficient-row content: the source layout and each
     variable's rows, never a name, a pattern or a helper id, so that a
     transcript whose rows differ (a broken scheme run under the same
-    context) never reads another's entry.  It holds each observed set's
-    split reduction ``(r_noise, K)``, the reduced space of each helper
-    view's non-share prefix, and each split-path rank quadruple.  A
-    quadruple depends on the observed set only through its kernel K,
-    plus ``r_noise`` added to rank(BC) and rank(ABC), so it is keyed by
-    the identity of K (one object per kernel content, which the store
-    keeps alive; observed sets of different rows often share it) and by
-    the target's and the given's unit columns and other rows.  The keys
-    it keeps share one copy of each equal part.  A transcript reads a
-    reduction here only when its own lookup, by the observed tuple's
-    identity, misses.
+    context) never reads another's entry.  It holds the split reduction
+    ``(r_noise, K)`` of each prefix, view, master's set and all-uploads
+    target, the reduced space of each prefix, and each split-path rank
+    quadruple.  A quadruple depends on the observed set only through
+    its kernel K, plus ``r_noise`` added to rank(BC) and rank(ABC), so
+    it is keyed by the identity of K (one object per kernel content,
+    which the store keeps alive; observed sets of different rows often
+    share it) and by the target's and the given's unit columns and
+    other rows.  The keys it keeps share one copy of each equal part.
     """
 
     __slots__ = ("reductions", "spaces", "quadruples", "_held", "__weakref__")
@@ -266,6 +266,13 @@ class _RankStore:
         r_noise, kernel = reduction
         kernel = self._held.setdefault(kernel, kernel)
         return self.reductions.setdefault(content, (r_noise, kernel))
+
+    def reduce(self, layout: SourceLayout, observed: Sequence[LinearVar], compute) -> tuple:
+        """The reduction the store holds for the rows of ``observed``;
+        ``compute()`` makes it on a miss."""
+        content = (layout, tuple(v.rows for v in observed))
+        reduction = self.reductions.get(content)
+        return self.add(content, compute()) if reduction is None else reduction
 
     def quadruple(self, reduction, target, given, user_dim, field) -> tuple[int, int, int, int]:
         """``_split_quadruple`` of a reduction the store holds, computed
@@ -293,43 +300,42 @@ def _rank_store(ctx: SchemeContext) -> _RankStore:
     return store
 
 
-@dataclass(slots=True)
-class _ViewEntry:
-    """A colluding set's helper view, which is its non-share prefix
-    (uploads and stored masks) followed by its shares, and the master's
-    observed set on it once built."""
+@dataclass(frozen=True, slots=True)
+class _Collusion:
+    """A colluding helper set's observations under one pattern, each
+    with its split reduction ``(r_noise, K)``: the non-share prefix
+    (uploads and stored masks), the view (the prefix, then the shares
+    it receives) and the master's set (the view, then every active
+    helper's response)."""
 
-    view: tuple[LinearVar, ...]
     prefix: tuple[LinearVar, ...]
-    shares: tuple[LinearVar, ...]
-    master: tuple[LinearVar, ...] | None = None
+    view: tuple[LinearVar, ...]
+    master: tuple[LinearVar, ...]
+    prefix_reduction: tuple
+    view_reduction: tuple
+    master_reduction: tuple
 
 
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
-    Read-only.  It memoizes, each once, every colluding set's view entry
-    (``_ViewEntry``), the all-gradients and all-uploads targets, each
-    user subset's collusion variables, each observed set's split
-    reduction (see ``rank_quadruple``) and each pattern's formatted
-    form; all live and die with the transcript.
+    Read-only.  It memoizes, each once, every colluding set's reduced
+    observations (``collusion``), the all-gradients and all-uploads
+    targets, each user subset's collusion variables and each pattern's
+    formatted form; all live and die with the transcript.
 
-    A split reduction is looked up by the observed tuple's identity,
-    then by row content in the rank store (``_RankStore``), never by
-    names.  ``build_linear_transcript`` hands every transcript of one
-    scheme context that context's store, so a helper view's non-share
-    prefix is reduced once per context and helper subset, and an
-    observed set whose rows the context has already reduced takes no
+    Reductions are found by row content in the rank store
+    (``_RankStore``), never by names.  ``build_linear_transcript`` hands
+    every transcript of one scheme context that context's store, so a
+    helper set's prefix is reduced once per context, and an observed
+    set whose rows the context has already reduced takes no
     elimination.  A transcript built without a store gets one of its own.
     """
 
     def __init__(self, tvars: Mapping[str, LinearVar], store: _RankStore | None = None):
         self._vars = dict(tvars)
         self._store = _RankStore() if store is None else store
-        self._views: dict[tuple, _ViewEntry] = {}  # by (active helpers, tset)
-        # id of an observed tuple to (it, its reduction or None, its view
-        # entry or None); holding the tuple keeps its id unique
-        self._by_id: dict[int, tuple] = {}
+        self._collusions: dict[tuple, _Collusion] = {}  # by (active helpers, tset)
         self._inputs: dict[tuple, tuple[LinearVar, ...]] = {}
         self._labels: dict[CommPattern, str] = {}
 
@@ -342,37 +348,49 @@ class LinearTranscript(Mapping):
     def __len__(self) -> int:
         return len(self._vars)
 
-    def _view_entry(
+    def collusion(
         self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
-    ) -> _ViewEntry:
+    ) -> _Collusion:
+        """``tset``'s prefix, view (``helper_observation``) and master's
+        set, and their split reductions; computed once.
+
+        The prefix's reduced space comes from the rank store.  The view
+        extends a clone of it with the shares.  The master's set extends
+        the view's kernel with the responses in user width, or, if a
+        response row touches the noise columns, a clone of the prefix's
+        space with the shares and the responses.
+        """
         key = (pattern.active_helpers, tuple(sorted(tset)))
-        entry = self._views.get(key)
-        if entry is None:
-            view = helper_observation(self, ctx, pattern, tset)
-            prefix = tuple(v for v in view if not _is_share(v))  # the shares come last
-            entry = self._views[key] = _ViewEntry(view, prefix, view[len(prefix):])
-            self._by_id[id(prefix)] = (prefix, None, entry)
-            self._by_id[id(view)] = (view, None, entry)
-        return entry
+        found = self._collusions.get(key)
+        if found is not None:
+            return found
+        layout, store = SourceLayout(ctx.params), self._store
+        view = helper_observation(self, ctx, pattern, tset)
+        prefix = tuple(v for v in view if not _is_share(v))  # the shares come last
+        shares = view[len(prefix):]
+        responses = tuple(self._vars[f"Y[{n}]"] for n in sorted(pattern.active_helpers))
 
-    def helper_view(
-        self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
-    ) -> tuple[LinearVar, ...]:
-        """``helper_observation`` of ``tset``, computed once."""
-        return self._view_entry(ctx, pattern, tset).view
+        content = (layout, tuple(v.rows for v in prefix))
+        space = store.spaces.get(content)
+        if space is None:
+            space, reduction = _split_observed(prefix, layout, RowSpace(ctx.field, layout.dim))
+            store.add(content, reduction, space)
+        prefix_reduction = store.reductions[content]
+        view_reduction = store.reduce(
+            layout, view, lambda: _split_observed(shares, layout, space.clone())[1]
+        )
 
-    def master_view(
-        self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
-    ) -> tuple[LinearVar, ...]:
-        """What the master observes with ``tset`` colluding: its helper
-        view, then every active helper's response; computed once."""
-        entry = self._view_entry(ctx, pattern, tset)
-        if entry.master is None:
-            entry.master = entry.view + tuple(
-                self._vars[f"Y[{n}]"] for n in sorted(pattern.active_helpers)
-            )
-            self._by_id[id(entry.master)] = (entry.master, None, entry)
-        return entry.master
+        def extend_view():
+            if all(v.user_split is not None for v in responses):
+                r_noise, kernel = view_reduction
+                return r_noise, _extended_kernel(kernel, responses, layout)
+            return _split_observed(shares + responses, layout, space.clone())[1]
+
+        master_reduction = store.reduce(layout, view + responses, extend_view)
+        found = self._collusions[key] = _Collusion(
+            prefix, view, view + responses, prefix_reduction, view_reduction, master_reduction
+        )
+        return found
 
     def gradients(self, params: SchemeParams) -> tuple[LinearVar, ...]:
         """Every user's gradient ``W[k]``, computed once."""
@@ -414,63 +432,6 @@ class LinearTranscript(Mapping):
         if label is None:
             label = self._labels[pattern] = format_pattern(pattern)
         return label
-
-    def split_reduction(
-        self, observed: Sequence[LinearVar], layout: SourceLayout
-    ) -> tuple[int, tuple[list[int], ...]]:
-        """``_split_observed`` of the observed variables, computed once.
-
-        One lookup: by the tuple's identity, then by its rows in the
-        rank store.  On a store miss the master's observed set, when
-        every response row lies in the user columns, takes its view's
-        ``r_noise`` and extends its view's kernel with the responses in
-        user width (``_extended_kernel``).  A helper view, its prefix,
-        or a master's set whose responses touch the noise columns
-        extends a clone of its prefix's store space.  Any other tuple is
-        reduced on its own.
-        """
-        observed = tuple(observed)
-        hit = self._by_id.get(id(observed))
-        if hit is not None and hit[1] is not None:
-            return hit[1]
-        entry = None if hit is None else hit[2]
-        content = (layout, tuple(v.rows for v in observed))
-        reduction = self._store.reductions.get(content)
-        if reduction is None:
-            master = entry is not None and observed is entry.master
-            responses = observed[len(entry.view):] if master else ()
-            if responses and all(v.user_split is not None for v in responses):
-                r_noise, kernel = self.split_reduction(entry.view, layout)
-                reduction = r_noise, _extended_kernel(kernel, responses, layout)
-            elif entry is not None and entry.prefix:
-                base = self._prefix_space(entry, layout).clone()
-                reduction = _split_observed(observed[len(entry.prefix):], layout, base)[1]
-            else:
-                reduction = _split_observed(observed, layout)[1]
-            reduction = self._store.add(content, reduction)
-        self._by_id[id(observed)] = (observed, reduction, entry)
-        return reduction
-
-    def joined(
-        self, first: tuple[LinearVar, ...], second: tuple[LinearVar, ...]
-    ) -> tuple[LinearVar, ...]:
-        """``first + second``; the helper view itself when they are its
-        non-share prefix and its shares, so that its lookup hits by
-        identity."""
-        hit = self._by_id.get(id(first))
-        entry = None if hit is None else hit[2]
-        if entry is not None and first is entry.prefix and second is entry.shares:
-            return entry.view
-        return tuple(first) + tuple(second)
-
-    def _prefix_space(self, entry: _ViewEntry, layout: SourceLayout) -> RowSpace:
-        """The store's reduced space of the view's non-share prefix."""
-        content = (layout, tuple(v.rows for v in entry.prefix))
-        space = self._store.spaces.get(content)
-        if space is None:
-            space, reduction = _split_observed(entry.prefix, layout)
-            self._store.add(content, reduction, space)
-        return space
 
 
 def _is_share(v: LinearVar) -> bool:
@@ -692,76 +653,23 @@ def cond_entropy(
 
 @dataclass(frozen=True)
 class MiQuery:
-    """A conditional mutual-information query I(target; observed | given).
-
-    ``transcript`` names the transcript the variables come from; a
-    ``LinearTranscript`` there lets a query of the split shape use the
-    reduction of ``observed`` it keeps for every query that observes
-    the same variables.  Without one, the query takes the incremental
-    path.
-    """
+    """A conditional mutual-information query I(target; observed | given)."""
 
     target: tuple[LinearVar, ...]
     observed: tuple[LinearVar, ...]
     given: tuple[LinearVar, ...] = ()
-    transcript: Mapping[str, LinearVar] | None = dc_field(
-        default=None, compare=False, repr=False
-    )
 
 
 def rank_quadruple(query: MiQuery) -> tuple[int, int, int, int]:
-    """(rank(AC), rank(BC), rank(ABC), rank(C)) for the query.
-
-    When the query carries a ``LinearTranscript`` and every target row
-    lies in the user-source columns, the ranks come from the
-    transcript's split reductions (see the module docstring): of the
-    observed rows when the given rows lie there too, as in every helper
-    and master query, else of the given rows and of the given, then the
-    observed rows, as in the sharing query.  Any other query takes the
-    incremental path.
-    """
+    """(rank(AC), rank(BC), rank(ABC), rank(C)) for the query, by
+    inserting C, then A or B, then A, into row spaces of full width:
+    valid for any query, and the reference the split reductions are
+    tested against."""
     everything = list(query.target) + list(query.observed) + list(query.given)
     layout = _common_layout(everything)
     if layout is None:
         return (0, 0, 0, 0)
-    field = everything[0].coeffs.field
-    transcript = query.transcript
-    target = _unit_split(query.target)
-    if not isinstance(transcript, LinearTranscript) or target is None:
-        return _incremental_quadruple(query, layout, field)
-    given = _unit_split(query.given)
-    if given is not None:
-        reduction = transcript.split_reduction(query.observed, layout)
-        return transcript._store.quadruple(reduction, target, given, layout.user_dim, field)
-    kernel_a = transcript.split_reduction(query.target, layout)[1]
-    noise_c, kernel_c = transcript.split_reduction(query.given, layout)
-    noise_bc, kernel_bc = transcript.split_reduction(
-        transcript.joined(query.given, query.observed), layout
-    )
-
-    def rank_with_a(kernel) -> int:
-        u = layout.user_dim
-        if u in (len(kernel_a), len(kernel)):  # one of them spans every column
-            return u
-        space = RowSpace(field, u)
-        for row in kernel_a + kernel:
-            space.insert(row)
-        return space.rank
-
-    return (
-        noise_c + rank_with_a(kernel_c),
-        noise_bc + len(kernel_bc),
-        noise_bc + rank_with_a(kernel_bc),
-        noise_c + len(kernel_c),
-    )
-
-
-def _incremental_quadruple(
-    query: MiQuery, layout: SourceLayout, field: PrimeField
-) -> tuple[int, int, int, int]:
-    """The four ranks by inserting C, then A or B, then A, into row
-    spaces of full width: valid for any query."""
-    base = RowSpace(field, layout.dim)
+    base = RowSpace(everything[0].coeffs.field, layout.dim)
     for v in query.given:
         base.insert_matrix(v.coeffs)
     r_c = base.rank
@@ -893,6 +801,35 @@ def _split_quadruple(
     return (r_ac, r_bc, r_abc, r_c)
 
 
+def _sharing_ranks(
+    kernel_a: tuple[tuple[int, ...], ...],
+    given: tuple[int, tuple],
+    joined: tuple[int, tuple],
+    user_dim: int,
+    field: PrimeField,
+) -> tuple[int, int, int, int]:
+    """The rank quadruple of a target A in the user columns, whose span
+    is ``kernel_a``, from the split reductions of the given C and of C
+    then the observed B: rank(C) = r_noise(C) + |K_C| and rank(AC) =
+    r_noise(C) + rank(K_C, A), and the same for BC with K_BC."""
+
+    def rank_with_a(kernel) -> int:
+        if user_dim in (len(kernel_a), len(kernel)):  # one of them spans every column
+            return user_dim
+        space = RowSpace(field, user_dim)
+        for row in kernel_a + kernel:
+            space.insert(row)
+        return space.rank
+
+    (noise_c, kernel_c), (noise_bc, kernel_bc) = given, joined
+    return (
+        noise_c + rank_with_a(kernel_c),
+        noise_bc + len(kernel_bc),
+        noise_bc + rank_with_a(kernel_bc),
+        noise_c + len(kernel_c),
+    )
+
+
 def _mi_from_ranks(ranks: tuple[int, int, int, int], block_len: int) -> Fraction:
     r_ac, r_bc, r_abc, r_c = ranks
     return Fraction((r_ac + r_bc - r_abc - r_c) * block_len)
@@ -965,9 +902,10 @@ def _leakage_record(
     tset: Sequence[int],
     tvars: Mapping[str, LinearVar] | None,
     exploratory: bool,
-    make_query,
+    ranks_of,
 ) -> LeakageRecord:
-    """Evaluate ``make_query(transcript)`` into a record.
+    """Evaluate ``ranks_of(transcript, its collusion(tset))`` into a
+    record.
 
     A colluding set beyond the collusion bound raises unless the query
     is ``exploratory``; the transcript defaults to the pattern's.
@@ -982,7 +920,7 @@ def _leakage_record(
         tvars = build_linear_transcript(ctx, pattern)
     elif not isinstance(tvars, LinearTranscript):
         tvars = LinearTranscript(tvars)
-    ranks = rank_quadruple(make_query(tvars))
+    ranks = ranks_of(tvars, tvars.collusion(ctx, pattern, tset))
     return LeakageRecord(
         kind=kind,
         colluding_users=tuple(sorted(users)),
@@ -992,6 +930,23 @@ def _leakage_record(
         value=_mi_from_ranks(ranks, params.block_len),
         exploratory=oversized,
     )
+
+
+def _split_ranks(
+    tv: LinearTranscript,
+    target: tuple[LinearVar, ...],
+    observed: tuple[LinearVar, ...],
+    reduction: tuple,
+    given: tuple[LinearVar, ...],
+) -> tuple[int, int, int, int]:
+    """The rank quadruple of a helper or master query from the split
+    reduction of its observed set; ``rank_quadruple`` if the target or
+    the given leaves the user columns."""
+    a, c = _unit_split(target), _unit_split(given)
+    if a is None or c is None:
+        return rank_quadruple(MiQuery(target, observed, given))
+    layout, field = target[0].layout, target[0].coeffs.field
+    return tv._store.quadruple(reduction, a, c, layout.user_dim, field)
 
 
 def check_security_helpers(
@@ -1011,11 +966,8 @@ def check_security_helpers(
     """
     return _leakage_record(
         "helpers", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv: MiQuery(
-            target=tv.gradients(ctx.params),
-            observed=tv.helper_view(ctx, pattern, tset),
-            given=tv.collusion_vars(users),
-            transcript=tv,
+        lambda tv, c: _split_ranks(
+            tv, tv.gradients(ctx.params), c.view, c.view_reduction, tv.collusion_vars(users)
         ),
     )
 
@@ -1030,17 +982,18 @@ def check_security_master(
 ) -> LeakageRecord:
     """Leakage of all gradients to the master beyond the sum.
 
-    The master sees every surviving helper's response plus whatever the
+    The master sees every active helper's response plus whatever the
     colluding helpers and users contribute; conditioning includes the
     gradient sum itself.
     """
     return _leakage_record(
         "master", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv: MiQuery(
-            target=tv.gradients(ctx.params),
-            observed=tv.master_view(ctx, pattern, tset),
-            given=tv.collusion_vars(users, with_sum=True),
-            transcript=tv,
+        lambda tv, c: _split_ranks(
+            tv,
+            tv.gradients(ctx.params),
+            c.master,
+            c.master_reduction,
+            tv.collusion_vars(users, with_sum=True),
         ),
     )
 
@@ -1108,16 +1061,19 @@ def check_sharing_leakage(
     """Inter-helper shares reveal nothing new about uploads:
     I(all uploads; shares seen by tset | tset's uploads and masks) = 0."""
 
-    def query(tv):
-        entry = tv._view_entry(ctx, pattern, tset)
-        return MiQuery(
-            target=tv.uploads(ctx.params),
-            observed=entry.shares,
-            given=entry.prefix,
-            transcript=tv,
+    def ranks(tv, c):
+        uploads = tv.uploads(ctx.params)
+        if _unit_split(uploads) is None:
+            return rank_quadruple(MiQuery(uploads, c.view[len(c.prefix):], c.prefix))
+        layout = SourceLayout(ctx.params)
+        kernel_a = tv._store.reduce(
+            layout, uploads, lambda: _split_observed(uploads, layout)[1]
+        )[1]
+        return _sharing_ranks(
+            kernel_a, c.prefix_reduction, c.view_reduction, layout.user_dim, ctx.field
         )
 
-    return _leakage_record("sharing", ctx, pattern, (), tset, tvars, False, query)
+    return _leakage_record("sharing", ctx, pattern, (), tset, tvars, False, ranks)
 
 
 def check_upload_recoverability(

@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hsagg import harness
 from hsagg.cli import main
 
 EXAMPLE_ARGS = ["--params", "2,4,3,1,7,2"]
@@ -72,6 +73,16 @@ def test_verify_budget_exceeded(capsys):
     )
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_verify_estimate_counts_the_gradient_length(capsys, monkeypatch):
+    """A decode case counts one item per payload symbol, so a long
+    gradient at a small point exceeds the default budget before any
+    round runs."""
+    monkeypatch.setattr(harness, "verify_point", lambda *args: pytest.fail("a point ran"))
+    assert main(["verify", "--params", "2,4,3,1,7,2000"]) == 3
+    err = capsys.readouterr().err
+    assert "2,4,3,1,7,2000" in err and "2501188" in err
 
 
 def test_leakage_budget_exceeded(capsys):

@@ -357,10 +357,10 @@ def test_estimate_covers_every_counted_check(params):
 # RowSpace (insert, clone) calls and _split_quadruple eliminations of
 # each point's one-draw campaign; the same under any PYTHONHASHSEED
 RANK_WORK = {
-    "2,3,2,1,5,1": (298, 20, 33),
-    "2,4,3,1,7,2": (612, 26, 41),
-    "3,4,3,2,11,1": (3616, 206, 177),
-    "2,5,4,2,11,2": (3002, 118, 129),
+    "2,3,2,1,5,1": (286, 17, 32),
+    "2,4,3,1,7,2": (596, 22, 40),
+    "3,4,3,2,11,1": (3592, 199, 176),
+    "2,5,4,2,11,2": (2982, 107, 128),
 }
 
 

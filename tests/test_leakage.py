@@ -25,8 +25,11 @@ from hsagg.leakage import (
     SourceLayout,
     TooLargeToEnumerate,
     _counted_entropy,
-    _incremental_quadruple,
+    _extended_kernel,
+    _sharing_ranks,
     _split_observed,
+    _split_quadruple,
+    _unit_split,
     all_subset_entropies_rank,
     brute_force_entropy,
     build_linear_transcript,
@@ -244,7 +247,6 @@ def _sharing_query(ctx, tv, view):
         ),
         observed=tuple(v for v in view if v.name.startswith("M[")),
         given=tuple(v for v in view if not v.name.startswith("M[")),
-        transcript=tv,
     )
 
 
@@ -267,12 +269,11 @@ def test_sharing_check_reports_leakage_of_broken_schemes(ctx, monkeypatch, break
     broken = break_scheme(ctx, monkeypatch)
     pattern = parse_pattern("nu=1:1,2,3;2:1,2,4")
     tv = build_linear_transcript(broken, pattern)
-    layout = SourceLayout(EXAMPLE)
     got = []
     for t in (1, 2, 3, 4):
         record = check_sharing_leakage(broken, pattern, [t], tvars=tv)
-        query = _sharing_query(broken, tv, tv.helper_view(broken, pattern, [t]))
-        assert record.ranks == _incremental_quadruple(query, layout, broken.field)
+        query = _sharing_query(broken, tv, tv.collusion(broken, pattern, [t]).view)
+        assert record.ranks == rank_quadruple(query)
         got.append(record.value)
     assert got == leaks
 
@@ -582,11 +583,9 @@ def _security_queries(ctx, pattern, tv):
             for tsize in range(params.collusion + 1):
                 for tset in combinations(range(1, params.num_helpers + 1), tsize):
                     view = helper_observation(tv, ctx, pattern, tset)
-                    yield check_security_helpers, uset, tset, MiQuery(
-                        targets, view, colluders, transcript=tv
-                    )
+                    yield check_security_helpers, uset, tset, MiQuery(targets, view, colluders)
                     yield check_security_master, uset, tset, MiQuery(
-                        targets, responses + view, (tv["W"],) + colluders, transcript=tv
+                        targets, responses + view, (tv["W"],) + colluders
                     )
 
 
@@ -597,17 +596,14 @@ def _security_queries(ctx, pattern, tv):
 )
 def test_split_kernel_matches_incremental_path(params, stride, queries):
     ctx = setup(params)
-    layout = SourceLayout(params)
     seen = 0
     for pattern in list(enumerate_patterns(params))[::stride]:
         tv = build_linear_transcript(ctx, pattern)
         assert isinstance(tv, LinearTranscript)
         plain = dict(tv)
         for check, uset, tset, query in _security_queries(ctx, pattern, tv):
-            expect = _incremental_quadruple(query, layout, ctx.field)
-            # tv shares its reductions across queries; a fresh memo reduces anew
-            assert rank_quadruple(query) == expect
-            assert rank_quadruple(replace(query, transcript=LinearTranscript(plain))) == expect
+            expect = rank_quadruple(query)
+            # tv shares its reductions across queries; a plain mapping reduces anew
             assert check(ctx, pattern, uset, tset, tvars=tv).ranks == expect
             assert check(ctx, pattern, uset, tset, tvars=plain).ranks == expect
             seen += 1
@@ -622,9 +618,23 @@ def test_split_kernel_matches_incremental_path(params, stride, queries):
 def test_sharing_split_matches_incremental_path(params, stride, queries):
     """Every helper subset's sharing query, oversized ones included, on
     a memo the security sweep filled first, on one it did not, and on a
-    fresh memo without helper views."""
+    fresh memo with a store of its own.  An oversized set's sharing
+    ranks are read off its collusion, as ``check_sharing_leakage``
+    reads them within the bound."""
     ctx = setup(params)
     layout = SourceLayout(params)
+
+    def sharing_ranks(tv, pattern, tset):
+        collusion = tv.collusion(ctx, pattern, tset)
+        kernel_a = _split_observed(tv.uploads(params), layout)[1][1]
+        return _sharing_ranks(
+            kernel_a,
+            collusion.prefix_reduction,
+            collusion.view_reduction,
+            layout.user_dim,
+            ctx.field,
+        )
+
     users = range(1, params.num_users + 1)
     helpers = range(1, params.num_helpers + 1)
     usets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
@@ -639,23 +649,23 @@ def test_sharing_split_matches_incremental_path(params, stride, queries):
         unswept = build_linear_transcript(ctx, pattern)
         plain = dict(swept)
         for tset in tsets:
-            query = _sharing_query(ctx, swept, swept.helper_view(ctx, pattern, tset))
-            expect = _incremental_quadruple(query, layout, ctx.field)
-            assert rank_quadruple(query) == expect
-            assert rank_quadruple(replace(query, transcript=LinearTranscript(plain))) == expect
-            view = unswept.helper_view(ctx, pattern, tset)
-            assert rank_quadruple(_sharing_query(ctx, unswept, view)) == expect
+            query = _sharing_query(ctx, swept, swept.collusion(ctx, pattern, tset).view)
+            expect = rank_quadruple(query)
+            for tv in (swept, unswept, LinearTranscript(plain)):
+                assert sharing_ranks(tv, pattern, tset) == expect
             if len(tset) <= params.collusion:
-                assert check_sharing_leakage(ctx, pattern, tset, tvars=swept).ranks == expect
-                assert check_sharing_leakage(ctx, pattern, tset, tvars=plain).ranks == expect
+                for tv in (swept, unswept, plain):
+                    assert check_sharing_leakage(ctx, pattern, tset, tvars=tv).ranks == expect
             seen += 1
     assert seen == queries
 
 
 def test_sharing_queries_take_their_tuples_from_the_transcript():
-    """The sharing query's target, given and given-plus-observed are
-    the transcript's all-uploads tuple, view prefix and view, so
-    running a pattern's sharing queries again adds no lookup entry."""
+    """The sharing query's given and given-plus-observed are the prefix
+    and view of the collusion the security sweep reduced, and its
+    target's reduction is the store's, so running a pattern's sharing
+    queries adds no collusion entry and reduces only the all-uploads
+    target, once."""
     params = SchemeParams(3, 4, 3, 2, 11, 1)
     ctx = setup(params)
     pattern = list(enumerate_patterns(params))[7]
@@ -667,11 +677,13 @@ def test_sharing_queries_take_their_tuples_from_the_transcript():
             for tset in tsets:
                 check_security_helpers(ctx, pattern, uset, tset, tvars=tv)
                 check_security_master(ctx, pattern, uset, tset, tvars=tv)
-    swept = len(tv._by_id)
+    collusions, reductions = len(tv._collusions), len(tv._store.reductions)
     first = [check_sharing_leakage(ctx, pattern, tset, tvars=tv) for tset in tsets]
-    assert len(tv._by_id) == swept + 1  # the all-uploads target
+    assert len(tv._collusions) == collusions
+    assert len(tv._store.reductions) == reductions + 1  # the all-uploads target
     again = [check_sharing_leakage(ctx, pattern, tset, tvars=tv) for tset in tsets]
-    assert len(tv._by_id) == swept + 1
+    assert len(tv._collusions) == collusions
+    assert len(tv._store.reductions) == reductions + 1
     assert again == first
     assert all(record.value == 0 for record in first)
 
@@ -720,78 +732,112 @@ def split_queries(draw, noisy_given=False):
 
 
 @settings(max_examples=150, deadline=None)
-@given(split_queries())
-def test_split_kernel_matches_incremental_path_on_random_rows(query):
+@given(split_queries(), st.data())
+def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
+    """``_split_quadruple`` on the unit splits of A and C and the split
+    reduction of B, and of B extended by random user-column rows Y
+    through ``_extended_kernel``."""
+    expect = rank_quadruple(query)
     everything = query.target + query.observed + query.given
-    expect = (
-        _incremental_quadruple(query, everything[0].layout, everything[0].coeffs.field)
-        if everything
-        else (0, 0, 0, 0)
+    if not everything:
+        assert expect == (0, 0, 0, 0)
+        return
+    layout, field = everything[0].layout, everything[0].coeffs.field
+    target, given = _unit_split(query.target), _unit_split(query.given)
+    reduction = _split_observed(query.observed, layout)[1]
+    assert _split_quadruple(target, given, reduction, layout.user_dim, field) == expect
+
+    u = layout.user_dim
+    symbol = st.integers(0, field.q - 1)
+    rows = data.draw(st.lists(st.lists(symbol, min_size=u, max_size=u), min_size=1, max_size=3))
+    added = (LinearVar("Y", layout, GfMatrix(field, [r + [0] * (layout.dim - u) for r in rows])),)
+    r_noise, kernel = reduction
+    extended = (r_noise, _extended_kernel(kernel, added, layout))
+    assert extended == _split_observed(query.observed + added, layout)[1]
+    assert _split_quadruple(target, given, extended, u, field) == rank_quadruple(
+        replace(query, observed=query.observed + added)
     )
-    memo = LinearTranscript({v.name: v for v in everything})
-    cached = replace(query, transcript=memo)
-    assert rank_quadruple(cached) == expect
-    assert rank_quadruple(cached) == expect  # answered from the memo
 
 
 @settings(max_examples=150, deadline=None)
 @given(split_queries(noisy_given=True))
 def test_noisy_given_split_matches_incremental_path_on_random_rows(query):
+    """``_sharing_ranks`` on the split reductions of C and of C then B,
+    the latter extending a clone of C's space as a collusion's view
+    extends its prefix's."""
+    expect = rank_quadruple(query)
     everything = query.target + query.observed + query.given
-    expect = (
-        _incremental_quadruple(query, everything[0].layout, everything[0].coeffs.field)
-        if everything
-        else (0, 0, 0, 0)
-    )
-    memo = LinearTranscript({v.name: v for v in everything})
-    cached = replace(query, transcript=memo)
-    assert rank_quadruple(cached) == expect
-    assert rank_quadruple(cached) == expect  # answered from the memo
+    if not everything:
+        assert expect == (0, 0, 0, 0)
+        return
+    layout, field = everything[0].layout, everything[0].coeffs.field
+    kernel_a = _split_observed(query.target, layout)[1][1]
+    space, reduction_c = _split_observed(query.given, layout, RowSpace(field, layout.dim))
+    reduction_bc = _split_observed(query.observed, layout, space.clone())[1]
+    assert reduction_bc == _split_observed(query.given + query.observed, layout)[1]
+    assert _sharing_ranks(kernel_a, reduction_c, reduction_bc, layout.user_dim, field) == expect
 
 
-def test_split_memo_checks_the_variables_behind_the_names(tvars):
-    """A memo hit needs the very variables it reduced, not just the names."""
-    query = MiQuery((tvars["W[1]"],), (tvars["X[1,1]"],), (tvars["F[1]"],), transcript=tvars)
+def test_split_memo_checks_the_variables_behind_the_names(ctx, tvars):
+    """A store hit needs the very rows it reduced, not just the names: a
+    transcript whose ``X[1,1]`` is an impostor, sharing the store that
+    the correct transcript filled, gets its own reductions."""
+    query = MiQuery((tvars["W[1]"],), (tvars["X[1,1]"],), (tvars["F[1]"],))
     assert rank_quadruple(query) == (3, 2, 3, 1)
     impostor = replace(tvars["Z[1,3,1]"], name="X[1,1]")
     assert rank_quadruple(replace(query, observed=(impostor,))) == (3, 2, 4, 1)
-    assert rank_quadruple(query) == (3, 2, 3, 1)
+    swapped = LinearTranscript({**tvars, "X[1,1]": impostor}, tvars._store)
+    correct = check_security_helpers(ctx, EXAMPLE_PATTERN, [2], [1], tvars=tvars)
+    got = check_security_helpers(ctx, EXAMPLE_PATTERN, [2], [1], tvars=swapped)
+    view = swapped.collusion(ctx, EXAMPLE_PATTERN, [1]).view
+    assert impostor in view and tvars["X[1,1]"] not in view
+    given = (tvars["W[2]"], tvars["F[2]"])
+    assert got.ranks == rank_quadruple(MiQuery(swapped.gradients(EXAMPLE), view, given))
+    assert got.ranks != correct.ranks
+    assert check_security_helpers(ctx, EXAMPLE_PATTERN, [2], [1], tvars=tvars) == correct
+    # an upload or a gradient on the noise columns sends its check to rank_quadruple
+    sharing = check_sharing_leakage(ctx, EXAMPLE_PATTERN, [1], tvars=swapped)
+    assert sharing.ranks == rank_quadruple(_sharing_query(ctx, swapped, view))
+    noisy = LinearTranscript({**tvars, "W[1]": impostor}, tvars._store)
+    master = noisy.collusion(ctx, EXAMPLE_PATTERN, [1]).master
+    query = MiQuery(noisy.gradients(EXAMPLE), master, (tvars["W"],) + given)
+    got = check_security_master(ctx, EXAMPLE_PATTERN, [2], [1], tvars=noisy)
+    assert got.ranks == rank_quadruple(query)
 
 
 def test_split_memo_extends_each_space_once(monkeypatch):
-    """A helper view's reduction goes through its non-share prefix,
-    whose space the store keeps; the master's set, whose responses lie
-    in the user columns, extends the view's kernel in user width, one
-    insert per response row.  The context is fresh, so its store holds
-    none of these rows yet."""
+    """A collusion reduces its chain once, each row inserted once: the
+    prefix into a space the store keeps, the shares into a clone of it,
+    and the responses, which lie in the user columns, into the view's
+    kernel in user width.  The context is fresh, so its store holds
+    none of these rows yet; a second call does no work."""
     ctx = setup(EXAMPLE)
     tv = build_linear_transcript(ctx, EXAMPLE_PATTERN)
     layout = SourceLayout(EXAMPLE)
-    view = tv.helper_view(ctx, EXAMPLE_PATTERN, [3])
-    prefix = tuple(v for v in view if not v.name.startswith("M["))
-    assert view[:len(prefix)] == prefix and len(prefix) < len(view)
     responses = tuple(tv[f"Y[{n}]"] for n in sorted(EXAMPLE_PATTERN.active_helpers))
     assert all(not any(row[layout.user_dim:]) for v in responses for row in v.rows)
-    master = tv.master_view(ctx, EXAMPLE_PATTERN, [3])
-    assert master == view + responses
     widths = []
     insert = RowSpace.insert
     monkeypatch.setattr(
         RowSpace, "insert", lambda space, row: widths.append(space.width) or insert(space, row)
     )
-    for observed in (
-        view,
-        prefix,
-        master,
-        prefix + responses,
-        view + responses[::-1],
+    collusion = tv.collusion(ctx, EXAMPLE_PATTERN, [3])
+    prefix, view, master = collusion.prefix, collusion.view, collusion.master
+    assert (layout, tuple(v.rows for v in prefix)) in tv._store.spaces
+    assert view[:len(prefix)] == prefix and len(prefix) < len(view)
+    assert all(v.name.startswith("M[") for v in view[len(prefix):])
+    assert master == view + responses
+    response_rows = sum(len(v.rows) for v in responses)
+    assert widths == (
+        [layout.dim] * sum(len(v.rows) for v in view) + [layout.user_dim] * response_rows
+    )
+    widths.clear()
+    assert tv.collusion(ctx, EXAMPLE_PATTERN, [3]) is collusion and widths == []
+    for observed, reduction in (
+        (prefix, collusion.prefix_reduction),
+        (view, collusion.view_reduction),
+        (master, collusion.master_reduction),
     ):
-        widths.clear()
-        reduction = tv.split_reduction(observed, layout)
-        if observed is view:  # the prefix was reduced on the way
-            assert (layout, tuple(v.rows for v in prefix)) in tv._store.spaces
-        if observed is master:
-            assert widths == [layout.user_dim] * sum(len(v.rows) for v in responses)
         assert reduction == _split_observed(observed, layout)[1]
 
 
@@ -802,7 +848,6 @@ def _campaign_sweep(ctx, params):
     """Every pattern's helper and master records (all user subsets,
     helper subsets within the bound) and sharing records, as the
     campaign makes them, each with its query on the incremental path."""
-    layout = SourceLayout(params)
     helpers = range(1, params.num_helpers + 1)
     tsets = [t for size in range(params.collusion + 1) for t in combinations(helpers, size)]
     out = []
@@ -810,11 +855,11 @@ def _campaign_sweep(ctx, params):
         tv = build_linear_transcript(ctx, pattern)
         for check, uset, tset, query in _security_queries(ctx, pattern, tv):
             record = check(ctx, pattern, uset, tset, tvars=tv)
-            out.append((record, _incremental_quadruple(query, layout, ctx.field)))
+            out.append((record, rank_quadruple(query)))
         for tset in tsets:
             record = check_sharing_leakage(ctx, pattern, tset, tvars=tv)
-            query = _sharing_query(ctx, tv, tv.helper_view(ctx, pattern, tset))
-            out.append((record, _incremental_quadruple(query, layout, ctx.field)))
+            query = _sharing_query(ctx, tv, tv.collusion(ctx, pattern, tset).view)
+            out.append((record, rank_quadruple(query)))
     return out
 
 

@@ -1,0 +1,132 @@
+"""Source hygiene of ``src/hsagg``: no module imports a name it never
+uses, and every private top-level function, class or constant is
+referenced somewhere in the package.  A deletion that leaves an import
+or a helper behind fails here."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hsagg"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names in an annotation, those inside string annotations too."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The entries of a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name that ``tree`` reads, as a bare name or an attribute,
+    outside the subtree ``skip``."""
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign)):
+            for annotation in (
+                getattr(node, "annotation", None),
+                getattr(node, "returns", None),
+            ):
+                if annotation is not None:
+                    used |= _annotation_names(annotation)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and neither reads nor lists in ``__all__``."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = _used_names(tree) | _exported(tree)
+    return [name for name in imported if name not in used]
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(n, node) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """Private top-level names referenced nowhere but in their own
+    definition."""
+    used = {module: _used_names(tree) for module, tree in trees.items()}
+    out = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for m, names in used.items() if m != module))
+        for name, definition in _private_definitions(tree):
+            if name not in elsewhere and name not in _used_names(tree, skip=definition):
+                out.append(f"{module}.{name}")
+    return out
+
+
+def _package() -> dict[str, ast.Module]:
+    return {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {module: unused_imports(tree) for module, tree in _package().items()}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_every_private_top_level_name_is_referenced():
+    assert unreferenced_privates(_package()) == []
+
+
+def test_the_checks_catch_what_they_look_for():
+    """Negative controls on small sources."""
+    tree = ast.parse(
+        "import weakref\n"
+        "from dataclasses import dataclass, replace\n"
+        "from typing import Sequence\n"
+        "__all__ = ['dataclass']\n"
+        "def f(x: 'Sequence[int]'):\n"
+        "    return x\n"
+    )
+    assert unused_imports(tree) == ["weakref", "replace"]
+    trees = {
+        "a": ast.parse("_LIMIT = 3\n_used = 1\ndef _helper():\n    return _helper()\n"),
+        "b": ast.parse("from a import _used\nprint(_used)\n"),
+    }
+    assert unreferenced_privates(trees) == ["a._LIMIT", "a._helper"]
