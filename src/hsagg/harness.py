@@ -17,6 +17,8 @@ from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import leakage as lk
 from . import patterns as pt
 from . import protocol as proto
@@ -123,14 +125,61 @@ def _reject_unused(config: RunConfig, mode: str, *options: str) -> None:
         raise ConfigError(f"{mode} does not use {' or '.join(given)}")
 
 
+def _uniform(rng: random.Random, q: int, count: int) -> list[int]:
+    """``[rng.randrange(q) for _ in range(count)]``: the same values, and
+    the same generator state after.
+
+    For q of k <= 32 bits, CPython's ``randrange(q)`` takes one 32-bit
+    Mersenne Twister word per try, keeps its top k bits and retries while
+    the value is >= q; ``getrandbits(32 * m)`` returns the next m words,
+    the first in the lowest bits.  So the words come in bulk, are shifted
+    and filtered in numpy, and the state is then reset and advanced by
+    exactly the words used.  Wider q takes the ``randrange`` loop.  A
+    tier-1 test compares the two, so a change in CPython's generator
+    fails loudly.
+    """
+    k = q.bit_length()
+    if k > 32 or not count:
+        return [rng.randrange(q) for _ in range(count)]
+    state = rng.getstate()
+    words, kept = [], 0
+    while kept < count:
+        m = (count - kept) * 2**k // q + 64  # the expected tries, and some slack
+        chunk = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        words.append(chunk >> (32 - k))
+        kept += int(np.count_nonzero(words[-1] < q))
+    words = np.concatenate(words)
+    accepted = np.flatnonzero(words < q)[:count]
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(accepted[-1]) + 1))
+    return words[accepted].tolist()
+
+
 def _draw_inputs(
-    params: SchemeParams, rng: random.Random
+    params: SchemeParams, rng: random.Random, cases: int = 1
 ) -> tuple[list[Gradient], list[UserRandomness]]:
-    """Every user's gradient, then every user's randomness, from ``rng``."""
-    users = range(1, params.num_users + 1)
+    """The inputs of ``cases`` rounds, drawn from ``rng`` as one round
+    per case draws them (every user's gradient, then every user's
+    randomness, one ``randrange(q)`` per symbol), in one bulk draw.
+
+    They come stacked: part i of user k's gradient or randomness is the
+    cases' parts i, one after another in case order.
+    """
+    users, l = params.num_users, params.block_len
+    grad_len = users * params.gradient_len
+    span = grad_len + users * params.collusion * l  # one case's symbols
+    symbols = np.array(_uniform(rng, params.modulus, cases * span), dtype=np.uint64)  # q < 2^64
+    table = symbols.reshape(cases, span)
+
+    def stacked(columns: slice, count: int) -> list[tuple]:  # per user, ``count`` parts
+        block = table[:, columns].reshape(cases, users, count, l).transpose(1, 2, 0, 3)
+        return [tuple(map(tuple, parts)) for parts in block.reshape(users, count, -1).tolist()]
+
+    grads = stacked(slice(0, grad_len), params.block_count)
+    noises = stacked(slice(grad_len, span), params.collusion)
     return (
-        [Gradient.random(k, params, rng) for k in users],
-        [UserRandomness.random(k, params, rng) for k in users],
+        [Gradient(u, parts) for u, parts in enumerate(grads, 1)],
+        [UserRandomness(u, parts) for u, parts in enumerate(noises, 1)],
     )
 
 
@@ -402,29 +451,29 @@ def _stacked_decode(
 ) -> tuple[proto.RoundTranscript, list[tuple[frozenset[int], bool]]]:
     """Every (survivor set, draw) decode case of a pattern from one round.
 
-    The inputs are drawn as one round per case would draw them: survivor
-    set, then draw.  The roles work column by column and only the
-    master's decode depends on the survivors, so case ``c`` becomes
-    columns ``[c * l, (c + 1) * l)`` of every payload of one round of
-    block length ``cases * l``, with the dealer noise tiled to match.
+    The inputs of all cases are one bulk draw, in the order one round
+    per case would draw them: survivor set, then draw.  The roles work
+    column by column and only the master's decode depends on the
+    survivors, so case ``c`` becomes columns ``[c * l, (c + 1) * l)`` of
+    every payload of one round of block length ``cases * l``, with the
+    dealer noise tiled to match.
     The master decodes each survivor set's slice of the responses with
     one inverse; a decode that raises fails every case of its set.
     Returns that round, stopped at the responses, and each case's
     survivor set and whether its decode equals its sum.
     """
     params = ctx.params
-    l, parts = params.block_len, params.block_count
-    inputs = [_draw_inputs(params, rng) for _ in survivor_sets for _ in range(draws)]
-    cases = len(inputs)
+    l, parts, q = params.block_len, params.block_count, params.modulus
+    cases = len(survivor_sets) * draws
     wide = replace(ctx, params=replace(params, gradient_len=cases * params.gradient_len))
-
-    def stack(per_case):  # each part's symbols over the cases, in case order
-        return tuple(tuple(chain.from_iterable(part)) for part in zip(*per_case))
-
-    users = range(1, params.num_users + 1)
-    grads = [Gradient(k, stack(g[k - 1].parts for g, _ in inputs)) for k in users]
-    noises = [UserRandomness(k, stack(f[k - 1].parts for _, f in inputs)) for k in users]
-    tiled = proto.keys_from_noise(wide, {s: v * cases for s, v in keys.noise.items()})
+    grads, noises = _draw_inputs(params, rng, cases)
+    # each part's sum of the gradients, over the cases
+    sums = [[sum(col) % q for col in zip(*(g.parts[i] for g in grads))] for i in range(parts)]
+    # masks act column by column, so tiled noise has the tiled masks
+    tiled = proto.DealerKeys(
+        {s: v * cases for s, v in keys.noise.items()},
+        {s: v * cases for s, v in keys.masks.items()},
+    )
     transcript = proto.run_round(
         wide, pattern.with_survivors(pattern.active_helpers), grads, noises, tiled,
         decode=False,
@@ -445,14 +494,12 @@ def _stacked_decode(
         except (MatrixError, proto.ProtocolError):
             matches += [(survivors, False)] * draws
             continue
-        for d in range(draws):
-            got = tuple(
-                chain.from_iterable(
-                    decoded[i * width + d * l:i * width + (d + 1) * l] for i in range(parts)
-                )
+        for d in range(0, width, l):
+            got = all(
+                decoded[i * width + d:i * width + d + l] == tuple(sums[i][lo + d:lo + d + l])
+                for i in range(parts)
             )
-            sum_d = proto.gradient_sum(inputs[s * draws + d][0], params.modulus)
-            matches.append((survivors, got == sum_d))
+            matches.append((survivors, got))
     return transcript, matches
 
 

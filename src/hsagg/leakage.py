@@ -321,7 +321,8 @@ class LinearTranscript(Mapping):
 
     Read-only.  It memoizes, each once, every colluding set's reduced
     observations (``collusion``), the all-gradients and all-uploads
-    targets, each user subset's collusion variables and each pattern's
+    targets and each user subset's collusion variables, each with its
+    unit split (``inputs``), the uploads' kernel and each pattern's
     formatted form; all live and die with the transcript.
 
     Reductions are found by row content in the rank store
@@ -336,7 +337,8 @@ class LinearTranscript(Mapping):
         self._vars = dict(tvars)
         self._store = _RankStore() if store is None else store
         self._collusions: dict[tuple, _Collusion] = {}  # by (active helpers, tset)
-        self._inputs: dict[tuple, tuple[LinearVar, ...]] = {}
+        self._inputs: dict[tuple, tuple] = {}  # (variables, unit split) by key
+        self._kernels: dict[tuple, tuple | None] = {}
         self._labels: dict[CommPattern, str] = {}
 
     def __getitem__(self, name: str) -> LinearVar:
@@ -392,39 +394,49 @@ class LinearTranscript(Mapping):
         )
         return found
 
+    def inputs(self, key: tuple) -> tuple[tuple[LinearVar, ...], tuple | None]:
+        """The variables ``key`` names and their ``_unit_split``, computed
+        once per key: ``("W", K)`` every gradient ``W[k]``, ``("X", K,
+        N)`` every upload ``X[k,n]``, and ``(with_sum, *users)`` the
+        gradient sum ``W`` if ``with_sum``, then each colluding user's
+        ``W[u]`` and ``F[u]``."""
+        found = self._inputs.get(key)
+        if found is None:
+            if key[0] == "W":
+                names = [f"W[{k}]" for k in range(1, key[1] + 1)]
+            elif key[0] == "X":
+                names = [f"X[{k},{n}]" for k in range(1, key[1] + 1) for n in range(1, key[2] + 1)]
+            else:
+                names = ["W"] * key[0] + [f"{v}[{u}]" for u in key[1:] for v in "WF"]
+            variables = tuple(self._vars[name] for name in names)
+            found = self._inputs[key] = (variables, _unit_split(variables))
+        return found
+
     def gradients(self, params: SchemeParams) -> tuple[LinearVar, ...]:
         """Every user's gradient ``W[k]``, computed once."""
-        key = ("W", params.num_users)
-        out = self._inputs.get(key)
-        if out is None:
-            out = self._inputs[key] = tuple(
-                self._vars[f"W[{k}]"] for k in range(1, params.num_users + 1)
-            )
-        return out
+        return self.inputs(("W", params.num_users))[0]
 
     def uploads(self, params: SchemeParams) -> tuple[LinearVar, ...]:
         """Every upload ``X[k,n]``, computed once."""
-        key = ("X", params.num_users, params.num_helpers)
-        out = self._inputs.get(key)
-        if out is None:
-            out = self._inputs[key] = tuple(
-                self._vars[f"X[{k},{n}]"]
-                for k in range(1, params.num_users + 1)
-                for n in range(1, params.num_helpers + 1)
-            )
-        return out
+        return self.inputs(("X", params.num_users, params.num_helpers))[0]
+
+    def uploads_kernel(self, params: SchemeParams) -> tuple | None:
+        """The kernel of the uploads' split reduction, found in the rank
+        store by content once per transcript; None if an upload leaves
+        the user columns."""
+        key = (params.num_users, params.num_helpers)
+        if key not in self._kernels:
+            uploads, split = self.inputs(("X",) + key)
+            layout = SourceLayout(params)
+            self._kernels[key] = None if split is None else self._store.reduce(
+                layout, uploads, lambda: _split_observed(uploads, layout)[1]
+            )[1]
+        return self._kernels[key]
 
     def collusion_vars(self, users: Sequence[int], with_sum: bool = False) -> tuple[LinearVar, ...]:
         """The gradient sum ``W`` if ``with_sum``, then each colluding
         user's ``W[u]`` and ``F[u]``; computed once per user subset."""
-        key = (with_sum,) + tuple(sorted(users))
-        out = self._inputs.get(key)
-        if out is None:
-            out = (self._vars["W"],) if with_sum else ()
-            for u in key[1:]:
-                out += (self._vars[f"W[{u}]"], self._vars[f"F[{u}]"])
-            self._inputs[key] = out
-        return out
+        return self.inputs((with_sum,) + tuple(sorted(users)))[0]
 
     def pattern_label(self, pattern: CommPattern) -> str:
         """``format_pattern(pattern)``, computed once."""
@@ -537,7 +549,8 @@ def unit_round(
     layout = SourceLayout(params)
     dim = layout.dim
     unit_ctx = replace(ctx, params=replace(params, gradient_len=dim * params.block_count))
-    identity = [int(i == s) for s in range(dim) for i in range(dim)]
+    identity = [0] * (dim * dim)
+    identity[::dim + 1] = [1] * dim
     transcript, vals = _run_on_sources(unit_ctx, pattern, identity)
     responses = [r for r in transcript.responses if r.helper in transcript.pattern.survivors]
     try:
@@ -548,7 +561,7 @@ def unit_round(
         name: LinearVar(
             name,
             layout,
-            GfMatrix(ctx.field, [v[i:i + dim] for i in range(0, len(v), dim)]),
+            GfMatrix.of_reduced(ctx.field, tuple(v[i:i + dim] for i in range(0, len(v), dim))),
         )
         for name, v in vals.items()
     }
@@ -934,15 +947,17 @@ def _leakage_record(
 
 def _split_ranks(
     tv: LinearTranscript,
-    target: tuple[LinearVar, ...],
+    params: SchemeParams,
     observed: tuple[LinearVar, ...],
     reduction: tuple,
-    given: tuple[LinearVar, ...],
+    given_key: tuple,
 ) -> tuple[int, int, int, int]:
-    """The rank quadruple of a helper or master query from the split
-    reduction of its observed set; ``rank_quadruple`` if the target or
-    the given leaves the user columns."""
-    a, c = _unit_split(target), _unit_split(given)
+    """The rank quadruple of a helper or master query, whose target is
+    every gradient, from the split reduction of its observed set;
+    ``rank_quadruple`` if the target or the given leaves the user
+    columns."""
+    target, a = tv.inputs(("W", params.num_users))
+    given, c = tv.inputs(given_key)
     if a is None or c is None:
         return rank_quadruple(MiQuery(target, observed, given))
     layout, field = target[0].layout, target[0].coeffs.field
@@ -967,7 +982,7 @@ def check_security_helpers(
     return _leakage_record(
         "helpers", ctx, pattern, users, tset, tvars, exploratory,
         lambda tv, c: _split_ranks(
-            tv, tv.gradients(ctx.params), c.view, c.view_reduction, tv.collusion_vars(users)
+            tv, ctx.params, c.view, c.view_reduction, (False,) + tuple(sorted(users))
         ),
     )
 
@@ -989,11 +1004,7 @@ def check_security_master(
     return _leakage_record(
         "master", ctx, pattern, users, tset, tvars, exploratory,
         lambda tv, c: _split_ranks(
-            tv,
-            tv.gradients(ctx.params),
-            c.master,
-            c.master_reduction,
-            tv.collusion_vars(users, with_sum=True),
+            tv, ctx.params, c.master, c.master_reduction, (True,) + tuple(sorted(users))
         ),
     )
 
@@ -1062,15 +1073,14 @@ def check_sharing_leakage(
     I(all uploads; shares seen by tset | tset's uploads and masks) = 0."""
 
     def ranks(tv, c):
-        uploads = tv.uploads(ctx.params)
-        if _unit_split(uploads) is None:
-            return rank_quadruple(MiQuery(uploads, c.view[len(c.prefix):], c.prefix))
-        layout = SourceLayout(ctx.params)
-        kernel_a = tv._store.reduce(
-            layout, uploads, lambda: _split_observed(uploads, layout)[1]
-        )[1]
+        kernel_a = tv.uploads_kernel(ctx.params)
+        if kernel_a is None:
+            return rank_quadruple(
+                MiQuery(tv.uploads(ctx.params), c.view[len(c.prefix):], c.prefix)
+            )
+        user_dim = SourceLayout(ctx.params).user_dim
         return _sharing_ranks(
-            kernel_a, c.prefix_reduction, c.view_reduction, layout.user_dim, ctx.field
+            kernel_a, c.prefix_reduction, c.view_reduction, user_dim, ctx.field
         )
 
     return _leakage_record("sharing", ctx, pattern, (), tset, tvars, False, ranks)

@@ -3,7 +3,11 @@
 Provides Vandermonde-style constructors, Gauss-Jordan inversion, rank,
 row selection and an incremental row-space reducer used heavily by the
 leakage verifier.  Matrices are immutable after construction; entries
-are stored as canonical residues in [0, q-1].
+are stored as canonical residues in [0, q-1].  ``GfMatrix(...)``
+reduces every entry it is given; ``GfMatrix.of_reduced`` takes rows
+that are canonical residues already, as products, row selections,
+inverses and stacks of matrices are, and skips that pass.  Products walk
+only the nonzero entries of the right operand's rows.
 
 Row and column indices are 0-based throughout this module.  Protocol
 code translates 1-based helper/user ids before calling in.
@@ -54,9 +58,7 @@ class GfMatrix:
 
     def __init__(self, field: PrimeField, rows_data: Iterable[Sequence]):
         q = field.q
-        data = tuple(
-            tuple(int(e) % q for e in row) for row in rows_data
-        )
+        data = tuple(tuple([int(e) % q for e in row]) for row in rows_data)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -67,6 +69,17 @@ class GfMatrix:
         self.rows = len(data)
         self.cols = width
         self.data = data
+
+    @classmethod
+    def of_reduced(cls, field: PrimeField, data: tuple[tuple[int, ...], ...]) -> "GfMatrix":
+        """The matrix of ``data``, a tuple of equal-width tuples of
+        canonical residues, taken as it is: no reduction, no checks.
+        For data the program made; input from outside goes through
+        ``GfMatrix(...)``."""
+        m = cls.__new__(cls)
+        m.field, m.data, m.rows = field, data, len(data)
+        m.cols = len(data[0]) if data else 0
+        return m
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "GfMatrix":
@@ -107,23 +120,23 @@ class GfMatrix:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        q = self.field.q
-        bcols = range(other.cols)
+        q, width = self.field.q, other.cols
+        support = [[j for j, b in enumerate(brow) if b] for brow in other.data]
         out = []
         for arow in self.data:
-            acc = [0] * other.cols
-            for a, brow in zip(arow, other.data):
+            acc = [0] * width
+            for a, brow, cols in zip(arow, other.data, support):
                 if a:
-                    for j in bcols:
+                    for j in cols:
                         acc[j] += a * brow[j]
-            out.append([v % q for v in acc])
-        return GfMatrix(self.field, out)
+            out.append(tuple([v % q for v in acc]))
+        return GfMatrix.of_reduced(self.field, tuple(out))
 
     def stack(self, other: "GfMatrix") -> "GfMatrix":
         """Vertical concatenation."""
         if self.cols != other.cols or self.field != other.field:
             raise DimensionMismatch("stack requires equal widths and fields")
-        return GfMatrix(self.field, self.data + other.data)
+        return GfMatrix.of_reduced(self.field, self.data + other.data)
 
     def select_rows(self, indices: Sequence[int]) -> "GfMatrix":
         """Submatrix of the given rows; indices must be strictly increasing."""
@@ -132,7 +145,7 @@ class GfMatrix:
             raise IndexOutOfRange(f"row index outside 0..{self.rows - 1}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError("row indices must be strictly increasing")
-        return GfMatrix(self.field, [self.data[i] for i in idx])
+        return GfMatrix.of_reduced(self.field, tuple(self.data[i] for i in idx))
 
     def inv(self) -> "GfMatrix":
         """Inverse by Gauss-Jordan elimination.
@@ -164,7 +177,7 @@ class GfMatrix:
                 c = aug[r][col]
                 if c:
                     aug[r] = [(v - c * p) % q for v, p in zip(aug[r], prow)]
-        return GfMatrix(self.field, [row[n:] for row in aug])
+        return GfMatrix.of_reduced(self.field, tuple(tuple(row[n:]) for row in aug))
 
     def rank(self) -> int:
         """Row rank by Gaussian elimination."""

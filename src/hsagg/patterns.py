@@ -11,6 +11,7 @@ the last user varying fastest.
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator
 
@@ -58,7 +59,9 @@ class CommPattern:
 
     ``receivers[k - 1]`` is the set of helpers that got user k's upload.
     ``survivors`` may be None while enumerating receiver configurations;
-    round execution requires it.
+    round execution requires it.  The active helpers and each helper's
+    users are computed once per pattern; equality, hashing and repr
+    read only the two fields.
     """
 
     receivers: tuple[frozenset[int], ...]
@@ -73,17 +76,19 @@ class CommPattern:
 
     def users_of(self, helper: int) -> frozenset[int]:
         """The set of users whose upload reached the given helper."""
-        return frozenset(
-            k for k, rs in enumerate(self.receivers, start=1) if helper in rs
-        )
+        return self._users_by_helper.get(helper, frozenset())
 
-    @property
+    @cached_property
+    def _users_by_helper(self) -> dict[int, frozenset[int]]:
+        return {
+            n: frozenset(k for k, rs in enumerate(self.receivers, start=1) if n in rs)
+            for n in self.active_helpers
+        }
+
+    @cached_property
     def active_helpers(self) -> frozenset[int]:
         """Helpers that received at least one upload (the others straggle)."""
-        out: frozenset[int] = frozenset()
-        for rs in self.receivers:
-            out |= rs
-        return out
+        return frozenset().union(*self.receivers)
 
     def with_survivors(self, survivors) -> "CommPattern":
         return replace(self, survivors=frozenset(survivors))

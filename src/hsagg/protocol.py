@@ -8,11 +8,18 @@ the master hears back from at least ``resiliency`` of them.
 All payloads are vectors of ``block_len = L / (resiliency - collusion)``
 field symbols; a vector is processed as independent columns through the
 matrix algebra.  Helpers and users carry 1-based ids.
+
+Every inverse a round needs is a row selection of a matrix fixed at
+setup (the upload matrix for the master, a decode matrix for a helper's
+recovery), so the inverses are memoized by matrix content and row
+selection.  The roles reduce what they are handed; every payload they
+produce is a canonical residue.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import patterns as patterns_mod
@@ -304,27 +311,23 @@ class DealerKeys:
 def keys_from_noise(
     ctx: SchemeContext, noise: Mapping[tuple[int, int, int], Vector]
 ) -> DealerKeys:
-    """Derive the mask table from given noise vectors.
+    """Derive the mask table from given noise vectors: per helper n and
+    user k, one product of ``mask_maps[n]`` with the noise slots (n, j, k).
 
     Shared by the seeded dealer and by the leakage module, which feeds
-    enumerated or unit noise through this same code path.
+    enumerated or unit noise through this same code path.  The products
+    reduce every mask, so noise that is not reduced still gives
+    canonical masks.
     """
     params = ctx.params
-    q = params.modulus
-    l = params.block_len
     masks: dict[tuple[int, int, int], Vector] = {}
     for n in range(1, params.num_helpers + 1):
         coeffs = ctx.mask_maps[n - 1]
         for k in range(1, params.num_users + 1):
-            slots = [noise[(n, j, k)] for j in range(1, params.resiliency)]
-            for i in range(1, params.num_helpers + 1):
-                row = coeffs.row(i - 1)
-                acc = [0] * l
-                for c, vec in zip(row, slots):
-                    if c:
-                        for pos in range(l):
-                            acc[pos] += c * vec[pos]
-                masks[(i, n, k)] = tuple(v % q for v in acc)
+            slots = tuple(noise[(n, j, k)] for j in range(1, params.resiliency))
+            mixed = coeffs @ GfMatrix.of_reduced(ctx.field, slots)
+            for i, row in enumerate(mixed.data, start=1):
+                masks[(i, n, k)] = row
     return DealerKeys(noise=dict(noise), masks=masks)
 
 
@@ -448,6 +451,19 @@ def helper_share(
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _inverse(matrix: GfMatrix, rows: tuple[int, ...]) -> GfMatrix:
+    """The inverse of the given rows of ``matrix``.
+
+    Memoized by the matrix's content (its field and entries) and the row
+    selection, never by the context that holds it, so a context whose
+    matrices differ never reads another's inverse; bounded, the least
+    recently used entry goes first.  A singular selection raises every
+    time.
+    """
+    return matrix.select_rows(rows).inv()
+
+
 def helper_recover(
     ctx: SchemeContext,
     pattern: CommPattern,
@@ -472,10 +488,9 @@ def helper_recover(
             f"{len(senders)} shares for user {user}, need {nr}"
         )
     chosen = senders[:nr]
-    sub = ctx.decode_matrices[helper - 1].select_rows([i - 1 for i in chosen])
-    first_row = sub.inv().row(0)
+    inverse = _inverse(ctx.decode_matrices[helper - 1], tuple(i - 1 for i in chosen))
     stacked = GfMatrix(ctx.field, [received[i] for i in chosen])
-    mixed = GfMatrix(ctx.field, [first_row]) @ stacked
+    mixed = GfMatrix.of_reduced(ctx.field, inverse.data[:1]) @ stacked
     return mixed.row(0)
 
 
@@ -512,9 +527,9 @@ def master_decode(
     if len(by_helper) < nr:
         raise NotEnoughResponses(f"{len(by_helper)} responses, need {nr}")
     chosen = sorted(by_helper)[:nr]
-    sub = ctx.upload_matrix.select_rows([n - 1 for n in chosen])
+    inverse = _inverse(ctx.upload_matrix, tuple(n - 1 for n in chosen))
     stacked = GfMatrix(ctx.field, [by_helper[n] for n in chosen])
-    solved = sub.inv() @ stacked
+    solved = inverse @ stacked
     return tuple(
         s
         for i in range(ctx.params.block_count)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -26,6 +27,7 @@ from hsagg.harness import (
     transcript_to_json,
     verify_point,
 )
+from hsagg.harness import _uniform
 from hsagg import leakage as lk, protocol
 from hsagg.matrix import GfMatrix, RowSpace
 from hsagg.patterns import enumerate_patterns, enumerate_survivors, format_pattern
@@ -389,6 +391,82 @@ def test_rank_work_does_not_grow(params, monkeypatch):
     assert (
         calls["insert"] <= inserts and calls["clone"] <= clones and calls["split"] <= splits
     ), calls
+
+
+# GfMatrix.inv calls of each point's one-draw campaign, setup included:
+# the round's inverses are memoized by matrix content and row selection
+ROUND_WORK = {
+    "2,3,2,1,5,1": 9,
+    "2,4,3,1,7,2": 12,
+    "3,4,3,2,11,1": 12,
+    "2,5,4,2,11,2": 15,
+}
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_round_work_does_not_grow(params, monkeypatch):
+    """A round that inverts its decode matrices again, instead of
+    reading the memo, shows as more inversions."""
+    calls = []
+    inv = GfMatrix.inv
+
+    def counted(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(GfMatrix, "inv", counted)
+    protocol._inverse.cache_clear()  # counts must not depend on test order
+    verify_point(params, RunConfig(mode="verify", draws=1))
+    assert len(calls) <= ROUND_WORK[params.label()], len(calls)
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its ``getrandbits`` calls wider than any
+    q < 2^64: the bulk chunks and the final advance."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.wide_calls = 0
+
+    def getrandbits(self, k):
+        self.wide_calls += k > 64
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 2**31 - 1, 2**61 - 1])
+def test_bulk_draw_is_the_randrange_stream(q):
+    """The stacked decode's bulk draw must give the values and the state
+    of one ``randrange(q)`` per symbol, so that its cases are the inputs
+    one round per case would draw.  The pinned reports cannot show a
+    drift (they hold counts, not inputs), so this test is the guard.  It
+    rests on CPython's Mersenne Twister: a change there fails here."""
+    chunks = set()
+    for count in (0, 1, 2, 63, 64, 65, 127, 128, 129, 1000, 10_000):
+        for seed in range(4 if count < 10_000 else 1):
+            name = f"{q}:{count}:{seed}"
+            bulk, ref = _CountingRandom(name), random.Random(name)
+            got = _uniform(bulk, q, count)
+            want = [ref.randrange(q) for _ in range(count)]
+            assert got == want, f"bulk draw left the randrange stream at q={q}, count={count}"
+            assert bulk.getstate() == ref.getstate(), f"state differs at q={q}, count={count}"
+            assert all(type(v) is int for v in got)
+            chunks.add(bulk.wide_calls)
+    if q < 2**32:
+        assert chunks >= {0, 2}  # count 0 draws nothing; one chunk, then the advance
+    else:
+        assert chunks == {0}  # wider q takes the randrange loop
+
+
+def test_bulk_draw_takes_further_chunks_when_one_falls_short():
+    """At q = 2 half the words are rejected, so some seeds need a second
+    chunk; each must still match ``randrange``."""
+    longest = 0
+    for seed in range(60):
+        bulk, ref = _CountingRandom(seed), random.Random(seed)
+        assert _uniform(bulk, 2, 1000) == [ref.randrange(2) for _ in range(1000)]
+        assert bulk.getstate() == ref.getstate()
+        longest = max(longest, bulk.wide_calls)
+    assert longest >= 3
 
 
 def test_verify_deterministic_bytes():

@@ -688,6 +688,45 @@ def test_sharing_queries_take_their_tuples_from_the_transcript():
     assert all(record.value == 0 for record in first)
 
 
+def test_transcript_splits_each_target_and_given_and_finds_the_uploads_kernel_once(
+    monkeypatch,
+):
+    """The unit splits of the all-gradients target and of each user
+    subset's given, and the uploads' kernel, are computed once per
+    transcript, however many queries read them."""
+    params = SchemeParams(3, 4, 3, 2, 11, 1)
+    ctx = setup(params)
+    pattern = list(enumerate_patterns(params))[7]
+    tv = build_linear_transcript(ctx, pattern)
+    splits, upload_lookups = [], []
+    unit_split, reduce = leakage._unit_split, leakage._RankStore.reduce
+
+    def counted_split(variables):
+        splits.append(variables)
+        return unit_split(variables)
+
+    def counted_reduce(store, layout, observed, compute):
+        if observed == tv.uploads(params):
+            upload_lookups.append(observed)
+        return reduce(store, layout, observed, compute)
+
+    monkeypatch.setattr(leakage, "_unit_split", counted_split)
+    monkeypatch.setattr(leakage._RankStore, "reduce", counted_reduce)
+    helpers = range(1, params.num_helpers + 1)
+    tsets = [t for size in range(params.collusion + 1) for t in combinations(helpers, size)]
+    usets = [u for size in range(4) for u in combinations(range(1, 4), size)]
+    for _ in range(2):
+        for uset in usets:
+            for tset in tsets:
+                check_security_helpers(ctx, pattern, uset, tset, tvars=tv)
+                check_security_master(ctx, pattern, uset, tset, tvars=tv)
+        for tset in tsets:
+            check_sharing_leakage(ctx, pattern, tset, tvars=tv)
+    # the gradients, each user subset's given with and without the sum, the uploads
+    assert len(splits) == 1 + 2 * len(usets) + 1
+    assert len(upload_lookups) == 1
+
+
 SPLIT_PARAMS = {q: SchemeParams(2, 4, 3, 1, q, 2) for q in (5, 11)}
 
 

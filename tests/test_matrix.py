@@ -179,6 +179,42 @@ def test_entries_canonicalized():
         GfMatrix(F7, [(1, 2), (3,)])
 
 
+def naive_product(a, b, q):
+    return [
+        [sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a
+    ]
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from([2, 7, 11, 2**31 - 1]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_product_walks_only_nonzero_entries_yet_matches_the_naive_product(
+    q, rows, inner, cols, data
+):
+    """Sparse rows (unit vectors, mostly zeros) and dense ones alike."""
+    f = PrimeField(q)
+    entry = st.one_of(st.just(0), st.just(0), st.integers(0, q - 1))
+    a = [[data.draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[data.draw(entry) for _ in range(cols)] for _ in range(inner)]
+    product = GfMatrix(f, a) @ GfMatrix(f, b)
+    assert [list(r) for r in product.data] == naive_product(a, b, q)
+    assert (product.rows, product.cols) == (rows, cols)
+    assert product == GfMatrix(f, product.data)  # canonical, as if reduced
+
+
+def test_of_reduced_takes_rows_as_they_are():
+    rows = ((1, 0, 6), (0, 2, 3))
+    m = GfMatrix.of_reduced(F7, rows)
+    assert m == GfMatrix(F7, rows) and m.data is rows
+    assert (m.rows, m.cols) == (2, 3)
+    assert GfMatrix.of_reduced(F7, ()).data == ()
+
+
 @settings(max_examples=60)
 @given(
     st.integers(2, 5),

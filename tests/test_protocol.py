@@ -1,11 +1,20 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hsagg.matrix import FieldTooSmall, RowSpace
-from hsagg.patterns import CommPattern, enumerate_patterns, enumerate_survivors, parse_pattern
+from hsagg import protocol
+from hsagg.matrix import FieldTooSmall, GfMatrix, RowSpace, vandermonde
+from hsagg.patterns import (
+    CommPattern,
+    enumerate_patterns,
+    enumerate_survivors,
+    parse_pattern,
+    sample_pattern,
+)
 from hsagg.protocol import (
     BadBlockLength,
     BadParams,
@@ -325,6 +334,83 @@ def test_decoder_choice_independence(ctx):
     expected = gradient_sum(grads, 7)
     for subset in combinations(transcript.responses, 3):
         assert master_decode(ctx, subset) == expected
+
+
+def test_decode_inverses_are_keyed_by_matrix_content(ctx):
+    """The round's inverses are memoized by matrix content and row
+    selection: a context with equal params but other matrices, as the
+    broken-scheme tests build with ``replace``, never reads the correct
+    context's inverse, whichever ran first."""
+    assert protocol._inverse.cache_info().maxsize is not None  # bounded
+    grads, noises = make_round_inputs(EXAMPLE, 16)
+    keys = dealer_generate(ctx, 16)
+    full = CommPattern((frozenset({1, 2, 3, 4}),) * 2, frozenset({1, 2, 3, 4}))
+    responses = run_round(ctx, full, grads, noises, keys).responses
+    assert master_decode(ctx, responses) == gradient_sum(grads, 7)  # fills the memo
+    other = replace(ctx, upload_matrix=vandermonde(ctx.field, (2, 3, 4, 5), 3))
+    assert other.params == ctx.params and other.upload_matrix != ctx.upload_matrix
+    solved = other.upload_matrix.select_rows([0, 1, 2]).inv() @ GfMatrix(
+        ctx.field, [r.payload for r in responses[:3]]
+    )
+    got = master_decode(other, responses)
+    assert got == tuple(s for i in range(EXAMPLE.block_count) for s in solved.row(i))
+    assert got != master_decode(ctx, responses)
+
+    # helper 3 recovers user 2 from helpers 1, 2 and 4 (rows 0, 1, 3)
+    x = upload_table(ctx, grads, noises)
+    shares = {i: ((x[(2, i)][0] + keys.masks[(i, 3, 2)][0]) % 7,) for i in (1, 2, 4)}
+    assert helper_recover(ctx, EXAMPLE_PATTERN, 3, 2, shares) == x[(2, 3)]
+    doubled = GfMatrix(ctx.field, [[2 * v for v in row] for row in ctx.decode_matrices[2].data])
+    maps = ctx.decode_matrices
+    other = replace(ctx, decode_matrices=maps[:2] + (doubled,) + maps[3:])
+    # the inverse halves, so helper 3 now rebuilds half the upload
+    assert x[(2, 3)] != (0,)
+    assert helper_recover(other, EXAMPLE_PATTERN, 3, 2, shares) == (x[(2, 3)][0] * 4 % 7,)
+
+
+_CANONICAL_POINTS = [
+    EXAMPLE,
+    SchemeParams(2, 3, 2, 1, 5, 1),
+    SchemeParams(3, 5, 4, 2, 11, 2),
+    SchemeParams(2, 4, 3, 1, 2**31 - 1, 4),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_CANONICAL_POINTS), st.data())
+def test_every_round_payload_is_a_canonical_residue(params, data):
+    """Whatever integers the inputs hold, reduced or not, every payload a
+    round produces (uploads, masks, shares, recovered uploads, responses
+    and the decoded sum) is a plain int in [0, q), and the decode is the
+    sum of the gradients mod q."""
+    ctx = setup(params)
+    q, l = params.modulus, params.block_len
+    pattern = sample_pattern(params, data.draw(st.floats(0, 0.6)), data.draw(st.integers(0, 99)))
+    users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
+    vec = st.lists(st.integers(-2 * q, 3 * q), min_size=l, max_size=l).map(tuple)
+    grads = [
+        Gradient(k, tuple(data.draw(vec) for _ in range(params.block_count))) for k in users
+    ]
+    noises = [
+        UserRandomness(k, tuple(data.draw(vec) for _ in range(params.collusion))) for k in users
+    ]
+    noise = {
+        (n, j, k): data.draw(vec)
+        for n in helpers
+        for j in range(1, params.resiliency)
+        for k in users
+    }
+    t = run_round(ctx, pattern, grads, noises, keys_from_noise(ctx, noise))
+    payloads = (
+        [u.payload for u in t.uploads]
+        + list(t.keys.masks.values())
+        + [v for m in t.messages for v in m.payloads.values()]
+        + list(t.recovered.values())
+        + [r.payload for r in t.responses]
+        + [t.decoded]
+    )
+    assert all(type(v) is int and 0 <= v < q for p in payloads for v in p)
+    assert t.decoded == tuple(sum(col) % q for col in zip(*(g.symbols() for g in grads)))
 
 
 def test_roundtrip_exhaustive_at_small_point():

@@ -1,7 +1,8 @@
 """Source hygiene of ``src/hsagg``: no module imports a name it never
 uses, and every private top-level function, class or constant is
 referenced somewhere in the package.  A deletion that leaves an import
-or a helper behind fails here."""
+or a helper behind fails here.  The modules that read outside input
+never build a matrix without reducing its entries."""
 
 import ast
 from pathlib import Path
@@ -101,6 +102,22 @@ def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
     return out
 
 
+# modules that read files, flags or configs: their data must be reduced
+READS_OUTSIDE_INPUT = ("harness", "cli")
+
+
+def reduced_constructions(tree: ast.Module) -> list[int]:
+    """Lines that name ``GfMatrix.of_reduced``, the constructor that
+    takes entries as canonical residues without reducing them."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "of_reduced")
+        or (isinstance(node, ast.Name) and node.id == "of_reduced")
+        or (isinstance(node, ast.Constant) and node.value == "of_reduced")
+    )
+
+
 def _package() -> dict[str, ast.Module]:
     return {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
 
@@ -112,6 +129,12 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_private_top_level_name_is_referenced():
     assert unreferenced_privates(_package()) == []
+
+
+def test_modules_that_read_outside_input_reduce_their_matrices():
+    package = _package()
+    found = {module: reduced_constructions(package[module]) for module in READS_OUTSIDE_INPUT}
+    assert {module: lines for module, lines in found.items() if lines} == {}
 
 
 def test_the_checks_catch_what_they_look_for():
@@ -130,3 +153,10 @@ def test_the_checks_catch_what_they_look_for():
         "b": ast.parse("from a import _used\nprint(_used)\n"),
     }
     assert unreferenced_privates(trees) == ["a._LIMIT", "a._helper"]
+    assert reduced_constructions(
+        ast.parse(
+            "m = GfMatrix(f, rows)\n"
+            "m = GfMatrix.of_reduced(f, rows)\n"
+            "make = getattr(GfMatrix, 'of_reduced')\n"
+        )
+    ) == [2, 3]
