@@ -41,24 +41,23 @@ reduction, with no noise rows) is reduced once.
 
 A colluding helper set's observations form one chain, which
 ``LinearTranscript.collusion`` reduces once for every user subset and
-every check: the non-share prefix (uploads and stored masks, the same
-rows under every pattern), the view (the prefix, then the shares it
-receives) and the master's set (the view, then the responses).  The
-prefix's reduced space comes from a rank store that the transcripts of
-one scheme context share and that dies with the context, found by row
-content, so it is reduced once per context and helper subset.  The view
-extends a clone of it with the shares.  When every response row lies
-in the user columns, as in the scheme, the master's set has the view's
-``r_noise`` and its kernel is the view's kernel plus the responses,
-reduced in user width; otherwise it extends a clone of the prefix's
-space.  An observed set whose rows the context has already reduced
-takes no elimination.  The ranks depend on B only through K, plus
-``r_noise``, so a quadruple is computed once per kernel, target and
-given: helper views of different patterns hold different shares but
-often the same kernel.  ``rank_quadruple`` is the incremental path,
-valid for any query; it is the reference the splits are tested
-against, and it answers a check whose target or given leaves the user
-columns.
+every check: the non-share prefix (uploads and stored masks), the view
+(the prefix, then the shares it receives) and the master's set (the
+view, then the responses).  Each user's sources enter the scheme apart,
+so each row of a view lies in one user's columns, and the view is a
+direct sum of per-user blocks: their noise ranks add, and their
+kernels, embedded in user width, make the view's.  A rank store that
+the transcripts of one scheme context share reduces each block once per
+content, in one user's coordinates, so equal blocks of different users
+and patterns share the work; a view with a row that spans users is
+reduced whole.  The master's set extends the view's kernel by the
+responses in user width when they lie in the user columns, as in the
+scheme.  A quadruple depends on B only through K, plus ``r_noise``, so
+it is computed once per kernel, target and given; a helper query's,
+whose target and given are unit rows, is the sum of its users'.
+``rank_quadruple`` is the incremental path, valid for any query; it is
+the reference the splits are tested against, and it answers a check
+whose target or given leaves the user columns.
 
 A brute-force oracle checks the rank-to-entropy step independently on
 tiny instances: it runs the same roles on every source assignment and
@@ -67,7 +66,7 @@ counts the joint distributions, with no rank arithmetic.
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 import weakref
@@ -230,62 +229,134 @@ class LinearVar:
 class _RankStore:
     """Rank work that the transcripts of one scheme context share.
 
-    Every key is coefficient-row content: the source layout and each
-    variable's rows, never a name, a pattern or a helper id, so that a
-    transcript whose rows differ (a broken scheme run under the same
-    context) never reads another's entry.  It holds the split reduction
-    ``(r_noise, K)`` of each prefix, view, master's set and all-uploads
-    target, the reduced space of each prefix, and each split-path rank
-    quadruple.  A quadruple depends on the observed set only through
-    its kernel K, plus ``r_noise`` added to rank(BC) and rank(ABC), so
-    it is keyed by the identity of K (one object per kernel content,
-    which the store keeps alive; observed sets of different rows often
-    share it) and by the target's and the given's unit columns and
-    other rows.  The keys it keeps share one copy of each equal part.
+    Every key is coefficient-row content, never a name, a pattern or a
+    helper id, so that a transcript whose rows differ (a broken scheme
+    run under the same context) never reads another's entry.  ``owners``
+    maps a row to its user and its row in user-local coordinates
+    (``_user_coordinates``), or to None if it spans users.
+    ``reductions`` holds the split reduction ``(r_noise, K)`` of each
+    user-local block, and of each set reduced whole.  ``kernels`` holds
+    each kernel assembled from per-user kernels, and each view kernel
+    extended by responses.  ``quadruples`` holds each split-path rank
+    quadruple, keyed by the identity of K (one object per kernel
+    content, which the store keeps alive) and by the target's and the
+    given's unit columns and other rows; ``r_noise`` is added back
+    outside the key.  ``views`` counts the collusion views assembled
+    and those reduced whole.  Keys share one copy of each equal part.
     """
 
-    __slots__ = ("reductions", "spaces", "quadruples", "_held", "__weakref__")
+    __slots__ = ("owners", "reductions", "kernels", "quadruples", "views", "_held", "__weakref__")
 
     def __init__(self):
-        self.reductions: dict[tuple, tuple] = {}
-        self.spaces: dict[tuple, RowSpace] = {}
-        self.quadruples: dict[tuple, tuple[int, int, int, int]] = {}
-        self._held: dict = {}
+        self.owners, self.reductions, self.kernels, self.quadruples, self._held = {}, {}, {}, {}, {}
+        self.views = {"assembled": 0, "whole": 0}
 
     def _hold(self, parts: Iterable) -> tuple:
         return tuple(self._held.setdefault(x, x) for x in parts)
 
-    def add(self, content: tuple, reduction: tuple, space: RowSpace | None = None) -> tuple:
-        """Record the reduction (and space) of ``content``; returns the
-        reduction the store holds for it, whose kernel is the store's
-        one object of that content."""
-        layout, rows = content
-        content = layout, self._hold(rows)
-        if space is not None:
-            self.spaces[content] = space
+    def reduction(self, layout: SourceLayout, rows: tuple, field: PrimeField) -> tuple:
+        """``_split_observed`` of ``rows``, over ``layout``, once per
+        content; the kernel is the store's one object of its content."""
+        found = self.reductions.get(rows)
+        if found is None:
+            block = LinearVar("", layout, GfMatrix.of_reduced(field, rows, layout.dim))
+            r_noise, kernel = _split_observed((block,), layout)
+            kernel = self._held.setdefault(kernel, kernel)
+            found = self.reductions[self._hold(rows)] = r_noise, kernel
+        return found
+
+    def by_user(self, layout: SourceLayout, observed: Sequence[LinearVar]) -> tuple | None:
+        """Each user's rows of ``observed`` in user-local coordinates, in
+        order; None if a row spans users.  A zero row goes to user 1."""
+        columns = _user_coordinates(layout.params)[1]
+        blocks = [[] for _ in columns]
+        for v in observed:
+            for row in v.rows:
+                owner = self.owners.get(row, False)
+                if owner is False:
+                    local = [(k, tuple([row[j] for j in cols])) for k, cols in enumerate(columns)]
+                    count = len(row) - row.count(0)  # a user's row holds every nonzero entry
+                    owner = next((u for u in local if len(u[1]) - u[1].count(0) == count), None)
+                    self.owners[row] = owner
+                if owner is None:
+                    return None
+                blocks[owner[0]].append(owner[1])
+        return tuple(map(tuple, blocks))
+
+    def assembled(self, layout: SourceLayout, observed, blocks: tuple | None, field) -> tuple:
+        """The split reduction of ``observed``, whose ``by_user`` rows are
+        ``blocks``, and each user's: the noise ranks add, and the kernels,
+        embedded in user width with disjoint supports, are together in
+        reduced echelon form.  Reduced whole, with no user's, if
+        ``blocks`` is None."""
+        if blocks is None:
+            return self.reduction(layout, tuple(r for v in observed for r in v.rows), field), None
+        local, columns = _user_coordinates(layout.params)
+        users = tuple(self.reduction(local, rows, field) for rows in blocks)
+        key = tuple(id(kernel) for _, kernel in users)
+        kernel = self.kernels.get(key)
+        if kernel is None:
+            kernel = tuple(sorted(
+                (tuple(dict(zip(cols, row)).get(j, 0) for j in range(layout.user_dim))
+                 for cols, (_, rows) in zip(columns, users) for row in rows),
+                key=lambda row: row.index(1),  # each row's first nonzero is 1
+            ))
+            kernel = self.kernels[key] = self._held.setdefault(kernel, kernel)
+        return (sum(r for r, _ in users), kernel), users
+
+    def extended(self, layout: SourceLayout, view, reduction, responses, field) -> tuple:
+        """The split reduction of ``view + responses``: if every response
+        lies in the user columns, the view's ``r_noise`` and its kernel
+        extended by the responses in user width, once per view kernel and
+        response rows; otherwise reduced whole."""
+        if any(v.user_split is None for v in responses):
+            return self.assembled(layout, view + responses, None, field)[0]
         r_noise, kernel = reduction
-        kernel = self._held.setdefault(kernel, kernel)
-        return self.reductions.setdefault(content, (r_noise, kernel))
+        key = (id(kernel), tuple(v.rows for v in responses))
+        found = self.kernels.get(key)
+        if found is None:
+            found = _extended_kernel(kernel, responses, layout)
+            found = self.kernels[self._hold(key)] = self._held.setdefault(found, found)
+        return r_noise, found
 
-    def reduce(self, layout: SourceLayout, observed: Sequence[LinearVar], compute) -> tuple:
-        """The reduction the store holds for the rows of ``observed``;
-        ``compute()`` makes it on a miss."""
-        content = (layout, tuple(v.rows for v in observed))
-        reduction = self.reductions.get(content)
-        return self.add(content, compute()) if reduction is None else reduction
-
-    def quadruple(self, reduction, target, given, user_dim, field) -> tuple[int, int, int, int]:
-        """``_split_quadruple`` of a reduction the store holds, computed
-        once per kernel, target and given."""
+    def quadruple(self, reduction, target, given, layout: SourceLayout, field, users=None) -> tuple:
+        """The rank quadruple of a reduction the store holds, once per
+        kernel, target and given: if its per-user reductions ``users`` are
+        given and the target and the given are unit rows, the sum of each
+        user's quadruple in user-local columns (which shares the table:
+        unit columns and a kernel object fix it), else ``_split_quadruple``."""
         r_noise, kernel = reduction
         key = (id(kernel),) + target + given
         ranks = self.quadruples.get(key)
         if ranks is None:
-            ranks = _split_quadruple(target, given, (0, kernel), user_dim, field)
+            if users is None or target[1] or given[1]:
+                ranks = _split_quadruple(target, given, (0, kernel), layout.user_dim, field)
+            else:
+                (local, columns), units = _user_coordinates(layout.params), (target[0], given[0])
+                parts = []
+                for (_, own), cols in zip(users, columns):
+                    a, c = ((frozenset(i for i, j in enumerate(cols) if j in e), ()) for e in units)
+                    parts.append(self.quadruple((0, own), a, c, local, field))
+                ranks = tuple(map(sum, zip(*parts)))
             ranks = self._held.setdefault(ranks, ranks)
             self.quadruples[self._hold(key)] = ranks
         r_ac, r_bc, r_abc, r_c = ranks
         return (r_ac, r_bc + r_noise, r_abc + r_noise, r_c)
+
+
+@lru_cache(maxsize=64)
+def _user_coordinates(params: SchemeParams) -> tuple[SourceLayout, tuple[tuple[int, ...], ...]]:
+    """The user-local layout, that of the same parameters with one user,
+    and per user the columns its local columns stand for, in order:
+    gradient parts, randomness parts, dealer noise by (helper, mixing slot)."""
+    layout, k_all = SourceLayout(params), params.num_users
+    columns = tuple(
+        (*range(layout.w_slot(k, 1), layout.w_slot(k, 1) + params.block_count),
+         *range(layout.f_slot(k, 1), layout.f_slot(k, 1) + params.collusion),
+         *range(layout.q_slot(1, 1, k), layout.dim, k_all))
+        for k in range(1, k_all + 1)
+    )
+    return SourceLayout(replace(params, num_users=1)), columns
 
 
 _stores: dict[int, _RankStore] = {}  # by id of a living context; see _rank_store
@@ -304,9 +375,9 @@ def _rank_store(ctx: SchemeContext) -> _RankStore:
 class _Collusion:
     """A colluding helper set's observations under one pattern, each
     with its split reduction ``(r_noise, K)``: the non-share prefix
-    (uploads and stored masks), the view (the prefix, then the shares
-    it receives) and the master's set (the view, then every active
-    helper's response)."""
+    (uploads and stored masks), the view (``helper_observation``) and
+    the master's set (the view, then every active helper's response);
+    and each user's reduction of the view, None if a row spans users."""
 
     prefix: tuple[LinearVar, ...]
     view: tuple[LinearVar, ...]
@@ -314,29 +385,30 @@ class _Collusion:
     prefix_reduction: tuple
     view_reduction: tuple
     master_reduction: tuple
+    users: tuple | None
 
 
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
     Read-only.  It memoizes, each once, every colluding set's reduced
-    observations (``collusion``), the all-gradients and all-uploads
-    targets and each user subset's collusion variables, each with its
-    unit split (``inputs``), the uploads' kernel and each pattern's
-    formatted form; all live and die with the transcript.
+    observations (``collusion``) and each helper's part of them, the
+    all-gradients and all-uploads targets and each user subset's
+    collusion variables, each with its unit split (``inputs``), the
+    uploads' kernel and each pattern's formatted form; all live and die
+    with the transcript.
 
     Reductions are found by row content in the rank store
     (``_RankStore``), never by names.  ``build_linear_transcript`` hands
-    every transcript of one scheme context that context's store, so a
-    helper set's prefix is reduced once per context, and an observed
-    set whose rows the context has already reduced takes no
-    elimination.  A transcript built without a store gets one of its own.
+    every transcript of one scheme context that context's store; a
+    transcript built without a store gets one of its own.
     """
 
     def __init__(self, tvars: Mapping[str, LinearVar], store: _RankStore | None = None):
         self._vars = dict(tvars)
         self._store = _RankStore() if store is None else store
         self._collusions: dict[tuple, _Collusion] = {}  # by (active helpers, tset)
+        self._helpers: dict[tuple, tuple] = {}  # by (active helpers, helper)
         self._inputs: dict[tuple, tuple] = {}  # (variables, unit split) by key
         self._kernels: dict[tuple, tuple | None] = {}
         self._labels: dict[CommPattern, str] = {}
@@ -353,44 +425,36 @@ class LinearTranscript(Mapping):
     def collusion(
         self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
     ) -> _Collusion:
-        """``tset``'s prefix, view (``helper_observation``) and master's
-        set, and their split reductions; computed once.
-
-        The prefix's reduced space comes from the rank store.  The view
-        extends a clone of it with the shares.  The master's set extends
-        the view's kernel with the responses in user width, or, if a
-        response row touches the noise columns, a clone of the prefix's
-        space with the shares and the responses.
-        """
+        """``tset``'s prefix, view and master's set, and their split
+        reductions, computed once: the prefix and the view assembled from
+        per-user blocks (``_RankStore.assembled``), or reduced whole if a
+        row spans users, and the master's set extending the view's kernel
+        (``_RankStore.extended``)."""
         key = (pattern.active_helpers, tuple(sorted(tset)))
         found = self._collusions.get(key)
         if found is not None:
             return found
-        layout, store = SourceLayout(ctx.params), self._store
-        view = helper_observation(self, ctx, pattern, tset)
-        prefix = tuple(v for v in view if not _is_share(v))  # the shares come last
-        shares = view[len(prefix):]
-        responses = tuple(self._vars[f"Y[{n}]"] for n in sorted(pattern.active_helpers))
+        layout, store, active = SourceLayout(ctx.params), self._store, pattern.active_helpers
+        for t in key[1]:  # each helper's (uploads, masks, shares) and their rows by user
+            if (active, t) not in self._helpers:
+                parts = _helper_parts(self, ctx.params, active, t)
+                self._helpers[active, t] = parts, [store.by_user(layout, p) for p in parts]
+        helpers = [self._helpers[active, t] for t in key[1]]
 
-        content = (layout, tuple(v.rows for v in prefix))
-        space = store.spaces.get(content)
-        if space is None:
-            space, reduction = _split_observed(prefix, layout, RowSpace(ctx.field, layout.dim))
-            store.add(content, reduction, space)
-        prefix_reduction = store.reductions[content]
-        view_reduction = store.reduce(
-            layout, view, lambda: _split_observed(shares, layout, space.clone())[1]
-        )
+        def joined(kinds):  # the variables of these kinds, and each user's rows of them
+            rows = [by_user[i] for i in kinds for _, by_user in helpers]
+            users = range(ctx.params.num_users)
+            blocks = None if None in rows else tuple(sum((r[k] for r in rows), ()) for k in users)
+            return tuple(v for i in kinds for parts, _ in helpers for v in parts[i]), blocks
 
-        def extend_view():
-            if all(v.user_split is not None for v in responses):
-                r_noise, kernel = view_reduction
-                return r_noise, _extended_kernel(kernel, responses, layout)
-            return _split_observed(shares + responses, layout, space.clone())[1]
-
-        master_reduction = store.reduce(layout, view + responses, extend_view)
+        (prefix, prefix_rows), (view, view_rows) = joined((0, 1)), joined((0, 1, 2))
+        responses = tuple(self._vars[f"Y[{n}]"] for n in sorted(active))
+        view_reduction, users = store.assembled(layout, view, view_rows, ctx.field)
+        store.views["whole" if users is None else "assembled"] += 1
         found = self._collusions[key] = _Collusion(
-            prefix, view, view + responses, prefix_reduction, view_reduction, master_reduction
+            prefix, view, view + responses,
+            store.assembled(layout, prefix, prefix_rows, ctx.field)[0], view_reduction,
+            store.extended(layout, view, view_reduction, responses, ctx.field), users,
         )
         return found
 
@@ -427,16 +491,11 @@ class LinearTranscript(Mapping):
         key = (params.num_users, params.num_helpers)
         if key not in self._kernels:
             uploads, split = self.inputs(("X",) + key)
-            layout = SourceLayout(params)
-            self._kernels[key] = None if split is None else self._store.reduce(
-                layout, uploads, lambda: _split_observed(uploads, layout)[1]
+            rows = tuple(row for v in uploads for row in v.rows)
+            self._kernels[key] = None if split is None else self._store.reduction(
+                SourceLayout(params), rows, uploads[0].coeffs.field
             )[1]
         return self._kernels[key]
-
-    def collusion_vars(self, users: Sequence[int], with_sum: bool = False) -> tuple[LinearVar, ...]:
-        """The gradient sum ``W`` if ``with_sum``, then each colluding
-        user's ``W[u]`` and ``F[u]``; computed once per user subset."""
-        return self.inputs((with_sum,) + tuple(sorted(users)))[0]
 
     def pattern_label(self, pattern: CommPattern) -> str:
         """``format_pattern(pattern)``, computed once."""
@@ -444,11 +503,6 @@ class LinearTranscript(Mapping):
         if label is None:
             label = self._labels[pattern] = format_pattern(pattern)
         return label
-
-
-def _is_share(v: LinearVar) -> bool:
-    """Whether ``v`` is an inter-helper share ``M[i->n,k]``."""
-    return v.name.startswith("M[")
 
 
 # -- the transcript: the roles run on a source assignment ----------------
@@ -700,28 +754,24 @@ def rank_quadruple(query: MiQuery) -> tuple[int, int, int, int]:
 
 
 def _split_observed(
-    observed: Sequence[LinearVar], layout: SourceLayout, base: RowSpace | None = None
-) -> tuple[RowSpace | None, tuple[int, tuple[list[int], ...]]]:
+    observed: Sequence[LinearVar], layout: SourceLayout
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Reduce the observed rows with the dealer-noise columns pivoted
-    first, into ``base`` (a space of rows so reduced, which it extends
-    in place) if given.
-
-    Returns the reduced space and the split: ``r_noise``, the number of
-    basis rows with a noise pivot, and the kernel, the other basis rows
-    cut to the user-source columns: they are zero on the noise columns,
-    and span(observed) ∩ user coordinates.  The kernel is in canonical
-    form (``_kernel``), so equal kernels are equal tuples.
+    first, into the split: ``r_noise``, the number of basis rows with a
+    noise pivot, and the kernel, the other basis rows cut to the
+    user-source columns: they are zero on the noise columns, and
+    span(observed) ∩ user coordinates.  The kernel is in canonical form
+    (``_kernel``), so equal kernels are equal tuples.
     """
-    if base is None and not observed:
-        return None, (0, ())
+    if not observed:
+        return 0, ()
     u = layout.user_dim
-    width = layout.dim - u
-    space = RowSpace(observed[0].coeffs.field, layout.dim) if base is None else base
+    space = RowSpace(observed[0].coeffs.field, layout.dim)
     for v in observed:
         for row in v.rows:
             space.insert(row[u:] + row[:u])
-    kernel = _kernel(space, width)
-    return space, (space.rank - len(kernel), kernel)
+    kernel = _kernel(space, layout.dim - u)
+    return space.rank - len(kernel), kernel
 
 
 def _kernel(space: RowSpace, cut: int) -> tuple[tuple[int, ...], ...]:
@@ -877,6 +927,18 @@ class LeakageRecord:
         return self.exploratory or self.value == 0
 
 
+def _helper_parts(tvars: Mapping[str, LinearVar], params: SchemeParams, active, t: int) -> tuple:
+    """Helper ``t``'s uploads, its stored masks, and the shares it
+    receives from the other ``active`` helpers."""
+    users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
+    shares = (f"M[{i}->{t},{k}]" for i in sorted(active) if i != t for k in users)
+    return (
+        tuple(tvars[f"X[{k},{t}]"] for k in users),
+        tuple(tvars[f"Z[{t},{n},{k}]"] for n in helpers if n != t for k in users),
+        tuple(tvars[name] for name in shares if name in tvars),
+    )
+
+
 def helper_observation(
     tvars: Mapping[str, LinearVar],
     ctx: SchemeContext,
@@ -885,26 +947,8 @@ def helper_observation(
 ) -> tuple[LinearVar, ...]:
     """Everything a colluding helper set sees: all uploads addressed to
     it, its stored masks, and the shares it receives."""
-    params = ctx.params
-    obs: list[LinearVar] = []
-    for t in sorted(tset):
-        for k in range(1, params.num_users + 1):
-            obs.append(tvars[f"X[{k},{t}]"])
-    for t in sorted(tset):
-        for n in range(1, params.num_helpers + 1):
-            if n == t:
-                continue
-            for k in range(1, params.num_users + 1):
-                obs.append(tvars[f"Z[{t},{n},{k}]"])
-    for t in sorted(tset):
-        for i in sorted(pattern.active_helpers):
-            if i == t:
-                continue
-            for k in range(1, params.num_users + 1):
-                name = f"M[{i}->{t},{k}]"
-                if name in tvars:
-                    obs.append(tvars[name])
-    return tuple(obs)
+    parts = [_helper_parts(tvars, ctx.params, pattern.active_helpers, t) for t in sorted(tset)]
+    return tuple(v for kind in range(3) for part in parts for v in part[kind])
 
 
 def _leakage_record(
@@ -946,22 +990,20 @@ def _leakage_record(
 
 
 def _split_ranks(
-    tv: LinearTranscript,
-    params: SchemeParams,
-    observed: tuple[LinearVar, ...],
-    reduction: tuple,
-    given_key: tuple,
+    tv: LinearTranscript, params: SchemeParams, c: _Collusion, master: bool, users: Sequence[int]
 ) -> tuple[int, int, int, int]:
-    """The rank quadruple of a helper or master query, whose target is
-    every gradient, from the split reduction of its observed set;
-    ``rank_quadruple`` if the target or the given leaves the user
-    columns."""
+    """The rank quadruple of a helper query (observed: the view) or of a
+    master query (the master's set, given the sum too), whose target is
+    every gradient, from the collusion's split reductions: a helper
+    query's from its users'; ``rank_quadruple`` if the target or the
+    given leaves the user columns."""
     target, a = tv.inputs(("W", params.num_users))
-    given, c = tv.inputs(given_key)
-    if a is None or c is None:
+    given, g = tv.inputs((master,) + tuple(sorted(users)))
+    observed, reduction = (c.master, c.master_reduction) if master else (c.view, c.view_reduction)
+    if a is None or g is None:
         return rank_quadruple(MiQuery(target, observed, given))
-    layout, field = target[0].layout, target[0].coeffs.field
-    return tv._store.quadruple(reduction, a, c, layout.user_dim, field)
+    layout, field, per_user = target[0].layout, target[0].coeffs.field, None if master else c.users
+    return tv._store.quadruple(reduction, a, g, layout, field, per_user)
 
 
 def check_security_helpers(
@@ -981,9 +1023,7 @@ def check_security_helpers(
     """
     return _leakage_record(
         "helpers", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, c: _split_ranks(
-            tv, ctx.params, c.view, c.view_reduction, (False,) + tuple(sorted(users))
-        ),
+        lambda tv, c: _split_ranks(tv, ctx.params, c, False, users),
     )
 
 
@@ -1003,9 +1043,7 @@ def check_security_master(
     """
     return _leakage_record(
         "master", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, c: _split_ranks(
-            tv, ctx.params, c.master, c.master_reduction, (True,) + tuple(sorted(users))
-        ),
+        lambda tv, c: _split_ranks(tv, ctx.params, c, True, users),
     )
 
 

@@ -52,11 +52,11 @@ class FieldTooSmall(MatrixError):
 
 
 class GfMatrix:
-    """An immutable rows x cols matrix over GF(q)."""
+    """An immutable rows x cols matrix over GF(q); ``cols`` sizes one with no rows."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
-    def __init__(self, field: PrimeField, rows_data: Iterable[Sequence]):
+    def __init__(self, field: PrimeField, rows_data: Iterable[Sequence], cols: int = 0):
         q = field.q
         data = tuple(tuple([int(e) % q for e in row]) for row in rows_data)
         if data:
@@ -64,21 +64,21 @@ class GfMatrix:
             if any(len(row) != width for row in data):
                 raise DimensionMismatch("ragged rows")
         else:
-            width = 0
+            width = cols
         self.field = field
         self.rows = len(data)
         self.cols = width
         self.data = data
 
     @classmethod
-    def of_reduced(cls, field: PrimeField, data: tuple[tuple[int, ...], ...]) -> "GfMatrix":
+    def of_reduced(cls, field: PrimeField, data: tuple, cols: int = 0) -> "GfMatrix":
         """The matrix of ``data``, a tuple of equal-width tuples of
-        canonical residues, taken as it is: no reduction, no checks.
-        For data the program made; input from outside goes through
-        ``GfMatrix(...)``."""
+        canonical residues, taken as it is: no reduction, no checks;
+        ``cols`` is the width if there are no rows.  For data the
+        program made; input from outside goes through ``GfMatrix(...)``."""
         m = cls.__new__(cls)
         m.field, m.data, m.rows = field, data, len(data)
-        m.cols = len(data[0]) if data else 0
+        m.cols = len(data[0]) if data else cols
         return m
 
     @classmethod
@@ -87,7 +87,7 @@ class GfMatrix:
 
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "GfMatrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
+        return cls(field, [[0] * cols for _ in range(rows)], cols)
 
     def __repr__(self):
         return f"GfMatrix({self.rows}x{self.cols} mod {self.field.q})"
@@ -96,6 +96,7 @@ class GfMatrix:
         return (
             isinstance(other, GfMatrix)
             and self.field == other.field
+            and self.cols == other.cols
             and self.data == other.data
         )
 
@@ -130,13 +131,13 @@ class GfMatrix:
                     for j in cols:
                         acc[j] += a * brow[j]
             out.append(tuple([v % q for v in acc]))
-        return GfMatrix.of_reduced(self.field, tuple(out))
+        return GfMatrix.of_reduced(self.field, tuple(out), width)
 
     def stack(self, other: "GfMatrix") -> "GfMatrix":
         """Vertical concatenation."""
         if self.cols != other.cols or self.field != other.field:
             raise DimensionMismatch("stack requires equal widths and fields")
-        return GfMatrix.of_reduced(self.field, self.data + other.data)
+        return GfMatrix.of_reduced(self.field, self.data + other.data, self.cols)
 
     def select_rows(self, indices: Sequence[int]) -> "GfMatrix":
         """Submatrix of the given rows; indices must be strictly increasing."""
@@ -145,7 +146,7 @@ class GfMatrix:
             raise IndexOutOfRange(f"row index outside 0..{self.rows - 1}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError("row indices must be strictly increasing")
-        return GfMatrix.of_reduced(self.field, tuple(self.data[i] for i in idx))
+        return GfMatrix.of_reduced(self.field, tuple(self.data[i] for i in idx), self.cols)
 
     def inv(self) -> "GfMatrix":
         """Inverse by Gauss-Jordan elimination.

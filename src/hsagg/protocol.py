@@ -311,8 +311,9 @@ class DealerKeys:
 def keys_from_noise(
     ctx: SchemeContext, noise: Mapping[tuple[int, int, int], Vector]
 ) -> DealerKeys:
-    """Derive the mask table from given noise vectors: per helper n and
-    user k, one product of ``mask_maps[n]`` with the noise slots (n, j, k).
+    """Derive the mask table from given noise vectors: per helper n, one
+    product of ``mask_maps[n]`` with every user's noise slots (n, j, k)
+    side by side, cut into one block-length slice per user.
 
     Shared by the seeded dealer and by the leakage module, which feeds
     enumerated or unit noise through this same code path.  The products
@@ -320,14 +321,14 @@ def keys_from_noise(
     canonical masks.
     """
     params = ctx.params
+    l, users = params.block_len, range(1, params.num_users + 1)
     masks: dict[tuple[int, int, int], Vector] = {}
     for n in range(1, params.num_helpers + 1):
-        coeffs = ctx.mask_maps[n - 1]
-        for k in range(1, params.num_users + 1):
-            slots = tuple(noise[(n, j, k)] for j in range(1, params.resiliency))
-            mixed = coeffs @ GfMatrix.of_reduced(ctx.field, slots)
-            for i, row in enumerate(mixed.data, start=1):
-                masks[(i, n, k)] = row
+        slots = tuple(sum((noise[n, j, k] for k in users), ()) for j in range(1, params.resiliency))
+        mixed = ctx.mask_maps[n - 1] @ GfMatrix.of_reduced(ctx.field, slots, len(users) * l)
+        for i, row in enumerate(mixed.data, start=1):
+            for k in users:
+                masks[(i, n, k)] = row[(k - 1) * l:k * l]
     return DealerKeys(noise=dict(noise), masks=masks)
 
 

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -27,7 +28,7 @@ from hsagg.harness import (
     transcript_to_json,
     verify_point,
 )
-from hsagg.harness import _uniform
+from hsagg.harness import _draw_inputs, _uniform
 from hsagg import leakage as lk, protocol
 from hsagg.matrix import GfMatrix, RowSpace
 from hsagg.patterns import enumerate_patterns, enumerate_survivors, format_pattern
@@ -359,17 +360,19 @@ def test_estimate_covers_every_counted_check(params):
 # RowSpace (insert, clone) calls and _split_quadruple eliminations of
 # each point's one-draw campaign; the same under any PYTHONHASHSEED
 RANK_WORK = {
-    "2,3,2,1,5,1": (286, 17, 32),
-    "2,4,3,1,7,2": (596, 22, 40),
-    "3,4,3,2,11,1": (3592, 199, 176),
-    "2,5,4,2,11,2": (2982, 107, 128),
+    "2,3,2,1,5,1": (232, 8, 24),
+    "2,4,3,1,7,2": (504, 10, 30),
+    "3,4,3,2,11,1": (1484, 15, 110),
+    "2,5,4,2,11,2": (2122, 12, 96),
 }
 
 
 @pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
 def test_rank_work_does_not_grow(params, monkeypatch):
     """A memo change that loses reuse shows as more row reductions or
-    more quadruple eliminations."""
+    more quadruple eliminations.  The correct scheme's views are direct
+    sums over users, so the store assembles every one of them and
+    reduces none whole."""
     calls = {"insert": 0, "clone": 0, "split": 0}
     for name in ("insert", "clone"):
         method = getattr(RowSpace, name)
@@ -379,18 +382,28 @@ def test_rank_work_does_not_grow(params, monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(RowSpace, name, counted)
-    split_quadruple = lk._split_quadruple
+    split_quadruple, rank_store, stores = lk._split_quadruple, lk._rank_store, []
 
     def counted_split(*args):
         calls["split"] += 1
         return split_quadruple(*args)
 
+    def kept_store(ctx):
+        stores.append(rank_store(ctx))
+        return stores[-1]
+
     monkeypatch.setattr(lk, "_split_quadruple", counted_split)
+    monkeypatch.setattr(lk, "_rank_store", kept_store)
     verify_point(params, RunConfig(mode="verify", draws=1))
     inserts, clones, splits = RANK_WORK[params.label()]
     assert (
         calls["insert"] <= inserts and calls["clone"] <= clones and calls["split"] <= splits
     ), calls
+    assert len({id(store) for store in stores}) == 1
+    n_tsets = sum(1 for _ in enumerate_patterns(params)) * sum(
+        comb(params.num_helpers, size) for size in range(params.collusion + 1)
+    )
+    assert stores[0].views == {"assembled": n_tsets, "whole": 0}
 
 
 # GfMatrix.inv calls of each point's one-draw campaign, setup included:
@@ -467,6 +480,29 @@ def test_bulk_draw_takes_further_chunks_when_one_falls_short():
         assert bulk.getstate() == ref.getstate()
         longest = max(longest, bulk.wide_calls)
     assert longest >= 3
+
+
+# SHA-256 of two consecutive ``_draw_inputs`` calls (20 cases, then 3)
+# from ``random.Random("draw-pin")``, then the generator's next 64 bits:
+# the stacked decode's inputs, and the state the draws leave
+DRAWN_INPUTS = {
+    "2,4,3,1,7,2": "41a124497eb14d4cb3bcc0a2815869fbb7e32d5c5b7b81fdbd6ad3e7375c22b2",
+    "3,4,3,2,11,1": "4058a2807df1b2f1e2087769fa44d003accba98562f8b92fad566102a6e74337",
+}
+
+
+@pytest.mark.parametrize("label", sorted(DRAWN_INPUTS))
+def test_drawn_decode_inputs_are_pinned(label):
+    """A verify report holds counts, not inputs, so the pinned report
+    digests cannot show a drift in the bulk draw; these digests do.  The
+    second call and the generator's next bits show a state left wrong
+    by the first, even when the words it skipped would be rejected."""
+    params = SchemeParams.from_csv(label)
+    rng = random.Random("draw-pin")
+    drawn = [_draw_inputs(params, rng, cases) for cases in (20, 3)]
+    text = repr([[(x.owner, x.parts) for x in grads + noises] for grads, noises in drawn])
+    text += repr(rng.getrandbits(64))
+    assert hashlib.sha256(text.encode()).hexdigest() == DRAWN_INPUTS[label]
 
 
 def test_verify_deterministic_bytes():

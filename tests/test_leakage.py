@@ -199,9 +199,11 @@ def _zero_masks(ctx, monkeypatch):
 
 def _helper4_upload_without_randomness(ctx, monkeypatch):
     # One row stripped: every other helper's uploads stay masked, so
-    # the leak is confined to the views that include helper 4's data.
+    # the leak is confined to the views that include the last helper's
+    # data (helper 4 of EXAMPLE).
+    p = ctx.params
     rows = list(ctx.upload_matrix.data)
-    rows[3] = rows[3][: EXAMPLE.block_count] + (0,) * EXAMPLE.collusion
+    rows[-1] = rows[-1][: p.block_count] + (0,) * p.collusion
     return replace(ctx, upload_matrix=GfMatrix(ctx.field, rows))
 
 
@@ -209,7 +211,8 @@ def _uploads_without_randomness(ctx, monkeypatch):
     # No Nr-row submatrix is invertible now, so the master cannot
     # decode; the linear transcript stops at the responses and the
     # leakage is still measured.
-    rows = [r[: EXAMPLE.block_count] + (0,) * EXAMPLE.collusion for r in ctx.upload_matrix.data]
+    p = ctx.params
+    rows = [r[: p.block_count] + (0,) * p.collusion for r in ctx.upload_matrix.data]
     return replace(ctx, upload_matrix=GfMatrix(ctx.field, rows))
 
 
@@ -570,9 +573,10 @@ def test_cond_entropy_examples(tvars):
 # -- the split kernel against the incremental path ---------------------------
 
 
-def _security_queries(ctx, pattern, tv):
+def _security_queries(ctx, pattern, tv, beyond=0):
     """Every helper and master query of the pattern, built as the checks
-    build them, each with its check."""
+    build them, each with its check; helper subsets up to the collusion
+    bound plus ``beyond``."""
     params = ctx.params
     users = range(1, params.num_users + 1)
     targets = tuple(tv[f"W[{k}]"] for k in users)
@@ -580,7 +584,7 @@ def _security_queries(ctx, pattern, tv):
     for size in range(params.num_users + 1):
         for uset in combinations(users, size):
             colluders = tuple(tv[f"{v}[{u}]"] for u in uset for v in ("W", "F"))
-            for tsize in range(params.collusion + 1):
+            for tsize in range(params.collusion + 1 + beyond):
                 for tset in combinations(range(1, params.num_helpers + 1), tsize):
                     view = helper_observation(tv, ctx, pattern, tset)
                     yield check_security_helpers, uset, tset, MiQuery(targets, view, colluders)
@@ -626,7 +630,7 @@ def test_sharing_split_matches_incremental_path(params, stride, queries):
 
     def sharing_ranks(tv, pattern, tset):
         collusion = tv.collusion(ctx, pattern, tset)
-        kernel_a = _split_observed(tv.uploads(params), layout)[1][1]
+        kernel_a = _split_observed(tv.uploads(params), layout)[1]
         return _sharing_ranks(
             kernel_a,
             collusion.prefix_reduction,
@@ -699,19 +703,21 @@ def test_transcript_splits_each_target_and_given_and_finds_the_uploads_kernel_on
     pattern = list(enumerate_patterns(params))[7]
     tv = build_linear_transcript(ctx, pattern)
     splits, upload_lookups = [], []
-    unit_split, reduce = leakage._unit_split, leakage._RankStore.reduce
+    unit_split, reduction = leakage._unit_split, leakage._RankStore.reduction
+    uploads = [tv[f"X[{k},{n}]"] for k in (1, 2, 3) for n in (1, 2, 3, 4)]
+    upload_rows = tuple(row for v in uploads for row in v.rows)
 
     def counted_split(variables):
         splits.append(variables)
         return unit_split(variables)
 
-    def counted_reduce(store, layout, observed, compute):
-        if observed == tv.uploads(params):
-            upload_lookups.append(observed)
-        return reduce(store, layout, observed, compute)
+    def counted_reduction(store, layout, rows, field):
+        if rows == upload_rows:
+            upload_lookups.append(rows)
+        return reduction(store, layout, rows, field)
 
     monkeypatch.setattr(leakage, "_unit_split", counted_split)
-    monkeypatch.setattr(leakage._RankStore, "reduce", counted_reduce)
+    monkeypatch.setattr(leakage._RankStore, "reduction", counted_reduction)
     helpers = range(1, params.num_helpers + 1)
     tsets = [t for size in range(params.collusion + 1) for t in combinations(helpers, size)]
     usets = [u for size in range(4) for u in combinations(range(1, 4), size)]
@@ -783,7 +789,7 @@ def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
         return
     layout, field = everything[0].layout, everything[0].coeffs.field
     target, given = _unit_split(query.target), _unit_split(query.given)
-    reduction = _split_observed(query.observed, layout)[1]
+    reduction = _split_observed(query.observed, layout)
     assert _split_quadruple(target, given, reduction, layout.user_dim, field) == expect
 
     u = layout.user_dim
@@ -792,7 +798,7 @@ def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
     added = (LinearVar("Y", layout, GfMatrix(field, [r + [0] * (layout.dim - u) for r in rows])),)
     r_noise, kernel = reduction
     extended = (r_noise, _extended_kernel(kernel, added, layout))
-    assert extended == _split_observed(query.observed + added, layout)[1]
+    assert extended == _split_observed(query.observed + added, layout)
     assert _split_quadruple(target, given, extended, u, field) == rank_quadruple(
         replace(query, observed=query.observed + added)
     )
@@ -801,19 +807,19 @@ def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
 @settings(max_examples=150, deadline=None)
 @given(split_queries(noisy_given=True))
 def test_noisy_given_split_matches_incremental_path_on_random_rows(query):
-    """``_sharing_ranks`` on the split reductions of C and of C then B,
-    the latter extending a clone of C's space as a collusion's view
-    extends its prefix's."""
+    """``_sharing_ranks`` on the split reductions of C and of C then B.
+    A split reduction does not depend on the order of the rows, which
+    the per-user assembly, grouping a view's rows by user, relies on."""
     expect = rank_quadruple(query)
     everything = query.target + query.observed + query.given
     if not everything:
         assert expect == (0, 0, 0, 0)
         return
     layout, field = everything[0].layout, everything[0].coeffs.field
-    kernel_a = _split_observed(query.target, layout)[1][1]
-    space, reduction_c = _split_observed(query.given, layout, RowSpace(field, layout.dim))
-    reduction_bc = _split_observed(query.observed, layout, space.clone())[1]
-    assert reduction_bc == _split_observed(query.given + query.observed, layout)[1]
+    kernel_a = _split_observed(query.target, layout)[1]
+    reduction_c = _split_observed(query.given, layout)
+    reduction_bc = _split_observed(query.given + query.observed, layout)
+    assert reduction_bc == _split_observed(query.observed[::-1] + query.given, layout)
     assert _sharing_ranks(kernel_a, reduction_c, reduction_bc, layout.user_dim, field) == expect
 
 
@@ -844,15 +850,16 @@ def test_split_memo_checks_the_variables_behind_the_names(ctx, tvars):
     assert got.ranks == rank_quadruple(query)
 
 
-def test_split_memo_extends_each_space_once(monkeypatch):
-    """A collusion reduces its chain once, each row inserted once: the
-    prefix into a space the store keeps, the shares into a clone of it,
-    and the responses, which lie in the user columns, into the view's
-    kernel in user width.  The context is fresh, so its store holds
-    none of these rows yet; a second call does no work."""
+def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
+    """A collusion reduces its chain once: each user's blocks of the
+    prefix and of the view in user-local width, each distinct block
+    once and no row at full width, and the responses, which lie in the
+    user columns, into the view's kernel in user width.  The context is
+    fresh, so its store holds none of these rows yet; a second call
+    does no work."""
     ctx = setup(EXAMPLE)
     tv = build_linear_transcript(ctx, EXAMPLE_PATTERN)
-    layout = SourceLayout(EXAMPLE)
+    layout, local = SourceLayout(EXAMPLE), SourceLayout(replace(EXAMPLE, num_users=1))
     responses = tuple(tv[f"Y[{n}]"] for n in sorted(EXAMPLE_PATTERN.active_helpers))
     assert all(not any(row[layout.user_dim:]) for v in responses for row in v.rows)
     widths = []
@@ -862,14 +869,18 @@ def test_split_memo_extends_each_space_once(monkeypatch):
     )
     collusion = tv.collusion(ctx, EXAMPLE_PATTERN, [3])
     prefix, view, master = collusion.prefix, collusion.view, collusion.master
-    assert (layout, tuple(v.rows for v in prefix)) in tv._store.spaces
+    store = tv._store
+    prefix_blocks, view_blocks = store.by_user(layout, prefix), store.by_user(layout, view)
+    # the store reduced each user's blocks, and no set whole
+    assert set(store.reductions) == set(prefix_blocks + view_blocks)
+    assert collusion.users == tuple(store.reductions[rows] for rows in view_blocks)
+    assert store.views == {"assembled": 1, "whole": 0}
     assert view[:len(prefix)] == prefix and len(prefix) < len(view)
     assert all(v.name.startswith("M[") for v in view[len(prefix):])
     assert master == view + responses
     response_rows = sum(len(v.rows) for v in responses)
-    assert widths == (
-        [layout.dim] * sum(len(v.rows) for v in view) + [layout.user_dim] * response_rows
-    )
+    block_rows = sum(map(len, set(prefix_blocks + view_blocks)))
+    assert widths == [local.dim] * block_rows + [layout.user_dim] * response_rows
     widths.clear()
     assert tv.collusion(ctx, EXAMPLE_PATTERN, [3]) is collusion and widths == []
     for observed, reduction in (
@@ -877,7 +888,72 @@ def test_split_memo_extends_each_space_once(monkeypatch):
         (view, collusion.view_reduction),
         (master, collusion.master_reduction),
     ):
-        assert reduction == _split_observed(observed, layout)[1]
+        assert reduction == _split_observed(observed, layout)
+
+
+# -- the per-user direct sum against the incremental path --------------------
+
+
+def _user1_mask_mixes_user2_noise(ctx, monkeypatch):
+    # user 1's masks take user 2's dealer noise on top of its own, so
+    # each of user 1's mask rows spans two users' columns
+    derive, q = leakage.keys_from_noise, ctx.params.modulus
+
+    def mixed(ctx, noise):
+        return derive(ctx, {
+            (n, j, k): tuple((a + b) % q for a, b in zip(v, noise[n, j, 2])) if k == 1 else v
+            for (n, j, k), v in noise.items()
+        })
+
+    monkeypatch.setattr(leakage, "keys_from_noise", mixed)
+    return ctx
+
+
+PER_USER_SCHEMES = {
+    "correct": lambda ctx, monkeypatch: ctx,
+    "unmasked-shares": _forward_unmasked_shares,
+    "zero-masks": _zero_masks,
+    "upload-row-without-randomness": _helper4_upload_without_randomness,
+    "uploads-without-randomness": _uploads_without_randomness,
+    "noise-shared-across-users": _noise_shared_across_users,
+    "user1-mask-mixes-user2-noise": _user1_mask_mixes_user2_noise,
+}
+
+
+@pytest.mark.parametrize("scheme", PER_USER_SCHEMES)
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_per_user_path_matches_incremental_path(params, scheme, monkeypatch):
+    """Every helper and master record of every pattern, for every user
+    subset and helper subset up to T + 1, equals ``rank_quadruple``, on
+    one context whose store the sweep fills.  A view with a row that
+    spans users is reduced whole, never inferred: the correct scheme has
+    none, and when user 1's masks mix user 2's noise every nonempty view
+    has one.  The reference is memoized by row content, of which it is a
+    function."""
+    ctx = PER_USER_SCHEMES[scheme](setup(params), monkeypatch)
+    reference, oversized_leaks, seen = {}, 0, 0
+    patterns = list(enumerate_patterns(params))
+    for pattern in patterns:
+        tv = build_linear_transcript(ctx, pattern)
+        for check, uset, tset, query in _security_queries(ctx, pattern, tv, beyond=1):
+            parts = (query.target, query.observed, query.given)
+            key = tuple(tuple(v.rows for v in part) for part in parts)
+            if key not in reference:
+                reference[key] = rank_quadruple(query)
+            record = check(ctx, pattern, uset, tset, tvars=tv, exploratory=True)
+            assert record.ranks == reference[key], (check.__name__, uset, tset, pattern)
+            if scheme == "correct":
+                assert record.value == 0 or record.exploratory
+                oversized_leaks += record.value != 0
+            seen += 1
+    tsets = sum(comb(params.num_helpers, size) for size in range(params.collusion + 2))
+    assert seen == 2 * len(patterns) * 2**params.num_users * tsets
+    views = leakage._rank_store(ctx).views
+    assert views["assembled"] + views["whole"] == len(patterns) * tsets
+    if scheme == "correct":
+        assert views["whole"] == 0 and oversized_leaks > 0
+    elif scheme == "user1-mask-mixes-user2-noise":
+        assert views["whole"] == len(patterns) * (tsets - 1)  # every view but the empty one
 
 
 # -- the context's rank store ----------------------------------------------------
@@ -953,6 +1029,36 @@ def test_rank_store_extends_a_kernel_only_by_user_rows(monkeypatch):
     assert len(masked) == len(correct) == 1125
     assert all(record.ranks == expect for record, expect in masked)
     changed = [m.kind for (m, _), (c, _) in zip(masked, correct) if m.ranks != c.ranks]
+    assert changed and set(changed) == {"master"}
+
+
+def _responses_without_user_1(ctx, monkeypatch):
+    # each helper leaves user 1's upload out of its response: the rows
+    # stay in the user columns but span less than the scheme's
+    respond = protocol.helper_respond
+
+    def partial(ctx, pattern, helper, own_uploads, recovered):
+        payload = respond(ctx, pattern, helper, own_uploads, recovered).payload
+        first = own_uploads[1] if 1 in own_uploads else recovered[1]
+        q = ctx.params.modulus
+        return HelperResponse(helper, tuple((a - b) % q for a, b in zip(payload, first)))
+
+    monkeypatch.setattr(protocol, "helper_respond", partial)
+    return ctx
+
+
+def test_master_kernels_are_keyed_by_the_response_rows(monkeypatch):
+    """Responses without user 1 lie in the user columns, so each master's
+    set extends a view kernel that the correct sweep on the same context
+    already extended by other responses.  Every record equals the
+    incremental path, and the master's records see the changed
+    responses."""
+    ctx = setup(EXAMPLE)
+    correct = _campaign_sweep(ctx, EXAMPLE)
+    partial = _campaign_sweep(_responses_without_user_1(ctx, monkeypatch), EXAMPLE)
+    assert len(partial) == len(correct) == 1125
+    assert all(record.ranks == expect for record, expect in partial)
+    changed = [p.kind for (p, _), (c, _) in zip(partial, correct) if p.ranks != c.ranks]
     assert changed and set(changed) == {"master"}
 
 

@@ -188,7 +188,7 @@ def naive_product(a, b, q):
 @settings(max_examples=80)
 @given(
     st.sampled_from([2, 7, 11, 2**31 - 1]),
-    st.integers(1, 4),
+    st.integers(0, 4),
     st.integers(1, 4),
     st.integers(1, 5),
     st.data(),
@@ -196,15 +196,18 @@ def naive_product(a, b, q):
 def test_product_walks_only_nonzero_entries_yet_matches_the_naive_product(
     q, rows, inner, cols, data
 ):
-    """Sparse rows (unit vectors, mostly zeros) and dense ones alike."""
+    """Sparse rows (unit vectors, mostly zeros) and dense ones alike; a
+    left operand with no rows gives a product of the right operand's
+    width, which a further product accepts."""
     f = PrimeField(q)
     entry = st.one_of(st.just(0), st.just(0), st.integers(0, q - 1))
     a = [[data.draw(entry) for _ in range(inner)] for _ in range(rows)]
     b = [[data.draw(entry) for _ in range(cols)] for _ in range(inner)]
-    product = GfMatrix(f, a) @ GfMatrix(f, b)
+    product = GfMatrix(f, a, inner) @ GfMatrix(f, b)
     assert [list(r) for r in product.data] == naive_product(a, b, q)
     assert (product.rows, product.cols) == (rows, cols)
-    assert product == GfMatrix(f, product.data)  # canonical, as if reduced
+    assert product == GfMatrix(f, product.data, cols)  # canonical, as if reduced
+    assert (product @ GfMatrix.identity(f, cols)) == product
 
 
 def test_of_reduced_takes_rows_as_they_are():
@@ -213,6 +216,9 @@ def test_of_reduced_takes_rows_as_they_are():
     assert m == GfMatrix(F7, rows) and m.data is rows
     assert (m.rows, m.cols) == (2, 3)
     assert GfMatrix.of_reduced(F7, ()).data == ()
+    empty = GfMatrix.of_reduced(F7, (), 3)
+    assert (empty.rows, empty.cols) == (0, 3) and empty != GfMatrix(F7, [])
+    assert (GfMatrix.zeros(F7, 0, 4).cols, GfMatrix(F7, [], 2).cols) == (4, 2)
 
 
 @settings(max_examples=60)

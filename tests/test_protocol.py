@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsagg import protocol
+from hsagg.harness import DEFAULT_GRID
 from hsagg.matrix import FieldTooSmall, GfMatrix, RowSpace, vandermonde
 from hsagg.patterns import (
     CommPattern,
@@ -158,6 +159,22 @@ def test_dealer_own_mask_is_zero(ctx):
 def test_dealer_deterministic_by_seed(ctx):
     assert dealer_generate(ctx, "s").noise == dealer_generate(ctx, "s").noise
     assert dealer_generate(ctx, "s").noise != dealer_generate(ctx, "t").noise
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_masks_are_each_users_noise_mixed_by_the_helpers_map(params):
+    """One product per helper over every user's noise side by side gives,
+    for each (i, n, k), row i of ``mask_maps[n]`` times user k's slots."""
+    ctx = setup(params)
+    keys = dealer_generate(ctx, "mask-slices")
+    assert len(keys.masks) == params.num_helpers**2 * params.num_users
+    for n in range(1, params.num_helpers + 1):
+        for k in range(1, params.num_users + 1):
+            slots = GfMatrix(ctx.field, [keys.noise[n, j, k] for j in range(1, params.resiliency)])
+            mixed = ctx.mask_maps[n - 1] @ slots
+            for i in range(1, params.num_helpers + 1):
+                assert keys.masks[i, n, k] == mixed.row(i - 1)
+                assert len(keys.masks[i, n, k]) == params.block_len
 
 
 def test_degenerate_empty_noise_gives_zero_masks(ctx):
