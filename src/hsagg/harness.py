@@ -2,16 +2,16 @@
 sweeps, rate tables, leakage reports, and their serialized forms.
 
 Reports are deterministic byte-for-byte given the same config and
-seeds: entropies and rates are exact rationals rendered as strings
-(with a decimal convenience column), and nothing volatile such as wall
-clock time enters the serialized output.
+seeds: entropies are exact integers and rates exact rationals, rendered
+as strings (with a decimal convenience column), and nothing volatile
+such as wall clock time enters the serialized output.
 """
 
 import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
@@ -183,7 +183,7 @@ def _draw_inputs(
     )
 
 
-def _frac(value: Fraction) -> dict:
+def _frac(value: Fraction | int) -> dict:
     return {"value": str(value), "decimal": float(value)}
 
 
@@ -353,7 +353,7 @@ class PointReport:
     rate_x: Fraction | None = None
     rate_y: Fraction | None = None
     rates_equal: bool | None = None
-    witness_value: Fraction | None = None
+    witness_value: int | None = None
 
     def to_json(self) -> dict:
         doc = {
@@ -465,7 +465,7 @@ def _stacked_decode(
     params = ctx.params
     l, parts, q = params.block_len, params.block_count, params.modulus
     cases = len(survivor_sets) * draws
-    wide = replace(ctx, params=replace(params, gradient_len=cases * params.gradient_len))
+    wide = ctx.widened(cases * params.gradient_len)
     grads, noises = _draw_inputs(params, rng, cases)
     # each part's sum of the gradients, over the cases
     sums = [[sum(col) % q for col in zip(*(g.parts[i] for g in grads))] for i in range(parts)]

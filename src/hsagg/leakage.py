@@ -15,8 +15,8 @@ mutual information reduces to the rank quadruple
 
     I(A; B | C) = rank(AC) + rank(BC) - rank(ABC) - rank(C)
 
-in symbols.  Entropies and MI values are exact rationals, never floats,
-so zero leakage is decided exactly.
+in symbols.  Entropies and MI values are ranks times the block length,
+exact integers, never floats, so zero leakage is decided exactly.
 
 Helper and master queries have a shape that makes most of this work
 shareable: their target A and given C lie in the user-source columns
@@ -46,18 +46,19 @@ every check: the non-share prefix (uploads and stored masks), the view
 view, then the responses).  Each user's sources enter the scheme apart,
 so each row of a view lies in one user's columns, and the view is a
 direct sum of per-user blocks: their noise ranks add, and their
-kernels, embedded in user width, make the view's.  A rank store that
-the transcripts of one scheme context share reduces each block once per
-content, in one user's coordinates, so equal blocks of different users
-and patterns share the work; a view with a row that spans users is
-reduced whole.  The master's set extends the view's kernel by the
-responses in user width when they lie in the user columns, as in the
-scheme.  A quadruple depends on B only through K, plus ``r_noise``, so
-it is computed once per kernel, target and given; a helper query's,
-whose target and given are unit rows, is the sum of its users'.
-``rank_quadruple`` is the incremental path, valid for any query; it is
-the reference the splits are tested against, and it answers a check
-whose target or given leaves the user columns.
+kernels, embedded in user width, make the view's.  A rank store, kept
+in the scheme context's memo and shared by the transcripts built from
+it, reduces each block once per content, in one user's coordinates, so
+equal blocks of different users and patterns share the work; a view
+with a row that spans users is reduced whole.  The master's set
+extends the view's kernel by the responses in user width when they lie
+in the user columns, as in the scheme.  A quadruple depends on B only
+through K, plus ``r_noise``, so it is computed once per kernel, target
+and given; a helper query's, whose target and given are unit rows, is
+the sum of its users'.  ``rank_quadruple`` is the incremental path,
+valid for any query; it is the reference the splits are tested
+against, and it answers a check whose target or given leaves the user
+columns.
 
 A brute-force oracle checks the rank-to-entropy step independently on
 tiny instances: it runs the same roles on every source assignment and
@@ -66,10 +67,8 @@ counts the joint distributions, with no rank arithmetic.
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cached_property, lru_cache
-from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
-import weakref
 
 import numpy as np
 
@@ -229,11 +228,15 @@ class LinearVar:
 class _RankStore:
     """Rank work that the transcripts of one scheme context share.
 
-    Every key is coefficient-row content, never a name, a pattern or a
-    helper id, so that a transcript whose rows differ (a broken scheme
-    run under the same context) never reads another's entry.  ``owners``
-    maps a row to its user and its row in user-local coordinates
-    (``_user_coordinates``), or to None if it spans users.
+    Built for the context's parameters: ``local`` is the user-local
+    layout, that of the same parameters with one user, and ``columns``
+    holds per user the columns its local columns stand for, in order:
+    gradient parts, randomness parts, dealer noise by (helper, mixing
+    slot).  Every key is coefficient-row content, never a name, a
+    pattern or a helper id, so that a transcript whose rows differ (a
+    broken scheme run under the same context) never reads another's
+    entry.  ``owners`` maps a row to its user and its row in user-local
+    coordinates, or to None if it spans users.
     ``reductions`` holds the split reduction ``(r_noise, K)`` of each
     user-local block, and of each set reduced whole.  ``kernels`` holds
     each kernel assembled from per-user kernels, and each view kernel
@@ -245,9 +248,15 @@ class _RankStore:
     and those reduced whole.  Keys share one copy of each equal part.
     """
 
-    __slots__ = ("owners", "reductions", "kernels", "quadruples", "views", "_held", "__weakref__")
-
-    def __init__(self):
+    def __init__(self, params: SchemeParams):
+        layout, k_all = SourceLayout(params), params.num_users
+        self.local = SourceLayout(replace(params, num_users=1))
+        self.columns = tuple(
+            (*range(layout.w_slot(k, 1), layout.w_slot(k, 1) + params.block_count),
+             *range(layout.f_slot(k, 1), layout.f_slot(k, 1) + params.collusion),
+             *range(layout.q_slot(1, 1, k), layout.dim, k_all))
+            for k in range(1, k_all + 1)
+        )
         self.owners, self.reductions, self.kernels, self.quadruples, self._held = {}, {}, {}, {}, {}
         self.views = {"assembled": 0, "whole": 0}
 
@@ -265,10 +274,10 @@ class _RankStore:
             found = self.reductions[self._hold(rows)] = r_noise, kernel
         return found
 
-    def by_user(self, layout: SourceLayout, observed: Sequence[LinearVar]) -> tuple | None:
+    def by_user(self, observed: Sequence[LinearVar]) -> tuple | None:
         """Each user's rows of ``observed`` in user-local coordinates, in
         order; None if a row spans users.  A zero row goes to user 1."""
-        columns = _user_coordinates(layout.params)[1]
+        columns = self.columns
         blocks = [[] for _ in columns]
         for v in observed:
             for row in v.rows:
@@ -291,14 +300,13 @@ class _RankStore:
         ``blocks`` is None."""
         if blocks is None:
             return self.reduction(layout, tuple(r for v in observed for r in v.rows), field), None
-        local, columns = _user_coordinates(layout.params)
-        users = tuple(self.reduction(local, rows, field) for rows in blocks)
+        users = tuple(self.reduction(self.local, rows, field) for rows in blocks)
         key = tuple(id(kernel) for _, kernel in users)
         kernel = self.kernels.get(key)
         if kernel is None:
             kernel = tuple(sorted(
                 (tuple(dict(zip(cols, row)).get(j, 0) for j in range(layout.user_dim))
-                 for cols, (_, rows) in zip(columns, users) for row in rows),
+                 for cols, (_, rows) in zip(self.columns, users) for row in rows),
                 key=lambda row: row.index(1),  # each row's first nonzero is 1
             ))
             kernel = self.kernels[key] = self._held.setdefault(kernel, kernel)
@@ -332,11 +340,10 @@ class _RankStore:
             if users is None or target[1] or given[1]:
                 ranks = _split_quadruple(target, given, (0, kernel), layout.user_dim, field)
             else:
-                (local, columns), units = _user_coordinates(layout.params), (target[0], given[0])
-                parts = []
-                for (_, own), cols in zip(users, columns):
+                parts, units = [], (target[0], given[0])
+                for (_, own), cols in zip(users, self.columns):
                     a, c = ((frozenset(i for i, j in enumerate(cols) if j in e), ()) for e in units)
-                    parts.append(self.quadruple((0, own), a, c, local, field))
+                    parts.append(self.quadruple((0, own), a, c, self.local, field))
                 ranks = tuple(map(sum, zip(*parts)))
             ranks = self._held.setdefault(ranks, ranks)
             self.quadruples[self._hold(key)] = ranks
@@ -344,30 +351,12 @@ class _RankStore:
         return (r_ac, r_bc + r_noise, r_abc + r_noise, r_c)
 
 
-@lru_cache(maxsize=64)
-def _user_coordinates(params: SchemeParams) -> tuple[SourceLayout, tuple[tuple[int, ...], ...]]:
-    """The user-local layout, that of the same parameters with one user,
-    and per user the columns its local columns stand for, in order:
-    gradient parts, randomness parts, dealer noise by (helper, mixing slot)."""
-    layout, k_all = SourceLayout(params), params.num_users
-    columns = tuple(
-        (*range(layout.w_slot(k, 1), layout.w_slot(k, 1) + params.block_count),
-         *range(layout.f_slot(k, 1), layout.f_slot(k, 1) + params.collusion),
-         *range(layout.q_slot(1, 1, k), layout.dim, k_all))
-        for k in range(1, k_all + 1)
-    )
-    return SourceLayout(replace(params, num_users=1)), columns
-
-
-_stores: dict[int, _RankStore] = {}  # by id of a living context; see _rank_store
-
-
 def _rank_store(ctx: SchemeContext) -> _RankStore:
-    """The context's rank store, which lives exactly as long as it."""
-    store = _stores.get(id(ctx))
+    """The context's rank store, kept in its memo, so that it dies with
+    the contexts that hold the memo."""
+    store = ctx.memo.get(_RankStore)
     if store is None:
-        store = _stores[id(ctx)] = _RankStore()
-        weakref.finalize(ctx, _stores.pop, id(ctx), None)
+        store = ctx.memo[_RankStore] = _RankStore(ctx.params)
     return store
 
 
@@ -391,12 +380,12 @@ class _Collusion:
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
-    Read-only.  It memoizes, each once, every colluding set's reduced
-    observations (``collusion``) and each helper's part of them, the
-    all-gradients and all-uploads targets and each user subset's
-    collusion variables, each with its unit split (``inputs``), the
-    uploads' kernel and each pattern's formatted form; all live and die
-    with the transcript.
+    Read-only; its parameters are those of its variables' layout.  It
+    memoizes, each once, every colluding set's reduced observations
+    (``collusion``) and each helper's part of them, the all-gradients
+    target and its unit split, the all-uploads target and its kernel,
+    each user subset's given with its unit split (``given``) and each
+    pattern's formatted form; all live and die with the transcript.
 
     Reductions are found by row content in the rank store
     (``_RankStore``), never by names.  ``build_linear_transcript`` hands
@@ -406,11 +395,11 @@ class LinearTranscript(Mapping):
 
     def __init__(self, tvars: Mapping[str, LinearVar], store: _RankStore | None = None):
         self._vars = dict(tvars)
-        self._store = _RankStore() if store is None else store
+        self.params = next(iter(self._vars.values())).layout.params
+        self._store = _RankStore(self.params) if store is None else store
         self._collusions: dict[tuple, _Collusion] = {}  # by (active helpers, tset)
         self._helpers: dict[tuple, tuple] = {}  # by (active helpers, helper)
-        self._inputs: dict[tuple, tuple] = {}  # (variables, unit split) by key
-        self._kernels: dict[tuple, tuple | None] = {}
+        self._givens: dict[tuple, tuple] = {}  # (variables, unit split) by (with_sum, users)
         self._labels: dict[CommPattern, str] = {}
 
     def __getitem__(self, name: str) -> LinearVar:
@@ -438,7 +427,7 @@ class LinearTranscript(Mapping):
         for t in key[1]:  # each helper's (uploads, masks, shares) and their rows by user
             if (active, t) not in self._helpers:
                 parts = _helper_parts(self, ctx.params, active, t)
-                self._helpers[active, t] = parts, [store.by_user(layout, p) for p in parts]
+                self._helpers[active, t] = parts, [store.by_user(p) for p in parts]
         helpers = [self._helpers[active, t] for t in key[1]]
 
         def joined(kinds):  # the variables of these kinds, and each user's rows of them
@@ -458,44 +447,42 @@ class LinearTranscript(Mapping):
         )
         return found
 
-    def inputs(self, key: tuple) -> tuple[tuple[LinearVar, ...], tuple | None]:
-        """The variables ``key`` names and their ``_unit_split``, computed
-        once per key: ``("W", K)`` every gradient ``W[k]``, ``("X", K,
-        N)`` every upload ``X[k,n]``, and ``(with_sum, *users)`` the
-        gradient sum ``W`` if ``with_sum``, then each colluding user's
-        ``W[u]`` and ``F[u]``."""
-        found = self._inputs.get(key)
-        if found is None:
-            if key[0] == "W":
-                names = [f"W[{k}]" for k in range(1, key[1] + 1)]
-            elif key[0] == "X":
-                names = [f"X[{k},{n}]" for k in range(1, key[1] + 1) for n in range(1, key[2] + 1)]
-            else:
-                names = ["W"] * key[0] + [f"{v}[{u}]" for u in key[1:] for v in "WF"]
-            variables = tuple(self._vars[name] for name in names)
-            found = self._inputs[key] = (variables, _unit_split(variables))
-        return found
+    @cached_property
+    def gradients(self) -> tuple[LinearVar, ...]:
+        """Every user's gradient ``W[k]``."""
+        return tuple(self._vars[f"W[{k}]"] for k in range(1, self.params.num_users + 1))
 
-    def gradients(self, params: SchemeParams) -> tuple[LinearVar, ...]:
-        """Every user's gradient ``W[k]``, computed once."""
-        return self.inputs(("W", params.num_users))[0]
+    @cached_property
+    def gradients_split(self) -> tuple | None:
+        """The gradients' ``_unit_split``."""
+        return _unit_split(self.gradients)
 
-    def uploads(self, params: SchemeParams) -> tuple[LinearVar, ...]:
-        """Every upload ``X[k,n]``, computed once."""
-        return self.inputs(("X", params.num_users, params.num_helpers))[0]
+    @cached_property
+    def uploads(self) -> tuple[LinearVar, ...]:
+        """Every upload ``X[k,n]``."""
+        users, helpers = range(1, self.params.num_users + 1), range(1, self.params.num_helpers + 1)
+        return tuple(self._vars[f"X[{k},{n}]"] for k in users for n in helpers)
 
-    def uploads_kernel(self, params: SchemeParams) -> tuple | None:
+    @cached_property
+    def uploads_kernel(self) -> tuple | None:
         """The kernel of the uploads' split reduction, found in the rank
-        store by content once per transcript; None if an upload leaves
-        the user columns."""
-        key = (params.num_users, params.num_helpers)
-        if key not in self._kernels:
-            uploads, split = self.inputs(("X",) + key)
-            rows = tuple(row for v in uploads for row in v.rows)
-            self._kernels[key] = None if split is None else self._store.reduction(
-                SourceLayout(params), rows, uploads[0].coeffs.field
-            )[1]
-        return self._kernels[key]
+        store by content; None if an upload leaves the user columns."""
+        if _unit_split(self.uploads) is None:
+            return None
+        rows = tuple(row for v in self.uploads for row in v.rows)
+        field = self.uploads[0].coeffs.field
+        return self._store.reduction(SourceLayout(self.params), rows, field)[1]
+
+    def given(self, with_sum: bool, users: tuple[int, ...]) -> tuple:
+        """The gradient sum ``W`` if ``with_sum``, then each colluding
+        user's ``W[u]`` and ``F[u]``, and their ``_unit_split``, computed
+        once per (with_sum, users)."""
+        found = self._givens.get((with_sum, users))
+        if found is None:
+            names = ["W"] * with_sum + [f"{v}[{u}]" for u in users for v in "WF"]
+            variables = tuple(self._vars[name] for name in names)
+            found = self._givens[with_sum, users] = variables, _unit_split(variables)
+        return found
 
     def pattern_label(self, pattern: CommPattern) -> str:
         """``format_pattern(pattern)``, computed once."""
@@ -602,7 +589,7 @@ def unit_round(
     params = ctx.params
     layout = SourceLayout(params)
     dim = layout.dim
-    unit_ctx = replace(ctx, params=replace(params, gradient_len=dim * params.block_count))
+    unit_ctx = ctx.widened(dim * params.block_count)
     identity = [0] * (dim * dim)
     identity[::dim + 1] = [1] * dim
     transcript, vals = _run_on_sources(unit_ctx, pattern, identity)
@@ -665,18 +652,18 @@ def joint_rank(variables: Sequence[LinearVar]) -> int:
     return space.rank
 
 
-def entropy_rank(variables: Sequence[LinearVar]) -> Fraction:
+def entropy_rank(variables: Sequence[LinearVar]) -> int:
     """Exact joint entropy in q-ary units: rank times block length."""
     variables = tuple(variables)
     if not variables:
-        return Fraction(0)
+        return 0
     l = variables[0].layout.block_len
-    return Fraction(joint_rank(variables) * l)
+    return joint_rank(variables) * l
 
 
 def all_subset_entropies_rank(
     variables: Sequence[LinearVar],
-) -> Iterator[tuple[tuple[str, ...], Fraction]]:
+) -> Iterator[tuple[tuple[str, ...], int]]:
     """Every subset of the variables, by name, with ``entropy_rank`` of
     it, in depth-first order (that of
     ``BruteForceOracle.all_subset_entropies`` over the same names): a
@@ -687,7 +674,7 @@ def all_subset_entropies_rank(
         raise ValueError("variables must have distinct names")
     layout = _common_layout(variables)
     if layout is None:
-        yield (), Fraction(0)
+        yield (), 0
         return
 
     def grow(space: RowSpace, name: str) -> RowSpace:
@@ -697,17 +684,17 @@ def all_subset_entropies_rank(
 
     root = RowSpace(variables[0].coeffs.field, layout.dim)
     for subset, space in _depth_first(tuple(by_name), root, grow):
-        yield subset, Fraction(space.rank * layout.block_len)
+        yield subset, space.rank * layout.block_len
 
 
 def cond_entropy(
     target: Sequence[LinearVar], given: Sequence[LinearVar]
-) -> Fraction:
+) -> int:
     """H(target | given) = rank(target, given) - rank(given), in symbols."""
     target, given = tuple(target), tuple(given)
     layout = _common_layout(list(target) + list(given))
     if layout is None:
-        return Fraction(0)
+        return 0
     f = (target + given)[0].coeffs.field
     space = RowSpace(f, layout.dim)
     for v in given:
@@ -715,7 +702,7 @@ def cond_entropy(
     r_c = space.rank
     for v in target:
         space.insert_matrix(v.coeffs)
-    return Fraction((space.rank - r_c) * layout.block_len)
+    return (space.rank - r_c) * layout.block_len
 
 
 @dataclass(frozen=True)
@@ -893,17 +880,17 @@ def _sharing_ranks(
     )
 
 
-def _mi_from_ranks(ranks: tuple[int, int, int, int], block_len: int) -> Fraction:
+def _mi_from_ranks(ranks: tuple[int, int, int, int], block_len: int) -> int:
     r_ac, r_bc, r_abc, r_c = ranks
-    return Fraction((r_ac + r_bc - r_abc - r_c) * block_len)
+    return (r_ac + r_bc - r_abc - r_c) * block_len
 
 
-def cond_mutual_info(query: MiQuery) -> Fraction:
+def cond_mutual_info(query: MiQuery) -> int:
     """Exact I(target; observed | given) in q-ary units."""
     everything = list(query.target) + list(query.observed) + list(query.given)
     layout = _common_layout(everything)
     if layout is None:
-        return Fraction(0)
+        return 0
     return _mi_from_ranks(rank_quadruple(query), layout.block_len)
 
 
@@ -919,7 +906,7 @@ class LeakageRecord:
     colluding_helpers: tuple[int, ...]
     pattern: str
     ranks: tuple[int, int, int, int]
-    value: Fraction
+    value: int
     exploratory: bool = False
 
     @property
@@ -990,15 +977,15 @@ def _leakage_record(
 
 
 def _split_ranks(
-    tv: LinearTranscript, params: SchemeParams, c: _Collusion, master: bool, users: Sequence[int]
+    tv: LinearTranscript, c: _Collusion, master: bool, users: Sequence[int]
 ) -> tuple[int, int, int, int]:
     """The rank quadruple of a helper query (observed: the view) or of a
     master query (the master's set, given the sum too), whose target is
     every gradient, from the collusion's split reductions: a helper
     query's from its users'; ``rank_quadruple`` if the target or the
     given leaves the user columns."""
-    target, a = tv.inputs(("W", params.num_users))
-    given, g = tv.inputs((master,) + tuple(sorted(users)))
+    target, a = tv.gradients, tv.gradients_split
+    given, g = tv.given(master, tuple(sorted(users)))
     observed, reduction = (c.master, c.master_reduction) if master else (c.view, c.view_reduction)
     if a is None or g is None:
         return rank_quadruple(MiQuery(target, observed, given))
@@ -1023,7 +1010,7 @@ def check_security_helpers(
     """
     return _leakage_record(
         "helpers", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, c: _split_ranks(tv, ctx.params, c, False, users),
+        lambda tv, c: _split_ranks(tv, c, False, users),
     )
 
 
@@ -1043,7 +1030,7 @@ def check_security_master(
     """
     return _leakage_record(
         "master", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, c: _split_ranks(tv, ctx.params, c, True, users),
+        lambda tv, c: _split_ranks(tv, c, True, users),
     )
 
 
@@ -1111,11 +1098,9 @@ def check_sharing_leakage(
     I(all uploads; shares seen by tset | tset's uploads and masks) = 0."""
 
     def ranks(tv, c):
-        kernel_a = tv.uploads_kernel(ctx.params)
+        kernel_a = tv.uploads_kernel
         if kernel_a is None:
-            return rank_quadruple(
-                MiQuery(tv.uploads(ctx.params), c.view[len(c.prefix):], c.prefix)
-            )
+            return rank_quadruple(MiQuery(tv.uploads, c.view[len(c.prefix):], c.prefix))
         user_dim = SourceLayout(ctx.params).user_dim
         return _sharing_ranks(
             kernel_a, c.prefix_reduction, c.view_reduction, user_dim, ctx.field
@@ -1135,7 +1120,7 @@ def check_upload_recoverability(
     svars = build_static_vars(ctx) if tvars is None else tvars
     helpers = range(1, params.num_helpers + 1)
     report = InvariantReport()
-    expected = Fraction(params.gradient_len)
+    expected = params.gradient_len
     for k in range(1, params.num_users + 1):
         for size in range(params.resiliency, params.num_helpers + 1):
             for subset in combinations(helpers, size):
@@ -1156,7 +1141,7 @@ def response_entropy_given_sum(
     ctx: SchemeContext,
     tset: Sequence[int],
     tvars: Mapping[str, LinearVar] | None = None,
-) -> Fraction:
+) -> int:
     """H of all responses under no stragglers given the gradient sum and
     the view of ``tset`` (its uploads and masks); the design makes this
     exactly 0 when ``len(tset) == collusion``.  ``tvars`` is the
@@ -1176,8 +1161,8 @@ class WitnessReport:
 
     params: SchemeParams
     sibling_collusion: int
-    value: Fraction
-    required: Fraction
+    value: int
+    required: int
 
     @property
     def ok(self) -> bool:
@@ -1212,7 +1197,7 @@ def infeasibility_witness(params: SchemeParams) -> WitnessReport:
         params=params,
         sibling_collusion=sibling.collusion,
         value=cond_mutual_info(query),
-        required=Fraction(params.gradient_len),
+        required=params.gradient_len,
     )
 
 
@@ -1337,20 +1322,20 @@ class BruteForceOracle:
     def names(self) -> tuple[str, ...]:
         return tuple(self.tables)
 
-    def entropy(self, names: Sequence[str]) -> Fraction:
+    def entropy(self, names: Sequence[str]) -> int:
         """Exact joint q-ary entropy of the named variables."""
         names = list(dict.fromkeys(names))  # a repeated code would add digits
         if not names:
-            return Fraction(0)
+            return 0
         if self._packed is not None:
             keys = self._packed[[self._rows[n] for n in names]].sum(axis=0)
         else:
             keys = np.hstack([self.tables[n] for n in names])
             if self.q ** keys.shape[1] < 2**62:
                 keys = _base_q(keys, self.q)
-        return Fraction(_counted_entropy(keys, self.q, names))
+        return _counted_entropy(keys, self.q, names)
 
-    def all_subset_entropies(self) -> Iterator[tuple[tuple[str, ...], Fraction]]:
+    def all_subset_entropies(self) -> Iterator[tuple[tuple[str, ...], int]]:
         """Every subset of ``names`` with its exact entropy, in the
         depth-first order of ``all_subset_entropies_rank``.
 
@@ -1379,14 +1364,14 @@ class BruteForceOracle:
 
         root = (np.zeros(self.count, dtype=np.int32), 1)
         for subset, (key, _) in _depth_first(self.names, root, extend):
-            yield subset, Fraction(_counted_entropy(key, self.q, subset))
+            yield subset, _counted_entropy(key, self.q, subset)
 
     def cond_mutual_info(
         self,
         target: Sequence[str],
         observed: Sequence[str],
         given: Sequence[str] = (),
-    ) -> Fraction:
+    ) -> int:
         a, b, c = list(target), list(observed), list(given)
         return (
             self.entropy(a + c)
@@ -1398,6 +1383,6 @@ class BruteForceOracle:
 
 def brute_force_entropy(
     ctx: SchemeContext, pattern: CommPattern, names: Sequence[str]
-) -> Fraction:
+) -> int:
     """One-shot exact entropy via full enumeration; see BruteForceOracle."""
     return BruteForceOracle(ctx, pattern).entropy(names)

@@ -11,15 +11,14 @@ matrix algebra.  Helpers and users carry 1-based ids.
 
 Every inverse a round needs is a row selection of a matrix fixed at
 setup (the upload matrix for the master, a decode matrix for a helper's
-recovery), so the inverses are memoized by matrix content and row
-selection.  The roles reduce what they are handed; every payload they
-produce is a canonical residue.
+recovery), so the inverses are memoized in the context's memo, by matrix
+content and row selection, and die with the context.  The roles reduce
+what they are handed; every payload they produce is a canonical residue.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import patterns as patterns_mod
@@ -171,7 +170,11 @@ class SchemeContext:
                      coefficients taking helper-n noise to the masks
                      held by every other helper.
 
-    Immutable after setup; safe to share across concurrent rounds.
+    The matrices are immutable after setup.  ``memo`` is state, not a
+    setting: it holds values derived from the matrices, keyed by their
+    content (the decode inverses, and the verifier's rank store), and
+    dies with the contexts that hold it.  A ``replace``d copy gets a
+    memo of its own; only ``widened`` copies share their parent's.
     """
 
     params: SchemeParams
@@ -182,10 +185,18 @@ class SchemeContext:
     mask_basis: GfMatrix
     decode_matrices: tuple[GfMatrix, ...]
     mask_maps: tuple[GfMatrix, ...]
+    memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def block_len(self) -> int:
         return self.params.block_len
+
+    def widened(self, gradient_len: int) -> "SchemeContext":
+        """This context with gradient length ``gradient_len``, sharing its
+        memo: the matrices do not depend on the gradient length."""
+        wide = replace(self, params=replace(self.params, gradient_len=gradient_len))
+        object.__setattr__(wide, "memo", self.memo)
+        return wide
 
 
 def setup(params: SchemeParams) -> SchemeContext:
@@ -452,17 +463,19 @@ def helper_share(
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _inverse(matrix: GfMatrix, rows: tuple[int, ...]) -> GfMatrix:
-    """The inverse of the given rows of ``matrix``.
+def _inverse(ctx: SchemeContext, matrix: GfMatrix, rows: tuple[int, ...]) -> GfMatrix:
+    """The inverse of the given rows of ``matrix``, one of ``ctx``'s.
 
-    Memoized by the matrix's content (its field and entries) and the row
-    selection, never by the context that holds it, so a context whose
-    matrices differ never reads another's inverse; bounded, the least
-    recently used entry goes first.  A singular selection raises every
+    Memoized in the context's memo by the matrix's content (its field
+    and entries) and the row selection, so a copy whose matrices differ
+    never reads another's inverse.  A singular selection raises every
     time.
     """
-    return matrix.select_rows(rows).inv()
+    key = (matrix, rows)
+    found = ctx.memo.get(key)
+    if found is None:
+        found = ctx.memo[key] = matrix.select_rows(rows).inv()
+    return found
 
 
 def helper_recover(
@@ -489,7 +502,7 @@ def helper_recover(
             f"{len(senders)} shares for user {user}, need {nr}"
         )
     chosen = senders[:nr]
-    inverse = _inverse(ctx.decode_matrices[helper - 1], tuple(i - 1 for i in chosen))
+    inverse = _inverse(ctx, ctx.decode_matrices[helper - 1], tuple(i - 1 for i in chosen))
     stacked = GfMatrix(ctx.field, [received[i] for i in chosen])
     mixed = GfMatrix.of_reduced(ctx.field, inverse.data[:1]) @ stacked
     return mixed.row(0)
@@ -528,7 +541,7 @@ def master_decode(
     if len(by_helper) < nr:
         raise NotEnoughResponses(f"{len(by_helper)} responses, need {nr}")
     chosen = sorted(by_helper)[:nr]
-    inverse = _inverse(ctx.upload_matrix, tuple(n - 1 for n in chosen))
+    inverse = _inverse(ctx, ctx.upload_matrix, tuple(n - 1 for n in chosen))
     stacked = GfMatrix(ctx.field, [by_helper[n] for n in chosen])
     solved = inverse @ stacked
     return tuple(

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -428,9 +432,48 @@ def test_round_work_does_not_grow(params, monkeypatch):
         return inv(self)
 
     monkeypatch.setattr(GfMatrix, "inv", counted)
-    protocol._inverse.cache_clear()  # counts must not depend on test order
     verify_point(params, RunConfig(mode="verify", draws=1))
     assert len(calls) <= ROUND_WORK[params.label()], len(calls)
+
+
+# Two one-draw campaigns at each of two default points, in one fresh
+# interpreter, so that no earlier test has filled a memo that outlives
+# its context; prints each campaign's inversion and insert counts.
+_REPEATED_CAMPAIGNS = """
+import json
+from hsagg.harness import DEFAULT_GRID, RunConfig, verify_point
+from hsagg.matrix import GfMatrix, RowSpace
+
+calls = {"inv": 0, "insert": 0}
+for owner, name in ((GfMatrix, "inv"), (RowSpace, "insert")):
+    def counted(self, *args, _name=name, _method=getattr(owner, name)):
+        calls[_name] += 1
+        return _method(self, *args)
+    setattr(owner, name, counted)
+runs = {}
+for params in DEFAULT_GRID[::2]:
+    for _ in range(2):
+        verify_point(params, RunConfig(mode="verify", draws=1))
+        runs.setdefault(params.label(), []).append(dict(calls))
+        calls.update(inv=0, insert=0)
+print(json.dumps(runs))
+"""
+
+
+def test_repeated_campaign_does_the_same_work():
+    """Every memo lives in the scheme context, so a second campaign at
+    the same point in one process inverts and inserts as often as the
+    first: no cache outlives the context it serves."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _REPEATED_CAMPAIGNS],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(done.stdout)
+    assert sorted(runs) == sorted(p.label() for p in DEFAULT_GRID[::2])
+    for label, (first, second) in runs.items():
+        assert first == second and first["inv"] > 0, (label, first, second)
 
 
 class _CountingRandom(random.Random):

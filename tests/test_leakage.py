@@ -630,7 +630,7 @@ def test_sharing_split_matches_incremental_path(params, stride, queries):
 
     def sharing_ranks(tv, pattern, tset):
         collusion = tv.collusion(ctx, pattern, tset)
-        kernel_a = _split_observed(tv.uploads(params), layout)[1]
+        kernel_a = _split_observed(tv.uploads, layout)[1]
         return _sharing_ranks(
             kernel_a,
             collusion.prefix_reduction,
@@ -837,7 +837,7 @@ def test_split_memo_checks_the_variables_behind_the_names(ctx, tvars):
     view = swapped.collusion(ctx, EXAMPLE_PATTERN, [1]).view
     assert impostor in view and tvars["X[1,1]"] not in view
     given = (tvars["W[2]"], tvars["F[2]"])
-    assert got.ranks == rank_quadruple(MiQuery(swapped.gradients(EXAMPLE), view, given))
+    assert got.ranks == rank_quadruple(MiQuery(swapped.gradients, view, given))
     assert got.ranks != correct.ranks
     assert check_security_helpers(ctx, EXAMPLE_PATTERN, [2], [1], tvars=tvars) == correct
     # an upload or a gradient on the noise columns sends its check to rank_quadruple
@@ -845,7 +845,7 @@ def test_split_memo_checks_the_variables_behind_the_names(ctx, tvars):
     assert sharing.ranks == rank_quadruple(_sharing_query(ctx, swapped, view))
     noisy = LinearTranscript({**tvars, "W[1]": impostor}, tvars._store)
     master = noisy.collusion(ctx, EXAMPLE_PATTERN, [1]).master
-    query = MiQuery(noisy.gradients(EXAMPLE), master, (tvars["W"],) + given)
+    query = MiQuery(noisy.gradients, master, (tvars["W"],) + given)
     got = check_security_master(ctx, EXAMPLE_PATTERN, [2], [1], tvars=noisy)
     assert got.ranks == rank_quadruple(query)
 
@@ -870,7 +870,8 @@ def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
     collusion = tv.collusion(ctx, EXAMPLE_PATTERN, [3])
     prefix, view, master = collusion.prefix, collusion.view, collusion.master
     store = tv._store
-    prefix_blocks, view_blocks = store.by_user(layout, prefix), store.by_user(layout, view)
+    assert store.local == local  # the store is built for the context's parameters
+    prefix_blocks, view_blocks = store.by_user(prefix), store.by_user(view)
     # the store reduced each user's blocks, and no set whole
     assert set(store.reductions) == set(prefix_blocks + view_blocks)
     assert collusion.users == tuple(store.reductions[rows] for rows in view_blocks)

@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +8,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsagg import protocol
 from hsagg.harness import DEFAULT_GRID
 from hsagg.matrix import FieldTooSmall, GfMatrix, RowSpace, vandermonde
 from hsagg.patterns import (
@@ -357,15 +358,25 @@ def test_decode_inverses_are_keyed_by_matrix_content(ctx):
     """The round's inverses are memoized by matrix content and row
     selection: a context with equal params but other matrices, as the
     broken-scheme tests build with ``replace``, never reads the correct
-    context's inverse, whichever ran first."""
-    assert protocol._inverse.cache_info().maxsize is not None  # bounded
+    context's inverse, whichever ran first.  The memo is the context's:
+    it dies with it, a ``replace``d copy gets its own, and a widened
+    copy shares its parent's."""
     grads, noises = make_round_inputs(EXAMPLE, 16)
     keys = dealer_generate(ctx, 16)
     full = CommPattern((frozenset({1, 2, 3, 4}),) * 2, frozenset({1, 2, 3, 4}))
     responses = run_round(ctx, full, grads, noises, keys).responses
     assert master_decode(ctx, responses) == gradient_sum(grads, 7)  # fills the memo
+    owned = setup(EXAMPLE)
+    assert master_decode(owned, responses) == gradient_sum(grads, 7)
+    inverse = owned.memo[owned.upload_matrix, (0, 1, 2)]
+    del owned
+    gc.collect()
+    assert sys.getrefcount(inverse) == 2  # held by this name and the call's argument only
     other = replace(ctx, upload_matrix=vandermonde(ctx.field, (2, 3, 4, 5), 3))
     assert other.params == ctx.params and other.upload_matrix != ctx.upload_matrix
+    assert other.memo == {} and other.memo is not ctx.memo
+    wide = ctx.widened(4 * EXAMPLE.gradient_len)
+    assert wide.params.gradient_len == 8 and wide.memo is ctx.memo
     solved = other.upload_matrix.select_rows([0, 1, 2]).inv() @ GfMatrix(
         ctx.field, [r.payload for r in responses[:3]]
     )
