@@ -431,9 +431,11 @@ def _user_subsets(params: SchemeParams, seed: str) -> list[tuple[int, ...]]:
     return sorted(picked)
 
 
-def _security_sweep(ctx, pattern, tvars, usets, tsets) -> Iterator[lk.LeakageRecord]:
+def _security_sweep(tvars, usets, tsets) -> Iterator[lk.LeakageRecord]:
     """The helper record, then the master record, of every user subset
-    and helper subset; a helper subset beyond the bound is exploratory."""
+    and helper subset under the context and pattern of the transcript
+    ``tvars``; a helper subset beyond the bound is exploratory."""
+    ctx, pattern = tvars.ctx, tvars.pattern
     for uset in usets:
         for tset in tsets:
             exploratory = len(set(tset)) > ctx.params.collusion
@@ -546,7 +548,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
             report.rate_x, report.rate_y = proto.measure_rates(transcript)
 
         tvars = lk.build_linear_transcript(ctx, pattern)
-        for rec in _security_sweep(ctx, pattern, tvars, usets, tsets):
+        for rec in _security_sweep(tvars, usets, tsets):
             report.security_queries += 1
             if rec.value != 0:
                 report.failures.append(
@@ -698,9 +700,7 @@ def run_leakage(config: RunConfig) -> dict:
     records = [
         rec
         for pattern in patterns
-        for rec in _security_sweep(
-            ctx, pattern, lk.build_linear_transcript(ctx, pattern), usets, tsets
-        )
+        for rec in _security_sweep(lk.build_linear_transcript(ctx, pattern), usets, tsets)
     ]
     return {
         "params": params.label(),

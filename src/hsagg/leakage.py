@@ -57,8 +57,8 @@ through K, plus ``r_noise``, so it is computed once per kernel, target
 and given; a helper query's, whose target and given are unit rows, is
 the sum of its users'.  ``rank_quadruple`` is the incremental path,
 valid for any query; it is the reference the splits are tested
-against, and it answers a check whose target or given leaves the user
-columns.
+against.  A transcript answers only for the context and the pattern it
+was built from: the checks refuse any other with ``TranscriptMismatch``.
 
 A brute-force oracle checks the rank-to-entropy step independently on
 tiny instances: it runs the same roles on every source assignment and
@@ -91,6 +91,7 @@ from .protocol import (
 __all__ = [
     "LeakageError",
     "LayoutMismatch",
+    "TranscriptMismatch",
     "BadSubset",
     "TooLargeToEnumerate",
     "SourceLayout",
@@ -128,6 +129,11 @@ class LeakageError(Exception):
 
 class LayoutMismatch(LeakageError):
     """Variables over different source layouts were combined."""
+
+
+class TranscriptMismatch(LeakageError):
+    """A transcript was queried for a context or a pattern other than
+    the ones it was built from."""
 
 
 class BadSubset(LeakageError):
@@ -268,8 +274,7 @@ class _RankStore:
         content; the kernel is the store's one object of its content."""
         found = self.reductions.get(rows)
         if found is None:
-            block = LinearVar("", layout, GfMatrix.of_reduced(field, rows, layout.dim))
-            r_noise, kernel = _split_observed((block,), layout)
+            r_noise, kernel = _split_observed(rows, layout, field)
             kernel = self._held.setdefault(kernel, kernel)
             found = self.reductions[self._hold(rows)] = r_noise, kernel
         return found
@@ -354,23 +359,19 @@ class _RankStore:
 def _rank_store(ctx: SchemeContext) -> _RankStore:
     """The context's rank store, kept in its memo, so that it dies with
     the contexts that hold the memo."""
-    store = ctx.memo.get(_RankStore)
-    if store is None:
-        store = ctx.memo[_RankStore] = _RankStore(ctx.params)
-    return store
+    if _RankStore not in ctx.memo:
+        ctx.memo[_RankStore] = _RankStore(ctx.params)
+    return ctx.memo[_RankStore]
 
 
 @dataclass(frozen=True, slots=True)
 class _Collusion:
-    """A colluding helper set's observations under one pattern, each
-    with its split reduction ``(r_noise, K)``: the non-share prefix
-    (uploads and stored masks), the view (``helper_observation``) and
-    the master's set (the view, then every active helper's response);
-    and each user's reduction of the view, None if a row spans users."""
+    """The split reductions ``(r_noise, K)`` of a colluding helper set's
+    observations under one pattern: the non-share prefix (uploads and
+    stored masks), the view (``helper_observation``) and the master's
+    set (the view, then every active helper's response); and each
+    user's reduction of the view, None if a row spans users."""
 
-    prefix: tuple[LinearVar, ...]
-    view: tuple[LinearVar, ...]
-    master: tuple[LinearVar, ...]
     prefix_reduction: tuple
     view_reduction: tuple
     master_reduction: tuple
@@ -380,27 +381,32 @@ class _Collusion:
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
-    Read-only; its parameters are those of its variables' layout.  It
-    memoizes, each once, every colluding set's reduced observations
-    (``collusion``) and each helper's part of them, the all-gradients
-    target and its unit split, the all-uploads target and its kernel,
-    each user subset's given with its unit split (``given``) and each
-    pattern's formatted form; all live and die with the transcript.
-
+    Built only by ``build_linear_transcript``, it keeps the ``ctx`` and
+    the ``pattern`` it was built from, their source ``layout``, the
+    pattern's ``label`` and the context's rank store, and answers only
+    for that context and pattern (``require``).  Read-only, it memoizes,
+    each once, every colluding set's split reductions (``collusion``, by
+    helper subset) and each helper's part of them (by helper), the
+    gradients' unit split, the uploads' kernel and each user subset's
+    given (``given``); all live and die with the transcript.
     Reductions are found by row content in the rank store
-    (``_RankStore``), never by names.  ``build_linear_transcript`` hands
-    every transcript of one scheme context that context's store; a
-    transcript built without a store gets one of its own.
+    (``_RankStore``), never by names.
+
+    The split paths answer every check, for every context, broken ones
+    included: ``_run_on_sources`` makes each ``W[k]`` and ``F[k]`` a
+    unit row, and the sum ``W`` and each upload ``X = upload_matrix @
+    (w; f)`` never see dealer noise.
     """
 
-    def __init__(self, tvars: Mapping[str, LinearVar], store: _RankStore | None = None):
-        self._vars = dict(tvars)
-        self.params = next(iter(self._vars.values())).layout.params
-        self._store = _RankStore(self.params) if store is None else store
-        self._collusions: dict[tuple, _Collusion] = {}  # by (active helpers, tset)
-        self._helpers: dict[tuple, tuple] = {}  # by (active helpers, helper)
-        self._givens: dict[tuple, tuple] = {}  # (variables, unit split) by (with_sum, users)
-        self._labels: dict[CommPattern, str] = {}
+    def __init__(self, ctx: SchemeContext, pattern: CommPattern, tvars: dict[str, LinearVar]):
+        self.ctx, self.pattern = ctx, pattern
+        self.layout = SourceLayout(ctx.params)
+        self.label = format_pattern(pattern)
+        self._vars = tvars
+        self._store = _rank_store(ctx)
+        self._collusions: dict[tuple[int, ...], _Collusion] = {}  # by helper subset
+        self._helpers: dict[int, tuple] = {}  # by helper
+        self._givens: dict[tuple, tuple] = {}  # unit splits by (with_sum, users)
 
     def __getitem__(self, name: str) -> LinearVar:
         return self._vars[name]
@@ -411,85 +417,77 @@ class LinearTranscript(Mapping):
     def __len__(self) -> int:
         return len(self._vars)
 
-    def collusion(
-        self, ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int]
-    ) -> _Collusion:
-        """``tset``'s prefix, view and master's set, and their split
-        reductions, computed once: the prefix and the view assembled from
+    def require(self, ctx: SchemeContext, pattern: CommPattern) -> None:
+        """Raise ``TranscriptMismatch`` unless ``ctx`` and ``pattern`` are
+        those this transcript was built from: the same objects, as in a
+        sweep, or equal ones."""
+        if ctx is not self.ctx and ctx != self.ctx:
+            raise TranscriptMismatch(
+                f"transcript of another scheme context queried at {ctx.params.label()}"
+            )
+        if pattern is not self.pattern and pattern != self.pattern:
+            raise TranscriptMismatch(
+                f"transcript of {self.label} queried for {format_pattern(pattern)}"
+            )
+
+    def collusion(self, tset: Sequence[int]) -> _Collusion:
+        """The split reductions of ``tset``'s prefix, view and master's
+        set, computed once: the prefix and the view assembled from
         per-user blocks (``_RankStore.assembled``), or reduced whole if a
         row spans users, and the master's set extending the view's kernel
         (``_RankStore.extended``)."""
-        key = (pattern.active_helpers, tuple(sorted(tset)))
+        key = tuple(sorted(tset))
         found = self._collusions.get(key)
         if found is not None:
             return found
-        layout, store, active = SourceLayout(ctx.params), self._store, pattern.active_helpers
-        for t in key[1]:  # each helper's (uploads, masks, shares) and their rows by user
-            if (active, t) not in self._helpers:
-                parts = _helper_parts(self, ctx.params, active, t)
-                self._helpers[active, t] = parts, [store.by_user(p) for p in parts]
-        helpers = [self._helpers[active, t] for t in key[1]]
+        field, store, active = self.ctx.field, self._store, self.pattern.active_helpers
+        for t in key:  # each helper's (uploads, masks, shares) and their rows by user
+            if t not in self._helpers:
+                parts = _helper_parts(self, self.ctx.params, active, t)
+                self._helpers[t] = parts, [store.by_user(p) for p in parts]
+        helpers = [self._helpers[t] for t in key]
 
         def joined(kinds):  # the variables of these kinds, and each user's rows of them
             rows = [by_user[i] for i in kinds for _, by_user in helpers]
-            users = range(ctx.params.num_users)
+            users = range(self.ctx.params.num_users)
             blocks = None if None in rows else tuple(sum((r[k] for r in rows), ()) for k in users)
             return tuple(v for i in kinds for parts, _ in helpers for v in parts[i]), blocks
 
         (prefix, prefix_rows), (view, view_rows) = joined((0, 1)), joined((0, 1, 2))
         responses = tuple(self._vars[f"Y[{n}]"] for n in sorted(active))
-        view_reduction, users = store.assembled(layout, view, view_rows, ctx.field)
+        view_reduction, users = store.assembled(self.layout, view, view_rows, field)
         store.views["whole" if users is None else "assembled"] += 1
         found = self._collusions[key] = _Collusion(
-            prefix, view, view + responses,
-            store.assembled(layout, prefix, prefix_rows, ctx.field)[0], view_reduction,
-            store.extended(layout, view, view_reduction, responses, ctx.field), users,
+            store.assembled(self.layout, prefix, prefix_rows, field)[0], view_reduction,
+            store.extended(self.layout, view, view_reduction, responses, field), users,
         )
         return found
 
     @cached_property
-    def gradients(self) -> tuple[LinearVar, ...]:
-        """Every user's gradient ``W[k]``."""
-        return tuple(self._vars[f"W[{k}]"] for k in range(1, self.params.num_users + 1))
+    def gradients_split(self) -> tuple:
+        """The ``_unit_split`` of every user's gradient ``W[k]``."""
+        users = range(1, self.ctx.params.num_users + 1)
+        return _unit_split([self._vars[f"W[{k}]"] for k in users])
 
     @cached_property
-    def gradients_split(self) -> tuple | None:
-        """The gradients' ``_unit_split``."""
-        return _unit_split(self.gradients)
-
-    @cached_property
-    def uploads(self) -> tuple[LinearVar, ...]:
-        """Every upload ``X[k,n]``."""
-        users, helpers = range(1, self.params.num_users + 1), range(1, self.params.num_helpers + 1)
-        return tuple(self._vars[f"X[{k},{n}]"] for k in users for n in helpers)
-
-    @cached_property
-    def uploads_kernel(self) -> tuple | None:
-        """The kernel of the uploads' split reduction, found in the rank
-        store by content; None if an upload leaves the user columns."""
-        if _unit_split(self.uploads) is None:
-            return None
-        rows = tuple(row for v in self.uploads for row in v.rows)
-        field = self.uploads[0].coeffs.field
-        return self._store.reduction(SourceLayout(self.params), rows, field)[1]
+    def uploads_kernel(self) -> tuple:
+        """The kernel of the split reduction of every upload ``X[k,n]``,
+        found in the rank store by content."""
+        params = self.ctx.params
+        users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
+        rows = tuple(row for k in users for n in helpers for row in self._vars[f"X[{k},{n}]"].rows)
+        return self._store.reduction(self.layout, rows, self.ctx.field)[1]
 
     def given(self, with_sum: bool, users: tuple[int, ...]) -> tuple:
-        """The gradient sum ``W`` if ``with_sum``, then each colluding
-        user's ``W[u]`` and ``F[u]``, and their ``_unit_split``, computed
-        once per (with_sum, users)."""
+        """The ``_unit_split`` of the gradient sum ``W`` if ``with_sum``,
+        then of each colluding user's ``W[u]`` and ``F[u]``, computed once
+        per (with_sum, users)."""
         found = self._givens.get((with_sum, users))
         if found is None:
             names = ["W"] * with_sum + [f"{v}[{u}]" for u in users for v in "WF"]
-            variables = tuple(self._vars[name] for name in names)
-            found = self._givens[with_sum, users] = variables, _unit_split(variables)
+            variables = [self._vars[name] for name in names]
+            found = self._givens[with_sum, users] = _unit_split(variables)
         return found
-
-    def pattern_label(self, pattern: CommPattern) -> str:
-        """``format_pattern(pattern)``, computed once."""
-        label = self._labels.get(pattern)
-        if label is None:
-            label = self._labels[pattern] = format_pattern(pattern)
-        return label
 
 
 # -- the transcript: the roles run on a source assignment ----------------
@@ -615,8 +613,9 @@ def build_linear_transcript(
     """Coefficient-level transcript of one round under the pattern: the
     sources, uploads, masks, inter-helper shares, recovered uploads and
     responses, read off the unit-input round.  Its queries share the
-    context's rank store."""
-    return LinearTranscript(unit_round(ctx, pattern)[1], _rank_store(ctx))
+    context's rank store, and it answers only for ``ctx`` and
+    ``pattern``."""
+    return LinearTranscript(ctx, pattern, unit_round(ctx, pattern)[1])
 
 
 def build_static_vars(ctx: SchemeContext) -> LinearTranscript:
@@ -741,22 +740,19 @@ def rank_quadruple(query: MiQuery) -> tuple[int, int, int, int]:
 
 
 def _split_observed(
-    observed: Sequence[LinearVar], layout: SourceLayout
+    rows: Sequence[tuple[int, ...]], layout: SourceLayout, field: PrimeField
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Reduce the observed rows with the dealer-noise columns pivoted
     first, into the split: ``r_noise``, the number of basis rows with a
     noise pivot, and the kernel, the other basis rows cut to the
     user-source columns: they are zero on the noise columns, and
-    span(observed) ∩ user coordinates.  The kernel is in canonical form
+    span(rows) ∩ user coordinates.  The kernel is in canonical form
     (``_kernel``), so equal kernels are equal tuples.
     """
-    if not observed:
-        return 0, ()
     u = layout.user_dim
-    space = RowSpace(observed[0].coeffs.field, layout.dim)
-    for v in observed:
-        for row in v.rows:
-            space.insert(row[u:] + row[:u])
+    space = RowSpace(field, layout.dim)
+    for row in rows:
+        space.insert(row[u:] + row[:u])
     kernel = _kernel(space, layout.dim - u)
     return space.rank - len(kernel), kernel
 
@@ -796,14 +792,13 @@ def _extended_kernel(
 
 def _unit_split(
     variables: Sequence[LinearVar],
-) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]] | None:
-    """``LinearVar.user_split`` of several variables together."""
+) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
+    """``LinearVar.user_split`` of several variables together, all in the
+    user columns."""
     units: frozenset[int] = frozenset()
     rest: tuple[tuple[int, ...], ...] = ()
     for v in variables:
         split = v.user_split
-        if split is None:
-            return None
         units |= split[0]
         rest += split[1]
     return units, rest
@@ -944,7 +939,7 @@ def _leakage_record(
     pattern: CommPattern,
     users: Sequence[int],
     tset: Sequence[int],
-    tvars: Mapping[str, LinearVar] | None,
+    tvars: LinearTranscript | None,
     exploratory: bool,
     ranks_of,
 ) -> LeakageRecord:
@@ -952,7 +947,8 @@ def _leakage_record(
     record.
 
     A colluding set beyond the collusion bound raises unless the query
-    is ``exploratory``; the transcript defaults to the pattern's.
+    is ``exploratory``; the transcript defaults to the pattern's, and a
+    given one must be that of ``ctx`` and ``pattern``.
     """
     params = ctx.params
     oversized = len(set(tset)) > params.collusion
@@ -962,14 +958,13 @@ def _leakage_record(
         )
     if tvars is None:
         tvars = build_linear_transcript(ctx, pattern)
-    elif not isinstance(tvars, LinearTranscript):
-        tvars = LinearTranscript(tvars)
-    ranks = ranks_of(tvars, tvars.collusion(ctx, pattern, tset))
+    tvars.require(ctx, pattern)
+    ranks = ranks_of(tvars, tvars.collusion(tset))
     return LeakageRecord(
         kind=kind,
         colluding_users=tuple(sorted(users)),
         colluding_helpers=tuple(sorted(tset)),
-        pattern=tvars.pattern_label(pattern),
+        pattern=tvars.label,
         ranks=ranks,
         value=_mi_from_ranks(ranks, params.block_len),
         exploratory=oversized,
@@ -982,15 +977,12 @@ def _split_ranks(
     """The rank quadruple of a helper query (observed: the view) or of a
     master query (the master's set, given the sum too), whose target is
     every gradient, from the collusion's split reductions: a helper
-    query's from its users'; ``rank_quadruple`` if the target or the
-    given leaves the user columns."""
-    target, a = tv.gradients, tv.gradients_split
-    given, g = tv.given(master, tuple(sorted(users)))
-    observed, reduction = (c.master, c.master_reduction) if master else (c.view, c.view_reduction)
-    if a is None or g is None:
-        return rank_quadruple(MiQuery(target, observed, given))
-    layout, field, per_user = target[0].layout, target[0].coeffs.field, None if master else c.users
-    return tv._store.quadruple(reduction, a, g, layout, field, per_user)
+    query's from its users'."""
+    given = tv.given(master, tuple(sorted(users)))
+    reduction, per_user = (c.master_reduction, None) if master else (c.view_reduction, c.users)
+    return tv._store.quadruple(
+        reduction, tv.gradients_split, given, tv.layout, tv.ctx.field, per_user
+    )
 
 
 def check_security_helpers(
@@ -998,7 +990,7 @@ def check_security_helpers(
     pattern: CommPattern,
     users: Sequence[int],
     tset: Sequence[int],
-    tvars: Mapping[str, LinearVar] | None = None,
+    tvars: LinearTranscript | None = None,
     exploratory: bool = False,
 ) -> LeakageRecord:
     """Leakage of all gradients to colluding helpers and users.
@@ -1007,6 +999,7 @@ def check_security_helpers(
     users' gradients and randomness).  The scheme guarantees exactly 0
     whenever ``len(tset) <= collusion``; larger sets require
     ``exploratory=True`` and the value is reported rather than judged.
+    ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``.
     """
     return _leakage_record(
         "helpers", ctx, pattern, users, tset, tvars, exploratory,
@@ -1019,14 +1012,15 @@ def check_security_master(
     pattern: CommPattern,
     users: Sequence[int],
     tset: Sequence[int],
-    tvars: Mapping[str, LinearVar] | None = None,
+    tvars: LinearTranscript | None = None,
     exploratory: bool = False,
 ) -> LeakageRecord:
     """Leakage of all gradients to the master beyond the sum.
 
     The master sees every active helper's response plus whatever the
     colluding helpers and users contribute; conditioning includes the
-    gradient sum itself.
+    gradient sum itself.  ``tvars``, if given, must be the transcript
+    of ``ctx`` and ``pattern``.
     """
     return _leakage_record(
         "master", ctx, pattern, users, tset, tvars, exploratory,
@@ -1048,7 +1042,7 @@ class InvariantReport:
 
 
 def check_mask_independence(
-    ctx: SchemeContext, tvars: Mapping[str, LinearVar] | None = None
+    ctx: SchemeContext, tvars: LinearTranscript | None = None
 ) -> InvariantReport:
     """Verify the mask entropy structure.
 
@@ -1056,8 +1050,9 @@ def check_mask_independence(
     joint rank of the maximal groups equals the sum of group ranks,
     which implies factorization for every sub-family.  (b) every subset
     of 1..resiliency - 1 masks within one group has full entropy,
-    exhaustively.  ``tvars`` is the no-straggler transcript, built here
-    if not given.
+    exhaustively.  ``tvars`` is a transcript of ``ctx``, the
+    no-straggler one if built here: the masks are the same under every
+    pattern.
     """
     params = ctx.params
     svars = build_static_vars(ctx) if tvars is None else tvars
@@ -1092,29 +1087,29 @@ def check_sharing_leakage(
     ctx: SchemeContext,
     pattern: CommPattern,
     tset: Sequence[int],
-    tvars: Mapping[str, LinearVar] | None = None,
+    tvars: LinearTranscript | None = None,
 ) -> LeakageRecord:
     """Inter-helper shares reveal nothing new about uploads:
-    I(all uploads; shares seen by tset | tset's uploads and masks) = 0."""
+    I(all uploads; shares seen by tset | tset's uploads and masks) = 0.
+    ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``."""
 
     def ranks(tv, c):
-        kernel_a = tv.uploads_kernel
-        if kernel_a is None:
-            return rank_quadruple(MiQuery(tv.uploads, c.view[len(c.prefix):], c.prefix))
-        user_dim = SourceLayout(ctx.params).user_dim
         return _sharing_ranks(
-            kernel_a, c.prefix_reduction, c.view_reduction, user_dim, ctx.field
+            tv.uploads_kernel, c.prefix_reduction, c.view_reduction, tv.layout.user_dim,
+            ctx.field,
         )
 
     return _leakage_record("sharing", ctx, pattern, (), tset, tvars, False, ranks)
 
 
 def check_upload_recoverability(
-    ctx: SchemeContext, tvars: Mapping[str, LinearVar] | None = None
+    ctx: SchemeContext, tvars: LinearTranscript | None = None
 ) -> InvariantReport:
     """I(gradient k; its uploads to any >= resiliency helpers) = L.
 
-    ``tvars`` is the no-straggler transcript, built here if not given.
+    ``tvars`` is a transcript of ``ctx``, the no-straggler one if built
+    here: the gradients and the uploads are the same under every
+    pattern.
     """
     params = ctx.params
     svars = build_static_vars(ctx) if tvars is None else tvars
@@ -1140,15 +1135,17 @@ def check_upload_recoverability(
 def response_entropy_given_sum(
     ctx: SchemeContext,
     tset: Sequence[int],
-    tvars: Mapping[str, LinearVar] | None = None,
+    tvars: LinearTranscript | None = None,
 ) -> int:
     """H of all responses under no stragglers given the gradient sum and
     the view of ``tset`` (its uploads and masks); the design makes this
     exactly 0 when ``len(tset) == collusion``.  ``tvars`` is the
-    no-straggler transcript, built here if not given."""
+    no-straggler transcript of ``ctx``, built here if not given; another
+    raises ``TranscriptMismatch``."""
     pattern = no_straggler_pattern(ctx.params)
     if tvars is None:
-        tvars = build_static_vars(ctx)
+        tvars = build_linear_transcript(ctx, pattern)
+    tvars.require(ctx, pattern)
     responses = [tvars[f"Y[{n}]"] for n in range(1, ctx.params.num_helpers + 1)]
     return cond_entropy(
         responses, (tvars["W"],) + helper_observation(tvars, ctx, pattern, tset)

@@ -24,6 +24,7 @@ from hsagg.leakage import (
     MiQuery,
     SourceLayout,
     TooLargeToEnumerate,
+    TranscriptMismatch,
     _counted_entropy,
     _extended_kernel,
     _sharing_ranks,
@@ -78,6 +79,11 @@ def tiny_ctx():
 @pytest.fixture(scope="module")
 def tiny_oracle(tiny_ctx):
     return BruteForceOracle(tiny_ctx, TINY_PATTERN)
+
+
+def _rows(variables):
+    """The coefficient rows of ``variables``, in order."""
+    return [row for v in variables for row in v.rows]
 
 
 def apply_linear(var, assignment, q, block_len):
@@ -238,10 +244,11 @@ def test_verifier_reports_leakage_of_broken_schemes(ctx, monkeypatch, break_sche
     assert got == leaks
 
 
-def _sharing_query(ctx, tv, view):
-    """The sharing query of a helper view, built as
+def _sharing_query(ctx, tv, pattern, tset):
+    """The sharing query of a helper set, built as
     ``check_sharing_leakage`` builds it."""
     params = ctx.params
+    view = helper_observation(tv, ctx, pattern, tset)
     return MiQuery(
         target=tuple(
             tv[f"X[{k},{n}]"]
@@ -275,7 +282,7 @@ def test_sharing_check_reports_leakage_of_broken_schemes(ctx, monkeypatch, break
     got = []
     for t in (1, 2, 3, 4):
         record = check_sharing_leakage(broken, pattern, [t], tvars=tv)
-        query = _sharing_query(broken, tv, tv.collusion(broken, pattern, [t]).view)
+        query = _sharing_query(broken, tv, pattern, [t])
         assert record.ranks == rank_quadruple(query)
         got.append(record.value)
     assert got == leaks
@@ -341,6 +348,51 @@ def test_security_rejects_oversized_collusion(ctx, tvars):
         ctx, EXAMPLE_PATTERN, [], [3, 4], tvars=tvars, exploratory=True
     )
     assert rec.exploratory and rec.value > 0
+
+
+def test_another_patterns_transcript_cannot_hide_a_leak(ctx, monkeypatch):
+    """Under zero masks, helper 2 sees user 2's upload masked by nothing
+    when user 2 did not reach it; the transcript of a pattern where
+    user 2 did would report no leak, so it is refused."""
+    broken = _zero_masks(ctx, monkeypatch)
+    pattern = parse_pattern("nu=1:1,2,3;2:1,3,4")
+    own = check_security_helpers(broken, pattern, (), (2,))
+    assert (own.value, own.ranks) == (2, (4, 4, 6, 0))
+    other = build_linear_transcript(broken, parse_pattern("nu=1:1,2,3;2:1,2,4"))
+    with pytest.raises(TranscriptMismatch, match="queried for nu=1:1,2,3;2:1,3,4"):
+        check_security_helpers(broken, pattern, (), (2,), tvars=other)
+
+
+def test_a_transcript_with_other_active_helpers_is_refused(ctx):
+    """Helper 4 straggles in the transcript's pattern but not in the
+    queried one, whose response and shares the transcript lacks."""
+    tv = build_linear_transcript(ctx, parse_pattern("nu=1:1,2,3;2:1,2,3"))
+    pattern = parse_pattern("nu=1:1,2,3;2:1,2,4")
+    for check in (check_security_helpers, check_security_master):
+        with pytest.raises(TranscriptMismatch):
+            check(ctx, pattern, (), (3,), tvars=tv)
+    with pytest.raises(TranscriptMismatch):
+        check_sharing_leakage(ctx, pattern, (3,), tvars=tv)
+
+
+def test_a_transcript_of_another_context_is_refused(ctx, tvars, monkeypatch):
+    """A ``replace``d context is another scheme; an equal context built
+    anew is the same one."""
+    broken = _zero_masks(ctx, monkeypatch)
+    for check in (check_security_helpers, check_security_master):
+        with pytest.raises(TranscriptMismatch, match="another scheme context"):
+            check(broken, EXAMPLE_PATTERN, (), (3,), tvars=tvars)
+    with pytest.raises(TranscriptMismatch, match="another scheme context"):
+        check_sharing_leakage(broken, EXAMPLE_PATTERN, (3,), tvars=tvars)
+    again = check_security_helpers(setup(EXAMPLE), EXAMPLE_PATTERN, (), (3,), tvars=tvars)
+    assert again == check_security_helpers(ctx, EXAMPLE_PATTERN, (), (3,), tvars=tvars)
+
+
+def test_response_entropy_refuses_a_straggling_transcript(ctx):
+    straggling = build_linear_transcript(ctx, parse_pattern("nu=1:1,2,3;2:1,2,3"))
+    with pytest.raises(TranscriptMismatch):
+        response_entropy_given_sum(ctx, [1], tvars=straggling)
+    assert response_entropy_given_sum(ctx, [1], tvars=build_static_vars(setup(EXAMPLE))) == 0
 
 
 def test_layout_mismatch_detected(ctx):
@@ -604,12 +656,13 @@ def test_split_kernel_matches_incremental_path(params, stride, queries):
     for pattern in list(enumerate_patterns(params))[::stride]:
         tv = build_linear_transcript(ctx, pattern)
         assert isinstance(tv, LinearTranscript)
-        plain = dict(tv)
+        # tv shares the context's store across patterns; an equal fresh
+        # context's transcript has a store of its own
+        fresh = build_linear_transcript(setup(params), pattern)
         for check, uset, tset, query in _security_queries(ctx, pattern, tv):
             expect = rank_quadruple(query)
-            # tv shares its reductions across queries; a plain mapping reduces anew
             assert check(ctx, pattern, uset, tset, tvars=tv).ranks == expect
-            assert check(ctx, pattern, uset, tset, tvars=plain).ranks == expect
+            assert check(ctx, pattern, uset, tset, tvars=fresh).ranks == expect
             seen += 1
     assert seen == queries
 
@@ -622,15 +675,16 @@ def test_split_kernel_matches_incremental_path(params, stride, queries):
 def test_sharing_split_matches_incremental_path(params, stride, queries):
     """Every helper subset's sharing query, oversized ones included, on
     a memo the security sweep filled first, on one it did not, and on a
-    fresh memo with a store of its own.  An oversized set's sharing
-    ranks are read off its collusion, as ``check_sharing_leakage``
-    reads them within the bound."""
+    transcript of an equal fresh context, with a store of its own.  An
+    oversized set's sharing ranks are read off its collusion, as
+    ``check_sharing_leakage`` reads them within the bound."""
     ctx = setup(params)
     layout = SourceLayout(params)
 
-    def sharing_ranks(tv, pattern, tset):
-        collusion = tv.collusion(ctx, pattern, tset)
-        kernel_a = _split_observed(tv.uploads, layout)[1]
+    def sharing_ranks(tv, tset):
+        collusion = tv.collusion(tset)
+        uploads = _sharing_query(ctx, tv, tv.pattern, tset).target
+        kernel_a = _split_observed(_rows(uploads), layout, ctx.field)[1]
         return _sharing_ranks(
             kernel_a,
             collusion.prefix_reduction,
@@ -651,14 +705,14 @@ def test_sharing_split_matches_incremental_path(params, stride, queries):
                 for check in (check_security_helpers, check_security_master):
                     check(ctx, pattern, uset, tset, tvars=swept, exploratory=True)
         unswept = build_linear_transcript(ctx, pattern)
-        plain = dict(swept)
+        fresh = build_linear_transcript(setup(params), pattern)
         for tset in tsets:
-            query = _sharing_query(ctx, swept, swept.collusion(ctx, pattern, tset).view)
+            query = _sharing_query(ctx, swept, pattern, tset)
             expect = rank_quadruple(query)
-            for tv in (swept, unswept, LinearTranscript(plain)):
-                assert sharing_ranks(tv, pattern, tset) == expect
+            for tv in (swept, unswept, fresh):
+                assert sharing_ranks(tv, tset) == expect
             if len(tset) <= params.collusion:
-                for tv in (swept, unswept, plain):
+                for tv in (swept, unswept, fresh):
                     assert check_sharing_leakage(ctx, pattern, tset, tvars=tv).ranks == expect
             seen += 1
     assert seen == queries
@@ -697,7 +751,8 @@ def test_transcript_splits_each_target_and_given_and_finds_the_uploads_kernel_on
 ):
     """The unit splits of the all-gradients target and of each user
     subset's given, and the uploads' kernel, are computed once per
-    transcript, however many queries read them."""
+    transcript, however many queries read them; the uploads are never
+    split."""
     params = SchemeParams(3, 4, 3, 2, 11, 1)
     ctx = setup(params)
     pattern = list(enumerate_patterns(params))[7]
@@ -728,8 +783,8 @@ def test_transcript_splits_each_target_and_given_and_finds_the_uploads_kernel_on
                 check_security_master(ctx, pattern, uset, tset, tvars=tv)
         for tset in tsets:
             check_sharing_leakage(ctx, pattern, tset, tvars=tv)
-    # the gradients, each user subset's given with and without the sum, the uploads
-    assert len(splits) == 1 + 2 * len(usets) + 1
+    # the gradients, each user subset's given with and without the sum
+    assert len(splits) == 1 + 2 * len(usets)
     assert len(upload_lookups) == 1
 
 
@@ -789,7 +844,7 @@ def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
         return
     layout, field = everything[0].layout, everything[0].coeffs.field
     target, given = _unit_split(query.target), _unit_split(query.given)
-    reduction = _split_observed(query.observed, layout)
+    reduction = _split_observed(_rows(query.observed), layout, field)
     assert _split_quadruple(target, given, reduction, layout.user_dim, field) == expect
 
     u = layout.user_dim
@@ -798,7 +853,7 @@ def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
     added = (LinearVar("Y", layout, GfMatrix(field, [r + [0] * (layout.dim - u) for r in rows])),)
     r_noise, kernel = reduction
     extended = (r_noise, _extended_kernel(kernel, added, layout))
-    assert extended == _split_observed(query.observed + added, layout)
+    assert extended == _split_observed(_rows(query.observed + added), layout, field)
     assert _split_quadruple(target, given, extended, u, field) == rank_quadruple(
         replace(query, observed=query.observed + added)
     )
@@ -816,38 +871,46 @@ def test_noisy_given_split_matches_incremental_path_on_random_rows(query):
         assert expect == (0, 0, 0, 0)
         return
     layout, field = everything[0].layout, everything[0].coeffs.field
-    kernel_a = _split_observed(query.target, layout)[1]
-    reduction_c = _split_observed(query.given, layout)
-    reduction_bc = _split_observed(query.given + query.observed, layout)
-    assert reduction_bc == _split_observed(query.observed[::-1] + query.given, layout)
+    kernel_a = _split_observed(_rows(query.target), layout, field)[1]
+    reduction_c = _split_observed(_rows(query.given), layout, field)
+    reduction_bc = _split_observed(_rows(query.given + query.observed), layout, field)
+    assert reduction_bc == _split_observed(
+        _rows(query.observed[::-1] + query.given), layout, field
+    )
     assert _sharing_ranks(kernel_a, reduction_c, reduction_bc, layout.user_dim, field) == expect
 
 
-def test_split_memo_checks_the_variables_behind_the_names(ctx, tvars):
-    """A store hit needs the very rows it reduced, not just the names: a
-    transcript whose ``X[1,1]`` is an impostor, sharing the store that
-    the correct transcript filled, gets its own reductions."""
-    query = MiQuery((tvars["W[1]"],), (tvars["X[1,1]"],), (tvars["F[1]"],))
-    assert rank_quadruple(query) == (3, 2, 3, 1)
-    impostor = replace(tvars["Z[1,3,1]"], name="X[1,1]")
-    assert rank_quadruple(replace(query, observed=(impostor,))) == (3, 2, 4, 1)
-    swapped = LinearTranscript({**tvars, "X[1,1]": impostor}, tvars._store)
-    correct = check_security_helpers(ctx, EXAMPLE_PATTERN, [2], [1], tvars=tvars)
-    got = check_security_helpers(ctx, EXAMPLE_PATTERN, [2], [1], tvars=swapped)
-    view = swapped.collusion(ctx, EXAMPLE_PATTERN, [1]).view
-    assert impostor in view and tvars["X[1,1]"] not in view
-    given = (tvars["W[2]"], tvars["F[2]"])
-    assert got.ranks == rank_quadruple(MiQuery(swapped.gradients, view, given))
-    assert got.ranks != correct.ranks
-    assert check_security_helpers(ctx, EXAMPLE_PATTERN, [2], [1], tvars=tvars) == correct
-    # an upload or a gradient on the noise columns sends its check to rank_quadruple
-    sharing = check_sharing_leakage(ctx, EXAMPLE_PATTERN, [1], tvars=swapped)
-    assert sharing.ranks == rank_quadruple(_sharing_query(ctx, swapped, view))
-    noisy = LinearTranscript({**tvars, "W[1]": impostor}, tvars._store)
-    master = noisy.collusion(ctx, EXAMPLE_PATTERN, [1]).master
-    query = MiQuery(noisy.gradients, master, (tvars["W"],) + given)
-    got = check_security_master(ctx, EXAMPLE_PATTERN, [2], [1], tvars=noisy)
-    assert got.ranks == rank_quadruple(query)
+def test_split_memo_checks_the_variables_behind_the_names(ctx, tvars, monkeypatch):
+    """A store hit needs the very rows it reduced, not just the names:
+    the pattern's transcript built again under the same context, with
+    the shares forwarded unmasked, shares the store that the correct
+    transcript filled, and its records are those of its own rows."""
+    pattern = EXAMPLE_PATTERN
+    correct = [
+        check(ctx, pattern, uset, tset, tvars=tvars)
+        for check, uset, tset, _ in _security_queries(ctx, pattern, tvars)
+    ]
+    correct += [check_sharing_leakage(ctx, pattern, [t], tvars=tvars) for t in (1, 2, 3, 4)]
+    _forward_unmasked_shares(ctx, monkeypatch)
+    unmasked = build_linear_transcript(ctx, pattern)
+    assert unmasked._store is tvars._store
+    got = [
+        (check(ctx, pattern, uset, tset, tvars=unmasked), rank_quadruple(query))
+        for check, uset, tset, query in _security_queries(ctx, pattern, unmasked)
+    ]
+    got += [
+        (
+            check_sharing_leakage(ctx, pattern, [t], tvars=unmasked),
+            rank_quadruple(_sharing_query(ctx, unmasked, pattern, [t])),
+        )
+        for t in (1, 2, 3, 4)
+    ]
+    assert len(got) == len(correct) == 44
+    assert all(record.ranks == expect for record, expect in got)
+    changed = [(g.kind, g.colluding_helpers) for (g, _), c in zip(got, correct) if g != c]
+    assert ("helpers", (3,)) in changed and ("sharing", (4,)) in changed
+    assert all(record.value == 0 for record in correct)
+    assert [record.value for record, _ in got[-4:]] == [0, 0, 2, 2]
 
 
 def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
@@ -867,8 +930,9 @@ def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
     monkeypatch.setattr(
         RowSpace, "insert", lambda space, row: widths.append(space.width) or insert(space, row)
     )
-    collusion = tv.collusion(ctx, EXAMPLE_PATTERN, [3])
-    prefix, view, master = collusion.prefix, collusion.view, collusion.master
+    collusion = tv.collusion([3])
+    view = helper_observation(tv, ctx, EXAMPLE_PATTERN, [3])
+    prefix = tuple(v for v in view if not v.name.startswith("M["))  # uploads and masks
     store = tv._store
     assert store.local == local  # the store is built for the context's parameters
     prefix_blocks, view_blocks = store.by_user(prefix), store.by_user(view)
@@ -877,19 +941,17 @@ def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
     assert collusion.users == tuple(store.reductions[rows] for rows in view_blocks)
     assert store.views == {"assembled": 1, "whole": 0}
     assert view[:len(prefix)] == prefix and len(prefix) < len(view)
-    assert all(v.name.startswith("M[") for v in view[len(prefix):])
-    assert master == view + responses
     response_rows = sum(len(v.rows) for v in responses)
     block_rows = sum(map(len, set(prefix_blocks + view_blocks)))
     assert widths == [local.dim] * block_rows + [layout.user_dim] * response_rows
     widths.clear()
-    assert tv.collusion(ctx, EXAMPLE_PATTERN, [3]) is collusion and widths == []
+    assert tv.collusion([3]) is collusion and widths == []
     for observed, reduction in (
         (prefix, collusion.prefix_reduction),
         (view, collusion.view_reduction),
-        (master, collusion.master_reduction),
+        (view + responses, collusion.master_reduction),
     ):
-        assert reduction == _split_observed(observed, layout)
+        assert reduction == _split_observed(_rows(observed), layout, ctx.field)
 
 
 # -- the per-user direct sum against the incremental path --------------------
@@ -974,7 +1036,7 @@ def _campaign_sweep(ctx, params):
             out.append((record, rank_quadruple(query)))
         for tset in tsets:
             record = check_sharing_leakage(ctx, pattern, tset, tvars=tv)
-            query = _sharing_query(ctx, tv, tv.collusion(ctx, pattern, tset).view)
+            query = _sharing_query(ctx, tv, pattern, tset)
             out.append((record, rank_quadruple(query)))
     return out
 

@@ -1,7 +1,8 @@
 """Source hygiene of ``src/hsagg``: no module imports a name it never
-uses, and every private top-level function, class or constant is
-referenced somewhere in the package.  A deletion that leaves an import
-or a helper behind fails here.  The modules that read outside input
+uses, every private top-level function, class or constant is
+referenced somewhere in the package, and every name a module lists in
+``__all__`` is bound in it.  A deletion that leaves an import, a helper
+or an export behind fails here.  The modules that read outside input
 never build a matrix without reducing its entries."""
 
 import ast
@@ -74,7 +75,9 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Every top-level function, class or assigned name, with the
+    statement that binds it."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -85,8 +88,24 @@ def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
             names = [node.target.id]
         else:
             continue
-        out += [(n, node) for n in names if n.startswith("_") and not n.startswith("__")]
+        out += [(n, node) for n in names]
     return out
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    return [
+        (n, node) for n, node in _definitions(tree) if n.startswith("_") and not n.startswith("__")
+    ]
+
+
+def undefined_exports(tree: ast.Module) -> list[str]:
+    """Entries of ``__all__`` that the module neither defines nor
+    imports at top level."""
+    bound = {name for name, _ in _definitions(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return sorted(_exported(tree) - bound)
 
 
 def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
@@ -131,6 +150,11 @@ def test_every_private_top_level_name_is_referenced():
     assert unreferenced_privates(_package()) == []
 
 
+def test_every_exported_name_is_bound():
+    found = {module: undefined_exports(tree) for module, tree in _package().items()}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
 def test_modules_that_read_outside_input_reduce_their_matrices():
     package = _package()
     found = {module: reduced_constructions(package[module]) for module in READS_OUTSIDE_INPUT}
@@ -153,6 +177,18 @@ def test_the_checks_catch_what_they_look_for():
         "b": ast.parse("from a import _used\nprint(_used)\n"),
     }
     assert unreferenced_privates(trees) == ["a._LIMIT", "a._helper"]
+    assert undefined_exports(
+        ast.parse(
+            "from a import b\n"
+            "import c.d as e\n"
+            "__all__ = ['b', 'e', 'f', 'X', 'gone']\n"
+            "def f():\n"
+            "    X = 2\n"
+            "    return X\n"
+            "if f():\n"
+            "    gone = 1\n"
+        )
+    ) == ["X", "gone"]
     assert reduced_constructions(
         ast.parse(
             "m = GfMatrix(f, rows)\n"
