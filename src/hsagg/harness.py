@@ -53,9 +53,6 @@ DEFAULT_GRID = (
     SchemeParams(2, 5, 4, 2, 11, 2),
 )
 
-EXHAUSTIVE_USER_LIMIT = 4  # larger user counts sample collusion subsets
-USER_SUBSET_SAMPLES = 16
-
 
 class ConfigError(Exception):
     """The run configuration is invalid."""
@@ -103,6 +100,13 @@ def load_config_file(path: str) -> dict[str, str]:
 def _subsets(items: Sequence[int], max_size: int | None = None) -> Iterable[tuple[int, ...]]:
     cap = len(items) if max_size is None else min(max_size, len(items))
     return chain.from_iterable(combinations(items, r) for r in range(cap + 1))
+
+
+def _colluding_sets(params: SchemeParams) -> tuple[Iterable, Iterable]:
+    """Every user subset, and every helper subset within the collusion
+    bound, each enumerated lazily."""
+    users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
+    return _subsets(users), _subsets(helpers, params.collusion)
 
 
 def _grid(config: RunConfig) -> tuple[SchemeParams, ...]:
@@ -407,37 +411,33 @@ def _subset_counts(params: SchemeParams) -> tuple[int, int]:
 
 def estimate_work(params: SchemeParams, draws: int) -> int:
     """Upper-bound count of enumeration items for one grid point: per
-    pattern, the security queries, decode cases and sharing checks; then
-    the no-straggler suites, the mask suite, recoverability and the
-    response checks.  A decode case counts ``block_len`` items, one per
-    symbol of each payload, since its cost grows with the gradient
-    length."""
+    pattern, the security queries (every user subset and helper subset,
+    helper and master), decode cases and sharing checks; then the
+    no-straggler suites, the mask suite, recoverability and the response
+    checks.  A decode case counts ``block_len`` items, one per symbol of
+    each payload, since its cost grows with the gradient length.
+
+    An infeasible point counts its witness (from Nr = 2): the variables
+    of its sibling's no-straggler transcript (``W[k]``, ``F[k]``,
+    ``X``, ``Xhat``, ``Z``, ``M``, ``W`` and ``Y``) times their
+    coefficient columns, as many source slots as the point has."""
     k, n, nr = params.num_users, params.num_helpers, params.resiliency
+    if nr <= params.collusion:
+        variables = k * (2 + 2 * n * n) + n + 1
+        return variables * lk.SourceLayout(params).dim if nr >= 2 else 0
     per_user, n_tsets = _subset_counts(params)
-    n_usets = 2**k if k <= EXHAUSTIVE_USER_LIMIT else USER_SUBSET_SAMPLES
-    per_pattern = n_usets * n_tsets * 2 + per_user * draws * params.block_len + n_tsets
+    per_pattern = 2**k * n_tsets * 2 + per_user * draws * params.block_len + n_tsets
     masks = 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
     return per_user**k * per_pattern + masks + k * per_user + comb(n, params.collusion)
 
 
-def _user_subsets(params: SchemeParams, seed: str) -> list[tuple[int, ...]]:
-    users = list(range(1, params.num_users + 1))
-    if params.num_users <= EXHAUSTIVE_USER_LIMIT:
-        return list(_subsets(users))
-    rng = random.Random(f"usets:{seed}")
-    picked = {(), tuple(users)}
-    while len(picked) < USER_SUBSET_SAMPLES:
-        picked.add(tuple(sorted(rng.sample(users, rng.randrange(len(users) + 1)))))
-    return sorted(picked)
-
-
-def _security_sweep(tvars, usets, tsets) -> Iterator[lk.LeakageRecord]:
+def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]:
     """The helper record, then the master record, of every user subset
     and helper subset under the context and pattern of the transcript
     ``tvars``; a helper subset beyond the bound is exploratory."""
     ctx, pattern = tvars.ctx, tvars.pattern
-    for uset in usets:
-        for tset in tsets:
+    for uset in user_sets:
+        for tset in helper_sets:
             exploratory = len(set(tset)) > ctx.params.collusion
             for check in (lk.check_security_helpers, lk.check_security_master):
                 yield check(ctx, pattern, uset, tset, tvars=tvars, exploratory=exploratory)
@@ -523,9 +523,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
         raise ConfigError(f"grid point {params.label()}: {exc}") from exc
 
     report = PointReport(params=params, feasible=True)
-    usets = _user_subsets(params, config.seed)
-    helpers = list(range(1, params.num_helpers + 1))
-    tsets = list(_subsets(helpers, params.collusion))
+    user_sets, helper_sets = map(list, _colluding_sets(params))
 
     for p_idx, pattern in enumerate(pt.enumerate_patterns(params)):
         report.patterns += 1
@@ -548,14 +546,14 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
             report.rate_x, report.rate_y = proto.measure_rates(transcript)
 
         tvars = lk.build_linear_transcript(ctx, pattern)
-        for rec in _security_sweep(tvars, usets, tsets):
+        for rec in _security_sweep(tvars, user_sets, helper_sets):
             report.security_queries += 1
             if rec.value != 0:
                 report.failures.append(
                     f"{rec.kind} leakage {rec.value} at U={rec.colluding_users}"
                     f" T={rec.colluding_helpers} {rec.pattern}"
                 )
-        for tset in tsets:
+        for tset in helper_sets:
             rec = lk.check_sharing_leakage(ctx, pattern, tset, tvars=tvars)
             report.invariant_checks += 1
             if rec.value != 0:
@@ -568,7 +566,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
         outcome = suite(ctx, tvars=static)
         report.invariant_checks += outcome.checks
         report.failures.extend(outcome.violations)
-    for tset in combinations(helpers, params.collusion):
+    for tset in combinations(range(1, params.num_helpers + 1), params.collusion):
         report.invariant_checks += 1
         h = lk.response_entropy_given_sum(ctx, tset, tvars=static)
         if h != 0:
@@ -593,15 +591,14 @@ def run_verify(config: RunConfig) -> VerifyReport:
     if config.budget < 0:
         raise ConfigError(f"budget must be at least 0, got {config.budget}")
     grid = _grid(config)
-    feasible_work = 0
+    work = 0
     for params in grid:
-        if params.resiliency > params.collusion:
-            feasible_work += estimate_work(params, config.draws)
-            if feasible_work > config.budget:
-                raise BudgetExceeded(
-                    f"grid point {params.label()} pushes estimated work "
-                    f"{feasible_work} beyond budget {config.budget}"
-                )
+        work += estimate_work(params, config.draws)
+        if work > config.budget:
+            raise BudgetExceeded(
+                f"grid point {params.label()} pushes estimated work "
+                f"{work} beyond budget {config.budget}"
+            )
     return VerifyReport(points=[verify_point(p, config) for p in grid])
 
 
@@ -689,18 +686,15 @@ def run_leakage(config: RunConfig) -> dict:
     )
     if queries > config.budget:
         raise BudgetExceeded(f"{queries} leakage queries exceed budget {config.budget}")
-    users = range(1, params.num_users + 1)
-    helpers = range(1, params.num_helpers + 1)
-    usets = [config.uset] if config.uset is not None else list(_subsets(users))
-    tsets = (
-        [config.tset]
-        if config.tset is not None
-        else list(_subsets(helpers, params.collusion))
-    )
+    every_user_set, every_helper_set = _colluding_sets(params)
+    user_sets = [config.uset] if config.uset is not None else list(every_user_set)
+    helper_sets = [config.tset] if config.tset is not None else list(every_helper_set)
     records = [
         rec
         for pattern in patterns
-        for rec in _security_sweep(lk.build_linear_transcript(ctx, pattern), usets, tsets)
+        for rec in _security_sweep(
+            lk.build_linear_transcript(ctx, pattern), user_sets, helper_sets
+        )
     ]
     return {
         "params": params.label(),

@@ -443,7 +443,7 @@ class LinearTranscript(Mapping):
         field, store, active = self.ctx.field, self._store, self.pattern.active_helpers
         for t in key:  # each helper's (uploads, masks, shares) and their rows by user
             if t not in self._helpers:
-                parts = _helper_parts(self, self.ctx.params, active, t)
+                parts = _helper_parts(self, t)
                 self._helpers[t] = parts, [store.by_user(p) for p in parts]
         helpers = [self._helpers[t] for t in key]
 
@@ -909,10 +909,13 @@ class LeakageRecord:
         return self.exploratory or self.value == 0
 
 
-def _helper_parts(tvars: Mapping[str, LinearVar], params: SchemeParams, active, t: int) -> tuple:
+def _helper_parts(tvars: LinearTranscript, t: int) -> tuple:
     """Helper ``t``'s uploads, its stored masks, and the shares it
-    receives from the other ``active`` helpers."""
+    receives from the other active helpers of the transcript's pattern
+    (none if ``t`` is not active)."""
+    params = tvars.ctx.params
     users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
+    active = tvars.pattern.active_helpers
     shares = (f"M[{i}->{t},{k}]" for i in sorted(active) if i != t for k in users)
     return (
         tuple(tvars[f"X[{k},{t}]"] for k in users),
@@ -921,15 +924,11 @@ def _helper_parts(tvars: Mapping[str, LinearVar], params: SchemeParams, active, 
     )
 
 
-def helper_observation(
-    tvars: Mapping[str, LinearVar],
-    ctx: SchemeContext,
-    pattern: CommPattern,
-    tset: Sequence[int],
-) -> tuple[LinearVar, ...]:
-    """Everything a colluding helper set sees: all uploads addressed to
-    it, its stored masks, and the shares it receives."""
-    parts = [_helper_parts(tvars, ctx.params, pattern.active_helpers, t) for t in sorted(tset)]
+def helper_observation(tvars: LinearTranscript, tset: Sequence[int]) -> tuple[LinearVar, ...]:
+    """Everything a colluding helper set sees under the transcript's
+    context and pattern: all uploads addressed to it, its stored masks,
+    and the shares it receives."""
+    parts = [_helper_parts(tvars, t) for t in sorted(tset)]
     return tuple(v for kind in range(3) for part in parts for v in part[kind])
 
 
@@ -1050,12 +1049,14 @@ def check_mask_independence(
     joint rank of the maximal groups equals the sum of group ranks,
     which implies factorization for every sub-family.  (b) every subset
     of 1..resiliency - 1 masks within one group has full entropy,
-    exhaustively.  ``tvars`` is a transcript of ``ctx``, the
-    no-straggler one if built here: the masks are the same under every
-    pattern.
+    exhaustively.  ``tvars`` is a transcript of ``ctx`` under any
+    pattern, the no-straggler one if built here: the masks are the same
+    under every pattern.  Another context's raises
+    ``TranscriptMismatch``.
     """
     params = ctx.params
     svars = build_static_vars(ctx) if tvars is None else tvars
+    svars.require(ctx, svars.pattern)
     n_all = range(1, params.num_helpers + 1)
     users = range(1, params.num_users + 1)
     others = {n: [i for i in n_all if i != n] for n in n_all}
@@ -1107,12 +1108,14 @@ def check_upload_recoverability(
 ) -> InvariantReport:
     """I(gradient k; its uploads to any >= resiliency helpers) = L.
 
-    ``tvars`` is a transcript of ``ctx``, the no-straggler one if built
-    here: the gradients and the uploads are the same under every
-    pattern.
+    ``tvars`` is a transcript of ``ctx`` under any pattern, the
+    no-straggler one if built here: the gradients and the uploads are
+    the same under every pattern.  Another context's raises
+    ``TranscriptMismatch``.
     """
     params = ctx.params
     svars = build_static_vars(ctx) if tvars is None else tvars
+    svars.require(ctx, svars.pattern)
     helpers = range(1, params.num_helpers + 1)
     report = InvariantReport()
     expected = params.gradient_len
@@ -1148,7 +1151,7 @@ def response_entropy_given_sum(
     tvars.require(ctx, pattern)
     responses = [tvars[f"Y[{n}]"] for n in range(1, ctx.params.num_helpers + 1)]
     return cond_entropy(
-        responses, (tvars["W"],) + helper_observation(tvars, ctx, pattern, tset)
+        responses, (tvars["W"],) + helper_observation(tvars, tset)
     )
 
 
@@ -1186,9 +1189,7 @@ def infeasibility_witness(params: SchemeParams) -> WitnessReport:
     sibling = replace(params, collusion=params.resiliency - 1)
     ctx = setup(sibling)
     svars = build_static_vars(ctx)
-    view = helper_observation(
-        svars, ctx, no_straggler_pattern(sibling), range(1, params.resiliency + 1)
-    )
+    view = helper_observation(svars, range(1, params.resiliency + 1))
     query = MiQuery(target=(svars["W"],), observed=view)
     return WitnessReport(
         params=params,

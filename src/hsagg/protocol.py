@@ -187,10 +187,6 @@ class SchemeContext:
     mask_maps: tuple[GfMatrix, ...]
     memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def block_len(self) -> int:
-        return self.params.block_len
-
     def widened(self, gradient_len: int) -> "SchemeContext":
         """This context with gradient length ``gradient_len``, sharing its
         memo: the matrices do not depend on the gradient length."""

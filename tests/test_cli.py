@@ -85,6 +85,16 @@ def test_verify_estimate_counts_the_gradient_length(capsys, monkeypatch):
     assert "2,4,3,1,7,2000" in err and "2501188" in err
 
 
+def test_verify_estimate_counts_the_infeasibility_witness(capsys, monkeypatch):
+    """The witness of a large infeasible point exceeds the default
+    budget, so the run exits 3 before the witness is built."""
+    monkeypatch.setattr(
+        harness.lk, "infeasibility_witness", lambda *args: pytest.fail("a witness ran")
+    )
+    assert main(["verify", "--grid", "40,50,3,5,53,1"]) == 3
+    assert "40,50,3,5,53,1" in capsys.readouterr().err
+
+
 def test_leakage_budget_exceeded(capsys):
     # 16,777,216 patterns: the query count is compared before any is listed
     code = main(["leakage", "--params", "6,5,3,1,11,2", "--budget", "10"])

@@ -352,13 +352,30 @@ def test_verify_budget():
     assert "2,8,5,1,17,4" in str(err.value)
 
 
-@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_verify_budget_counts_the_infeasibility_witness(monkeypatch):
+    """An infeasible point's witness builds a sibling scheme's
+    transcript, so its size counts toward the budget and a large one is
+    refused before the witness is built."""
+    monkeypatch.setattr(lk, "infeasibility_witness", lambda *args: pytest.fail("a witness ran"))
+    point = SchemeParams(12, 16, 3, 5, 23, 1)
+    config = RunConfig(mode="verify", grid=(point,), draws=1, budget=1000)
+    with pytest.raises(BudgetExceeded) as err:
+        run_verify(config)
+    assert "12,16,3,5,23,1" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "params", DEFAULT_GRID + (SchemeParams(5, 3, 2, 1, 5, 1),), ids=SchemeParams.label
+)
 def test_estimate_covers_every_counted_check(params):
     """With one draw the decode cases no longer pad the estimate, so it
-    holds only if it counts the no-straggler suites too."""
+    holds only if it counts the no-straggler suites too.  Every user
+    subset is checked, at every K."""
     report = verify_point(params, RunConfig(mode="verify", draws=1))
     counted = report.decode_cases + report.security_queries + report.invariant_checks
     assert estimate_work(params, 1) >= counted
+    n_tsets = sum(comb(params.num_helpers, s) for s in range(params.collusion + 1))
+    assert report.security_queries == report.patterns * 2**params.num_users * n_tsets * 2
 
 
 # RowSpace (insert, clone) calls and _split_quadruple eliminations of

@@ -248,7 +248,7 @@ def _sharing_query(ctx, tv, pattern, tset):
     """The sharing query of a helper set, built as
     ``check_sharing_leakage`` builds it."""
     params = ctx.params
-    view = helper_observation(tv, ctx, pattern, tset)
+    view = helper_observation(tv, tset)
     return MiQuery(
         target=tuple(
             tv[f"X[{k},{n}]"]
@@ -386,6 +386,25 @@ def test_a_transcript_of_another_context_is_refused(ctx, tvars, monkeypatch):
         check_sharing_leakage(broken, EXAMPLE_PATTERN, (3,), tvars=tvars)
     again = check_security_helpers(setup(EXAMPLE), EXAMPLE_PATTERN, (), (3,), tvars=tvars)
     assert again == check_security_helpers(ctx, EXAMPLE_PATTERN, (), (3,), tvars=tvars)
+
+
+def test_static_suites_refuse_a_transcript_of_another_context(ctx, tvars, monkeypatch):
+    """The mask and recoverability suites read any pattern's transcript
+    of their context, and refuse another context's, whose variables
+    would hide the broken scheme's violations."""
+    static = build_static_vars(ctx)
+    zero_masks = _zero_masks(ctx, monkeypatch)
+    upload = ctx.upload_matrix
+    zero_uploads = replace(ctx, upload_matrix=GfMatrix.zeros(ctx.field, upload.rows, upload.cols))
+    for suite, broken, violations in (
+        (check_mask_independence, zero_masks, 48),
+        (check_upload_recoverability, zero_uploads, 10),
+    ):
+        assert len(suite(broken).violations) == violations
+        with pytest.raises(TranscriptMismatch, match="another scheme context"):
+            suite(broken, tvars=static)
+        assert suite(ctx, tvars=tvars) == suite(ctx, tvars=static) == suite(ctx)
+        assert suite(ctx).ok
 
 
 def test_response_entropy_refuses_a_straggling_transcript(ctx):
@@ -638,7 +657,7 @@ def _security_queries(ctx, pattern, tv, beyond=0):
             colluders = tuple(tv[f"{v}[{u}]"] for u in uset for v in ("W", "F"))
             for tsize in range(params.collusion + 1 + beyond):
                 for tset in combinations(range(1, params.num_helpers + 1), tsize):
-                    view = helper_observation(tv, ctx, pattern, tset)
+                    view = helper_observation(tv, tset)
                     yield check_security_helpers, uset, tset, MiQuery(targets, view, colluders)
                     yield check_security_master, uset, tset, MiQuery(
                         targets, responses + view, (tv["W"],) + colluders
@@ -695,12 +714,12 @@ def test_sharing_split_matches_incremental_path(params, stride, queries):
 
     users = range(1, params.num_users + 1)
     helpers = range(1, params.num_helpers + 1)
-    usets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
+    user_sets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
     tsets = [t for size in range(len(helpers) + 1) for t in combinations(helpers, size)]
     seen = 0
     for pattern in list(enumerate_patterns(params))[::stride]:
         swept = build_linear_transcript(ctx, pattern)
-        for uset in usets:
+        for uset in user_sets:
             for tset in tsets:
                 for check in (check_security_helpers, check_security_master):
                     check(ctx, pattern, uset, tset, tvars=swept, exploratory=True)
@@ -775,16 +794,16 @@ def test_transcript_splits_each_target_and_given_and_finds_the_uploads_kernel_on
     monkeypatch.setattr(leakage._RankStore, "reduction", counted_reduction)
     helpers = range(1, params.num_helpers + 1)
     tsets = [t for size in range(params.collusion + 1) for t in combinations(helpers, size)]
-    usets = [u for size in range(4) for u in combinations(range(1, 4), size)]
+    user_sets = [u for size in range(4) for u in combinations(range(1, 4), size)]
     for _ in range(2):
-        for uset in usets:
+        for uset in user_sets:
             for tset in tsets:
                 check_security_helpers(ctx, pattern, uset, tset, tvars=tv)
                 check_security_master(ctx, pattern, uset, tset, tvars=tv)
         for tset in tsets:
             check_sharing_leakage(ctx, pattern, tset, tvars=tv)
     # the gradients, each user subset's given with and without the sum
-    assert len(splits) == 1 + 2 * len(usets)
+    assert len(splits) == 1 + 2 * len(user_sets)
     assert len(upload_lookups) == 1
 
 
@@ -931,7 +950,7 @@ def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
         RowSpace, "insert", lambda space, row: widths.append(space.width) or insert(space, row)
     )
     collusion = tv.collusion([3])
-    view = helper_observation(tv, ctx, EXAMPLE_PATTERN, [3])
+    view = helper_observation(tv, [3])
     prefix = tuple(v for v in view if not v.name.startswith("M["))  # uploads and masks
     store = tv._store
     assert store.local == local  # the store is built for the context's parameters
@@ -1137,7 +1156,7 @@ def test_records_do_not_depend_on_query_order(params, stride):
     records."""
     users = range(1, params.num_users + 1)
     helpers = range(1, params.num_helpers + 1)
-    usets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
+    user_sets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
     tsets = [t for size in range(len(helpers) + 1) for t in combinations(helpers, size)]
     bounded = [t for t in tsets if len(t) <= params.collusion]
     patterns = list(enumerate_patterns(params))[::stride]
@@ -1156,7 +1175,7 @@ def test_records_do_not_depend_on_query_order(params, stride):
             tv = build_linear_transcript(ctx, pattern)
             if master_first:
                 sharing(tv, pattern)
-            for uset in usets:
+            for uset in user_sets:
                 for tset in tsets:
                     for check in checks[::-1] if master_first else checks:
                         rec = check(ctx, pattern, uset, tset, tvars=tv, exploratory=True)
@@ -1166,7 +1185,7 @@ def test_records_do_not_depend_on_query_order(params, stride):
         return records
 
     forward = sweep(reverse=False, master_first=False)
-    assert len(forward) == len(patterns) * (2 * len(usets) * len(tsets) + len(bounded))
+    assert len(forward) == len(patterns) * (2 * len(user_sets) * len(tsets) + len(bounded))
     assert sweep(reverse=True, master_first=False) == forward
     assert sweep(reverse=False, master_first=True) == forward
 
