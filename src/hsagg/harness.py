@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
@@ -83,8 +83,10 @@ class RunConfig:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` config file; '#' starts a comment."""
+    """Read a flat ``key = value`` config file; '#' starts a comment.
+    A key given twice is refused."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -93,7 +95,13 @@ def load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key} repeats line {first_line[key]}"
+                )
+            first_line[key] = lineno
+            values[key] = value.strip()
     return values
 
 
@@ -129,61 +137,31 @@ def _reject_unused(config: RunConfig, mode: str, *options: str) -> None:
         raise ConfigError(f"{mode} does not use {' or '.join(given)}")
 
 
-def _uniform(rng: random.Random, q: int, count: int) -> list[int]:
-    """``[rng.randrange(q) for _ in range(count)]``: the same values, and
-    the same generator state after.
-
-    For q of k <= 32 bits, CPython's ``randrange(q)`` takes one 32-bit
-    Mersenne Twister word per try, keeps its top k bits and retries while
-    the value is >= q; ``getrandbits(32 * m)`` returns the next m words,
-    the first in the lowest bits.  So the words come in bulk, are shifted
-    and filtered in numpy, and the state is then reset and advanced by
-    exactly the words used.  Wider q takes the ``randrange`` loop.  A
-    tier-1 test compares the two, so a change in CPython's generator
-    fails loudly.
-    """
-    k = q.bit_length()
-    if k > 32 or not count:
-        return [rng.randrange(q) for _ in range(count)]
-    state = rng.getstate()
-    words, kept = [], 0
-    while kept < count:
-        m = (count - kept) * 2**k // q + 64  # the expected tries, and some slack
-        chunk = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
-        words.append(chunk >> (32 - k))
-        kept += int(np.count_nonzero(words[-1] < q))
-    words = np.concatenate(words)
-    accepted = np.flatnonzero(words < q)[:count]
-    rng.setstate(state)
-    rng.getrandbits(32 * (int(accepted[-1]) + 1))
-    return words[accepted].tolist()
-
-
 def _draw_inputs(
     params: SchemeParams, rng: random.Random, cases: int = 1
 ) -> tuple[list[Gradient], list[UserRandomness]]:
-    """The inputs of ``cases`` rounds, drawn from ``rng`` as one round
-    per case draws them (every user's gradient, then every user's
-    randomness, one ``randrange(q)`` per symbol), in one bulk draw.
-
-    They come stacked: part i of user k's gradient or randomness is the
+    """Uniform inputs of ``cases`` rounds, drawn from ``rng`` in the
+    stacked layout: part i of user k's gradient or randomness is the
     cases' parts i, one after another in case order.
+
+    One rejection draw serves every q < 2^64: each 64-bit word of
+    ``rng.getrandbits`` keeps its top ``q.bit_length()`` bits, and
+    values >= q are skipped.
     """
-    users, l = params.num_users, params.block_len
-    grad_len = users * params.gradient_len
-    span = grad_len + users * params.collusion * l  # one case's symbols
-    symbols = np.array(_uniform(rng, params.modulus, cases * span), dtype=np.uint64)  # q < 2^64
-    table = symbols.reshape(cases, span)
-
-    def stacked(columns: slice, count: int) -> list[tuple]:  # per user, ``count`` parts
-        block = table[:, columns].reshape(cases, users, count, l).transpose(1, 2, 0, 3)
-        return [tuple(map(tuple, parts)) for parts in block.reshape(users, count, -1).tolist()]
-
-    grads = stacked(slice(0, grad_len), params.block_count)
-    noises = stacked(slice(grad_len, span), params.collusion)
+    q, users, parts = params.modulus, params.num_users, params.block_count
+    k = q.bit_length()
+    width = cases * params.block_len  # the symbols of one stacked part
+    need = users * (parts + params.collusion) * width
+    kept = np.empty(0, dtype=np.uint64)
+    while len(kept) < need:
+        m = (need - len(kept)) * 2**k // q + 64  # the expected tries, and some slack
+        words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
+        words = words >> np.uint64(64 - k)
+        kept = np.concatenate([kept, words[words < q]])
+    table = kept[:need].reshape(users, parts + params.collusion, width).tolist()
     return (
-        [Gradient(u, parts) for u, parts in enumerate(grads, 1)],
-        [UserRandomness(u, parts) for u, parts in enumerate(noises, 1)],
+        [Gradient(u, tuple(map(tuple, t[:parts]))) for u, t in enumerate(table, 1)],
+        [UserRandomness(u, tuple(map(tuple, t[parts:]))) for u, t in enumerate(table, 1)],
     )
 
 
@@ -237,6 +215,11 @@ def _load_gradients(
         table = json.load(fh)
     if not isinstance(table, dict):
         raise ConfigError("gradient file must map user ids to symbol lists")
+    unknown = sorted(set(table) - {str(k) for k in range(1, params.num_users + 1)})
+    if unknown:
+        raise ConfigError(
+            f"gradient file keys {', '.join(unknown)} name no user in 1..{params.num_users}"
+        )
     grads = []
     original: dict[int, int] = {}
     for k in range(1, params.num_users + 1):
@@ -453,24 +436,23 @@ def _stacked_decode(
 ) -> tuple[proto.RoundTranscript, list[tuple[frozenset[int], bool]]]:
     """Every (survivor set, draw) decode case of a pattern from one round.
 
-    The inputs of all cases are one bulk draw, in the order one round
-    per case would draw them: survivor set, then draw.  The roles work
-    column by column and only the master's decode depends on the
-    survivors, so case ``c`` becomes columns ``[c * l, (c + 1) * l)`` of
-    every payload of one round of block length ``cases * l``, with the
-    dealer noise tiled to match.
+    The inputs of all cases are one stacked draw, cases ordered by
+    survivor set, then draw.  The roles work column by column and only
+    the master's decode depends on the survivors, so case ``c`` becomes
+    columns ``[c * l, (c + 1) * l)`` of every payload of one round of
+    block length ``cases * l``, with the dealer noise tiled to match.
     The master decodes each survivor set's slice of the responses with
     one inverse; a decode that raises fails every case of its set.
     Returns that round, stopped at the responses, and each case's
     survivor set and whether its decode equals its sum.
     """
     params = ctx.params
-    l, parts, q = params.block_len, params.block_count, params.modulus
+    l, parts = params.block_len, params.block_count
     cases = len(survivor_sets) * draws
     wide = ctx.widened(cases * params.gradient_len)
     grads, noises = _draw_inputs(params, rng, cases)
-    # each part's sum of the gradients, over the cases
-    sums = [[sum(col) % q for col in zip(*(g.parts[i] for g in grads))] for i in range(parts)]
+    total = cases * l  # part i of the sum is its columns [i * total, (i + 1) * total)
+    expected = proto.gradient_sum(grads, params.modulus)
     # masks act column by column, so tiled noise has the tiled masks
     tiled = proto.DealerKeys(
         {s: v * cases for s, v in keys.noise.items()},
@@ -498,18 +480,33 @@ def _stacked_decode(
             continue
         for d in range(0, width, l):
             got = all(
-                decoded[i * width + d:i * width + d + l] == tuple(sums[i][lo + d:lo + d + l])
+                decoded[i * width + d:i * width + d + l]
+                == expected[i * total + lo + d:i * total + lo + d + l]
                 for i in range(parts)
             )
             matches.append((survivors, got))
     return transcript, matches
 
 
+def _setup_point(params: SchemeParams) -> proto.SchemeContext | None:
+    """The context of a grid point, or None for an infeasible one, whose
+    witness's sibling (from Nr = 2, see ``lk.infeasibility_witness``)
+    is set up too.  Any other bad point raises ConfigError naming it."""
+    try:
+        try:
+            return proto.setup(params)
+        except proto.Infeasible:
+            if params.resiliency >= 2:
+                proto.setup(replace(params, collusion=params.resiliency - 1))
+            return None
+    except (proto.BadParams, proto.BadBlockLength, FieldTooSmall) as exc:
+        raise ConfigError(f"grid point {params.label()}: {exc}") from exc
+
+
 def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     """Exhaustive correctness, security, and invariant sweep for one point."""
-    try:
-        ctx = proto.setup(params)
-    except proto.Infeasible:
+    ctx = _setup_point(params)
+    if ctx is None:
         report = PointReport(params=params, feasible=False)
         if params.resiliency >= 2:
             witness = lk.infeasibility_witness(params)
@@ -519,8 +516,6 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                     f"infeasibility witness {witness.value} < {witness.required}"
                 )
         return report
-    except (proto.BadParams, proto.BadBlockLength, FieldTooSmall) as exc:
-        raise ConfigError(f"grid point {params.label()}: {exc}") from exc
 
     report = PointReport(params=params, feasible=True)
     user_sets, helper_sets = map(list, _colluding_sets(params))
@@ -591,6 +586,8 @@ def run_verify(config: RunConfig) -> VerifyReport:
     if config.budget < 0:
         raise ConfigError(f"budget must be at least 0, got {config.budget}")
     grid = _grid(config)
+    for params in grid:
+        _setup_point(params)
     work = 0
     for params in grid:
         work += estimate_work(params, config.draws)
@@ -609,11 +606,10 @@ def run_rates(config: RunConfig) -> list[dict]:
     """Measured communication rates per feasible grid point, each from
     one no-straggler round."""
     _reject_unused(config, "rates", "pattern", "drop_prob", "gradient_file")
+    grid = _grid(config)
     rows = []
-    for params in _grid(config):
-        try:
-            ctx = proto.setup(params)
-        except proto.Infeasible:
+    for params, ctx in zip(grid, [_setup_point(p) for p in grid]):
+        if ctx is None:
             rows.append({"params": params.label(), "feasible": False})
             continue
         rng = random.Random(f"rates:{config.seed}:{params.label()}")

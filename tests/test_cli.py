@@ -223,11 +223,18 @@ BAD_INPUTS = {
                                          "--config", "NEGATIVE_BUDGET_CONFIG"],
     "leakage-negative-budget-in-config": ["leakage", "--params", "2,3,2,1,5,1",
                                           "--config", "NEGATIVE_BUDGET_CONFIG"],
+    "verify-bad-second-point": ["verify", "--grid", "3,4,3,2,11,1;2,3,2,1,6,1"],
+    "verify-composite-q-beyond-budget": ["verify", "--grid", "6,6,4,1,4,1"],
+    "verify-witness-field-too-small": ["verify", "--grid", "2,5,3,3,5,1"],
+    "rates-bad-second-point": ["rates", "--grid", "2,3,2,1,5,1;2,3,2,1,6,1"],
+    "gradient-unknown-keys": ["round", *EXAMPLE_ARGS, "--gradients", "UNKNOWN_KEYS"],
+    "repeated-config-key": ["round", "--config", "REPEATED_KEY_CONFIG"],
 }
 
 GRADIENT_FILES = {
     "NOT_A_LIST": {"1": 5, "2": [1, 2]},
     "BOOLEANS": {"1": [True, False], "2": [1, 2]},
+    "UNKNOWN_KEYS": {"1": [1, 2], "2": [3, 4], "3": [5, 6], "x": [1]},
 }
 
 CONFIG_FILES = {
@@ -243,17 +250,23 @@ CONFIG_FILES = {
     "EMPTY_GRID_CONFIG": "grid =\n",
     "SEMICOLON_GRID_CONFIG": "grid = ;\n",
     "NEGATIVE_BUDGET_CONFIG": "budget = -5\n",
+    "REPEATED_KEY_CONFIG": "params = 2,4,3,1,7,2\nseed = 1\nparams = 2,3,2,1,5,1\n",
 }
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
+def _with_files(argv, tmp_path):
+    """``argv`` with each gradient or config file name replaced by the
+    path of that file, written under ``tmp_path``."""
     files = {name: json.dumps(table) for name, table in GRADIENT_FILES.items()}
     files.update(CONFIG_FILES)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
-    assert main(argv) == 2
+    return [str(tmp_path / a) if a in files else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
+    assert main(_with_files(argv, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -275,15 +288,25 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
         (BAD_INPUTS["rates-blank-grid"], "grid ' ; ' names no point"),
         (BAD_INPUTS["verify-negative-budget"], "budget must be at least 0, got -5"),
         (BAD_INPUTS["leakage-negative-budget-in-config"], "budget must be at least 0, got -5"),
+        (BAD_INPUTS["verify-bad-second-point"],
+         "grid point 2,3,2,1,6,1: modulus must be prime, got 6"),
+        (BAD_INPUTS["verify-composite-q-beyond-budget"],
+         "grid point 6,6,4,1,4,1: modulus must be prime, got 4"),
+        (BAD_INPUTS["verify-witness-field-too-small"],
+         "grid point 2,5,3,3,5,1: need 7 distinct nonzero points, GF(5) has 4"),
+        (BAD_INPUTS["rates-bad-second-point"],
+         "grid point 2,3,2,1,6,1: modulus must be prime, got 6"),
+        (BAD_INPUTS["gradient-unknown-keys"], "gradient file keys 3, x name no user in 1..2"),
+        (BAD_INPUTS["repeated-config-key"], "REPEATED_KEY_CONFIG:3: key params repeats line 1"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
          "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
-         "negative-budget-in-config"],
+         "negative-budget-in-config", "bad-second-point", "composite-q-beyond-budget",
+         "witness-field-too-small", "rates-bad-second-point", "gradient-unknown-keys",
+         "repeated-config-key"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
-    for name, text in CONFIG_FILES.items():
-        (tmp_path / name).write_text(text)
-    assert main([str(tmp_path / a) if a in CONFIG_FILES else a for a in argv]) == 2
+    assert main(_with_files(argv, tmp_path)) == 2
     assert message in capsys.readouterr().err
 
 

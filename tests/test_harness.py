@@ -32,8 +32,8 @@ from hsagg.harness import (
     transcript_to_json,
     verify_point,
 )
-from hsagg.harness import _draw_inputs, _uniform
-from hsagg import leakage as lk, protocol
+from hsagg.harness import _draw_inputs
+from hsagg import harness, leakage as lk, protocol
 from hsagg.matrix import GfMatrix, RowSpace
 from hsagg.patterns import enumerate_patterns, enumerate_survivors, format_pattern
 from hsagg.protocol import HelperResponse, SchemeParams
@@ -495,7 +495,7 @@ def test_repeated_campaign_does_the_same_work():
 
 class _CountingRandom(random.Random):
     """A generator that counts its ``getrandbits`` calls wider than any
-    q < 2^64: the bulk chunks and the final advance."""
+    q < 2^64: the bulk draw's chunks."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -506,63 +506,84 @@ class _CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 2**31 - 1, 2**61 - 1])
-def test_bulk_draw_is_the_randrange_stream(q):
-    """The stacked decode's bulk draw must give the values and the state
-    of one ``randrange(q)`` per symbol, so that its cases are the inputs
-    one round per case would draw.  The pinned reports cannot show a
-    drift (they hold counts, not inputs), so this test is the guard.  It
-    rests on CPython's Mersenne Twister: a change there fails here."""
-    chunks = set()
-    for count in (0, 1, 2, 63, 64, 65, 127, 128, 129, 1000, 10_000):
-        for seed in range(4 if count < 10_000 else 1):
-            name = f"{q}:{count}:{seed}"
-            bulk, ref = _CountingRandom(name), random.Random(name)
-            got = _uniform(bulk, q, count)
-            want = [ref.randrange(q) for _ in range(count)]
-            assert got == want, f"bulk draw left the randrange stream at q={q}, count={count}"
-            assert bulk.getstate() == ref.getstate(), f"state differs at q={q}, count={count}"
-            assert all(type(v) is int for v in got)
-            chunks.add(bulk.wide_calls)
-    if q < 2**32:
-        assert chunks >= {0, 2}  # count 0 draws nothing; one chunk, then the advance
+def _stacked_symbols(params, cases, grads, noises):
+    """Every drawn symbol, after checking the stacked shape: user k's
+    gradient has ``block_count`` parts and its randomness ``collusion``
+    parts, each of ``cases * block_len`` ints in [0, q)."""
+    width = cases * params.block_len
+    symbols = []
+    for inputs, count in ((grads, params.block_count), (noises, params.collusion)):
+        assert [x.owner for x in inputs] == list(range(1, params.num_users + 1))
+        for x in inputs:
+            assert len(x.parts) == count and all(len(part) == width for part in x.parts)
+            symbols += [v for part in x.parts for v in part]
+    assert all(type(v) is int and 0 <= v < params.modulus for v in symbols)
+    return symbols
+
+
+@pytest.mark.parametrize("q", [2, 3, 11, 2**31 - 1, 2**61 - 1, 2**64 - 59])
+def test_bulk_draw_gives_field_symbols_in_the_stacked_layout(q):
+    """One draw path for every q < 2^64: symbols in [0, q) in the
+    stacked shape, fixed by the seed.  Every residue of a small field
+    occurs, and a wide field's upper half is reached, so no bit of the
+    kept top bits is lost."""
+    params = SchemeParams(2, 5, 4, 2, q, 4)  # two gradient parts, two randomness parts
+
+    def draw(seed):
+        return _draw_inputs(params, random.Random(seed), 20)
+
+    first = draw("a")
+    symbols = _stacked_symbols(params, 20, *first)
+    assert draw("a") == first and draw("b") != first
+    if q < 100:
+        assert set(symbols) == set(range(q))
     else:
-        assert chunks == {0}  # wider q takes the randrange loop
+        assert max(symbols) >= q // 2
 
 
 def test_bulk_draw_takes_further_chunks_when_one_falls_short():
     """At q = 2 half the words are rejected, so some seeds need a second
-    chunk; each must still match ``randrange``."""
+    chunk; the inputs keep their stacked shape."""
+    params = replace(SMALL, modulus=2)
     longest = 0
     for seed in range(60):
-        bulk, ref = _CountingRandom(seed), random.Random(seed)
-        assert _uniform(bulk, 2, 1000) == [ref.randrange(2) for _ in range(1000)]
-        assert bulk.getstate() == ref.getstate()
-        longest = max(longest, bulk.wide_calls)
-    assert longest >= 3
+        rng = _CountingRandom(seed)
+        _stacked_symbols(params, 250, *_draw_inputs(params, rng, 250))
+        longest = max(longest, rng.wide_calls)
+    assert longest >= 2
 
 
 # SHA-256 of two consecutive ``_draw_inputs`` calls (20 cases, then 3)
 # from ``random.Random("draw-pin")``, then the generator's next 64 bits:
 # the stacked decode's inputs, and the state the draws leave
 DRAWN_INPUTS = {
-    "2,4,3,1,7,2": "41a124497eb14d4cb3bcc0a2815869fbb7e32d5c5b7b81fdbd6ad3e7375c22b2",
-    "3,4,3,2,11,1": "4058a2807df1b2f1e2087769fa44d003accba98562f8b92fad566102a6e74337",
+    "2,4,3,1,7,2": "dbf82bd657bca53e851b8f232264977ed433a73d1d4ad88879384e78df88d63b",
+    "3,4,3,2,11,1": "ef315525624308d5fb667ab429bd855bd43ecde0cba9ac75032828f80e15ed08",
 }
 
 
 @pytest.mark.parametrize("label", sorted(DRAWN_INPUTS))
 def test_drawn_decode_inputs_are_pinned(label):
     """A verify report holds counts, not inputs, so the pinned report
-    digests cannot show a drift in the bulk draw; these digests do.  The
-    second call and the generator's next bits show a state left wrong
-    by the first, even when the words it skipped would be rejected."""
+    digests cannot show a change in the draw; these digests do.  The
+    second call and the generator's next bits show a state left
+    otherwise by the first."""
     params = SchemeParams.from_csv(label)
     rng = random.Random("draw-pin")
     drawn = [_draw_inputs(params, rng, cases) for cases in (20, 3)]
     text = repr([[(x.owner, x.parts) for x in grads + noises] for grads, noises in drawn])
     text += repr(rng.getrandbits(64))
     assert hashlib.sha256(text.encode()).hexdigest() == DRAWN_INPUTS[label]
+
+
+def test_verify_report_does_not_depend_on_the_draws():
+    """A verify report holds counts, not inputs: two seeds, whose decode
+    draws differ, render the same bytes."""
+    a, b = (
+        render_json(run_verify(RunConfig(mode="verify", grid=(SMALL,), draws=2, seed=s)).to_json())
+        for s in "ab"
+    )
+    assert a == b
 
 
 def test_verify_deterministic_bytes():
@@ -581,6 +602,35 @@ def test_run_rates_default_grid():
         RunConfig(mode="rates", grid=(SchemeParams(2, 4, 2, 2, 7, 2),))
     )
     assert infeasible[0] == {"params": "2,4,2,2,7,2", "feasible": False}
+
+
+BAD_GRID_POINTS = {
+    "bad-second-point": (
+        (SchemeParams(3, 4, 3, 2, 11, 1), SchemeParams(2, 3, 2, 1, 6, 1)),
+        "grid point 2,3,2,1,6,1: modulus must be prime, got 6",
+    ),
+    "composite-q-beyond-budget": (
+        (SchemeParams(6, 6, 4, 1, 4, 1),),
+        "grid point 6,6,4,1,4,1: modulus must be prime, got 4",
+    ),
+    "witness-field-too-small": (
+        (SchemeParams(2, 5, 3, 3, 5, 1),),
+        "grid point 2,5,3,3,5,1: need 7 distinct nonzero points, GF(5) has 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid, message", BAD_GRID_POINTS.values(), ids=BAD_GRID_POINTS.keys())
+def test_every_grid_point_is_set_up_before_any_work(monkeypatch, grid, message):
+    """A bad point, the witness's sibling of an infeasible one included,
+    is refused by name before the budget check and before any point or
+    rates round runs."""
+    monkeypatch.setattr(harness, "verify_point", lambda *args: pytest.fail("a point ran"))
+    monkeypatch.setattr(protocol, "run_round", lambda *args: pytest.fail("a round ran"))
+    for run, mode in ((run_verify, "verify"), (run_rates, "rates")):
+        with pytest.raises(ConfigError) as refused:
+            run(RunConfig(mode=mode, grid=grid))
+        assert str(refused.value) == message
 
 
 def test_run_leakage_explicit_query():
