@@ -137,7 +137,7 @@ class TranscriptMismatch(LeakageError):
 
 
 class BadSubset(LeakageError):
-    """A colluding-helper set exceeds the collusion bound."""
+    """A colluding-helper set exceeds the collusion bound, or an oracle name is unknown."""
 
 
 class TooLargeToEnumerate(LeakageError):
@@ -781,9 +781,7 @@ def _extended_kernel(
     so it seeds the space as it is, with no elimination.
     """
     u = layout.user_dim
-    space = RowSpace(added[0].coeffs.field, u)
-    space.basis = [list(row) for row in kernel]
-    space.pivots = [row.index(1) for row in kernel]  # each row's first nonzero is 1
+    space = RowSpace.of_echelon(added[0].coeffs.field, u, kernel)
     for v in added:
         for row in v.rows:
             space.insert(row[:u])
@@ -1220,20 +1218,15 @@ def _depth_first(items: Sequence, root, extend) -> Iterator[tuple[tuple, object]
             stack.append((subset + (item,), extend(state, item), i + 1))
 
 
-def _base_q(symbols: np.ndarray, q: int, offset: int = 0) -> np.ndarray:
-    """Each row of ``symbols`` read as base-q digits, the first one
-    worth ``q**offset``."""
-    return symbols @ q ** np.arange(offset, offset + symbols.shape[1], dtype=np.int64)
-
-
 def _counted_entropy(keys: np.ndarray, q: int, names: Sequence[str]) -> int:
     """log_q of the support of the outcomes ``keys``, one per equally
     likely source assignment.
 
-    ``keys`` holds one integer code per assignment, or one row of
-    symbols per assignment when the codes would not fit in int64.  The
-    outcomes must be uniform on their support and the support a power
-    of q, or the entropy is not an exact q-ary integer: LeakageError.
+    ``keys`` holds one int32 or int64 code per assignment, or, where
+    codes would not fit in int64, one row per assignment, equal rows
+    for equal outcomes.  The outcomes must be uniform on their support
+    and the support a power of q, or the entropy is not an exact q-ary
+    integer: LeakageError.
     On sorted codes with support s, uniformity means ``n % s == 0`` and
     every run of ``n // s`` codes starting at a multiple of it constant.
     """
@@ -1260,6 +1253,19 @@ def _counted_entropy(keys: np.ndarray, q: int, names: Sequence[str]) -> int:
     return exponent
 
 
+def _variable_codes(tables: Mapping[str, np.ndarray], q: int) -> dict[str, tuple]:
+    """Each table's radix ``q**width`` and its rows read as base-q
+    codes, the first digit worth 1: int32 when the radix is below
+    2**31, int64 below 2**62, and the rows of symbols beyond."""
+    codes = {}
+    for name, code in tables.items():
+        radix = q ** code.shape[1]
+        if radix < 2**62:
+            code = code @ q ** np.arange(code.shape[1], dtype=np.int64)
+        codes[name] = radix, code.astype(np.int32) if radix < 2**31 else code
+    return codes
+
+
 class BruteForceOracle:
     """Exact entropies on a tiny instance by full source enumeration.
 
@@ -1272,13 +1278,14 @@ class BruteForceOracle:
     entropy is an exact integer number of q-ary symbols; non-uniformity
     would indicate a broken scheme and raises.
 
-    Each variable's table is also packed once into one int64 code per
-    assignment: its symbols are base-q digits at a fixed offset within
-    the concatenation of all variables' symbols (in ``names`` order), so
-    a subset's joint code is the sum of its members' codes, one gather
-    and one sum, and counting it is one sort.  The codes stay below
-    ``q**(total width)``, which must be under 2**62; a wider instance
-    keeps no packed codes and builds each subset's key from its tables.
+    Each variable's table is also read once into one base-q code per
+    assignment (``codes``, with its radix ``q**width``).  A subset's
+    joint key is the mixed-radix code ``key * radix + code`` of its
+    members in turn, and counting it is one sort.  The key is int32
+    while the span so far, the product of the radices, is below 2**31,
+    which sorts about twice as fast as int64; int64 while it is below
+    2**62; and rows beyond that: the key so far, then each further
+    member's code.
     """
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern):
@@ -1306,15 +1313,7 @@ class BruteForceOracle:
         self.tables = {
             name: np.array(rows, dtype=np.int64) for name, rows in tables.items()
         }
-
-        self._rows = {name: i for i, name in enumerate(names)}
-        self._packed = None
-        if q ** sum(t.shape[1] for t in self.tables.values()) < 2**62:
-            self._packed = np.empty((len(names), total), dtype=np.int64)
-            offset = 0
-            for i, table in enumerate(self.tables.values()):
-                self._packed[i] = _base_q(table, q, offset)
-                offset += table.shape[1]
+        self.codes = _variable_codes(self.tables, q)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -1323,42 +1322,42 @@ class BruteForceOracle:
     def entropy(self, names: Sequence[str]) -> int:
         """Exact joint q-ary entropy of the named variables."""
         names = list(dict.fromkeys(names))  # a repeated code would add digits
+        unknown = [n for n in names if n not in self.tables]
+        if unknown:
+            raise BadSubset(f"unknown variables {unknown}")
         if not names:
             return 0
-        if self._packed is not None:
-            keys = self._packed[[self._rows[n] for n in names]].sum(axis=0)
-        else:
-            keys = np.hstack([self.tables[n] for n in names])
-            if self.q ** keys.shape[1] < 2**62:
-                keys = _base_q(keys, self.q)
+        span, code = self.codes[names[0]]
+        keys, _ = self._joined(code.copy(), span, names[1:])
         return _counted_entropy(keys, self.q, names)
+
+    def _joined(self, keys: np.ndarray, span: int, names: Sequence[str]) -> tuple:
+        """``keys``, of span ``span``, extended by each of ``names`` in
+        turn, with the span they reach; the keys change in place while
+        their form holds."""
+        for n in names:
+            radix, code = self.codes[n]
+            span *= radix
+            if span >= 2**62:
+                keys = np.column_stack([keys, code])
+                continue
+            if span >= 2**31:
+                keys = keys.astype(np.int64, copy=False)
+            keys *= radix
+            keys += code
+        return keys, span
 
     def all_subset_entropies(self) -> Iterator[tuple[tuple[str, ...], int]]:
         """Every subset of ``names`` with its exact entropy, in the
         depth-first order of ``all_subset_entropies_rank``.
 
-        A subset's joint code is its parent's times ``q**width`` of its
-        last variable, plus that variable's own code, counted as
-        ``entropy`` counts.  Codes stay int32 while they fit, which sorts
-        about twice as fast as int64; without packed codes each subset
-        is counted on its own.
+        A subset's key is a copy of its parent's extended by its last
+        variable, as ``entropy`` builds it, and counted as ``entropy``
+        counts.
         """
-        if self._packed is None:
-            for subset, _ in _depth_first(self.names, None, lambda _, name: None):
-                yield subset, self.entropy(subset)
-            return
-        codes = {}
-        for name, table in self.tables.items():
-            radix, code = self.q ** table.shape[1], _base_q(table, self.q)
-            codes[name] = radix, code.astype(np.int32) if radix < 2**31 else code
 
         def extend(state, name):
-            key, span = state
-            radix, code = codes[name]
-            span *= radix
-            if span >= 2**31:
-                key = key.astype(np.int64, copy=False)
-            return key * radix + code, span
+            return self._joined(state[0].copy(), state[1], (name,))
 
         root = (np.zeros(self.count, dtype=np.int32), 1)
         for subset, (key, _) in _depth_first(self.names, root, extend):
@@ -1371,12 +1370,8 @@ class BruteForceOracle:
         given: Sequence[str] = (),
     ) -> int:
         a, b, c = list(target), list(observed), list(given)
-        return (
-            self.entropy(a + c)
-            + self.entropy(b + c)
-            - self.entropy(a + b + c)
-            - self.entropy(c)
-        )
+        abc = self.entropy(a + b + c)  # first: it refuses any unknown name
+        return self.entropy(a + c) + self.entropy(b + c) - abc - self.entropy(c)
 
 
 def brute_force_entropy(

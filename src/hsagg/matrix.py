@@ -191,19 +191,32 @@ class GfMatrix:
 class RowSpace:
     """Incrementally reduced row space over GF(q).
 
-    Maintains a reduced-echelon basis so that ``insert`` costs one
-    elimination pass.  Designed for the many rank queries made by the
-    leakage verifier; ``clone`` lets a conditioning set be reduced once
-    and extended along several branches.
+    Maintains a reduced-echelon basis, and each basis row's nonzero
+    columns in ``support``, so that ``insert`` costs one elimination
+    pass over those columns.  Designed for the many rank queries made
+    by the leakage verifier; ``clone`` lets a conditioning set be
+    reduced once and extended along several branches.  Clones share
+    basis rows: only ``insert`` changes one, and it copies it first.
     """
 
-    __slots__ = ("field", "width", "pivots", "basis")
+    __slots__ = ("field", "width", "pivots", "basis", "support")
 
     def __init__(self, field: PrimeField, width: int):
         self.field = field
         self.width = width
         self.pivots: list[int] = []
         self.basis: list[list[int]] = []
+        self.support: list[list[int]] = []
+
+    @classmethod
+    def of_echelon(cls, field: PrimeField, width: int, rows: Iterable[Sequence[int]]) -> "RowSpace":
+        """The space of ``rows``, canonical residues in reduced echelon
+        form already, taken as its basis with no elimination."""
+        space = cls(field, width)
+        space.basis = [list(row) for row in rows]
+        space.support = [[j for j, v in enumerate(row) if v] for row in space.basis]
+        space.pivots = [cols[0] for cols in space.support]  # each row's first nonzero is 1
+        return space
 
     @property
     def rank(self) -> int:
@@ -212,7 +225,8 @@ class RowSpace:
     def clone(self) -> "RowSpace":
         dup = RowSpace(self.field, self.width)
         dup.pivots = list(self.pivots)
-        dup.basis = [list(row) for row in self.basis]
+        dup.basis = list(self.basis)
+        dup.support = list(self.support)
         return dup
 
     def insert(self, row: Sequence[int]) -> bool:
@@ -220,23 +234,33 @@ class RowSpace:
         q = self.field.q
         if len(row) != self.width:
             raise DimensionMismatch("row width does not match the space")
+        if len(self.basis) == self.width:  # full: every row lies in it
+            return False
         r = [v % q for v in row]
-        for pivot, base in zip(self.pivots, self.basis):
+        for pivot, base, cols in zip(self.pivots, self.basis, self.support):
             c = r[pivot]
             if c:
-                r = [(x - c * y) % q for x, y in zip(r, base)]
-        p = next((j for j, v in enumerate(r) if v), None)
-        if p is None:
+                for j in cols:
+                    r[j] = (r[j] - c * base[j]) % q
+        support = [j for j, v in enumerate(r) if v]
+        if not support:
             return False
-        inv_p = self.field.inv(r[p])
-        r = [(v * inv_p) % q for v in r]
+        p = support[0]
+        if r[p] != 1:
+            inv_p = self.field.inv(r[p])
+            r = [(v * inv_p) % q for v in r]
         # Keep the basis fully reduced at the new pivot column.
         for i, base in enumerate(self.basis):
             c = base[p]
             if c:
-                self.basis[i] = [(x - c * y) % q for x, y in zip(base, r)]
+                base = base.copy()  # a clone may share the row
+                for j in support:
+                    base[j] = (base[j] - c * r[j]) % q
+                self.basis[i] = base
+                self.support[i] = [j for j, v in enumerate(base) if v]
         self.pivots.append(p)
         self.basis.append(r)
+        self.support.append(support)
         return True
 
     def insert_matrix(self, m: GfMatrix) -> None:

@@ -563,12 +563,14 @@ def test_oracle_matches_sharing_leakage_value(tiny_ctx, tiny_oracle):
 
 
 def test_oracle_count_rejects_non_uniform_keys():
-    for keys in ([0, 0, 1, 2], [0, 0, 0, 1, 2, 2]):  # 4 % 3 != 0; runs of 2 not constant
-        with pytest.raises(LeakageError, match="not uniform"):
-            _counted_entropy(np.array(keys), 3, ["x"])
-    with pytest.raises(LeakageError, match="not a power of 5"):
-        _counted_entropy(np.array([2, 0, 1, 2, 1, 0]), 5, ["x"])
-    assert _counted_entropy(np.array([7, 3, 3, 7, 1, 8, 8, 1, 4, 4, 5, 5, 9, 9, 0, 0]), 2, ["x"]) == 3
+    for dtype in (np.int32, np.int64):
+        for keys in ([0, 0, 1, 2], [0, 0, 0, 1, 2, 2]):  # 4 % 3 != 0; runs of 2 not constant
+            with pytest.raises(LeakageError, match="not uniform"):
+                _counted_entropy(np.array(keys, dtype=dtype), 3, ["x"])
+        with pytest.raises(LeakageError, match="not a power of 5"):
+            _counted_entropy(np.array([2, 0, 1, 2, 1, 0], dtype=dtype), 5, ["x"])
+        keys = np.array([7, 3, 3, 7, 1, 8, 8, 1, 4, 4, 5, 5, 9, 9, 0, 0], dtype=dtype)
+        assert _counted_entropy(keys, 2, ["x"]) == 3
 
 
 def test_oracle_count_of_rows():
@@ -594,22 +596,73 @@ def test_oracle_repeated_and_overlapping_names(tiny_ctx, tiny_oracle):
     assert tiny_oracle.cond_mutual_info(a, b, c) == expect
 
 
-def test_oracle_without_packed_codes_counts_the_same(tiny_ctx, tiny_oracle):
-    """The path for instances too wide to pack gives the same entropies."""
-    tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
-    names = list(tiny_oracle.names)[::3]
-    small = copy.copy(tiny_oracle)
-    small.tables = {n: tiny_oracle.tables[n] for n in names}
-    packed = list(small.all_subset_entropies())
-    assert packed == list(all_subset_entropies_rank([tv[n] for n in names]))
-    small._packed = None
-    assert list(small.all_subset_entropies()) == packed
+@pytest.fixture
+def key_forms(monkeypatch):
+    """The form of every key the oracle counts, in order: its dtype's
+    name, or "rows"."""
+    forms = []
+    counted = leakage._counted_entropy
+
+    def spy(keys, q, names):
+        forms.append("rows" if keys.ndim == 2 else keys.dtype.name)
+        return counted(keys, q, names)
+
+    monkeypatch.setattr(leakage, "_counted_entropy", spy)
+    return forms
+
+
+def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_forms):
+    """A copy of the oracle whose tables repeat every column 4 times has
+    the same supports, so the same entropies.  Its radix 5**4 puts keys
+    of 1-3 variables on int32, of 4-6 on int64 and of 7 or more on rows,
+    in ``entropy`` and in ``all_subset_entropies`` alike; repeated 27
+    times, every nonempty subset's key is rows."""
+    assert all(t.shape[1] == 1 for t in tiny_oracle.tables.values())
+    assert TINY.modulus == 5
+
+    def form(size):
+        return "int32" if size <= 3 else "int64" if size <= 6 else "rows"
+
+    wide = copy.copy(tiny_oracle)
+    wide.tables = {n: np.repeat(t, 4, axis=1) for n, t in tiny_oracle.tables.items()}
+    wide.codes = leakage._variable_codes(wide.tables, wide.q)
     rng = random.Random(7)
-    for _ in range(40):
-        subset = [n for n in tiny_oracle.names if rng.random() < 0.4]
-        wide = copy.copy(tiny_oracle)
-        wide._packed = None
-        assert wide.entropy(subset) == tiny_oracle.entropy(subset)
+    for size in [1, 2, 3, 4, 5, 6, 7, 8, 12, 19] * 3:
+        subset = rng.sample(tiny_oracle.names, size)
+        expect = tiny_oracle.entropy(subset)
+        key_forms.clear()
+        assert wide.entropy(subset) == expect
+        assert key_forms == [form(size)]
+
+    tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
+    names = list(tiny_oracle.names)[::2]
+    small, small_wide = copy.copy(tiny_oracle), copy.copy(wide)
+    small.tables = {n: tiny_oracle.tables[n] for n in names}
+    small_wide.tables = {n: wide.tables[n] for n in names}
+    walk = list(small.all_subset_entropies())
+    assert walk == list(all_subset_entropies_rank([tv[n] for n in names]))
+    key_forms.clear()
+    assert list(small_wide.all_subset_entropies()) == walk
+    assert key_forms == [form(len(subset)) for subset, _ in walk]
+    assert {"int32", "int64", "rows"} <= set(key_forms)
+
+    # radix 5**27 > 2**62: each variable's own code is its rows
+    few = names[:4]
+    wider = copy.copy(tiny_oracle)
+    wider.tables = {n: np.repeat(tiny_oracle.tables[n], 27, axis=1) for n in few}
+    wider.codes = leakage._variable_codes(wider.tables, wider.q)
+    key_forms.clear()
+    walk = list(wider.all_subset_entropies())
+    assert walk == list(all_subset_entropies_rank([tv[n] for n in few]))
+    assert [wider.entropy(subset) for subset, _ in walk] == [h for _, h in walk]
+    assert key_forms[0] == "int32" and set(key_forms[1:]) == {"rows"}
+
+
+def test_oracle_refuses_unknown_names(tiny_oracle):
+    with pytest.raises(BadSubset, match=r"unknown variables \['nope'\]"):
+        tiny_oracle.entropy(["W[1]", "nope"])
+    with pytest.raises(BadSubset, match=r"\['nope', 'Q\[1\]'\]"):
+        tiny_oracle.cond_mutual_info(["W[1]"], ["nope"], ["X[1,1]", "Q[1]"])
 
 
 def test_subset_walks_are_depth_first(tvars):

@@ -24,15 +24,15 @@ S3_ROWS = ((1, 2, 5), (2, 5, 1), (1, 0, 0), (5, 1, 2))
 S4_ROWS = ((3, 6, 6), (6, 6, 3), (3, 4, 1), (1, 0, 0))
 
 
-def naive_rank(rows, q):
-    """Plain row-reduction oracle, independent of RowSpace."""
-    mat = [list(r) for r in rows]
+def naive_echelon(rows, q):
+    """Plain Gauss-Jordan reduction, independent of RowSpace: the
+    reduced echelon rows with their pivot columns, in column order."""
+    mat = [[v % q for v in r] for r in rows]
     rank = 0
+    pivots = []
     cols = len(mat[0]) if mat else 0
     for col in range(cols):
-        pivot = next(
-            (r for r in range(rank, len(mat)) if mat[r][col] % q != 0), None
-        )
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
@@ -42,8 +42,13 @@ def naive_rank(rows, q):
             if r != rank and mat[r][col]:
                 c = mat[r][col]
                 mat[r] = [(v - c * p) % q for v, p in zip(mat[r], mat[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return list(zip(pivots, mat))
+
+
+def naive_rank(rows, q):
+    return len(naive_echelon(rows, q))
 
 
 def test_make_points_canonical():
@@ -221,26 +226,85 @@ def test_of_reduced_takes_rows_as_they_are():
     assert (GfMatrix.zeros(F7, 0, 4).cols, GfMatrix(F7, [], 2).cols) == (4, 2)
 
 
-@settings(max_examples=60)
-@given(
-    st.integers(2, 5),
-    st.lists(
-        st.lists(st.integers(0, 12), min_size=3, max_size=3), min_size=1, max_size=6
-    ),
-)
-def test_rowspace_rank_matches_oracle(width_seed, rows):
-    q = [2, 3, 5, 7][width_seed % 4]
-    f = PrimeField(q)
-    space = RowSpace(f, 3)
-    for row in rows:
-        space.insert(row)
-    assert space.rank == naive_rank(rows, q)
+def _state(space):
+    """A snapshot of a space's pivots, basis rows and supports."""
+    return list(space.pivots), [list(b) for b in space.basis], [list(s) for s in space.support]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([2, 3, 5, 11, 2**31 - 1, 2**61 - 1]), st.integers(0, 10), st.data())
+def test_rowspace_rank_matches_oracle(q, width, data):
+    """Rows with entries outside [0, q), some of them combinations of
+    earlier ones, so that large fields see dependent rows too.  After
+    every insert the pivots and the basis are the reduced echelon form
+    of the rows so far, each support lists its row's nonzero columns,
+    and ``insert`` says whether the rank grew."""
+    space = RowSpace(PrimeField(q), width)
+    entry = st.one_of(st.just(0), st.integers(-3 * q, 3 * q))
+    rows = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        if rows and data.draw(st.booleans()):
+            coeffs = [data.draw(st.integers(-q, q)) for _ in rows]
+            row = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width)]
+        else:
+            row = [data.draw(entry) for _ in range(width)]
+        rows.append(row)
+        before = space.rank
+        grew = space.insert(row)
+        expect = naive_echelon(rows, q)
+        assert space.rank == len(expect) == naive_rank(rows, q)
+        assert grew == (space.rank == before + 1)
+        assert sorted(zip(space.pivots, space.basis)) == expect
+        assert space.support == [[j for j, v in enumerate(b) if v] for b in space.basis]
 
 
 def test_rowspace_clone_is_independent():
+    """A space and its clone share basis rows; inserting into either
+    one leaves the other's rows, pivots and supports as they were, also
+    where the insert reduces every shared row."""
     space = RowSpace(F7, 3)
     space.insert([1, 2, 3])
     fork = space.clone()
     fork.insert([0, 1, 1])
     assert space.rank == 1
     assert fork.rank == 2
+    for grow_the_fork in (True, False):
+        space = RowSpace(F7, 4)
+        space.insert([1, 0, 1, 1])
+        space.insert([0, 1, 1, 1])
+        fork = space.clone()
+        changed, kept = (fork, space) if grow_the_fork else (space, fork)
+        snapshot = _state(kept)
+        assert changed.insert([0, 0, 1, 2])
+        assert _state(kept) == snapshot
+        assert _state(changed) == (
+            [0, 1, 2],
+            [[1, 0, 0, 6], [0, 1, 0, 6], [0, 0, 1, 2]],
+            [[0, 3], [1, 3], [2, 3]],
+        )
+
+
+def test_a_full_rowspace_still_checks_the_width():
+    space = RowSpace(F7, 2)
+    assert space.insert([1, 0]) and space.insert([0, 3])
+    assert not space.insert([5, 6])
+    with pytest.raises(DimensionMismatch):
+        space.insert([1, 2, 3])
+    empty = RowSpace(F7, 0)
+    assert not empty.insert([])
+    with pytest.raises(DimensionMismatch):
+        empty.insert([1])
+
+
+def test_of_echelon_of_a_basis_is_that_space():
+    rng = random.Random(5)
+    for q in (2, 7, 2**31 - 1):
+        f = PrimeField(q)
+        space = RowSpace(f, 6)
+        for _ in range(5):
+            space.insert([rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(6)])
+        seeded = RowSpace.of_echelon(f, 6, space.basis)
+        assert _state(seeded) == _state(space)
+        assert (seeded.field, seeded.width, seeded.rank) == (f, 6, space.rank)
+        seeded.insert([1] * 6)
+        assert _state(RowSpace.of_echelon(f, 6, space.basis)) == _state(space)

@@ -3,8 +3,8 @@ uses, every private top-level function, class or constant is
 referenced somewhere in the package, and every name a module lists in
 ``__all__`` is bound in it.  A deletion that leaves an import, a helper
 or an export behind fails here.  The modules that read outside input
-never build a matrix without reducing its entries, and no module uses
-``numpy.random``."""
+never build a matrix without reducing its entries, no module uses
+``numpy.random``, and only ``matrix`` writes a ``RowSpace``'s state."""
 
 import ast
 from pathlib import Path
@@ -174,6 +174,44 @@ def numpy_random_uses(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+# a RowSpace's state: its clones share basis rows, so only matrix.py writes them
+ROWSPACE_STATE = ("basis", "pivots", "support")
+LIST_MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse")
+
+
+def _stored(target: ast.AST) -> list[ast.AST]:
+    """The expressions an assignment target stores into, unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [t for elt in target.elts for t in _stored(elt)]
+    if isinstance(target, ast.Starred):
+        return _stored(target.value)
+    return [target]
+
+
+def rowspace_state_writes(tree: ast.Module) -> list[int]:
+    """Lines that assign to, delete or mutate in place a ``.basis``,
+    ``.pivots`` or ``.support`` attribute or an item of one."""
+
+    def is_state(node: ast.AST) -> bool:
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in ROWSPACE_STATE
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = [t for target in node.targets for t in _stored(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            targets = [node.func.value] if node.func.attr in LIST_MUTATORS else []
+        else:
+            continue
+        if any(is_state(target) for target in targets):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def _package() -> dict[str, ast.Module]:
     return {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
 
@@ -204,6 +242,18 @@ def test_no_module_uses_numpy_random():
     ``peak_rss_mb`` from 36.39 to 42.11 MB (+5.7 MB, +15.7%, one run
     each on a 2-vCPU host), beyond that metric's 10% bound."""
     found = {module: numpy_random_uses(tree) for module, tree in _package().items()}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_only_matrix_writes_rowspace_state():
+    """``RowSpace.clone`` copies the lists of rows, not the rows, and
+    ``insert`` copies a row before it changes it; a write from another
+    module could change a row that two spaces hold."""
+    found = {
+        module: rowspace_state_writes(tree)
+        for module, tree in _package().items()
+        if module != "matrix"
+    }
     assert {module: lines for module, lines in found.items() if lines} == {}
 
 
@@ -255,3 +305,17 @@ def test_the_checks_catch_what_they_look_for():
             "y = numpy.random.rand()\n"
         )
     ) == [3, 4, 5, 6, 7, 9]
+    assert rowspace_state_writes(
+        ast.parse(
+            "space.basis = [list(row) for row in kernel]\n"
+            "space.pivots[0] = 2\n"
+            "space.support[1][0] += 1\n"
+            "first, *space.basis = rows\n"
+            "space.basis.append(row)\n"
+            "del space.pivots[-1]\n"
+            "rank = len(space.basis) + space.pivots[0]\n"
+            "space.insert(row)\n"
+            "rows[space.pivots[0]] = space.support\n"
+            "space.support: list = []\n"
+        )
+    ) == [1, 2, 3, 4, 5, 6, 10]
