@@ -48,9 +48,11 @@ so each row of a view lies in one user's columns, and the view is a
 direct sum of per-user blocks: their noise ranks add, and their
 kernels, embedded in user width, make the view's.  A rank store, kept
 in the scheme context's memo and shared by the transcripts built from
-it, reduces each block once per content, in one user's coordinates, so
-equal blocks of different users and patterns share the work; a view
-with a row that spans users is reduced whole.  The master's set
+it, holds the context's layouts and field and derives the queries'
+targets and givens from the layout; it reduces each block once per
+content, in one user's coordinates, so equal blocks of different users
+and patterns share the work; a view with a row that spans users is
+reduced whole.  The master's set
 extends the view's kernel by the responses in user width when they lie
 in the user columns, as in the scheme.  A quadruple depends on B only
 through K, plus ``r_noise``, so it is computed once per kernel, target
@@ -214,31 +216,21 @@ class LinearVar:
     def rows(self) -> tuple:
         return self.coeffs.data
 
-    @cached_property
-    def user_split(self) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]] | None:
-        """The columns of the unit rows and the other nonzero rows, if
-        every row lies in the user-source columns; None otherwise."""
-        u = self.layout.user_dim
-        units, rest = set(), []
-        for row in self.rows:
-            if any(row[u:]):
-                return None
-            support = [j for j in range(u) if row[j]]
-            if len(support) == 1:
-                units.add(support[0])
-            elif support:
-                rest.append(row)
-        return frozenset(units), tuple(rest)
-
 
 class _RankStore:
     """Rank work that the transcripts of one scheme context share.
 
-    Built for the context's parameters: ``local`` is the user-local
-    layout, that of the same parameters with one user, and ``columns``
+    Built for the context's parameters and field, it keeps the full
+    ``layout``, the user-local one (``local``: the same parameters with
+    one user) and the ``field``, so no query passes them.  ``columns``
     holds per user the columns its local columns stand for, in order:
     gradient parts, randomness parts, dealer noise by (helper, mixing
-    slot).  Every key is coefficient-row content, never a name, a
+    slot).  Every helper and master query's target and given are the
+    users' own input symbols, unit rows of the layout in every scheme:
+    ``gradients`` is the target's unit split (every gradient slot) and
+    ``given(with_sum, users)`` each given's (those users' ``W`` and
+    ``F`` slots, plus the sum's rows), derived once per store.
+    Every other key is coefficient-row content, never a name, a
     pattern or a helper id, so that a transcript whose rows differ (a
     broken scheme run under the same context) never reads another's
     entry.  ``owners`` maps a row to its user and its row in user-local
@@ -254,27 +246,48 @@ class _RankStore:
     and those reduced whole.  Keys share one copy of each equal part.
     """
 
-    def __init__(self, params: SchemeParams):
-        layout, k_all = SourceLayout(params), params.num_users
-        self.local = SourceLayout(replace(params, num_users=1))
+    def __init__(self, params: SchemeParams, field: PrimeField):
+        layout = self.layout = SourceLayout(params)
+        self.field, self.local = field, SourceLayout(replace(params, num_users=1))
+        k_all, parts = params.num_users, params.block_count
         self.columns = tuple(
-            (*range(layout.w_slot(k, 1), layout.w_slot(k, 1) + params.block_count),
+            (*range(layout.w_slot(k, 1), layout.w_slot(k, 1) + parts),
              *range(layout.f_slot(k, 1), layout.f_slot(k, 1) + params.collusion),
              *range(layout.q_slot(1, 1, k), layout.dim, k_all))
             for k in range(1, k_all + 1)
         )
-        self.owners, self.reductions, self.kernels, self.quadruples, self._held = {}, {}, {}, {}, {}
+        self.gradients = frozenset(range(k_all * parts)), ()
+        # the sum W: part i's row is 1 on every user's slot of part i, a unit row at K = 1
+        rows = tuple(tuple(int(j < k_all * parts and j % parts == i) for j in range(layout.dim))
+                     for i in range(parts))
+        self._sum = (frozenset(range(parts)), ()) if k_all == 1 else (frozenset(), rows)
+        self.owners, self.reductions, self.kernels, self.quadruples = {}, {}, {}, {}
+        self.givens, self._held = {}, {}
         self.views = {"assembled": 0, "whole": 0}
 
     def _hold(self, parts: Iterable) -> tuple:
         return tuple(self._held.setdefault(x, x) for x in parts)
 
-    def reduction(self, layout: SourceLayout, rows: tuple, field: PrimeField) -> tuple:
-        """``_split_observed`` of ``rows``, over ``layout``, once per
-        content; the kernel is the store's one object of its content."""
+    def given(self, with_sum: bool, users: tuple[int, ...]) -> tuple:
+        """The unit split of the gradient sum ``W`` if ``with_sum``, and
+        of each of ``users``' ``W[u]`` and ``F[u]``: their unit columns
+        and the sum's rows, unless they are unit rows (K = 1)."""
+        found = self.givens.get((with_sum, users))
+        if found is None:
+            units, rest = self._sum if with_sum else (frozenset(), ())
+            own = self.local.user_dim  # a user's gradient and randomness slots lead its columns
+            units = units.union(*(self.columns[u - 1][:own] for u in users))
+            found = self.givens[with_sum, users] = units, rest
+        return found
+
+    def reduction(self, rows: tuple) -> tuple:
+        """``_split_observed`` of ``rows`` once per content, over the
+        user-local layout if they are user-local wide, else the full one;
+        the kernel is the store's one object of its content."""
         found = self.reductions.get(rows)
         if found is None:
-            r_noise, kernel = _split_observed(rows, layout, field)
+            layout = self.local if rows and len(rows[0]) == self.local.dim else self.layout
+            r_noise, kernel = _split_observed(rows, layout, self.field)
             kernel = self._held.setdefault(kernel, kernel)
             found = self.reductions[self._hold(rows)] = r_noise, kernel
         return found
@@ -297,42 +310,43 @@ class _RankStore:
                 blocks[owner[0]].append(owner[1])
         return tuple(map(tuple, blocks))
 
-    def assembled(self, layout: SourceLayout, observed, blocks: tuple | None, field) -> tuple:
-        """The split reduction of ``observed``, whose ``by_user`` rows are
-        ``blocks``, and each user's: the noise ranks add, and the kernels,
-        embedded in user width with disjoint supports, are together in
-        reduced echelon form.  Reduced whole, with no user's, if
-        ``blocks`` is None."""
+    def assembled(self, observed: Sequence[LinearVar]) -> tuple:
+        """The split reduction of ``observed`` and each user's, from its
+        ``by_user`` blocks: the noise ranks add, and the kernels, embedded
+        in user width with disjoint supports, are together in reduced
+        echelon form.  Reduced whole, with no user's, if a row spans
+        users."""
+        blocks = self.by_user(observed)
         if blocks is None:
-            return self.reduction(layout, tuple(r for v in observed for r in v.rows), field), None
-        users = tuple(self.reduction(self.local, rows, field) for rows in blocks)
+            return self.reduction(tuple(r for v in observed for r in v.rows)), None
+        users = tuple(map(self.reduction, blocks))
         key = tuple(id(kernel) for _, kernel in users)
         kernel = self.kernels.get(key)
         if kernel is None:
             kernel = tuple(sorted(
-                (tuple(dict(zip(cols, row)).get(j, 0) for j in range(layout.user_dim))
+                (tuple(dict(zip(cols, row)).get(j, 0) for j in range(self.layout.user_dim))
                  for cols, (_, rows) in zip(self.columns, users) for row in rows),
                 key=lambda row: row.index(1),  # each row's first nonzero is 1
             ))
             kernel = self.kernels[key] = self._held.setdefault(kernel, kernel)
         return (sum(r for r, _ in users), kernel), users
 
-    def extended(self, layout: SourceLayout, view, reduction, responses, field) -> tuple:
+    def extended(self, view, reduction, responses) -> tuple:
         """The split reduction of ``view + responses``: if every response
-        lies in the user columns, the view's ``r_noise`` and its kernel
-        extended by the responses in user width, once per view kernel and
-        response rows; otherwise reduced whole."""
-        if any(v.user_split is None for v in responses):
-            return self.assembled(layout, view + responses, None, field)[0]
+        row lies in the user columns, the view's ``r_noise`` and its
+        kernel extended by the responses in user width, once per view
+        kernel and response rows; otherwise reduced whole."""
+        if any(any(row[self.layout.user_dim:]) for v in responses for row in v.rows):
+            return self.reduction(tuple(r for v in view + responses for r in v.rows))
         r_noise, kernel = reduction
         key = (id(kernel), tuple(v.rows for v in responses))
         found = self.kernels.get(key)
         if found is None:
-            found = _extended_kernel(kernel, responses, layout)
+            found = _extended_kernel(kernel, responses, self.layout)
             found = self.kernels[self._hold(key)] = self._held.setdefault(found, found)
         return r_noise, found
 
-    def quadruple(self, reduction, target, given, layout: SourceLayout, field, users=None) -> tuple:
+    def quadruple(self, reduction, target, given, users=None) -> tuple:
         """The rank quadruple of a reduction the store holds, once per
         kernel, target and given: if its per-user reductions ``users`` are
         given and the target and the given are unit rows, the sum of each
@@ -343,12 +357,14 @@ class _RankStore:
         ranks = self.quadruples.get(key)
         if ranks is None:
             if users is None or target[1] or given[1]:
-                ranks = _split_quadruple(target, given, (0, kernel), layout.user_dim, field)
+                # a user-local query with no kernel row inserts no row at all
+                width = len(kernel[0]) if kernel else self.layout.user_dim
+                ranks = _split_quadruple(target, given, (0, kernel), width, self.field)
             else:
                 parts, units = [], (target[0], given[0])
                 for (_, own), cols in zip(users, self.columns):
                     a, c = ((frozenset(i for i, j in enumerate(cols) if j in e), ()) for e in units)
-                    parts.append(self.quadruple((0, own), a, c, self.local, field))
+                    parts.append(self.quadruple((0, own), a, c))
                 ranks = tuple(map(sum, zip(*parts)))
             ranks = self._held.setdefault(ranks, ranks)
             self.quadruples[self._hold(key)] = ranks
@@ -360,7 +376,7 @@ def _rank_store(ctx: SchemeContext) -> _RankStore:
     """The context's rank store, kept in its memo, so that it dies with
     the contexts that hold the memo."""
     if _RankStore not in ctx.memo:
-        ctx.memo[_RankStore] = _RankStore(ctx.params)
+        ctx.memo[_RankStore] = _RankStore(ctx.params, ctx.field)
     return ctx.memo[_RankStore]
 
 
@@ -382,15 +398,14 @@ class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
     Built only by ``build_linear_transcript``, it keeps the ``ctx`` and
-    the ``pattern`` it was built from, their source ``layout``, the
-    pattern's ``label`` and the context's rank store, and answers only
-    for that context and pattern (``require``).  Read-only, it memoizes,
-    each once, every colluding set's split reductions (``collusion``, by
-    helper subset) and each helper's part of them (by helper), the
-    gradients' unit split, the uploads' kernel and each user subset's
-    given (``given``); all live and die with the transcript.
+    the ``pattern`` it was built from, the pattern's ``label`` and the
+    context's rank store, and answers only for that context and pattern
+    (``require``).  Read-only, it memoizes every colluding set's split
+    reductions (``collusion``, by helper subset) and the uploads'
+    kernel, each once; both live and die with the transcript.
     Reductions are found by row content in the rank store
-    (``_RankStore``), never by names.
+    (``_RankStore``), never by names; the helper and master queries'
+    targets and givens come from the store's layout.
 
     The split paths answer every check, for every context, broken ones
     included: ``_run_on_sources`` makes each ``W[k]`` and ``F[k]`` a
@@ -400,13 +415,10 @@ class LinearTranscript(Mapping):
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern, tvars: dict[str, LinearVar]):
         self.ctx, self.pattern = ctx, pattern
-        self.layout = SourceLayout(ctx.params)
         self.label = format_pattern(pattern)
         self._vars = tvars
         self._store = _rank_store(ctx)
         self._collusions: dict[tuple[int, ...], _Collusion] = {}  # by helper subset
-        self._helpers: dict[int, tuple] = {}  # by helper
-        self._givens: dict[tuple, tuple] = {}  # unit splits by (with_sum, users)
 
     def __getitem__(self, name: str) -> LinearVar:
         return self._vars[name]
@@ -432,42 +444,25 @@ class LinearTranscript(Mapping):
 
     def collusion(self, tset: Sequence[int]) -> _Collusion:
         """The split reductions of ``tset``'s prefix, view and master's
-        set, computed once: the prefix and the view assembled from
-        per-user blocks (``_RankStore.assembled``), or reduced whole if a
-        row spans users, and the master's set extending the view's kernel
-        (``_RankStore.extended``)."""
+        set, computed once: the view is ``helper_observation``, whose
+        first |T|·K·N variables are the prefix; the prefix and the view
+        are assembled from per-user blocks (``_RankStore.assembled``), or
+        reduced whole if a row spans users, and the master's set extends
+        the view's kernel (``_RankStore.extended``)."""
         key = tuple(sorted(tset))
         found = self._collusions.get(key)
-        if found is not None:
-            return found
-        field, store, active = self.ctx.field, self._store, self.pattern.active_helpers
-        for t in key:  # each helper's (uploads, masks, shares) and their rows by user
-            if t not in self._helpers:
-                parts = _helper_parts(self, t)
-                self._helpers[t] = parts, [store.by_user(p) for p in parts]
-        helpers = [self._helpers[t] for t in key]
-
-        def joined(kinds):  # the variables of these kinds, and each user's rows of them
-            rows = [by_user[i] for i in kinds for _, by_user in helpers]
-            users = range(self.ctx.params.num_users)
-            blocks = None if None in rows else tuple(sum((r[k] for r in rows), ()) for k in users)
-            return tuple(v for i in kinds for parts, _ in helpers for v in parts[i]), blocks
-
-        (prefix, prefix_rows), (view, view_rows) = joined((0, 1)), joined((0, 1, 2))
-        responses = tuple(self._vars[f"Y[{n}]"] for n in sorted(active))
-        view_reduction, users = store.assembled(self.layout, view, view_rows, field)
-        store.views["whole" if users is None else "assembled"] += 1
-        found = self._collusions[key] = _Collusion(
-            store.assembled(self.layout, prefix, prefix_rows, field)[0], view_reduction,
-            store.extended(self.layout, view, view_reduction, responses, field), users,
-        )
+        if found is None:
+            store, params = self._store, self.ctx.params
+            view = helper_observation(self, key)
+            prefix = view[:len(key) * params.num_users * params.num_helpers]
+            responses = tuple(self._vars[f"Y[{n}]"] for n in sorted(self.pattern.active_helpers))
+            view_reduction, users = store.assembled(view)
+            store.views["whole" if users is None else "assembled"] += 1
+            found = self._collusions[key] = _Collusion(
+                store.assembled(prefix)[0], view_reduction,
+                store.extended(view, view_reduction, responses), users,
+            )
         return found
-
-    @cached_property
-    def gradients_split(self) -> tuple:
-        """The ``_unit_split`` of every user's gradient ``W[k]``."""
-        users = range(1, self.ctx.params.num_users + 1)
-        return _unit_split([self._vars[f"W[{k}]"] for k in users])
 
     @cached_property
     def uploads_kernel(self) -> tuple:
@@ -476,18 +471,7 @@ class LinearTranscript(Mapping):
         params = self.ctx.params
         users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
         rows = tuple(row for k in users for n in helpers for row in self._vars[f"X[{k},{n}]"].rows)
-        return self._store.reduction(self.layout, rows, self.ctx.field)[1]
-
-    def given(self, with_sum: bool, users: tuple[int, ...]) -> tuple:
-        """The ``_unit_split`` of the gradient sum ``W`` if ``with_sum``,
-        then of each colluding user's ``W[u]`` and ``F[u]``, computed once
-        per (with_sum, users)."""
-        found = self._givens.get((with_sum, users))
-        if found is None:
-            names = ["W"] * with_sum + [f"{v}[{u}]" for u in users for v in "WF"]
-            variables = [self._vars[name] for name in names]
-            found = self._givens[with_sum, users] = _unit_split(variables)
-        return found
+        return self._store.reduction(rows)[1]
 
 
 # -- the transcript: the roles run on a source assignment ----------------
@@ -788,20 +772,6 @@ def _extended_kernel(
     return _kernel(space, 0)
 
 
-def _unit_split(
-    variables: Sequence[LinearVar],
-) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
-    """``LinearVar.user_split`` of several variables together, all in the
-    user columns."""
-    units: frozenset[int] = frozenset()
-    rest: tuple[tuple[int, ...], ...] = ()
-    for v in variables:
-        split = v.user_split
-        units |= split[0]
-        rest += split[1]
-    return units, rest
-
-
 def _split_quadruple(
     target: tuple[frozenset[int], tuple],
     given: tuple[frozenset[int], tuple],
@@ -907,27 +877,20 @@ class LeakageRecord:
         return self.exploratory or self.value == 0
 
 
-def _helper_parts(tvars: LinearTranscript, t: int) -> tuple:
-    """Helper ``t``'s uploads, its stored masks, and the shares it
-    receives from the other active helpers of the transcript's pattern
-    (none if ``t`` is not active)."""
-    params = tvars.ctx.params
-    users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
-    active = tvars.pattern.active_helpers
-    shares = (f"M[{i}->{t},{k}]" for i in sorted(active) if i != t for k in users)
-    return (
-        tuple(tvars[f"X[{k},{t}]"] for k in users),
-        tuple(tvars[f"Z[{t},{n},{k}]"] for n in helpers if n != t for k in users),
-        tuple(tvars[name] for name in shares if name in tvars),
-    )
-
-
 def helper_observation(tvars: LinearTranscript, tset: Sequence[int]) -> tuple[LinearVar, ...]:
     """Everything a colluding helper set sees under the transcript's
-    context and pattern: all uploads addressed to it, its stored masks,
-    and the shares it receives."""
-    parts = [_helper_parts(tvars, t) for t in sorted(tset)]
-    return tuple(v for kind in range(3) for part in parts for v in part[kind])
+    context and pattern: all uploads addressed to it, its stored masks
+    (together the prefix, K·N variables per helper), then the shares it
+    receives from the other active helpers."""
+    params, tset = tvars.ctx.params, sorted(tset)
+    users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
+    active = sorted(tvars.pattern.active_helpers)
+    shares = (f"M[{i}->{t},{k}]" for t in tset for i in active if i != t for k in users)
+    return (
+        *(tvars[f"X[{k},{t}]"] for t in tset for k in users),
+        *(tvars[f"Z[{t},{n},{k}]"] for t in tset for n in helpers if n != t for k in users),
+        *(tvars[name] for name in shares if name in tvars),
+    )
 
 
 def _leakage_record(
@@ -975,11 +938,10 @@ def _split_ranks(
     master query (the master's set, given the sum too), whose target is
     every gradient, from the collusion's split reductions: a helper
     query's from its users'."""
-    given = tv.given(master, tuple(sorted(users)))
+    store = tv._store
+    given = store.given(master, tuple(sorted(users)))
     reduction, per_user = (c.master_reduction, None) if master else (c.view_reduction, c.users)
-    return tv._store.quadruple(
-        reduction, tv.gradients_split, given, tv.layout, tv.ctx.field, per_user
-    )
+    return store.quadruple(reduction, store.gradients, given, per_user)
 
 
 def check_security_helpers(
@@ -1093,10 +1055,8 @@ def check_sharing_leakage(
     ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``."""
 
     def ranks(tv, c):
-        return _sharing_ranks(
-            tv.uploads_kernel, c.prefix_reduction, c.view_reduction, tv.layout.user_dim,
-            ctx.field,
-        )
+        u = tv._store.layout.user_dim
+        return _sharing_ranks(tv.uploads_kernel, c.prefix_reduction, c.view_reduction, u, ctx.field)
 
     return _leakage_record("sharing", ctx, pattern, (), tset, tvars, False, ranks)
 

@@ -30,7 +30,6 @@ from hsagg.leakage import (
     _sharing_ranks,
     _split_observed,
     _split_quadruple,
-    _unit_split,
     all_subset_entropies_rank,
     brute_force_entropy,
     build_linear_transcript,
@@ -84,6 +83,22 @@ def tiny_oracle(tiny_ctx):
 def _rows(variables):
     """The coefficient rows of ``variables``, in order."""
     return [row for v in variables for row in v.rows]
+
+
+def _unit_split(variables):
+    """The columns of the variables' unit rows and their other nonzero
+    rows; every row lies in the user columns."""
+    units, rest = set(), []
+    for v in variables:
+        u = v.layout.user_dim
+        for row in v.rows:
+            assert not any(row[u:])
+            support = [j for j in range(u) if row[j]]
+            if len(support) == 1:
+                units.add(support[0])
+            elif support:
+                rest.append(row)
+    return frozenset(units), tuple(rest)
 
 
 def apply_linear(var, assignment, q, block_len):
@@ -821,29 +836,24 @@ def test_sharing_queries_take_their_tuples_from_the_transcript():
 def test_transcript_splits_each_target_and_given_and_finds_the_uploads_kernel_once(
     monkeypatch,
 ):
-    """The unit splits of the all-gradients target and of each user
-    subset's given, and the uploads' kernel, are computed once per
-    transcript, however many queries read them; the uploads are never
+    """The store derives each user subset's given once, with and without
+    the sum, however many queries and transcripts read it, and the
+    uploads' kernel is found once per transcript; the uploads are never
     split."""
     params = SchemeParams(3, 4, 3, 2, 11, 1)
     ctx = setup(params)
     pattern = list(enumerate_patterns(params))[7]
     tv = build_linear_transcript(ctx, pattern)
-    splits, upload_lookups = [], []
-    unit_split, reduction = leakage._unit_split, leakage._RankStore.reduction
+    upload_lookups = []
+    reduction = leakage._RankStore.reduction
     uploads = [tv[f"X[{k},{n}]"] for k in (1, 2, 3) for n in (1, 2, 3, 4)]
     upload_rows = tuple(row for v in uploads for row in v.rows)
 
-    def counted_split(variables):
-        splits.append(variables)
-        return unit_split(variables)
-
-    def counted_reduction(store, layout, rows, field):
+    def counted_reduction(store, rows):
         if rows == upload_rows:
             upload_lookups.append(rows)
-        return reduction(store, layout, rows, field)
+        return reduction(store, rows)
 
-    monkeypatch.setattr(leakage, "_unit_split", counted_split)
     monkeypatch.setattr(leakage._RankStore, "reduction", counted_reduction)
     helpers = range(1, params.num_helpers + 1)
     tsets = [t for size in range(params.collusion + 1) for t in combinations(helpers, size)]
@@ -855,8 +865,10 @@ def test_transcript_splits_each_target_and_given_and_finds_the_uploads_kernel_on
                 check_security_master(ctx, pattern, uset, tset, tvars=tv)
         for tset in tsets:
             check_sharing_leakage(ctx, pattern, tset, tvars=tv)
-    # the gradients, each user subset's given with and without the sum
-    assert len(splits) == 1 + 2 * len(user_sets)
+    # each user subset's given with and without the sum
+    assert sorted(tv._store.givens) == sorted(
+        (with_sum, uset) for with_sum in (False, True) for uset in user_sets
+    )
     assert len(upload_lookups) == 1
 
 
@@ -1092,6 +1104,24 @@ def test_per_user_path_matches_incremental_path(params, scheme, monkeypatch):
 
 
 # -- the context's rank store ----------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["correct", "zero-masks", "uploads-without-randomness"])
+@pytest.mark.parametrize("params", DEFAULT_GRID + (TINY,), ids=SchemeParams.label)
+def test_store_derives_each_target_and_given_from_the_layout(params, scheme, monkeypatch):
+    """The helper and master queries' target and givens, which the store
+    derives from its layout, are the unit splits of the transcript's own
+    ``W[k]``, ``F[k]`` and ``W`` in a broken scheme too; at K = 1 the
+    sum's rows are unit rows as well."""
+    ctx = PER_USER_SCHEMES[scheme](setup(params), monkeypatch)
+    tv = build_linear_transcript(ctx, next(enumerate_patterns(params)))
+    store, users = tv._store, range(1, params.num_users + 1)
+    assert store.gradients == _unit_split([tv[f"W[{k}]"] for k in users])
+    for size in range(params.num_users + 1):
+        for uset in combinations(users, size):
+            own = [tv[f"{v}[{u}]"] for u in uset for v in "WF"]
+            assert store.given(False, uset) == _unit_split(own)
+            assert store.given(True, uset) == _unit_split([tv["W"]] + own)
 
 
 def _campaign_sweep(ctx, params):

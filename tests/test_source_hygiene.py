@@ -4,7 +4,8 @@ referenced somewhere in the package, and every name a module lists in
 ``__all__`` is bound in it.  A deletion that leaves an import, a helper
 or an export behind fails here.  The modules that read outside input
 never build a matrix without reducing its entries, no module uses
-``numpy.random``, and only ``matrix`` writes a ``RowSpace``'s state."""
+``numpy.random``, only ``matrix`` writes a ``RowSpace``'s state, and no
+module reads another's private name."""
 
 import ast
 from pathlib import Path
@@ -212,6 +213,33 @@ def rowspace_state_writes(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_reads(tree: ast.Module) -> list[int]:
+    """Lines that read another hsagg module's private name: ``from .mod
+    import _x``, or ``mod._x`` where ``mod`` is bound to an hsagg module
+    by ``from . import mod`` or ``import hsagg.mod as mod``."""
+    modules, lines = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hsagg"):
+            if node.module in (None, "hsagg"):
+                modules |= {a.asname or a.name for a in node.names}
+            lines |= {node.lineno for a in node.names if _private(a.name)}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.asname and a.name.startswith("hsagg.")}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and _private(node.attr)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def _package() -> dict[str, ast.Module]:
     return {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
 
@@ -254,6 +282,13 @@ def test_only_matrix_writes_rowspace_state():
         for module, tree in _package().items()
         if module != "matrix"
     }
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_no_module_reads_another_modules_private_name():
+    """A module's private names are its own: the rank store's internals
+    stay inside ``leakage``."""
+    found = {module: foreign_private_reads(tree) for module, tree in _package().items()}
     assert {module: lines for module, lines in found.items() if lines} == {}
 
 
@@ -319,3 +354,18 @@ def test_the_checks_catch_what_they_look_for():
             "space.support: list = []\n"
         )
     ) == [1, 2, 3, 4, 5, 6, 10]
+    assert foreign_private_reads(
+        ast.parse(
+            "from . import leakage as lk\n"
+            "from .protocol import SchemeParams, _inverse\n"
+            "import hsagg.matrix as mx\n"
+            "import numpy as np\n"
+            "x = lk._rank_store(ctx)\n"
+            "y = lk.check(ctx)._store + self._memo + lk.__name__\n"
+            "z = np._NoValue\n"
+            "w = mx._kernel\n"
+            "from .field import PrimeField as _Field\n"
+            "from hsagg import harness\n"
+            "v = harness._grid\n"
+        )
+    ) == [2, 5, 8, 11]
