@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
@@ -28,7 +28,10 @@ from .protocol import Gradient, SchemeParams, UserRandomness
 __all__ = [
     "ConfigError",
     "BudgetExceeded",
+    "MODES",
+    "EXCLUSIVE_PAIRS",
     "RunConfig",
+    "OPTIONS",
     "DEFAULT_GRID",
     "load_config_file",
     "pad_symbols",
@@ -69,24 +72,64 @@ class BudgetExceeded(Exception):
     """The requested campaign exceeds the enumeration budget."""
 
 
+MODES = {  # each mode with its subcommand's help text
+    "round": "simulate one aggregation round",
+    "verify": "exhaustive verification campaign",
+    "rates": "measured rates vs. the optimal bound",
+    "leakage": "security queries with rank quadruples",
+}
+EXCLUSIVE_PAIRS = (("pattern", "drop_prob"), ("params", "grid"))  # at most one of each
+_SEEDED = ("round", "verify", "rates")  # the modes that draw randomness
+
+
+def _parse_grid(text: str) -> tuple[SchemeParams, ...]:
+    """Semicolon-separated points; a grid naming none is refused, not defaulted."""
+    grid = tuple(SchemeParams.from_csv(part) for part in text.split(";") if part.strip())
+    if not grid:
+        raise ConfigError(f"grid {text!r} names no point")
+    return grid
+
+
+def _parse_ids(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",")) if text.strip() else ()
+
+
+def _option(default, parse, help, modes=tuple(MODES), flag=None, choices=None):
+    """An option: a flag (``flag``, else ``--`` and its dashed name) and a
+    config key, both read by ``parse``, that only ``modes`` read."""
+    meta = dict(parse=parse, help=help, modes=modes, flag=flag, choices=choices)
+    return dc_field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    """One resolved command configuration; flags override file values."""
+    """One resolved command configuration, and the table of options:
+    every field but ``mode`` is one.  Flags override file values."""
 
     mode: str
-    params: SchemeParams | None = None
-    grid: tuple[SchemeParams, ...] = ()
-    pattern: str | None = None
-    drop_prob: float | None = None
-    seed: str = "0"
-    dealer_seed: str = "0"
-    gradient_file: str | None = None
-    out: str | None = None
-    fmt: str = "json"
-    budget: int = 1_000_000
-    draws: int = 20
-    uset: tuple[int, ...] | None = None
-    tset: tuple[int, ...] | None = None
+    params: SchemeParams | None = _option(None, SchemeParams.from_csv, "K,N,Nr,T,q,L")
+    grid: tuple[SchemeParams, ...] = _option(
+        (), _parse_grid, "semicolon-separated params tuples", ("verify", "rates"))
+    pattern: str | None = _option(
+        None, str, "literal: nu=1:1,2,3;2:1,2,4 hm=2,3,4", ("round", "leakage"))
+    drop_prob: float | None = _option(
+        None, float, "sample the pattern with this per-link drop probability", ("round",))
+    seed: str = _option("0", str, "master seed for sampled randomness", _SEEDED)
+    dealer_seed: str = _option("0", str, "seed for the trusted dealer's key material", _SEEDED)
+    gradient_file: str | None = _option(
+        None, str, "JSON file of per-user gradient symbols", ("round",), "--gradients")
+    out: str | None = _option(None, str, "output file (default stdout)")
+    format: str = _option("json", str, "report format (default json)", choices=("json", "csv"))
+    budget: int = _option(1_000_000, int, "enumeration work budget")
+    draws: int = _option(20, int, "random gradient draws per decode case (default 20)", ("verify",))
+    uset: tuple[int, ...] | None = _option(
+        None, _parse_ids, "colluding users, e.g. 1,2 (default: all subsets)", ("leakage",))
+    tset: tuple[int, ...] | None = _option(
+        None, _parse_ids, "colluding helpers, e.g. 3 (default: all within bound)", ("leakage",))
+
+
+# every option's declaration, in table order
+OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.name != "mode"}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -137,11 +180,16 @@ def _check_ids(name: str, ids: tuple[int, ...] | None, count: int) -> None:
         raise ConfigError(f"{name} {ids} must list distinct ids in 1..{count}")
 
 
-def _reject_unused(config: RunConfig, mode: str, *options: str) -> None:
-    """Raise ConfigError for options ``mode`` would otherwise ignore."""
-    given = [name for name in options if getattr(config, name) is not None]
-    if given:
-        raise ConfigError(f"{mode} does not use {' or '.join(given)}")
+def _reject_unused(config: RunConfig, mode: str) -> None:
+    """Raise ConfigError for an option ``mode`` would ignore, or both of
+    an exclusive pair, given as values other than their defaults."""
+    given = [f.name for f in fields(config)[1:] if getattr(config, f.name) != f.default]
+    unused = [name for name in given if mode not in OPTIONS[name]["modes"]]
+    if unused:
+        raise ConfigError(f"{mode} does not use {' or '.join(unused)}")
+    for first, second in EXCLUSIVE_PAIRS:
+        if first in given and second in given:
+            raise ConfigError(f"give either {first} or {second}, not both")
 
 
 def _draw_inputs(
@@ -194,8 +242,6 @@ def pad_symbols(raw: Sequence[int], block_count: int) -> tuple[list[int], int]:
 
 
 def _resolve_pattern(config: RunConfig, params: SchemeParams) -> pt.CommPattern:
-    if config.pattern is not None and config.drop_prob is not None:
-        raise ConfigError("give either an explicit pattern or drop_prob, not both")
     if config.pattern is not None:
         pattern = pt.parse_pattern(config.pattern)
     elif config.drop_prob is not None:
@@ -299,6 +345,7 @@ def run_single_round(config: RunConfig) -> tuple[proto.RoundTranscript, dict]:
     """Execute one full round per the config; returns the transcript
     and a report document whose ``match`` field is the correctness
     assertion decoded == sum of gradients."""
+    _reject_unused(config, "round")
     if config.params is None:
         raise ConfigError("round mode needs --params")
     ctx = proto.setup(config.params)
@@ -588,7 +635,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
 
 def run_verify(config: RunConfig) -> VerifyReport:
     """Run the verification campaign over the configured grid."""
-    _reject_unused(config, "verify", "pattern", "drop_prob", "gradient_file")
+    _reject_unused(config, "verify")
     if config.draws < 1:
         raise ConfigError(f"draws must be at least 1, got {config.draws}")
     if config.budget < 0:
@@ -613,7 +660,7 @@ def run_verify(config: RunConfig) -> VerifyReport:
 def run_rates(config: RunConfig) -> list[dict]:
     """Measured communication rates per feasible grid point, each from
     one no-straggler round."""
-    _reject_unused(config, "rates", "pattern", "drop_prob", "gradient_file")
+    _reject_unused(config, "rates")
     grid = _grid(config)
     rows = []
     for params, ctx in zip(grid, [_setup_point(p) for p in grid]):
@@ -667,7 +714,7 @@ def run_leakage(config: RunConfig) -> dict:
     admissible patterns are covered.  A sweep of more queries than
     ``config.budget`` raises ``BudgetExceeded`` before any is run.
     """
-    _reject_unused(config, "leakage", "drop_prob", "gradient_file")
+    _reject_unused(config, "leakage")
     if config.budget < 0:
         raise ConfigError(f"budget must be at least 0, got {config.budget}")
     if config.params is None:

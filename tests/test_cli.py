@@ -229,6 +229,13 @@ BAD_INPUTS = {
     "rates-bad-second-point": ["rates", "--grid", "2,3,2,1,5,1;2,3,2,1,6,1"],
     "gradient-unknown-keys": ["round", *EXAMPLE_ARGS, "--gradients", "UNKNOWN_KEYS"],
     "repeated-config-key": ["round", "--config", "REPEATED_KEY_CONFIG"],
+    "verify-params-and-grid": ["verify", "--params", "2,3,2,1,5,1", "--grid", "2,4,3,1,7,2",
+                               "--draws", "1"],
+    "rates-params-and-grid-in-config": ["rates", "--config", "PARAMS_AND_GRID_CONFIG"],
+    "verify-uset-flag": ["verify", "--grid", "2,3,2,1,5,1", "--uset", "1"],
+    "leakage-malformed-uset": ["leakage", "--params", "2,3,2,1,5,1", "--uset", "1,,2"],
+    "verify-malformed-budget-in-config": ["verify", "--grid", "2,3,2,1,5,1",
+                                          "--config", "BAD_BUDGET_CONFIG"],
 }
 
 GRADIENT_FILES = {
@@ -251,6 +258,9 @@ CONFIG_FILES = {
     "SEMICOLON_GRID_CONFIG": "grid = ;\n",
     "NEGATIVE_BUDGET_CONFIG": "budget = -5\n",
     "REPEATED_KEY_CONFIG": "params = 2,4,3,1,7,2\nseed = 1\nparams = 2,3,2,1,5,1\n",
+    "PARAMS_AND_GRID_CONFIG": "params = 2,3,2,1,5,1\ngrid = 2,4,3,1,7,2\n",
+    "PARAMS_CONFIG": "params = 2,4,3,1,7,2\n",
+    "BAD_BUDGET_CONFIG": "budget = many\n",
 }
 
 
@@ -298,16 +308,42 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "grid point 2,3,2,1,6,1: modulus must be prime, got 6"),
         (BAD_INPUTS["gradient-unknown-keys"], "gradient file keys 3, x name no user in 1..2"),
         (BAD_INPUTS["repeated-config-key"], "REPEATED_KEY_CONFIG:3: key params repeats line 1"),
+        (BAD_INPUTS["verify-params-and-grid"], "give either params or grid, not both"),
+        (BAD_INPUTS["rates-params-and-grid-in-config"], "give either params or grid, not both"),
+        (BAD_INPUTS["verify-uset-flag"], "error: verify does not use uset"),
+        (["round", "--params", "2,3,2,1,5,1", "--draws", "1"], "error: round does not use draws"),
+        (["rates", "--gradients", "g.json"], "error: rates does not use gradient_file"),
+        (["leakage", "--grid", "2,3,2,1,5,1"], "error: leakage does not use grid"),
+        (BAD_INPUTS["leakage-malformed-uset"],
+         "error: uset: invalid literal for int() with base 10: ''"),
+        (BAD_INPUTS["verify-malformed-budget-in-config"],
+         "error: budget: invalid literal for int() with base 10: 'many'"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
          "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
          "negative-budget-in-config", "bad-second-point", "composite-q-beyond-budget",
          "witness-field-too-small", "rates-bad-second-point", "gradient-unknown-keys",
-         "repeated-config-key"],
+         "repeated-config-key", "params-and-grid-flags", "params-and-grid-keys", "uset-flag",
+         "draws-flag", "gradients-flag", "grid-flag", "malformed-flag", "malformed-key"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     assert main(_with_files(argv, tmp_path)) == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_flag_displaces_the_files_other_exclusive_option(tmp_path, capsys):
+    """A config file's ``params`` gives way to a ``--grid`` flag, and
+    its ``grid`` to a ``--params`` flag."""
+    argv = _with_files(["rates", "--config", "PARAMS_AND_GRID_CONFIG"], tmp_path)
+    assert main([*argv, "--grid", "2,5,4,2,11,2"]) == 0
+    assert [row["params"] for row in json.loads(capsys.readouterr().out)["rates"]] == [
+        "2,5,4,2,11,2"
+    ]
+    assert main([*argv, "--params", "2,5,4,2,11,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["rates"][0]["params"] == "2,5,4,2,11,2"
+    argv = _with_files(["rates", "--config", "PARAMS_CONFIG", "--grid", "2,3,2,1,5,1"], tmp_path)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rates"][0]["params"] == "2,3,2,1,5,1"
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):

@@ -693,14 +693,26 @@ def test_leakage_budget():
         (run_rates, {"drop_prob": 0.3}),
         (run_verify, {"grid": (SMALL,), "pattern": "nu=1:1,2;2:1,2 hm=1,2"}),
         (run_verify, {"grid": (SMALL,), "drop_prob": 0.3}),
+        (run_single_round, {"params": EXAMPLE, "grid": (SMALL,)}),
+        (run_single_round, {"params": EXAMPLE, "uset": (1,)}),
+        (run_leakage, {"params": SMALL, "draws": 1}),
+        (run_leakage, {"params": SMALL, "seed": "5"}),
     ],
     ids=["leakage-drop-prob", "rates-pattern", "rates-drop-prob", "verify-pattern",
-         "verify-drop-prob"],
+         "verify-drop-prob", "round-grid", "round-uset", "leakage-draws", "leakage-seed"],
 )
 def test_unused_pattern_options_raise(run, options):
     """A mode that would ignore a pattern option refuses it instead."""
     with pytest.raises(ConfigError, match="does not use"):
         run(RunConfig(mode="any", **options))
+
+
+@pytest.mark.parametrize("run", [run_verify, run_rates], ids=["verify", "rates"])
+def test_params_and_grid_are_exclusive(run):
+    """A campaign given both a point and a grid refuses them, rather
+    than run the grid and drop the point."""
+    with pytest.raises(ConfigError, match="give either params or grid, not both"):
+        run(RunConfig(mode="any", params=SMALL, grid=(EXAMPLE,)))
 
 
 # SHA-256 of four reports, each with every unnamed field at its RunConfig

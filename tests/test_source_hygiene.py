@@ -5,12 +5,19 @@ referenced somewhere in the package, and every name a module lists in
 or an export behind fails here.  The modules that read outside input
 never build a matrix without reducing its entries, no module uses
 ``numpy.random``, only ``matrix`` writes a ``RowSpace``'s state, and no
-module reads another's private name."""
+module reads another's private name.  Each option is declared once,
+as a ``RunConfig`` field, and the parser, the config keys and the
+README's key list all follow that table."""
 
 import ast
+import re
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hsagg"
+from hsagg.harness import OPTIONS, RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hsagg"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -240,6 +247,50 @@ def foreign_private_reads(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+OPTION_KEYS = {"parse", "help", "modes", "flag", "choices"}
+
+
+def fields_without_option(cls) -> list[str]:
+    """Fields of the dataclass ``cls`` but ``mode`` that do not declare
+    exactly the option keys."""
+    return [f.name for f in fields(cls) if f.name != "mode" and set(f.metadata) != OPTION_KEYS]
+
+
+def stray_add_arguments(tree: ast.Module) -> list[int]:
+    """Lines that call ``add_argument`` other than for ``--config`` or,
+    inside a loop over ``OPTIONS``, with a flag that is not a literal."""
+    in_table_loop = {
+        id(node)
+        for loop in ast.walk(tree)
+        if isinstance(loop, ast.For) and "OPTIONS" in ast.unparse(loop.iter)
+        for node in ast.walk(loop)
+    }
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr == "add_argument"
+        ):
+            flag = node.args[0] if node.args else None
+            literal = isinstance(flag, ast.Constant)
+            if not (literal and flag.value == "--config") and (
+                literal or id(node) not in in_table_loop
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def option_name_literals(tree: ast.Module, names) -> list[int]:
+    """Lines with a string literal that is an option's name, as in a
+    hand-written list of options or a lookup of one by name."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in names
+        }
+    )
+
+
 def _package() -> dict[str, ast.Module]:
     return {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
 
@@ -290,6 +341,22 @@ def test_no_module_reads_another_modules_private_name():
     stay inside ``leakage``."""
     found = {module: foreign_private_reads(tree) for module, tree in _package().items()}
     assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_each_option_is_declared_once():
+    """Every ``RunConfig`` field but ``mode`` is an option of the table;
+    only the table's loop adds a flag, and the CLI names no option
+    itself."""
+    assert fields_without_option(RunConfig) == []
+    found = {module: stray_add_arguments(tree) for module, tree in _package().items()}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    assert option_name_literals(_package()["cli"], OPTIONS) == []
+
+
+def test_the_readme_lists_every_config_key():
+    text = (ROOT / "README.md").read_text()
+    listed = re.search(r"can hold any of:\s*`([^`]*)`", text).group(1)
+    assert [key.strip() for key in listed.split(",")] == list(OPTIONS)
 
 
 def test_the_checks_catch_what_they_look_for():
@@ -369,3 +436,33 @@ def test_the_checks_catch_what_they_look_for():
             "v = harness._grid\n"
         )
     ) == [2, 5, 8, 11]
+
+    @dataclass
+    class Config:
+        mode: str
+        seed: str = "0"
+        budget: int = field(default=1, metadata=dict.fromkeys(OPTION_KEYS))
+        draws: int = field(default=1, metadata={"parse": int})
+
+    assert fields_without_option(Config) == ["seed", "draws"]
+    assert stray_add_arguments(
+        ast.parse(
+            "def build_parser():\n"
+            "    for mode in MODES:\n"
+            "        p.add_argument('--config')\n"
+            "        p.add_argument('--grid')\n"
+            "        for name, meta in OPTIONS.items():\n"
+            "            p.add_argument(meta['flag'], dest=name)\n"
+            "            p.add_argument('--seed')\n"
+            "def _add_common(p):\n"
+            "    p.add_argument(flag_for('seed'))\n"
+        )
+    ) == [4, 7, 9]
+    assert option_name_literals(
+        ast.parse(
+            "seed = pick(args.seed, 'seed')\n"
+            "unused = ['gradient_file', 'format csv']\n"
+            "mode = 'round'\n"
+        ),
+        OPTIONS,
+    ) == [1, 2]
