@@ -181,8 +181,9 @@ def _check_ids(name: str, ids: tuple[int, ...] | None, count: int) -> None:
 
 
 def _reject_unused(config: RunConfig, mode: str) -> None:
-    """Raise ConfigError for an option ``mode`` would ignore, or both of
-    an exclusive pair, given as values other than their defaults."""
+    """Raise ConfigError for an option ``mode`` would ignore, both of an
+    exclusive pair, given as values other than their defaults, or a
+    negative budget, in every mode."""
     given = [f.name for f in fields(config)[1:] if getattr(config, f.name) != f.default]
     unused = [name for name in given if mode not in OPTIONS[name]["modes"]]
     if unused:
@@ -190,6 +191,8 @@ def _reject_unused(config: RunConfig, mode: str) -> None:
     for first, second in EXCLUSIVE_PAIRS:
         if first in given and second in given:
             raise ConfigError(f"give either {first} or {second}, not both")
+    if config.budget < 0:
+        raise ConfigError(f"budget must be at least 0, got {config.budget}")
 
 
 def _draw_inputs(
@@ -638,8 +641,6 @@ def run_verify(config: RunConfig) -> VerifyReport:
     _reject_unused(config, "verify")
     if config.draws < 1:
         raise ConfigError(f"draws must be at least 1, got {config.draws}")
-    if config.budget < 0:
-        raise ConfigError(f"budget must be at least 0, got {config.budget}")
     grid = _grid(config)
     for params in grid:
         _setup_point(params)
@@ -715,8 +716,6 @@ def run_leakage(config: RunConfig) -> dict:
     ``config.budget`` raises ``BudgetExceeded`` before any is run.
     """
     _reject_unused(config, "leakage")
-    if config.budget < 0:
-        raise ConfigError(f"budget must be at least 0, got {config.budget}")
     if config.params is None:
         raise ConfigError("leakage mode needs --params")
     params = config.params

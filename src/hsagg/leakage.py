@@ -310,16 +310,19 @@ class _RankStore:
                 blocks[owner[0]].append(owner[1])
         return tuple(map(tuple, blocks))
 
-    def assembled(self, observed: Sequence[LinearVar]) -> tuple:
-        """The split reduction of ``observed`` and each user's, from its
-        ``by_user`` blocks: the noise ranks add, and the kernels, embedded
-        in user width with disjoint supports, are together in reduced
-        echelon form.  Reduced whole, with no user's, if a row spans
-        users."""
-        blocks = self.by_user(observed)
-        if blocks is None:
-            return self.reduction(tuple(r for v in observed for r in v.rows)), None
-        users = tuple(map(self.reduction, blocks))
+    def assembled(self, splits: Sequence[tuple]) -> tuple:
+        """The split reduction of groups, each a pair of its rows and their
+        ``by_user`` blocks in ``splits``, joined in order, and each user's,
+        from its blocks of every group: the noise ranks add, and the
+        kernels, embedded in user width with disjoint supports, are
+        together in reduced echelon form.  Reduced whole, with no user's,
+        if a row spans users."""
+        if any(blocks is None for _, blocks in splits):
+            return self.reduction(tuple(r for rows, _ in splits for r in rows)), None
+        users = tuple(
+            self.reduction(sum((blocks[u] for _, blocks in splits), ()))
+            for u in range(len(self.columns))
+        )
         key = tuple(id(kernel) for _, kernel in users)
         kernel = self.kernels.get(key)
         if kernel is None:
@@ -331,13 +334,15 @@ class _RankStore:
             kernel = self.kernels[key] = self._held.setdefault(kernel, kernel)
         return (sum(r for r, _ in users), kernel), users
 
-    def extended(self, view, reduction, responses) -> tuple:
-        """The split reduction of ``view + responses``: if every response
-        row lies in the user columns, the view's ``r_noise`` and its
-        kernel extended by the responses in user width, once per view
-        kernel and response rows; otherwise reduced whole."""
+    def extended(self, view: Sequence[tuple], reduction, responses) -> tuple:
+        """The split reduction of the view's groups ``view`` (pairs, as in
+        ``assembled``), then ``responses``: if every response row lies in
+        the user columns, the view's ``r_noise`` and its kernel extended by
+        the responses in user width, once per view kernel and response
+        rows; otherwise reduced whole."""
         if any(any(row[self.layout.user_dim:]) for v in responses for row in v.rows):
-            return self.reduction(tuple(r for v in view + responses for r in v.rows))
+            rows = (r for rows, _ in view for r in rows)
+            return self.reduction((*rows, *(r for v in responses for r in v.rows)))
         r_noise, kernel = reduction
         key = (id(kernel), tuple(v.rows for v in responses))
         found = self.kernels.get(key)
@@ -398,14 +403,16 @@ class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
     Built only by ``build_linear_transcript``, it keeps the ``ctx`` and
-    the ``pattern`` it was built from, the pattern's ``label`` and the
-    context's rank store, and answers only for that context and pattern
-    (``require``).  Read-only, it memoizes every colluding set's split
-    reductions (``collusion``, by helper subset) and the uploads'
-    kernel, each once; both live and die with the transcript.
-    Reductions are found by row content in the rank store
-    (``_RankStore``), never by names; the helper and master queries'
-    targets and givens come from the store's layout.
+    the ``pattern`` it was built from, the pattern's ``label`` and
+    ``block_len`` and the context's rank store, and answers only for
+    that context and pattern (``require``).  It keeps the responses
+    ``Y[n]`` and, read-only, memoizes for its own life: each helper's
+    ``groups`` split into rows and per-user blocks (``by_user``), every
+    colluding set's split reductions (``collusion``, by helper subset)
+    and the uploads' kernel, each once.  Reductions are found by row
+    content in the rank store (``_RankStore``), never by names; the
+    helper and master queries' targets and givens come from the store's
+    layout.
 
     The split paths answer every check, for every context, broken ones
     included: ``_run_on_sources`` makes each ``W[k]`` and ``F[k]`` a
@@ -415,9 +422,11 @@ class LinearTranscript(Mapping):
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern, tvars: dict[str, LinearVar]):
         self.ctx, self.pattern = ctx, pattern
-        self.label = format_pattern(pattern)
+        self.label, self.block_len = format_pattern(pattern), ctx.params.block_len
         self._vars = tvars
         self._store = _rank_store(ctx)
+        self._responses = tuple(tvars[f"Y[{n}]"] for n in sorted(pattern.active_helpers))
+        self._splits: dict[int, tuple] = {}  # by helper
         self._collusions: dict[tuple[int, ...], _Collusion] = {}  # by helper subset
 
     def __getitem__(self, name: str) -> LinearVar:
@@ -442,25 +451,43 @@ class LinearTranscript(Mapping):
                 f"transcript of {self.label} queried for {format_pattern(pattern)}"
             )
 
-    def collusion(self, tset: Sequence[int]) -> _Collusion:
-        """The split reductions of ``tset``'s prefix, view and master's
-        set, computed once: the view is ``helper_observation``, whose
-        first |T|·K·N variables are the prefix; the prefix and the view
-        are assembled from per-user blocks (``_RankStore.assembled``), or
-        reduced whole if a row spans users, and the master's set extends
-        the view's kernel (``_RankStore.extended``)."""
-        key = tuple(sorted(tset))
-        found = self._collusions.get(key)
+    def groups(self, t: int) -> tuple[tuple[LinearVar, ...], ...]:
+        """Helper ``t``'s uploads ``X[k,t]``, its stored masks ``Z[t,n,k]``
+        and the shares ``M[i->t,k]`` it receives from the other active
+        helpers, each in order."""
+        params, get = self.ctx.params, self._vars.get
+        users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
+        senders = [i for i in sorted(self.pattern.active_helpers) if i != t]
+        return (
+            tuple(self._vars[f"X[{k},{t}]"] for k in users),
+            tuple(self._vars[f"Z[{t},{n},{k}]"] for n in helpers if n != t for k in users),
+            tuple(v for i in senders for k in users if (v := get(f"M[{i}->{t},{k}]"))),
+        )
+
+    def collusion(self, tset: tuple[int, ...]) -> _Collusion:
+        """The split reductions of the prefix, view and master's set of
+        ``tset``, a sorted tuple, computed once.  The view
+        (``helper_observation``) is every helper's uploads, then masks,
+        then received shares, and the prefix its uploads and masks.  Each
+        helper's ``groups`` are split into rows and per-user blocks once
+        per transcript (``_RankStore.by_user``), and the prefix and the
+        view are assembled from the splits (``_RankStore.assembled``), or
+        reduced whole if a row spans users.  The master's set extends the
+        view's kernel by the responses (``_RankStore.extended``)."""
+        found = self._collusions.get(tset)
         if found is None:
-            store, params = self._store, self.ctx.params
-            view = helper_observation(self, key)
-            prefix = view[:len(key) * params.num_users * params.num_helpers]
-            responses = tuple(self._vars[f"Y[{n}]"] for n in sorted(self.pattern.active_helpers))
+            store = self._store
+            for t in set(tset) - self._splits.keys():
+                self._splits[t] = [(tuple(r for v in group for r in v.rows), store.by_user(group))
+                                   for group in self.groups(t)]
+            splits = [self._splits[t] for t in tset]
+            prefix = [s[g] for g in (0, 1) for s in splits]
+            view = prefix + [s[2] for s in splits]
             view_reduction, users = store.assembled(view)
             store.views["whole" if users is None else "assembled"] += 1
-            found = self._collusions[key] = _Collusion(
+            found = self._collusions[tset] = _Collusion(
                 store.assembled(prefix)[0], view_reduction,
-                store.extended(view, view_reduction, responses), users,
+                store.extended(view, view_reduction, self._responses), users,
             )
         return found
 
@@ -860,9 +887,10 @@ def cond_mutual_info(query: MiQuery) -> int:
 # -- the scheme's security statements --------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LeakageRecord:
-    """One evaluated security query, ready for structured reporting."""
+    """One evaluated security query, ready for structured reporting: a
+    mutable dataclass with slots, cheap to build, compared by field."""
 
     kind: str
     colluding_users: tuple[int, ...]
@@ -879,18 +907,12 @@ class LeakageRecord:
 
 def helper_observation(tvars: LinearTranscript, tset: Sequence[int]) -> tuple[LinearVar, ...]:
     """Everything a colluding helper set sees under the transcript's
-    context and pattern: all uploads addressed to it, its stored masks
-    (together the prefix, K·N variables per helper), then the shares it
-    receives from the other active helpers."""
-    params, tset = tvars.ctx.params, sorted(tset)
-    users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
-    active = sorted(tvars.pattern.active_helpers)
-    shares = (f"M[{i}->{t},{k}]" for t in tset for i in active if i != t for k in users)
-    return (
-        *(tvars[f"X[{k},{t}]"] for t in tset for k in users),
-        *(tvars[f"Z[{t},{n},{k}]"] for t in tset for n in helpers if n != t for k in users),
-        *(tvars[name] for name in shares if name in tvars),
-    )
+    context and pattern, read from each helper's ``groups`` in ascending
+    order: all uploads addressed to it, its stored masks (together the
+    prefix, K·N variables per helper), then the shares it receives from
+    the other active helpers."""
+    groups = [tvars.groups(t) for t in sorted(tset)]
+    return tuple(v for g in range(3) for own in groups for v in own[g])
 
 
 def _leakage_record(
@@ -903,43 +925,36 @@ def _leakage_record(
     exploratory: bool,
     ranks_of,
 ) -> LeakageRecord:
-    """Evaluate ``ranks_of(transcript, its collusion(tset))`` into a
-    record.
+    """Evaluate ``ranks_of(transcript, its collusion(tset), users)``
+    into a record, with ``users`` and ``tset`` sorted once, here.
 
     A colluding set beyond the collusion bound raises unless the query
     is ``exploratory``; the transcript defaults to the pattern's, and a
     given one must be that of ``ctx`` and ``pattern``.
     """
-    params = ctx.params
-    oversized = len(set(tset)) > params.collusion
+    users, tset = tuple(sorted(users)), tuple(sorted(tset))
+    bound = ctx.params.collusion
+    oversized = len(tset) > bound and len(set(tset)) > bound
     if oversized and not exploratory:
-        raise BadSubset(
-            f"{len(set(tset))} colluding helpers exceeds bound {params.collusion}"
-        )
+        raise BadSubset(f"{len(set(tset))} colluding helpers exceeds bound {bound}")
     if tvars is None:
         tvars = build_linear_transcript(ctx, pattern)
     tvars.require(ctx, pattern)
-    ranks = ranks_of(tvars, tvars.collusion(tset))
-    return LeakageRecord(
-        kind=kind,
-        colluding_users=tuple(sorted(users)),
-        colluding_helpers=tuple(sorted(tset)),
-        pattern=tvars.label,
-        ranks=ranks,
-        value=_mi_from_ranks(ranks, params.block_len),
-        exploratory=oversized,
+    ranks = ranks_of(tvars, tvars.collusion(tset), users)
+    return LeakageRecord(  # in field order: keywords would cost about 0.4 us more per record
+        kind, users, tset, tvars.label, ranks, _mi_from_ranks(ranks, tvars.block_len), oversized
     )
 
 
 def _split_ranks(
-    tv: LinearTranscript, c: _Collusion, master: bool, users: Sequence[int]
+    tv: LinearTranscript, c: _Collusion, users: tuple[int, ...], master: bool
 ) -> tuple[int, int, int, int]:
     """The rank quadruple of a helper query (observed: the view) or of a
     master query (the master's set, given the sum too), whose target is
     every gradient, from the collusion's split reductions: a helper
-    query's from its users'."""
+    query's from its users'.  ``users`` is sorted."""
     store = tv._store
-    given = store.given(master, tuple(sorted(users)))
+    given = store.given(master, users)
     reduction, per_user = (c.master_reduction, None) if master else (c.view_reduction, c.users)
     return store.quadruple(reduction, store.gradients, given, per_user)
 
@@ -962,7 +977,7 @@ def check_security_helpers(
     """
     return _leakage_record(
         "helpers", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, c: _split_ranks(tv, c, False, users),
+        lambda tv, c, users: _split_ranks(tv, c, users, False),
     )
 
 
@@ -983,7 +998,7 @@ def check_security_master(
     """
     return _leakage_record(
         "master", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, c: _split_ranks(tv, c, True, users),
+        lambda tv, c, users: _split_ranks(tv, c, users, True),
     )
 
 
@@ -1054,7 +1069,7 @@ def check_sharing_leakage(
     I(all uploads; shares seen by tset | tset's uploads and masks) = 0.
     ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``."""
 
-    def ranks(tv, c):
+    def ranks(tv, c, _):
         u = tv._store.layout.user_dim
         return _sharing_ranks(tv.uploads_kernel, c.prefix_reduction, c.view_reduction, u, ctx.field)
 

@@ -223,6 +223,12 @@ BAD_INPUTS = {
                                          "--config", "NEGATIVE_BUDGET_CONFIG"],
     "leakage-negative-budget-in-config": ["leakage", "--params", "2,3,2,1,5,1",
                                           "--config", "NEGATIVE_BUDGET_CONFIG"],
+    "rates-negative-budget": ["rates", "--grid", "2,3,2,1,5,1", "--budget", "-5"],
+    "round-negative-budget": ["round", "--params", "2,3,2,1,5,1", "--budget", "-5"],
+    "rates-negative-budget-in-config": ["rates", "--grid", "2,3,2,1,5,1",
+                                        "--config", "NEGATIVE_BUDGET_CONFIG"],
+    "round-negative-budget-in-config": ["round", "--params", "2,3,2,1,5,1",
+                                        "--config", "NEGATIVE_BUDGET_CONFIG"],
     "verify-bad-second-point": ["verify", "--grid", "3,4,3,2,11,1;2,3,2,1,6,1"],
     "verify-composite-q-beyond-budget": ["verify", "--grid", "6,6,4,1,4,1"],
     "verify-witness-field-too-small": ["verify", "--grid", "2,5,3,3,5,1"],
@@ -298,6 +304,10 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
         (BAD_INPUTS["rates-blank-grid"], "grid ' ; ' names no point"),
         (BAD_INPUTS["verify-negative-budget"], "budget must be at least 0, got -5"),
         (BAD_INPUTS["leakage-negative-budget-in-config"], "budget must be at least 0, got -5"),
+        (BAD_INPUTS["rates-negative-budget"], "budget must be at least 0, got -5"),
+        (BAD_INPUTS["round-negative-budget"], "budget must be at least 0, got -5"),
+        (BAD_INPUTS["rates-negative-budget-in-config"], "budget must be at least 0, got -5"),
+        (BAD_INPUTS["round-negative-budget-in-config"], "budget must be at least 0, got -5"),
         (BAD_INPUTS["verify-bad-second-point"],
          "grid point 2,3,2,1,6,1: modulus must be prime, got 6"),
         (BAD_INPUTS["verify-composite-q-beyond-budget"],
@@ -321,8 +331,10 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
          "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
-         "negative-budget-in-config", "bad-second-point", "composite-q-beyond-budget",
-         "witness-field-too-small", "rates-bad-second-point", "gradient-unknown-keys",
+         "negative-budget-in-config", "rates-negative-budget", "round-negative-budget",
+         "rates-negative-budget-in-config", "round-negative-budget-in-config", "bad-second-point",
+         "composite-q-beyond-budget", "witness-field-too-small", "rates-bad-second-point",
+         "gradient-unknown-keys",
          "repeated-config-key", "params-and-grid-flags", "params-and-grid-keys", "uset-flag",
          "draws-flag", "gradients-flag", "grid-flag", "malformed-flag", "malformed-key"],
 )

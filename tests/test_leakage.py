@@ -2,7 +2,7 @@ import copy
 import gc
 import random
 import weakref
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -1014,7 +1014,7 @@ def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
     monkeypatch.setattr(
         RowSpace, "insert", lambda space, row: widths.append(space.width) or insert(space, row)
     )
-    collusion = tv.collusion([3])
+    collusion = tv.collusion((3,))
     view = helper_observation(tv, [3])
     prefix = tuple(v for v in view if not v.name.startswith("M["))  # uploads and masks
     store = tv._store
@@ -1029,13 +1029,80 @@ def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
     block_rows = sum(map(len, set(prefix_blocks + view_blocks)))
     assert widths == [local.dim] * block_rows + [layout.user_dim] * response_rows
     widths.clear()
-    assert tv.collusion([3]) is collusion and widths == []
+    assert tv.collusion((3,)) is collusion and widths == []
     for observed, reduction in (
         (prefix, collusion.prefix_reduction),
         (view, collusion.view_reduction),
         (view + responses, collusion.master_reduction),
     ):
         assert reduction == _split_observed(_rows(observed), layout, ctx.field)
+
+
+@pytest.mark.parametrize(
+    "params, pattern",
+    [(EXAMPLE, EXAMPLE_PATTERN), (SchemeParams(3, 4, 3, 2, 11, 1), 7)],
+    ids=["2,4,3,1,7,2", "3,4,3,2,11,1"],
+)
+def test_a_transcript_splits_each_helpers_rows_once(params, pattern, monkeypatch):
+    """A full sweep of one transcript (every user subset, every helper
+    subset, oversized ones included, and each bounded subset's sharing
+    query) hands ``by_user`` each helper's uploads, stored masks and
+    received shares once, however many collusions hold that helper; a
+    second sweep splits and eliminates nothing, and makes equal records."""
+    ctx = setup(params)
+    if isinstance(pattern, int):
+        pattern = list(enumerate_patterns(params))[pattern]
+    tv = build_linear_transcript(ctx, pattern)
+    split_rows, inserted = [], []
+    by_user, insert = leakage._RankStore.by_user, RowSpace.insert
+    monkeypatch.setattr(
+        leakage._RankStore, "by_user",
+        lambda store, observed: split_rows.append(len(_rows(observed))) or by_user(store, observed),
+    )
+    monkeypatch.setattr(
+        RowSpace, "insert", lambda space, row: inserted.append(row) or insert(space, row)
+    )
+    users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
+    user_sets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
+    tsets = [t for size in range(len(helpers) + 1) for t in combinations(helpers, size)]
+
+    def sweep():
+        records = [
+            check(ctx, pattern, uset, tset, tvars=tv, exploratory=True)
+            for uset in user_sets for tset in tsets
+            for check in (check_security_helpers, check_security_master)
+        ]
+        bounded = [t for t in tsets if len(t) <= params.collusion]
+        return records + [check_sharing_leakage(ctx, pattern, t, tvars=tv) for t in bounded]
+
+    first = sweep()
+    one_pass = sum(len(_rows(helper_observation(tv, (t,)))) for t in helpers)
+    assert sum(split_rows) == one_pass and len(split_rows) == 3 * len(helpers)
+    assert inserted
+    split_rows.clear(), inserted.clear()
+    assert sweep() == first
+    assert split_rows == [] and inserted == []
+
+
+def test_records_are_dataclasses_compared_by_field(ctx, tvars):
+    """Every kind of record is a dataclass with slots: ``replace`` makes
+    a changed copy (the benchmark's self-check makes a leaky record this
+    way), ``==`` compares the fields, and ``ok`` judges the value."""
+    records = [
+        check_security_helpers(ctx, EXAMPLE_PATTERN, (2, 1), (3,), tvars=tvars),
+        check_security_master(ctx, EXAMPLE_PATTERN, (2, 1), (3,), tvars=tvars),
+        check_sharing_leakage(ctx, EXAMPLE_PATTERN, (3,), tvars=tvars),
+    ]
+    for record in records:
+        assert is_dataclass(record) and not hasattr(record, "__dict__")
+        assert record.ok and record.value == 0 and record.colluding_helpers == (3,)
+        leaky = replace(record, value=1)
+        assert not leaky.ok and record.ok and leaky != record
+        assert replace(leaky, value=0) == record
+        values = {f.name: getattr(record, f.name) for f in fields(record)}
+        assert record == leakage.LeakageRecord(**values)
+        assert replace(record, value=1, exploratory=True).ok
+    assert [r.colluding_users for r in records] == [(1, 2), (1, 2), ()]
 
 
 # -- the per-user direct sum against the incremental path --------------------
