@@ -136,6 +136,7 @@ def main(argv=None) -> int:
         FieldError,
         ProtocolError,
         ValueError,
+        OverflowError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,9 +11,8 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
-from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -155,16 +154,11 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _subsets(items: Sequence[int], max_size: int | None = None) -> Iterable[tuple[int, ...]]:
-    cap = len(items) if max_size is None else min(max_size, len(items))
-    return chain.from_iterable(combinations(items, r) for r in range(cap + 1))
-
-
 def _colluding_sets(params: SchemeParams) -> tuple[Iterable, Iterable]:
     """Every user subset, and every helper subset within the collusion
     bound, each enumerated lazily."""
     users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
-    return _subsets(users), _subsets(helpers, params.collusion)
+    return pt.subsets(users), pt.subsets(helpers, 0, params.collusion)
 
 
 def _grid(config: RunConfig) -> tuple[SchemeParams, ...]:
@@ -449,7 +443,16 @@ def _subset_counts(params: SchemeParams) -> tuple[int, int]:
     )
 
 
-def estimate_work(params: SchemeParams, draws: int) -> int:
+def _power(base: int, exp: int, budget: int) -> int:
+    """``base ** exp``, or ``budget + 1`` where that passes ``budget``:
+    for base >= 2 from the budget's bit length on, so that a huge
+    exponent is never raised to."""
+    if base >= 2 and exp >= budget.bit_length():
+        return budget + 1
+    return base**exp
+
+
+def estimate_work(params: SchemeParams, draws: int, budget: int) -> int:
     """Upper-bound count of enumeration items for one grid point: per
     pattern, the security queries (every user subset and helper subset,
     helper and master), decode cases and sharing checks; then the
@@ -457,31 +460,38 @@ def estimate_work(params: SchemeParams, draws: int) -> int:
     checks.  A decode case counts ``block_len`` items, one per symbol of
     each payload, since its cost grows with the gradient length.
 
-    An infeasible point counts its witness (from Nr = 2): the variables
-    of its sibling's no-straggler transcript (``W[k]``, ``F[k]``,
-    ``X``, ``Xhat``, ``Z``, ``M``, ``W`` and ``Y``) times their
-    coefficient columns, as many source slots as the point has, one
-    item per ``_WITNESS_ENTRIES_PER_ITEM`` entries, rounded up."""
+    An infeasible point counts its witness, if it has one
+    (``lk.witness_sibling``): the variables of its sibling's
+    no-straggler transcript (``W[k]``, ``F[k]``, ``X``, ``Xhat``, ``Z``,
+    ``M``, ``W`` and ``Y``) times their coefficient columns, as many
+    source slots as the point has, one item per
+    ``_WITNESS_ENTRIES_PER_ITEM`` entries, rounded up.
+
+    A power of K that passes ``budget`` counts as ``budget + 1``
+    (``_power``), so a huge K costs no more than a small one: the count
+    is then a lower bound past the budget."""
     k, n, nr = params.num_users, params.num_helpers, params.resiliency
     if nr <= params.collusion:
         entries = (k * (2 + 2 * n * n) + n + 1) * lk.SourceLayout(params).dim
-        return -(-entries // _WITNESS_ENTRIES_PER_ITEM) if nr >= 2 else 0
+        return -(-entries // _WITNESS_ENTRIES_PER_ITEM) if lk.witness_sibling(params) else 0
     per_user, n_tsets = _subset_counts(params)
-    per_pattern = 2**k * n_tsets * 2 + per_user * draws * params.block_len + n_tsets
+    queries = _power(2, k, budget) * n_tsets * 2
+    per_pattern = queries + per_user * draws * params.block_len + n_tsets
     masks = 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
-    return per_user**k * per_pattern + masks + k * per_user + comb(n, params.collusion)
+    patterns = _power(per_user, k, budget)
+    return patterns * per_pattern + masks + k * per_user + comb(n, params.collusion)
 
 
 def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]:
     """The helper record, then the master record, of every user subset
     and helper subset under the context and pattern of the transcript
-    ``tvars``; a helper subset beyond the bound is exploratory."""
+    ``tvars``; the record of a helper subset beyond the bound is flagged
+    exploratory."""
     ctx, pattern = tvars.ctx, tvars.pattern
     for uset in user_sets:
         for tset in helper_sets:
-            exploratory = len(set(tset)) > ctx.params.collusion
             for check in (lk.check_security_helpers, lk.check_security_master):
-                yield check(ctx, pattern, uset, tset, tvars=tvars, exploratory=exploratory)
+                yield check(ctx, pattern, uset, tset, tvars=tvars, exploratory=True)
 
 
 def _stacked_decode(
@@ -516,10 +526,7 @@ def _stacked_decode(
         {s: v * cases for s, v in keys.noise.items()},
         {s: v * cases for s, v in keys.masks.items()},
     )
-    transcript = proto.run_round(
-        wide, pattern.with_survivors(pattern.active_helpers), grads, noises, tiled,
-        decode=False,
-    )
+    transcript = proto.run_round(wide, pattern, grads, noises, tiled, decode=False)
     width = draws * l  # the columns of one survivor set
     matches = []
     for s, survivors in enumerate(survivor_sets):
@@ -548,14 +555,15 @@ def _stacked_decode(
 
 def _setup_point(params: SchemeParams) -> proto.SchemeContext | None:
     """The context of a grid point, or None for an infeasible one, whose
-    witness's sibling (from Nr = 2, see ``lk.infeasibility_witness``)
-    is set up too.  Any other bad point raises ConfigError naming it."""
+    witness's sibling (``lk.witness_sibling``), if it has one, is set up
+    too.  Any other bad point raises ConfigError naming it."""
     try:
         try:
             return proto.setup(params)
         except proto.Infeasible:
-            if params.resiliency >= 2:
-                proto.setup(replace(params, collusion=params.resiliency - 1))
+            sibling = lk.witness_sibling(params)
+            if sibling is not None:
+                proto.setup(sibling)
             return None
     except (proto.BadParams, proto.BadBlockLength, FieldTooSmall) as exc:
         raise ConfigError(f"grid point {params.label()}: {exc}") from exc
@@ -566,7 +574,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     ctx = _setup_point(params)
     if ctx is None:
         report = PointReport(params=params, feasible=False)
-        if params.resiliency >= 2:
+        if lk.witness_sibling(params) is not None:
             witness = lk.infeasibility_witness(params)
             report.witness_value = witness.value
             if not witness.ok:
@@ -619,7 +627,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
         outcome = suite(ctx, tvars=static)
         report.invariant_checks += outcome.checks
         report.failures.extend(outcome.violations)
-    for tset in combinations(range(1, params.num_helpers + 1), params.collusion):
+    for tset in pt.subsets(range(1, params.num_helpers + 1), params.collusion, params.collusion):
         report.invariant_checks += 1
         h = lk.response_entropy_given_sum(ctx, tset, tvars=static)
         if h != 0:
@@ -646,11 +654,11 @@ def run_verify(config: RunConfig) -> VerifyReport:
         _setup_point(params)
     work = 0
     for params in grid:
-        work += estimate_work(params, config.draws)
+        work += estimate_work(params, config.draws, config.budget)
         if work > config.budget:
             raise BudgetExceeded(
-                f"grid point {params.label()} pushes estimated work "
-                f"{work} beyond budget {config.budget}"
+                f"grid point {params.label()} pushes estimated work to at least {work},"
+                f" beyond budget {config.budget}"
             )
     return VerifyReport(points=[verify_point(p, config) for p in grid])
 
@@ -729,13 +737,14 @@ def run_leakage(config: RunConfig) -> dict:
     _check_ids("tset", config.tset, params.num_helpers)
 
     per_user, n_tsets = _subset_counts(params)
+    k, budget = params.num_users, config.budget
     queries = 2 * (
-        (1 if config.pattern is not None else per_user**params.num_users)
-        * (1 if config.uset is not None else 2**params.num_users)
+        (1 if config.pattern is not None else _power(per_user, k, budget))
+        * (1 if config.uset is not None else _power(2, k, budget))
         * (1 if config.tset is not None else n_tsets)
     )
-    if queries > config.budget:
-        raise BudgetExceeded(f"{queries} leakage queries exceed budget {config.budget}")
+    if queries > budget:
+        raise BudgetExceeded(f"at least {queries} leakage queries exceed budget {budget}")
     every_user_set, every_helper_set = _colluding_sets(params)
     user_sets = [config.uset] if config.uset is not None else list(every_user_set)
     helper_sets = [config.tset] if config.tset is not None else list(every_helper_set)

@@ -1,82 +1,35 @@
 """Exact information-theoretic verification of the aggregation scheme.
 
-Every protocol variable is a fixed linear map of the canonical source
-vector of independent uniform field symbols (gradient parts, user
-randomness parts, dealer noise).  Those maps are written only in the
-protocol roles: running the roles once on unit inputs, with block length
-equal to the number of source slots and slot ``s`` holding the unit
-vector ``e_s``, makes every payload its own coefficient rows.  This
-module names the variables, fixes the source layout and does the rank
-arithmetic.
-
-For such variables, q-ary joint entropy equals
-``rank(coefficient matrix) * block_len`` exactly, and conditional
-mutual information reduces to the rank quadruple
+This module names the protocol variables and fixes their source layout
+(``SourceLayout``), reads each variable's coefficient rows off the
+protocol roles run once on unit inputs (``unit_round``,
+``build_linear_transcript``), and does the rank arithmetic.  For such
+variables q-ary joint entropy is ``rank * block_len``, and
 
     I(A; B | C) = rank(AC) + rank(BC) - rank(ABC) - rank(C)
 
-in symbols.  Entropies and MI values are ranks times the block length,
-exact integers, never floats, so zero leakage is decided exactly.
-
-Helper and master queries have a shape that makes most of this work
-shareable: their target A and given C lie in the user-source columns
-(the first ``K * Nr`` slots: gradient and user-randomness parts), and
-only the observed B touches the dealer noise.  Reducing B once with the
-noise columns pivoted first splits its span into ``r_noise`` rows with
-noise pivots and ``K = span(B) ∩ user coordinates``, so that
-
-    rank(BC) = r_noise + rank(K, C),   rank(ABC) = r_noise + rank(K, A, C).
-
-Unit rows of A and C (every ``W[k]`` and ``F[k]``) condition by deleting
-their columns, so each query is left with one small elimination over
-the remaining user columns.  The sharing query's target (every upload)
-also lies in the user columns, but its given (the helper view without
-the shares: uploads and masks) does not.  Split reductions of C and of
-C then B answer it:
-
-    rank(C) = r_noise(C) + |K_C|,    rank(AC) = r_noise(C) + rank(K_C, A),
-
-and the same for BC with K_BC, where A's span (its own split
-reduction, with no noise rows) is reduced once.
-
-A colluding helper set's observations form one chain, which
-``LinearTranscript.collusion`` reduces once for every user subset and
-every check: the non-share prefix (uploads and stored masks), the view
-(the prefix, then the shares it receives) and the master's set (the
-view, then the responses).  Each user's sources enter the scheme apart,
-so each row of a view lies in one user's columns, and the view is a
-direct sum of per-user blocks: their noise ranks add, and their
-kernels, embedded in user width, make the view's.  A rank store, kept
-in the scheme context's memo and shared by the transcripts built from
-it, holds the context's layouts and field and derives the queries'
-targets and givens from the layout; it reduces each block once per
-content, in one user's coordinates, so equal blocks of different users
-and patterns share the work; a view with a row that spans users is
-reduced whole.  The master's set
-extends the view's kernel by the responses in user width when they lie
-in the user columns, as in the scheme.  A quadruple depends on B only
-through K, plus ``r_noise``, so it is computed once per kernel, target
-and given; a helper query's, whose target and given are unit rows, is
-the sum of its users'.  ``rank_quadruple`` is the incremental path,
-valid for any query; it is the reference the splits are tested
-against.  A transcript answers only for the context and the pattern it
-was built from: the checks refuse any other with ``TranscriptMismatch``.
-
-A brute-force oracle checks the rank-to-entropy step independently on
-tiny instances: it runs the same roles on every source assignment and
-counts the joint distributions, with no rank arithmetic.
+in symbols: exact integers, never floats, so zero leakage is decided
+exactly.  ``rank_quadruple`` is the incremental path, valid for any
+query and the reference in tests.  The helper, master, sharing and
+response checks read split reductions that the scheme context's rank
+store (``_RankStore``) shares among the transcripts built from it; a
+transcript answers only for the context and pattern it was built from
+(``TranscriptMismatch``).  ``BruteForceOracle`` checks the
+rank-to-entropy step on tiny instances by counting, with no rank
+arithmetic.  The README's ``leakage`` paragraphs give the design: the
+split-space kernel, per-user view blocks and the store's keys.
 """
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .field import PrimeField
 from .matrix import GfMatrix, RowSpace, Singular
-from .patterns import CommPattern, format_pattern, no_straggler_pattern
+from .patterns import CommPattern, format_pattern, no_straggler_pattern, subsets
 from .protocol import (
     Gradient,
     RoundTranscript,
@@ -108,7 +61,6 @@ __all__ = [
     "joint_rank",
     "entropy_rank",
     "all_subset_entropies_rank",
-    "cond_entropy",
     "rank_quadruple",
     "cond_mutual_info",
     "helper_observation",
@@ -118,6 +70,7 @@ __all__ = [
     "check_sharing_leakage",
     "check_upload_recoverability",
     "response_entropy_given_sum",
+    "witness_sibling",
     "infeasibility_witness",
     "concrete_transcript_values",
     "BruteForceOracle",
@@ -146,7 +99,10 @@ class TooLargeToEnumerate(LeakageError):
     """The source space exceeds the brute-force enumeration budget."""
 
 
-_ORACLE_ASSIGNMENT_LIMIT = 10**6  # the most source assignments an oracle enumerates
+# The most source assignments an oracle enumerates.  Every variable is at
+# most ``dim * block_len`` symbols wide, so its radix ``q**width`` is at
+# most the assignment count: below 2**31, so each variable's code is int32.
+_ORACLE_ASSIGNMENT_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -509,11 +465,11 @@ def _run_on_sources(
 ) -> tuple[RoundTranscript, dict[str, tuple[int, ...]]]:
     """One round on a full source assignment, and its named values.
 
-    ``assignment`` lists ``dim * block_len`` symbols in layout order.  A
-    pattern without a survivor set runs with every active helper
-    surviving.  The round stops at the responses: no named value
-    depends on the master's decode, and a scheme whose master cannot
-    decode still has a transcript whose leakage can be measured.
+    ``assignment`` lists ``dim * block_len`` symbols in layout order.
+    The round stops at the responses, so it needs no survivor set: no
+    named value depends on the master's decode, and a scheme whose
+    master cannot decode still has a transcript whose leakage can be
+    measured.
     """
     params = ctx.params
     layout = SourceLayout(params)
@@ -542,8 +498,6 @@ def _run_on_sources(
         for j in range(1, params.resiliency)
         for k in users
     }
-    if pattern.survivors is None:
-        pattern = pattern.with_survivors(pattern.active_helpers)
     t = run_round(
         ctx, pattern, gradients, noises, keys_from_noise(ctx, dealer_noise), decode=False
     )
@@ -574,9 +528,9 @@ def concrete_transcript_values(
 
     ``assignment`` lists ``dim * block_len`` symbols in layout order; it
     is split into gradients, user randomness and dealer noise and run
-    through ``run_round`` up to the responses (every active helper
-    surviving when the pattern names no survivors; the master does not
-    decode).  Returns every named variable's value.
+    through ``run_round`` up to the responses (the master does not
+    decode, so no survivor set is needed).  Returns every named
+    variable's value.
     The linear model is this same run on unit inputs, so comparing the
     two on random assignments checks that the roles are linear.
     """
@@ -593,7 +547,8 @@ def unit_round(
     linearly, so column ``s`` of a payload is its coefficient on slot
     ``s``: each ``dim``-wide chunk of a value is one coefficient row.
     The transcript's ``decoded`` holds the coefficient rows of the
-    master's decoded sum, or None if the master cannot decode.
+    master's decoded sum from the pattern's survivors, every active
+    helper if it names none, or None if the master cannot decode.
     """
     params = ctx.params
     layout = SourceLayout(params)
@@ -602,7 +557,8 @@ def unit_round(
     identity = [0] * (dim * dim)
     identity[::dim + 1] = [1] * dim
     transcript, vals = _run_on_sources(unit_ctx, pattern, identity)
-    responses = [r for r in transcript.responses if r.helper in transcript.pattern.survivors]
+    survivors = pattern.active_helpers if pattern.survivors is None else pattern.survivors
+    responses = [r for r in transcript.responses if r.helper in survivors]
     try:
         transcript.decoded = master_decode(unit_ctx, responses)
     except Singular:
@@ -695,24 +651,6 @@ def all_subset_entropies_rank(
     root = RowSpace(variables[0].coeffs.field, layout.dim)
     for subset, space in _depth_first(tuple(by_name), root, grow):
         yield subset, space.rank * layout.block_len
-
-
-def cond_entropy(
-    target: Sequence[LinearVar], given: Sequence[LinearVar]
-) -> int:
-    """H(target | given) = rank(target, given) - rank(given), in symbols."""
-    target, given = tuple(target), tuple(given)
-    layout = _common_layout(list(target) + list(given))
-    if layout is None:
-        return 0
-    f = (target + given)[0].coeffs.field
-    space = RowSpace(f, layout.dim)
-    for v in given:
-        space.insert_matrix(v.coeffs)
-    r_c = space.rank
-    for v in target:
-        space.insert_matrix(v.coeffs)
-    return (space.rank - r_c) * layout.block_len
 
 
 @dataclass(frozen=True)
@@ -1047,15 +985,13 @@ def check_mask_independence(
     l = params.block_len
     for n in n_all:
         for k in users:
-            for size in range(1, params.resiliency):
-                for subset in combinations(others[n], size):
-                    report.checks += 1
-                    h = entropy_rank(group(subset, n, k))
-                    if h != size * l:
-                        report.violations.append(
-                            f"H(masks {subset} of helper {n}, user {k}) = {h},"
-                            f" expected {size * l}"
-                        )
+            for subset in subsets(others[n], 1, params.resiliency - 1):
+                report.checks += 1
+                h, full = entropy_rank(group(subset, n, k)), len(subset) * l
+                if h != full:
+                    report.violations.append(
+                        f"H(masks {subset} of helper {n}, user {k}) = {h}, expected {full}"
+                    )
     return report
 
 
@@ -1093,18 +1029,17 @@ def check_upload_recoverability(
     report = InvariantReport()
     expected = params.gradient_len
     for k in range(1, params.num_users + 1):
-        for size in range(params.resiliency, params.num_helpers + 1):
-            for subset in combinations(helpers, size):
-                report.checks += 1
-                query = MiQuery(
-                    target=(svars[f"W[{k}]"],),
-                    observed=tuple(svars[f"X[{k},{n}]"] for n in subset),
+        for subset in subsets(helpers, params.resiliency):
+            report.checks += 1
+            query = MiQuery(
+                target=(svars[f"W[{k}]"],),
+                observed=tuple(svars[f"X[{k},{n}]"] for n in subset),
+            )
+            got = cond_mutual_info(query)
+            if got != expected:
+                report.violations.append(
+                    f"I(W[{k}]; uploads {subset}) = {got}, expected {expected}"
                 )
-                got = cond_mutual_info(query)
-                if got != expected:
-                    report.violations.append(
-                        f"I(W[{k}]; uploads {subset}) = {got}, expected {expected}"
-                    )
     return report
 
 
@@ -1117,15 +1052,22 @@ def response_entropy_given_sum(
     the view of ``tset`` (its uploads and masks); the design makes this
     exactly 0 when ``len(tset) == collusion``.  ``tvars`` is the
     no-straggler transcript of ``ctx``, built here if not given; another
-    raises ``TranscriptMismatch``."""
+    raises ``TranscriptMismatch``.
+
+    It is rank(W, view, responses) - rank(W, view), read from the split
+    reductions of the view and of the master's set (the view, then every
+    response) in the transcript's rank store, with W's span as the target
+    (``_sharing_ranks``)."""
     pattern = no_straggler_pattern(ctx.params)
     if tvars is None:
         tvars = build_linear_transcript(ctx, pattern)
     tvars.require(ctx, pattern)
-    responses = [tvars[f"Y[{n}]"] for n in range(1, ctx.params.num_helpers + 1)]
-    return cond_entropy(
-        responses, (tvars["W"],) + helper_observation(tvars, tset)
+    store, c = tvars._store, tvars.collusion(tuple(sorted(tset)))
+    w = store.reduction(tvars["W"].rows)[1]
+    r_ac, _, r_abc, _ = _sharing_ranks(
+        w, c.view_reduction, c.master_reduction, store.layout.user_dim, ctx.field
     )
+    return (r_abc - r_ac) * tvars.block_len
 
 
 @dataclass(frozen=True)
@@ -1142,24 +1084,30 @@ class WitnessReport:
         return self.value >= self.required
 
 
+def witness_sibling(params: SchemeParams) -> SchemeParams | None:
+    """The correct sibling scheme an infeasible point's witness runs: the
+    same K, N, Nr, q and L, with collusion lowered to Nr - 1; None at
+    Nr = 1, where no collusion bound is both positive and below Nr."""
+    return replace(params, collusion=params.resiliency - 1) if params.resiliency >= 2 else None
+
+
 def infeasibility_witness(params: SchemeParams) -> WitnessReport:
     """Reproduce the contradiction that rules a scheme out when the
     resiliency threshold does not exceed the collusion bound.
 
     Any correct scheme lets ``resiliency`` helpers jointly determine
     the responses and hence the gradient sum, so a colluding set that
-    large learns at least L symbols.  We instantiate a correct sibling
-    scheme (same K, N, Nr, q; collusion lowered to Nr - 1) and
-    evaluate the view of helpers [1..Nr] in the linear model, under
-    the no-straggler pattern.
+    large learns at least L symbols.  We instantiate the correct
+    ``witness_sibling`` and evaluate the view of helpers [1..Nr] in the
+    linear model, under the no-straggler pattern.
     """
     if params.resiliency > params.collusion:
         raise ValueError("witness applies only when resiliency <= collusion")
-    if params.resiliency < 2:
+    sibling = witness_sibling(params)
+    if sibling is None:
         raise ValueError(
             "no feasible sibling exists for resiliency 1 with a positive collusion bound"
         )
-    sibling = replace(params, collusion=params.resiliency - 1)
     ctx = setup(sibling)
     svars = build_static_vars(ctx)
     view = helper_observation(svars, range(1, params.resiliency + 1))
@@ -1229,15 +1177,12 @@ def _counted_entropy(keys: np.ndarray, q: int, names: Sequence[str]) -> int:
 
 
 def _variable_codes(tables: Mapping[str, np.ndarray], q: int) -> dict[str, tuple]:
-    """Each table's radix ``q**width`` and its rows read as base-q
-    codes, the first digit worth 1: int32 when the radix is below
-    2**31, int64 below 2**62, and the rows of symbols beyond."""
+    """Each table's radix ``q**width`` and its rows read as int32 base-q
+    codes, the first digit worth 1 (see ``_ORACLE_ASSIGNMENT_LIMIT``)."""
     codes = {}
-    for name, code in tables.items():
-        radix = q ** code.shape[1]
-        if radix < 2**62:
-            code = code @ q ** np.arange(code.shape[1], dtype=np.int64)
-        codes[name] = radix, code.astype(np.int32) if radix < 2**31 else code
+    for name, rows in tables.items():
+        digits = q ** np.arange(rows.shape[1], dtype=np.int64)
+        codes[name] = q ** rows.shape[1], (rows @ digits).astype(np.int32)
     return codes
 
 

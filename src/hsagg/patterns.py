@@ -4,16 +4,16 @@ A pattern records, per user, the set of helpers that received that
 user's upload, plus (optionally) the survivor set of helpers the master
 hears back from.  Helpers and users are 1-based ids everywhere.
 
-Enumeration order is deterministic: per-user receiver sets are listed
-by (size, lexicographic) and users combine like digits of a number with
-the last user varying fastest.
+Enumeration order is deterministic: subsets, among them per-user
+receiver sets, are listed by (size, lexicographic), and users combine
+like digits of a number with the last user varying fastest.
 """
 
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 __all__ = [
     "PatternError",
@@ -25,6 +25,7 @@ __all__ = [
     "format_pattern",
     "no_straggler_pattern",
     "validate",
+    "subsets",
     "enumerate_patterns",
     "enumerate_survivors",
     "sample_pattern",
@@ -180,10 +181,12 @@ def validate(pattern: CommPattern, params) -> None:
             )
 
 
-def _subsets_at_least(universe: tuple[int, ...], minimum: int) -> Iterator[frozenset[int]]:
-    for size in range(minimum, len(universe) + 1):
-        for combo in combinations(universe, size):
-            yield frozenset(combo)
+def subsets(items: Sequence, lo: int = 0, hi: int | None = None) -> Iterator[tuple]:
+    """Every subset of ``items`` with ``lo`` to ``hi`` members (default:
+    all of them), as a tuple in the items' order, by (size,
+    lexicographic): the one enumeration of users and helpers."""
+    for size in range(lo, (len(items) if hi is None else hi) + 1):
+        yield from combinations(items, size)
 
 
 def enumerate_patterns(params) -> Iterator[CommPattern]:
@@ -192,7 +195,7 @@ def enumerate_patterns(params) -> Iterator[CommPattern]:
     Yields (sum_{s >= Nr} C(N, s)) ** K patterns.
     """
     helpers = tuple(range(1, params.num_helpers + 1))
-    per_user = list(_subsets_at_least(helpers, params.resiliency))
+    per_user = list(map(frozenset, subsets(helpers, params.resiliency)))
     for combo in product(per_user, repeat=params.num_users):
         yield CommPattern(tuple(combo))
 
@@ -200,8 +203,7 @@ def enumerate_patterns(params) -> Iterator[CommPattern]:
 def enumerate_survivors(pattern: CommPattern, params) -> Iterator[frozenset[int]]:
     """All valid survivor sets for the pattern: subsets of the active
     helpers with at least Nr members."""
-    active = tuple(sorted(pattern.active_helpers))
-    yield from _subsets_at_least(active, params.resiliency)
+    yield from map(frozenset, subsets(sorted(pattern.active_helpers), params.resiliency))
 
 
 def sample_pattern(params, drop_prob: float, rng_seed) -> CommPattern:

@@ -557,15 +557,16 @@ def run_round(
 ) -> RoundTranscript:
     """Execute uploading, sharing-and-computation, and reconstruction.
 
-    The pattern must carry a survivor set.  Returns the full transcript
-    with the decoded gradient sum.  With ``decode=False`` the round
-    stops at the responses and ``decoded`` stays None, so a scheme whose
-    master cannot decode still yields every message it sends.
+    Returns the full transcript with the gradient sum decoded from the
+    pattern's survivors, which it must then carry.  With ``decode=False``
+    the round stops at the responses, needs no survivor set, and
+    ``decoded`` stays None, so a scheme whose master cannot decode still
+    yields every message it sends.
     """
     params = ctx.params
     patterns_mod.validate(pattern, params)
-    if pattern.survivors is None:
-        raise patterns_mod.BadSurvivorSet("round execution needs a survivor set")
+    if decode and pattern.survivors is None:
+        raise patterns_mod.BadSurvivorSet("round execution needs a survivor set to decode")
     if sorted(g.owner for g in gradients) != list(range(1, params.num_users + 1)):
         raise ShapeMismatch("need exactly one gradient per user")
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -100,6 +101,18 @@ def test_leakage_budget_exceeded(capsys):
     code = main(["leakage", "--params", "6,5,3,1,11,2", "--budget", "10"])
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("users", ["100000000", "99999999999999999999"])
+@pytest.mark.parametrize("mode", ["verify", "leakage"])
+def test_a_huge_user_count_exceeds_the_budget_at_once(mode, users, capsys):
+    """Counting stops once the count passes the budget, so K = 10^8 or
+    10^20 exits 3 at once, with a message that does not print the count."""
+    start = time.perf_counter()
+    assert main([mode, "--params", f"{users},3,2,1,5,1"]) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.endswith("budget 1000000\n")
 
 
 def test_verify_deterministic_reports(tmp_path):
@@ -242,6 +255,11 @@ BAD_INPUTS = {
     "leakage-malformed-uset": ["leakage", "--params", "2,3,2,1,5,1", "--uset", "1,,2"],
     "verify-malformed-budget-in-config": ["verify", "--grid", "2,3,2,1,5,1",
                                           "--config", "BAD_BUDGET_CONFIG"],
+    # sizes past an index or a C int: OverflowError
+    "round-huge-users": ["round", "--params", "99999999999999999999,3,2,1,5,1"],
+    "rates-many-users": ["rates", "--params", "100000000,3,2,1,5,1"],
+    "rates-huge-users": ["rates", "--params", "99999999999999999999,3,2,1,5,1"],
+    "rates-huge-length": ["rates", "--params", "2,3,2,1,5,99999999999999999999"],
 }
 
 GRADIENT_FILES = {

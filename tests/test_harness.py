@@ -345,7 +345,7 @@ def test_verify_invalid_point_is_config_error():
 
 def test_verify_budget():
     big = SchemeParams(2, 8, 5, 1, 17, 4)
-    assert estimate_work(big, 20) > 1_000_000
+    assert estimate_work(big, 20, 1_000_000) > 1_000_000
     config = RunConfig(mode="verify", grid=(big,), draws=20, budget=1000)
     with pytest.raises(BudgetExceeded) as err:
         run_verify(config)
@@ -373,7 +373,7 @@ def test_estimate_covers_every_counted_check(params):
     subset is checked, at every K."""
     report = verify_point(params, RunConfig(mode="verify", draws=1))
     counted = report.decode_cases + report.security_queries + report.invariant_checks
-    assert estimate_work(params, 1) >= counted
+    assert estimate_work(params, 1, 1_000_000) >= counted
     n_tsets = sum(comb(params.num_helpers, s) for s in range(params.collusion + 1))
     assert report.security_queries == report.patterns * 2**params.num_users * n_tsets * 2
 
@@ -381,10 +381,10 @@ def test_estimate_covers_every_counted_check(params):
 # RowSpace (insert, clone) calls and _split_quadruple eliminations of
 # each point's one-draw campaign; the same under any PYTHONHASHSEED
 RANK_WORK = {
-    "2,3,2,1,5,1": (232, 8, 24),
-    "2,4,3,1,7,2": (504, 10, 30),
-    "3,4,3,2,11,1": (1484, 15, 110),
-    "2,5,4,2,11,2": (2122, 12, 96),
+    "2,3,2,1,5,1": (224, 8, 24),
+    "2,4,3,1,7,2": (490, 10, 30),
+    "3,4,3,2,11,1": (1401, 15, 110),
+    "2,5,4,2,11,2": (1994, 12, 96),
 }
 
 
@@ -393,7 +393,9 @@ def test_rank_work_does_not_grow(params, monkeypatch):
     """A memo change that loses reuse shows as more row reductions or
     more quadruple eliminations.  The correct scheme's views are direct
     sums over users, so the store assembles every one of them and
-    reduces none whole."""
+    reduces none whole: each pattern's helper subsets within the bound,
+    then each T-set's on the no-straggler transcript, for the response
+    checks."""
     calls = {"insert": 0, "clone": 0, "split": 0}
     for name in ("insert", "clone"):
         method = getattr(RowSpace, name)
@@ -424,7 +426,8 @@ def test_rank_work_does_not_grow(params, monkeypatch):
     n_tsets = sum(1 for _ in enumerate_patterns(params)) * sum(
         comb(params.num_helpers, size) for size in range(params.collusion + 1)
     )
-    assert stores[0].views == {"assembled": n_tsets, "whole": 0}
+    responses = comb(params.num_helpers, params.collusion)
+    assert stores[0].views == {"assembled": n_tsets + responses, "whole": 0}
 
 
 # GfMatrix.inv calls of each point's one-draw campaign, setup included:

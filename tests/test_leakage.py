@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hsagg import leakage, protocol
 from hsagg.field import PrimeField
-from hsagg.harness import DEFAULT_GRID
+from hsagg.harness import DEFAULT_GRID, RunConfig, verify_point
 from hsagg.leakage import (
     BadSubset,
     BruteForceOracle,
@@ -40,7 +40,6 @@ from hsagg.leakage import (
     check_security_helpers,
     check_security_master,
     concrete_transcript_values,
-    cond_entropy,
     cond_mutual_info,
     entropy_rank,
     helper_observation,
@@ -630,8 +629,7 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
     """A copy of the oracle whose tables repeat every column 4 times has
     the same supports, so the same entropies.  Its radix 5**4 puts keys
     of 1-3 variables on int32, of 4-6 on int64 and of 7 or more on rows,
-    in ``entropy`` and in ``all_subset_entropies`` alike; repeated 27
-    times, every nonempty subset's key is rows."""
+    in ``entropy`` and in ``all_subset_entropies`` alike."""
     assert all(t.shape[1] == 1 for t in tiny_oracle.tables.values())
     assert TINY.modulus == 5
 
@@ -661,17 +659,6 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
     assert key_forms == [form(len(subset)) for subset, _ in walk]
     assert {"int32", "int64", "rows"} <= set(key_forms)
 
-    # radix 5**27 > 2**62: each variable's own code is its rows
-    few = names[:4]
-    wider = copy.copy(tiny_oracle)
-    wider.tables = {n: np.repeat(tiny_oracle.tables[n], 27, axis=1) for n in few}
-    wider.codes = leakage._variable_codes(wider.tables, wider.q)
-    key_forms.clear()
-    walk = list(wider.all_subset_entropies())
-    assert walk == list(all_subset_entropies_rank([tv[n] for n in few]))
-    assert [wider.entropy(subset) for subset, _ in walk] == [h for _, h in walk]
-    assert key_forms[0] == "int32" and set(key_forms[1:]) == {"rows"}
-
 
 def test_oracle_refuses_unknown_names(tiny_oracle):
     with pytest.raises(BadSubset, match=r"unknown variables \['nope'\]"):
@@ -698,15 +685,12 @@ def test_rank_quadruple_shape(tvars):
     assert (ac, bc, abc, c) == (3, 2, 3, 1)
     # one unmasked upload symbol reveals exactly one symbol about W1
     assert cond_mutual_info(q) == Fraction(1)
-
-
-def test_cond_entropy_examples(tvars):
-    # one upload given the user's data carries nothing new
-    h = cond_entropy(
-        (tvars["X[1,1]"],), (tvars["W[1]"], tvars["F[1]"])
-    )
-    assert h == 0
-    assert cond_entropy((tvars["W[1]"],), ()) == Fraction(2)
+    # H(A | C) = rank(AC) - rank(C): one upload given the user's data
+    # carries nothing new, and W1 alone has its two parts
+    ac, _, _, c = rank_quadruple(MiQuery((tvars["X[1,1]"],), (), (tvars["W[1]"], tvars["F[1]"])))
+    assert ac - c == 0
+    ac, _, _, c = rank_quadruple(MiQuery((tvars["W[1]"],), ()))
+    assert (ac - c) * EXAMPLE.block_len == 2
 
 
 # -- the split kernel against the incremental path ---------------------------
@@ -1168,6 +1152,72 @@ def test_per_user_path_matches_incremental_path(params, scheme, monkeypatch):
         assert views["whole"] == 0 and oversized_leaks > 0
     elif scheme == "user1-mask-mixes-user2-noise":
         assert views["whole"] == len(patterns) * (tsets - 1)  # every view but the empty one
+
+
+def _respond_with_first_upload_twice(ctx, monkeypatch):
+    # each helper adds the upload of the lowest-numbered user it holds
+    # once more, so its response is no longer its share of the sum
+    respond = protocol.helper_respond
+
+    def twice(ctx, pattern, helper, own_uploads, recovered):
+        r = respond(ctx, pattern, helper, own_uploads, recovered)
+        extra, q = own_uploads[min(own_uploads)], ctx.params.modulus
+        return HelperResponse(helper, tuple((a + b) % q for a, b in zip(r.payload, extra)))
+
+    monkeypatch.setattr(protocol, "helper_respond", twice)
+    return ctx
+
+
+RESPONSE_SCHEMES = PER_USER_SCHEMES | {
+    "response-adds-first-upload": _respond_with_first_upload_twice,
+}
+
+
+@pytest.fixture(scope="module")
+def response_reference():
+    """H(responses | W, view) on the full-width path, by block length and
+    row content, of which it is a function, shared by the schemes."""
+    return {}
+
+
+@pytest.mark.parametrize("scheme", RESPONSE_SCHEMES)
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_response_entropy_matches_the_full_width_reference(
+    params, scheme, response_reference, monkeypatch
+):
+    """At every T-set, the response check read from the rank store
+    equals rank(AC) - rank(C) of ``rank_quadruple`` with the responses
+    as A and the sum and the view as C.  The correct scheme's is 0; the
+    control whose responses add an upload once more leaves the same
+    nonzero entropy at every T-set."""
+    ctx = RESPONSE_SCHEMES[scheme](setup(params), monkeypatch)
+    static = build_static_vars(ctx)
+    responses = tuple(static[f"Y[{n}]"] for n in range(1, params.num_helpers + 1))
+    values = []
+    for tset in combinations(range(1, params.num_helpers + 1), params.collusion):
+        given = (static["W"],) + helper_observation(static, tset)
+        key = (params.block_len, *(tuple(v.rows for v in part) for part in (responses, given)))
+        if key not in response_reference:
+            r_ac, _, _, r_c = rank_quadruple(MiQuery(responses, (), given))
+            response_reference[key] = (r_ac - r_c) * params.block_len
+        values.append(response_entropy_given_sum(ctx, tset, tvars=static))
+        assert values[-1] == response_reference[key], tset
+    if scheme == "correct":
+        assert set(values) == {0}
+    elif scheme == "response-adds-first-upload":
+        control = {"2,3,2,1,5,1": 1, "2,4,3,1,7,2": 2, "3,4,3,2,11,1": 1, "2,5,4,2,11,2": 2}
+        assert set(values) == {control[params.label()]}
+
+
+def test_verify_reports_responses_that_add_an_upload_twice(monkeypatch):
+    """The campaign names every T-set whose view and the sum leave the
+    control's responses undetermined."""
+    params = DEFAULT_GRID[0]
+    _respond_with_first_upload_twice(setup(params), monkeypatch)
+    report = verify_point(params, RunConfig(mode="verify", draws=1))
+    assert [f for f in report.failures if f.startswith("responses")] == [
+        f"responses not determined by sum and uploads of {(t,)}: H = 1" for t in (1, 2, 3)
+    ]
 
 
 # -- the context's rank store ----------------------------------------------------

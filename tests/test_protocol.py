@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hsagg.harness import DEFAULT_GRID
 from hsagg.matrix import FieldTooSmall, GfMatrix, RowSpace, vandermonde
 from hsagg.patterns import (
+    BadSurvivorSet,
     CommPattern,
     enumerate_patterns,
     enumerate_survivors,
@@ -504,7 +505,11 @@ def test_run_round_validates_inputs(ctx):
     grads, noises = make_round_inputs(EXAMPLE, 15)
     keys = dealer_generate(ctx, 15)
     bare = parse_pattern("nu=1:1,2,3;2:1,2,4")
-    with pytest.raises(Exception):
+    with pytest.raises(BadSurvivorSet, match="needs a survivor set to decode"):
         run_round(ctx, bare, grads, noises, keys)
+    # a round that stops at the responses needs no survivor set
+    stopped = run_round(ctx, bare, grads, noises, keys, decode=False)
+    decoded = run_round(ctx, bare.with_survivors({2, 3, 4}), grads, noises, keys)
+    assert stopped.decoded is None and stopped.responses == decoded.responses
     with pytest.raises(ShapeMismatch):
         run_round(ctx, EXAMPLE_PATTERN, grads[:1], noises, keys)

@@ -5,7 +5,9 @@ referenced somewhere in the package, and every name a module lists in
 or an export behind fails here.  The modules that read outside input
 never build a matrix without reducing its entries, no module uses
 ``numpy.random``, only ``matrix`` writes a ``RowSpace``'s state, and no
-module reads another's private name.  Each option is declared once,
+module reads another's private name.  Only ``patterns`` takes
+``itertools.combinations``: its ``subsets`` is the one enumeration of
+user and helper subsets.  Each option is declared once,
 as a ``RunConfig`` field, and the parser, the config keys and the
 README's key list all follow that table."""
 
@@ -247,6 +249,31 @@ def foreign_private_reads(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+def combinations_uses(tree: ast.Module) -> list[int]:
+    """Lines that import ``combinations`` from ``itertools`` or read it
+    as an attribute of a name bound to ``itertools``."""
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "itertools"
+    }
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            hit = any(a.name == "combinations" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "combinations" and isinstance(node.value, ast.Name) and (
+                node.value.id in aliases
+            )
+        else:
+            continue
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 OPTION_KEYS = {"parse", "help", "modes", "flag", "choices"}
 
 
@@ -343,6 +370,18 @@ def test_no_module_reads_another_modules_private_name():
     assert {module: lines for module, lines in found.items() if lines} == {}
 
 
+def test_only_patterns_enumerates_subsets():
+    """``patterns.subsets`` lists user and helper subsets by (size,
+    lexicographic) for every campaign step; a second enumeration could
+    drift from its order."""
+    found = {
+        module: combinations_uses(tree)
+        for module, tree in _package().items()
+        if module != "patterns"
+    }
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
 def test_each_option_is_declared_once():
     """Every ``RunConfig`` field but ``mode`` is an option of the table;
     only the table's loop adds a flag, and the CLI names no option
@@ -436,6 +475,17 @@ def test_the_checks_catch_what_they_look_for():
             "v = harness._grid\n"
         )
     ) == [2, 5, 8, 11]
+    assert combinations_uses(
+        ast.parse(
+            "from itertools import chain, combinations\n"
+            "import itertools as it\n"
+            "pairs = it.combinations(xs, 2)\n"
+            "from itertools import product\n"
+            "sets = pt.combinations + combinations\n"
+            "import itertools\n"
+            "x = itertools.combinations(xs, 3)\n"
+        )
+    ) == [1, 3, 7]
 
     @dataclass
     class Config:
