@@ -685,6 +685,9 @@ def test_rank_quadruple_shape(tvars):
     assert (ac, bc, abc, c) == (3, 2, 3, 1)
     # one unmasked upload symbol reveals exactly one symbol about W1
     assert cond_mutual_info(q) == Fraction(1)
+
+
+def test_cond_entropy_examples(tvars):
     # H(A | C) = rank(AC) - rank(C): one upload given the user's data
     # carries nothing new, and W1 alone has its two parts
     ac, _, _, c = rank_quadruple(MiQuery((tvars["X[1,1]"],), (), (tvars["W[1]"], tvars["F[1]"])))
