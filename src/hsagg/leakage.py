@@ -193,13 +193,17 @@ class _RankStore:
     coordinates, or to None if it spans users.
     ``reductions`` holds the split reduction ``(r_noise, K)`` of each
     user-local block, and of each set reduced whole.  ``kernels`` holds
-    each kernel assembled from per-user kernels, and each view kernel
-    extended by responses.  ``quadruples`` holds each split-path rank
-    quadruple, keyed by the identity of K (one object per kernel
-    content, which the store keeps alive) and by the target's and the
-    given's unit columns and other rows; ``r_noise`` is added back
-    outside the key.  ``views`` counts the collusion views assembled
-    and those reduced whole.  Keys share one copy of each equal part.
+    each kernel assembled from per-user kernels, and ``extensions`` each
+    view kernel extended by response rows, keyed by the identities of
+    both (one object per content, which the store keeps alive).
+    ``quadruples`` holds each split-path rank quadruple, keyed by the
+    identity of K and by the target's and the given's unit columns and
+    other rows; ``r_noise`` is added back outside the key.  ``asked``
+    holds the same quadruples by the identities of K and of the target
+    and given the store keeps (``gradients`` and ``given``), so a
+    repeated query builds and hashes no content key.  ``views`` counts
+    the collusion views assembled and those reduced whole.  Keys share
+    one copy of each equal part.
     """
 
     def __init__(self, params: SchemeParams, field: PrimeField):
@@ -217,8 +221,8 @@ class _RankStore:
         rows = tuple(tuple(int(j < k_all * parts and j % parts == i) for j in range(layout.dim))
                      for i in range(parts))
         self._sum = (frozenset(range(parts)), ()) if k_all == 1 else (frozenset(), rows)
-        self.owners, self.reductions, self.kernels, self.quadruples = {}, {}, {}, {}
-        self.givens, self._held = {}, {}
+        self.owners, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
+        self.quadruples, self.asked, self.givens, self._held = {}, {}, {}, {}
         self.views = {"assembled": 0, "whole": 0}
 
     def _hold(self, parts: Iterable) -> tuple:
@@ -290,30 +294,51 @@ class _RankStore:
             kernel = self.kernels[key] = self._held.setdefault(kernel, kernel)
         return (sum(r for r, _ in users), kernel), users
 
-    def extended(self, view: Sequence[tuple], reduction, responses) -> tuple:
+    def responses(self, responses: Sequence[LinearVar]) -> tuple:
+        """The rows of ``responses``, one object per content, and whether
+        they all lie in the user columns: what ``extended`` needs of a
+        transcript's responses, found once per transcript."""
+        rows = tuple(r for v in responses for r in v.rows)
+        in_user_columns = not any(any(row[self.layout.user_dim:]) for row in rows)
+        return self._held.setdefault(rows, rows), in_user_columns
+
+    def extended(self, view: Sequence[tuple], reduction, responses: tuple) -> tuple:
         """The split reduction of the view's groups ``view`` (pairs, as in
-        ``assembled``), then ``responses``: if every response row lies in
-        the user columns, the view's ``r_noise`` and its kernel extended by
-        the responses in user width, once per view kernel and response
-        rows; otherwise reduced whole."""
-        if any(any(row[self.layout.user_dim:]) for v in responses for row in v.rows):
-            rows = (r for rows, _ in view for r in rows)
-            return self.reduction((*rows, *(r for v in responses for r in v.rows)))
+        ``assembled``), then the response rows (``responses``, as the
+        store's ``responses`` gives them): if they lie in the user
+        columns, the view's ``r_noise`` and its kernel extended by them in
+        user width, once per view kernel and response rows; otherwise
+        reduced whole."""
+        rows, in_user_columns = responses
+        if not in_user_columns:
+            return self.reduction((*(r for part, _ in view for r in part), *rows))
         r_noise, kernel = reduction
-        key = (id(kernel), tuple(v.rows for v in responses))
-        found = self.kernels.get(key)
+        key = (id(kernel), id(rows))
+        found = self.extensions.get(key)
         if found is None:
-            found = _extended_kernel(kernel, responses, self.layout)
-            found = self.kernels[self._hold(key)] = self._held.setdefault(found, found)
+            found = _extended_kernel(kernel, rows, self.layout, self.field)
+            found = self.extensions[key] = self._held.setdefault(found, found)
         return r_noise, found
 
-    def quadruple(self, reduction, target, given, users=None) -> tuple:
-        """The rank quadruple of a reduction the store holds, once per
-        kernel, target and given: if its per-user reductions ``users`` are
-        given and the target and the given are unit rows, the sum of each
-        user's quadruple in user-local columns (which shares the table:
-        unit columns and a kernel object fix it), else ``_split_quadruple``."""
+    def quadruple(self, reduction, target, given, users) -> tuple:
+        """The rank quadruple of a reduction the store holds, with the
+        ``target`` and ``given`` the store keeps (``gradients`` and
+        ``given``): by their identities, else by content (``_ranks``)."""
         r_noise, kernel = reduction
+        key = (id(kernel), id(target), id(given))
+        ranks = self.asked.get(key)
+        if ranks is None:
+            ranks = self.asked[key] = self._ranks(kernel, target, given, users)
+        r_ac, r_bc, r_abc, r_c = ranks
+        return (r_ac, r_bc + r_noise, r_abc + r_noise, r_c)
+
+    def _ranks(self, kernel, target, given, users) -> tuple:
+        """The rank quadruple of ``kernel`` with no noise rank, once per
+        kernel, target and given content: if its per-user reductions
+        ``users`` are given and the target and the given are unit rows,
+        the sum of each user's quadruple in user-local columns (which
+        shares the table: unit columns and a kernel object fix it), else
+        ``_split_quadruple``."""
         key = (id(kernel),) + target + given
         ranks = self.quadruples.get(key)
         if ranks is None:
@@ -325,12 +350,11 @@ class _RankStore:
                 parts, units = [], (target[0], given[0])
                 for (_, own), cols in zip(users, self.columns):
                     a, c = ((frozenset(i for i, j in enumerate(cols) if j in e), ()) for e in units)
-                    parts.append(self.quadruple((0, own), a, c))
+                    parts.append(self._ranks(own, a, c, None))
                 ranks = tuple(map(sum, zip(*parts)))
             ranks = self._held.setdefault(ranks, ranks)
             self.quadruples[self._hold(key)] = ranks
-        r_ac, r_bc, r_abc, r_c = ranks
-        return (r_ac, r_bc + r_noise, r_abc + r_noise, r_c)
+        return ranks
 
 
 def _rank_store(ctx: SchemeContext) -> _RankStore:
@@ -361,8 +385,9 @@ class LinearTranscript(Mapping):
     Built only by ``build_linear_transcript``, it keeps the ``ctx`` and
     the ``pattern`` it was built from, the pattern's ``label`` and
     ``block_len`` and the context's rank store, and answers only for
-    that context and pattern (``require``).  It keeps the responses
-    ``Y[n]`` and, read-only, memoizes for its own life: each helper's
+    that context and pattern (``require``).  It keeps the rows of the
+    responses ``Y[n]`` (``_RankStore.responses``) and, read-only,
+    memoizes for its own life: each helper's
     ``groups`` split into rows and per-user blocks (``by_user``), every
     colluding set's split reductions (``collusion``, by helper subset)
     and the uploads' kernel, each once.  Reductions are found by row
@@ -381,7 +406,9 @@ class LinearTranscript(Mapping):
         self.label, self.block_len = format_pattern(pattern), ctx.params.block_len
         self._vars = tvars
         self._store = _rank_store(ctx)
-        self._responses = tuple(tvars[f"Y[{n}]"] for n in sorted(pattern.active_helpers))
+        self._responses = self._store.responses(
+            [tvars[f"Y[{n}]"] for n in sorted(pattern.active_helpers)]
+        )
         self._splits: dict[int, tuple] = {}  # by helper
         self._collusions: dict[tuple[int, ...], _Collusion] = {}  # by helper subset
 
@@ -720,20 +747,22 @@ def _kernel(space: RowSpace, cut: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _extended_kernel(
-    kernel: tuple[tuple[int, ...], ...], added: Sequence[LinearVar], layout: SourceLayout
+    kernel: tuple[tuple[int, ...], ...],
+    added: Iterable[Sequence[int]],
+    layout: SourceLayout,
+    field: PrimeField,
 ) -> tuple[tuple[int, ...], ...]:
-    """The kernel of an observed set B extended by variables Y whose
-    rows all lie in the user columns U, reduced in user width.
+    """The kernel of an observed set B extended by rows Y that all lie
+    in the user columns U, reduced in user width.
 
     For Y ⊂ U, span(B ∪ Y) ∩ U = (span(B) ∩ U) + span(Y), and the noise
     rank of B ∪ Y is that of B.  ``kernel`` is in reduced echelon form,
     so it seeds the space as it is, with no elimination.
     """
     u = layout.user_dim
-    space = RowSpace.of_echelon(added[0].coeffs.field, u, kernel)
-    for v in added:
-        for row in v.rows:
-            space.insert(row[:u])
+    space = RowSpace.of_echelon(field, u, kernel)
+    for row in added:
+        space.insert(row[:u])
     return _kernel(space, 0)
 
 
@@ -1186,6 +1215,22 @@ def _variable_codes(tables: Mapping[str, np.ndarray], q: int) -> dict[str, tuple
     return codes
 
 
+def _packed_word(codes: Mapping[str, tuple]) -> tuple | None:
+    """Every variable's code in its own bit field, ``(radix -
+    1).bit_length()`` bits wide, of one int64 word per assignment, with
+    each name's field mask; None where the fields need more than 63
+    bits."""
+    word, masks, shift = 0, {}, 0
+    for name, (radix, code) in codes.items():
+        bits = (radix - 1).bit_length()
+        if shift + bits > 63:
+            return None
+        word = word + (code.astype(np.int64) << shift)
+        masks[name] = ((1 << bits) - 1) << shift
+        shift += bits
+    return word, masks
+
+
 class BruteForceOracle:
     """Exact entropies on a tiny instance by full source enumeration.
 
@@ -1199,13 +1244,15 @@ class BruteForceOracle:
     would indicate a broken scheme and raises.
 
     Each variable's table is also read once into one base-q code per
-    assignment (``codes``, with its radix ``q**width``).  A subset's
-    joint key is the mixed-radix code ``key * radix + code`` of its
-    members in turn, and counting it is one sort.  The key is int32
-    while the span so far, the product of the radices, is below 2**31,
-    which sorts about twice as fast as int64; int64 while it is below
-    2**62; and rows beyond that: the key so far, then each further
-    member's code.
+    assignment (``codes``, with its radix ``q**width``), and counting a
+    subset's joint key is one sort.  Where every code fits its own bit
+    field of one int64 word (``_packed_word``), ``entropy`` takes the
+    key ``word & mask``, one call at any subset size.  Otherwise, and
+    always in ``all_subset_entropies``, the key is the mixed-radix code
+    ``key * radix + code`` of the members in turn: int32 while the span
+    so far, the product of the radices, is below 2**31, which sorts
+    about twice as fast as int64; int64 while it is below 2**62; and
+    rows beyond that: the key so far, then each further member's code.
     """
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern):
@@ -1236,6 +1283,16 @@ class BruteForceOracle:
         self.codes = _variable_codes(self.tables, q)
 
     @property
+    def codes(self) -> dict[str, tuple]:
+        return self._codes
+
+    @codes.setter
+    def codes(self, codes: dict[str, tuple]) -> None:
+        """New codes bring the packed word they make."""
+        self._codes = codes
+        self._packed = _packed_word(codes)
+
+    @property
     def names(self) -> tuple[str, ...]:
         return tuple(self.tables)
 
@@ -1247,6 +1304,9 @@ class BruteForceOracle:
             raise BadSubset(f"unknown variables {unknown}")
         if not names:
             return 0
+        if self._packed is not None:
+            word, masks = self._packed  # distinct names: their fields sum to the mask
+            return _counted_entropy(word & sum(map(masks.get, names)), self.q, names)
         span, code = self.codes[names[0]]
         keys, _ = self._joined(code.copy(), span, names[1:])
         return _counted_entropy(keys, self.q, names)

@@ -248,19 +248,21 @@ class RowSpace:
         p = support[0]
         if r[p] != 1:
             inv_p = self.field.inv(r[p])
-            r = [(v * inv_p) % q for v in r]
+            for j in support:
+                r[j] = r[j] * inv_p % q
         # Keep the basis fully reduced at the new pivot column.
-        for i, base in enumerate(self.basis):
+        basis, supports = self.basis, self.support
+        for i, base in enumerate(basis):
             c = base[p]
             if c:
                 base = base.copy()  # a clone may share the row
                 for j in support:
                     base[j] = (base[j] - c * r[j]) % q
-                self.basis[i] = base
-                self.support[i] = [j for j, v in enumerate(base) if v]
+                basis[i] = base
+                supports[i] = [j for j, v in enumerate(base) if v]
         self.pivots.append(p)
-        self.basis.append(r)
-        self.support.append(support)
+        basis.append(r)
+        supports.append(support)
         return True
 
     def insert_matrix(self, m: GfMatrix) -> None:

@@ -115,6 +115,22 @@ def test_a_huge_user_count_exceeds_the_budget_at_once(mode, users, capsys):
     assert err.startswith("budget exceeded: ") and err.endswith("budget 1000000\n")
 
 
+@pytest.mark.parametrize("collusion", [1, 2], ids=["feasible", "infeasible"])
+def test_a_huge_user_count_prints_a_short_count(collusion, capsys):
+    """The estimate's terms linear in K (the infeasible point's witness,
+    the mask suite, the recoverability checks) are capped at budget + 1
+    like its powers of K, so K = 10^40 and K = 10^2500 exit 3 with the
+    same short count: not with a count of thousands of digits, nor with
+    an error converting it to text."""
+    counts = []
+    for users in (10**40, 10**2500):
+        assert main(["verify", "--params", f"{users},3,2,{collusion},5,1"]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith(", beyond budget 1000000\n")
+        counts.append(int(err.split("at least ")[1].split(",")[0]))
+    assert counts[0] == counts[1] and 1_000_000 < counts[0] < 10**15
+
+
 def test_verify_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "--grid", "2,3,2,1,5,1", "--draws", "2", "--seed", "s",

@@ -612,13 +612,13 @@ def test_oracle_repeated_and_overlapping_names(tiny_ctx, tiny_oracle):
 
 @pytest.fixture
 def key_forms(monkeypatch):
-    """The form of every key the oracle counts, in order: its dtype's
+    """Every key the oracle counts, in order, with its form: its dtype's
     name, or "rows"."""
     forms = []
     counted = leakage._counted_entropy
 
     def spy(keys, q, names):
-        forms.append("rows" if keys.ndim == 2 else keys.dtype.name)
+        forms.append(("rows" if keys.ndim == 2 else keys.dtype.name, keys.copy()))
         return counted(keys, q, names)
 
     monkeypatch.setattr(leakage, "_counted_entropy", spy)
@@ -626,15 +626,24 @@ def key_forms(monkeypatch):
 
 
 def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_forms):
-    """A copy of the oracle whose tables repeat every column 4 times has
-    the same supports, so the same entropies.  Its radix 5**4 puts keys
-    of 1-3 variables on int32, of 4-6 on int64 and of 7 or more on rows,
-    in ``entropy`` and in ``all_subset_entropies`` alike."""
+    """On TINY every variable's code fits a 3-bit field, 57 bits in
+    all, so ``entropy`` takes the packed key ``word & mask`` at every
+    subset size.  A copy of the oracle whose tables repeat every column
+    4 times has the same supports, so the same entropies, but 10-bit
+    fields, 190 bits in all: its ``entropy`` falls back to mixed-radix
+    keys, whose radix 5**4 puts keys of 1-3 variables on int32, of 4-6
+    on int64 and of 7 or more on rows.  ``all_subset_entropies`` builds
+    mixed-radix keys on either."""
     assert all(t.shape[1] == 1 for t in tiny_oracle.tables.values())
-    assert TINY.modulus == 5
+    assert TINY.modulus == 5 and len(tiny_oracle.names) == 19
 
     def form(size):
         return "int32" if size <= 3 else "int64" if size <= 6 else "rows"
+
+    def packed(subset):
+        """The subset's symbols, each in its name's 3-bit field."""
+        names = tiny_oracle.names
+        return sum(tiny_oracle.tables[n][:, 0] << 3 * names.index(n) for n in subset)
 
     wide = copy.copy(tiny_oracle)
     wide.tables = {n: np.repeat(t, 4, axis=1) for n, t in tiny_oracle.tables.items()}
@@ -642,22 +651,43 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
     rng = random.Random(7)
     for size in [1, 2, 3, 4, 5, 6, 7, 8, 12, 19] * 3:
         subset = rng.sample(tiny_oracle.names, size)
+        key_forms.clear()
         expect = tiny_oracle.entropy(subset)
+        [(got, keys)] = key_forms
+        assert got == "int64" and (keys == packed(subset)).all()
         key_forms.clear()
         assert wide.entropy(subset) == expect
-        assert key_forms == [form(size)]
+        assert [got for got, _ in key_forms] == [form(size)]
 
     tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
     names = list(tiny_oracle.names)[::2]
     small, small_wide = copy.copy(tiny_oracle), copy.copy(wide)
     small.tables = {n: tiny_oracle.tables[n] for n in names}
     small_wide.tables = {n: wide.tables[n] for n in names}
+    key_forms.clear()
     walk = list(small.all_subset_entropies())
     assert walk == list(all_subset_entropies_rank([tv[n] for n in names]))
+    assert {got for got, _ in key_forms} == {"int32"}
     key_forms.clear()
     assert list(small_wide.all_subset_entropies()) == walk
-    assert key_forms == [form(len(subset)) for subset, _ in walk]
-    assert {"int32", "int64", "rows"} <= set(key_forms)
+    assert [got for got, _ in key_forms] == [form(len(subset)) for subset, _ in walk]
+    assert {"int32", "int64", "rows"} <= {got for got, _ in key_forms}
+
+
+def test_oracle_refuses_a_skewed_table_on_every_key_form(tiny_oracle, key_forms):
+    """Negative control: a copy whose W[1] is 0 in one assignment of 5
+    and 1 otherwise is not uniform, and ``entropy`` says so on the
+    packed key and on the mixed-radix key alike."""
+    for repeat, forms in ((1, ["int64"] * 2), (4, ["int32", "int32"])):
+        skewed = copy.copy(tiny_oracle)
+        skewed.tables = {n: np.repeat(t, repeat, axis=1) for n, t in tiny_oracle.tables.items()}
+        skewed.tables["W[1]"] = np.minimum(skewed.tables["W[1]"], 1)
+        skewed.codes = leakage._variable_codes(skewed.tables, skewed.q)
+        key_forms.clear()
+        for subset in (["W[1]"], ["W[1]", "F[1]"]):
+            with pytest.raises(LeakageError, match="not uniform"):
+                skewed.entropy(subset)
+        assert [got for got, _ in key_forms] == forms
 
 
 def test_oracle_refuses_unknown_names(tiny_oracle):
@@ -923,7 +953,7 @@ def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
     rows = data.draw(st.lists(st.lists(symbol, min_size=u, max_size=u), min_size=1, max_size=3))
     added = (LinearVar("Y", layout, GfMatrix(field, [r + [0] * (layout.dim - u) for r in rows])),)
     r_noise, kernel = reduction
-    extended = (r_noise, _extended_kernel(kernel, added, layout))
+    extended = (r_noise, _extended_kernel(kernel, _rows(added), layout, field))
     assert extended == _split_observed(_rows(query.observed + added), layout, field)
     assert _split_quadruple(target, given, extended, u, field) == rank_quadruple(
         replace(query, observed=query.observed + added)
@@ -1242,6 +1272,45 @@ def test_store_derives_each_target_and_given_from_the_layout(params, scheme, mon
             own = [tv[f"{v}[{u}]"] for u in uset for v in "WF"]
             assert store.given(False, uset) == _unit_split(own)
             assert store.given(True, uset) == _unit_split([tv["W"]] + own)
+
+
+def test_a_repeated_query_reads_its_ranks_by_identity(monkeypatch):
+    """A helper or master query the store has answered is read from
+    ``asked``, by the identities of its kernel, target and given, so a
+    second sweep on new transcripts builds no content key and adds no
+    quadruple.  Each transcript finds its response rows once, however
+    many collusions extend by them, and equal rows are one object."""
+    ctx = setup(EXAMPLE)
+    store = leakage._rank_store(ctx)
+    found = []
+    responses = leakage._RankStore.responses
+    monkeypatch.setattr(
+        leakage._RankStore, "responses",
+        lambda self, ys: found.append(responses(self, ys)) or found[-1],
+    )
+    users, helpers = range(1, EXAMPLE.num_users + 1), range(1, EXAMPLE.num_helpers + 1)
+    usets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
+    tsets = [t for size in range(EXAMPLE.collusion + 1) for t in combinations(helpers, size)]
+    patterns = list(enumerate_patterns(EXAMPLE))[:3]
+
+    def sweep():
+        return [
+            check(ctx, pattern, uset, tset, tvars=tv)
+            for pattern in patterns
+            for tv in [build_linear_transcript(ctx, pattern)]
+            for tset in tsets
+            for uset in usets
+            for check in (check_security_helpers, check_security_master)
+        ]
+
+    first = sweep()
+    assert len(found) == len(patterns)
+    asked = dict(store.asked)
+    store.quadruples.clear()
+    assert sweep() == first
+    assert store.quadruples == {} and store.asked == asked
+    assert len(found) == 2 * len(patterns)
+    assert all(a[0] is b[0] for a, b in zip(found, found[len(patterns):]))
 
 
 def _campaign_sweep(ctx, params):
