@@ -468,10 +468,9 @@ def estimate_work(params: SchemeParams, draws: int, budget: int) -> int:
     ``_WITNESS_ENTRIES_PER_ITEM`` entries, rounded up.
 
     A power of K that passes ``budget`` counts as ``budget + 1``
-    (``_power``), and so does each term linear in K (the witness, the
-    mask suite, the recoverability checks), so a huge K costs no more
-    than a small one and prints a short count: a lower bound past the
-    budget."""
+    (``_power``), so a huge K costs no more than a small one, and so
+    does the count itself, so that it prints short: past the budget it
+    is a lower bound."""
     k, n, nr, cap = params.num_users, params.num_helpers, params.resiliency, budget + 1
     if nr <= params.collusion:
         entries = (k * (2 + 2 * n * n) + n + 1) * lk.SourceLayout(params).dim
@@ -480,9 +479,9 @@ def estimate_work(params: SchemeParams, draws: int, budget: int) -> int:
     per_user, n_tsets = _subset_counts(params)
     queries = _power(2, k, budget) * n_tsets * 2
     per_pattern = queries + per_user * draws * params.block_len + n_tsets
-    masks = min(1 + n * k * sum(comb(n - 1, s) for s in range(1, nr)), cap)
+    masks = 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
     patterns = _power(per_user, k, budget)
-    return patterns * per_pattern + masks + min(k * per_user, cap) + comb(n, params.collusion)
+    return min(patterns * per_pattern + masks + k * per_user + comb(n, params.collusion), cap)
 
 
 def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]:

@@ -196,14 +196,11 @@ class _RankStore:
     each kernel assembled from per-user kernels, and ``extensions`` each
     view kernel extended by response rows, keyed by the identities of
     both (one object per content, which the store keeps alive).
-    ``quadruples`` holds each split-path rank quadruple, keyed by the
-    identity of K and by the target's and the given's unit columns and
-    other rows; ``r_noise`` is added back outside the key.  ``asked``
-    holds the same quadruples by the identities of K and of the target
-    and given the store keeps (``gradients`` and ``given``), so a
-    repeated query builds and hashes no content key.  ``views`` counts
-    the collusion views assembled and those reduced whole.  Keys share
-    one copy of each equal part.
+    ``quadruples`` holds each split-path rank quadruple, a query's or a
+    user's part of one, keyed by the identities of K, the target and
+    the given, each one object per content; ``r_noise`` is added back
+    outside the key.  ``views`` counts the collusion views assembled
+    and those reduced whole.  Keys share one copy of each equal part.
     """
 
     def __init__(self, params: SchemeParams, field: PrimeField):
@@ -216,13 +213,13 @@ class _RankStore:
              *range(layout.q_slot(1, 1, k), layout.dim, k_all))
             for k in range(1, k_all + 1)
         )
-        self.gradients = frozenset(range(k_all * parts)), ()
         # the sum W: part i's row is 1 on every user's slot of part i, a unit row at K = 1
         rows = tuple(tuple(int(j < k_all * parts and j % parts == i) for j in range(layout.dim))
                      for i in range(parts))
         self._sum = (frozenset(range(parts)), ()) if k_all == 1 else (frozenset(), rows)
         self.owners, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
-        self.quadruples, self.asked, self.givens, self._held = {}, {}, {}, {}
+        self.quadruples, self.givens, self._held = {}, {}, {}
+        self.gradients = self._hold([(frozenset(range(k_all * parts)), ())])[0]
         self.views = {"assembled": 0, "whole": 0}
 
     def _hold(self, parts: Iterable) -> tuple:
@@ -237,7 +234,7 @@ class _RankStore:
             units, rest = self._sum if with_sum else (frozenset(), ())
             own = self.local.user_dim  # a user's gradient and randomness slots lead its columns
             units = units.union(*(self.columns[u - 1][:own] for u in users))
-            found = self.givens[with_sum, users] = units, rest
+            found = self.givens[with_sum, users] = self._hold([(units, rest)])[0]
         return found
 
     def reduction(self, rows: tuple) -> tuple:
@@ -320,26 +317,16 @@ class _RankStore:
             found = self.extensions[key] = self._held.setdefault(found, found)
         return r_noise, found
 
-    def quadruple(self, reduction, target, given, users) -> tuple:
-        """The rank quadruple of a reduction the store holds, with the
-        ``target`` and ``given`` the store keeps (``gradients`` and
-        ``given``): by their identities, else by content (``_ranks``)."""
-        r_noise, kernel = reduction
-        key = (id(kernel), id(target), id(given))
-        ranks = self.asked.get(key)
-        if ranks is None:
-            ranks = self.asked[key] = self._ranks(kernel, target, given, users)
-        r_ac, r_bc, r_abc, r_c = ranks
-        return (r_ac, r_bc + r_noise, r_abc + r_noise, r_c)
-
-    def _ranks(self, kernel, target, given, users) -> tuple:
-        """The rank quadruple of ``kernel`` with no noise rank, once per
-        kernel, target and given content: if its per-user reductions
+    def quadruple(self, reduction, target, given, users=None) -> tuple:
+        """The rank quadruple of a reduction the store holds, once per
+        kernel, target and given, keyed by their identities (the store
+        keeps one object of each content): if its per-user reductions
         ``users`` are given and the target and the given are unit rows,
         the sum of each user's quadruple in user-local columns (which
         shares the table: unit columns and a kernel object fix it), else
         ``_split_quadruple``."""
-        key = (id(kernel),) + target + given
+        r_noise, kernel = reduction
+        key = (id(kernel), id(target), id(given))
         ranks = self.quadruples.get(key)
         if ranks is None:
             if users is None or target[1] or given[1]:
@@ -349,12 +336,13 @@ class _RankStore:
             else:
                 parts, units = [], (target[0], given[0])
                 for (_, own), cols in zip(users, self.columns):
-                    a, c = ((frozenset(i for i, j in enumerate(cols) if j in e), ()) for e in units)
-                    parts.append(self._ranks(own, a, c, None))
+                    a, c = self._hold((frozenset(i for i, j in enumerate(cols) if j in e), ())
+                                      for e in units)
+                    parts.append(self.quadruple((0, own), a, c))
                 ranks = tuple(map(sum, zip(*parts)))
-            ranks = self._held.setdefault(ranks, ranks)
-            self.quadruples[self._hold(key)] = ranks
-        return ranks
+            ranks = self.quadruples[key] = self._held.setdefault(ranks, ranks)
+        r_ac, r_bc, r_abc, r_c = ranks
+        return (r_ac, r_bc + r_noise, r_abc + r_noise, r_c)
 
 
 def _rank_store(ctx: SchemeContext) -> _RankStore:
@@ -1281,16 +1269,7 @@ class BruteForceOracle:
             name: np.array(rows, dtype=np.int64) for name, rows in tables.items()
         }
         self.codes = _variable_codes(self.tables, q)
-
-    @property
-    def codes(self) -> dict[str, tuple]:
-        return self._codes
-
-    @codes.setter
-    def codes(self, codes: dict[str, tuple]) -> None:
-        """New codes bring the packed word they make."""
-        self._codes = codes
-        self._packed = _packed_word(codes)
+        self._packed = _packed_word(self.codes)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -79,11 +79,13 @@ def test_verify_budget_exceeded(capsys):
 def test_verify_estimate_counts_the_gradient_length(capsys, monkeypatch):
     """A decode case counts one item per payload symbol, so a long
     gradient at a small point exceeds the default budget before any
-    round runs."""
+    round runs.  Its 2,501,188 items print as the capped count."""
     monkeypatch.setattr(harness, "verify_point", lambda *args: pytest.fail("a point ran"))
     assert main(["verify", "--params", "2,4,3,1,7,2000"]) == 3
     err = capsys.readouterr().err
-    assert "2,4,3,1,7,2000" in err and "2501188" in err
+    assert "2,4,3,1,7,2000" in err and "at least 1000001," in err
+    params = harness.SchemeParams.from_csv("2,4,3,1,7,2000")
+    assert harness.estimate_work(params, 20, 10**7) == 2501188
 
 
 def test_verify_estimate_counts_the_infeasibility_witness(capsys, monkeypatch):
@@ -115,20 +117,23 @@ def test_a_huge_user_count_exceeds_the_budget_at_once(mode, users, capsys):
     assert err.startswith("budget exceeded: ") and err.endswith("budget 1000000\n")
 
 
-@pytest.mark.parametrize("collusion", [1, 2], ids=["feasible", "infeasible"])
-def test_a_huge_user_count_prints_a_short_count(collusion, capsys):
-    """The estimate's terms linear in K (the infeasible point's witness,
-    the mask suite, the recoverability checks) are capped at budget + 1
-    like its powers of K, so K = 10^40 and K = 10^2500 exit 3 with the
-    same short count: not with a count of thousands of digits, nor with
-    an error converting it to text."""
-    counts = []
-    for users in (10**40, 10**2500):
-        assert main(["verify", "--params", f"{users},3,2,{collusion},5,1"]) == 3
-        err = capsys.readouterr().err
-        assert err.endswith(", beyond budget 1000000\n")
-        counts.append(int(err.split("at least ")[1].split(",")[0]))
-    assert counts[0] == counts[1] and 1_000_000 < counts[0] < 10**15
+HUGE_ESTIMATES = {
+    "feasible-K-10^40": ["--params", f"{10**40},3,2,1,5,1"],
+    "feasible-K-10^2500": ["--params", f"{10**2500},3,2,1,5,1"],
+    "infeasible-K-10^40": ["--params", f"{10**40},3,2,2,5,1"],
+    "infeasible-K-10^2500": ["--params", f"{10**2500},3,2,2,5,1"],
+    "draws-10^4000": ["--params", "2,3,2,1,5,1", "--draws", str(10**4000)],
+}
+
+
+@pytest.mark.parametrize("args", HUGE_ESTIMATES.values(), ids=HUGE_ESTIMATES)
+def test_a_huge_estimate_prints_a_short_count(args, capsys):
+    """The estimate is capped at budget + 1 like its powers of K, so a K
+    or a draw count of thousands of digits exits 3 with a short count:
+    not with a count of thousands of digits, nor with an error
+    converting it to text."""
+    assert main(["verify", *args]) == 3
+    assert capsys.readouterr().err.endswith("at least 1000001, beyond budget 1000000\n")
 
 
 def test_verify_deterministic_reports(tmp_path):

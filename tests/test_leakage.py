@@ -625,6 +625,15 @@ def key_forms(monkeypatch):
     return forms
 
 
+def _oracle_counting(oracle, tables):
+    """A copy of ``oracle`` over ``tables``, with the codes and packed
+    word ``__init__`` derives from them."""
+    copied = copy.copy(oracle)
+    copied.tables, copied.codes = tables, leakage._variable_codes(tables, oracle.q)
+    copied._packed = leakage._packed_word(copied.codes)
+    return copied
+
+
 def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_forms):
     """On TINY every variable's code fits a 3-bit field, 57 bits in
     all, so ``entropy`` takes the packed key ``word & mask`` at every
@@ -645,9 +654,9 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
         names = tiny_oracle.names
         return sum(tiny_oracle.tables[n][:, 0] << 3 * names.index(n) for n in subset)
 
-    wide = copy.copy(tiny_oracle)
-    wide.tables = {n: np.repeat(t, 4, axis=1) for n, t in tiny_oracle.tables.items()}
-    wide.codes = leakage._variable_codes(wide.tables, wide.q)
+    wide = _oracle_counting(
+        tiny_oracle, {n: np.repeat(t, 4, axis=1) for n, t in tiny_oracle.tables.items()}
+    )
     rng = random.Random(7)
     for size in [1, 2, 3, 4, 5, 6, 7, 8, 12, 19] * 3:
         subset = rng.sample(tiny_oracle.names, size)
@@ -679,10 +688,9 @@ def test_oracle_refuses_a_skewed_table_on_every_key_form(tiny_oracle, key_forms)
     and 1 otherwise is not uniform, and ``entropy`` says so on the
     packed key and on the mixed-radix key alike."""
     for repeat, forms in ((1, ["int64"] * 2), (4, ["int32", "int32"])):
-        skewed = copy.copy(tiny_oracle)
-        skewed.tables = {n: np.repeat(t, repeat, axis=1) for n, t in tiny_oracle.tables.items()}
-        skewed.tables["W[1]"] = np.minimum(skewed.tables["W[1]"], 1)
-        skewed.codes = leakage._variable_codes(skewed.tables, skewed.q)
+        tables = {n: np.repeat(t, repeat, axis=1) for n, t in tiny_oracle.tables.items()}
+        tables["W[1]"] = np.minimum(tables["W[1]"], 1)
+        skewed = _oracle_counting(tiny_oracle, tables)
         key_forms.clear()
         for subset in (["W[1]"], ["W[1]", "F[1]"]):
             with pytest.raises(LeakageError, match="not uniform"):
@@ -1276,10 +1284,11 @@ def test_store_derives_each_target_and_given_from_the_layout(params, scheme, mon
 
 def test_a_repeated_query_reads_its_ranks_by_identity(monkeypatch):
     """A helper or master query the store has answered is read from
-    ``asked``, by the identities of its kernel, target and given, so a
-    second sweep on new transcripts builds no content key and adds no
-    quadruple.  Each transcript finds its response rows once, however
-    many collusions extend by them, and equal rows are one object."""
+    ``quadruples`` by the identities of its kernel, target and given
+    (one object per content), so a second sweep on new transcripts adds
+    no quadruple.  Each transcript finds its
+    response rows once, however many collusions extend by them, and
+    equal rows are one object."""
     ctx = setup(EXAMPLE)
     store = leakage._rank_store(ctx)
     found = []
@@ -1305,10 +1314,11 @@ def test_a_repeated_query_reads_its_ranks_by_identity(monkeypatch):
 
     first = sweep()
     assert len(found) == len(patterns)
-    asked = dict(store.asked)
-    store.quadruples.clear()
+    held = [store.gradients, *store.givens.values()]
+    assert len(set(map(id, held))) == len(set(held))
+    quadruples = dict(store.quadruples)
     assert sweep() == first
-    assert store.quadruples == {} and store.asked == asked
+    assert store.quadruples == quadruples
     assert len(found) == 2 * len(patterns)
     assert all(a[0] is b[0] for a, b in zip(found, found[len(patterns):]))
 
