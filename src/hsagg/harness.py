@@ -120,7 +120,7 @@ class RunConfig:
     out: str | None = _option(None, str, "output file (default stdout)")
     format: str = _option("json", str, "report format (default json)", choices=("json", "csv"))
     budget: int = _option(1_000_000, int, "enumeration work budget")
-    draws: int = _option(20, int, "random gradient draws per decode case (default 20)", ("verify",))
+    draws: int = _option(20, int, "random gradient draws per pattern (default 20)", ("verify",))
     uset: tuple[int, ...] | None = _option(
         None, _parse_ids, "colluding users, e.g. 1,2 (default: all subsets)", ("leakage",))
     tset: tuple[int, ...] | None = _option(
@@ -506,52 +506,40 @@ def _stacked_decode(
 ) -> tuple[proto.RoundTranscript, list[tuple[frozenset[int], bool]]]:
     """Every (survivor set, draw) decode case of a pattern from one round.
 
-    The inputs of all cases are one stacked draw, cases ordered by
-    survivor set, then draw.  The roles work column by column and only
-    the master's decode depends on the survivors, so case ``c`` becomes
-    columns ``[c * l, (c + 1) * l)`` of every payload of one round of
-    block length ``cases * l``, with the dealer noise tiled to match.
-    The master decodes each survivor set's slice of the responses with
-    one inverse; a decode that raises fails every case of its set.
-    Returns that round, stopped at the responses, and each case's
-    survivor set and whether its decode equals its sum.
+    The ``draws`` inputs are one stacked draw.  The roles work column by
+    column, so draw ``d`` becomes columns ``[d * l, (d + 1) * l)`` of
+    every part of one round of block length ``draws * l``, with the
+    dealer noise tiled to match.  Only the master's decode depends on
+    the survivors: each survivor set decodes its survivors' whole
+    responses with one inverse, and a decode that raises fails every
+    case of its set.  Returns that round, stopped at the responses, and
+    each case's survivor set and whether its decode equals its draw's
+    sum, ordered by survivor set, then draw.
     """
     params = ctx.params
     l, parts = params.block_len, params.block_count
-    cases = len(survivor_sets) * draws
-    wide = ctx.widened(cases * params.gradient_len)
-    grads, noises = _draw_inputs(params, rng, cases)
-    total = cases * l  # part i of the sum is its columns [i * total, (i + 1) * total)
+    width = draws * l  # part i of the sum is its columns [i * width, (i + 1) * width)
+    grads, noises = _draw_inputs(params, rng, draws)
     expected = proto.gradient_sum(grads, params.modulus)
     # masks act column by column, so tiled noise has the tiled masks
     tiled = proto.DealerKeys(
-        {s: v * cases for s, v in keys.noise.items()},
-        {s: v * cases for s, v in keys.masks.items()},
+        {s: v * draws for s, v in keys.noise.items()},
+        {s: v * draws for s, v in keys.masks.items()},
     )
+    wide = ctx.widened(draws * params.gradient_len)
     transcript = proto.run_round(wide, pattern, grads, noises, tiled, decode=False)
-    width = draws * l  # the columns of one survivor set
     matches = []
-    for s, survivors in enumerate(survivor_sets):
-        lo = s * width
+    for survivors in survivor_sets:
         try:
             decoded = proto.master_decode(
-                ctx,
-                [
-                    proto.HelperResponse(r.helper, r.payload[lo:lo + width])
-                    for r in transcript.responses
-                    if r.helper in survivors
-                ],
+                ctx, [r for r in transcript.responses if r.helper in survivors]
             )
         except (MatrixError, proto.ProtocolError):
             matches += [(survivors, False)] * draws
             continue
         for d in range(0, width, l):
-            got = all(
-                decoded[i * width + d:i * width + d + l]
-                == expected[i * total + lo + d:i * total + lo + d + l]
-                for i in range(parts)
-            )
-            matches.append((survivors, got))
+            cols = [slice(i * width + d, i * width + d + l) for i in range(parts)]
+            matches.append((survivors, all(decoded[c] == expected[c] for c in cols)))
     return transcript, matches
 
 

@@ -92,7 +92,15 @@ class TranscriptMismatch(LeakageError):
 
 
 class BadSubset(LeakageError):
-    """A colluding-helper set exceeds the collusion bound, or an oracle name is unknown."""
+    """A colluding set names an id outside its range or exceeds the
+    collusion bound, or an oracle name is unknown."""
+
+
+def _check_ids(role: str, ids: Sequence[int], count: int) -> None:
+    """Raise ``BadSubset`` naming the colluding ``role`` ids outside 1..count."""
+    bad = [i for i in ids if not 1 <= i <= count]
+    if bad:
+        raise BadSubset(f"colluding {role} {bad} lie outside 1..{count}")
 
 
 class TooLargeToEnumerate(LeakageError):
@@ -231,6 +239,7 @@ class _RankStore:
         and the sum's rows, unless they are unit rows (K = 1)."""
         found = self.givens.get((with_sum, users))
         if found is None:
+            _check_ids("users", users, len(self.columns))
             units, rest = self._sum if with_sum else (frozenset(), ())
             own = self.local.user_dim  # a user's gradient and randomness slots lead its columns
             units = units.union(*(self.columns[u - 1][:own] for u in users))
@@ -447,6 +456,7 @@ class LinearTranscript(Mapping):
         view's kernel by the responses (``_RankStore.extended``)."""
         found = self._collusions.get(tset)
         if found is None:
+            _check_ids("helpers", tset, self.ctx.params.num_helpers)
             store = self._store
             for t in set(tset) - self._splits.keys():
                 self._splits[t] = [(tuple(r for v in group for r in v.rows), store.by_user(group))

@@ -159,13 +159,13 @@ class SchemeContext:
     """Precomputed matrices shared by every role in a round.
 
     upload_matrix    N x Nr Vandermonde applied by every user.
-    basis_matrices   per helper n, the square Vandermonde anchored at
-                     point alpha_n and completed by the tail points.
     mask_basis       the zero-first-row tail Vandermonde mixing dealer
                      noise into masks.
-    decode_matrices  per helper n, upload_matrix @ basis_matrices[n]^-1;
-                     row n is (1, 0, ..., 0) so a helper's own mask
-                     coordinate vanishes.
+    decode_matrices  per helper n, upload_matrix @ B_n^-1, where B_n is
+                     the square Vandermonde anchored at point alpha_n
+                     and completed by the tail points; row n is
+                     (1, 0, ..., 0) so a helper's own mask coordinate
+                     vanishes.
     mask_maps        per helper n, decode_matrices[n] @ mask_basis: the
                      coefficients taking helper-n noise to the masks
                      held by every other helper.
@@ -181,7 +181,6 @@ class SchemeContext:
     field: PrimeField
     points: tuple[int, ...]
     upload_matrix: GfMatrix
-    basis_matrices: tuple[GfMatrix, ...]
     mask_basis: GfMatrix
     decode_matrices: tuple[GfMatrix, ...]
     mask_maps: tuple[GfMatrix, ...]
@@ -238,7 +237,6 @@ def setup(params: SchemeParams) -> SchemeContext:
         field=field,
         points=points,
         upload_matrix=upload,
-        basis_matrices=bases,
         mask_basis=mask_basis,
         decode_matrices=decode,
         mask_maps=mask_maps,

@@ -199,7 +199,7 @@ def test_stacked_decode_catches_a_master_decode_off_by_one(monkeypatch, column):
     assert len(_decode_failures(report)) == report.survivor_sets
 
 
-def test_stacked_decode_catches_one_corrupted_survivor_slice(monkeypatch):
+def test_stacked_decode_catches_the_corrupted_last_draw_of_every_survivor_set(monkeypatch):
     run_round = protocol.run_round
 
     def corrupt_last_column(*args, **kwargs):
@@ -213,14 +213,31 @@ def test_stacked_decode_catches_one_corrupted_survivor_slice(monkeypatch):
 
     monkeypatch.setattr(protocol, "run_round", corrupt_last_column)
     report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
-    # the last column is the last draw of the last survivor set
-    last = [
-        p.with_survivors(list(enumerate_survivors(p, EXAMPLE))[-1])
-        for p in enumerate_patterns(EXAMPLE)
-    ]
+    # every survivor set decodes the whole round: the last column is
+    # the last draw of each
     assert _decode_failures(report) == [
-        f"decode mismatch at pattern {format_pattern(p)}" for p in last
+        f"decode mismatch at pattern {format_pattern(p.with_survivors(s))}"
+        for p in enumerate_patterns(EXAMPLE)
+        for s in enumerate_survivors(p, EXAMPLE)
     ]
+    assert len(_decode_failures(report)) == report.survivor_sets == 109
+
+
+def test_verify_point_draws_each_patterns_inputs_once(monkeypatch):
+    """A pattern's survivor sets decode the same ``draws`` inputs: one
+    draw of ``draws`` cases per pattern, still ``draws`` decode cases
+    per survivor set."""
+    draw, cases = harness._draw_inputs, []
+
+    def spy(params, rng, n=1):
+        cases.append(n)
+        return draw(params, rng, n)
+
+    monkeypatch.setattr(harness, "_draw_inputs", spy)
+    report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
+    assert cases == [2] * report.patterns == [2] * 25
+    assert report.decode_cases == 2 * report.survivor_sets == 218
+    assert report.failures == []
 
 
 def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):

@@ -364,6 +364,31 @@ def test_security_rejects_oversized_collusion(ctx, tvars):
     assert rec.exploratory and rec.value > 0
 
 
+@pytest.mark.parametrize("users, tset, named", [
+    ([0], [1], r"users \[0\] lie outside 1..2"),
+    ([-1], [1], r"users \[-1\] lie outside 1..2"),
+    ([1, 3], [], r"users \[3\] lie outside 1..2"),
+    ([], [0], r"helpers \[0\] lie outside 1..3"),
+    ([], [4], r"helpers \[4\] lie outside 1..3"),
+], ids=["user-0", "user-minus-1", "user-3", "helper-0", "helper-4"])
+def test_checks_reject_colluding_ids_out_of_range(users, tset, named):
+    """An id outside 1..K or 1..N names no user's columns and no
+    helper's variables: it is refused, not read as another user's or
+    failed on a missing name."""
+    ctx, pattern = setup(SchemeParams(2, 3, 2, 1, 5, 1)), parse_pattern("nu=1:1,2;2:1,3")
+    tv = build_linear_transcript(ctx, pattern)
+    for check in (check_security_helpers, check_security_master):
+        with pytest.raises(BadSubset, match=named):
+            check(ctx, pattern, users, tset, tvars=tv)
+    if not users:  # the sharing and response checks take helpers only
+        with pytest.raises(BadSubset, match=named):
+            check_sharing_leakage(ctx, pattern, tset, tvars=tv)
+        with pytest.raises(BadSubset, match=named):
+            response_entropy_given_sum(ctx, tset)
+    rec = check_security_helpers(ctx, pattern, [2], [1], tvars=tv)
+    assert rec.colluding_users == (2,) and rec.value == 0
+
+
 def test_another_patterns_transcript_cannot_hide_a_leak(ctx, monkeypatch):
     """Under zero masks, helper 2 sees user 2's upload masked by nothing
     when user 2 did not reach it; the transcript of a pattern where
