@@ -23,7 +23,6 @@ split-space kernel, per-user view blocks and the store's keys.
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -207,8 +206,10 @@ class _RankStore:
     ``quadruples`` holds each split-path rank quadruple, a query's or a
     user's part of one, keyed by the identities of K, the target and
     the given, each one object per content; ``r_noise`` is added back
-    outside the key.  ``views`` counts the collusion views assembled
-    and those reduced whole.  Keys share one copy of each equal part.
+    outside the key.  ``local_units`` holds, by the identities of a unit
+    target and given, each user's share of both in user-local columns.
+    ``views`` counts the collusion views assembled and those reduced
+    whole.  Keys share one copy of each equal part.
     """
 
     def __init__(self, params: SchemeParams, field: PrimeField):
@@ -226,7 +227,7 @@ class _RankStore:
                      for i in range(parts))
         self._sum = (frozenset(range(parts)), ()) if k_all == 1 else (frozenset(), rows)
         self.owners, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
-        self.quadruples, self.givens, self._held = {}, {}, {}
+        self.quadruples, self.givens, self.local_units, self._held = {}, {}, {}, {}
         self.gradients = self._hold([(frozenset(range(k_all * parts)), ())])[0]
         self.views = {"assembled": 0, "whole": 0}
 
@@ -343,11 +344,12 @@ class _RankStore:
                 width = len(kernel[0]) if kernel else self.layout.user_dim
                 ranks = _split_quadruple(target, given, (0, kernel), width, self.field)
             else:
-                parts, units = [], (target[0], given[0])
-                for (_, own), cols in zip(users, self.columns):
-                    a, c = self._hold((frozenset(i for i, j in enumerate(cols) if j in e), ())
-                                      for e in units)
-                    parts.append(self.quadruple((0, own), a, c))
+                units = self.local_units.get(key[1:])
+                if units is None:
+                    units = self.local_units[key[1:]] = tuple(
+                        self._hold((frozenset(i for i, j in enumerate(cols) if j in e), ())
+                                   for e in (target[0], given[0])) for cols in self.columns)
+                parts = [self.quadruple((0, own), a, c) for (_, own), (a, c) in zip(users, units)]
                 ranks = tuple(map(sum, zip(*parts)))
             ranks = self.quadruples[key] = self._held.setdefault(ranks, ranks)
         r_ac, r_bc, r_abc, r_c = ranks
@@ -549,17 +551,27 @@ def _run_on_sources(
 def concrete_transcript_values(
     ctx: SchemeContext, pattern: CommPattern, assignment: Sequence[int]
 ) -> dict[str, tuple[int, ...]]:
-    """Run the protocol roles on one full source assignment.
-
-    ``assignment`` lists ``dim * block_len`` symbols in layout order; it
-    is split into gradients, user randomness and dealer noise and run
-    through ``run_round`` up to the responses (the master does not
-    decode, so no survivor set is needed).  Returns every named
-    variable's value.
-    The linear model is this same run on unit inputs, so comparing the
-    two on random assignments checks that the roles are linear.
-    """
+    """Every named variable's value in one round, up to the responses,
+    on a full source assignment (``_run_on_sources``).  The linear model
+    is this same run on unit inputs, so comparing the two on random
+    assignments checks that the roles are linear."""
     return _run_on_sources(ctx, pattern, assignment)[1]
+
+
+def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.ndarray) -> dict:
+    """Each named value, an int64 table with a row per row of
+    ``assignments`` (a full source assignment each), from one round: the
+    roles act on each payload column alike, so slot ``i`` lays each
+    assignment's ``block_len`` symbols side by side, and a value's
+    ``(parts, count, block_len)`` symbols are its rows."""
+    count, l = len(assignments), ctx.params.block_len
+    stacked = assignments.reshape(count, -1, l).transpose(1, 0, 2).ravel().tolist()
+    _, vals = _run_on_sources(ctx.widened(ctx.params.gradient_len * count), pattern, stacked)
+    return {
+        name: np.array(vals[name], dtype=np.int64)
+        .reshape(-1, count, l).transpose(1, 0, 2).reshape(count, -1)
+        for name in sorted(vals)
+    }
 
 
 def unit_round(
@@ -1232,14 +1244,14 @@ def _packed_word(codes: Mapping[str, tuple]) -> tuple | None:
 class BruteForceOracle:
     """Exact entropies on a tiny instance by full source enumeration.
 
-    Enumerates every assignment of the source vector, pushes each one
-    through the protocol roles, and tabulates the resulting joint
-    distributions.  The linear model is the same roles run on unit
-    inputs, so the oracle does not check the protocol's maps; it checks
-    the rank-to-entropy step by counting, with no rank arithmetic.  The
-    scheme's variables are uniform over a subspace, so every joint
-    entropy is an exact integer number of q-ary symbols; non-uniformity
-    would indicate a broken scheme and raises.
+    Runs the protocol roles on every assignment of the source vector,
+    each its own columns of one stacked round (``_stacked_tables``), and
+    tabulates the resulting joint distributions.  The linear model is
+    the same roles run on unit inputs, so the oracle does not check the
+    protocol's maps; it checks the rank-to-entropy step by counting,
+    with no rank arithmetic.  The scheme's variables are uniform over a
+    subspace, so every joint entropy is an exact integer number of q-ary
+    symbols; non-uniformity would indicate a broken scheme and raises.
 
     Each variable's table is also read once into one base-q code per
     assignment (``codes``, with its radix ``q**width``), and counting a
@@ -1255,29 +1267,17 @@ class BruteForceOracle:
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern):
         params = ctx.params
-        layout = SourceLayout(params)
         q = params.modulus
-        width = layout.dim * params.block_len
+        width = SourceLayout(params).dim * params.block_len
         total = q**width
         if total > _ORACLE_ASSIGNMENT_LIMIT:
             raise TooLargeToEnumerate(
                 f"{q}^{width} = {total} assignments exceeds the budget"
                 f" {_ORACLE_ASSIGNMENT_LIMIT}"
             )
-        self.ctx = ctx
-        self.pattern = pattern
-        self.q = q
-        self.count = total
-
-        names = sorted(concrete_transcript_values(ctx, pattern, (0,) * width))
-        tables = {name: [] for name in names}
-        for assignment in product(range(q), repeat=width):
-            vals = concrete_transcript_values(ctx, pattern, assignment)
-            for name in names:
-                tables[name].append(vals[name])
-        self.tables = {
-            name: np.array(rows, dtype=np.int64) for name, rows in tables.items()
-        }
+        self.ctx, self.pattern, self.q, self.count = ctx, pattern, q, total
+        # every assignment, in ``itertools.product`` order
+        self.tables = _stacked_tables(ctx, pattern, np.indices((q,) * width).reshape(width, -1).T)
         self.codes = _variable_codes(self.tables, q)
         self._packed = _packed_word(self.codes)
 

@@ -4,7 +4,7 @@ import random
 import weakref
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -730,6 +730,95 @@ def test_oracle_refuses_unknown_names(tiny_oracle):
         tiny_oracle.cond_mutual_info(["W[1]"], ["nope"], ["X[1,1]", "Q[1]"])
 
 
+def _per_assignment_tables(ctx, pattern, assignments):
+    """Each variable's table the slow way: one round of its own per
+    assignment (``concrete_transcript_values``), a row each."""
+    runs = [concrete_transcript_values(ctx, pattern, a) for a in assignments]
+    return {n: np.array([run[n] for run in runs], dtype=np.int64) for n in sorted(runs[0])}
+
+
+def _differing_tables(got, expect):
+    """The names, in order, whose tables differ in dtype, shape or values."""
+    assert list(got) == list(expect)
+    return [n for n in expect
+            if got[n].dtype != expect[n].dtype or not np.array_equal(got[n], expect[n])]
+
+
+WIDE = replace(TINY, gradient_len=2)  # block length 2: its own oracle would need 5^10 assignments
+
+
+def _wide_sample(count=200):
+    rng = random.Random(11)
+    return [[rng.randrange(5) for _ in range(10)] for _ in range(count)]
+
+
+def test_stacked_oracle_tables_equal_per_assignment_rounds(tiny_ctx, tiny_oracle):
+    """The oracle's one stacked round gives the tables of one round per
+    assignment, in dtype, shape and values: on every assignment of TINY,
+    in ``itertools.product`` order, and, through the same stacking, on
+    seeded assignments of a block length 2 scheme."""
+    every = list(product(range(TINY.modulus), repeat=5))
+    assert tiny_oracle.count == len(every) == 3125
+    reference = _per_assignment_tables(tiny_ctx, TINY_PATTERN, every)
+    assert _differing_tables(tiny_oracle.tables, reference) == []
+    wide = setup(WIDE)
+    assert wide.params.block_len == 2 and SourceLayout(WIDE).dim * 2 == 10
+    sample = _wide_sample()
+    got = leakage._stacked_tables(wide, TINY_PATTERN, np.array(sample))
+    assert _differing_tables(got, _per_assignment_tables(wide, TINY_PATTERN, sample)) == []
+
+
+def test_stacked_tables_catch_a_role_that_mixes_columns(tiny_ctx, monkeypatch):
+    """Negative control: a ``helper_respond`` that rotates its payload by
+    one symbol moves each assignment's response symbol into another's
+    columns of the stacked round, but rotates a round of its own within
+    the assignment (at block length 1, not at all), so the comparison
+    fails and names the responses."""
+    respond = protocol.helper_respond
+
+    def rotated(*args):
+        r = respond(*args)
+        return HelperResponse(r.helper, r.payload[1:] + r.payload[:1])
+
+    monkeypatch.setattr(protocol, "helper_respond", rotated)
+    every = list(product(range(TINY.modulus), repeat=5))
+    got = BruteForceOracle(tiny_ctx, TINY_PATTERN).tables
+    responses = [n for n in got if n.startswith("Y[")]
+    assert responses == ["Y[1]", "Y[2]"]
+    reference = _per_assignment_tables(tiny_ctx, TINY_PATTERN, every)
+    assert _differing_tables(got, reference) == responses
+    wide, sample = setup(WIDE), _wide_sample()
+    got = leakage._stacked_tables(wide, TINY_PATTERN, np.array(sample))
+    assert _differing_tables(got, _per_assignment_tables(wide, TINY_PATTERN, sample)) == responses
+
+
+def test_oracle_matches_rank_where_codes_do_not_pack(key_forms):
+    """A second oracle instance: 1,4,2,1,7,1 under ``nu=1:1,2,3 hm=1,2``,
+    7^6 = 117,649 assignments and N = 4.  Its 29 variables' 3-bit codes
+    need 87 bits, so there is no packed word, and ``entropy`` takes
+    mixed-radix keys: int32 for up to 11 members (7^11 < 2^31), int64
+    for up to 22 (7^22 < 2^62) and rows beyond.  Seeded subsets of every
+    form and seeded MI queries, 40 comparisons, match the rank formula."""
+    params = SchemeParams(1, 4, 2, 1, 7, 1)
+    ctx, pattern = setup(params), parse_pattern("nu=1:1,2,3 hm=1,2")
+    oracle = BruteForceOracle(ctx, pattern)
+    tv = build_linear_transcript(ctx, pattern)
+    names = list(oracle.names)
+    assert oracle.count == 7**6 and len(names) == 29 and set(names) == set(tv)
+    assert oracle._packed is None
+    rng = random.Random(12)
+    key_forms.clear()
+    # a rows key costs about 30 times an int64 one here: two of them
+    for size in [0, 1, 2, 5, 8, 11, 12, 15, 18, 22] * 3 + [23, 29]:
+        subset = rng.sample(names, size)
+        assert oracle.entropy(subset) == entropy_rank([tv[n] for n in subset]), subset
+    assert {form for form, _ in key_forms} == {"int32", "int64", "rows"}
+    for _ in range(8):
+        a, b, c = (rng.sample(names, rng.randrange(1, 7)) for _ in range(3))
+        expect = cond_mutual_info(MiQuery(*(tuple(tv[n] for n in part) for part in (a, b, c))))
+        assert oracle.cond_mutual_info(a, b, c) == expect, (a, b, c)
+
+
 def test_subset_walks_are_depth_first(tvars):
     names = ["W[1]", "W[2]", "X[1,1]"]
     walk = list(all_subset_entropies_rank([tvars[n] for n in names]))
@@ -1346,6 +1435,31 @@ def test_a_repeated_query_reads_its_ranks_by_identity(monkeypatch):
     assert store.quadruples == quadruples
     assert len(found) == 2 * len(patterns)
     assert all(a[0] is b[0] for a, b in zip(found, found[len(patterns):]))
+
+
+def test_each_users_share_of_a_unit_query_is_derived_once():
+    """``local_units`` holds, for each unit target and given a helper
+    query's per-user branch meets, every user's share of both in its
+    local columns, derived once however many kernels ask: one entry per
+    colluding user set at EXAMPLE, whose views all split by user."""
+    ctx = setup(EXAMPLE)
+    store = leakage._rank_store(ctx)
+    users, helpers = range(1, EXAMPLE.num_users + 1), range(1, EXAMPLE.num_helpers + 1)
+    usets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
+    for pattern in list(enumerate_patterns(EXAMPLE))[:4]:
+        tv = build_linear_transcript(ctx, pattern)
+        for t in helpers:
+            for uset in usets:
+                check_security_helpers(ctx, pattern, uset, [t], tvars=tv)
+    assert store.views["whole"] == 0
+    givens = {id(g): g for (with_sum, _), g in store.givens.items() if not with_sum}
+    assert sorted(store.local_units) == sorted((id(store.gradients), g) for g in givens)
+    for (_, g), shares in store.local_units.items():
+        for cols, (a, c) in zip(store.columns, shares):
+            expect = [frozenset(i for i, j in enumerate(cols) if j in units)
+                      for units in (store.gradients[0], givens[g][0])]
+            assert [a, c] == [(e, ()) for e in expect]
+            assert a is store._held[a] and c is store._held[c]
 
 
 def _campaign_sweep(ctx, params):
