@@ -11,12 +11,11 @@ import csv
 import io
 import json
 import random
+import struct
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from . import leakage as lk
 from . import patterns as pt
@@ -203,17 +202,18 @@ def _draw_inputs(
     q, users, parts = params.modulus, params.num_users, params.block_count
     k = q.bit_length()
     width = cases * params.block_len  # the symbols of one stacked part
-    need = users * (parts + params.collusion) * width
-    kept = np.empty(0, dtype=np.uint64)
+    rows = parts + params.collusion  # a user's stacked parts
+    need = users * rows * width
+    kept = []
     while len(kept) < need:
         m = (need - len(kept)) * 2**k // q + 64  # the expected tries, and some slack
-        words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
-        words = words >> np.uint64(64 - k)
-        kept = np.concatenate([kept, words[words < q]])
-    table = kept[:need].reshape(users, parts + params.collusion, width).tolist()
+        words = struct.unpack(f"<{m}Q", rng.getrandbits(64 * m).to_bytes(8 * m, "little"))
+        kept += [v for w in words if (v := w >> (64 - k)) < q]
+    blocks = [tuple(kept[i:i + width]) for i in range(0, need, width)]
+    table = [blocks[i:i + rows] for i in range(0, len(blocks), rows)]
     return (
-        [Gradient(u, tuple(map(tuple, t[:parts]))) for u, t in enumerate(table, 1)],
-        [UserRandomness(u, tuple(map(tuple, t[parts:]))) for u, t in enumerate(table, 1)],
+        [Gradient(u, tuple(t[:parts])) for u, t in enumerate(table, 1)],
+        [UserRandomness(u, tuple(t[parts:])) for u, t in enumerate(table, 1)],
     )
 
 

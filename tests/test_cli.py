@@ -420,6 +420,46 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert run("verify", "--grid", "2,8,5,1,17,4", "--budget", "1000").returncode == 3
 
 
+_NUMPY_PROBE = """
+import contextlib, json, os, sys
+from hsagg.cli import main
+from hsagg.leakage import BruteForceOracle
+from hsagg.patterns import parse_pattern
+from hsagg.protocol import SchemeParams, setup
+
+seen = []
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    for argv in json.loads(sys.argv[1]):
+        seen.append([main(argv), "numpy" in sys.modules])
+BruteForceOracle(setup(SchemeParams(1, 3, 2, 1, 5, 1)), parse_pattern("nu=1:1,2 hm=1,2"))
+seen.append(["oracle", "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_no_subcommand_imports_numpy():
+    """Every subcommand, the budget refusal too, runs in a fresh
+    interpreter without importing numpy, which only the brute-force
+    oracle needs.  Negative control: the same probe sees numpy once the
+    oracle is built."""
+    runs = [
+        ["round", "--params", "2,3,2,1,5,1"],
+        ["rates"],
+        ["leakage", "--params", "2,3,2,1,5,1"],
+        ["verify", "--grid", "2,3,2,1,5,1", "--draws", "1"],
+        ["verify", "--grid", "40,50,3,5,53,1"],
+    ]
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        [0, False], [0, False], [0, False], [0, False], [3, False], ["oracle", True]
+    ]
+
+
 # -- fuzzed argv -----------------------------------------------------------------
 
 FUZZ_FLAGS = {

@@ -768,6 +768,32 @@ def test_stacked_oracle_tables_equal_per_assignment_rounds(tiny_ctx, tiny_oracle
     assert _differing_tables(got, _per_assignment_tables(wide, TINY_PATTERN, sample)) == []
 
 
+def test_oracle_build_in_rounds_gives_the_one_round_tables(tiny_ctx, tiny_oracle, monkeypatch):
+    """Rounds of at most ``_ORACLE_ROUND_LIMIT`` assignments, here a
+    non-divisor of the count, fill the tables of one round and of one
+    round per assignment, in dtype, shape and values: on every
+    assignment of TINY and on seeded assignments of block length 2."""
+    calls = []
+    tables = leakage._stacked_tables
+
+    def counted(ctx, pattern, assignments):
+        calls.append(len(assignments))
+        return tables(ctx, pattern, assignments)
+
+    monkeypatch.setattr(leakage, "_stacked_tables", counted)
+    monkeypatch.setattr(leakage, "_ORACLE_ROUND_LIMIT", 1000)
+    chunked = BruteForceOracle(tiny_ctx, TINY_PATTERN).tables
+    assert calls == [3125, 1000, 1000, 1000, 125]
+    assert _differing_tables(chunked, tiny_oracle.tables) == []
+    every = list(product(range(TINY.modulus), repeat=5))
+    assert _differing_tables(chunked, _per_assignment_tables(tiny_ctx, TINY_PATTERN, every)) == []
+    monkeypatch.setattr(leakage, "_ORACLE_ROUND_LIMIT", 64)
+    wide, sample = setup(WIDE), _wide_sample()
+    got = leakage._stacked_tables(wide, TINY_PATTERN, np.array(sample))
+    assert calls[5:] == [200, 64, 64, 64, 8]
+    assert _differing_tables(got, _per_assignment_tables(wide, TINY_PATTERN, sample)) == []
+
+
 def test_stacked_tables_catch_a_role_that_mixes_columns(tiny_ctx, monkeypatch):
     """Negative control: a ``helper_respond`` that rotates its payload by
     one symbol moves each assignment's response symbol into another's
