@@ -210,10 +210,12 @@ class _RankStore:
     ``quadruples`` holds each split-path rank quadruple, a query's or a
     user's part of one, keyed by the identities of K, the target and
     the given, each one object per content; ``r_noise`` is added back
-    outside the key.  ``local_units`` holds, by the identities of a unit
-    target and given, each user's share of both in user-local columns.
-    ``views`` counts the collusion views assembled and those reduced
-    whole.  Keys share one copy of each equal part.
+    outside the key.  ``split_queries`` holds each ``_split_query``,
+    by the identities of its target and given and by its width.
+    ``local_units`` holds, by the identities of a unit target and
+    given, each user's share of both in user-local columns.  ``views``
+    counts the collusion views assembled and those reduced whole.  Keys
+    share one copy of each equal part.
     """
 
     def __init__(self, params: SchemeParams, field: PrimeField):
@@ -231,7 +233,8 @@ class _RankStore:
                      for i in range(parts))
         self._sum = (frozenset(range(parts)), ()) if k_all == 1 else (frozenset(), rows)
         self.owners, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
-        self.quadruples, self.givens, self.local_units, self._held = {}, {}, {}, {}
+        self.quadruples, self.split_queries, self.givens, self.local_units = {}, {}, {}, {}
+        self._held = {}
         self.gradients = self._hold([(frozenset(range(k_all * parts)), ())])[0]
         self.views = {"assembled": 0, "whole": 0}
 
@@ -331,33 +334,34 @@ class _RankStore:
             found = self.extensions[key] = self._held.setdefault(found, found)
         return r_noise, found
 
-    def quadruple(self, reduction, target, given, users=None) -> tuple:
-        """The rank quadruple of a reduction the store holds, once per
-        kernel, target and given, keyed by their identities (the store
-        keeps one object of each content): if its per-user reductions
-        ``users`` are given and the target and the given are unit rows,
-        the sum of each user's quadruple in user-local columns (which
-        shares the table: unit columns and a kernel object fix it), else
-        ``_split_quadruple``."""
-        r_noise, kernel = reduction
+    def quadruple(self, kernel, target, given, users=None) -> tuple:
+        """The rank quadruple of a kernel the store holds, less its
+        ``r_noise``, once per kernel, target and given, keyed by their
+        identities (the store keeps one object of each content): if the
+        kernel's per-user reductions ``users`` are given and the target
+        and the given are unit rows, the sum of each user's quadruple in
+        user-local columns (which shares the table), else
+        ``_split_quadruple`` of their ``_split_query`` at its width."""
         key = (id(kernel), id(target), id(given))
         ranks = self.quadruples.get(key)
         if ranks is None:
             if users is None or target[1] or given[1]:
                 # a user-local query with no kernel row inserts no row at all
                 width = len(kernel[0]) if kernel else self.layout.user_dim
-                ranks = _split_quadruple(target, given, (0, kernel), width, self.field)
+                prepared = (*key[1:], width)
+                if prepared not in self.split_queries:
+                    self.split_queries[prepared] = _split_query(target, given, width, self.field)
+                ranks = _split_quadruple(self.split_queries[prepared], kernel, self.field)
             else:
                 units = self.local_units.get(key[1:])
                 if units is None:
                     units = self.local_units[key[1:]] = tuple(
                         self._hold((frozenset(i for i, j in enumerate(cols) if j in e), ())
                                    for e in (target[0], given[0])) for cols in self.columns)
-                parts = [self.quadruple((0, own), a, c) for (_, own), (a, c) in zip(users, units)]
+                parts = [self.quadruple(own, a, c) for (_, own), (a, c) in zip(users, units)]
                 ranks = tuple(map(sum, zip(*parts)))
             ranks = self.quadruples[key] = self._held.setdefault(ranks, ranks)
-        r_ac, r_bc, r_abc, r_c = ranks
-        return (r_ac, r_bc + r_noise, r_abc + r_noise, r_c)
+        return ranks
 
 
 def _rank_store(ctx: SchemeContext) -> _RankStore:
@@ -793,46 +797,59 @@ def _extended_kernel(
     return _kernel(space, 0)
 
 
-def _split_quadruple(
-    target: tuple[frozenset[int], tuple],
-    given: tuple[frozenset[int], tuple],
-    reduction: tuple[int, tuple[list[int], ...]],
-    user_dim: int,
-    field: PrimeField,
-) -> tuple[int, int, int, int]:
-    """The rank quadruple from unit-split A and C and the split
-    reduction (r_noise, K) of B.
+def _forward_echelon(echelon: list, rows: Sequence[list[int]], field: PrimeField) -> list:
+    """``echelon``, pairs of a pivot and a row that is 1 there and 0
+    before it, extended in place by ``rows`` of canonical residues,
+    forward only: each row is reduced against the pairs in order, with
+    no back-substitution.  Sorted by pivot, the rows are a row echelon
+    form, so the pivots before any column count the rank of the
+    projection onto the columns before it.  No row changes in place."""
+    q = field.q
+    for r in rows:
+        if len(echelon) == len(r):  # full: every row lies in it
+            break
+        for p, base in echelon:
+            c = r[p]
+            if c:
+                r = [(x - c * y) % q for x, y in zip(r, base)]
+        for p, c in enumerate(r):
+            if c:
+                if c != 1:
+                    c = field.inv(c)
+                    r = [x * c % q for x in r]
+                echelon.append((p, r))
+                break
+    return echelon
 
-    rank(BC) = r_noise + rank(K, C) and rank(ABC) = r_noise + rank(K,
-    A, C); unit rows on columns E condition by deleting those columns.
-    The rest is one elimination over the columns outside E_C, those
-    outside E_AC first, so that the pivots among them count the rank
-    with E_AC deleted as well.
-    """
+
+def _split_query(target: tuple, given: tuple, width: int, field: PrimeField) -> tuple:
+    """What every split quadruple of unit-split A and C at ``width``
+    shares: unit rows on columns E condition by deleting those columns,
+    and the others are ordered outside E_AC first, then E_A - E_C, so
+    that the pivots before ``cut`` count the rank with E_AC deleted as
+    well.  Holds the order, ``cut``, |E_C|, |E_AC|, the forward echelon
+    of C's other rows, A's other rows reordered, rank(AC) and rank(C)."""
     (e_a, rest_a), (e_c, rest_c) = target, given
-    r_noise, kernel = reduction
     e_ac = e_a | e_c
-    order = [j for j in range(user_dim) if j not in e_ac] + sorted(e_a - e_c)
-    cut = user_dim - len(e_ac)
-    space = RowSpace(field, len(order))
+    order = [j for j in range(width) if j not in e_ac] + sorted(e_a - e_c)
+    cut = width - len(e_ac)
+    rest_a = [[row[j] for j in order] for row in rest_a]
+    base = _forward_echelon([], [[row[j] for j in order] for row in rest_c], field)
+    r_ac = len(e_ac) + sum(p < cut for p, _ in _forward_echelon(list(base), rest_a, field))
+    return order, cut, len(e_c), len(e_ac), base, rest_a, r_ac, len(e_c) + len(base)
 
-    def insert(into: RowSpace, rows) -> None:
-        for row in rows:
-            into.insert([row[j] for j in order])
 
-    def narrow_rank(of: RowSpace) -> int:
-        return sum(p < cut for p in of.pivots)
-
-    insert(space, rest_c)
-    r_c = len(e_c) + space.rank
-    with_a = space.clone() if rest_a else space
-    insert(with_a, rest_a)
-    r_ac = len(e_ac) + narrow_rank(with_a)
-    insert(space, kernel)
-    r_bc = r_noise + len(e_c) + space.rank
-    insert(space, rest_a)
-    r_abc = r_noise + len(e_ac) + narrow_rank(space)
-    return (r_ac, r_bc, r_abc, r_c)
+def _split_quadruple(query: tuple, kernel: Sequence[tuple], field: PrimeField) -> tuple:
+    """The rank quadruple of a ``_split_query`` of A and C and the kernel
+    K of B's split reduction (r_noise, K), less r_noise: rank(BC) =
+    r_noise + rank(K, C), rank(ABC) = r_noise + rank(K, A, C).  A copy
+    of C's echelon takes K's rows that are not zero outside E_C, then A's."""
+    order, cut, n_c, n_ac, base, rest_a, r_ac, r_c = query
+    rows = [r for row in kernel if any(r := [row[j] for j in order])]
+    echelon = _forward_echelon(list(base), rows, field)
+    r_bc = n_c + len(echelon)
+    _forward_echelon(echelon, rest_a, field)
+    return (r_ac, r_bc, n_ac + sum(p < cut for p, _ in echelon), r_c)
 
 
 def _sharing_ranks(
@@ -909,23 +926,14 @@ def helper_observation(tvars: LinearTranscript, tset: Sequence[int]) -> tuple[Li
     return tuple(v for g in range(3) for own in groups for v in own[g])
 
 
-def _leakage_record(
-    kind: str,
-    ctx: SchemeContext,
-    pattern: CommPattern,
-    users: Sequence[int],
-    tset: Sequence[int],
-    tvars: LinearTranscript | None,
-    exploratory: bool,
-    ranks_of,
-) -> LeakageRecord:
-    """Evaluate ``ranks_of(transcript, its collusion(tset), users)``
-    into a record, with ``users`` and ``tset`` sorted once, here.
-
-    A colluding set beyond the collusion bound raises unless the query
-    is ``exploratory``; the transcript defaults to the pattern's, and a
-    given one must be that of ``ctx`` and ``pattern``.
-    """
+def _resolved(ctx: SchemeContext, pattern: CommPattern, users: Sequence[int], tset: Sequence[int],
+              tvars: LinearTranscript | None, exploratory: bool) -> tuple:
+    """A query's ``users`` and ``tset``, each sorted once, here, its
+    transcript, whether ``tset`` is beyond the collusion bound, and the
+    transcript's collusion of ``tset``, read from its memo.  A colluding
+    set beyond the bound raises unless the query is ``exploratory``; the
+    transcript defaults to the pattern's, and a given one must be that
+    of ``ctx`` and ``pattern``."""
     users, tset = tuple(sorted(users)), tuple(sorted(tset))
     bound = ctx.params.collusion
     oversized = len(tset) > bound and len(set(tset)) > bound
@@ -934,23 +942,7 @@ def _leakage_record(
     if tvars is None:
         tvars = build_linear_transcript(ctx, pattern)
     tvars.require(ctx, pattern)
-    ranks = ranks_of(tvars, tvars.collusion(tset), users)
-    return LeakageRecord(  # in field order: keywords would cost about 0.4 us more per record
-        kind, users, tset, tvars.label, ranks, _mi_from_ranks(ranks, tvars.block_len), oversized
-    )
-
-
-def _split_ranks(
-    tv: LinearTranscript, c: _Collusion, users: tuple[int, ...], master: bool
-) -> tuple[int, int, int, int]:
-    """The rank quadruple of a helper query (observed: the view) or of a
-    master query (the master's set, given the sum too), whose target is
-    every gradient, from the collusion's split reductions: a helper
-    query's from its users'.  ``users`` is sorted."""
-    store = tv._store
-    given = store.given(master, users)
-    reduction, per_user = (c.master_reduction, None) if master else (c.view_reduction, c.users)
-    return store.quadruple(reduction, store.gradients, given, per_user)
+    return users, tset, tvars, oversized, tvars._collusions.get(tset) or tvars.collusion(tset)
 
 
 def check_security_helpers(
@@ -969,10 +961,14 @@ def check_security_helpers(
     ``exploratory=True`` and the value is reported rather than judged.
     ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``.
     """
-    return _leakage_record(
-        "helpers", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, c, users: _split_ranks(tv, c, users, False),
-    )
+    users, tset, tv, oversized, c = _resolved(ctx, pattern, users, tset, tvars, exploratory)
+    store, (r_noise, kernel) = tv._store, c.view_reduction
+    given = store.givens.get((False, users)) or store.given(False, users)
+    ranks = store.quadruples.get((id(kernel), id(store.gradients), id(given)))
+    r_ac, r_bc, r_abc, r_c = ranks or store.quadruple(kernel, store.gradients, given, c.users)
+    ranks, value = (r_ac, r_bc + r_noise, r_abc + r_noise, r_c), r_ac + r_bc - r_abc - r_c
+    # in field order: keywords would cost about 0.4 us more per record
+    return LeakageRecord("helpers", users, tset, tv.label, ranks, value * tv.block_len, oversized)
 
 
 def check_security_master(
@@ -990,10 +986,13 @@ def check_security_master(
     gradient sum itself.  ``tvars``, if given, must be the transcript
     of ``ctx`` and ``pattern``.
     """
-    return _leakage_record(
-        "master", ctx, pattern, users, tset, tvars, exploratory,
-        lambda tv, c, users: _split_ranks(tv, c, users, True),
-    )
+    users, tset, tv, oversized, c = _resolved(ctx, pattern, users, tset, tvars, exploratory)
+    store, (r_noise, kernel) = tv._store, c.master_reduction
+    given = store.givens.get((True, users)) or store.given(True, users)
+    ranks = store.quadruples.get((id(kernel), id(store.gradients), id(given)))
+    r_ac, r_bc, r_abc, r_c = ranks or store.quadruple(kernel, store.gradients, given)
+    ranks, value = (r_ac, r_bc + r_noise, r_abc + r_noise, r_c), r_ac + r_bc - r_abc - r_c
+    return LeakageRecord("master", users, tset, tv.label, ranks, value * tv.block_len, oversized)
 
 
 @dataclass
@@ -1061,11 +1060,12 @@ def check_sharing_leakage(
     I(all uploads; shares seen by tset | tset's uploads and masks) = 0.
     ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``."""
 
-    def ranks(tv, c, _):
-        u = tv._store.layout.user_dim
-        return _sharing_ranks(tv.uploads_kernel, c.prefix_reduction, c.view_reduction, u, ctx.field)
-
-    return _leakage_record("sharing", ctx, pattern, (), tset, tvars, False, ranks)
+    _, tset, tv, _, c = _resolved(ctx, pattern, (), tset, tvars, False)
+    u = tv._store.layout.user_dim
+    ranks = _sharing_ranks(tv.uploads_kernel, c.prefix_reduction, c.view_reduction, u, ctx.field)
+    return LeakageRecord(
+        "sharing", (), tset, tv.label, ranks, _mi_from_ranks(ranks, tv.block_len), False
+    )
 
 
 def check_upload_recoverability(
@@ -1201,8 +1201,7 @@ def _counted_entropy(keys: np.ndarray, q: int, names: Sequence[str]) -> int:
     """log_q of the support of the outcomes ``keys``, one per equally
     likely source assignment.
 
-    ``keys`` holds one int32 or int64 code per assignment, or, where
-    codes would not fit in int64, one row per assignment, equal rows
+    ``keys`` holds one int32 or int64 code per assignment, equal codes
     for equal outcomes.  The outcomes must be uniform on their support
     and the support a power of q, or the entropy is not an exact q-ary
     integer: LeakageError.
@@ -1210,8 +1209,6 @@ def _counted_entropy(keys: np.ndarray, q: int, names: Sequence[str]) -> int:
     every run of ``n // s`` codes starting at a multiple of it constant.
     """
     import numpy as np
-    if keys.ndim == 2:
-        keys = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
     keys = np.sort(keys)
     n = len(keys)
     support = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
@@ -1280,8 +1277,10 @@ class BruteForceOracle:
     always in ``all_subset_entropies``, the key is the mixed-radix code
     ``key * radix + code`` of the members in turn: int32 while the span
     so far, the product of the radices, is below 2**31, which sorts
-    about twice as fast as int64; int64 while it is below 2**62; and
-    rows beyond that: the key so far, then each further member's code.
+    about twice as fast as int64, and int64 beyond.  Before a member
+    would take the span to 2**62, the key is relabelled densely by rank
+    among its values (a bijection, so counts stay exact), and its span
+    becomes their number, at most the assignment count.
     """
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern):
@@ -1323,14 +1322,14 @@ class BruteForceOracle:
     def _joined(self, keys: np.ndarray, span: int, names: Sequence[str]) -> tuple:
         """``keys``, of span ``span``, extended by each of ``names`` in
         turn, with the span they reach; the keys change in place while
-        their form holds."""
+        their dtype holds."""
         import numpy as np
         for n in names:
             radix, code = self.codes[n]
+            if span * radix >= 2**62:
+                values, keys = np.unique(keys, return_inverse=True)
+                span = len(values)  # at most the assignment count, as is every radix
             span *= radix
-            if span >= 2**62:
-                keys = np.column_stack([keys, code])
-                continue
             if span >= 2**31:
                 keys = keys.astype(np.int64, copy=False)
             keys *= radix

@@ -395,13 +395,14 @@ def test_estimate_covers_every_counted_check(params):
     assert report.security_queries == report.patterns * 2**params.num_users * n_tsets * 2
 
 
-# RowSpace (insert, clone) calls and _split_quadruple eliminations of
-# each point's one-draw campaign; the same under any PYTHONHASHSEED
+# RowSpace (insert, clone) calls, _split_quadruple calls and the rows
+# they and the _split_query preparations reduce into forward echelons,
+# in each point's one-draw campaign; the same under any PYTHONHASHSEED
 RANK_WORK = {
-    "2,3,2,1,5,1": (224, 8, 24),
-    "2,4,3,1,7,2": (490, 10, 30),
-    "3,4,3,2,11,1": (1401, 15, 110),
-    "2,5,4,2,11,2": (1994, 12, 96),
+    "2,3,2,1,5,1": (158, 8, 24, 37),
+    "2,4,3,1,7,2": (366, 10, 30, 65),
+    "3,4,3,2,11,1": (761, 15, 110, 383),
+    "2,5,4,2,11,2": (1460, 12, 96, 275),
 }
 
 
@@ -413,7 +414,7 @@ def test_rank_work_does_not_grow(params, monkeypatch):
     reduces none whole: each pattern's helper subsets within the bound,
     then each T-set's on the no-straggler transcript, for the response
     checks."""
-    calls = {"insert": 0, "clone": 0, "split": 0}
+    calls = {"insert": 0, "clone": 0, "split": 0, "echelon rows": 0}
     for name in ("insert", "clone"):
         method = getattr(RowSpace, name)
 
@@ -422,23 +423,27 @@ def test_rank_work_does_not_grow(params, monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(RowSpace, name, counted)
-    split_quadruple, rank_store, stores = lk._split_quadruple, lk._rank_store, []
+    split_quadruple, echelon = lk._split_quadruple, lk._forward_echelon
+    rank_store, stores = lk._rank_store, []
 
     def counted_split(*args):
         calls["split"] += 1
         return split_quadruple(*args)
+
+    def counted_echelon(into, rows, field):
+        calls["echelon rows"] += len(rows)
+        return echelon(into, rows, field)
 
     def kept_store(ctx):
         stores.append(rank_store(ctx))
         return stores[-1]
 
     monkeypatch.setattr(lk, "_split_quadruple", counted_split)
+    monkeypatch.setattr(lk, "_forward_echelon", counted_echelon)
     monkeypatch.setattr(lk, "_rank_store", kept_store)
     verify_point(params, RunConfig(mode="verify", draws=1))
-    inserts, clones, splits = RANK_WORK[params.label()]
-    assert (
-        calls["insert"] <= inserts and calls["clone"] <= clones and calls["split"] <= splits
-    ), calls
+    bounds = dict(zip(calls, RANK_WORK[params.label()]))
+    assert all(calls[name] <= bounds[name] for name in calls), calls
     assert len({id(store) for store in stores}) == 1
     n_tsets = sum(1 for _ in enumerate_patterns(params)) * sum(
         comb(params.num_helpers, size) for size in range(params.collusion + 1)

@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from hsagg import leakage, protocol
 from hsagg.field import PrimeField
@@ -612,14 +612,24 @@ def test_oracle_count_rejects_non_uniform_keys():
         assert _counted_entropy(keys, 2, ["x"]) == 3
 
 
-def test_oracle_count_of_rows():
-    """Keys too wide for an int64 code come as rows of symbols."""
-    square = np.array([[a, b] for a in range(3) for b in range(3)] * 2)
-    assert _counted_entropy(square, 3, ["x"]) == 2
-    with pytest.raises(LeakageError, match="not uniform"):
-        _counted_entropy(np.vstack([square, square[:1]]), 3, ["x"])
-    with pytest.raises(LeakageError, match="not a power of 2"):
-        _counted_entropy(square[:3], 2, ["x"])
+def test_oracle_relabels_a_key_before_its_span_reaches_2_62(tiny_oracle):
+    """A copy of the TINY oracle whose tables repeat every column 4
+    times has radix 5**4 per variable, so a key of 7 members would span
+    625**7 > 2**62: ``_joined`` relabels the key of the first 6 densely
+    first, so the key it returns stays one int64 column and its span
+    below 2**62.  Its distinct values are as many as the distinct rows
+    of the members' tables, counted apart."""
+    wide = _oracle_counting(
+        tiny_oracle, {n: np.repeat(t, 4, axis=1) for n, t in tiny_oracle.tables.items()}
+    )
+    rng = random.Random(3)
+    for size in (7, 9, 13, 19):
+        subset = rng.sample(wide.names, size)
+        radix, code = wide.codes[subset[0]]
+        keys, span = wide._joined(code.copy(), radix, subset[1:])
+        assert keys.dtype == np.int64 and keys.max() < span < 2**62
+        rows = np.hstack([wide.tables[n] for n in subset])
+        assert len(np.unique(keys)) == len(np.unique(rows, axis=0)), subset
 
 
 def test_oracle_repeated_and_overlapping_names(tiny_ctx, tiny_oracle):
@@ -638,12 +648,12 @@ def test_oracle_repeated_and_overlapping_names(tiny_ctx, tiny_oracle):
 @pytest.fixture
 def key_forms(monkeypatch):
     """Every key the oracle counts, in order, with its form: its dtype's
-    name, or "rows"."""
+    name."""
     forms = []
     counted = leakage._counted_entropy
 
     def spy(keys, q, names):
-        forms.append(("rows" if keys.ndim == 2 else keys.dtype.name, keys.copy()))
+        forms.append((keys.dtype.name, keys.copy()))
         return counted(keys, q, names)
 
     monkeypatch.setattr(leakage, "_counted_entropy", spy)
@@ -665,14 +675,14 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
     subset size.  A copy of the oracle whose tables repeat every column
     4 times has the same supports, so the same entropies, but 10-bit
     fields, 190 bits in all: its ``entropy`` falls back to mixed-radix
-    keys, whose radix 5**4 puts keys of 1-3 variables on int32, of 4-6
-    on int64 and of 7 or more on rows.  ``all_subset_entropies`` builds
-    mixed-radix keys on either."""
+    keys, whose radix 5**4 puts keys of 1-3 variables on int32 and of 4
+    or more on int64, relabelled densely before the 7th member.
+    ``all_subset_entropies`` builds mixed-radix keys on either."""
     assert all(t.shape[1] == 1 for t in tiny_oracle.tables.values())
     assert TINY.modulus == 5 and len(tiny_oracle.names) == 19
 
     def form(size):
-        return "int32" if size <= 3 else "int64" if size <= 6 else "rows"
+        return "int32" if size <= 3 else "int64"
 
     def packed(subset):
         """The subset's symbols, each in its name's 3-bit field."""
@@ -705,19 +715,19 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
     key_forms.clear()
     assert list(small_wide.all_subset_entropies()) == walk
     assert [got for got, _ in key_forms] == [form(len(subset)) for subset, _ in walk]
-    assert {"int32", "int64", "rows"} <= {got for got, _ in key_forms}
+    assert max(len(subset) for subset, _ in walk) >= 7
 
 
 def test_oracle_refuses_a_skewed_table_on_every_key_form(tiny_oracle, key_forms):
     """Negative control: a copy whose W[1] is 0 in one assignment of 5
     and 1 otherwise is not uniform, and ``entropy`` says so on the
-    packed key and on the mixed-radix key alike."""
-    for repeat, forms in ((1, ["int64"] * 2), (4, ["int32", "int32"])):
+    packed key and on the mixed-radix key alike, relabelled or not."""
+    for repeat, forms in ((1, ["int64"] * 3), (4, ["int32", "int32", "int64"])):
         tables = {n: np.repeat(t, repeat, axis=1) for n, t in tiny_oracle.tables.items()}
         tables["W[1]"] = np.minimum(tables["W[1]"], 1)
         skewed = _oracle_counting(tiny_oracle, tables)
         key_forms.clear()
-        for subset in (["W[1]"], ["W[1]", "F[1]"]):
+        for subset in (["W[1]"], ["W[1]", "F[1]"], ["W[1]", *skewed.names[-6:]]):
             with pytest.raises(LeakageError, match="not uniform"):
                 skewed.entropy(subset)
         assert [got for got, _ in key_forms] == forms
@@ -823,8 +833,10 @@ def test_oracle_matches_rank_where_codes_do_not_pack(key_forms):
     7^6 = 117,649 assignments and N = 4.  Its 29 variables' 3-bit codes
     need 87 bits, so there is no packed word, and ``entropy`` takes
     mixed-radix keys: int32 for up to 11 members (7^11 < 2^31), int64
-    for up to 22 (7^22 < 2^62) and rows beyond.  Seeded subsets of every
-    form and seeded MI queries, 40 comparisons, match the rank formula."""
+    beyond, relabelled densely before the 23rd member (7^23 > 2^62), so
+    that a key of s > 22 members is below 7^6 * 7^(s - 22).  Seeded
+    subsets of every form and seeded MI queries, 50 comparisons, match
+    the rank formula."""
     params = SchemeParams(1, 4, 2, 1, 7, 1)
     ctx, pattern = setup(params), parse_pattern("nu=1:1,2,3 hm=1,2")
     oracle = BruteForceOracle(ctx, pattern)
@@ -832,13 +844,14 @@ def test_oracle_matches_rank_where_codes_do_not_pack(key_forms):
     names = list(oracle.names)
     assert oracle.count == 7**6 and len(names) == 29 and set(names) == set(tv)
     assert oracle._packed is None
-    rng = random.Random(12)
-    key_forms.clear()
-    # a rows key costs about 30 times an int64 one here: two of them
-    for size in [0, 1, 2, 5, 8, 11, 12, 15, 18, 22] * 3 + [23, 29]:
+    rng, forms = random.Random(12), set()
+    for size in [0, 1, 2, 5, 8, 11, 12, 15, 18, 22] * 3 + [23, 24, 25, 26, 27, 29] * 2:
         subset = rng.sample(names, size)
+        key_forms.clear()
         assert oracle.entropy(subset) == entropy_rank([tv[n] for n in subset]), subset
-    assert {form for form, _ in key_forms} == {"int32", "int64", "rows"}
+        assert size < 23 or key_forms[0][1].max() < oracle.count * 7 ** (size - 22)
+        forms.update(form for form, _ in key_forms)
+    assert forms == {"int32", "int64"}
     for _ in range(8):
         a, b, c = (rng.sample(names, rng.randrange(1, 7)) for _ in range(3))
         expect = cond_mutual_info(MiQuery(*(tuple(tv[n] for n in part) for part in (a, b, c))))
@@ -1080,21 +1093,47 @@ def split_queries(draw, noisy_given=False):
     )
 
 
+_REFERENCE_RANKS = {}
+
+
+def _reference_ranks(query):
+    """``rank_quadruple(query)``, once per layout and row content, of
+    which it is a function."""
+    parts = (query.target, query.observed, query.given)
+    key = tuple((v.layout, v.rows) for part in parts for v in part), tuple(map(len, parts))
+    if key not in _REFERENCE_RANKS:
+        _REFERENCE_RANKS[key] = rank_quadruple(query)
+    return _REFERENCE_RANKS[key]
+
+
+def _store_ranks(store, reduction, target, given):
+    """The store's split-path quadruple of ``reduction``'s kernel, with
+    its ``r_noise`` added back, as the security checks add it."""
+    r_noise, kernel = reduction
+    r_ac, r_bc, r_abc, r_c = store.quadruple(kernel, target, given)
+    return (r_ac, r_bc + r_noise, r_abc + r_noise, r_c)
+
+
 @settings(max_examples=150, deadline=None)
 @given(split_queries(), st.data())
 def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
-    """``_split_quadruple`` on the unit splits of A and C and the split
-    reduction of B, and of B extended by random user-column rows Y
-    through ``_extended_kernel``."""
-    expect = rank_quadruple(query)
+    """The rank store's split path on the unit splits of A and C and the
+    split reduction of B, and of B extended by random user-column rows Y
+    through ``_extended_kernel``: one ``_split_query`` of A and C,
+    prepared once, answers both kernels.  A target row that is not a
+    unit row (about half of them) puts rows in A's rest, which the
+    prepared query reorders once and every kernel's echelon takes."""
+    expect = _reference_ranks(query)
     everything = query.target + query.observed + query.given
     if not everything:
         assert expect == (0, 0, 0, 0)
         return
     layout, field = everything[0].layout, everything[0].coeffs.field
     target, given = _unit_split(query.target), _unit_split(query.given)
+    event("target rest rows" if target[1] else "unit target")
+    store = leakage._RankStore(layout.params, field)
     reduction = _split_observed(_rows(query.observed), layout, field)
-    assert _split_quadruple(target, given, reduction, layout.user_dim, field) == expect
+    assert _store_ranks(store, reduction, target, given) == expect
 
     u = layout.user_dim
     symbol = st.integers(0, field.q - 1)
@@ -1103,9 +1142,13 @@ def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
     r_noise, kernel = reduction
     extended = (r_noise, _extended_kernel(kernel, _rows(added), layout, field))
     assert extended == _split_observed(_rows(query.observed + added), layout, field)
-    assert _split_quadruple(target, given, extended, u, field) == rank_quadruple(
+    assert _store_ranks(store, extended, target, given) == _reference_ranks(
         replace(query, observed=query.observed + added)
     )
+    assert list(store.split_queries) == [(id(target), id(given), u)]
+    prepared = store.split_queries[id(target), id(given), u]
+    ranks = store.quadruples[id(kernel), id(target), id(given)]
+    assert _split_quadruple(prepared, kernel, field) == ranks
 
 
 @settings(max_examples=150, deadline=None)
