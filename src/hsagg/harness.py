@@ -347,6 +347,8 @@ def run_single_round(config: RunConfig) -> tuple[proto.RoundTranscript, dict]:
         raise ConfigError("round mode needs --params")
     ctx = proto.setup(config.params)
     params = config.params
+    if _round_work(params) > config.budget:
+        raise BudgetExceeded(f"a round at {params.label()} exceeds budget {config.budget}")
     pattern = _resolve_pattern(config, params)
     gradients, original = _load_gradients(config, params)
     rng = random.Random(f"noise:{config.seed}")
@@ -482,6 +484,13 @@ def estimate_work(params: SchemeParams, draws: int, budget: int) -> int:
     masks = 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
     patterns = _power(per_user, k, budget)
     return min(patterns * per_pattern + masks + k * per_user + comb(n, params.collusion), cap)
+
+
+def _round_work(params: SchemeParams) -> int:
+    """A round's items, checked against the budget before its pattern or
+    inputs are built: the ``block_len`` items that ``estimate_work``
+    counts per decode case, times the K users the round encodes."""
+    return params.num_users * params.block_len
 
 
 def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]:
@@ -661,8 +670,11 @@ def run_rates(config: RunConfig) -> list[dict]:
     one no-straggler round."""
     _reject_unused(config, "rates")
     grid = _grid(config)
+    contexts = [_setup_point(p) for p in grid]
+    if sum(_round_work(p) for p, ctx in zip(grid, contexts) if ctx is not None) > config.budget:
+        raise BudgetExceeded(f"the grid's rounds exceed budget {config.budget}")
     rows = []
-    for params, ctx in zip(grid, [_setup_point(p) for p in grid]):
+    for params, ctx in zip(grid, contexts):
         if ctx is None:
             rows.append({"params": params.label(), "feasible": False})
             continue

@@ -1,10 +1,12 @@
 """Exact information-theoretic verification of the aggregation scheme.
 
 This module names the protocol variables and fixes their source layout
-(``SourceLayout``), reads each variable's coefficient rows off the
-protocol roles run once on unit inputs (``unit_round``,
-``build_linear_transcript``), and does the rank arithmetic.  For such
-variables q-ary joint entropy is ``rank * block_len``, and
+(``SourceLayout``), runs the protocol roles on a source assignment
+(``concrete_transcript_values``), reads each variable's coefficient
+rows off that run on the identity (``build_linear_transcript``), and
+does the rank arithmetic.  The round stops at the responses: the
+verifier never decodes.  For linear variables q-ary joint entropy is
+``rank * block_len``, and
 
     I(A; B | C) = rank(AC) + rank(BC) - rank(ABC) - rank(C)
 
@@ -27,17 +29,15 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
 from .field import PrimeField
-from .matrix import GfMatrix, RowSpace, Singular
+from .matrix import GfMatrix, RowSpace
 from .patterns import CommPattern, format_pattern, no_straggler_pattern, subsets
 from .protocol import (
     Gradient,
-    RoundTranscript,
     SchemeContext,
     SchemeParams,
     UserRandomness,
     gradient_sum,
     keys_from_noise,
-    master_decode,
     run_round,
     setup,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "LeakageRecord",
     "InvariantReport",
     "WitnessReport",
-    "unit_round",
     "build_static_vars",
     "build_linear_transcript",
     "joint_rank",
@@ -73,7 +72,6 @@ __all__ = [
     "infeasibility_witness",
     "concrete_transcript_values",
     "BruteForceOracle",
-    "brute_force_entropy",
 ]
 
 
@@ -403,8 +401,8 @@ class LinearTranscript(Mapping):
     layout.
 
     The split paths answer every check, for every context, broken ones
-    included: ``_run_on_sources`` makes each ``W[k]`` and ``F[k]`` a
-    unit row, and the sum ``W`` and each upload ``X = upload_matrix @
+    included: the identity run makes each ``W[k]`` and ``F[k]`` a unit
+    row, and the sum ``W`` and each upload ``X = upload_matrix @
     (w; f)`` never see dealer noise.
     """
 
@@ -495,16 +493,17 @@ class LinearTranscript(Mapping):
 # -- the transcript: the roles run on a source assignment ----------------
 
 
-def _run_on_sources(
+def concrete_transcript_values(
     ctx: SchemeContext, pattern: CommPattern, assignment: Sequence[int]
-) -> tuple[RoundTranscript, dict[str, tuple[int, ...]]]:
-    """One round on a full source assignment, and its named values.
+) -> dict[str, tuple[int, ...]]:
+    """Every named variable's value in one round on a full source
+    assignment, ``dim * block_len`` symbols in layout order.
 
-    ``assignment`` lists ``dim * block_len`` symbols in layout order.
     The round stops at the responses, so it needs no survivor set: no
     named value depends on the master's decode, and a scheme whose
-    master cannot decode still has a transcript whose leakage can be
-    measured.
+    master cannot decode still has its leakage measured.  The linear
+    transcript is this run on the identity, so comparing the two on
+    random assignments checks that the roles are linear.
     """
     params = ctx.params
     layout = SourceLayout(params)
@@ -553,17 +552,7 @@ def _run_on_sources(
         vals[f"Xhat[{k},{n}]"] = vec
     for r in t.responses:
         vals[f"Y[{r.helper}]"] = r.payload
-    return t, vals
-
-
-def concrete_transcript_values(
-    ctx: SchemeContext, pattern: CommPattern, assignment: Sequence[int]
-) -> dict[str, tuple[int, ...]]:
-    """Every named variable's value in one round, up to the responses,
-    on a full source assignment (``_run_on_sources``).  The linear model
-    is this same run on unit inputs, so comparing the two on random
-    assignments checks that the roles are linear."""
-    return _run_on_sources(ctx, pattern, assignment)[1]
+    return vals
 
 
 def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.ndarray) -> dict:
@@ -587,7 +576,8 @@ def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.nd
                 tables[name][start:stop] = rows
         return tables
     stacked = assignments.reshape(count, -1, l).transpose(1, 0, 2).ravel().tolist()
-    _, vals = _run_on_sources(ctx.widened(ctx.params.gradient_len * count), pattern, stacked)
+    wide = ctx.widened(ctx.params.gradient_len * count)
+    vals = concrete_transcript_values(wide, pattern, stacked)
     return {
         name: np.array(vals[name], dtype=np.int64)
         .reshape(-1, count, l).transpose(1, 0, 2).reshape(count, -1)
@@ -595,52 +585,34 @@ def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.nd
     }
 
 
-def unit_round(
+def build_linear_transcript(
     ctx: SchemeContext, pattern: CommPattern
-) -> tuple[RoundTranscript, dict[str, LinearVar]]:
-    """The round run on unit inputs, and every variable's coefficients.
+) -> LinearTranscript:
+    """Coefficient-level transcript of one round under the pattern: the
+    sources, uploads, masks, inter-helper shares, recovered uploads and
+    responses, read off ``concrete_transcript_values`` on the identity.
 
     Block length becomes ``dim`` and source slot ``s`` holds the unit
     vector ``e_s``.  The roles act on each payload column alike and
     linearly, so column ``s`` of a payload is its coefficient on slot
     ``s``: each ``dim``-wide chunk of a value is one coefficient row.
-    The transcript's ``decoded`` holds the coefficient rows of the
-    master's decoded sum from the pattern's survivors, every active
-    helper if it names none, or None if the master cannot decode.
+    Its queries share the context's rank store, and it answers only for
+    ``ctx`` and ``pattern``.
     """
-    params = ctx.params
-    layout = SourceLayout(params)
+    layout = SourceLayout(ctx.params)
     dim = layout.dim
-    unit_ctx = ctx.widened(dim * params.block_count)
     identity = [0] * (dim * dim)
     identity[::dim + 1] = [1] * dim
-    transcript, vals = _run_on_sources(unit_ctx, pattern, identity)
-    survivors = pattern.active_helpers if pattern.survivors is None else pattern.survivors
-    responses = [r for r in transcript.responses if r.helper in survivors]
-    try:
-        transcript.decoded = master_decode(unit_ctx, responses)
-    except Singular:
-        pass
+    unit_ctx = ctx.widened(dim * ctx.params.block_count)
     tvars = {
         name: LinearVar(
             name,
             layout,
             GfMatrix.of_reduced(ctx.field, tuple(v[i:i + dim] for i in range(0, len(v), dim))),
         )
-        for name, v in vals.items()
+        for name, v in concrete_transcript_values(unit_ctx, pattern, identity).items()
     }
-    return transcript, tvars
-
-
-def build_linear_transcript(
-    ctx: SchemeContext, pattern: CommPattern
-) -> LinearTranscript:
-    """Coefficient-level transcript of one round under the pattern: the
-    sources, uploads, masks, inter-helper shares, recovered uploads and
-    responses, read off the unit-input round.  Its queries share the
-    context's rank store, and it answers only for ``ctx`` and
-    ``pattern``."""
-    return LinearTranscript(ctx, pattern, unit_round(ctx, pattern)[1])
+    return LinearTranscript(ctx, pattern, tvars)
 
 
 def build_static_vars(ctx: SchemeContext) -> LinearTranscript:
@@ -1363,9 +1335,3 @@ class BruteForceOracle:
         abc = self.entropy(a + b + c)  # first: it refuses any unknown name
         return self.entropy(a + c) + self.entropy(b + c) - abc - self.entropy(c)
 
-
-def brute_force_entropy(
-    ctx: SchemeContext, pattern: CommPattern, names: Sequence[str]
-) -> int:
-    """One-shot exact entropy via full enumeration; see BruteForceOracle."""
-    return BruteForceOracle(ctx, pattern).entropy(names)

@@ -133,12 +133,6 @@ class GfMatrix:
             out.append(tuple([v % q for v in acc]))
         return GfMatrix.of_reduced(self.field, tuple(out), width)
 
-    def stack(self, other: "GfMatrix") -> "GfMatrix":
-        """Vertical concatenation."""
-        if self.cols != other.cols or self.field != other.field:
-            raise DimensionMismatch("stack requires equal widths and fields")
-        return GfMatrix.of_reduced(self.field, self.data + other.data, self.cols)
-
     def select_rows(self, indices: Sequence[int]) -> "GfMatrix":
         """Submatrix of the given rows; indices must be strictly increasing."""
         idx = list(indices)

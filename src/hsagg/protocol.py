@@ -179,7 +179,6 @@ class SchemeContext:
 
     params: SchemeParams
     field: PrimeField
-    points: tuple[int, ...]
     upload_matrix: GfMatrix
     mask_basis: GfMatrix
     decode_matrices: tuple[GfMatrix, ...]
@@ -235,7 +234,6 @@ def setup(params: SchemeParams) -> SchemeContext:
     return SchemeContext(
         params=params,
         field=field,
-        points=points,
         upload_matrix=upload,
         mask_basis=mask_basis,
         decode_matrices=decode,

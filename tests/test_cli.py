@@ -117,6 +117,34 @@ def test_a_huge_user_count_exceeds_the_budget_at_once(mode, users, capsys):
     assert err.startswith("budget exceeded: ") and err.endswith("budget 1000000\n")
 
 
+HUGE_ROUNDS = {
+    "round-huge-length": ["round", "--params", "2,3,2,1,5,99999999999999"],
+    "round-many-users": ["round", "--params", "100000000,3,2,1,5,1"],
+    "round-huge-users": ["round", "--params", "99999999999999999999,3,2,1,5,1"],
+    "rates-grid-many-users": ["rates", "--grid", "100000000,3,2,1,5,1"],
+    "rates-grid-huge-length": ["rates", "--grid", "2,3,2,1,5,100000000"],
+    "rates-many-users": ["rates", "--params", "100000000,3,2,1,5,1"],
+    "rates-huge-users": ["rates", "--params", "99999999999999999999,3,2,1,5,1"],
+    "rates-huge-length": ["rates", "--params", "2,3,2,1,5,99999999999999999999"],
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_ROUNDS.values(), ids=HUGE_ROUNDS)
+def test_a_huge_round_exceeds_the_budget_at_once(argv, capsys, monkeypatch):
+    """A round counts K x L/(Nr-T) items, so a huge K or L exits 3
+    before any pattern is built or any input drawn, with a message that
+    does not print the count: not a hang, nor exit 2 from a size past a
+    C int."""
+    for owner, name in [(harness.pt, "no_straggler_pattern"), (harness.proto.Gradient, "random"),
+                        (harness, "_draw_inputs")]:
+        monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"{_name} ran"))
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.endswith("budget 1000000\n")
+
+
 HUGE_ESTIMATES = {
     "feasible-K-10^40": ["--params", f"{10**40},3,2,1,5,1"],
     "feasible-K-10^2500": ["--params", f"{10**2500},3,2,1,5,1"],
@@ -276,11 +304,6 @@ BAD_INPUTS = {
     "leakage-malformed-uset": ["leakage", "--params", "2,3,2,1,5,1", "--uset", "1,,2"],
     "verify-malformed-budget-in-config": ["verify", "--grid", "2,3,2,1,5,1",
                                           "--config", "BAD_BUDGET_CONFIG"],
-    # sizes past an index or a C int: OverflowError
-    "round-huge-users": ["round", "--params", "99999999999999999999,3,2,1,5,1"],
-    "rates-many-users": ["rates", "--params", "100000000,3,2,1,5,1"],
-    "rates-huge-users": ["rates", "--params", "99999999999999999999,3,2,1,5,1"],
-    "rates-huge-length": ["rates", "--params", "2,3,2,1,5,99999999999999999999"],
 }
 
 GRADIENT_FILES = {

@@ -31,7 +31,6 @@ from hsagg.leakage import (
     _split_observed,
     _split_quadruple,
     all_subset_entropies_rank,
-    brute_force_entropy,
     build_linear_transcript,
     build_static_vars,
     check_mask_independence,
@@ -46,7 +45,6 @@ from hsagg.leakage import (
     infeasibility_witness,
     rank_quadruple,
     response_entropy_given_sum,
-    unit_round,
 )
 from hsagg.matrix import GfMatrix, RowSpace, Singular
 from hsagg.patterns import enumerate_patterns, enumerate_survivors, parse_pattern
@@ -184,15 +182,18 @@ def test_linear_model_reproduces_concrete_transcript(ctx):
     ids=["2,4,3,1,7,2", "3,4,3,2,11,1", "2,5,4,2,11,2"],
 )
 def test_unit_round_decodes_the_sum_symbolically(params, cases):
-    """The roles are linear, so a round on unit inputs whose decoded
-    rows are the rows of W decodes the sum for every input."""
+    """The roles are linear, so a decode of the survivors' response rows
+    in the linear transcript that gives the rows of W decodes the sum
+    for every input."""
     ctx = setup(params)
     dim = SourceLayout(params).dim
+    unit_ctx = ctx.widened(dim * params.block_count)
     seen = 0
     for pattern in enumerate_patterns(params):
+        tv = build_linear_transcript(ctx, pattern)
         for survivors in enumerate_survivors(pattern, params):
-            transcript, tv = unit_round(ctx, pattern.with_survivors(survivors))
-            decoded = transcript.decoded
+            responses = [HelperResponse(n, sum(tv[f"Y[{n}]"].rows, ())) for n in sorted(survivors)]
+            decoded = protocol.master_decode(unit_ctx, responses)
             rows = tuple(decoded[i:i + dim] for i in range(0, len(decoded), dim))
             assert rows == tv["W"].rows, (pattern, survivors)
             seen += 1
@@ -556,10 +557,6 @@ def test_oracle_single_symbol_entropies(tiny_oracle):
     assert tiny_oracle.entropy([]) == 0
     # a helper's own mask coordinate is identically zero
     assert tiny_oracle.entropy(["Z[1,1,1]"]) == 0
-
-
-def test_oracle_brute_force_entropy_convenience(tiny_ctx):
-    assert brute_force_entropy(tiny_ctx, TINY_PATTERN, ["X[1,1]", "X[1,2]"]) == 2
 
 
 def test_oracle_matches_rank_on_random_subsets(tiny_ctx, tiny_oracle):

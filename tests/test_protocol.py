@@ -70,7 +70,6 @@ def gradient_sum(grads, q):
 
 
 def test_setup_golden_context(ctx):
-    assert ctx.points == (1, 2, 3, 4, 5, 6)
     assert ctx.upload_matrix.data == ((1, 1, 1), (1, 2, 4), (1, 3, 2), (1, 4, 2))
     assert ctx.decode_matrices[2].data == ((1, 2, 5), (2, 5, 1), (1, 0, 0), (5, 1, 2))
     assert ctx.decode_matrices[3].data == ((3, 6, 6), (6, 6, 3), (3, 4, 1), (1, 0, 0))

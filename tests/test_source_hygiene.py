@@ -8,7 +8,8 @@ never build a matrix without reducing its entries, no module uses
 brute-force oracle), only ``matrix`` writes a ``RowSpace``'s state, and no
 module reads another's private name.  Only ``patterns`` takes
 ``itertools.combinations``: its ``subsets`` is the one enumeration of
-user and helper subsets.  Each option is declared once,
+user and helper subsets.  ``leakage`` never names ``master_decode``: the
+verifier's round stops at the responses.  Each option is declared once,
 as a ``RunConfig`` field, and the parser, the config keys and the
 README's key list all follow that table."""
 
@@ -327,6 +328,24 @@ def combinations_uses(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+def name_uses(tree: ast.Module, name: str) -> list[int]:
+    """Lines whose code names ``name``: an import of it, a bare name or
+    an attribute."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = any(name in (a.name, a.asname) for a in node.names)
+        elif isinstance(node, ast.Name):
+            hit = node.id == name
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == name
+        else:
+            continue
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 OPTION_KEYS = {"parse", "help", "modes", "flag", "choices"}
 
 
@@ -444,6 +463,12 @@ def test_only_patterns_enumerates_subsets():
         if module != "patterns"
     }
     assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_the_verifier_never_decodes():
+    """The linear transcript is the roles run on the identity up to the
+    responses; only the campaign's stacked decode calls the master."""
+    assert name_uses(_package()["leakage"], "master_decode") == []
 
 
 def test_each_option_is_declared_once():
@@ -572,6 +597,17 @@ def test_the_checks_catch_what_they_look_for():
             "x = itertools.combinations(xs, 3)\n"
         )
     ) == [1, 3, 7]
+    assert name_uses(
+        ast.parse(
+            "from .protocol import master_decode, run_round\n"
+            "decoded = run_round(ctx, p, g, f, k).decoded\n"
+            "out = proto.master_decode(ctx, responses)\n"
+            "note = 'master_decode'\n"
+            "decode = master_decode\n"
+            "from .protocol import master_decode as solve\n"
+        ),
+        "master_decode",
+    ) == [1, 3, 5, 6]
 
     @dataclass
     class Config:
