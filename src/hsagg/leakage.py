@@ -189,12 +189,13 @@ class _RankStore:
     ``layout``, the user-local one (``local``: the same parameters with
     one user) and the ``field``, so no query passes them.  ``columns``
     holds per user the columns its local columns stand for, in order:
-    gradient parts, randomness parts, dealer noise by (helper, mixing
-    slot).  Every helper and master query's target and given are the
-    users' own input symbols, unit rows of the layout in every scheme:
-    ``gradients`` is the target's unit split (every gradient slot) and
-    ``given(with_sum, users)`` each given's (those users' ``W`` and
-    ``F`` slots, plus the sum's rows), derived once per store.
+    gradient parts, randomness parts (``own``, as a set), dealer noise
+    by (helper, mixing slot).  Every helper and master query's target
+    and given are the users' own input symbols, unit rows of the layout
+    in every scheme: ``gradients`` is the target's unit columns (every
+    gradient slot) and ``given(with_sum, users)`` each given's unit
+    split (those users' ``own`` columns, plus the sum's rows), derived
+    once per store.
     Every other key is coefficient-row content, never a name, a
     pattern or a helper id, so that a transcript whose rows differ (a
     broken scheme run under the same context) never reads another's
@@ -210,10 +211,8 @@ class _RankStore:
     the given, each one object per content; ``r_noise`` is added back
     outside the key.  ``split_queries`` holds each ``_split_query``,
     by the identities of its target and given and by its width.
-    ``local_units`` holds, by the identities of a unit target and
-    given, each user's share of both in user-local columns.  ``views``
-    counts the collusion views assembled and those reduced whole.  Keys
-    share one copy of each equal part.
+    ``views`` counts the collusion views assembled and those reduced
+    whole.  Keys share one copy of each equal part.
     """
 
     def __init__(self, params: SchemeParams, field: PrimeField):
@@ -231,9 +230,10 @@ class _RankStore:
                      for i in range(parts))
         self._sum = (frozenset(range(parts)), ()) if k_all == 1 else (frozenset(), rows)
         self.owners, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
-        self.quadruples, self.split_queries, self.givens, self.local_units = {}, {}, {}, {}
-        self._held = {}
-        self.gradients = self._hold([(frozenset(range(k_all * parts)), ())])[0]
+        self.quadruples, self.split_queries, self.givens, self._held = {}, {}, {}, {}
+        self.own = tuple(frozenset(cols[:self.local.user_dim]) for cols in self.columns)
+        self.gradients, self._own_gradients, self._nothing = self._hold(
+            [frozenset(range(k_all * parts)), frozenset(range(parts)), (frozenset(), ())])
         self.views = {"assembled": 0, "whole": 0}
 
     def _hold(self, parts: Iterable) -> tuple:
@@ -246,9 +246,8 @@ class _RankStore:
         found = self.givens.get((with_sum, users))
         if found is None:
             _check_ids("users", users, len(self.columns))
-            units, rest = self._sum if with_sum else (frozenset(), ())
-            own = self.local.user_dim  # a user's gradient and randomness slots lead its columns
-            units = units.union(*(self.columns[u - 1][:own] for u in users))
+            units, rest = self._sum if with_sum else self._nothing
+            units = units.union(*(self.own[u - 1] for u in users))
             found = self.givens[with_sum, users] = self._hold([(units, rest)])[0]
         return found
 
@@ -335,15 +334,17 @@ class _RankStore:
     def quadruple(self, kernel, target, given, users=None) -> tuple:
         """The rank quadruple of a kernel the store holds, less its
         ``r_noise``, once per kernel, target and given, keyed by their
-        identities (the store keeps one object of each content): if the
-        kernel's per-user reductions ``users`` are given and the target
-        and the given are unit rows, the sum of each user's quadruple in
-        user-local columns (which shares the table), else
-        ``_split_quadruple`` of their ``_split_query`` at its width."""
+        identities (the store keeps one object of each content).  With
+        the kernel's per-user reductions ``users`` (a helper query: the
+        ``gradients`` target, a given of each user's ``own`` or none of
+        them), a sum over users: a colluding user adds its own column
+        count to each rank, and any other the quadruple of its kernel
+        against its gradient parts, given nothing (which shares the
+        table).  Else ``_split_quadruple`` of their ``_split_query``."""
         key = (id(kernel), id(target), id(given))
         ranks = self.quadruples.get(key)
         if ranks is None:
-            if users is None or target[1] or given[1]:
+            if users is None or given[1]:
                 # a user-local query with no kernel row inserts no row at all
                 width = len(kernel[0]) if kernel else self.layout.user_dim
                 prepared = (*key[1:], width)
@@ -351,12 +352,10 @@ class _RankStore:
                     self.split_queries[prepared] = _split_query(target, given, width, self.field)
                 ranks = _split_quadruple(self.split_queries[prepared], kernel, self.field)
             else:
-                units = self.local_units.get(key[1:])
-                if units is None:
-                    units = self.local_units[key[1:]] = tuple(
-                        self._hold((frozenset(i for i, j in enumerate(cols) if j in e), ())
-                                   for e in (target[0], given[0])) for cols in self.columns)
-                parts = [self.quadruple(own, a, c) for (_, own), (a, c) in zip(users, units)]
+                n, units = self.local.user_dim, given[0]
+                parts = [(n, n, n, n) if own <= units
+                         else self.quadruple(user, self._own_gradients, self._nothing)
+                         for own, (_, user) in zip(self.own, users)]
                 ranks = tuple(map(sum, zip(*parts)))
             ranks = self.quadruples[key] = self._held.setdefault(ranks, ranks)
         return ranks
@@ -794,34 +793,32 @@ def _forward_echelon(echelon: list, rows: Sequence[list[int]], field: PrimeField
     return echelon
 
 
-def _split_query(target: tuple, given: tuple, width: int, field: PrimeField) -> tuple:
-    """What every split quadruple of unit-split A and C at ``width``
-    shares: unit rows on columns E condition by deleting those columns,
-    and the others are ordered outside E_AC first, then E_A - E_C, so
-    that the pivots before ``cut`` count the rank with E_AC deleted as
-    well.  Holds the order, ``cut``, |E_C|, |E_AC|, the forward echelon
-    of C's other rows, A's other rows reordered, rank(AC) and rank(C)."""
-    (e_a, rest_a), (e_c, rest_c) = target, given
-    e_ac = e_a | e_c
-    order = [j for j in range(width) if j not in e_ac] + sorted(e_a - e_c)
+def _split_query(target: frozenset, given: tuple, width: int, field: PrimeField) -> tuple:
+    """What every split quadruple of A, unit rows on the columns
+    ``target``, and unit-split C at ``width`` shares: unit rows on columns
+    E condition by deleting those columns, and the others are ordered
+    outside E_AC first, then E_A - E_C, so that the pivots before ``cut``
+    count the rank with E_AC deleted too.  Holds the order, ``cut``,
+    |E_C|, |E_AC|, C's other rows' forward echelon, rank(AC), rank(C)."""
+    e_c, rest_c = given
+    e_ac = target | e_c
+    order = [j for j in range(width) if j not in e_ac] + sorted(target - e_c)
     cut = width - len(e_ac)
-    rest_a = [[row[j] for j in order] for row in rest_a]
     base = _forward_echelon([], [[row[j] for j in order] for row in rest_c], field)
-    r_ac = len(e_ac) + sum(p < cut for p, _ in _forward_echelon(list(base), rest_a, field))
-    return order, cut, len(e_c), len(e_ac), base, rest_a, r_ac, len(e_c) + len(base)
+    r_ac = len(e_ac) + sum(p < cut for p, _ in base)
+    return order, cut, len(e_c), len(e_ac), base, r_ac, len(e_c) + len(base)
 
 
 def _split_quadruple(query: tuple, kernel: Sequence[tuple], field: PrimeField) -> tuple:
     """The rank quadruple of a ``_split_query`` of A and C and the kernel
     K of B's split reduction (r_noise, K), less r_noise: rank(BC) =
     r_noise + rank(K, C), rank(ABC) = r_noise + rank(K, A, C).  A copy
-    of C's echelon takes K's rows that are not zero outside E_C, then A's."""
-    order, cut, n_c, n_ac, base, rest_a, r_ac, r_c = query
+    of C's echelon takes K's rows that are not zero outside E_C, and its
+    pivots before ``cut`` count rank(K, A, C) less |E_AC|."""
+    order, cut, n_c, n_ac, base, r_ac, r_c = query
     rows = [r for row in kernel if any(r := [row[j] for j in order])]
     echelon = _forward_echelon(list(base), rows, field)
-    r_bc = n_c + len(echelon)
-    _forward_echelon(echelon, rest_a, field)
-    return (r_ac, r_bc, n_ac + sum(p < cut for p, _ in echelon), r_c)
+    return (r_ac, n_c + len(echelon), n_ac + sum(p < cut for p, _ in echelon), r_c)
 
 
 def _sharing_ranks(
@@ -1086,11 +1083,8 @@ def response_entropy_given_sum(
     reductions of the view and of the master's set (the view, then every
     response) in the transcript's rank store, with W's span as the target
     (``_sharing_ranks``)."""
-    pattern = no_straggler_pattern(ctx.params)
-    if tvars is None:
-        tvars = build_linear_transcript(ctx, pattern)
-    tvars.require(ctx, pattern)
-    store, c = tvars._store, tvars.collusion(tuple(sorted(tset)))
+    _, _, tvars, _, c = _resolved(ctx, no_straggler_pattern(ctx.params), (), tset, tvars, True)
+    store = tvars._store
     w = store.reduction(tvars["W"].rows)[1]
     r_ac, _, r_abc, _ = _sharing_ranks(
         w, c.view_reduction, c.master_reduction, store.layout.user_dim, ctx.field

@@ -100,11 +100,7 @@ Vector = tuple[int, ...]
 
 
 def _vec_add(q: int, *vectors: Sequence[int]) -> Vector:
-    acc = [0] * len(vectors[0])
-    for v in vectors:
-        for i, x in enumerate(v):
-            acc[i] += x
-    return tuple(x % q for x in acc)
+    return tuple([sum(column) % q for column in zip(*vectors)])
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,43 @@ def test_verify_catches_a_nonzero_own_mask_row(monkeypatch):
     }
 
 
+def _entry_mutants(matrix):
+    """Each (row, column, delta) of ``matrix`` and the matrix with that
+    entry changed by that nonzero delta."""
+    q, data = matrix.field.q, matrix.data
+    for i, row in enumerate(data):
+        for j in range(len(row)):
+            for delta in range(1, q):
+                changed = list(map(list, data))
+                changed[i][j] += delta
+                yield (i, j, delta), GfMatrix(matrix.field, changed)
+
+
+def test_verify_fails_every_public_matrix_mutant_a_role_reads(monkeypatch):
+    """Every entry of ``upload_matrix`` and of each ``mask_maps[n]``,
+    changed by each nonzero delta, the derived matrices left as they
+    are: verify fails every mutant except those of row n of
+    ``mask_maps[n]``, the mask helper n would add toward itself, which
+    no role sends."""
+    ctx = protocol.setup(SMALL)
+    mutants = [(("upload", *where), replace(ctx, upload_matrix=m))
+               for where, m in _entry_mutants(ctx.upload_matrix)]
+    for n, maps in enumerate(ctx.mask_maps):
+        for where, m in _entry_mutants(maps):
+            changed = ctx.mask_maps[:n] + (m,) + ctx.mask_maps[n + 1:]
+            mutants.append((("mask", n, *where), replace(ctx, mask_maps=changed)))
+    passed = []
+    for name, mutant in mutants:
+        monkeypatch.setattr(protocol, "setup", lambda params, _mutant=mutant: _mutant)
+        if not verify_point(SMALL, RunConfig(mode="verify", draws=2)).failures:
+            passed.append(name)
+    q, helpers = SMALL.modulus, SMALL.num_helpers
+    assert sum(name[0] == "upload" for name, _ in mutants) == 24
+    assert sum(name[0] == "mask" for name, _ in mutants) == 36
+    assert passed == [("mask", n, n, j, delta) for n in range(helpers)
+                      for j in range(SMALL.resiliency - 1) for delta in range(1, q)]
+
+
 def test_thousand_seeded_random_rounds():
     """Sampled straggling at (3,5,4,2,11,2): every decode is exact."""
     import random
@@ -399,10 +436,10 @@ def test_estimate_covers_every_counted_check(params):
 # they and the _split_query preparations reduce into forward echelons,
 # in each point's one-draw campaign; the same under any PYTHONHASHSEED
 RANK_WORK = {
-    "2,3,2,1,5,1": (158, 8, 24, 37),
-    "2,4,3,1,7,2": (366, 10, 30, 65),
-    "3,4,3,2,11,1": (761, 15, 110, 383),
-    "2,5,4,2,11,2": (1460, 12, 96, 275),
+    "2,3,2,1,5,1": (158, 8, 20, 37),
+    "2,4,3,1,7,2": (366, 10, 25, 65),
+    "3,4,3,2,11,1": (761, 15, 99, 383),
+    "2,5,4,2,11,2": (1460, 12, 80, 275),
 }
 
 

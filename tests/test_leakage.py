@@ -1053,21 +1053,25 @@ SPLIT_PARAMS = {q: SchemeParams(2, 4, 3, 1, q, 2) for q in (5, 11)}
 @st.composite
 def split_queries(draw, noisy_given=False):
     """Random queries of the split shape: observed rows over every
-    column; target and given rows in the user columns, unit rows mixed
-    with arbitrary ones (the way W and W[k] mix).  With
-    ``noisy_given``, given rows over every column, as in the sharing
-    query."""
+    column; given rows in the user columns, unit rows mixed with
+    arbitrary ones (the way W and W[k] mix), and target rows unit rows,
+    as every target the rank store sees is.  With ``noisy_given``, given
+    rows over every column and target rows as the given's, as in the
+    sharing query."""
     q = draw(st.sampled_from(sorted(SPLIT_PARAMS)))
     layout = SourceLayout(SPLIT_PARAMS[q])
     field = PrimeField(q)
     u, dim = layout.user_dim, layout.dim
     symbol = st.integers(0, q - 1)
 
+    def unit_row():
+        row = [0] * dim
+        row[draw(st.integers(0, u - 1))] = draw(st.integers(1, q - 1))
+        return row
+
     def user_row():
         if draw(st.booleans()):
-            row = [0] * dim
-            row[draw(st.integers(0, u - 1))] = draw(st.integers(1, q - 1))
-            return row
+            return unit_row()
         return draw(st.lists(symbol, min_size=u, max_size=u)) + [0] * (dim - u)
 
     def variables(name, make_row, max_vars):
@@ -1084,7 +1088,7 @@ def split_queries(draw, noisy_given=False):
         return draw(st.lists(symbol, min_size=dim, max_size=dim))
 
     return MiQuery(
-        target=variables("A", user_row, 3),
+        target=variables("A", user_row if noisy_given else unit_row, 3),
         observed=variables("B", any_row, 5),
         given=variables("C", any_row if noisy_given else user_row, 4),
     )
@@ -1114,20 +1118,19 @@ def _store_ranks(store, reduction, target, given):
 @settings(max_examples=150, deadline=None)
 @given(split_queries(), st.data())
 def test_split_kernel_matches_incremental_path_on_random_rows(query, data):
-    """The rank store's split path on the unit splits of A and C and the
-    split reduction of B, and of B extended by random user-column rows Y
-    through ``_extended_kernel``: one ``_split_query`` of A and C,
-    prepared once, answers both kernels.  A target row that is not a
-    unit row (about half of them) puts rows in A's rest, which the
-    prepared query reorders once and every kernel's echelon takes."""
+    """The rank store's split path on A's unit columns, C's unit split
+    and the split reduction of B, and of B extended by random
+    user-column rows Y through ``_extended_kernel``: one
+    ``_split_query`` of A and C, prepared once, answers both kernels."""
     expect = _reference_ranks(query)
     everything = query.target + query.observed + query.given
     if not everything:
         assert expect == (0, 0, 0, 0)
         return
     layout, field = everything[0].layout, everything[0].coeffs.field
-    target, given = _unit_split(query.target), _unit_split(query.given)
-    event("target rest rows" if target[1] else "unit target")
+    (target, rest), given = _unit_split(query.target), _unit_split(query.given)
+    assert rest == ()
+    event("given rest rows" if given[1] else "unit given")
     store = leakage._RankStore(layout.params, field)
     reduction = _split_observed(_rows(query.observed), layout, field)
     assert _store_ranks(store, reduction, target, given) == expect
@@ -1454,7 +1457,7 @@ def test_store_derives_each_target_and_given_from_the_layout(params, scheme, mon
     ctx = PER_USER_SCHEMES[scheme](setup(params), monkeypatch)
     tv = build_linear_transcript(ctx, next(enumerate_patterns(params)))
     store, users = tv._store, range(1, params.num_users + 1)
-    assert store.gradients == _unit_split([tv[f"W[{k}]"] for k in users])
+    assert (store.gradients, ()) == _unit_split([tv[f"W[{k}]"] for k in users])
     for size in range(params.num_users + 1):
         for uset in combinations(users, size):
             own = [tv[f"{v}[{u}]"] for u in uset for v in "WF"]
@@ -1503,29 +1506,42 @@ def test_a_repeated_query_reads_its_ranks_by_identity(monkeypatch):
     assert all(a[0] is b[0] for a, b in zip(found, found[len(patterns):]))
 
 
-def test_each_users_share_of_a_unit_query_is_derived_once():
-    """``local_units`` holds, for each unit target and given a helper
-    query's per-user branch meets, every user's share of both in its
-    local columns, derived once however many kernels ask: one entry per
-    colluding user set at EXAMPLE, whose views all split by user."""
+def test_a_helper_query_sums_one_split_per_non_colluding_user_kernel(monkeypatch):
+    """A helper query's per-user branch runs no ``_split_quadruple`` for
+    a colluding user, whose share is its own column count in each rank,
+    and one for each distinct kernel of another user, against that
+    user's gradient parts given nothing, however many queries share it:
+    at EXAMPLE, whose views all split by user."""
     ctx = setup(EXAMPLE)
     store = leakage._rank_store(ctx)
+    split, kernels = leakage._split_quadruple, []
+
+    def counted(query, kernel, field):
+        kernels.append(kernel)
+        return split(query, kernel, field)
+
+    monkeypatch.setattr(leakage, "_split_quadruple", counted)
     users, helpers = range(1, EXAMPLE.num_users + 1), range(1, EXAMPLE.num_helpers + 1)
     usets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
-    for pattern in list(enumerate_patterns(EXAMPLE))[:4]:
-        tv = build_linear_transcript(ctx, pattern)
+    n = store.local.user_dim
+    transcripts = [build_linear_transcript(ctx, p) for p in list(enumerate_patterns(EXAMPLE))[:4]]
+    for tv in transcripts:
         for t in helpers:
+            record = check_security_helpers(ctx, tv.pattern, usets[-1], [t], tvars=tv)
+            assert record.ranks[0] == record.ranks[3] == n * len(users)
+    assert kernels == []
+    shares = set()
+    for tv in transcripts:
+        for t in helpers:
+            shares.update(kernel for _, kernel in tv.collusion((t,)).users)
             for uset in usets:
-                check_security_helpers(ctx, pattern, uset, [t], tvars=tv)
+                check_security_helpers(ctx, tv.pattern, uset, [t], tvars=tv)
     assert store.views["whole"] == 0
-    givens = {id(g): g for (with_sum, _), g in store.givens.items() if not with_sum}
-    assert sorted(store.local_units) == sorted((id(store.gradients), g) for g in givens)
-    for (_, g), shares in store.local_units.items():
-        for cols, (a, c) in zip(store.columns, shares):
-            expect = [frozenset(i for i, j in enumerate(cols) if j in units)
-                      for units in (store.gradients[0], givens[g][0])]
-            assert [a, c] == [(e, ()) for e in expect]
-            assert a is store._held[a] and c is store._held[c]
+    assert len(kernels) == len(set(map(id, kernels))) == len(shares)
+    assert set(map(id, kernels)) == set(map(id, shares))
+    assert set(store.split_queries) == {
+        (id(store._own_gradients), id(store._nothing), n)
+    }
 
 
 def _campaign_sweep(ctx, params):
