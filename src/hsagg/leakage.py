@@ -344,7 +344,7 @@ class _RankStore:
         key = (id(kernel), id(target), id(given))
         ranks = self.quadruples.get(key)
         if ranks is None:
-            if users is None or given[1]:
+            if users is None:
                 # a user-local query with no kernel row inserts no row at all
                 width = len(kernel[0]) if kernel else self.layout.user_dim
                 prepared = (*key[1:], width)
@@ -895,15 +895,15 @@ def helper_observation(tvars: LinearTranscript, tset: Sequence[int]) -> tuple[Li
     return tuple(v for g in range(3) for own in groups for v in own[g])
 
 
-def _resolved(ctx: SchemeContext, pattern: CommPattern, users: Sequence[int], tset: Sequence[int],
+def _resolved(ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int],
               tvars: LinearTranscript | None, exploratory: bool) -> tuple:
-    """A query's ``users`` and ``tset``, each sorted once, here, its
-    transcript, whether ``tset`` is beyond the collusion bound, and the
-    transcript's collusion of ``tset``, read from its memo.  A colluding
-    set beyond the bound raises unless the query is ``exploratory``; the
-    transcript defaults to the pattern's, and a given one must be that
-    of ``ctx`` and ``pattern``."""
-    users, tset = tuple(sorted(users)), tuple(sorted(tset))
+    """A query's ``tset`` as a sorted tuple, its transcript, whether
+    ``tset`` is beyond the collusion bound, and the transcript's collusion
+    of it, read from its memo with ``tset`` as passed and sorted only on a
+    miss: the keys are sorted tuples, so a hit proves it sorted.  A
+    colluding set beyond the bound raises unless the query is
+    ``exploratory``; the transcript defaults to the pattern's, and a
+    given one must be that of ``ctx`` and ``pattern``."""
     bound = ctx.params.collusion
     oversized = len(tset) > bound and len(set(tset)) > bound
     if oversized and not exploratory:
@@ -911,7 +911,28 @@ def _resolved(ctx: SchemeContext, pattern: CommPattern, users: Sequence[int], ts
     if tvars is None:
         tvars = build_linear_transcript(ctx, pattern)
     tvars.require(ctx, pattern)
-    return users, tset, tvars, oversized, tvars._collusions.get(tset) or tvars.collusion(tset)
+    c = tvars._collusions.get(tset := tuple(tset)) or tvars.collusion(tset := tuple(sorted(tset)))
+    return tset, tvars, oversized, c
+
+
+def _security_record(ctx: SchemeContext, pattern: CommPattern, users: Sequence[int],
+                     tset: Sequence[int], tvars: LinearTranscript | None, exploratory: bool,
+                     with_sum: bool) -> LeakageRecord:
+    """The helper record, or the master's if ``with_sum``: the view's
+    reduction or the master's set's, given ``users``' own inputs, and the
+    sum if ``with_sum``.  It reads the store's tables directly, the
+    givens as ``_resolved`` reads the collusions."""
+    tset, tv, oversized, c = _resolved(ctx, pattern, tset, tvars, exploratory)
+    store, (r_noise, kernel) = tv._store, c.master_reduction if with_sum else c.view_reduction
+    given = store.givens.get((with_sum, users := tuple(users))) or store.given(
+        with_sum, users := tuple(sorted(users)))
+    ranks = store.quadruples.get((id(kernel), id(store.gradients), id(given)))
+    r_ac, r_bc, r_abc, r_c = ranks or store.quadruple(
+        kernel, store.gradients, given, None if with_sum else c.users)
+    ranks, value = (r_ac, r_bc + r_noise, r_abc + r_noise, r_c), r_ac + r_bc - r_abc - r_c
+    # in field order: keywords would cost about 0.4 us more per record
+    return LeakageRecord("master" if with_sum else "helpers", users, tset, tv.label, ranks,
+                         value * tv.block_len, oversized)
 
 
 def check_security_helpers(
@@ -930,14 +951,7 @@ def check_security_helpers(
     ``exploratory=True`` and the value is reported rather than judged.
     ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``.
     """
-    users, tset, tv, oversized, c = _resolved(ctx, pattern, users, tset, tvars, exploratory)
-    store, (r_noise, kernel) = tv._store, c.view_reduction
-    given = store.givens.get((False, users)) or store.given(False, users)
-    ranks = store.quadruples.get((id(kernel), id(store.gradients), id(given)))
-    r_ac, r_bc, r_abc, r_c = ranks or store.quadruple(kernel, store.gradients, given, c.users)
-    ranks, value = (r_ac, r_bc + r_noise, r_abc + r_noise, r_c), r_ac + r_bc - r_abc - r_c
-    # in field order: keywords would cost about 0.4 us more per record
-    return LeakageRecord("helpers", users, tset, tv.label, ranks, value * tv.block_len, oversized)
+    return _security_record(ctx, pattern, users, tset, tvars, exploratory, False)
 
 
 def check_security_master(
@@ -955,13 +969,7 @@ def check_security_master(
     gradient sum itself.  ``tvars``, if given, must be the transcript
     of ``ctx`` and ``pattern``.
     """
-    users, tset, tv, oversized, c = _resolved(ctx, pattern, users, tset, tvars, exploratory)
-    store, (r_noise, kernel) = tv._store, c.master_reduction
-    given = store.givens.get((True, users)) or store.given(True, users)
-    ranks = store.quadruples.get((id(kernel), id(store.gradients), id(given)))
-    r_ac, r_bc, r_abc, r_c = ranks or store.quadruple(kernel, store.gradients, given)
-    ranks, value = (r_ac, r_bc + r_noise, r_abc + r_noise, r_c), r_ac + r_bc - r_abc - r_c
-    return LeakageRecord("master", users, tset, tv.label, ranks, value * tv.block_len, oversized)
+    return _security_record(ctx, pattern, users, tset, tvars, exploratory, True)
 
 
 @dataclass
@@ -1029,7 +1037,7 @@ def check_sharing_leakage(
     I(all uploads; shares seen by tset | tset's uploads and masks) = 0.
     ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``."""
 
-    _, tset, tv, _, c = _resolved(ctx, pattern, (), tset, tvars, False)
+    tset, tv, _, c = _resolved(ctx, pattern, tset, tvars, False)
     u = tv._store.layout.user_dim
     ranks = _sharing_ranks(tv.uploads_kernel, c.prefix_reduction, c.view_reduction, u, ctx.field)
     return LeakageRecord(
@@ -1083,7 +1091,7 @@ def response_entropy_given_sum(
     reductions of the view and of the master's set (the view, then every
     response) in the transcript's rank store, with W's span as the target
     (``_sharing_ranks``)."""
-    _, _, tvars, _, c = _resolved(ctx, no_straggler_pattern(ctx.params), (), tset, tvars, True)
+    _, tvars, _, c = _resolved(ctx, no_straggler_pattern(ctx.params), tset, tvars, True)
     store = tvars._store
     w = store.reduction(tvars["W"].rows)[1]
     r_ac, _, r_abc, _ = _sharing_ranks(

@@ -1,13 +1,13 @@
 """Dense matrices over GF(q).
 
-Provides Vandermonde-style constructors, Gauss-Jordan inversion, rank,
-row selection and an incremental row-space reducer used heavily by the
-leakage verifier.  Matrices are immutable after construction; entries
-are stored as canonical residues in [0, q-1].  ``GfMatrix(...)``
-reduces every entry it is given; ``GfMatrix.of_reduced`` takes rows
-that are canonical residues already, as products, row selections,
-inverses and stacks of matrices are, and skips that pass.  Products walk
-only the nonzero entries of the right operand's rows.
+Provides Vandermonde-style constructors, Gauss-Jordan inversion, row
+selection and an incremental row-space reducer, which gives every rank
+and is used heavily by the leakage verifier.  Matrices are immutable
+after construction; entries are stored as canonical residues in
+[0, q-1].  ``GfMatrix(...)`` reduces every entry it is given;
+``GfMatrix.of_reduced`` takes rows that are canonical residues already,
+as products, row selections and inverses are, and skips that pass.
+Products walk only the nonzero entries of the right operand's rows.
 
 Row and column indices are 0-based throughout this module.  Protocol
 code translates 1-based helper/user ids before calling in.
@@ -80,14 +80,6 @@ class GfMatrix:
         m.field, m.data, m.rows = field, data, len(data)
         m.cols = len(data[0]) if data else cols
         return m
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "GfMatrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "GfMatrix":
-        return cls(field, [[0] * cols for _ in range(rows)], cols)
 
     def __repr__(self):
         return f"GfMatrix({self.rows}x{self.cols} mod {self.field.q})"
@@ -173,13 +165,6 @@ class GfMatrix:
                 if c:
                     aug[r] = [(v - c * p) % q for v, p in zip(aug[r], prow)]
         return GfMatrix.of_reduced(self.field, tuple(tuple(row[n:]) for row in aug))
-
-    def rank(self) -> int:
-        """Row rank by Gaussian elimination."""
-        space = RowSpace(self.field, self.cols)
-        for row in self.data:
-            space.insert(row)
-        return space.rank
 
 
 class RowSpace:

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -35,7 +37,12 @@ from hsagg.harness import (
 from hsagg.harness import _draw_inputs
 from hsagg import harness, leakage as lk, protocol
 from hsagg.matrix import GfMatrix, RowSpace
-from hsagg.patterns import enumerate_patterns, enumerate_survivors, format_pattern
+from hsagg.patterns import (
+    enumerate_patterns,
+    enumerate_survivors,
+    format_pattern,
+    parse_pattern,
+)
 from hsagg.protocol import HelperResponse, SchemeParams
 
 EXAMPLE = SchemeParams(2, 4, 3, 1, 7, 2)
@@ -321,19 +328,24 @@ def _entry_mutants(matrix):
                 yield (i, j, delta), GfMatrix(matrix.field, changed)
 
 
+def _public_matrix_mutants(ctx):
+    """Each entry mutant of ``upload_matrix`` and of each ``mask_maps[n]``
+    (``_entry_mutants``) as a named context, the other matrices kept."""
+    for where, m in _entry_mutants(ctx.upload_matrix):
+        yield ("upload", *where), replace(ctx, upload_matrix=m)
+    for n, maps in enumerate(ctx.mask_maps):
+        for where, m in _entry_mutants(maps):
+            changed = ctx.mask_maps[:n] + (m,) + ctx.mask_maps[n + 1:]
+            yield ("mask", n, *where), replace(ctx, mask_maps=changed)
+
+
 def test_verify_fails_every_public_matrix_mutant_a_role_reads(monkeypatch):
     """Every entry of ``upload_matrix`` and of each ``mask_maps[n]``,
     changed by each nonzero delta, the derived matrices left as they
     are: verify fails every mutant except those of row n of
     ``mask_maps[n]``, the mask helper n would add toward itself, which
     no role sends."""
-    ctx = protocol.setup(SMALL)
-    mutants = [(("upload", *where), replace(ctx, upload_matrix=m))
-               for where, m in _entry_mutants(ctx.upload_matrix)]
-    for n, maps in enumerate(ctx.mask_maps):
-        for where, m in _entry_mutants(maps):
-            changed = ctx.mask_maps[:n] + (m,) + ctx.mask_maps[n + 1:]
-            mutants.append((("mask", n, *where), replace(ctx, mask_maps=changed)))
+    mutants = list(_public_matrix_mutants(protocol.setup(SMALL)))
     passed = []
     for name, mutant in mutants:
         monkeypatch.setattr(protocol, "setup", lambda params, _mutant=mutant: _mutant)
@@ -344,6 +356,41 @@ def test_verify_fails_every_public_matrix_mutant_a_role_reads(monkeypatch):
     assert sum(name[0] == "mask" for name, _ in mutants) == 36
     assert passed == [("mask", n, n, j, delta) for n in range(helpers)
                       for j in range(SMALL.resiliency - 1) for delta in range(1, q)]
+
+
+def test_single_user_mutants_leak_what_the_oracle_counts(monkeypatch):
+    """At K = 1, every entry of ``upload_matrix`` and of each
+    ``mask_maps[n]`` changed by +1: for each mutant that verify fails,
+    its first nonzero helper record is what the brute-force oracle counts
+    for the same query, I(W[1]; view | W[u], F[u] for u in U), so a
+    broken scheme's leakage is checked by counting, not only by rank
+    arithmetic.  The master conditions on W = W[1] at K = 1, so none of
+    its records is nonzero.  The mutants that pass are those of row n
+    of ``mask_maps[n]``, which no role reads."""
+    params = SchemeParams(1, 3, 2, 1, 5, 1)
+    mutants = [(name, m) for name, m in _public_matrix_mutants(protocol.setup(params))
+               if name[-1] == 1]
+    passed, checked = [], 0
+    for name, mutant in mutants:
+        monkeypatch.setattr(protocol, "setup", lambda params, _mutant=mutant: _mutant)
+        failures = verify_point(params, RunConfig(mode="verify", draws=2)).failures
+        if not failures:
+            passed.append(name)
+            continue
+        assert not any(f.startswith("master leakage") for f in failures), name
+        first = next(f for f in failures if f.startswith("helpers leakage"))
+        value, users, tset, label = re.fullmatch(
+            r"helpers leakage (\d+) at U=(\(.*?\)) T=(\(.*?\)) (.+)", first
+        ).groups()
+        users, tset, pattern = ast.literal_eval(users), ast.literal_eval(tset), parse_pattern(label)
+        tvars = lk.build_linear_transcript(mutant, pattern)
+        view = [v.name for v in lk.helper_observation(tvars, tset)]
+        given = [f"{x}[{u}]" for u in users for x in ("W", "F")]
+        oracle = lk.BruteForceOracle(mutant, pattern)
+        assert oracle.cond_mutual_info(["W[1]"], view, given) == int(value), name
+        checked += 1
+    assert (len(mutants), checked) == (15, 12)
+    assert passed == [("mask", n, n, 0, 1) for n in range(params.num_helpers)]
 
 
 def test_thousand_seeded_random_rounds():
@@ -788,6 +835,11 @@ PINNED_REPORTS = {
         ),
         ["verify", "--grid", "2,3,2,1,5,1;2,4,3,1,7,2", "--draws", "2"],
         "fd80bb8d22171c50f625718347adb535b057f6e4a725f7fca9c2adbd74fb9022",
+    ),
+    "verify-default": (
+        lambda: render_json(run_verify(RunConfig(mode="verify")).to_json()),
+        ["verify"],
+        "888cc5ee5d454155c666e0bd523e5dd9daaae30f8eea3b0c7ae579edc41e2fc4",
     ),
     "leakage": (
         lambda: render_leakage_csv(run_leakage(RunConfig(mode="leakage", params=EXAMPLE))),

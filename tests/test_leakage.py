@@ -214,7 +214,7 @@ def _forward_unmasked_shares(ctx, monkeypatch):
 
 
 def _zero_masks(ctx, monkeypatch):
-    zeros = tuple(GfMatrix.zeros(ctx.field, m.rows, m.cols) for m in ctx.mask_maps)
+    zeros = tuple(GfMatrix(ctx.field, [[0] * m.cols] * m.rows, m.cols) for m in ctx.mask_maps)
     return replace(ctx, mask_maps=zeros)
 
 
@@ -435,7 +435,8 @@ def test_static_suites_refuse_a_transcript_of_another_context(ctx, tvars, monkey
     static = build_static_vars(ctx)
     zero_masks = _zero_masks(ctx, monkeypatch)
     upload = ctx.upload_matrix
-    zero_uploads = replace(ctx, upload_matrix=GfMatrix.zeros(ctx.field, upload.rows, upload.cols))
+    zeros = GfMatrix(ctx.field, [[0] * upload.cols] * upload.rows)
+    zero_uploads = replace(ctx, upload_matrix=zeros)
     for suite, broken, violations in (
         (check_mask_independence, zero_masks, 48),
         (check_upload_recoverability, zero_uploads, 10),
@@ -1311,6 +1312,19 @@ def test_records_are_dataclasses_compared_by_field(ctx, tvars):
         assert record == leakage.LeakageRecord(**values)
         assert replace(record, value=1, exploratory=True).ok
     assert [r.colluding_users for r in records] == [(1, 2), (1, 2), ()]
+    # lists work too, sorted or not, and the records hold sorted tuples
+    listed = [
+        check_security_helpers(ctx, EXAMPLE_PATTERN, [1, 2], [3], tvars=tvars),
+        check_security_master(ctx, EXAMPLE_PATTERN, [2, 1], [3], tvars=tvars),
+        check_sharing_leakage(ctx, EXAMPLE_PATTERN, [3], tvars=tvars),
+    ]
+    assert listed == records
+    wide = [check(ctx, EXAMPLE_PATTERN, users, tset, tvars=tvars, exploratory=True)
+            for check in (check_security_helpers, check_security_master)
+            for users, tset in (([2], [4, 3]), ((2,), (3, 4)))]
+    assert [(r.colluding_users, r.colluding_helpers) for r in wide] == 4 * [((2,), (3, 4))]
+    assert all(type(r.colluding_users) is type(r.colluding_helpers) is tuple
+               for r in listed + wide)
 
 
 # -- the per-user direct sum against the incremental path --------------------

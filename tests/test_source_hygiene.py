@@ -6,7 +6,9 @@ or an export behind fails here.  The modules that read outside input
 never build a matrix without reducing its entries, no module uses
 ``numpy.random``, numpy loads only inside ``leakage``'s functions (the
 brute-force oracle), only ``matrix`` writes a ``RowSpace``'s state, and no
-module reads another's private name.  Only ``patterns`` takes
+module reads another's private name.  Inside ``leakage`` only the rank
+store's methods and ``_security_record`` read its ``givens`` and
+``quadruples`` tables.  Only ``patterns`` takes
 ``itertools.combinations``: its ``subsets`` is the one enumeration of
 user and helper subsets.  ``leakage`` never names ``master_decode``: the
 verifier's round stops at the responses.  Each option is declared once,
@@ -346,6 +348,24 @@ def name_uses(tree: ast.Module, name: str) -> list[int]:
     return sorted(lines)
 
 
+# the rank store's memo tables that a security record reads directly
+STORE_TABLES = ("givens", "quadruples")
+
+
+def store_table_reads(tree: ast.Module, allowed: tuple[str, ...]) -> list[int]:
+    """Lines that name a ``.givens`` or ``.quadruples`` attribute outside
+    the top-level classes and functions named in ``allowed``."""
+    return sorted(
+        {
+            sub.lineno
+            for node in tree.body
+            if getattr(node, "name", None) not in allowed
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr in STORE_TABLES
+        }
+    )
+
+
 OPTION_KEYS = {"parse", "help", "modes", "flag", "choices"}
 
 
@@ -469,6 +489,20 @@ def test_the_verifier_never_decodes():
     """The linear transcript is the roles run on the identity up to the
     responses; only the campaign's stacked decode calls the master."""
     assert name_uses(_package()["leakage"], "master_decode") == []
+
+
+def test_one_record_function_reads_the_rank_store_tables():
+    """Only ``_RankStore``'s own methods and ``_security_record`` read the
+    store's ``givens`` and ``quadruples``, so the helper and master
+    records keep one path; ``_security_record`` does read them."""
+    package = _package()
+    owners = ("_RankStore", "_security_record")
+    found = {
+        module: store_table_reads(tree, owners if module == "leakage" else ())
+        for module, tree in package.items()
+    }
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    assert store_table_reads(package["leakage"], ("_RankStore",)) != []
 
 
 def test_each_option_is_declared_once():
@@ -608,6 +642,21 @@ def test_the_checks_catch_what_they_look_for():
         ),
         "master_decode",
     ) == [1, 3, 5, 6]
+
+    assert store_table_reads(
+        ast.parse(
+            "class _RankStore:\n"
+            "    def given(self, users):\n"
+            "        return self.givens.get(users)\n"
+            "def _security_record(store, key):\n"
+            "    return store.quadruples.get(key)\n"
+            "def check_security_master(store, key):\n"
+            "    return store.quadruples.get(key) or store.quadruple(key)\n"
+            "memo = tv._store.givens\n"
+            "givens = quadruples = {}\n"
+        ),
+        ("_RankStore", "_security_record"),
+    ) == [7, 8]
 
     @dataclass
     class Config:
