@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import leakage as lk
 from . import patterns as pt
@@ -506,24 +506,20 @@ def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]
 
 
 def _stacked_decode(
-    ctx: proto.SchemeContext,
-    pattern: pt.CommPattern,
-    keys: proto.DealerKeys,
-    survivor_sets: Sequence[frozenset[int]],
-    draws: int,
-    rng: random.Random,
-) -> tuple[proto.RoundTranscript, list[tuple[frozenset[int], bool]]]:
-    """Every (survivor set, draw) decode case of a pattern from one round.
+    ctx: proto.SchemeContext, keys: proto.DealerKeys, draws: int, rng: random.Random
+) -> Callable[[pt.CommPattern, Sequence[frozenset[int]]], tuple]:
+    """``decode(pattern, survivor_sets)``: every (survivor set, draw)
+    decode case of a pattern, from one round on the point's inputs.
 
-    The ``draws`` inputs are one stacked draw.  The roles work column by
-    column, so draw ``d`` becomes columns ``[d * l, (d + 1) * l)`` of
-    every part of one round of block length ``draws * l``, with the
-    dealer noise tiled to match.  Only the master's decode depends on
-    the survivors: each survivor set decodes its survivors' whole
-    responses with one inverse, and a decode that raises fails every
-    case of its set.  Returns that round, stopped at the responses, and
-    each case's survivor set and whether its decode equals its draw's
-    sum, ordered by survivor set, then draw.
+    The ``draws`` inputs are one stacked draw, drawn and encoded here
+    once.  The roles work column by column, so draw ``d`` becomes
+    columns ``[d * l, (d + 1) * l)`` of every part of one round of block
+    length ``draws * l``, with the dealer noise tiled to match.  Per
+    pattern the helpers' roles run, then the master's decode per
+    survivor set, with one inverse; a decode that raises fails every
+    case of its set.  ``decode`` returns the round, stopped at the
+    responses, and each case's survivor set and whether its decode
+    equals its draw's sum, ordered by survivor set, then draw.
     """
     params = ctx.params
     l, parts = params.block_len, params.block_count
@@ -536,20 +532,28 @@ def _stacked_decode(
         {s: v * draws for s, v in keys.masks.items()},
     )
     wide = ctx.widened(draws * params.gradient_len)
-    transcript = proto.run_round(wide, pattern, grads, noises, tiled, decode=False)
-    matches = []
-    for survivors in survivor_sets:
-        try:
-            decoded = proto.master_decode(
-                ctx, [r for r in transcript.responses if r.helper in survivors]
-            )
-        except (MatrixError, proto.ProtocolError):
-            matches += [(survivors, False)] * draws
-            continue
-        for d in range(0, width, l):
-            cols = [slice(i * width + d, i * width + d + l) for i in range(parts)]
-            matches.append((survivors, all(decoded[c] == expected[c] for c in cols)))
-    return transcript, matches
+    uploads = proto.encode_round_uploads(wide, grads, noises)
+
+    def decode(pattern, survivor_sets):
+        transcript = proto.run_round(wide, pattern, grads, noises, tiled, False, uploads)
+        matches = []
+        for survivors in survivor_sets:
+            try:
+                decoded = proto.master_decode(
+                    ctx, [r for r in transcript.responses if r.helper in survivors]
+                )
+            except (MatrixError, proto.ProtocolError):
+                matches += [(survivors, False)] * draws
+                continue
+            if decoded == expected:  # every draw's columns match
+                matches += [(survivors, True)] * draws
+                continue
+            for d in range(0, width, l):
+                cols = [slice(i * width + d, i * width + d + l) for i in range(parts)]
+                matches.append((survivors, all(decoded[c] == expected[c] for c in cols)))
+        return transcript, matches
+
+    return decode
 
 
 def _setup_point(params: SchemeParams) -> proto.SchemeContext | None:
@@ -584,15 +588,16 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
 
     report = PointReport(params=params, feasible=True)
     user_sets, helper_sets = map(list, _colluding_sets(params))
+    # what no pattern changes, once per point and only in locals
+    keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
+    rng = random.Random(f"verify:{config.seed}:{params.label()}")
+    decode = _stacked_decode(ctx, keys, config.draws, rng)
+    prefix = lk.unit_prefix(ctx)
 
-    for p_idx, pattern in enumerate(pt.enumerate_patterns(params)):
+    for pattern in pt.enumerate_patterns(params):
         report.patterns += 1
-        keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}:{p_idx}")
-        rng = random.Random(f"verify:{config.seed}:{params.label()}:{p_idx}")
         survivor_sets = list(pt.enumerate_survivors(pattern, params))
-        transcript, matches = _stacked_decode(
-            ctx, pattern, keys, survivor_sets, config.draws, rng
-        )
+        transcript, matches = decode(pattern, survivor_sets)
         report.survivor_sets += len(survivor_sets)
         report.decode_cases += len(matches)
         for survivors, match in matches:
@@ -605,7 +610,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
             # rates are length ratios, the same in every column slice
             report.rate_x, report.rate_y = proto.measure_rates(transcript)
 
-        tvars = lk.build_linear_transcript(ctx, pattern)
+        tvars = lk.build_linear_transcript(ctx, pattern, prefix)
         for rec in _security_sweep(tvars, user_sets, helper_sets):
             report.security_queries += 1
             if rec.value != 0:
@@ -621,7 +626,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                     f"sharing leakage {rec.value} at T={rec.colluding_helpers} {rec.pattern}"
                 )
 
-    static = lk.build_static_vars(ctx)
+    static = lk.build_static_vars(ctx, prefix)
     for suite in (lk.check_mask_independence, lk.check_upload_recoverability):
         outcome = suite(ctx, tvars=static)
         report.invariant_checks += outcome.checks
@@ -750,11 +755,12 @@ def run_leakage(config: RunConfig) -> dict:
     every_user_set, every_helper_set = _colluding_sets(params)
     user_sets = [config.uset] if config.uset is not None else list(every_user_set)
     helper_sets = [config.tset] if config.tset is not None else list(every_helper_set)
+    prefix = lk.unit_prefix(ctx)
     records = [
         rec
         for pattern in patterns
         for rec in _security_sweep(
-            lk.build_linear_transcript(ctx, pattern), user_sets, helper_sets
+            lk.build_linear_transcript(ctx, pattern, prefix), user_sets, helper_sets
         )
     ]
     return {

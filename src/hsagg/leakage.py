@@ -36,6 +36,7 @@ from .protocol import (
     SchemeContext,
     SchemeParams,
     UserRandomness,
+    encode_round_uploads,
     gradient_sum,
     keys_from_noise,
     run_round,
@@ -54,6 +55,8 @@ __all__ = [
     "LeakageRecord",
     "InvariantReport",
     "WitnessReport",
+    "RoundPrefix",
+    "unit_prefix",
     "build_static_vars",
     "build_linear_transcript",
     "joint_rank",
@@ -492,18 +495,23 @@ class LinearTranscript(Mapping):
 # -- the transcript: the roles run on a source assignment ----------------
 
 
-def concrete_transcript_values(
-    ctx: SchemeContext, pattern: CommPattern, assignment: Sequence[int]
-) -> dict[str, tuple[int, ...]]:
-    """Every named variable's value in one round on a full source
-    assignment, ``dim * block_len`` symbols in layout order.
+@dataclass(frozen=True)
+class RoundPrefix:
+    """What a round on a source assignment does before its pattern
+    enters: its context, ``run_round``'s inputs, the uploads, and the
+    values of ``W[k]``, ``F[k]``, ``W``, ``X[k,n]`` and ``Z[i,n,k]``, on
+    the identity also as ``LinearVar``s.  A campaign keeps it in locals,
+    never in a context's memo, so that a role patched between two
+    campaigns on one context runs again."""
 
-    The round stops at the responses, so it needs no survivor set: no
-    named value depends on the master's decode, and a scheme whose
-    master cannot decode still has its leakage measured.  The linear
-    transcript is this run on the identity, so comparing the two on
-    random assignments checks that the roles are linear.
-    """
+    ctx: SchemeContext
+    inputs: tuple
+    uploads: tuple
+    values: dict[str, tuple[int, ...]]
+    tvars: dict[str, LinearVar] = dc_field(default_factory=dict)
+
+
+def _round_prefix(ctx: SchemeContext, assignment: Sequence[int]) -> RoundPrefix:
     params = ctx.params
     layout = SourceLayout(params)
     l = params.block_len
@@ -531,19 +539,26 @@ def concrete_transcript_values(
         for j in range(1, params.resiliency)
         for k in users
     }
-    t = run_round(
-        ctx, pattern, gradients, noises, keys_from_noise(ctx, dealer_noise), decode=False
-    )
+    keys = keys_from_noise(ctx, dealer_noise)
+    uploads = encode_round_uploads(ctx, gradients, noises)
 
     vals: dict[str, tuple[int, ...]] = {}
     for g, f in zip(gradients, noises):
         vals[f"W[{g.owner}]"] = g.symbols()
         vals[f"F[{f.owner}]"] = tuple(s for part in f.parts for s in part)
     vals["W"] = gradient_sum(gradients, params.modulus)
-    for u in t.uploads:
+    for u in uploads:
         vals[f"X[{u.user},{u.helper}]"] = u.payload
-    for (i, n, k), vec in t.keys.masks.items():
+    for (i, n, k), vec in keys.masks.items():
         vals[f"Z[{i},{n},{k}]"] = vec
+    return RoundPrefix(ctx, (gradients, noises, keys), uploads, vals)
+
+
+def _pattern_values(prefix: RoundPrefix, pattern: CommPattern) -> dict[str, tuple[int, ...]]:
+    """The values of ``M``, ``Xhat`` and ``Y``: the helpers' roles in the
+    round of ``prefix`` under ``pattern``."""
+    t = run_round(prefix.ctx, pattern, *prefix.inputs, False, prefix.uploads)
+    vals: dict[str, tuple[int, ...]] = {}
     for m in t.messages:
         for k, vec in m.payloads.items():
             vals[f"M[{m.sender}->{m.receiver},{k}]"] = vec
@@ -552,6 +567,22 @@ def concrete_transcript_values(
     for r in t.responses:
         vals[f"Y[{r.helper}]"] = r.payload
     return vals
+
+
+def concrete_transcript_values(
+    ctx: SchemeContext, pattern: CommPattern, assignment: Sequence[int]
+) -> dict[str, tuple[int, ...]]:
+    """Every named variable's value in one round on a full source
+    assignment, ``dim * block_len`` symbols in layout order.
+
+    The round stops at the responses, so it needs no survivor set: no
+    named value depends on the master's decode, and a scheme whose
+    master cannot decode still has its leakage measured.  The linear
+    transcript is this run on the identity, so comparing the two on
+    random assignments checks that the roles are linear.
+    """
+    prefix = _round_prefix(ctx, assignment)
+    return {**prefix.values, **_pattern_values(prefix, pattern)}
 
 
 def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.ndarray) -> dict:
@@ -584,41 +615,56 @@ def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.nd
     }
 
 
-def build_linear_transcript(
-    ctx: SchemeContext, pattern: CommPattern
-) -> LinearTranscript:
-    """Coefficient-level transcript of one round under the pattern: the
-    sources, uploads, masks, inter-helper shares, recovered uploads and
-    responses, read off ``concrete_transcript_values`` on the identity.
-
-    Block length becomes ``dim`` and source slot ``s`` holds the unit
-    vector ``e_s``.  The roles act on each payload column alike and
-    linearly, so column ``s`` of a payload is its coefficient on slot
-    ``s``: each ``dim``-wide chunk of a value is one coefficient row.
-    Its queries share the context's rank store, and it answers only for
-    ``ctx`` and ``pattern``.
-    """
+def _linear_vars(ctx: SchemeContext, values: Mapping[str, tuple[int, ...]]) -> dict:
+    """Each value of a run on the identity as a ``LinearVar``."""
     layout = SourceLayout(ctx.params)
     dim = layout.dim
-    identity = [0] * (dim * dim)
-    identity[::dim + 1] = [1] * dim
-    unit_ctx = ctx.widened(dim * ctx.params.block_count)
-    tvars = {
+    return {
         name: LinearVar(
             name,
             layout,
             GfMatrix.of_reduced(ctx.field, tuple(v[i:i + dim] for i in range(0, len(v), dim))),
         )
-        for name, v in concrete_transcript_values(unit_ctx, pattern, identity).items()
+        for name, v in values.items()
     }
+
+
+def unit_prefix(ctx: SchemeContext) -> RoundPrefix:
+    """The ``RoundPrefix`` of ``build_linear_transcript``'s round on the
+    identity, with its ``LinearVar``s."""
+    dim = SourceLayout(ctx.params).dim
+    identity = [0] * (dim * dim)
+    identity[::dim + 1] = [1] * dim
+    prefix = _round_prefix(ctx.widened(dim * ctx.params.block_count), identity)
+    return replace(prefix, tvars=_linear_vars(ctx, prefix.values))
+
+
+def build_linear_transcript(
+    ctx: SchemeContext, pattern: CommPattern, prefix: RoundPrefix | None = None
+) -> LinearTranscript:
+    """Coefficient-level transcript of one round under the pattern: the
+    sources, uploads, masks, inter-helper shares, recovered uploads and
+    responses, read off the run of ``concrete_transcript_values`` on the
+    identity.
+
+    Block length becomes ``dim`` and source slot ``s`` holds the unit
+    vector ``e_s``.  The roles act on each payload column alike and
+    linearly, so column ``s`` of a payload is its coefficient on slot
+    ``s``: each ``dim``-wide chunk of a value is one coefficient row.
+    ``prefix``, if given, must be ``unit_prefix(ctx)``: then only the
+    pattern's roles run.  Its queries share the context's rank store,
+    and it answers only for ``ctx`` and ``pattern``.
+    """
+    prefix = prefix or unit_prefix(ctx)
+    tvars = {**prefix.tvars, **_linear_vars(ctx, _pattern_values(prefix, pattern))}
     return LinearTranscript(ctx, pattern, tvars)
 
 
-def build_static_vars(ctx: SchemeContext) -> LinearTranscript:
+def build_static_vars(ctx: SchemeContext, prefix: RoundPrefix | None = None) -> LinearTranscript:
     """The no-straggler transcript: every link up, every helper
     surviving.  Its gradients, randomness, sum, uploads and dealer masks
     are the same under every pattern."""
-    return build_linear_transcript(ctx, no_straggler_pattern(ctx.params))
+    return build_linear_transcript(ctx, no_straggler_pattern(ctx.params), prefix)
 
 
 # -- rank arithmetic -------------------------------------------------------

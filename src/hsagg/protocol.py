@@ -48,6 +48,7 @@ __all__ = [
     "RoundTranscript",
     "setup",
     "encode_uploads",
+    "encode_round_uploads",
     "dealer_generate",
     "keys_from_noise",
     "helper_share",
@@ -419,6 +420,16 @@ def encode_uploads(
     )
 
 
+def encode_round_uploads(
+    ctx: SchemeContext, gradients: Sequence[Gradient], noises: Sequence[UserRandomness]
+) -> tuple[UploadMessage, ...]:
+    """Every user's ``encode_uploads``, user by user: with the keys, all
+    of a round that no pattern changes."""
+    noise_by_user = {f.owner: f for f in noises}
+    return tuple(msg for g in sorted(gradients, key=lambda g: g.owner)
+                 for msg in encode_uploads(ctx, g, noise_by_user[g.owner]))
+
+
 def helper_share(
     ctx: SchemeContext,
     keys: DealerKeys,
@@ -546,6 +557,7 @@ def run_round(
     noises: Sequence[UserRandomness],
     keys: DealerKeys,
     decode: bool = True,
+    uploads: tuple[UploadMessage, ...] | None = None,
 ) -> RoundTranscript:
     """Execute uploading, sharing-and-computation, and reconstruction.
 
@@ -553,7 +565,8 @@ def run_round(
     pattern's survivors, which it must then carry.  With ``decode=False``
     the round stops at the responses, needs no survivor set, and
     ``decoded`` stays None, so a scheme whose master cannot decode still
-    yields every message it sends.
+    yields every message it sends.  ``uploads``, if given, must be
+    ``encode_round_uploads`` of these inputs, encoded once for many patterns.
     """
     params = ctx.params
     patterns_mod.validate(pattern, params)
@@ -562,14 +575,9 @@ def run_round(
     if sorted(g.owner for g in gradients) != list(range(1, params.num_users + 1)):
         raise ShapeMismatch("need exactly one gradient per user")
 
-    grad_by_user = {g.owner: g for g in gradients}
-    noise_by_user = {f.owner: f for f in noises}
-    uploads: list[UploadMessage] = []
-    payload: dict[tuple[int, int], Vector] = {}
-    for k in sorted(grad_by_user):
-        for msg in encode_uploads(ctx, grad_by_user[k], noise_by_user[k]):
-            uploads.append(msg)
-            payload[(msg.user, msg.helper)] = msg.payload
+    if uploads is None:
+        uploads = encode_round_uploads(ctx, gradients, noises)
+    payload = {(msg.user, msg.helper): msg.payload for msg in uploads}
 
     active = sorted(pattern.active_helpers)
     received = {
@@ -606,7 +614,7 @@ def run_round(
     return RoundTranscript(
         params=params,
         pattern=pattern,
-        uploads=tuple(uploads),
+        uploads=uploads,
         keys=keys,
         messages=tuple(messages),
         responses=tuple(responses),

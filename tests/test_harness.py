@@ -230,21 +230,31 @@ def test_stacked_decode_catches_the_corrupted_last_draw_of_every_survivor_set(mo
     assert len(_decode_failures(report)) == report.survivor_sets == 109
 
 
-def test_verify_point_draws_each_patterns_inputs_once(monkeypatch):
-    """A pattern's survivor sets decode the same ``draws`` inputs: one
-    draw of ``draws`` cases per pattern, still ``draws`` decode cases
-    per survivor set."""
-    draw, cases = harness._draw_inputs, []
+def test_verify_point_draws_each_points_inputs_once(monkeypatch):
+    """Every pattern and survivor set of a point decodes the same
+    ``draws`` inputs under the same dealer table: one draw of ``draws``
+    cases and one ``dealer_generate`` per feasible point, and none for an
+    infeasible one, still ``draws`` decode cases per survivor set."""
+    draw, dealer, cases, seeds = harness._draw_inputs, protocol.dealer_generate, [], []
 
     def spy(params, rng, n=1):
         cases.append(n)
         return draw(params, rng, n)
 
+    def dealer_spy(ctx, seed):
+        seeds.append(seed)
+        return dealer(ctx, seed)
+
     monkeypatch.setattr(harness, "_draw_inputs", spy)
-    report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
-    assert cases == [2] * report.patterns == [2] * 25
-    assert report.decode_cases == 2 * report.survivor_sets == 218
-    assert report.failures == []
+    monkeypatch.setattr(protocol, "dealer_generate", dealer_spy)
+    grid = (SMALL, EXAMPLE, SchemeParams(2, 4, 2, 2, 7, 2))
+    report = run_verify(RunConfig(mode="verify", grid=grid, draws=2))
+    assert cases == [2, 2] and len(seeds) == 2
+    small, example, infeasible = report.points
+    assert (small.patterns, example.patterns, infeasible.feasible) == (16, 25, False)
+    assert example.decode_cases == 2 * example.survivor_sets == 218
+    assert small.decode_cases == 2 * small.survivor_sets
+    assert report.ok
 
 
 def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):
@@ -308,8 +318,9 @@ def test_verify_catches_a_nonzero_own_mask_row(monkeypatch):
     monkeypatch.setattr(protocol, "setup", own_mask_row)
     report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
     assert report.decode_cases == 218
+    # which decode cases fail depends on the point's one draw and dealer table
     assert Counter(" ".join(f.split()[:2]) for f in report.failures) == {
-        "decode mismatch": 160,
+        "decode mismatch": 180,
         "helpers leakage": 76,
         "master leakage": 36,
         "sharing leakage": 36,
@@ -560,6 +571,61 @@ def test_round_work_does_not_grow(params, monkeypatch):
     monkeypatch.setattr(GfMatrix, "inv", counted)
     verify_point(params, RunConfig(mode="verify", draws=1))
     assert len(calls) <= ROUND_WORK[params.label()], len(calls)
+
+
+# Calls of each point's one-draw campaign to dealer_generate, _draw_inputs,
+# encode_uploads and keys_from_noise (the dealer's and the unit round's):
+# the work that no pattern changes, so the counts do not grow with the
+# pattern count P.  A campaign that redid it per pattern made
+# (P, P, 2KP + K, 2P + 1): (16, 16, 66, 33), (25, 25, 102, 51),
+# (125, 125, 753, 251) and (36, 36, 146, 73) at these points.
+PREFIX_WORK = {
+    "2,3,2,1,5,1": (1, 1, 4, 2),
+    "2,4,3,1,7,2": (1, 1, 4, 2),
+    "3,4,3,2,11,1": (1, 1, 6, 2),
+    "2,5,4,2,11,2": (1, 1, 4, 2),
+}
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_prefix_work_does_not_grow(params, monkeypatch):
+    """A campaign that draws, deals, encodes or derives masks again for
+    each pattern, instead of once per point, shows as more calls."""
+    names = ("dealer_generate", "_draw_inputs", "encode_uploads", "keys_from_noise")
+    calls = Counter()
+    for owner, name in ((protocol, names[0]), (harness, names[1]), (protocol, names[2]),
+                        (protocol, names[3]), (lk, names[3])):
+        def counted(*args, _name=name, _method=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    verify_point(params, RunConfig(mode="verify", draws=1))
+    made = tuple(calls[name] for name in names)
+    assert all(c <= bound for c, bound in zip(made, PREFIX_WORK[params.label()])), made
+
+
+def test_a_broken_scheme_on_a_swept_context_fails_as_on_a_fresh_one(monkeypatch):
+    """A point's prefix lives in ``verify_point``'s locals, never in the
+    context's memo: on a context whose memo a correct campaign filled, a
+    campaign under keys whose every user's masks come from user 1's noise
+    reports the failures it reports on a fresh context."""
+    swept, fresh = protocol.setup(EXAMPLE), protocol.setup(EXAMPLE)
+    config = RunConfig(mode="verify", draws=1)
+    monkeypatch.setattr(protocol, "setup", lambda params: swept)
+    assert verify_point(EXAMPLE, config).failures == []
+    derive = lk.keys_from_noise
+    monkeypatch.setattr(lk, "keys_from_noise", lambda ctx, noise: derive(
+        ctx, {(n, j, k): noise[n, j, 1] for n, j, k in noise}))
+    broken = verify_point(EXAMPLE, config).failures
+    monkeypatch.setattr(protocol, "setup", lambda params: fresh)
+    assert broken == verify_point(EXAMPLE, config).failures
+    assert Counter(" ".join(f.split()[:2]) for f in broken) == {
+        "helpers leakage": 12,
+        "master leakage": 4,
+        "sharing leakage": 4,
+        "maximal mask": 1,
+    }
 
 
 # Two one-draw campaigns at each of two default points, in one fresh
@@ -824,7 +890,7 @@ def test_params_and_grid_are_exclusive(run):
         run(RunConfig(mode="any", params=SMALL, grid=(EXAMPLE,)))
 
 
-# SHA-256 of four reports, each with every unnamed field at its RunConfig
+# SHA-256 of six reports, each with every unnamed field at its RunConfig
 # default, so that a change to a report's bytes shows up across commits
 # and not only between two runs in one process; the CLI writes the same
 # bytes.
@@ -840,6 +906,13 @@ PINNED_REPORTS = {
         lambda: render_json(run_verify(RunConfig(mode="verify")).to_json()),
         ["verify"],
         "888cc5ee5d454155c666e0bd523e5dd9daaae30f8eea3b0c7ae579edc41e2fc4",
+    ),
+    "verify-stretch": (  # 625 patterns on one point's prefix
+        lambda: render_json(
+            run_verify(RunConfig(mode="verify", grid=(SchemeParams(4, 4, 3, 1, 7, 2),))).to_json()
+        ),
+        ["verify", "--grid", "4,4,3,1,7,2"],
+        "9461be157f584903f8361dcbe049c0fe7d7dfaf2e1080808e6fd72b1298e8017",
     ),
     "leakage": (
         lambda: render_leakage_csv(run_leakage(RunConfig(mode="leakage", params=EXAMPLE))),

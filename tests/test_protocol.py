@@ -31,6 +31,7 @@ from hsagg.protocol import (
     StragglerHelper,
     UserRandomness,
     dealer_generate,
+    encode_round_uploads,
     encode_uploads,
     helper_recover,
     helper_respond,
@@ -454,6 +455,23 @@ def test_roundtrip_exhaustive_at_small_point():
             assert t.decoded == expected
             cases += 1
     assert cases > 16
+
+
+def test_a_round_given_its_uploads_equals_the_round_that_encodes_them():
+    """``run_round`` given ``encode_round_uploads`` of its inputs, as a
+    campaign passes them to every pattern, gives the transcript it gives
+    when it encodes them itself, at every pattern and survivor set."""
+    params = SchemeParams(2, 3, 2, 1, 5, 1)
+    ctx2 = setup(params)
+    grads, noises = make_round_inputs(params, 12)
+    keys = dealer_generate(ctx2, 12)
+    uploads = encode_round_uploads(ctx2, grads[::-1], noises)
+    assert uploads == tuple(m for g, f in zip(grads, noises) for m in encode_uploads(ctx2, g, f))
+    for pattern in enumerate_patterns(params):
+        for survivors in enumerate_survivors(pattern, params):
+            full = pattern.with_survivors(survivors)
+            given = run_round(ctx2, full, grads, noises, keys, True, uploads)
+            assert given == run_round(ctx2, full, grads, noises, keys)
 
 
 def test_message_sizes_are_one_block(ctx):
