@@ -119,7 +119,7 @@ class RunConfig:
     out: str | None = _option(None, str, "output file (default stdout)")
     format: str = _option("json", str, "report format (default json)", choices=("json", "csv"))
     budget: int = _option(1_000_000, int, "enumeration work budget")
-    draws: int = _option(20, int, "random gradient draws per pattern (default 20)", ("verify",))
+    draws: int = _option(20, int, "random gradient draws per grid point (default 20)", ("verify",))
     uset: tuple[int, ...] | None = _option(
         None, _parse_ids, "colluding users, e.g. 1,2 (default: all subsets)", ("leakage",))
     tset: tuple[int, ...] | None = _option(
@@ -515,11 +515,11 @@ def _stacked_decode(
     once.  The roles work column by column, so draw ``d`` becomes
     columns ``[d * l, (d + 1) * l)`` of every part of one round of block
     length ``draws * l``, with the dealer noise tiled to match.  Per
-    pattern the helpers' roles run, then the master's decode per
-    survivor set, with one inverse; a decode that raises fails every
-    case of its set.  ``decode`` returns the round, stopped at the
-    responses, and each case's survivor set and whether its decode
-    equals its draw's sum, ordered by survivor set, then draw.
+    pattern the helper phase runs (``proto.run_helpers``), then the
+    master's decode per survivor set, with one inverse; a decode that
+    raises fails every case of its set.  ``decode`` returns the round,
+    stopped at the responses, and each case's survivor set and whether
+    its decode equals its draw's sum, ordered by survivor set, then draw.
     """
     params = ctx.params
     l, parts = params.block_len, params.block_count
@@ -535,7 +535,7 @@ def _stacked_decode(
     uploads = proto.encode_round_uploads(wide, grads, noises)
 
     def decode(pattern, survivor_sets):
-        transcript = proto.run_round(wide, pattern, grads, noises, tiled, False, uploads)
+        transcript = proto.run_helpers(wide, pattern, uploads, tiled)
         matches = []
         for survivors in survivor_sets:
             try:
@@ -592,7 +592,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
     rng = random.Random(f"verify:{config.seed}:{params.label()}")
     decode = _stacked_decode(ctx, keys, config.draws, rng)
-    prefix = lk.unit_prefix(ctx)
+    unit = lk.UnitRound(ctx)
 
     for pattern in pt.enumerate_patterns(params):
         report.patterns += 1
@@ -610,7 +610,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
             # rates are length ratios, the same in every column slice
             report.rate_x, report.rate_y = proto.measure_rates(transcript)
 
-        tvars = lk.build_linear_transcript(ctx, pattern, prefix)
+        tvars = unit.transcript(pattern)
         for rec in _security_sweep(tvars, user_sets, helper_sets):
             report.security_queries += 1
             if rec.value != 0:
@@ -626,7 +626,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                     f"sharing leakage {rec.value} at T={rec.colluding_helpers} {rec.pattern}"
                 )
 
-    static = lk.build_static_vars(ctx, prefix)
+    static = unit.transcript(pt.no_straggler_pattern(params))
     for suite in (lk.check_mask_independence, lk.check_upload_recoverability):
         outcome = suite(ctx, tvars=static)
         report.invariant_checks += outcome.checks
@@ -755,13 +755,11 @@ def run_leakage(config: RunConfig) -> dict:
     every_user_set, every_helper_set = _colluding_sets(params)
     user_sets = [config.uset] if config.uset is not None else list(every_user_set)
     helper_sets = [config.tset] if config.tset is not None else list(every_helper_set)
-    prefix = lk.unit_prefix(ctx)
+    unit = lk.UnitRound(ctx)
     records = [
         rec
         for pattern in patterns
-        for rec in _security_sweep(
-            lk.build_linear_transcript(ctx, pattern, prefix), user_sets, helper_sets
-        )
+        for rec in _security_sweep(unit.transcript(pattern), user_sets, helper_sets)
     ]
     return {
         "params": params.label(),

@@ -3,9 +3,10 @@
 This module names the protocol variables and fixes their source layout
 (``SourceLayout``), runs the protocol roles on a source assignment
 (``concrete_transcript_values``), reads each variable's coefficient
-rows off that run on the identity (``build_linear_transcript``), and
-does the rank arithmetic.  The round stops at the responses: the
-verifier never decodes.  For linear variables q-ary joint entropy is
+rows off that run on the identity (``UnitRound``: the uploads once per
+context, then ``protocol.run_helpers`` per pattern), and does the rank
+arithmetic.  The round stops at the responses: the verifier never
+decodes.  For linear variables q-ary joint entropy is
 ``rank * block_len``, and
 
     I(A; B | C) = rank(AC) + rank(BC) - rank(ABC) - rank(C)
@@ -32,6 +33,7 @@ from .field import PrimeField
 from .matrix import GfMatrix, RowSpace
 from .patterns import CommPattern, format_pattern, no_straggler_pattern, subsets
 from .protocol import (
+    DealerKeys,
     Gradient,
     SchemeContext,
     SchemeParams,
@@ -39,7 +41,7 @@ from .protocol import (
     encode_round_uploads,
     gradient_sum,
     keys_from_noise,
-    run_round,
+    run_helpers,
     setup,
 )
 
@@ -55,8 +57,7 @@ __all__ = [
     "LeakageRecord",
     "InvariantReport",
     "WitnessReport",
-    "RoundPrefix",
-    "unit_prefix",
+    "UnitRound",
     "build_static_vars",
     "build_linear_transcript",
     "joint_rank",
@@ -495,23 +496,9 @@ class LinearTranscript(Mapping):
 # -- the transcript: the roles run on a source assignment ----------------
 
 
-@dataclass(frozen=True)
-class RoundPrefix:
-    """What a round on a source assignment does before its pattern
-    enters: its context, ``run_round``'s inputs, the uploads, and the
-    values of ``W[k]``, ``F[k]``, ``W``, ``X[k,n]`` and ``Z[i,n,k]``, on
-    the identity also as ``LinearVar``s.  A campaign keeps it in locals,
-    never in a context's memo, so that a role patched between two
-    campaigns on one context runs again."""
-
-    ctx: SchemeContext
-    inputs: tuple
-    uploads: tuple
-    values: dict[str, tuple[int, ...]]
-    tvars: dict[str, LinearVar] = dc_field(default_factory=dict)
-
-
-def _round_prefix(ctx: SchemeContext, assignment: Sequence[int]) -> RoundPrefix:
+def _round_prefix(ctx: SchemeContext, assignment: Sequence[int]) -> tuple:
+    """What no pattern changes in a round on a source assignment: its
+    keys, its uploads and the values of ``W[k]``, ``F[k]``, ``W``, ``X``, ``Z``."""
     params = ctx.params
     layout = SourceLayout(params)
     l = params.block_len
@@ -551,13 +538,15 @@ def _round_prefix(ctx: SchemeContext, assignment: Sequence[int]) -> RoundPrefix:
         vals[f"X[{u.user},{u.helper}]"] = u.payload
     for (i, n, k), vec in keys.masks.items():
         vals[f"Z[{i},{n},{k}]"] = vec
-    return RoundPrefix(ctx, (gradients, noises, keys), uploads, vals)
+    return keys, uploads, vals
 
 
-def _pattern_values(prefix: RoundPrefix, pattern: CommPattern) -> dict[str, tuple[int, ...]]:
-    """The values of ``M``, ``Xhat`` and ``Y``: the helpers' roles in the
-    round of ``prefix`` under ``pattern``."""
-    t = run_round(prefix.ctx, pattern, *prefix.inputs, False, prefix.uploads)
+def _pattern_values(
+    ctx: SchemeContext, pattern: CommPattern, uploads: tuple, keys: DealerKeys
+) -> dict[str, tuple[int, ...]]:
+    """The values of ``M``, ``Xhat`` and ``Y``: ``run_helpers`` on a
+    round's uploads and keys under ``pattern``."""
+    t = run_helpers(ctx, pattern, uploads, keys)
     vals: dict[str, tuple[int, ...]] = {}
     for m in t.messages:
         for k, vec in m.payloads.items():
@@ -581,8 +570,8 @@ def concrete_transcript_values(
     transcript is this run on the identity, so comparing the two on
     random assignments checks that the roles are linear.
     """
-    prefix = _round_prefix(ctx, assignment)
-    return {**prefix.values, **_pattern_values(prefix, pattern)}
+    keys, uploads, vals = _round_prefix(ctx, assignment)
+    return {**vals, **_pattern_values(ctx, pattern, uploads, keys)}
 
 
 def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.ndarray) -> dict:
@@ -629,42 +618,46 @@ def _linear_vars(ctx: SchemeContext, values: Mapping[str, tuple[int, ...]]) -> d
     }
 
 
-def unit_prefix(ctx: SchemeContext) -> RoundPrefix:
-    """The ``RoundPrefix`` of ``build_linear_transcript``'s round on the
-    identity, with its ``LinearVar``s."""
-    dim = SourceLayout(ctx.params).dim
-    identity = [0] * (dim * dim)
-    identity[::dim + 1] = [1] * dim
-    prefix = _round_prefix(ctx.widened(dim * ctx.params.block_count), identity)
-    return replace(prefix, tvars=_linear_vars(ctx, prefix.values))
-
-
-def build_linear_transcript(
-    ctx: SchemeContext, pattern: CommPattern, prefix: RoundPrefix | None = None
-) -> LinearTranscript:
-    """Coefficient-level transcript of one round under the pattern: the
-    sources, uploads, masks, inter-helper shares, recovered uploads and
-    responses, read off the run of ``concrete_transcript_values`` on the
-    identity.
+class UnitRound:
+    """The round of ``concrete_transcript_values`` on the identity, run
+    up to where the pattern enters and bound to the context it ran at.
 
     Block length becomes ``dim`` and source slot ``s`` holds the unit
     vector ``e_s``.  The roles act on each payload column alike and
     linearly, so column ``s`` of a payload is its coefficient on slot
     ``s``: each ``dim``-wide chunk of a value is one coefficient row.
-    ``prefix``, if given, must be ``unit_prefix(ctx)``: then only the
-    pattern's roles run.  Its queries share the context's rank store,
-    and it answers only for ``ctx`` and ``pattern``.
+    A campaign keeps it in locals, never in a context's memo, so that a
+    role patched between two campaigns on one context runs again.
     """
-    prefix = prefix or unit_prefix(ctx)
-    tvars = {**prefix.tvars, **_linear_vars(ctx, _pattern_values(prefix, pattern))}
-    return LinearTranscript(ctx, pattern, tvars)
+
+    def __init__(self, ctx: SchemeContext):
+        dim = SourceLayout(ctx.params).dim
+        identity = [0] * (dim * dim)
+        identity[::dim + 1] = [1] * dim
+        self.ctx, self._wide = ctx, ctx.widened(dim * ctx.params.block_count)
+        self._keys, self._uploads, values = _round_prefix(self._wide, identity)
+        self._tvars = _linear_vars(ctx, values)
+
+    def transcript(self, pattern: CommPattern) -> LinearTranscript:
+        """The linear transcript under ``pattern``: only the pattern's
+        helpers run.  It answers only for this context and ``pattern``."""
+        values = _pattern_values(self._wide, pattern, self._uploads, self._keys)
+        tvars = {**self._tvars, **_linear_vars(self.ctx, values)}
+        return LinearTranscript(self.ctx, pattern, tvars)
 
 
-def build_static_vars(ctx: SchemeContext, prefix: RoundPrefix | None = None) -> LinearTranscript:
+def build_linear_transcript(ctx: SchemeContext, pattern: CommPattern) -> LinearTranscript:
+    """Coefficient-level transcript of one round under the pattern, every
+    variable's rows (``UnitRound``).  Its queries share the context's rank
+    store, and it answers only for ``ctx`` and ``pattern``."""
+    return UnitRound(ctx).transcript(pattern)
+
+
+def build_static_vars(ctx: SchemeContext) -> LinearTranscript:
     """The no-straggler transcript: every link up, every helper
     surviving.  Its gradients, randomness, sum, uploads and dealer masks
     are the same under every pattern."""
-    return build_linear_transcript(ctx, no_straggler_pattern(ctx.params), prefix)
+    return build_linear_transcript(ctx, no_straggler_pattern(ctx.params))
 
 
 # -- rank arithmetic -------------------------------------------------------

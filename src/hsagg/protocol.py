@@ -1,9 +1,11 @@
 """The four aggregation roles: user encoder, trusted dealer, helper, master.
 
-One round moves length-L gradients from K users through N helpers to a
-master that reconstructs only the gradient sum, tolerating straggling
-links as long as each user reaches at least ``resiliency`` helpers and
-the master hears back from at least ``resiliency`` of them.
+One round (``run_round``) moves length-L gradients from K users through
+N helpers to a master that reconstructs only the gradient sum,
+tolerating straggling links as long as each user reaches at least
+``resiliency`` helpers and the master hears back from at least
+``resiliency`` of them.  The uploads depend on the inputs alone; the
+pattern enters at the helper phase (``run_helpers``).
 
 All payloads are vectors of ``block_len = L / (resiliency - collusion)``
 field symbols; a vector is processed as independent columns through the
@@ -55,6 +57,7 @@ __all__ = [
     "helper_recover",
     "helper_respond",
     "master_decode",
+    "run_helpers",
     "run_round",
     "measure_rates",
 ]
@@ -380,7 +383,7 @@ class HelperResponse:
 class RoundTranscript:
     """Every message produced in one round, the uploads each helper
     recovered (keyed (k, n): user k's upload as rebuilt by helper n),
-    plus the decoded sum."""
+    plus the decoded sum, None where the round stops at the responses."""
 
     params: SchemeParams
     pattern: CommPattern
@@ -550,33 +553,20 @@ def master_decode(
     )
 
 
-def run_round(
+def run_helpers(
     ctx: SchemeContext,
     pattern: CommPattern,
-    gradients: Sequence[Gradient],
-    noises: Sequence[UserRandomness],
+    uploads: Sequence[UploadMessage],
     keys: DealerKeys,
-    decode: bool = True,
-    uploads: tuple[UploadMessage, ...] | None = None,
 ) -> RoundTranscript:
-    """Execute uploading, sharing-and-computation, and reconstruction.
-
-    Returns the full transcript with the gradient sum decoded from the
-    pattern's survivors, which it must then carry.  With ``decode=False``
-    the round stops at the responses, needs no survivor set, and
-    ``decoded`` stays None, so a scheme whose master cannot decode still
-    yields every message it sends.  ``uploads``, if given, must be
-    ``encode_round_uploads`` of these inputs, encoded once for many patterns.
-    """
+    """Sharing-and-computation, where the pattern enters a round: each
+    active helper's ``helper_share``, ``helper_recover`` of every user it
+    missed and ``helper_respond``, on a round's uploads and dealer keys.
+    The transcript stops at the responses, so it needs no survivor set,
+    ``decoded`` stays None, and a scheme whose master cannot decode still
+    yields every message it sends."""
     params = ctx.params
     patterns_mod.validate(pattern, params)
-    if decode and pattern.survivors is None:
-        raise patterns_mod.BadSurvivorSet("round execution needs a survivor set to decode")
-    if sorted(g.owner for g in gradients) != list(range(1, params.num_users + 1)):
-        raise ShapeMismatch("need exactly one gradient per user")
-
-    if uploads is None:
-        uploads = encode_round_uploads(ctx, gradients, noises)
     payload = {(msg.user, msg.helper): msg.payload for msg in uploads}
 
     active = sorted(pattern.active_helpers)
@@ -606,21 +596,39 @@ def run_round(
         recovered.update(((k, n), vec) for k, vec in rebuilt.items())
         responses.append(helper_respond(ctx, pattern, n, received[n], rebuilt))
 
-    decoded = None
-    if decode:
-        decoded = master_decode(
-            ctx, [r for r in responses if r.helper in pattern.survivors]
-        )
     return RoundTranscript(
         params=params,
         pattern=pattern,
-        uploads=uploads,
+        uploads=tuple(uploads),
         keys=keys,
         messages=tuple(messages),
         responses=tuple(responses),
         recovered=recovered,
-        decoded=decoded,
     )
+
+
+def run_round(
+    ctx: SchemeContext,
+    pattern: CommPattern,
+    gradients: Sequence[Gradient],
+    noises: Sequence[UserRandomness],
+    keys: DealerKeys,
+) -> RoundTranscript:
+    """Execute uploading (``encode_round_uploads``), sharing-and-computation
+    (``run_helpers``) and reconstruction: ``master_decode`` of the
+    survivors' responses.  Raises, in order: the pattern's error, then
+    BadSurvivorSet without a survivor set, then ShapeMismatch unless
+    there is exactly one gradient per user."""
+    params = ctx.params
+    patterns_mod.validate(pattern, params)
+    if pattern.survivors is None:
+        raise patterns_mod.BadSurvivorSet("round execution needs a survivor set to decode")
+    if sorted(g.owner for g in gradients) != list(range(1, params.num_users + 1)):
+        raise ShapeMismatch("need exactly one gradient per user")
+    transcript = run_helpers(ctx, pattern, encode_round_uploads(ctx, gradients, noises), keys)
+    survivors = [r for r in transcript.responses if r.helper in pattern.survivors]
+    transcript.decoded = master_decode(ctx, survivors)
+    return transcript
 
 
 def measure_rates(transcript: RoundTranscript) -> tuple[Fraction, Fraction]:

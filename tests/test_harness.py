@@ -207,10 +207,10 @@ def test_stacked_decode_catches_a_master_decode_off_by_one(monkeypatch, column):
 
 
 def test_stacked_decode_catches_the_corrupted_last_draw_of_every_survivor_set(monkeypatch):
-    run_round = protocol.run_round
+    run_helpers = protocol.run_helpers
 
     def corrupt_last_column(*args, **kwargs):
-        t = run_round(*args, **kwargs)
+        t = run_helpers(*args, **kwargs)
         q = t.params.modulus
         t.responses = tuple(
             HelperResponse(r.helper, r.payload[:-1] + ((r.payload[-1] + 1) % q,))
@@ -218,7 +218,7 @@ def test_stacked_decode_catches_the_corrupted_last_draw_of_every_survivor_set(mo
         )
         return t
 
-    monkeypatch.setattr(protocol, "run_round", corrupt_last_column)
+    monkeypatch.setattr(protocol, "run_helpers", corrupt_last_column)
     report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
     # every survivor set decodes the whole round: the last column is
     # the last draw of each
@@ -258,10 +258,10 @@ def test_verify_point_draws_each_points_inputs_once(monkeypatch):
 
 
 def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):
-    run_round = protocol.run_round
+    run_helpers = protocol.run_helpers
 
     def corrupt_helper_1(*args, **kwargs):
-        t = run_round(*args, **kwargs)
+        t = run_helpers(*args, **kwargs)
         q = t.params.modulus
         t.responses = tuple(
             HelperResponse(r.helper, tuple((v + (r.helper == 1)) % q for v in r.payload))
@@ -269,7 +269,7 @@ def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):
         )
         return t
 
-    monkeypatch.setattr(protocol, "run_round", corrupt_helper_1)
+    monkeypatch.setattr(protocol, "run_helpers", corrupt_helper_1)
     report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
     # the master decodes from the Nr lowest-numbered survivors
     assert _decode_failures(report) == [
@@ -606,8 +606,8 @@ def test_prefix_work_does_not_grow(params, monkeypatch):
 
 
 def test_a_broken_scheme_on_a_swept_context_fails_as_on_a_fresh_one(monkeypatch):
-    """A point's prefix lives in ``verify_point``'s locals, never in the
-    context's memo: on a context whose memo a correct campaign filled, a
+    """A point's unit round lives in ``verify_point``'s locals, never in
+    the context's memo: on a context whose memo a correct campaign filled, a
     campaign under keys whose every user's masks come from user 1's noise
     reports the failures it reports on a fresh context."""
     swept, fresh = protocol.setup(EXAMPLE), protocol.setup(EXAMPLE)
@@ -907,7 +907,7 @@ PINNED_REPORTS = {
         ["verify"],
         "888cc5ee5d454155c666e0bd523e5dd9daaae30f8eea3b0c7ae579edc41e2fc4",
     ),
-    "verify-stretch": (  # 625 patterns on one point's prefix
+    "verify-stretch": (  # 625 patterns on one point's unit round
         lambda: render_json(
             run_verify(RunConfig(mode="verify", grid=(SchemeParams(4, 4, 3, 1, 7, 2),))).to_json()
         ),

@@ -25,6 +25,7 @@ from hsagg.leakage import (
     SourceLayout,
     TooLargeToEnumerate,
     TranscriptMismatch,
+    UnitRound,
     _counted_entropy,
     _extended_kernel,
     _sharing_ranks,
@@ -47,7 +48,12 @@ from hsagg.leakage import (
     response_entropy_given_sum,
 )
 from hsagg.matrix import GfMatrix, RowSpace, Singular
-from hsagg.patterns import enumerate_patterns, enumerate_survivors, parse_pattern
+from hsagg.patterns import (
+    enumerate_patterns,
+    enumerate_survivors,
+    no_straggler_pattern,
+    parse_pattern,
+)
 from hsagg.protocol import HelperResponse, InterHelperMessage, SchemeParams, setup
 
 EXAMPLE = SchemeParams(2, 4, 3, 1, 7, 2)
@@ -446,6 +452,48 @@ def test_static_suites_refuse_a_transcript_of_another_context(ctx, tvars, monkey
             suite(broken, tvars=static)
         assert suite(ctx, tvars=tvars) == suite(ctx, tvars=static) == suite(ctx)
         assert suite(ctx).ok
+
+
+@pytest.mark.parametrize(
+    "params, patterns",
+    [
+        (SchemeParams(2, 3, 2, 1, 5, 1), None),
+        (
+            SchemeParams(3, 4, 3, 2, 11, 1),
+            ("nu=1:1,2,3;2:2,3,4;3:1,3,4", "nu=1:1,2,3;2:1,2,3;3:1,2,3"),
+        ),
+    ],
+    ids=["2,3,2,1,5,1-every-pattern", "3,4,3,2,11,1-straggling"],
+)
+def test_a_shared_unit_round_gives_each_pattern_a_fresh_transcripts_rows(params, patterns):
+    """One unit round, as a campaign shares it across a point's patterns,
+    gives every variable of each pattern the rows that a fresh
+    ``build_linear_transcript`` gives it."""
+    ctx = setup(params)
+    unit = UnitRound(ctx)
+    chosen = enumerate_patterns(params) if patterns is None else map(parse_pattern, patterns)
+    for pattern in chosen:
+        shared, fresh = unit.transcript(pattern), build_linear_transcript(ctx, pattern)
+        assert (shared.ctx, shared.pattern) == (ctx, pattern)
+        assert list(shared) == list(fresh)
+        assert all(shared[name].rows == fresh[name].rows for name in fresh)
+
+
+def test_a_unit_rounds_transcript_answers_only_for_its_context(ctx, monkeypatch):
+    """A unit round keeps the context it ran at, so its transcripts are
+    refused for a ``replace``d broken context, whose own unit round shows
+    the leak: no transcript pairs one context's rows with another's name."""
+    broken = _zero_masks(ctx, monkeypatch)
+    pattern = parse_pattern("nu=1:1,2,3;2:1,3,4")
+    unit = UnitRound(ctx)
+    with pytest.raises(TranscriptMismatch, match="another scheme context"):
+        check_security_helpers(broken, pattern, (), (2,), tvars=unit.transcript(pattern))
+    static = unit.transcript(no_straggler_pattern(EXAMPLE))
+    with pytest.raises(TranscriptMismatch, match="another scheme context"):
+        check_mask_independence(broken, tvars=static)
+    own = UnitRound(broken).transcript(pattern)
+    assert check_security_helpers(broken, pattern, (), (2,), tvars=own).value == 2
+    assert check_security_helpers(ctx, pattern, (), (2,), tvars=unit.transcript(pattern)).ok
 
 
 def test_response_entropy_refuses_a_straggling_transcript(ctx):

@@ -13,6 +13,7 @@ from hsagg.matrix import FieldTooSmall, GfMatrix, RowSpace, vandermonde
 from hsagg.patterns import (
     BadSurvivorSet,
     CommPattern,
+    TooFewReceivers,
     enumerate_patterns,
     enumerate_survivors,
     parse_pattern,
@@ -39,6 +40,7 @@ from hsagg.protocol import (
     keys_from_noise,
     master_decode,
     measure_rates,
+    run_helpers,
     run_round,
     setup,
 )
@@ -457,21 +459,28 @@ def test_roundtrip_exhaustive_at_small_point():
     assert cases > 16
 
 
-def test_a_round_given_its_uploads_equals_the_round_that_encodes_them():
-    """``run_round`` given ``encode_round_uploads`` of its inputs, as a
-    campaign passes them to every pattern, gives the transcript it gives
-    when it encodes them itself, at every pattern and survivor set."""
+def test_a_round_is_its_helpers_on_its_uploads_then_the_decode():
+    """``run_round`` is ``run_helpers`` on ``encode_round_uploads`` of its
+    inputs and its keys, then ``master_decode`` of the survivors'
+    responses, at every pattern and survivor set."""
     params = SchemeParams(2, 3, 2, 1, 5, 1)
     ctx2 = setup(params)
     grads, noises = make_round_inputs(params, 12)
     keys = dealer_generate(ctx2, 12)
     uploads = encode_round_uploads(ctx2, grads[::-1], noises)
     assert uploads == tuple(m for g, f in zip(grads, noises) for m in encode_uploads(ctx2, g, f))
+    cases = 0
     for pattern in enumerate_patterns(params):
         for survivors in enumerate_survivors(pattern, params):
             full = pattern.with_survivors(survivors)
-            given = run_round(ctx2, full, grads, noises, keys, True, uploads)
-            assert given == run_round(ctx2, full, grads, noises, keys)
+            phase = run_helpers(ctx2, full, uploads, keys)
+            assert phase.decoded is None
+            phase.decoded = master_decode(
+                ctx2, [r for r in phase.responses if r.helper in survivors]
+            )
+            assert phase == run_round(ctx2, full, grads, noises, keys)
+            cases += 1
+    assert cases == 55
 
 
 def test_message_sizes_are_one_block(ctx):
@@ -519,14 +528,22 @@ def test_gradient_recoverable_from_any_resilient_upload_set(ctx):
 
 
 def test_run_round_validates_inputs(ctx):
+    """Errors in order: the pattern's, then a missing survivor set, then
+    a gradient count other than one per user."""
     grads, noises = make_round_inputs(EXAMPLE, 15)
     keys = dealer_generate(ctx, 15)
+    short = parse_pattern("nu=1:1,2;2:1,2,4")
     bare = parse_pattern("nu=1:1,2,3;2:1,2,4")
+    with pytest.raises(TooFewReceivers):
+        run_round(ctx, short, grads[:1], noises, keys)
     with pytest.raises(BadSurvivorSet, match="needs a survivor set to decode"):
-        run_round(ctx, bare, grads, noises, keys)
-    # a round that stops at the responses needs no survivor set
-    stopped = run_round(ctx, bare, grads, noises, keys, decode=False)
-    decoded = run_round(ctx, bare.with_survivors({2, 3, 4}), grads, noises, keys)
-    assert stopped.decoded is None and stopped.responses == decoded.responses
+        run_round(ctx, bare, grads[:1], noises, keys)
     with pytest.raises(ShapeMismatch):
         run_round(ctx, EXAMPLE_PATTERN, grads[:1], noises, keys)
+    uploads = encode_round_uploads(ctx, grads, noises)
+    with pytest.raises(TooFewReceivers):
+        run_helpers(ctx, short, uploads, keys)
+    # the helper phase stops at the responses and needs no survivor set
+    stopped = run_helpers(ctx, bare, uploads, keys)
+    decoded = run_round(ctx, bare.with_survivors({2, 3, 4}), grads, noises, keys)
+    assert stopped.decoded is None and stopped.responses == decoded.responses

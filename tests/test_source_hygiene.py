@@ -8,7 +8,8 @@ never build a matrix without reducing its entries, no module uses
 brute-force oracle), only ``matrix`` writes a ``RowSpace``'s state, and no
 module reads another's private name.  Inside ``leakage`` only the rank
 store's methods and ``_security_record`` read its ``givens`` and
-``quadruples`` tables.  Only ``patterns`` takes
+``quadruples`` tables, and in the package only ``protocol.run_helpers``
+runs the helper roles.  Only ``patterns`` takes
 ``itertools.combinations``: its ``subsets`` is the one enumeration of
 user and helper subsets.  ``leakage`` never names ``master_decode``: the
 verifier's round stops at the responses.  Each option is declared once,
@@ -350,18 +351,21 @@ def name_uses(tree: ast.Module, name: str) -> list[int]:
 
 # the rank store's memo tables that a security record reads directly
 STORE_TABLES = ("givens", "quadruples")
+# the helper roles, which only the helper phase runs
+HELPER_ROLES = ("helper_share", "helper_recover", "helper_respond")
 
 
-def store_table_reads(tree: ast.Module, allowed: tuple[str, ...]) -> list[int]:
-    """Lines that name a ``.givens`` or ``.quadruples`` attribute outside
-    the top-level classes and functions named in ``allowed``."""
+def reads_outside(tree: ast.Module, names: tuple[str, ...], allowed: tuple[str, ...]) -> list[int]:
+    """Lines that read one of ``names``, as an attribute or a bare name,
+    outside the top-level classes and functions named in ``allowed``."""
     return sorted(
         {
             sub.lineno
             for node in tree.body
             if getattr(node, "name", None) not in allowed
             for sub in ast.walk(node)
-            if isinstance(sub, ast.Attribute) and sub.attr in STORE_TABLES
+            if isinstance(sub, ast.Attribute) and sub.attr in names
+            or isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in names
         }
     )
 
@@ -498,11 +502,25 @@ def test_one_record_function_reads_the_rank_store_tables():
     package = _package()
     owners = ("_RankStore", "_security_record")
     found = {
-        module: store_table_reads(tree, owners if module == "leakage" else ())
+        module: reads_outside(tree, STORE_TABLES, owners if module == "leakage" else ())
         for module, tree in package.items()
     }
     assert {module: lines for module, lines in found.items() if lines} == {}
-    assert store_table_reads(package["leakage"], ("_RankStore",)) != []
+    assert reads_outside(package["leakage"], STORE_TABLES, ("_RankStore",)) != []
+
+
+def test_only_the_helper_phase_runs_the_helper_roles():
+    """``protocol.run_helpers`` is the one function that runs
+    ``helper_share``, ``helper_recover`` and ``helper_respond``: a round,
+    the campaign's decode draws and the verifier's unit round all go
+    through it, and it does run them."""
+    package = _package()
+    found = {
+        module: reads_outside(tree, HELPER_ROLES, ("run_helpers",) if module == "protocol" else ())
+        for module, tree in package.items()
+    }
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    assert reads_outside(package["protocol"], HELPER_ROLES, ()) != []
 
 
 def test_each_option_is_declared_once():
@@ -643,7 +661,7 @@ def test_the_checks_catch_what_they_look_for():
         "master_decode",
     ) == [1, 3, 5, 6]
 
-    assert store_table_reads(
+    assert reads_outside(
         ast.parse(
             "class _RankStore:\n"
             "    def given(self, users):\n"
@@ -655,8 +673,23 @@ def test_the_checks_catch_what_they_look_for():
             "memo = tv._store.givens\n"
             "givens = quadruples = {}\n"
         ),
+        STORE_TABLES,
         ("_RankStore", "_security_record"),
     ) == [7, 8]
+    assert reads_outside(
+        ast.parse(
+            "def run_helpers(ctx, pattern, uploads, keys):\n"
+            "    return helper_share(ctx, keys, pattern, 1, {})\n"
+            "def run_round(ctx):\n"
+            "    return proto.helper_recover(ctx)\n"
+            "respond = helper_respond\n"
+            "def helper_share(ctx):\n"
+            "    return 'helper_share'\n"
+            "from .protocol import helper_share\n"
+        ),
+        HELPER_ROLES,
+        ("run_helpers",),
+    ) == [4, 5]
 
     @dataclass
     class Config:
