@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import leakage as lk
 from . import patterns as pt
@@ -505,55 +505,29 @@ def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]
                 yield check(ctx, pattern, uset, tset, tvars=tvars, exploratory=True)
 
 
-def _stacked_decode(
-    ctx: proto.SchemeContext, keys: proto.DealerKeys, draws: int, rng: random.Random
-) -> Callable[[pt.CommPattern, Sequence[frozenset[int]]], tuple]:
-    """``decode(pattern, survivor_sets)``: every (survivor set, draw)
-    decode case of a pattern, from one round on the point's inputs.
-
-    The ``draws`` inputs are one stacked draw, drawn and encoded here
-    once.  The roles work column by column, so draw ``d`` becomes
-    columns ``[d * l, (d + 1) * l)`` of every part of one round of block
-    length ``draws * l``, with the dealer noise tiled to match.  Per
-    pattern the helper phase runs (``proto.run_helpers``), then the
-    master's decode per survivor set, with one inverse; a decode that
-    raises fails every case of its set.  ``decode`` returns the round,
-    stopped at the responses, and each case's survivor set and whether
-    its decode equals its draw's sum, ordered by survivor set, then draw.
-    """
-    params = ctx.params
-    l, parts = params.block_len, params.block_count
+def _decode_cases(ctx: proto.SchemeContext, responses, survivor_sets, expected, draws) -> list:
+    """Every (survivor set, draw) decode case of a pattern's ``responses``,
+    which carry ``draws`` stacked draws whose sum is ``expected``: draw
+    ``d`` is columns ``[d * l, (d + 1) * l)`` of every part.  The master
+    decodes once per survivor set, with one inverse; a decode that raises
+    fails every case of its set.  Each case is its survivor set and whether
+    its decode equals its draw's sum, ordered by survivor set, then draw."""
+    l, parts = ctx.params.block_len, ctx.params.block_count
     width = draws * l  # part i of the sum is its columns [i * width, (i + 1) * width)
-    grads, noises = _draw_inputs(params, rng, draws)
-    expected = proto.gradient_sum(grads, params.modulus)
-    # masks act column by column, so tiled noise has the tiled masks
-    tiled = proto.DealerKeys(
-        {s: v * draws for s, v in keys.noise.items()},
-        {s: v * draws for s, v in keys.masks.items()},
-    )
-    wide = ctx.widened(draws * params.gradient_len)
-    uploads = proto.encode_round_uploads(wide, grads, noises)
-
-    def decode(pattern, survivor_sets):
-        transcript = proto.run_helpers(wide, pattern, uploads, tiled)
-        matches = []
-        for survivors in survivor_sets:
-            try:
-                decoded = proto.master_decode(
-                    ctx, [r for r in transcript.responses if r.helper in survivors]
-                )
-            except (MatrixError, proto.ProtocolError):
-                matches += [(survivors, False)] * draws
-                continue
-            if decoded == expected:  # every draw's columns match
-                matches += [(survivors, True)] * draws
-                continue
-            for d in range(0, width, l):
-                cols = [slice(i * width + d, i * width + d + l) for i in range(parts)]
-                matches.append((survivors, all(decoded[c] == expected[c] for c in cols)))
-        return transcript, matches
-
-    return decode
+    matches = []
+    for survivors in survivor_sets:
+        try:
+            decoded = proto.master_decode(ctx, [r for r in responses if r.helper in survivors])
+        except (MatrixError, proto.ProtocolError):
+            matches += [(survivors, False)] * draws
+            continue
+        if decoded == expected:  # every draw's columns match
+            matches += [(survivors, True)] * draws
+            continue
+        for d in range(0, width, l):
+            cols = [slice(i * width + d, i * width + d + l) for i in range(parts)]
+            matches.append((survivors, all(decoded[c] == expected[c] for c in cols)))
+    return matches
 
 
 def _setup_point(params: SchemeParams) -> proto.SchemeContext | None:
@@ -573,7 +547,11 @@ def _setup_point(params: SchemeParams) -> proto.SchemeContext | None:
 
 
 def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
-    """Exhaustive correctness, security, and invariant sweep for one point."""
+    """Exhaustive correctness, security, and invariant sweep for one point,
+    one round per pattern: the point's unit round (``lk.UnitRound``)
+    carries the decode draws and the dealer noise, tiled to match, as
+    probe columns in layout order, and the master decodes the responses'
+    probe columns."""
     ctx = _setup_point(params)
     if ctx is None:
         report = PointReport(params=params, feasible=False)
@@ -589,15 +567,20 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     report = PointReport(params=params, feasible=True)
     user_sets, helper_sets = map(list, _colluding_sets(params))
     # what no pattern changes, once per point and only in locals
+    draws = config.draws
     keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
     rng = random.Random(f"verify:{config.seed}:{params.label()}")
-    decode = _stacked_decode(ctx, keys, config.draws, rng)
-    unit = lk.UnitRound(ctx)
+    grads, noises = _draw_inputs(params, rng, draws)
+    expected = proto.gradient_sum(grads, params.modulus)
+    unit = lk.UnitRound(ctx, [*(p for x in (*grads, *noises) for p in x.parts),
+                              *(keys.noise[s] * draws for s in sorted(keys.noise))])
 
     for pattern in pt.enumerate_patterns(params):
         report.patterns += 1
         survivor_sets = list(pt.enumerate_survivors(pattern, params))
-        transcript, matches = decode(pattern, survivor_sets)
+        transcript, tvars = unit.run(pattern)
+        probed = [proto.HelperResponse(r.helper, r.payload[unit.dim:]) for r in transcript.responses]
+        matches = _decode_cases(ctx, probed, survivor_sets, expected, draws)
         report.survivor_sets += len(survivor_sets)
         report.decode_cases += len(matches)
         for survivors, match in matches:
@@ -610,7 +593,6 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
             # rates are length ratios, the same in every column slice
             report.rate_x, report.rate_y = proto.measure_rates(transcript)
 
-        tvars = unit.transcript(pattern)
         for rec in _security_sweep(tvars, user_sets, helper_sets):
             report.security_queries += 1
             if rec.value != 0:

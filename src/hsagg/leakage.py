@@ -4,10 +4,10 @@ This module names the protocol variables and fixes their source layout
 (``SourceLayout``), runs the protocol roles on a source assignment
 (``concrete_transcript_values``), reads each variable's coefficient
 rows off that run on the identity (``UnitRound``: the uploads once per
-context, then ``protocol.run_helpers`` per pattern), and does the rank
+context, then ``protocol.run_helpers`` per pattern, with probe columns
+that carry a concrete round beside the identity), and does the rank
 arithmetic.  The round stops at the responses: the verifier never
-decodes.  For linear variables q-ary joint entropy is
-``rank * block_len``, and
+decodes.  For linear variables q-ary joint entropy is ``rank * block_len``, and
 
     I(A; B | C) = rank(AC) + rank(BC) - rank(ABC) - rank(C)
 
@@ -33,8 +33,8 @@ from .field import PrimeField
 from .matrix import GfMatrix, RowSpace
 from .patterns import CommPattern, format_pattern, no_straggler_pattern, subsets
 from .protocol import (
-    DealerKeys,
     Gradient,
+    RoundTranscript,
     SchemeContext,
     SchemeParams,
     UserRandomness,
@@ -541,12 +541,9 @@ def _round_prefix(ctx: SchemeContext, assignment: Sequence[int]) -> tuple:
     return keys, uploads, vals
 
 
-def _pattern_values(
-    ctx: SchemeContext, pattern: CommPattern, uploads: tuple, keys: DealerKeys
-) -> dict[str, tuple[int, ...]]:
-    """The values of ``M``, ``Xhat`` and ``Y``: ``run_helpers`` on a
-    round's uploads and keys under ``pattern``."""
-    t = run_helpers(ctx, pattern, uploads, keys)
+def _pattern_values(t: RoundTranscript) -> dict[str, tuple[int, ...]]:
+    """The values of ``M``, ``Xhat`` and ``Y`` in a helper phase's
+    transcript ``t``."""
     vals: dict[str, tuple[int, ...]] = {}
     for m in t.messages:
         for k, vec in m.payloads.items():
@@ -571,7 +568,7 @@ def concrete_transcript_values(
     random assignments checks that the roles are linear.
     """
     keys, uploads, vals = _round_prefix(ctx, assignment)
-    return {**vals, **_pattern_values(ctx, pattern, uploads, keys)}
+    return {**vals, **_pattern_values(run_helpers(ctx, pattern, uploads, keys))}
 
 
 def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.ndarray) -> dict:
@@ -604,15 +601,16 @@ def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.nd
     }
 
 
-def _linear_vars(ctx: SchemeContext, values: Mapping[str, tuple[int, ...]]) -> dict:
-    """Each value of a run on the identity as a ``LinearVar``."""
+def _linear_vars(ctx: SchemeContext, values: Mapping[str, tuple[int, ...]], width: int) -> dict:
+    """Each value of a run on the identity as a ``LinearVar``: the first
+    ``dim`` columns of each ``width``-wide chunk are one coefficient row."""
     layout = SourceLayout(ctx.params)
     dim = layout.dim
     return {
         name: LinearVar(
             name,
             layout,
-            GfMatrix.of_reduced(ctx.field, tuple(v[i:i + dim] for i in range(0, len(v), dim))),
+            GfMatrix.of_reduced(ctx.field, tuple(v[i:i + dim] for i in range(0, len(v), width))),
         )
         for name, v in values.items()
     }
@@ -622,28 +620,35 @@ class UnitRound:
     """The round of ``concrete_transcript_values`` on the identity, run
     up to where the pattern enters and bound to the context it ran at.
 
-    Block length becomes ``dim`` and source slot ``s`` holds the unit
-    vector ``e_s``.  The roles act on each payload column alike and
-    linearly, so column ``s`` of a payload is its coefficient on slot
-    ``s``: each ``dim``-wide chunk of a value is one coefficient row.
-    A campaign keeps it in locals, never in a context's memo, so that a
-    role patched between two campaigns on one context runs again.
+    Source slot ``s`` holds the unit vector ``e_s`` followed by
+    ``probes[s]`` (all as long, or none).  The roles act on each payload
+    column alike and linearly, so column ``s < dim`` of a payload is its
+    coefficient on slot ``s``, and its columns from ``dim`` on are a
+    round on the probes.  A campaign keeps it in locals, never in a
+    context's memo, so that a role patched between two campaigns on one
+    context runs again.
     """
 
-    def __init__(self, ctx: SchemeContext):
-        dim = SourceLayout(ctx.params).dim
-        identity = [0] * (dim * dim)
-        identity[::dim + 1] = [1] * dim
-        self.ctx, self._wide = ctx, ctx.widened(dim * ctx.params.block_count)
-        self._keys, self._uploads, values = _round_prefix(self._wide, identity)
-        self._tvars = _linear_vars(ctx, values)
+    def __init__(self, ctx: SchemeContext, probes: Sequence[Sequence[int]] = ()):
+        self.ctx, self.dim = ctx, SourceLayout(ctx.params).dim
+        self._width = self.dim + (len(probes[0]) if probes else 0)
+        assignment = []
+        for s, probe in enumerate(probes or [()] * self.dim):
+            assignment += [0] * s + [1] + [0] * (self.dim - s - 1) + list(probe)
+        self._wide = ctx.widened(self._width * ctx.params.block_count)
+        self._keys, self._uploads, values = _round_prefix(self._wide, assignment)
+        self._tvars = _linear_vars(ctx, values, self._width)
+
+    def run(self, pattern: CommPattern) -> tuple[RoundTranscript, LinearTranscript]:
+        """The helper phase under ``pattern`` and the linear transcript read
+        off it, which answers only for this context and ``pattern``."""
+        t = run_helpers(self._wide, pattern, self._uploads, self._keys)
+        tvars = {**self._tvars, **_linear_vars(self.ctx, _pattern_values(t), self._width)}
+        return t, LinearTranscript(self.ctx, pattern, tvars)
 
     def transcript(self, pattern: CommPattern) -> LinearTranscript:
-        """The linear transcript under ``pattern``: only the pattern's
-        helpers run.  It answers only for this context and ``pattern``."""
-        values = _pattern_values(self._wide, pattern, self._uploads, self._keys)
-        tvars = {**self._tvars, **_linear_vars(self.ctx, values)}
-        return LinearTranscript(self.ctx, pattern, tvars)
+        """The linear transcript of ``run(pattern)``."""
+        return self.run(pattern)[1]
 
 
 def build_linear_transcript(ctx: SchemeContext, pattern: CommPattern) -> LinearTranscript:

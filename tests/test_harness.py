@@ -207,7 +207,9 @@ def test_stacked_decode_catches_a_master_decode_off_by_one(monkeypatch, column):
 
 
 def test_stacked_decode_catches_the_corrupted_last_draw_of_every_survivor_set(monkeypatch):
-    run_helpers = protocol.run_helpers
+    """The campaign's one helper phase per pattern is the unit round's
+    (``leakage.run_helpers``); its last column is the last draw's."""
+    run_helpers = lk.run_helpers
 
     def corrupt_last_column(*args, **kwargs):
         t = run_helpers(*args, **kwargs)
@@ -218,7 +220,7 @@ def test_stacked_decode_catches_the_corrupted_last_draw_of_every_survivor_set(mo
         )
         return t
 
-    monkeypatch.setattr(protocol, "run_helpers", corrupt_last_column)
+    monkeypatch.setattr(lk, "run_helpers", corrupt_last_column)
     report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
     # every survivor set decodes the whole round: the last column is
     # the last draw of each
@@ -258,7 +260,7 @@ def test_verify_point_draws_each_points_inputs_once(monkeypatch):
 
 
 def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):
-    run_helpers = protocol.run_helpers
+    run_helpers = lk.run_helpers
 
     def corrupt_helper_1(*args, **kwargs):
         t = run_helpers(*args, **kwargs)
@@ -269,7 +271,7 @@ def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):
         )
         return t
 
-    monkeypatch.setattr(protocol, "run_helpers", corrupt_helper_1)
+    monkeypatch.setattr(lk, "run_helpers", corrupt_helper_1)
     report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
     # the master decodes from the Nr lowest-numbered survivors
     assert _decode_failures(report) == [
@@ -279,6 +281,41 @@ def test_stacked_decode_reads_each_survivor_sets_responses(monkeypatch):
         for _ in range(2)
         if 1 in sorted(s)[:EXAMPLE.resiliency]
     ]
+
+
+@pytest.mark.parametrize(
+    "column, kinds",
+    [
+        (0, {"master leakage": 125, "responses not": 4}),
+        (-1, {"decode mismatch": 109}),
+    ],
+    ids=["identity-column", "probe-column"],
+)
+def test_the_decode_reads_the_probe_columns_and_the_sweep_the_identity(
+    monkeypatch, column, kinds
+):
+    """One helper phase per pattern serves both checks: its first ``dim``
+    columns are the coefficient rows, the rest the decode draws.  Column
+    0 of a response is ``Y[n]``'s coefficient on ``w1.1``: corrupted, the
+    master learns more than the sum, yet every decode holds.  The last
+    column is the last draw's: corrupted, each survivor set's decode
+    fails, yet no coefficient row changes."""
+    run_helpers = lk.run_helpers
+
+    def corrupt_column(*args, **kwargs):
+        t = run_helpers(*args, **kwargs)
+        q = t.params.modulus
+        corrupted = []
+        for r in t.responses:
+            payload = list(r.payload)
+            payload[column] = (payload[column] + 1) % q
+            corrupted.append(HelperResponse(r.helper, tuple(payload)))
+        t.responses = tuple(corrupted)
+        return t
+
+    monkeypatch.setattr(lk, "run_helpers", corrupt_column)
+    report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
+    assert Counter(" ".join(f.split()[:2]) for f in report.failures) == kinds
 
 
 def test_verify_fails_a_master_that_decodes_from_too_few_responses(monkeypatch, capsys):
@@ -576,25 +613,31 @@ def test_round_work_does_not_grow(params, monkeypatch):
 # Calls of each point's one-draw campaign to dealer_generate, _draw_inputs,
 # encode_uploads and keys_from_noise (the dealer's and the unit round's):
 # the work that no pattern changes, so the counts do not grow with the
-# pattern count P.  A campaign that redid it per pattern made
-# (P, P, 2KP + K, 2P + 1): (16, 16, 66, 33), (25, 25, 102, 51),
-# (125, 125, 753, 251) and (36, 36, 146, 73) at these points.
+# pattern count P; and to run_helpers, one helper phase per pattern and
+# one for the invariant suites' no-straggler transcript, P + 1.  A campaign
+# that redid the prefix per pattern made (P, P, 2KP + K, 2P + 1): (16, 16,
+# 66, 33), (25, 25, 102, 51), (125, 125, 753, 251) and (36, 36, 146, 73) at
+# these points; one that ran a decode round beside the unit round made 2K
+# encode_uploads calls and 2P + 1 helper phases.
 PREFIX_WORK = {
-    "2,3,2,1,5,1": (1, 1, 4, 2),
-    "2,4,3,1,7,2": (1, 1, 4, 2),
-    "3,4,3,2,11,1": (1, 1, 6, 2),
-    "2,5,4,2,11,2": (1, 1, 4, 2),
+    "2,3,2,1,5,1": (1, 1, 2, 2, 17),
+    "2,4,3,1,7,2": (1, 1, 2, 2, 26),
+    "3,4,3,2,11,1": (1, 1, 3, 2, 126),
+    "2,5,4,2,11,2": (1, 1, 2, 2, 37),
 }
 
 
 @pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
 def test_prefix_work_does_not_grow(params, monkeypatch):
     """A campaign that draws, deals, encodes or derives masks again for
-    each pattern, instead of once per point, shows as more calls."""
-    names = ("dealer_generate", "_draw_inputs", "encode_uploads", "keys_from_noise")
+    each pattern, instead of once per point, or that runs more than one
+    helper phase per pattern, shows as more calls."""
+    names = ("dealer_generate", "_draw_inputs", "encode_uploads", "keys_from_noise",
+             "run_helpers")
     calls = Counter()
     for owner, name in ((protocol, names[0]), (harness, names[1]), (protocol, names[2]),
-                        (protocol, names[3]), (lk, names[3])):
+                        (protocol, names[3]), (lk, names[3]), (protocol, names[4]),
+                        (lk, names[4])):
         def counted(*args, _name=name, _method=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _method(*args, **kwargs)
@@ -730,7 +773,7 @@ def test_bulk_draw_takes_further_chunks_when_one_falls_short():
 
 # SHA-256 of two consecutive ``_draw_inputs`` calls (20 cases, then 3)
 # from ``random.Random("draw-pin")``, then the generator's next 64 bits:
-# the stacked decode's inputs, and the state the draws leave
+# the decode's probe inputs, and the state the draws leave
 DRAWN_INPUTS = {
     "2,4,3,1,7,2": "dbf82bd657bca53e851b8f232264977ed433a73d1d4ad88879384e78df88d63b",
     "3,4,3,2,11,1": "ef315525624308d5fb667ab429bd855bd43ecde0cba9ac75032828f80e15ed08",

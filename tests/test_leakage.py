@@ -468,15 +468,19 @@ def test_static_suites_refuse_a_transcript_of_another_context(ctx, tvars, monkey
 def test_a_shared_unit_round_gives_each_pattern_a_fresh_transcripts_rows(params, patterns):
     """One unit round, as a campaign shares it across a point's patterns,
     gives every variable of each pattern the rows that a fresh
-    ``build_linear_transcript`` gives it."""
+    ``build_linear_transcript`` gives it, with probe columns beside the
+    identity as without."""
     ctx = setup(params)
-    unit = UnitRound(ctx)
+    rng = random.Random(f"probes:{params.label()}")
+    probes = [[rng.randrange(params.modulus) for _ in range(3)] for _ in range(SourceLayout(params).dim)]
+    units = (UnitRound(ctx), UnitRound(ctx, probes))
     chosen = enumerate_patterns(params) if patterns is None else map(parse_pattern, patterns)
     for pattern in chosen:
-        shared, fresh = unit.transcript(pattern), build_linear_transcript(ctx, pattern)
-        assert (shared.ctx, shared.pattern) == (ctx, pattern)
-        assert list(shared) == list(fresh)
-        assert all(shared[name].rows == fresh[name].rows for name in fresh)
+        fresh = build_linear_transcript(ctx, pattern)
+        for shared in (unit.transcript(pattern) for unit in units):
+            assert (shared.ctx, shared.pattern) == (ctx, pattern)
+            assert list(shared) == list(fresh)
+            assert all(shared[name].rows == fresh[name].rows for name in fresh)
 
 
 def test_a_unit_rounds_transcript_answers_only_for_its_context(ctx, monkeypatch):

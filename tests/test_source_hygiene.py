@@ -12,7 +12,9 @@ store's methods and ``_security_record`` read its ``givens`` and
 runs the helper roles.  Only ``patterns`` takes
 ``itertools.combinations``: its ``subsets`` is the one enumeration of
 user and helper subsets.  ``leakage`` never names ``master_decode``: the
-verifier's round stops at the responses.  Each option is declared once,
+verifier's round stops at the responses.  ``harness`` never names
+``run_helpers``, ``encode_round_uploads`` or ``DealerKeys``: the
+campaign's one round per pattern is ``leakage.UnitRound``'s.  Each option is declared once,
 as a ``RunConfig`` field, and the parser, the config keys and the
 README's key list all follow that table."""
 
@@ -349,6 +351,16 @@ def name_uses(tree: ast.Module, name: str) -> list[int]:
     return sorted(lines)
 
 
+# what builds a round's helper phase, uploads or keys, which the campaign
+# leaves to leakage's unit round
+ROUND_BUILDERS = ("run_helpers", "encode_round_uploads", "DealerKeys")
+
+
+def round_builder_uses(tree: ast.Module) -> list[int]:
+    """Lines whose code names one of ``ROUND_BUILDERS``."""
+    return sorted({line for name in ROUND_BUILDERS for line in name_uses(tree, name)})
+
+
 # the rank store's memo tables that a security record reads directly
 STORE_TABLES = ("givens", "quadruples")
 # the helper roles, which only the helper phase runs
@@ -491,8 +503,16 @@ def test_only_patterns_enumerates_subsets():
 
 def test_the_verifier_never_decodes():
     """The linear transcript is the roles run on the identity up to the
-    responses; only the campaign's stacked decode calls the master."""
+    responses; only the campaign's decode of its probe columns calls the
+    master."""
     assert name_uses(_package()["leakage"], "master_decode") == []
+
+
+def test_the_campaign_builds_no_round_of_its_own():
+    """``harness`` never names ``run_helpers``, ``encode_round_uploads`` or
+    ``DealerKeys``: a campaign's one round per pattern, decode draws
+    included, is built only in ``leakage.UnitRound``."""
+    assert round_builder_uses(_package()["harness"]) == []
 
 
 def test_one_record_function_reads_the_rank_store_tables():
@@ -511,9 +531,9 @@ def test_one_record_function_reads_the_rank_store_tables():
 
 def test_only_the_helper_phase_runs_the_helper_roles():
     """``protocol.run_helpers`` is the one function that runs
-    ``helper_share``, ``helper_recover`` and ``helper_respond``: a round,
-    the campaign's decode draws and the verifier's unit round all go
-    through it, and it does run them."""
+    ``helper_share``, ``helper_recover`` and ``helper_respond``: a round
+    and the verifier's unit round, which carries the campaign's decode
+    draws, both go through it, and it does run them."""
     package = _package()
     found = {
         module: reads_outside(tree, HELPER_ROLES, ("run_helpers",) if module == "protocol" else ())
@@ -660,6 +680,18 @@ def test_the_checks_catch_what_they_look_for():
         ),
         "master_decode",
     ) == [1, 3, 5, 6]
+    # a decode round of the campaign's own, beside the unit round
+    assert round_builder_uses(
+        ast.parse(
+            "from .protocol import DealerKeys\n"
+            "def decode_round(ctx, keys: proto.DealerKeys, draws, grads, noises):\n"
+            "    wide = ctx.widened(draws * ctx.params.gradient_len)\n"
+            "    uploads = proto.encode_round_uploads(wide, grads, noises)\n"
+            "    note = 'run_helpers'\n"
+            "    return lambda pattern: proto.run_helpers(wide, pattern, uploads, keys)\n"
+            "phase = run_helpers\n"
+        )
+    ) == [1, 2, 4, 6, 7]
 
     assert reads_outside(
         ast.parse(
