@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import random
-import struct
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from math import comb
@@ -186,35 +185,6 @@ def _reject_unused(config: RunConfig, mode: str) -> None:
             raise ConfigError(f"give either {first} or {second}, not both")
     if config.budget < 0:
         raise ConfigError(f"budget must be at least 0, got {config.budget}")
-
-
-def _draw_inputs(
-    params: SchemeParams, rng: random.Random, cases: int = 1
-) -> tuple[list[Gradient], list[UserRandomness]]:
-    """Uniform inputs of ``cases`` rounds, drawn from ``rng`` in the
-    stacked layout: part i of user k's gradient or randomness is the
-    cases' parts i, one after another in case order.
-
-    One rejection draw serves every q < 2^64: each 64-bit word of
-    ``rng.getrandbits`` keeps its top ``q.bit_length()`` bits, and
-    values >= q are skipped.
-    """
-    q, users, parts = params.modulus, params.num_users, params.block_count
-    k = q.bit_length()
-    width = cases * params.block_len  # the symbols of one stacked part
-    rows = parts + params.collusion  # a user's stacked parts
-    need = users * rows * width
-    kept = []
-    while len(kept) < need:
-        m = (need - len(kept)) * 2**k // q + 64  # the expected tries, and some slack
-        words = struct.unpack(f"<{m}Q", rng.getrandbits(64 * m).to_bytes(8 * m, "little"))
-        kept += [v for w in words if (v := w >> (64 - k)) < q]
-    blocks = [tuple(kept[i:i + width]) for i in range(0, need, width)]
-    table = [blocks[i:i + rows] for i in range(0, len(blocks), rows)]
-    return (
-        [Gradient(u, tuple(t[:parts])) for u, t in enumerate(table, 1)],
-        [UserRandomness(u, tuple(t[parts:])) for u, t in enumerate(table, 1)],
-    )
 
 
 def _frac(value: Fraction | int) -> dict:
@@ -549,9 +519,10 @@ def _setup_point(params: SchemeParams) -> proto.SchemeContext | None:
 def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     """Exhaustive correctness, security, and invariant sweep for one point,
     one round per pattern: the point's unit round (``lk.UnitRound``)
-    carries the decode draws and the dealer noise, tiled to match, as
-    probe columns in layout order, and the master decodes the responses'
-    probe columns."""
+    carries ``draws`` uniform rounds side by side as probe columns, one
+    probe per source slot, and the master decodes the responses' probe
+    columns.  The users' slots are drawn from ``seed``, the dealer
+    noise's from ``dealer_seed``."""
     ctx = _setup_point(params)
     if ctx is None:
         report = PointReport(params=params, feasible=False)
@@ -567,13 +538,17 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     report = PointReport(params=params, feasible=True)
     user_sets, helper_sets = map(list, _colluding_sets(params))
     # what no pattern changes, once per point and only in locals
-    draws = config.draws
-    keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
-    rng = random.Random(f"verify:{config.seed}:{params.label()}")
-    grads, noises = _draw_inputs(params, rng, draws)
-    expected = proto.gradient_sum(grads, params.modulus)
-    unit = lk.UnitRound(ctx, [*(p for x in (*grads, *noises) for p in x.parts),
-                              *(keys.noise[s] * draws for s in sorted(keys.noise))])
+    draws, layout, q = config.draws, lk.SourceLayout(params), params.modulus
+    users = random.Random(f"verify:{config.seed}:{params.label()}")
+    dealer = random.Random(f"dealer:{config.dealer_seed}")
+    width = draws * params.block_len  # a slot's draws, side by side
+    probes = [[(users if s < layout.user_dim else dealer).randrange(q) for _ in range(width)]
+              for s in range(layout.dim)]
+    parts = range(1, params.block_count + 1)
+    grads = [Gradient(k, tuple(probes[layout.w_slot(k, i)] for i in parts))
+             for k in range(1, params.num_users + 1)]
+    expected = proto.gradient_sum(grads, q)
+    unit = lk.UnitRound(ctx, probes)
 
     for pattern in pt.enumerate_patterns(params):
         report.patterns += 1
@@ -665,12 +640,13 @@ def run_rates(config: RunConfig) -> list[dict]:
         if ctx is None:
             rows.append({"params": params.label(), "feasible": False})
             continue
+        pattern = pt.no_straggler_pattern(params)  # first: a K past an index raises here
         rng = random.Random(f"rates:{config.seed}:{params.label()}")
-        grads, noises = _draw_inputs(params, rng)
+        users = range(1, params.num_users + 1)
+        grads = [Gradient.random(k, params, rng) for k in users]
+        noises = [UserRandomness.random(k, params, rng) for k in users]
         keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
-        transcript = proto.run_round(
-            ctx, pt.no_straggler_pattern(params), grads, noises, keys
-        )
+        transcript = proto.run_round(ctx, pattern, grads, noises, keys)
         rx, ry = proto.measure_rates(transcript)
         bound = params.rate_bound
         rows.append(

@@ -390,7 +390,7 @@ class _Collusion:
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
-    Built only by ``build_linear_transcript``, it keeps the ``ctx`` and
+    Built only by ``UnitRound.run``, it keeps the ``ctx`` and
     the ``pattern`` it was built from, the pattern's ``label`` and
     ``block_len`` and the context's rank store, and answers only for
     that context and pattern (``require``).  It keeps the rows of the

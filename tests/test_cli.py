@@ -136,13 +136,25 @@ def test_a_huge_round_exceeds_the_budget_at_once(argv, capsys, monkeypatch):
     does not print the count: not a hang, nor exit 2 from a size past a
     C int."""
     for owner, name in [(harness.pt, "no_straggler_pattern"), (harness.proto.Gradient, "random"),
-                        (harness, "_draw_inputs")]:
+                        (harness.proto.UserRandomness, "random")]:
         monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"{_name} ran"))
     start = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ") and err.endswith("budget 1000000\n")
+
+
+@pytest.mark.parametrize("mode", ["round", "rates"])
+def test_a_huge_round_past_a_raised_budget_exits_2_at_once(mode, capsys):
+    """Past a raised budget, K = 10^20 overflows an index as its
+    no-straggler pattern is built, before any input is drawn: exit 2 at
+    once, not a draw that runs for ever."""
+    start = time.perf_counter()
+    argv = [mode, "--params", "99999999999999999999,3,2,1,5,1", "--budget", str(10**30)]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == "error: cannot fit 'int' into an index-sized integer\n"
 
 
 HUGE_ESTIMATES = {

@@ -2,7 +2,6 @@ import ast
 import hashlib
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -34,7 +33,6 @@ from hsagg.harness import (
     transcript_to_json,
     verify_point,
 )
-from hsagg.harness import _draw_inputs
 from hsagg import harness, leakage as lk, protocol
 from hsagg.matrix import GfMatrix, RowSpace
 from hsagg.patterns import (
@@ -234,24 +232,23 @@ def test_stacked_decode_catches_the_corrupted_last_draw_of_every_survivor_set(mo
 
 def test_verify_point_draws_each_points_inputs_once(monkeypatch):
     """Every pattern and survivor set of a point decodes the same
-    ``draws`` inputs under the same dealer table: one draw of ``draws``
-    cases and one ``dealer_generate`` per feasible point, and none for an
-    infeasible one, still ``draws`` decode cases per survivor set."""
-    draw, dealer, cases, seeds = harness._draw_inputs, protocol.dealer_generate, [], []
+    ``draws`` inputs under the same dealer noise: one probed unit round
+    per feasible point and no dealer table, still ``draws`` decode cases
+    per survivor set.  An infeasible point draws nothing: its witness's
+    sibling's unit round carries no probes."""
+    unit_round, built, seeds = lk.UnitRound, [], []
 
-    def spy(params, rng, n=1):
-        cases.append(n)
-        return draw(params, rng, n)
+    def unit_spy(ctx, probes=()):
+        built.append((ctx.params, len(probes)))
+        return unit_round(ctx, probes)
 
-    def dealer_spy(ctx, seed):
-        seeds.append(seed)
-        return dealer(ctx, seed)
-
-    monkeypatch.setattr(harness, "_draw_inputs", spy)
-    monkeypatch.setattr(protocol, "dealer_generate", dealer_spy)
-    grid = (SMALL, EXAMPLE, SchemeParams(2, 4, 2, 2, 7, 2))
-    report = run_verify(RunConfig(mode="verify", grid=grid, draws=2))
-    assert cases == [2, 2] and len(seeds) == 2
+    monkeypatch.setattr(lk, "UnitRound", unit_spy)
+    monkeypatch.setattr(protocol, "dealer_generate", lambda ctx, seed: seeds.append(seed))
+    infeasible = SchemeParams(2, 4, 2, 2, 7, 2)
+    report = run_verify(RunConfig(mode="verify", grid=(SMALL, EXAMPLE, infeasible), draws=2))
+    dims = [lk.SourceLayout(p).dim for p in (SMALL, EXAMPLE)]
+    sibling = lk.witness_sibling(infeasible)
+    assert built == [(SMALL, dims[0]), (EXAMPLE, dims[1]), (sibling, 0)] and seeds == []
     small, example, infeasible = report.points
     assert (small.patterns, example.patterns, infeasible.feasible) == (16, 25, False)
     assert example.decode_cases == 2 * example.survivor_sets == 218
@@ -355,9 +352,9 @@ def test_verify_catches_a_nonzero_own_mask_row(monkeypatch):
     monkeypatch.setattr(protocol, "setup", own_mask_row)
     report = verify_point(EXAMPLE, RunConfig(mode="verify", draws=2))
     assert report.decode_cases == 218
-    # which decode cases fail depends on the point's one draw and dealer table
+    # which decode cases fail depends on the point's one draw of every source slot
     assert Counter(" ".join(f.split()[:2]) for f in report.failures) == {
-        "decode mismatch": 180,
+        "decode mismatch": 174,
         "helpers leakage": 76,
         "master leakage": 36,
         "sharing leakage": 36,
@@ -610,20 +607,21 @@ def test_round_work_does_not_grow(params, monkeypatch):
     assert len(calls) <= ROUND_WORK[params.label()], len(calls)
 
 
-# Calls of each point's one-draw campaign to dealer_generate, _draw_inputs,
-# encode_uploads and keys_from_noise (the dealer's and the unit round's):
-# the work that no pattern changes, so the counts do not grow with the
-# pattern count P; and to run_helpers, one helper phase per pattern and
-# one for the invariant suites' no-straggler transcript, P + 1.  A campaign
-# that redid the prefix per pattern made (P, P, 2KP + K, 2P + 1): (16, 16,
-# 66, 33), (25, 25, 102, 51), (125, 125, 753, 251) and (36, 36, 146, 73) at
-# these points; one that ran a decode round beside the unit round made 2K
-# encode_uploads calls and 2P + 1 helper phases.
+# Calls of each point's one-draw campaign to dealer_generate (none: the
+# probes hold the dealer noise), UnitRound, encode_uploads and
+# keys_from_noise: the work that no pattern changes, so the counts do not
+# grow with the pattern count P; and to run_helpers, one helper phase per
+# pattern and one for the invariant suites' no-straggler transcript, P + 1.
+# A campaign that dealt, drew, encoded and derived masks per pattern made
+# (P, P, 2KP + K, 2P + 1) such calls: (16, 16, 66, 33), (25, 25, 102, 51),
+# (125, 125, 753, 251) and (36, 36, 146, 73) at these points; one that
+# ran a decode round beside the unit round made 2K encode_uploads calls
+# and 2P + 1 helper phases.
 PREFIX_WORK = {
-    "2,3,2,1,5,1": (1, 1, 2, 2, 17),
-    "2,4,3,1,7,2": (1, 1, 2, 2, 26),
-    "3,4,3,2,11,1": (1, 1, 3, 2, 126),
-    "2,5,4,2,11,2": (1, 1, 2, 2, 37),
+    "2,3,2,1,5,1": (0, 1, 2, 1, 17),
+    "2,4,3,1,7,2": (0, 1, 2, 1, 26),
+    "3,4,3,2,11,1": (0, 1, 3, 1, 126),
+    "2,5,4,2,11,2": (0, 1, 2, 1, 37),
 }
 
 
@@ -632,10 +630,10 @@ def test_prefix_work_does_not_grow(params, monkeypatch):
     """A campaign that draws, deals, encodes or derives masks again for
     each pattern, instead of once per point, or that runs more than one
     helper phase per pattern, shows as more calls."""
-    names = ("dealer_generate", "_draw_inputs", "encode_uploads", "keys_from_noise",
+    names = ("dealer_generate", "UnitRound", "encode_uploads", "keys_from_noise",
              "run_helpers")
     calls = Counter()
-    for owner, name in ((protocol, names[0]), (harness, names[1]), (protocol, names[2]),
+    for owner, name in ((protocol, names[0]), (lk, names[1]), (protocol, names[2]),
                         (protocol, names[3]), (lk, names[3]), (protocol, names[4]),
                         (lk, names[4])):
         def counted(*args, _name=name, _method=getattr(owner, name), **kwargs):
@@ -711,97 +709,67 @@ def test_repeated_campaign_does_the_same_work():
         assert first == second and first["inv"] > 0, (label, first, second)
 
 
-class _CountingRandom(random.Random):
-    """A generator that counts its ``getrandbits`` calls wider than any
-    q < 2^64: the bulk draw's chunks."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.wide_calls = 0
-
-    def getrandbits(self, k):
-        self.wide_calls += k > 64
-        return super().getrandbits(k)
+class _Drawn(Exception):
+    """Raised in place of ``lk.UnitRound`` by ``_drawn_probes``, with the
+    probes it was handed."""
 
 
-def _stacked_symbols(params, cases, grads, noises):
-    """Every drawn symbol, after checking the stacked shape: user k's
-    gradient has ``block_count`` parts and its randomness ``collusion``
-    parts, each of ``cases * block_len`` ints in [0, q)."""
-    width = cases * params.block_len
-    symbols = []
-    for inputs, count in ((grads, params.block_count), (noises, params.collusion)):
-        assert [x.owner for x in inputs] == list(range(1, params.num_users + 1))
-        for x in inputs:
-            assert len(x.parts) == count and all(len(part) == width for part in x.parts)
-            symbols += [v for part in x.parts for v in part]
-    assert all(type(v) is int and 0 <= v < params.modulus for v in symbols)
-    return symbols
+def _drawn_probes(monkeypatch, params, **options):
+    """The probes that ``verify_point`` hands ``lk.UnitRound`` at
+    ``params`` under ``options``, the campaign stopped there."""
+
+    def stop(ctx, probes=()):
+        raise _Drawn(probes)
+
+    with monkeypatch.context() as patch, pytest.raises(_Drawn) as drawn:
+        patch.setattr(lk, "UnitRound", stop)
+        verify_point(params, RunConfig(mode="verify", **options))
+    return drawn.value.args[0]
 
 
-@pytest.mark.parametrize("q", [2, 3, 11, 2**31 - 1, 2**61 - 1, 2**64 - 59])
-def test_bulk_draw_gives_field_symbols_in_the_stacked_layout(q):
-    """One draw path for every q < 2^64: symbols in [0, q) in the
-    stacked shape, fixed by the seed.  Every residue of a small field
-    occurs, and a wide field's upper half is reached, so no bit of the
-    kept top bits is lost."""
-    params = SchemeParams(2, 5, 4, 2, q, 4)  # two gradient parts, two randomness parts
-
-    def draw(seed):
-        return _draw_inputs(params, random.Random(seed), 20)
-
-    first = draw("a")
-    symbols = _stacked_symbols(params, 20, *first)
-    assert draw("a") == first and draw("b") != first
-    if q < 100:
-        assert set(symbols) == set(range(q))
-    else:
-        assert max(symbols) >= q // 2
+def test_verify_draws_one_uniform_probe_per_source_slot(monkeypatch):
+    """The decode draws are source slots: ``dim`` probes of ``draws * l``
+    symbols in [0, q), every residue occurring.  ``seed`` moves only the
+    users' slots, before ``user_dim``, and ``dealer_seed`` only the dealer
+    noise's after it."""
+    layout, draws = lk.SourceLayout(EXAMPLE), 3
+    cut = layout.user_dim
+    probes = _drawn_probes(monkeypatch, EXAMPLE, draws=draws)
+    assert len(probes) == layout.dim
+    assert all(len(p) == draws * EXAMPLE.block_len for p in probes)
+    symbols = [v for p in probes for v in p]
+    assert all(type(v) is int for v in symbols) and set(symbols) == set(range(EXAMPLE.modulus))
+    users = _drawn_probes(monkeypatch, EXAMPLE, draws=draws, seed="1")
+    dealer = _drawn_probes(monkeypatch, EXAMPLE, draws=draws, dealer_seed="1")
+    assert all(a != b for a, b in zip(users[:cut], probes[:cut])) and users[cut:] == probes[cut:]
+    assert dealer[:cut] == probes[:cut] and all(a != b for a, b in zip(dealer[cut:], probes[cut:]))
 
 
-def test_bulk_draw_takes_further_chunks_when_one_falls_short():
-    """At q = 2 half the words are rejected, so some seeds need a second
-    chunk; the inputs keep their stacked shape."""
-    params = replace(SMALL, modulus=2)
-    longest = 0
-    for seed in range(60):
-        rng = _CountingRandom(seed)
-        _stacked_symbols(params, 250, *_draw_inputs(params, rng, 250))
-        longest = max(longest, rng.wide_calls)
-    assert longest >= 2
-
-
-# SHA-256 of two consecutive ``_draw_inputs`` calls (20 cases, then 3)
-# from ``random.Random("draw-pin")``, then the generator's next 64 bits:
-# the decode's probe inputs, and the state the draws leave
+# SHA-256 of the probes that ``verify_point`` draws at each point, first
+# for 20 draws, then for 3, under the default seeds: the decode's inputs
 DRAWN_INPUTS = {
-    "2,4,3,1,7,2": "dbf82bd657bca53e851b8f232264977ed433a73d1d4ad88879384e78df88d63b",
-    "3,4,3,2,11,1": "ef315525624308d5fb667ab429bd855bd43ecde0cba9ac75032828f80e15ed08",
+    "2,4,3,1,7,2": "b550b163a49599ed5e193f55242451be2d1b48f34455bbfa23678556a4c18fd9",
+    "3,4,3,2,11,1": "8add887c2f1443d6bb220b52a48b71edaf31b8501c9126514ec02fe3cbeb8fa3",
 }
 
 
 @pytest.mark.parametrize("label", sorted(DRAWN_INPUTS))
-def test_drawn_decode_inputs_are_pinned(label):
+def test_drawn_decode_inputs_are_pinned(label, monkeypatch):
     """A verify report holds counts, not inputs, so the pinned report
-    digests cannot show a change in the draw; these digests do.  The
-    second call and the generator's next bits show a state left
-    otherwise by the first."""
+    digests cannot show a change in the draw; these digests do."""
     params = SchemeParams.from_csv(label)
-    rng = random.Random("draw-pin")
-    drawn = [_draw_inputs(params, rng, cases) for cases in (20, 3)]
-    text = repr([[(x.owner, x.parts) for x in grads + noises] for grads, noises in drawn])
-    text += repr(rng.getrandbits(64))
-    assert hashlib.sha256(text.encode()).hexdigest() == DRAWN_INPUTS[label]
+    drawn = [_drawn_probes(monkeypatch, params, draws=draws) for draws in (20, 3)]
+    assert hashlib.sha256(repr(drawn).encode()).hexdigest() == DRAWN_INPUTS[label]
 
 
 def test_verify_report_does_not_depend_on_the_draws():
-    """A verify report holds counts, not inputs: two seeds, whose decode
-    draws differ, render the same bytes."""
-    a, b = (
-        render_json(run_verify(RunConfig(mode="verify", grid=(SMALL,), draws=2, seed=s)).to_json())
-        for s in "ab"
+    """A verify report holds counts, not inputs: two seeds or two dealer
+    seeds, whose decode draws differ, render the same bytes."""
+    a, b, c = (
+        render_json(run_verify(RunConfig(mode="verify", grid=(SMALL,), draws=2, **seeds)).to_json())
+        for seeds in ({"seed": "a"}, {"seed": "b"}, {"seed": "a", "dealer_seed": "b"})
     )
-    assert a == b
+    assert a == b == c
 
 
 def test_verify_deterministic_bytes():
