@@ -167,7 +167,7 @@ def _grid(config: RunConfig) -> tuple[SchemeParams, ...]:
 def _check_ids(name: str, ids: tuple[int, ...] | None, count: int) -> None:
     """Reject an explicit id set that repeats an id or leaves 1..count."""
     if ids is not None and (
-        len(set(ids)) < len(ids) or not set(ids) <= set(range(1, count + 1))
+        len(set(ids)) < len(ids) or not all(1 <= i <= count for i in ids)
     ):
         raise ConfigError(f"{name} {ids} must list distinct ids in 1..{count}")
 
@@ -404,15 +404,16 @@ class VerifyReport:
         }
 
 
-def _subset_counts(params: SchemeParams) -> tuple[int, int]:
-    """(helper subsets of at least Nr members, of at most T).  The first
-    are one user's receiver sets, so the patterns number it to the power
-    K, and also the survivor sets of the full active set."""
+def _subset_counts(params: SchemeParams, cap: int) -> tuple[int, int]:
+    """(helper subsets of at least Nr members, of at most T), both ``cap``
+    from N = ``cap`` on, as each is at least N + 1.  The first, 2^N less
+    the Nr smaller sizes, are one user's receiver sets (the patterns number
+    it to the power K) and the survivor sets of the full active set."""
     n = params.num_helpers
-    return (
-        sum(comb(n, s) for s in range(params.resiliency, n + 1)),
-        sum(comb(n, s) for s in range(params.collusion + 1)),
-    )
+    if n >= cap:
+        return cap, cap
+    fewer_than_nr = sum(comb(n, s) for s in range(params.resiliency))
+    return 2**n - fewer_than_nr, sum(comb(n, s) for s in range(params.collusion + 1))
 
 
 def _power(base: int, exp: int, budget: int) -> int:
@@ -433,27 +434,31 @@ def estimate_work(params: SchemeParams, draws: int, budget: int) -> int:
     each payload, since its cost grows with the gradient length.
 
     An infeasible point counts its witness, if it has one
-    (``lk.witness_sibling``): the variables of its sibling's
-    no-straggler transcript (``W[k]``, ``F[k]``, ``X``, ``Xhat``, ``Z``,
-    ``M``, ``W`` and ``Y``) times their coefficient columns, as many
-    source slots as the point has, one item per
-    ``_WITNESS_ENTRIES_PER_ITEM`` entries, rounded up.
+    (``lk.witness_sibling``): its sibling's no-straggler transcript
+    (``_transcript_items``).
 
-    A power of K that passes ``budget`` counts as ``budget + 1``
-    (``_power``), so a huge K costs no more than a small one, and so
-    does the count itself, so that it prints short: past the budget it
-    is a lower bound."""
-    k, n, nr, cap = params.num_users, params.num_helpers, params.resiliency, budget + 1
-    if nr <= params.collusion:
-        entries = (k * (2 + 2 * n * n) + n + 1) * lk.SourceLayout(params).dim
-        items = -(-entries // _WITNESS_ENTRIES_PER_ITEM)
-        return min(items, cap) if lk.witness_sibling(params) else 0
-    per_user, n_tsets = _subset_counts(params)
+    A power of K or a subset count that passes ``budget`` counts as
+    ``budget + 1`` (``_power``, ``_subset_counts``), so a huge K or N
+    costs no more than a small one, and so does the count itself, so
+    that it prints short: past the budget it is a lower bound."""
+    (k, n, nr, t), cap = params.as_tuple()[:4], budget + 1
+    if nr <= t:
+        return min(_transcript_items(params), cap) if lk.witness_sibling(params) else 0
+    per_user, n_tsets = _subset_counts(params, cap)
     queries = _power(2, k, budget) * n_tsets * 2
     per_pattern = queries + per_user * draws * params.block_len + n_tsets
     masks = 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
     patterns = _power(per_user, k, budget)
-    return min(patterns * per_pattern + masks + k * per_user + comb(n, params.collusion), cap)
+    return min(patterns * per_pattern + masks + k * per_user + comb(n, t), cap)
+
+
+def _transcript_items(params: SchemeParams) -> int:
+    """A no-straggler linear transcript's variables (``W[k]``, ``F[k]``,
+    ``X``, ``Xhat``, ``Z``, ``M``, ``W``, ``Y``) times its source slots,
+    one item per ``_WITNESS_ENTRIES_PER_ITEM`` such entries, rounded up."""
+    k, n = params.num_users, params.num_helpers
+    entries = (k * (2 + 2 * n * n) + n + 1) * lk.SourceLayout(params).dim
+    return -(-entries // _WITNESS_ENTRIES_PER_ITEM)
 
 
 def _round_work(params: SchemeParams) -> int:
@@ -500,18 +505,19 @@ def _decode_cases(ctx: proto.SchemeContext, responses, survivor_sets, expected, 
     return matches
 
 
-def _setup_point(params: SchemeParams) -> proto.SchemeContext | None:
-    """The context of a grid point, or None for an infeasible one, whose
-    witness's sibling (``lk.witness_sibling``), if it has one, is set up
-    too.  Any other bad point raises ConfigError naming it."""
+def _checked_point(params: SchemeParams) -> bool:
+    """Whether a grid point is feasible, with no matrix built
+    (``proto.check_params``), its witness's sibling checked too if it is
+    not.  Any other bad point raises ConfigError naming it."""
     try:
         try:
-            return proto.setup(params)
+            proto.check_params(params)
+            return True
         except proto.Infeasible:
             sibling = lk.witness_sibling(params)
             if sibling is not None:
-                proto.setup(sibling)
-            return None
+                proto.check_params(sibling)
+            return False
     except (proto.BadParams, proto.BadBlockLength, FieldTooSmall) as exc:
         raise ConfigError(f"grid point {params.label()}: {exc}") from exc
 
@@ -523,8 +529,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     probe per source slot, and the master decodes the responses' probe
     columns.  The users' slots are drawn from ``seed``, the dealer
     noise's from ``dealer_seed``."""
-    ctx = _setup_point(params)
-    if ctx is None:
+    if not _checked_point(params):
         report = PointReport(params=params, feasible=False)
         if lk.witness_sibling(params) is not None:
             witness = lk.infeasibility_witness(params)
@@ -535,7 +540,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                 )
         return report
 
-    report = PointReport(params=params, feasible=True)
+    ctx, report = proto.setup(params), PointReport(params=params, feasible=True)
     user_sets, helper_sets = map(list, _colluding_sets(params))
     # what no pattern changes, once per point and only in locals
     draws, layout, q = config.draws, lk.SourceLayout(params), params.modulus
@@ -585,12 +590,12 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
 
     static = unit.transcript(pt.no_straggler_pattern(params))
     for suite in (lk.check_mask_independence, lk.check_upload_recoverability):
-        outcome = suite(ctx, tvars=static)
+        outcome = suite(static)
         report.invariant_checks += outcome.checks
         report.failures.extend(outcome.violations)
     for tset in pt.subsets(range(1, params.num_helpers + 1), params.collusion, params.collusion):
         report.invariant_checks += 1
-        h = lk.response_entropy_given_sum(ctx, tset, tvars=static)
+        h = lk.response_entropy_given_sum(static, tset)
         if h != 0:
             report.failures.append(
                 f"responses not determined by sum and uploads of {tset}: H = {h}"
@@ -612,7 +617,7 @@ def run_verify(config: RunConfig) -> VerifyReport:
         raise ConfigError(f"draws must be at least 1, got {config.draws}")
     grid = _grid(config)
     for params in grid:
-        _setup_point(params)
+        _checked_point(params)
     work = 0
     for params in grid:
         work += estimate_work(params, config.draws, config.budget)
@@ -632,14 +637,15 @@ def run_rates(config: RunConfig) -> list[dict]:
     one no-straggler round."""
     _reject_unused(config, "rates")
     grid = _grid(config)
-    contexts = [_setup_point(p) for p in grid]
-    if sum(_round_work(p) for p, ctx in zip(grid, contexts) if ctx is not None) > config.budget:
+    feasible = [_checked_point(p) for p in grid]
+    if sum(_round_work(p) for p, ok in zip(grid, feasible) if ok) > config.budget:
         raise BudgetExceeded(f"the grid's rounds exceed budget {config.budget}")
     rows = []
-    for params, ctx in zip(grid, contexts):
-        if ctx is None:
+    for params, ok in zip(grid, feasible):
+        if not ok:
             rows.append({"params": params.label(), "feasible": False})
             continue
+        ctx = proto.setup(params)
         pattern = pt.no_straggler_pattern(params)  # first: a K past an index raises here
         rng = random.Random(f"rates:{config.seed}:{params.label()}")
         users = range(1, params.num_users + 1)
@@ -685,14 +691,15 @@ def run_leakage(config: RunConfig) -> dict:
     user subsets and all helper subsets within the collusion bound;
     explicit larger ``tset`` values are evaluated and flagged
     exploratory rather than judged.  Without an explicit pattern, all
-    admissible patterns are covered.  A sweep of more queries than
-    ``config.budget`` raises ``BudgetExceeded`` before any is run.
+    admissible patterns are covered.  A sweep whose queries and unit
+    round count more than ``config.budget`` items raises ``BudgetExceeded``
+    before any matrix is built.
     """
     _reject_unused(config, "leakage")
     if config.params is None:
         raise ConfigError("leakage mode needs --params")
     params = config.params
-    ctx = proto.setup(params)
+    proto.check_params(params)
     if config.pattern is not None:
         patterns = [pt.parse_pattern(config.pattern)]
         pt.validate(patterns[0], params)
@@ -701,19 +708,21 @@ def run_leakage(config: RunConfig) -> dict:
     _check_ids("uset", config.uset, params.num_users)
     _check_ids("tset", config.tset, params.num_helpers)
 
-    per_user, n_tsets = _subset_counts(params)
     k, budget = params.num_users, config.budget
+    per_user, n_tsets = _subset_counts(params, budget + 1)
     queries = 2 * (
         (1 if config.pattern is not None else _power(per_user, k, budget))
         * (1 if config.uset is not None else _power(2, k, budget))
         * (1 if config.tset is not None else n_tsets)
     )
-    if queries > budget:
-        raise BudgetExceeded(f"at least {queries} leakage queries exceed budget {budget}")
+    work = min(queries + _transcript_items(params), budget + 1)
+    if work > budget:
+        raise BudgetExceeded(f"the queries and their unit round push estimated work to"
+                             f" at least {work}, beyond budget {budget}")
     every_user_set, every_helper_set = _colluding_sets(params)
     user_sets = [config.uset] if config.uset is not None else list(every_user_set)
     helper_sets = [config.tset] if config.tset is not None else list(every_helper_set)
-    unit = lk.UnitRound(ctx)
+    unit = lk.UnitRound(proto.setup(params))
     records = [
         rec
         for pattern in patterns

@@ -1029,30 +1029,24 @@ class InvariantReport:
         return not self.violations
 
 
-def check_mask_independence(
-    ctx: SchemeContext, tvars: LinearTranscript | None = None
-) -> InvariantReport:
-    """Verify the mask entropy structure.
+def check_mask_independence(tvars: LinearTranscript) -> InvariantReport:
+    """Verify the mask entropy structure of the transcript's context.
 
     (a) the per-(helper, user) mask groups are mutually independent:
     joint rank of the maximal groups equals the sum of group ranks,
     which implies factorization for every sub-family.  (b) every subset
     of 1..resiliency - 1 masks within one group has full entropy,
-    exhaustively.  ``tvars`` is a transcript of ``ctx`` under any
-    pattern, the no-straggler one if built here: the masks are the same
-    under every pattern.  Another context's raises
-    ``TranscriptMismatch``.
+    exhaustively.  ``tvars`` may be any pattern's transcript: the masks
+    are the same under every pattern.
     """
-    params = ctx.params
-    svars = build_static_vars(ctx) if tvars is None else tvars
-    svars.require(ctx, svars.pattern)
+    params = tvars.ctx.params
     n_all = range(1, params.num_helpers + 1)
     users = range(1, params.num_users + 1)
     others = {n: [i for i in n_all if i != n] for n in n_all}
     report = InvariantReport(checks=1)  # the maximal family
 
     def group(subset, n, k):
-        return [svars[f"Z[{i},{n},{k}]"] for i in subset]
+        return [tvars[f"Z[{i},{n},{k}]"] for i in subset]
 
     maximal = [group(others[n], n, k) for n in n_all for k in users]
     if joint_rank([v for g in maximal for v in g]) != sum(map(joint_rank, maximal)):
@@ -1089,19 +1083,12 @@ def check_sharing_leakage(
     )
 
 
-def check_upload_recoverability(
-    ctx: SchemeContext, tvars: LinearTranscript | None = None
-) -> InvariantReport:
-    """I(gradient k; its uploads to any >= resiliency helpers) = L.
-
-    ``tvars`` is a transcript of ``ctx`` under any pattern, the
-    no-straggler one if built here: the gradients and the uploads are
-    the same under every pattern.  Another context's raises
-    ``TranscriptMismatch``.
+def check_upload_recoverability(tvars: LinearTranscript) -> InvariantReport:
+    """I(gradient k; its uploads to any >= resiliency helpers) = L in the
+    transcript's context.  ``tvars`` may be any pattern's transcript: the
+    gradients and the uploads are the same under every pattern.
     """
-    params = ctx.params
-    svars = build_static_vars(ctx) if tvars is None else tvars
-    svars.require(ctx, svars.pattern)
+    params = tvars.ctx.params
     helpers = range(1, params.num_helpers + 1)
     report = InvariantReport()
     expected = params.gradient_len
@@ -1109,8 +1096,8 @@ def check_upload_recoverability(
         for subset in subsets(helpers, params.resiliency):
             report.checks += 1
             query = MiQuery(
-                target=(svars[f"W[{k}]"],),
-                observed=tuple(svars[f"X[{k},{n}]"] for n in subset),
+                target=(tvars[f"W[{k}]"],),
+                observed=tuple(tvars[f"X[{k},{n}]"] for n in subset),
             )
             got = cond_mutual_info(query)
             if got != expected:
@@ -1120,26 +1107,22 @@ def check_upload_recoverability(
     return report
 
 
-def response_entropy_given_sum(
-    ctx: SchemeContext,
-    tset: Sequence[int],
-    tvars: LinearTranscript | None = None,
-) -> int:
-    """H of all responses under no stragglers given the gradient sum and
-    the view of ``tset`` (its uploads and masks); the design makes this
-    exactly 0 when ``len(tset) == collusion``.  ``tvars`` is the
-    no-straggler transcript of ``ctx``, built here if not given; another
-    raises ``TranscriptMismatch``.
+def response_entropy_given_sum(tvars: LinearTranscript, tset: Sequence[int]) -> int:
+    """H of all responses given the gradient sum and the view of ``tset``
+    (its uploads and masks), in the no-straggler transcript ``tvars``; a
+    straggling one raises ``TranscriptMismatch``.  The design makes this
+    exactly 0 when ``len(tset) == collusion``; a larger ``tset`` is
+    evaluated too.
 
     It is rank(W, view, responses) - rank(W, view), read from the split
     reductions of the view and of the master's set (the view, then every
     response) in the transcript's rank store, with W's span as the target
     (``_sharing_ranks``)."""
-    _, tvars, _, c = _resolved(ctx, no_straggler_pattern(ctx.params), tset, tvars, True)
-    store = tvars._store
+    tvars.require(tvars.ctx, no_straggler_pattern(tvars.ctx.params))
+    c, store = tvars.collusion(tuple(sorted(tset))), tvars._store
     w = store.reduction(tvars["W"].rows)[1]
     r_ac, _, r_abc, _ = _sharing_ranks(
-        w, c.view_reduction, c.master_reduction, store.layout.user_dim, ctx.field
+        w, c.view_reduction, c.master_reduction, store.layout.user_dim, tvars.ctx.field
     )
     return (r_abc - r_ac) * tvars.block_len
 

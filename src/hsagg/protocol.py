@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import patterns as patterns_mod
 from .field import PrimeField, is_prime
-from .matrix import GfMatrix, extended_vandermonde, make_points, vandermonde
+from .matrix import FieldTooSmall, GfMatrix, extended_vandermonde, make_points, vandermonde
 from .patterns import CommPattern
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "InterHelperMessage",
     "HelperResponse",
     "RoundTranscript",
+    "check_params",
     "setup",
     "encode_uploads",
     "encode_round_uploads",
@@ -193,8 +194,8 @@ class SchemeContext:
         return wide
 
 
-def setup(params: SchemeParams) -> SchemeContext:
-    """Validate parameters and precompute the round matrices.
+def check_params(params: SchemeParams) -> None:
+    """Raise what ``setup`` raises for ``params``, with no matrix built.
 
     Raises, in order of precedence: BadParams for range violations
     (including composite q), Infeasible when resiliency <= collusion,
@@ -216,13 +217,19 @@ def setup(params: SchemeParams) -> SchemeContext:
         raise Infeasible(
             f"resiliency {nr} <= collusion {t}: correctness and security contradict"
         )
-    field = PrimeField(q)
-    points = make_points(field, n, nr)  # FieldTooSmall when q < N + Nr
+    if q < n + nr:  # as make_points, which builds the points
+        raise FieldTooSmall(f"need {n + nr - 1} distinct nonzero points, GF({q}) has {q - 1}")
     if length % (nr - t) != 0:
         raise BadBlockLength(
             f"block count {nr - t} does not divide gradient length {length}"
         )
 
+
+def setup(params: SchemeParams) -> SchemeContext:
+    """Check ``params`` (``check_params``) and precompute the round matrices."""
+    check_params(params)
+    field, n, nr = PrimeField(params.modulus), params.num_helpers, params.resiliency
+    points = make_points(field, n, nr)
     upload = vandermonde(field, points[:n], nr)
     tail = points[n:]
     bases = tuple(

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -115,6 +116,62 @@ def test_a_huge_user_count_exceeds_the_budget_at_once(mode, users, capsys):
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ") and err.endswith("budget 1000000\n")
+
+
+EVERY_USER_TO_123 = "nu=" + ";".join(f"{k}:1,2,3" for k in range(1, 1281))
+REFUSED_AT_ONCE = {
+    # setup is O(N^2), and a sum of C(N, s) over every receiver-set size
+    # took about a minute
+    "verify-N-20000": ["verify", "--grid", "2,20000,3,1,20011,2"],
+    "leakage-N-20000": ["leakage", "--params", "2,20000,3,1,20011,2"],
+    # two queries, and a unit round of 2,393,875 items
+    "leakage-K-1280-unit-round": ["leakage", "--params", "1280,4,3,1,7,2", "--pattern",
+                                  EVERY_USER_TO_123, "--uset", "1", "--tset", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_AT_ONCE.values(), ids=REFUSED_AT_ONCE)
+def test_an_over_budget_run_is_refused_before_any_setup(argv, capsys, monkeypatch):
+    """The budget is charged before any matrix is built, the leakage
+    unit round included, and the count prints capped at budget + 1."""
+    monkeypatch.setattr(harness.proto, "setup", lambda *args: pytest.fail("a point was set up"))
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ")
+    assert err.endswith("estimated work to at least 1000001, beyond budget 1000000\n")
+
+
+def test_a_huge_user_count_with_a_user_set_exceeds_the_budget_at_once(tmp_path):
+    """The user set's ids are checked one by one, never against 1..K
+    built as a set, which ran out of memory at K = 10^20.  The run gets
+    1 GiB of address space, so such a build fails fast."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "hsagg", "leakage", "--params", "99999999999999999999,3,2,1,5,1",
+         "--uset", "1"], env=env, cwd=tmp_path, capture_output=True, text=True,
+        preexec_fn=cap_memory,
+    )
+    assert done.returncode == 3, done.stderr
+    assert time.perf_counter() - start < 5
+
+
+def test_a_bad_point_after_a_huge_one_exits_2_by_name_at_once(capsys):
+    """Every point is checked before the budget, and none is set up."""
+    start = time.perf_counter()
+    assert main(["verify", "--grid", "2,20000,3,1,20011,2;2,4,3,1,5,2"]) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == (
+        "error: grid point 2,4,3,1,5,2: need 6 distinct nonzero points, GF(5) has 4\n")
 
 
 HUGE_ROUNDS = {

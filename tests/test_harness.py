@@ -819,6 +819,26 @@ def test_every_grid_point_is_set_up_before_any_work(monkeypatch, grid, message):
         assert str(refused.value) == message
 
 
+def test_each_point_is_set_up_once_per_campaign(monkeypatch):
+    """``verify`` and ``rates`` check their points with no matrix built,
+    charge the budget, then build each feasible point's matrices once;
+    an infeasible point's witness builds its sibling's once."""
+    built, real = Counter(), protocol.setup
+
+    def counted(params):
+        built[params.label()] += 1
+        return real(params)
+
+    monkeypatch.setattr(protocol, "setup", counted)
+    monkeypatch.setattr(lk, "setup", counted)
+    grid = (DEFAULT_GRID[0], SchemeParams(2, 4, 2, 2, 7, 2), DEFAULT_GRID[1])
+    assert run_verify(RunConfig(mode="verify", grid=grid, draws=1)).ok
+    assert built == {"2,3,2,1,5,1": 1, "2,4,2,1,7,2": 1, "2,4,3,1,7,2": 1}
+    built.clear()
+    run_rates(RunConfig(mode="rates", grid=grid))
+    assert built == {"2,3,2,1,5,1": 1, "2,4,3,1,7,2": 1}
+
+
 def test_run_leakage_explicit_query():
     config = RunConfig(
         mode="leakage",
@@ -860,14 +880,15 @@ def test_leakage_budget():
     # 25 patterns x 4 user subsets x 5 helper subsets x 2 queries = 1,000
     with pytest.raises(BudgetExceeded):
         run_leakage(RunConfig(mode="leakage", params=EXAMPLE, budget=10))
-    # an explicit pattern, user set and helper set are one of each: two queries
+    # an explicit pattern, user set and helper set are one of each: two
+    # queries, plus the unit round's 1,606 transcript entries, 7 items
     one = RunConfig(
         mode="leakage", params=EXAMPLE, pattern="nu=1:1,2,3;2:1,2,4",
-        uset=(), tset=(3,), budget=2,
+        uset=(), tset=(3,), budget=9,
     )
     assert run_leakage(one)["queries"] == 2
-    one.budget = 1
-    with pytest.raises(BudgetExceeded):
+    one.budget = 8
+    with pytest.raises(BudgetExceeded, match="at least 9, beyond budget 8"):
         run_leakage(one)
 
 

@@ -16,7 +16,8 @@ verifier's round stops at the responses.  ``harness`` never names
 ``run_helpers``, ``encode_round_uploads`` or ``DealerKeys``: the
 campaign's one round per pattern is ``leakage.UnitRound``'s.  Each option is declared once,
 as a ``RunConfig`` field, and the parser, the config keys and the
-README's key list all follow that table."""
+README's key list all follow that table.  The package's optional
+parameters are counted, so a change that adds or removes one shows."""
 
 import ast
 import re
@@ -426,6 +427,29 @@ def option_name_literals(tree: ast.Module, names) -> list[int]:
     )
 
 
+# Function and method defaults plus defaulted dataclass fields in the
+# package: each is a switch that some caller may leave at its default.
+# A change that removes some lowers this; one that adds some says why.
+OPTIONAL_PARAMETERS = 47
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+
+
+def optional_parameters(tree: ast.Module) -> int:
+    """The defaults of every function, method and lambda, keyword-only
+    ones included, and the dataclass fields given a default."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
 def _package() -> dict[str, ast.Module]:
     return {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
 
@@ -557,6 +581,10 @@ def test_the_readme_lists_every_config_key():
     text = (ROOT / "README.md").read_text()
     listed = re.search(r"can hold any of:\s*`([^`]*)`", text).group(1)
     assert [key.strip() for key in listed.split(",")] == list(OPTIONS)
+
+
+def test_the_optional_parameters_are_counted():
+    assert sum(map(optional_parameters, _package().values())) == OPTIONAL_PARAMETERS
 
 
 def test_the_checks_catch_what_they_look_for():
@@ -752,3 +780,22 @@ def test_the_checks_catch_what_they_look_for():
         ),
         OPTIONS,
     ) == [1, 2]
+    assert optional_parameters(
+        ast.parse(
+            "def f(a, b=1, *args, c, d=2, **kw):\n"
+            "    g = lambda x=0: x\n"
+            "    class Local:\n"
+            "        def m(self, e=None): ...\n"
+            "@dataclass(frozen=True)\n"
+            "class Point:\n"
+            "    x: int\n"
+            "    y: int = 0\n"
+            "    z: list = dc_field(default_factory=list)\n"
+            "    def h(self, k=3): ...\n"
+            "@dataclasses.dataclass\n"
+            "class Plain:\n"
+            "    w: int = 1\n"
+            "class NotData:\n"
+            "    v: int = 1\n"
+        )
+    ) == 8
