@@ -76,7 +76,7 @@ MODES = {  # each mode with its subcommand's help text
     "leakage": "security queries with rank quadruples",
 }
 EXCLUSIVE_PAIRS = (("pattern", "drop_prob"), ("params", "grid"))  # at most one of each
-_SEEDED = ("round", "verify", "rates")  # the modes that draw randomness
+_SEEDED = ("round", "verify")  # the modes whose reports depend on a seed
 
 
 def _parse_grid(text: str) -> tuple[SchemeParams, ...]:
@@ -315,10 +315,11 @@ def run_single_round(config: RunConfig) -> tuple[proto.RoundTranscript, dict]:
     _reject_unused(config, "round")
     if config.params is None:
         raise ConfigError("round mode needs --params")
-    ctx = proto.setup(config.params)
     params = config.params
+    proto.check_params(params)
     if _round_work(params) > config.budget:
         raise BudgetExceeded(f"a round at {params.label()} exceeds budget {config.budget}")
+    ctx = proto.setup(params)
     pattern = _resolve_pattern(config, params)
     gradients, original = _load_gradients(config, params)
     rng = random.Random(f"noise:{config.seed}")
@@ -404,16 +405,18 @@ class VerifyReport:
         }
 
 
-def _subset_counts(params: SchemeParams, cap: int) -> tuple[int, int]:
-    """(helper subsets of at least Nr members, of at most T), both ``cap``
-    from N = ``cap`` on, as each is at least N + 1.  The first, 2^N less
-    the Nr smaller sizes, are one user's receiver sets (the patterns number
-    it to the power K) and the survivor sets of the full active set."""
-    n = params.num_helpers
-    if n >= cap:
-        return cap, cap
-    fewer_than_nr = sum(comb(n, s) for s in range(params.resiliency))
-    return 2**n - fewer_than_nr, sum(comb(n, s) for s in range(params.collusion + 1))
+def _subsets(n: int, lo: int, hi: int, cap: int) -> int:
+    """The subsets of an ``n``-set with ``lo`` to ``hi`` members, at most
+    ``cap``.  As C(n, s) >= 2^min(s, n - s), a range with a size
+    ``cap.bit_length()`` from both ends passes ``cap``; any other lies
+    that near one end, so it sums fewer than twice that many sizes."""
+    mid = min(max(n // 2, lo), hi)
+    if min(mid, n - mid) >= cap.bit_length():
+        return cap
+    total = 0
+    for s in range(lo, hi + 1):
+        total = min(total + comb(n, s), cap)
+    return total
 
 
 def _power(base: int, exp: int, budget: int) -> int:
@@ -438,18 +441,18 @@ def estimate_work(params: SchemeParams, draws: int, budget: int) -> int:
     (``_transcript_items``).
 
     A power of K or a subset count that passes ``budget`` counts as
-    ``budget + 1`` (``_power``, ``_subset_counts``), so a huge K or N
+    ``budget + 1`` (``_power``, ``_subsets``), so a huge K or N
     costs no more than a small one, and so does the count itself, so
     that it prints short: past the budget it is a lower bound."""
     (k, n, nr, t), cap = params.as_tuple()[:4], budget + 1
     if nr <= t:
         return min(_transcript_items(params), cap) if lk.witness_sibling(params) else 0
-    per_user, n_tsets = _subset_counts(params, cap)
-    queries = _power(2, k, budget) * n_tsets * 2
+    per_user, n_tsets = _subsets(n, nr, n, cap), _subsets(n, 0, t, cap)
+    queries = _subsets(k, 0, k, cap) * n_tsets * 2
     per_pattern = queries + per_user * draws * params.block_len + n_tsets
-    masks = 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
+    masks = 1 + n * k * _subsets(n - 1, 1, nr - 1, cap)
     patterns = _power(per_user, k, budget)
-    return min(patterns * per_pattern + masks + k * per_user + comb(n, t), cap)
+    return min(patterns * per_pattern + masks + k * per_user + _subsets(n, t, t, cap), cap)
 
 
 def _transcript_items(params: SchemeParams) -> int:
@@ -532,12 +535,9 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     if not _checked_point(params):
         report = PointReport(params=params, feasible=False)
         if lk.witness_sibling(params) is not None:
-            witness = lk.infeasibility_witness(params)
-            report.witness_value = witness.value
-            if not witness.ok:
-                report.failures.append(
-                    f"infeasibility witness {witness.value} < {witness.required}"
-                )
+            value = report.witness_value = lk.infeasibility_witness(params)
+            if value < params.gradient_len:
+                report.failures.append(f"infeasibility witness {value} < {params.gradient_len}")
         return report
 
     ctx, report = proto.setup(params), PointReport(params=params, feasible=True)
@@ -569,9 +569,6 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                 report.failures.append(
                     f"decode mismatch at pattern {pt.format_pattern(full)}"
                 )
-        if report.rate_x is None:
-            # rates are length ratios, the same in every column slice
-            report.rate_x, report.rate_y = proto.measure_rates(transcript)
 
         for rec in _security_sweep(tvars, user_sets, helper_sets):
             report.security_queries += 1
@@ -588,7 +585,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                     f"sharing leakage {rec.value} at T={rec.colluding_helpers} {rec.pattern}"
                 )
 
-    static = unit.transcript(pt.no_straggler_pattern(params))
+    transcript, static = unit.run(pt.no_straggler_pattern(params))
     for suite in (lk.check_mask_independence, lk.check_upload_recoverability):
         outcome = suite(static)
         report.invariant_checks += outcome.checks
@@ -601,6 +598,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                 f"responses not determined by sum and uploads of {tset}: H = {h}"
             )
 
+    report.rate_x, report.rate_y = proto.measure_rates(transcript)  # alike in every pattern
     bound = params.rate_bound
     report.rates_equal = report.rate_x == bound and report.rate_y == bound
     if not report.rates_equal:
@@ -634,7 +632,8 @@ def run_verify(config: RunConfig) -> VerifyReport:
 
 def run_rates(config: RunConfig) -> list[dict]:
     """Measured communication rates per feasible grid point, each from
-    one no-straggler round."""
+    one no-straggler round seeded from the point's label: the rates are
+    payload lengths over L, which no input symbol changes."""
     _reject_unused(config, "rates")
     grid = _grid(config)
     feasible = [_checked_point(p) for p in grid]
@@ -647,11 +646,11 @@ def run_rates(config: RunConfig) -> list[dict]:
             continue
         ctx = proto.setup(params)
         pattern = pt.no_straggler_pattern(params)  # first: a K past an index raises here
-        rng = random.Random(f"rates:{config.seed}:{params.label()}")
+        rng = random.Random(f"rates:{params.label()}")
         users = range(1, params.num_users + 1)
         grads = [Gradient.random(k, params, rng) for k in users]
         noises = [UserRandomness.random(k, params, rng) for k in users]
-        keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
+        keys = proto.dealer_generate(ctx, f"dealer:{params.label()}")
         transcript = proto.run_round(ctx, pattern, grads, noises, keys)
         rx, ry = proto.measure_rates(transcript)
         bound = params.rate_bound
@@ -708,12 +707,12 @@ def run_leakage(config: RunConfig) -> dict:
     _check_ids("uset", config.uset, params.num_users)
     _check_ids("tset", config.tset, params.num_helpers)
 
-    k, budget = params.num_users, config.budget
-    per_user, n_tsets = _subset_counts(params, budget + 1)
+    (k, n, nr, t), budget = params.as_tuple()[:4], config.budget
+    per_user = _subsets(n, nr, n, budget + 1)
     queries = 2 * (
         (1 if config.pattern is not None else _power(per_user, k, budget))
-        * (1 if config.uset is not None else _power(2, k, budget))
-        * (1 if config.tset is not None else n_tsets)
+        * (1 if config.uset is not None else _subsets(k, 0, k, budget + 1))
+        * (1 if config.tset is not None else _subsets(n, 0, t, budget + 1))
     )
     work = min(queries + _transcript_items(params), budget + 1)
     if work > budget:

@@ -56,7 +56,6 @@ __all__ = [
     "MiQuery",
     "LeakageRecord",
     "InvariantReport",
-    "WitnessReport",
     "UnitRound",
     "build_static_vars",
     "build_linear_transcript",
@@ -1127,20 +1126,6 @@ def response_entropy_given_sum(tvars: LinearTranscript, tset: Sequence[int]) -> 
     return (r_abc - r_ac) * tvars.block_len
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Outcome of the infeasibility contradiction check."""
-
-    params: SchemeParams
-    sibling_collusion: int
-    value: int
-    required: int
-
-    @property
-    def ok(self) -> bool:
-        return self.value >= self.required
-
-
 def witness_sibling(params: SchemeParams) -> SchemeParams | None:
     """The correct sibling scheme an infeasible point's witness runs: the
     same K, N, Nr, q and L, with collusion lowered to Nr - 1; None at
@@ -1148,15 +1133,16 @@ def witness_sibling(params: SchemeParams) -> SchemeParams | None:
     return replace(params, collusion=params.resiliency - 1) if params.resiliency >= 2 else None
 
 
-def infeasibility_witness(params: SchemeParams) -> WitnessReport:
-    """Reproduce the contradiction that rules a scheme out when the
-    resiliency threshold does not exceed the collusion bound.
+def infeasibility_witness(params: SchemeParams) -> int:
+    """I(W; view of helpers [1..Nr]), the contradiction that rules a
+    scheme out when the resiliency threshold does not exceed the
+    collusion bound.
 
     Any correct scheme lets ``resiliency`` helpers jointly determine
     the responses and hence the gradient sum, so a colluding set that
     large learns at least L symbols.  We instantiate the correct
-    ``witness_sibling`` and evaluate the view of helpers [1..Nr] in the
-    linear model, under the no-straggler pattern.
+    ``witness_sibling`` and evaluate that view in the linear model,
+    under the no-straggler pattern.
     """
     if params.resiliency > params.collusion:
         raise ValueError("witness applies only when resiliency <= collusion")
@@ -1168,13 +1154,7 @@ def infeasibility_witness(params: SchemeParams) -> WitnessReport:
     ctx = setup(sibling)
     svars = build_static_vars(ctx)
     view = helper_observation(svars, range(1, params.resiliency + 1))
-    query = MiQuery(target=(svars["W"],), observed=view)
-    return WitnessReport(
-        params=params,
-        sibling_collusion=sibling.collusion,
-        value=cond_mutual_info(query),
-        required=params.gradient_len,
-    )
+    return cond_mutual_info(MiQuery(target=(svars["W"],), observed=view))
 
 
 # -- brute-force oracle -----------------------------------------------------

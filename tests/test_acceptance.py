@@ -150,9 +150,7 @@ def test_criterion_4_infeasibility():
             params = SchemeParams(*tup)
             with pytest.raises(Infeasible):
                 setup(params)
-            witness = infeasibility_witness(params)
-            assert witness.value >= Fraction(params.gradient_len)
-            assert witness.ok
+            assert infeasibility_witness(params) >= params.gradient_len
 
 
 SECURITY_POINTS = [SchemeParams(2, 4, 3, 1, 7, 2), SchemeParams(2, 3, 2, 1, 5, 1)]

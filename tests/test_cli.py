@@ -127,20 +127,30 @@ REFUSED_AT_ONCE = {
     # two queries, and a unit round of 2,393,875 items
     "leakage-K-1280-unit-round": ["leakage", "--params", "1280,4,3,1,7,2", "--pattern",
                                   EVERY_USER_TO_123, "--uset", "1", "--tset", "1"],
+    # N below the budget and Nr near N: sums of up to Nr big binomials
+    # ran past 20 s
+    "verify-N-20000-Nr-19999": ["verify", "--params", "1,20000,19999,1,40009,19998"],
+    "verify-N-999998-Nr-999997": ["verify", "--params", "1,999998,999997,1,2000003,999996"],
+    "leakage-N-999998-Nr-999997": ["leakage", "--params", "1,999998,999997,1,2000003,999996"],
+    # a round's O(N^2) matrices took 3 s before its budget check
+    "round-N-1000-huge-length": ["round", "--params", "2,1000,3,1,1009,10000000"],
 }
 
 
 @pytest.mark.parametrize("argv", REFUSED_AT_ONCE.values(), ids=REFUSED_AT_ONCE)
 def test_an_over_budget_run_is_refused_before_any_setup(argv, capsys, monkeypatch):
     """The budget is charged before any matrix is built, the leakage
-    unit round included, and the count prints capped at budget + 1."""
+    unit round included, and an estimate prints capped at budget + 1."""
     monkeypatch.setattr(harness.proto, "setup", lambda *args: pytest.fail("a point was set up"))
     start = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ")
-    assert err.endswith("estimated work to at least 1000001, beyond budget 1000000\n")
+    if argv[0] == "round":
+        assert err.endswith(f"a round at {argv[2]} exceeds budget 1000000\n")
+    else:
+        assert err.endswith("estimated work to at least 1000001, beyond budget 1000000\n")
 
 
 def test_a_huge_user_count_with_a_user_set_exceeds_the_budget_at_once(tmp_path):
@@ -459,6 +469,9 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "error: uset: invalid literal for int() with base 10: ''"),
         (BAD_INPUTS["verify-malformed-budget-in-config"],
          "error: budget: invalid literal for int() with base 10: 'many'"),
+        (["rates", "--seed", "1"], "error: rates does not use seed"),
+        (["rates", "--dealer-seed", "1"], "error: rates does not use dealer_seed"),
+        (["rates", *EXAMPLE_ARGS, "--config", "SEED_CONFIG"], "error: rates does not use seed"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
          "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
@@ -467,7 +480,8 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "composite-q-beyond-budget", "witness-field-too-small", "rates-bad-second-point",
          "gradient-unknown-keys",
          "repeated-config-key", "params-and-grid-flags", "params-and-grid-keys", "uset-flag",
-         "draws-flag", "gradients-flag", "grid-flag", "malformed-flag", "malformed-key"],
+         "draws-flag", "gradients-flag", "grid-flag", "malformed-flag", "malformed-key",
+         "rates-seed-flag", "rates-dealer-seed-flag", "rates-seed-key"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     assert main(_with_files(argv, tmp_path)) == 2

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -508,6 +509,22 @@ def test_verify_budget_counts_the_infeasibility_witness(monkeypatch):
     with pytest.raises(BudgetExceeded) as err:
         run_verify(config)
     assert "12,16,3,5,23,1" in str(err.value)
+
+
+def test_subset_counts_are_capped_sums_of_binomials():
+    """Every range at every n up to 12 counts as the sum it stands for,
+    capped; at n = 10^6 any range counts at once."""
+    for cap, n in ((cap, n) for cap in (1, 7, 10**6, 10**30) for n in range(13)):
+        for lo, hi in ((lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)):
+            want = min(sum(comb(n, s) for s in range(lo, hi + 1)), cap)
+            assert harness._subsets(n, lo, hi, cap) == want, (n, lo, hi, cap)
+    n = 10**6
+    for cap in (1, 7, 10**6, 10**30):
+        for lo, hi in ((0, n), (0, 0), (0, 3), (0, 99), (5, 10), (n // 2, n // 2),
+                       (n - 99, n), (n - 3, n), (n, n), (1, n - 1)):
+            start = time.perf_counter()
+            harness._subsets(n, lo, hi, cap)
+            assert time.perf_counter() - start < 0.1, (lo, hi, cap)
 
 
 @pytest.mark.parametrize(

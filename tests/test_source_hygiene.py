@@ -15,8 +15,8 @@ user and helper subsets.  ``leakage`` never names ``master_decode``: the
 verifier's round stops at the responses.  ``harness`` never names
 ``run_helpers``, ``encode_round_uploads`` or ``DealerKeys``: the
 campaign's one round per pattern is ``leakage.UnitRound``'s.  Each option is declared once,
-as a ``RunConfig`` field, and the parser, the config keys and the
-README's key list all follow that table.  The package's optional
+as a ``RunConfig`` field, and the parser, the config keys, the
+README's key list and its flag table's refusals all follow that table.  The package's optional
 parameters are counted, so a change that adds or removes one shows."""
 
 import ast
@@ -450,6 +450,34 @@ def optional_parameters(tree: ast.Module) -> int:
     return count
 
 
+def flag_table(text: str, options) -> dict[str, dict[str, str]]:
+    """The README's flag table: each option a row names (by key or by
+    flag), with its cell in each mode's column."""
+    lines = text[text.index("| flag |"):].split("\n\n", 1)[0].splitlines()
+    modes = [cell.strip() for cell in lines[0].strip("|").split("|")[1:]]
+    table = {}
+    for line in lines[2:]:
+        label, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+        for token in re.findall(r"`([^`]*)`", label):
+            name = token.lstrip("-").split()[0].replace("-", "_")
+            if name in options:
+                table[name] = dict(zip(modes, cells))
+    return table
+
+
+def refusal_mismatches(table: dict[str, dict[str, str]], options) -> list[tuple[str, str]]:
+    """(option, mode) cells that read ``exits 2`` though the mode reads
+    the option, or read otherwise though it does not.  A mode that reads
+    an option but refuses one value of it names why (``exits 2 (JSON
+    only)``), so that cell does not read ``exits 2`` alone."""
+    return [
+        (name, mode)
+        for name, cells in table.items()
+        for mode, cell in cells.items()
+        if (cell == "exits 2") == (mode in options[name]["modes"])
+    ]
+
+
 def _package() -> dict[str, ast.Module]:
     return {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
 
@@ -581,6 +609,14 @@ def test_the_readme_lists_every_config_key():
     text = (ROOT / "README.md").read_text()
     listed = re.search(r"can hold any of:\s*`([^`]*)`", text).group(1)
     assert [key.strip() for key in listed.split(",")] == list(OPTIONS)
+
+
+def test_the_readme_flag_table_follows_the_option_modes():
+    """Every option but ``out`` has a row, and each cell reads ``exits 2``
+    exactly when its mode does not read the option."""
+    table = flag_table((ROOT / "README.md").read_text(), OPTIONS)
+    assert set(table) == set(OPTIONS) - {"out"}
+    assert refusal_mismatches(table, OPTIONS) == []
 
 
 def test_the_optional_parameters_are_counted():
@@ -759,6 +795,17 @@ def test_the_checks_catch_what_they_look_for():
         draws: int = field(default=1, metadata={"parse": int})
 
     assert fields_without_option(Config) == ["seed", "draws"]
+    table = flag_table(
+        "intro\n\n| flag | round | rates |\n|---|---|---|\n"
+        "| `--seed` | used | used |\n"
+        "| `--format csv` | exits 2 (JSON only) | used |\n"
+        "| `uset`, `tset` (`--uset`, `--tset`) | exits 2 | used |\n"
+        "| `--no-such-flag` | used | used |\n\nafter\n| flag | x |\n",
+        OPTIONS,
+    )
+    assert list(table) == ["seed", "format", "uset", "tset"]
+    assert refusal_mismatches(table, OPTIONS) == [("seed", "rates"), ("uset", "rates"),
+                                                  ("tset", "rates")]
     assert stray_add_arguments(
         ast.parse(
             "def build_parser():\n"
