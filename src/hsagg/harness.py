@@ -467,8 +467,10 @@ def _transcript_items(params: SchemeParams) -> int:
 def _round_work(params: SchemeParams) -> int:
     """A round's items, checked against the budget before its pattern or
     inputs are built: the ``block_len`` items that ``estimate_work``
-    counts per decode case, times the K users the round encodes."""
-    return params.num_users * params.block_len
+    counts per decode case, times the K users the round encodes, plus the
+    N Nr x Nr systems ``setup`` builds and the K N^2 helper-phase messages."""
+    k, n, nr = params.as_tuple()[:3]
+    return k * params.block_len + n * nr * nr + k * n * n
 
 
 def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]:
@@ -480,7 +482,7 @@ def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]
     for uset in user_sets:
         for tset in helper_sets:
             for check in (lk.check_security_helpers, lk.check_security_master):
-                yield check(ctx, pattern, uset, tset, tvars=tvars, exploratory=True)
+                yield check(ctx, pattern, uset, tset, tvars=tvars)
 
 
 def _decode_cases(ctx: proto.SchemeContext, responses, survivor_sets, expected, draws) -> list:
@@ -587,9 +589,9 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
 
     transcript, static = unit.run(pt.no_straggler_pattern(params))
     for suite in (lk.check_mask_independence, lk.check_upload_recoverability):
-        outcome = suite(static)
-        report.invariant_checks += outcome.checks
-        report.failures.extend(outcome.violations)
+        checks, violations = suite(static)
+        report.invariant_checks += checks
+        report.failures.extend(violations)
     for tset in pt.subsets(range(1, params.num_helpers + 1), params.collusion, params.collusion):
         report.invariant_checks += 1
         h = lk.response_entropy_given_sum(static, tset)
@@ -725,7 +727,7 @@ def run_leakage(config: RunConfig) -> dict:
     records = [
         rec
         for pattern in patterns
-        for rec in _security_sweep(unit.transcript(pattern), user_sets, helper_sets)
+        for rec in _security_sweep(unit.run(pattern)[1], user_sets, helper_sets)
     ]
     return {
         "params": params.label(),

@@ -26,7 +26,7 @@ split-space kernel, per-user view blocks and the store's keys.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .field import PrimeField
@@ -55,7 +55,6 @@ __all__ = [
     "LinearVar",
     "MiQuery",
     "LeakageRecord",
-    "InvariantReport",
     "UnitRound",
     "build_static_vars",
     "build_linear_transcript",
@@ -92,8 +91,8 @@ class TranscriptMismatch(LeakageError):
 
 
 class BadSubset(LeakageError):
-    """A colluding set names an id outside its range or exceeds the
-    collusion bound, or an oracle name is unknown."""
+    """A colluding set names an id outside its range, or an oracle name
+    is unknown."""
 
 
 def _check_ids(role: str, ids: Sequence[int], count: int) -> None:
@@ -645,16 +644,12 @@ class UnitRound:
         tvars = {**self._tvars, **_linear_vars(self.ctx, _pattern_values(t), self._width)}
         return t, LinearTranscript(self.ctx, pattern, tvars)
 
-    def transcript(self, pattern: CommPattern) -> LinearTranscript:
-        """The linear transcript of ``run(pattern)``."""
-        return self.run(pattern)[1]
-
 
 def build_linear_transcript(ctx: SchemeContext, pattern: CommPattern) -> LinearTranscript:
     """Coefficient-level transcript of one round under the pattern, every
     variable's rows (``UnitRound``).  Its queries share the context's rank
     store, and it answers only for ``ctx`` and ``pattern``."""
-    return UnitRound(ctx).transcript(pattern)
+    return UnitRound(ctx).run(pattern)[1]
 
 
 def build_static_vars(ctx: SchemeContext) -> LinearTranscript:
@@ -921,7 +916,7 @@ class LeakageRecord:
     pattern: str
     ranks: tuple[int, int, int, int]
     value: int
-    exploratory: bool = False
+    exploratory: bool
 
     @property
     def ok(self) -> bool:
@@ -939,18 +934,16 @@ def helper_observation(tvars: LinearTranscript, tset: Sequence[int]) -> tuple[Li
 
 
 def _resolved(ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int],
-              tvars: LinearTranscript | None, exploratory: bool) -> tuple:
+              tvars: LinearTranscript | None) -> tuple:
     """A query's ``tset`` as a sorted tuple, its transcript, whether
-    ``tset`` is beyond the collusion bound, and the transcript's collusion
-    of it, read from its memo with ``tset`` as passed and sorted only on a
-    miss: the keys are sorted tuples, so a hit proves it sorted.  A
-    colluding set beyond the bound raises unless the query is
-    ``exploratory``; the transcript defaults to the pattern's, and a
-    given one must be that of ``ctx`` and ``pattern``."""
+    ``tset`` is beyond the collusion bound (its record is then exploratory:
+    reported, not judged), and the transcript's collusion of it, read from
+    its memo with ``tset`` as passed and sorted only on a miss: the keys
+    are sorted tuples, so a hit proves it sorted.  The transcript defaults
+    to the pattern's, and a given one must be that of ``ctx`` and
+    ``pattern``."""
     bound = ctx.params.collusion
     oversized = len(tset) > bound and len(set(tset)) > bound
-    if oversized and not exploratory:
-        raise BadSubset(f"{len(set(tset))} colluding helpers exceeds bound {bound}")
     if tvars is None:
         tvars = build_linear_transcript(ctx, pattern)
     tvars.require(ctx, pattern)
@@ -959,13 +952,13 @@ def _resolved(ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int],
 
 
 def _security_record(ctx: SchemeContext, pattern: CommPattern, users: Sequence[int],
-                     tset: Sequence[int], tvars: LinearTranscript | None, exploratory: bool,
+                     tset: Sequence[int], tvars: LinearTranscript | None,
                      with_sum: bool) -> LeakageRecord:
     """The helper record, or the master's if ``with_sum``: the view's
     reduction or the master's set's, given ``users``' own inputs, and the
     sum if ``with_sum``.  It reads the store's tables directly, the
     givens as ``_resolved`` reads the collusions."""
-    tset, tv, oversized, c = _resolved(ctx, pattern, tset, tvars, exploratory)
+    tset, tv, oversized, c = _resolved(ctx, pattern, tset, tvars)
     store, (r_noise, kernel) = tv._store, c.master_reduction if with_sum else c.view_reduction
     given = store.givens.get((with_sum, users := tuple(users))) or store.given(
         with_sum, users := tuple(sorted(users)))
@@ -984,17 +977,16 @@ def check_security_helpers(
     users: Sequence[int],
     tset: Sequence[int],
     tvars: LinearTranscript | None = None,
-    exploratory: bool = False,
 ) -> LeakageRecord:
     """Leakage of all gradients to colluding helpers and users.
 
     Evaluates I(all gradients; colluding helpers' view | colluding
     users' gradients and randomness).  The scheme guarantees exactly 0
-    whenever ``len(tset) <= collusion``; larger sets require
-    ``exploratory=True`` and the value is reported rather than judged.
+    whenever ``len(tset) <= collusion``; a larger set's record is
+    flagged exploratory, its value reported rather than judged.
     ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``.
     """
-    return _security_record(ctx, pattern, users, tset, tvars, exploratory, False)
+    return _security_record(ctx, pattern, users, tset, tvars, False)
 
 
 def check_security_master(
@@ -1003,7 +995,6 @@ def check_security_master(
     users: Sequence[int],
     tset: Sequence[int],
     tvars: LinearTranscript | None = None,
-    exploratory: bool = False,
 ) -> LeakageRecord:
     """Leakage of all gradients to the master beyond the sum.
 
@@ -1012,23 +1003,10 @@ def check_security_master(
     gradient sum itself.  ``tvars``, if given, must be the transcript
     of ``ctx`` and ``pattern``.
     """
-    return _security_record(ctx, pattern, users, tset, tvars, exploratory, True)
+    return _security_record(ctx, pattern, users, tset, tvars, True)
 
 
-@dataclass
-class InvariantReport:
-    """Outcome of one no-straggler invariant suite: the number of checks
-    run and one line per violated check."""
-
-    checks: int = 0
-    violations: list[str] = dc_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_mask_independence(tvars: LinearTranscript) -> InvariantReport:
+def check_mask_independence(tvars: LinearTranscript) -> tuple[int, list[str]]:
     """Verify the mask entropy structure of the transcript's context.
 
     (a) the per-(helper, user) mask groups are mutually independent:
@@ -1036,74 +1014,74 @@ def check_mask_independence(tvars: LinearTranscript) -> InvariantReport:
     which implies factorization for every sub-family.  (b) every subset
     of 1..resiliency - 1 masks within one group has full entropy,
     exhaustively.  ``tvars`` may be any pattern's transcript: the masks
-    are the same under every pattern.
+    are the same under every pattern.  Returns the number of checks run
+    and one line per violated check.
     """
     params = tvars.ctx.params
     n_all = range(1, params.num_helpers + 1)
     users = range(1, params.num_users + 1)
     others = {n: [i for i in n_all if i != n] for n in n_all}
-    report = InvariantReport(checks=1)  # the maximal family
+    checks, violations = 1, []  # the maximal family
 
     def group(subset, n, k):
         return [tvars[f"Z[{i},{n},{k}]"] for i in subset]
 
     maximal = [group(others[n], n, k) for n in n_all for k in users]
     if joint_rank([v for g in maximal for v in g]) != sum(map(joint_rank, maximal)):
-        report.violations.append("maximal mask family is not independent")
+        violations.append("maximal mask family is not independent")
 
     l = params.block_len
     for n in n_all:
         for k in users:
             for subset in subsets(others[n], 1, params.resiliency - 1):
-                report.checks += 1
+                checks += 1
                 h, full = entropy_rank(group(subset, n, k)), len(subset) * l
                 if h != full:
-                    report.violations.append(
+                    violations.append(
                         f"H(masks {subset} of helper {n}, user {k}) = {h}, expected {full}"
                     )
-    return report
+    return checks, violations
 
 
 def check_sharing_leakage(
     ctx: SchemeContext,
     pattern: CommPattern,
     tset: Sequence[int],
-    tvars: LinearTranscript | None = None,
+    tvars: LinearTranscript,
 ) -> LeakageRecord:
     """Inter-helper shares reveal nothing new about uploads:
-    I(all uploads; shares seen by tset | tset's uploads and masks) = 0.
-    ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``."""
+    I(all uploads; shares seen by tset | tset's uploads and masks) = 0,
+    flagged exploratory for a ``tset`` beyond the bound.  ``tvars`` must
+    be the transcript of ``ctx`` and ``pattern``."""
 
-    tset, tv, _, c = _resolved(ctx, pattern, tset, tvars, False)
+    tset, tv, oversized, c = _resolved(ctx, pattern, tset, tvars)
     u = tv._store.layout.user_dim
     ranks = _sharing_ranks(tv.uploads_kernel, c.prefix_reduction, c.view_reduction, u, ctx.field)
     return LeakageRecord(
-        "sharing", (), tset, tv.label, ranks, _mi_from_ranks(ranks, tv.block_len), False
+        "sharing", (), tset, tv.label, ranks, _mi_from_ranks(ranks, tv.block_len), oversized
     )
 
 
-def check_upload_recoverability(tvars: LinearTranscript) -> InvariantReport:
+def check_upload_recoverability(tvars: LinearTranscript) -> tuple[int, list[str]]:
     """I(gradient k; its uploads to any >= resiliency helpers) = L in the
-    transcript's context.  ``tvars`` may be any pattern's transcript: the
+    transcript's context, as the number of checks run and one line per
+    violated check.  ``tvars`` may be any pattern's transcript: the
     gradients and the uploads are the same under every pattern.
     """
     params = tvars.ctx.params
     helpers = range(1, params.num_helpers + 1)
-    report = InvariantReport()
-    expected = params.gradient_len
+    checks, violations, expected = 0, [], params.gradient_len
     for k in range(1, params.num_users + 1):
         for subset in subsets(helpers, params.resiliency):
-            report.checks += 1
+            checks += 1
             query = MiQuery(
                 target=(tvars[f"W[{k}]"],),
                 observed=tuple(tvars[f"X[{k},{n}]"] for n in subset),
             )
             got = cond_mutual_info(query)
             if got != expected:
-                report.violations.append(
-                    f"I(W[{k}]; uploads {subset}) = {got}, expected {expected}"
-                )
-    return report
+                violations.append(f"I(W[{k}]; uploads {subset}) = {got}, expected {expected}")
+    return checks, violations
 
 
 def response_entropy_given_sum(tvars: LinearTranscript, tset: Sequence[int]) -> int:
@@ -1338,7 +1316,7 @@ class BruteForceOracle:
         self,
         target: Sequence[str],
         observed: Sequence[str],
-        given: Sequence[str] = (),
+        given: Sequence[str],
     ) -> int:
         a, b, c = list(target), list(observed), list(given)
         abc = self.entropy(a + b + c)  # first: it refuses any unknown name

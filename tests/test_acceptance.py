@@ -204,10 +204,10 @@ def test_criterion_7_invariant_suites():
         for params in DEFAULT_GRID:
             ctx = setup(params)
             static = build_static_vars(ctx)
-            r1 = check_mask_independence(static)
-            assert r1.ok, (params, r1.violations)
-            r3 = check_upload_recoverability(static)
-            assert r3.ok, (params, r3.violations)
+            _, v1 = check_mask_independence(static)
+            assert not v1, (params, v1)
+            _, v3 = check_upload_recoverability(static)
+            assert not v3, (params, v3)
             helpers = list(range(1, params.num_helpers + 1))
             for pattern in enumerate_patterns(params):
                 tvars = build_linear_transcript(ctx, pattern)

@@ -134,6 +134,10 @@ REFUSED_AT_ONCE = {
     "leakage-N-999998-Nr-999997": ["leakage", "--params", "1,999998,999997,1,2000003,999996"],
     # a round's O(N^2) matrices took 3 s before its budget check
     "round-N-1000-huge-length": ["round", "--params", "2,1000,3,1,1009,10000000"],
+    # K x L/(Nr-T) is 1 item, but setup's N Nr x Nr systems and the K N^2
+    # helper-phase messages ran for about 50 s
+    "round-N-120-Nr-119": ["round", "--params", "1,120,119,1,241,118"],
+    "rates-N-120-Nr-119": ["rates", "--params", "1,120,119,1,241,118"],
 }
 
 
@@ -149,6 +153,8 @@ def test_an_over_budget_run_is_refused_before_any_setup(argv, capsys, monkeypatc
     assert err.startswith("budget exceeded: ")
     if argv[0] == "round":
         assert err.endswith(f"a round at {argv[2]} exceeds budget 1000000\n")
+    elif argv[0] == "rates":
+        assert err.endswith("the grid's rounds exceed budget 1000000\n")
     else:
         assert err.endswith("estimated work to at least 1000001, beyond budget 1000000\n")
 

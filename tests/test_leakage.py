@@ -357,17 +357,29 @@ def test_security_master_golden(ctx, tvars):
     assert rec_all.value == 0
 
 
-def test_security_rejects_oversized_collusion(ctx, tvars):
-    with pytest.raises(BadSubset):
-        check_security_helpers(ctx, EXAMPLE_PATTERN, [], [3, 4], tvars=tvars)
-    with pytest.raises(BadSubset):
-        check_security_master(ctx, EXAMPLE_PATTERN, [], [1, 2], tvars=tvars)
-    with pytest.raises(BadSubset):
-        check_sharing_leakage(ctx, EXAMPLE_PATTERN, [1, 2], tvars=tvars)
-    rec = check_security_helpers(
-        ctx, EXAMPLE_PATTERN, [], [3, 4], tvars=tvars, exploratory=True
-    )
-    assert rec.exploratory and rec.value > 0
+def test_security_flags_oversized_collusion(ctx, tvars):
+    """A helper set beyond T is evaluated, not refused: its helper,
+    master and sharing records are flagged exploratory, with the values
+    of the incremental ``rank_quadruple`` path, and pass unjudged; a set
+    within the bound is never flagged."""
+    bound, helpers = EXAMPLE.collusion, range(1, EXAMPLE.num_helpers + 1)
+    flagged = set()
+    for check, uset, tset, query in _security_queries(
+        ctx, EXAMPLE_PATTERN, tvars, beyond=EXAMPLE.num_helpers - bound
+    ):
+        rec = check(ctx, EXAMPLE_PATTERN, uset, tset, tvars=tvars)
+        assert rec.ranks == rank_quadruple(query) and rec.value == cond_mutual_info(query)
+        assert rec.exploratory == (len(tset) > bound), (rec.kind, uset, tset)
+        flagged.add((rec.kind, rec.exploratory))
+    for tset in (t for size in range(len(helpers) + 1) for t in combinations(helpers, size)):
+        query = _sharing_query(ctx, tvars, EXAMPLE_PATTERN, tset)
+        rec = check_sharing_leakage(ctx, EXAMPLE_PATTERN, tset, tvars=tvars)
+        assert rec.ranks == rank_quadruple(query) and rec.value == cond_mutual_info(query)
+        assert rec.exploratory == (len(tset) > bound), tset
+        flagged.add((rec.kind, rec.exploratory))
+    assert flagged == {(kind, f) for kind in ("helpers", "master", "sharing") for f in (False, True)}
+    rec = check_security_helpers(ctx, EXAMPLE_PATTERN, [], [3, 4], tvars=tvars)
+    assert rec.exploratory and rec.value > 0 and rec.ok
 
 
 @pytest.mark.parametrize("users, tset, named", [
@@ -446,9 +458,9 @@ def test_static_suites_read_the_context_of_their_transcript(ctx, tvars, monkeypa
         (check_mask_independence, zero_masks, 48),
         (check_upload_recoverability, zero_uploads, 10),
     ):
-        assert len(suite(build_static_vars(broken)).violations) == violations
+        assert len(suite(build_static_vars(broken))[1]) == violations
         assert suite(tvars) == suite(static)
-        assert suite(static).ok
+        assert not suite(static)[1]
 
 
 @pytest.mark.parametrize(
@@ -474,7 +486,7 @@ def test_a_shared_unit_round_gives_each_pattern_a_fresh_transcripts_rows(params,
     chosen = enumerate_patterns(params) if patterns is None else map(parse_pattern, patterns)
     for pattern in chosen:
         fresh = build_linear_transcript(ctx, pattern)
-        for shared in (unit.transcript(pattern) for unit in units):
+        for shared in (unit.run(pattern)[1] for unit in units):
             assert (shared.ctx, shared.pattern) == (ctx, pattern)
             assert list(shared) == list(fresh)
             assert all(shared[name].rows == fresh[name].rows for name in fresh)
@@ -488,10 +500,10 @@ def test_a_unit_rounds_transcript_answers_only_for_its_context(ctx, monkeypatch)
     pattern = parse_pattern("nu=1:1,2,3;2:1,3,4")
     unit = UnitRound(ctx)
     with pytest.raises(TranscriptMismatch, match="another scheme context"):
-        check_security_helpers(broken, pattern, (), (2,), tvars=unit.transcript(pattern))
-    own = UnitRound(broken).transcript(pattern)
+        check_security_helpers(broken, pattern, (), (2,), tvars=unit.run(pattern)[1])
+    own = UnitRound(broken).run(pattern)[1]
     assert check_security_helpers(broken, pattern, (), (2,), tvars=own).value == 2
-    assert check_security_helpers(ctx, pattern, (), (2,), tvars=unit.transcript(pattern)).ok
+    assert check_security_helpers(ctx, pattern, (), (2,), tvars=unit.run(pattern)[1]).ok
 
 
 def test_response_entropy_refuses_a_straggling_transcript(ctx):
@@ -510,10 +522,10 @@ def test_layout_mismatch_detected(ctx):
 
 
 def test_mask_independence_report(ctx):
-    report = check_mask_independence(build_static_vars(ctx))
-    assert report.ok
+    checks, violations = check_mask_independence(build_static_vars(ctx))
+    assert not violations
     # the maximal family, then 1 or 2 of the other 3 helpers' masks per group
-    assert report.checks == 1 + 4 * 2 * 6
+    assert checks == 1 + 4 * 2 * 6
 
 
 def _dependent_mask_rows(ctx, monkeypatch):
@@ -548,10 +560,10 @@ def _noise_shared_across_users(ctx, monkeypatch):
     ids=["zero-masks", "dependent-mask-rows", "noise-shared-across-users"],
 )
 def test_mask_suite_catches_broken_masks(ctx, monkeypatch, break_scheme, violations):
-    report = check_mask_independence(build_static_vars(break_scheme(ctx, monkeypatch)))
-    assert report.checks == 49
-    assert len(report.violations) == len(violations)
-    assert all(want in got for want, got in zip(violations, report.violations))
+    checks, found = check_mask_independence(build_static_vars(break_scheme(ctx, monkeypatch)))
+    assert checks == 49
+    assert len(found) == len(violations)
+    assert all(want in got for want, got in zip(violations, found))
 
 
 @pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
@@ -559,10 +571,10 @@ def test_invariant_suites_count_in_closed_form(params):
     ctx = setup(params)
     tvars = build_static_vars(ctx)
     n, k, nr = params.num_helpers, params.num_users, params.resiliency
-    masks = check_mask_independence(tvars)
-    assert masks.checks == 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
-    recovery = check_upload_recoverability(tvars)
-    assert recovery.checks == k * sum(comb(n, s) for s in range(nr, n + 1))
+    masks, _ = check_mask_independence(tvars)
+    assert masks == 1 + n * k * sum(comb(n - 1, s) for s in range(1, nr))
+    recovery, _ = check_upload_recoverability(tvars)
+    assert recovery == k * sum(comb(n, s) for s in range(nr, n + 1))
 
 
 def test_sharing_leaks_nothing_on_worked_pattern(ctx, tvars):
@@ -572,9 +584,9 @@ def test_sharing_leaks_nothing_on_worked_pattern(ctx, tvars):
 
 
 def test_uploads_carry_full_gradient_information(ctx):
-    report = check_upload_recoverability(build_static_vars(ctx))
-    assert report.ok
-    assert report.checks == 2 * 5  # two users, C(4,3)+C(4,4) helper sets
+    checks, violations = check_upload_recoverability(build_static_vars(ctx))
+    assert not violations
+    assert checks == 2 * 5  # two users, C(4,3)+C(4,4) helper sets
 
 
 def test_response_entropy_vanishes_given_sum(ctx):
@@ -1014,7 +1026,7 @@ def test_sharing_split_matches_incremental_path(params, stride, queries):
         for uset in user_sets:
             for tset in tsets:
                 for check in (check_security_helpers, check_security_master):
-                    check(ctx, pattern, uset, tset, tvars=swept, exploratory=True)
+                    check(ctx, pattern, uset, tset, tvars=swept)
         unswept = build_linear_transcript(ctx, pattern)
         fresh = build_linear_transcript(setup(params), pattern)
         for tset in tsets:
@@ -1325,7 +1337,7 @@ def test_a_transcript_splits_each_helpers_rows_once(params, pattern, monkeypatch
 
     def sweep():
         records = [
-            check(ctx, pattern, uset, tset, tvars=tv, exploratory=True)
+            check(ctx, pattern, uset, tset, tvars=tv)
             for uset in user_sets for tset in tsets
             for check in (check_security_helpers, check_security_master)
         ]
@@ -1367,7 +1379,7 @@ def test_records_are_dataclasses_compared_by_field(ctx, tvars):
         check_sharing_leakage(ctx, EXAMPLE_PATTERN, [3], tvars=tvars),
     ]
     assert listed == records
-    wide = [check(ctx, EXAMPLE_PATTERN, users, tset, tvars=tvars, exploratory=True)
+    wide = [check(ctx, EXAMPLE_PATTERN, users, tset, tvars=tvars)
             for check in (check_security_helpers, check_security_master)
             for users, tset in (([2], [4, 3]), ((2,), (3, 4)))]
     assert [(r.colluding_users, r.colluding_helpers) for r in wide] == 4 * [((2,), (3, 4))]
@@ -1424,7 +1436,7 @@ def test_per_user_path_matches_incremental_path(params, scheme, monkeypatch):
             key = tuple(tuple(v.rows for v in part) for part in parts)
             if key not in reference:
                 reference[key] = rank_quadruple(query)
-            record = check(ctx, pattern, uset, tset, tvars=tv, exploratory=True)
+            record = check(ctx, pattern, uset, tset, tvars=tv)
             assert record.ranks == reference[key], (check.__name__, uset, tset, pattern)
             if scheme == "correct":
                 assert record.value == 0 or record.exploratory
@@ -1743,7 +1755,7 @@ def test_records_do_not_depend_on_query_order(params, stride):
             for uset in user_sets:
                 for tset in tsets:
                     for check in checks[::-1] if master_first else checks:
-                        rec = check(ctx, pattern, uset, tset, tvars=tv, exploratory=True)
+                        rec = check(ctx, pattern, uset, tset, tvars=tv)
                         records[rec.kind, uset, tset, rec.pattern] = rec
             if not master_first:
                 sharing(tv, pattern)

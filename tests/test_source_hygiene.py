@@ -17,7 +17,8 @@ verifier's round stops at the responses.  ``harness`` never names
 campaign's one round per pattern is ``leakage.UnitRound``'s.  Each option is declared once,
 as a ``RunConfig`` field, and the parser, the config keys, the
 README's key list and its flag table's refusals all follow that table.  The package's optional
-parameters are counted, so a change that adds or removes one shows."""
+parameters and its public names are counted, so a change that adds or
+removes one shows."""
 
 import ast
 import re
@@ -430,7 +431,11 @@ def option_name_literals(tree: ast.Module, names) -> list[int]:
 # Function and method defaults plus defaulted dataclass fields in the
 # package: each is a switch that some caller may leave at its default.
 # A change that removes some lowers this; one that adds some says why.
-OPTIONAL_PARAMETERS = 47
+OPTIONAL_PARAMETERS = 40
+
+# The ``__all__`` entries over the package: each is a name some caller
+# may come to depend on.  A change that adds one says why.
+PUBLIC_NAMES = 131
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -621,6 +626,10 @@ def test_the_readme_flag_table_follows_the_option_modes():
 
 def test_the_optional_parameters_are_counted():
     assert sum(map(optional_parameters, _package().values())) == OPTIONAL_PARAMETERS
+
+
+def test_the_public_names_are_counted():
+    assert sum(len(_exported(tree)) for tree in _package().values()) == PUBLIC_NAMES
 
 
 def test_the_checks_catch_what_they_look_for():
