@@ -91,15 +91,18 @@ class TranscriptMismatch(LeakageError):
 
 
 class BadSubset(LeakageError):
-    """A colluding set names an id outside its range, or an oracle name
-    is unknown."""
+    """A colluding set repeats an id or names one outside its range, or an
+    oracle name is unknown."""
 
 
 def _check_ids(role: str, ids: Sequence[int], count: int) -> None:
-    """Raise ``BadSubset`` naming the colluding ``role`` ids outside 1..count."""
+    """Raise ``BadSubset`` naming the colluding ``role`` ids outside 1..count,
+    or the set if an id repeats."""
     bad = [i for i in ids if not 1 <= i <= count]
     if bad:
         raise BadSubset(f"colluding {role} {bad} lie outside 1..{count}")
+    if len(set(ids)) < len(ids):
+        raise BadSubset(f"colluding {role} {list(ids)} repeat an id")
 
 
 class TooLargeToEnumerate(LeakageError):
@@ -234,6 +237,7 @@ class _RankStore:
         self.owners, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
         self.quadruples, self.split_queries, self.givens, self._held = {}, {}, {}, {}
         self.own = tuple(frozenset(cols[:self.local.user_dim]) for cols in self.columns)
+        self._user_of = {j: k for k, cols in enumerate(self.columns) for j in cols}
         self.gradients, self._own_gradients, self._nothing = self._hold(
             [frozenset(range(k_all * parts)), frozenset(range(parts)), (frozenset(), ())])
         self.views = {"assembled": 0, "whole": 0}
@@ -267,17 +271,19 @@ class _RankStore:
 
     def by_user(self, observed: Sequence[LinearVar]) -> tuple | None:
         """Each user's rows of ``observed`` in user-local coordinates, in
-        order; None if a row spans users.  A zero row goes to user 1."""
-        columns = self.columns
+        order; None if a row spans users.  A row belongs to the user of its
+        first nonzero column, a zero row to user 1."""
+        columns, user_of = self.columns, self._user_of
         blocks = [[] for _ in columns]
         for v in observed:
             for row in v.rows:
                 owner = self.owners.get(row, False)
                 if owner is False:
-                    local = [(k, tuple([row[j] for j in cols])) for k, cols in enumerate(columns)]
-                    count = len(row) - row.count(0)  # a user's row holds every nonzero entry
-                    owner = next((u for u in local if len(u[1]) - u[1].count(0) == count), None)
-                    self.owners[row] = owner
+                    # the first nonzero's column; a zero row's 0 sits in column 0, user 1's
+                    k = user_of[row.index(next(filter(None, row), 0))]
+                    local = tuple([row[j] for j in columns[k]])
+                    spans = len(local) - local.count(0) != len(row) - row.count(0)
+                    owner = self.owners[row] = None if spans else (k, local)
                 if owner is None:
                     return None
                 blocks[owner[0]].append(owner[1])
@@ -601,17 +607,15 @@ def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.nd
 
 def _linear_vars(ctx: SchemeContext, values: Mapping[str, tuple[int, ...]], width: int) -> dict:
     """Each value of a run on the identity as a ``LinearVar``: the first
-    ``dim`` columns of each ``width``-wide chunk are one coefficient row."""
+    ``dim`` columns of each ``width``-wide chunk are one coefficient row,
+    and a payload is one chunk."""
     layout = SourceLayout(ctx.params)
     dim = layout.dim
-    return {
-        name: LinearVar(
-            name,
-            layout,
-            GfMatrix.of_reduced(ctx.field, tuple(v[i:i + dim] for i in range(0, len(v), width))),
-        )
-        for name, v in values.items()
-    }
+    out = {}
+    for name, v in values.items():
+        rows = (v[:dim],) if len(v) == width else tuple(v[i:i + dim] for i in range(0, len(v), width))
+        out[name] = LinearVar(name, layout, GfMatrix.of_reduced(ctx.field, rows))
+    return out
 
 
 class UnitRound:
@@ -939,11 +943,11 @@ def _resolved(ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int],
     ``tset`` is beyond the collusion bound (its record is then exploratory:
     reported, not judged), and the transcript's collusion of it, read from
     its memo with ``tset`` as passed and sorted only on a miss: the keys
-    are sorted tuples, so a hit proves it sorted.  The transcript defaults
+    are sorted tuples of distinct ids, so a hit proves it both, and a miss
+    raises ``BadSubset`` on a repeated id.  The transcript defaults
     to the pattern's, and a given one must be that of ``ctx`` and
     ``pattern``."""
-    bound = ctx.params.collusion
-    oversized = len(tset) > bound and len(set(tset)) > bound
+    oversized = len(tset) > ctx.params.collusion
     if tvars is None:
         tvars = build_linear_transcript(ctx, pattern)
     tvars.require(ctx, pattern)

@@ -8,8 +8,8 @@ tolerating straggling links as long as each user reaches at least
 pattern enters at the helper phase (``run_helpers``).
 
 All payloads are vectors of ``block_len = L / (resiliency - collusion)``
-field symbols; a vector is processed as independent columns through the
-matrix algebra.  Helpers and users carry 1-based ids.
+field symbols.  Sums and a helper's recovery act on whole vectors, the
+other maps on columns through the matrix algebra.  Ids are 1-based.
 
 Every inverse a round needs is a row selection of a matrix fixed at
 setup (the upload matrix for the master, a decode matrix for a helper's
@@ -19,13 +19,15 @@ what they are handed; every payload they produce is a canonical residue.
 """
 
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import astuple, dataclass, field as dc_field, replace
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from . import patterns as patterns_mod
 from .field import PrimeField, is_prime
-from .matrix import FieldTooSmall, GfMatrix, extended_vandermonde, make_points, vandermonde
+from .matrix import (DimensionMismatch, FieldTooSmall, GfMatrix, extended_vandermonde,
+                     make_points, vandermonde)
 from .patterns import CommPattern
 
 __all__ = [
@@ -105,7 +107,11 @@ Vector = tuple[int, ...]
 
 
 def _vec_add(q: int, *vectors: Sequence[int]) -> Vector:
-    return tuple([sum(column) % q for column in zip(*vectors)])
+    """The sum of ``vectors``, one whole-vector pass each, reduced once."""
+    acc = vectors[0] if vectors else ()
+    for v in vectors[1:]:
+        acc = list(map(add, acc, v))
+    return tuple([s % q for s in acc])
 
 
 @dataclass(frozen=True)
@@ -142,14 +148,7 @@ class SchemeParams:
         return cls(*parts)
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.num_users,
-            self.num_helpers,
-            self.resiliency,
-            self.collusion,
-            self.modulus,
-            self.gradient_len,
-        )
+        return astuple(self)
 
     def label(self) -> str:
         return ",".join(str(x) for x in self.as_tuple())
@@ -351,13 +350,9 @@ def dealer_generate(ctx: SchemeContext, rng_seed) -> DealerKeys:
     params = ctx.params
     rng = random.Random(rng_seed)
     l = params.block_len
-    noise = {}
-    for n in range(1, params.num_helpers + 1):
-        for j in range(1, params.resiliency):
-            for k in range(1, params.num_users + 1):
-                noise[(n, j, k)] = tuple(
-                    rng.randrange(params.modulus) for _ in range(l)
-                )
+    noise = {(n, j, k): tuple(rng.randrange(params.modulus) for _ in range(l))
+             for n in range(1, params.num_helpers + 1) for j in range(1, params.resiliency)
+             for k in range(1, params.num_users + 1)}
     return keys_from_noise(ctx, noise)
 
 
@@ -497,9 +492,10 @@ def helper_recover(
     """Reconstruct the upload a helper missed from peers' masked shares.
 
     ``received`` maps sender id to that sender's masked share for
-    ``user``.  The first ``resiliency`` senders (ascending) are used;
-    the masks cancel because this helper's decode-matrix row is the
-    first unit vector, so the result equals the true upload exactly.
+    ``user``, all of one length.  The first ``resiliency`` senders
+    (ascending) are combined by the first row of their inverse; the masks
+    cancel because this helper's decode-matrix row is the first unit
+    vector, so the result equals the true upload exactly.
     """
     if user in pattern.users_of(helper):
         raise ValueError(f"helper {helper} already holds user {user}'s upload")
@@ -512,9 +508,14 @@ def helper_recover(
         )
     chosen = senders[:nr]
     inverse = _inverse(ctx, ctx.decode_matrices[helper - 1], tuple(i - 1 for i in chosen))
-    stacked = GfMatrix(ctx.field, [received[i] for i in chosen])
-    mixed = GfMatrix.of_reduced(ctx.field, inverse.data[:1]) @ stacked
-    return mixed.row(0)
+    shares = [received[i] for i in chosen]
+    acc = [0] * len(shares[0])
+    if any(len(share) != len(acc) for share in shares):
+        raise DimensionMismatch(f"shares for user {user} differ in length")
+    for c, share in zip(inverse.data[0], shares):
+        if c:
+            acc = [a + c * s for a, s in zip(acc, share)]
+    return tuple([a % ctx.params.modulus for a in acc])
 
 
 def helper_respond(
@@ -552,12 +553,7 @@ def master_decode(
     chosen = sorted(by_helper)[:nr]
     inverse = _inverse(ctx, ctx.upload_matrix, tuple(n - 1 for n in chosen))
     stacked = GfMatrix(ctx.field, [by_helper[n] for n in chosen])
-    solved = inverse @ stacked
-    return tuple(
-        s
-        for i in range(ctx.params.block_count)
-        for s in solved.row(i)
-    )
+    return sum((inverse @ stacked).data[:ctx.params.block_count], ())
 
 
 def run_helpers(

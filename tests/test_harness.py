@@ -624,6 +624,34 @@ def test_round_work_does_not_grow(params, monkeypatch):
     assert len(calls) <= ROUND_WORK[params.label()], len(calls)
 
 
+# GfMatrix.__matmul__ calls of each point's one-draw campaign, setup
+# included: a helper combines its shares, and sums its uploads, on whole
+# vectors with no product; one product per recovery made (84, 155, 912,
+# 258) calls at these points
+PRODUCT_WORK = {
+    "2,3,2,1,5,1": 66,
+    "2,4,3,1,7,2": 123,
+    "3,4,3,2,11,1": 624,
+    "2,5,4,2,11,2": 208,
+}
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_product_work_does_not_grow(params, monkeypatch):
+    """A round that goes back to a matrix product per recovered upload
+    shows as more products."""
+    calls = []
+    matmul = GfMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(self)
+        return matmul(self, other)
+
+    monkeypatch.setattr(GfMatrix, "__matmul__", counted)
+    verify_point(params, RunConfig(mode="verify", draws=1))
+    assert len(calls) <= PRODUCT_WORK[params.label()], len(calls)
+
+
 # Calls of each point's one-draw campaign to dealer_generate (none: the
 # probes hold the dealer noise), UnitRound, encode_uploads and
 # keys_from_noise: the work that no pattern changes, so the counts do not

@@ -407,6 +407,31 @@ def test_checks_reject_colluding_ids_out_of_range(users, tset, named):
     assert rec.colluding_users == (2,) and rec.value == 0
 
 
+@pytest.mark.parametrize("kind, users, tset, named", [
+    ("helpers", (), (3, 3), r"helpers \[3, 3\] repeat an id"),
+    ("master", (), (3, 3), r"helpers \[3, 3\] repeat an id"),
+    ("sharing", (), (3, 3), r"helpers \[3, 3\] repeat an id"),
+    ("helpers", (1, 1), (3,), r"users \[1, 1\] repeat an id"),
+], ids=["helpers", "master", "sharing", "user"])
+def test_checks_reject_a_repeated_colluding_id(ctx, kind, users, tset, named):
+    """A repeated id would give one set a second record key:
+    ``tset=[3, 3]`` was recorded as ``colluding_helpers=(3, 3)``, judged
+    within the bound, with the ranks of ``[3]``.  It is refused, as the
+    CLI refuses it, also once the set without the repeat is memoized."""
+    tv = build_linear_transcript(ctx, EXAMPLE_PATTERN)
+
+    def record(users, tset):
+        if kind == "sharing":
+            return check_sharing_leakage(ctx, EXAMPLE_PATTERN, tset, tvars=tv)
+        check = check_security_master if kind == "master" else check_security_helpers
+        return check(ctx, EXAMPLE_PATTERN, users, tset, tvars=tv)
+
+    distinct = record(tuple(sorted(set(users))), tuple(sorted(set(tset))))  # fills the memos
+    assert distinct.colluding_helpers == (3,) and distinct.value == 0
+    with pytest.raises(BadSubset, match=named):
+        record(users, tset)
+
+
 def test_another_patterns_transcript_cannot_hide_a_leak(ctx, monkeypatch):
     """Under zero masks, helper 2 sees user 2's upload masked by nothing
     when user 2 did not reach it; the transcript of a pattern where
@@ -1305,6 +1330,38 @@ def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
         (view + responses, collusion.master_reduction),
     ):
         assert reduction == _split_observed(_rows(observed), layout, ctx.field)
+
+
+def test_a_row_belongs_to_the_user_whose_columns_hold_every_nonzero(ctx):
+    """``_RankStore.by_user`` on hand-built rows at 2,4,3,1,7,2, whose 22
+    columns are w1.1 w1.2 w2.1 w2.2 f1.1 f2.1, then the noise q(n).(j).(k)
+    with user k's in every other column from 6 + k - 1: a row on user 2's
+    columns goes to user 2 in user-local coordinates (w, f, then noise by
+    helper and mixing slot), a zero row to user 1, and a row that spans
+    users to None, whichever user's column comes first."""
+    store = leakage._RankStore(ctx.params, ctx.field)
+    layout = store.layout
+
+    def var(row):
+        return LinearVar("r", layout, GfMatrix.of_reduced(ctx.field, (tuple(row),)))
+
+    def row(entries):
+        return var([entries.get(column, 0) for column in range(layout.dim)])
+
+    user2 = row({layout.w_slot(2, 1): 3, layout.f_slot(2, 1): 4, layout.q_slot(3, 2, 2): 5})
+    local2 = (3, 0, 4, 0, 0, 0, 0, 0, 5, 0, 0)
+    assert store.by_user([user2]) == ((), (local2,))
+    assert store.by_user([row({}), user2]) == (((0,) * 11,), (local2,))
+    for spans in ({layout.q_slot(1, 1, 2): 1, layout.q_slot(1, 2, 1): 6},  # user 2's column first
+                  {layout.w_slot(1, 1): 2, layout.q_slot(4, 2, 2): 1},
+                  {layout.f_slot(2, 1): 1, layout.w_slot(1, 2): 1}):
+        assert store.by_user([user2, row(spans)]) is None
+    # the same rule as one projection per user, on a transcript's rows
+    for r in (r for v in build_linear_transcript(ctx, EXAMPLE_PATTERN).values() for r in v.rows):
+        local = [tuple(r[j] for j in cols) for cols in store.columns]
+        owner = next((k for k, u in enumerate(local) if sum(map(bool, u)) == sum(map(bool, r))), None)
+        assert store.by_user([var(r)]) == (None if owner is None else tuple(
+            (u,) if k == owner else () for k, u in enumerate(local)))
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsagg import protocol
 from hsagg.harness import DEFAULT_GRID
-from hsagg.matrix import FieldTooSmall, GfMatrix, RowSpace, vandermonde
+from hsagg.matrix import DimensionMismatch, FieldTooSmall, GfMatrix, RowSpace, vandermonde
 from hsagg.patterns import (
     BadSurvivorSet,
     CommPattern,
@@ -442,6 +443,36 @@ def test_every_round_payload_is_a_canonical_residue(params, data):
     )
     assert all(type(v) is int and 0 <= v < q for p in payloads for v in p)
     assert t.decoded == tuple(sum(col) % q for col in zip(*(g.symbols() for g in grads)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_CANONICAL_POINTS), st.data())
+def test_whole_vector_arithmetic_matches_the_matrix_products(params, data):
+    """On unreduced and negative integers, ``_vec_add`` gives a row of
+    ones times the stacked vectors, and ``helper_recover`` the first row
+    of the chosen senders' decode inverse times their stacked shares, as
+    ``GfMatrix`` computes them.  A share of another length still raises."""
+    ctx = setup(params)
+    field, q = ctx.field, params.modulus
+    width = data.draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-3 * q, 3 * q), min_size=width, max_size=width).map(tuple)
+    vectors = data.draw(st.lists(vec, min_size=1, max_size=6))
+    ones = GfMatrix(field, [[1] * len(vectors)])
+    assert protocol._vec_add(q, *vectors) == (ones @ GfMatrix(field, vectors)).row(0)
+
+    missing = [(p, n) for p in enumerate_patterns(params) for n in sorted(p.active_helpers)
+               if len(p.users_of(n)) < params.num_users]
+    pattern, n = data.draw(st.sampled_from(missing))
+    k = data.draw(st.sampled_from(sorted(set(range(1, params.num_users + 1)) - pattern.users_of(n))))
+    shares = {i: data.draw(vec) for i in sorted(pattern.receivers_of(k))}
+    chosen = sorted(shares)[:params.resiliency]
+    first = ctx.decode_matrices[n - 1].select_rows([i - 1 for i in chosen]).inv().data[:1]
+    expected = GfMatrix.of_reduced(field, first) @ GfMatrix(field, [shares[i] for i in chosen])
+    assert helper_recover(ctx, pattern, n, k, shares) == expected.row(0)
+    bad = data.draw(st.sampled_from(chosen))
+    ragged = {**shares, bad: data.draw(st.sampled_from([shares[bad] + (0,), shares[bad][1:]]))}
+    with pytest.raises(DimensionMismatch):
+        helper_recover(ctx, pattern, n, k, ragged)
 
 
 def test_roundtrip_exhaustive_at_small_point():
