@@ -204,11 +204,12 @@ class _RankStore:
     Every other key is coefficient-row content, never a name, a
     pattern or a helper id, so that a transcript whose rows differ (a
     broken scheme run under the same context) never reads another's
-    entry.  ``owners`` maps a row to its user and its row in user-local
-    coordinates, or to None if it spans users.
-    ``reductions`` holds the split reduction ``(r_noise, K)`` of each
-    user-local block, and of each set reduced whole.  ``kernels`` holds
-    each kernel assembled from per-user kernels, and ``extensions`` each
+    entry; only ``names``, each helper's group names, is keyed by helper
+    and active set.  ``splits`` holds each group's rows and ``by_user``
+    blocks, ``reductions`` the split reduction ``(r_noise, K)`` of each
+    user-local block and set reduced whole, ``assemblies`` and ``joined``
+    those of held splits or blocks joined, by identity, ``kernels`` each
+    kernel assembled from per-user kernels, and ``extensions`` each
     view kernel extended by response rows, keyed by the identities of
     both (one object per content, which the store keeps alive).
     ``quadruples`` holds each split-path rank quadruple, a query's or a
@@ -234,8 +235,9 @@ class _RankStore:
         rows = tuple(tuple(int(j < k_all * parts and j % parts == i) for j in range(layout.dim))
                      for i in range(parts))
         self._sum = (frozenset(range(parts)), ()) if k_all == 1 else (frozenset(), rows)
-        self.owners, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
+        self.splits, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
         self.quadruples, self.split_queries, self.givens, self._held = {}, {}, {}, {}
+        self.assemblies, self.joined, self.names = {}, {}, {}
         self.own = tuple(frozenset(cols[:self.local.user_dim]) for cols in self.columns)
         self._user_of = {j: k for k, cols in enumerate(self.columns) for j in cols}
         self.gradients, self._own_gradients, self._nothing = self._hold(
@@ -271,47 +273,68 @@ class _RankStore:
 
     def by_user(self, observed: Sequence[LinearVar]) -> tuple | None:
         """Each user's rows of ``observed`` in user-local coordinates, in
-        order; None if a row spans users.  A row belongs to the user of its
-        first nonzero column, a zero row to user 1."""
+        order, each user's held; None if a row spans users.  A row belongs
+        to the user of its first nonzero column, a zero row to user 1."""
         columns, user_of = self.columns, self._user_of
         blocks = [[] for _ in columns]
         for v in observed:
             for row in v.rows:
-                owner = self.owners.get(row, False)
-                if owner is False:
-                    # the first nonzero's column; a zero row's 0 sits in column 0, user 1's
-                    k = user_of[row.index(next(filter(None, row), 0))]
-                    local = tuple([row[j] for j in columns[k]])
-                    spans = len(local) - local.count(0) != len(row) - row.count(0)
-                    owner = self.owners[row] = None if spans else (k, local)
-                if owner is None:
-                    return None
-                blocks[owner[0]].append(owner[1])
-        return tuple(map(tuple, blocks))
+                # the first nonzero's column; a zero row's 0 sits in column 0, user 1's
+                k = user_of[row.index(next(filter(None, row), 0))]
+                local = tuple([row[j] for j in columns[k]])
+                if len(local) - local.count(0) != len(row) - row.count(0):
+                    return None  # the row spans users
+                blocks[k].append(local)
+        return self._hold(map(tuple, blocks))
+
+    def split(self, group: Sequence[LinearVar]) -> tuple:
+        """``group``'s rows and ``by_user`` blocks, one object per row content."""
+        rows = tuple(r for v in group for r in v.rows)
+        return self.splits.get(rows) or self.splits.setdefault(rows, (rows, self.by_user(group)))
 
     def assembled(self, splits: Sequence[tuple]) -> tuple:
-        """The split reduction of groups, each a pair of its rows and their
-        ``by_user`` blocks in ``splits``, joined in order, and each user's,
-        from its blocks of every group: the noise ranks add, and the
-        kernels, embedded in user width with disjoint supports, are
-        together in reduced echelon form.  Reduced whole, with no user's,
-        if a row spans users."""
+        """The split reduction of groups, each as ``split`` holds it, joined
+        in order, and each user's, from its blocks of every group: the
+        noise ranks add, and the kernels, embedded in user width with
+        disjoint supports, are together in reduced echelon form.  Reduced
+        whole, with no user's, if a row spans users.  Found by the splits'
+        identities, and each user's by its blocks'."""
+        found = self.assemblies.get(key := tuple(map(id, splits)))
+        if found is not None:
+            return found
         if any(blocks is None for _, blocks in splits):
-            return self.reduction(tuple(r for rows, _ in splits for r in rows)), None
-        users = tuple(
-            self.reduction(sum((blocks[u] for _, blocks in splits), ()))
-            for u in range(len(self.columns))
-        )
-        key = tuple(id(kernel) for _, kernel in users)
-        kernel = self.kernels.get(key)
-        if kernel is None:
-            kernel = tuple(sorted(
-                (tuple(dict(zip(cols, row)).get(j, 0) for j in range(self.layout.user_dim))
-                 for cols, (_, rows) in zip(self.columns, users) for row in rows),
-                key=lambda row: row.index(1),  # each row's first nonzero is 1
-            ))
-            kernel = self.kernels[key] = self._held.setdefault(kernel, kernel)
-        return (sum(r for r, _ in users), kernel), users
+            reduction, users = self.reduction(tuple(r for rows, _ in splits for r in rows)), None
+        else:
+            users = tuple(self._joined(tuple(blocks[u] for _, blocks in splits))
+                          for u in range(len(self.columns)))
+            kernel = self.kernels.get(kernel_key := tuple(id(kernel) for _, kernel in users))
+            if kernel is None:
+                kernel = tuple(sorted(
+                    (tuple(dict(zip(cols, row)).get(j, 0) for j in range(self.layout.user_dim))
+                     for cols, (_, rows) in zip(self.columns, users) for row in rows),
+                    key=lambda row: row.index(1),  # each row's first nonzero is 1
+                ))
+                kernel = self.kernels[kernel_key] = self._held.setdefault(kernel, kernel)
+            reduction = sum(r for r, _ in users), kernel
+        found = self.assemblies[key] = reduction, users
+        return found
+
+    def _joined(self, blocks: tuple) -> tuple:
+        found = self.joined.get(key := tuple(map(id, blocks)))
+        return found or self.joined.setdefault(key, self.reduction(sum(blocks, ())))
+
+    def group_names(self, t: int, active: frozenset) -> tuple:
+        """Helper ``t``'s group names while the helpers ``active`` are: its
+        uploads, its stored masks and every share it may receive."""
+        found = self.names.get((t, active))
+        if found is None:
+            params = self.layout.params
+            users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
+            found = self.names[t, active] = (
+                tuple(f"X[{k},{t}]" for k in users),
+                tuple(f"Z[{t},{n},{k}]" for n in helpers if n != t for k in users),
+                tuple(f"M[{i}->{t},{k}]" for i in sorted(active) if i != t for k in users))
+        return found
 
     def responses(self, responses: Sequence[LinearVar]) -> tuple:
         """The rows of ``responses``, one object per content, and whether
@@ -400,7 +423,7 @@ class LinearTranscript(Mapping):
     that context and pattern (``require``).  It keeps the rows of the
     responses ``Y[n]`` (``_RankStore.responses``) and, read-only,
     memoizes for its own life: each helper's
-    ``groups`` split into rows and per-user blocks (``by_user``), every
+    ``groups`` as the store's splits (``_RankStore.split``), every
     colluding set's split reductions (``collusion``, by helper subset)
     and the uploads' kernel, each once.  Reductions are found by row
     content in the rank store (``_RankStore``), never by names; the
@@ -449,33 +472,28 @@ class LinearTranscript(Mapping):
     def groups(self, t: int) -> tuple[tuple[LinearVar, ...], ...]:
         """Helper ``t``'s uploads ``X[k,t]``, its stored masks ``Z[t,n,k]``
         and the shares ``M[i->t,k]`` it receives from the other active
-        helpers, each in order."""
-        params, get = self.ctx.params, self._vars.get
-        users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
-        senders = [i for i in sorted(self.pattern.active_helpers) if i != t]
-        return (
-            tuple(self._vars[f"X[{k},{t}]"] for k in users),
-            tuple(self._vars[f"Z[{t},{n},{k}]"] for n in helpers if n != t for k in users),
-            tuple(v for i in senders for k in users if (v := get(f"M[{i}->{t},{k}]"))),
-        )
+        helpers, each in order, by names the store builds once."""
+        uploads, masks, shares = self._store.group_names(t, self.pattern.active_helpers)
+        return (*(tuple(map(self._vars.__getitem__, names)) for names in (uploads, masks)),
+                tuple(v for n in shares if (v := self._vars.get(n))))
 
     def collusion(self, tset: tuple[int, ...]) -> _Collusion:
         """The split reductions of the prefix, view and master's set of
         ``tset``, a sorted tuple, computed once.  The view
         (``helper_observation``) is every helper's uploads, then masks,
         then received shares, and the prefix its uploads and masks.  Each
-        helper's ``groups`` are split into rows and per-user blocks once
-        per transcript (``_RankStore.by_user``), and the prefix and the
-        view are assembled from the splits (``_RankStore.assembled``), or
-        reduced whole if a row spans users.  The master's set extends the
-        view's kernel by the responses (``_RankStore.extended``)."""
+        helper's ``groups`` are found once per transcript as the store's
+        splits (``_RankStore.split``, once per row content), and the
+        prefix and the view are assembled from them by their identities
+        (``_RankStore.assembled``), or reduced whole if a row spans
+        users.  The master's set extends the view's kernel by the
+        responses (``_RankStore.extended``)."""
         found = self._collusions.get(tset)
         if found is None:
             _check_ids("helpers", tset, self.ctx.params.num_helpers)
             store = self._store
             for t in set(tset) - self._splits.keys():
-                self._splits[t] = [(tuple(r for v in group for r in v.rows), store.by_user(group))
-                                   for group in self.groups(t)]
+                self._splits[t] = tuple(map(store.split, self.groups(t)))
             splits = [self._splits[t] for t in tset]
             prefix = [s[g] for g in (0, 1) for s in splits]
             view = prefix + [s[2] for s in splits]

@@ -114,6 +114,17 @@ def _vec_add(q: int, *vectors: Sequence[int]) -> Vector:
     return tuple([s % q for s in acc])
 
 
+def _combine(q: int, coeffs: Sequence[int], vectors: Sequence[Vector], what: str) -> Vector:
+    """``sum(c * v)``, one pass per nonzero ``c``, reduced once; ``what`` names ragged vectors."""
+    acc = [0] * len(vectors[0])
+    if any(len(v) != len(acc) for v in vectors):
+        raise DimensionMismatch(f"{what} differ in length")
+    for c, v in zip(coeffs, vectors):
+        if c:
+            acc = [a + c * s for a, s in zip(acc, v)]
+    return tuple([a % q for a in acc])
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """The scheme tuple (K, N, Nr, T, q, L)."""
@@ -509,13 +520,7 @@ def helper_recover(
     chosen = senders[:nr]
     inverse = _inverse(ctx, ctx.decode_matrices[helper - 1], tuple(i - 1 for i in chosen))
     shares = [received[i] for i in chosen]
-    acc = [0] * len(shares[0])
-    if any(len(share) != len(acc) for share in shares):
-        raise DimensionMismatch(f"shares for user {user} differ in length")
-    for c, share in zip(inverse.data[0], shares):
-        if c:
-            acc = [a + c * s for a, s in zip(acc, share)]
-    return tuple([a % ctx.params.modulus for a in acc])
+    return _combine(ctx.params.modulus, inverse.data[0], shares, f"shares for user {user}")
 
 
 def helper_respond(
@@ -543,8 +548,8 @@ def master_decode(
 ) -> Vector:
     """Reconstruct the gradient sum from surviving helper responses.
 
-    Uses the ``resiliency`` lowest-numbered responders; any admissible
-    choice yields the same output, which is tested separately.
+    Combines the ``resiliency`` lowest-numbered responders on whole vectors;
+    any admissible choice yields the same output, which is tested separately.
     """
     by_helper = {r.helper: r.payload for r in responses}
     nr = ctx.params.resiliency
@@ -552,8 +557,9 @@ def master_decode(
         raise NotEnoughResponses(f"{len(by_helper)} responses, need {nr}")
     chosen = sorted(by_helper)[:nr]
     inverse = _inverse(ctx, ctx.upload_matrix, tuple(n - 1 for n in chosen))
-    stacked = GfMatrix(ctx.field, [by_helper[n] for n in chosen])
-    return sum((inverse @ stacked).data[:ctx.params.block_count], ())
+    payloads = [by_helper[n] for n in chosen]
+    return sum((_combine(ctx.params.modulus, row, payloads, "responses")
+                for row in inverse.data[:ctx.params.block_count]), ())
 
 
 def run_helpers(

@@ -625,21 +625,22 @@ def test_round_work_does_not_grow(params, monkeypatch):
 
 
 # GfMatrix.__matmul__ calls of each point's one-draw campaign, setup
-# included: a helper combines its shares, and sums its uploads, on whole
-# vectors with no product; one product per recovery made (84, 155, 912,
-# 258) calls at these points
+# included: a helper combines its shares, sums its uploads, and the master
+# combines the responses, on whole vectors with no product; one product
+# per recovery made (84, 155, 912, 258) calls at these points, and one
+# per decode on top of that (66, 123, 624, 208)
 PRODUCT_WORK = {
-    "2,3,2,1,5,1": 66,
-    "2,4,3,1,7,2": 123,
-    "3,4,3,2,11,1": 624,
-    "2,5,4,2,11,2": 208,
+    "2,3,2,1,5,1": 11,
+    "2,4,3,1,7,2": 14,
+    "3,4,3,2,11,1": 15,
+    "2,5,4,2,11,2": 17,
 }
 
 
 @pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
 def test_product_work_does_not_grow(params, monkeypatch):
-    """A round that goes back to a matrix product per recovered upload
-    shows as more products."""
+    """A round that goes back to a matrix product per recovered upload,
+    or per decode, shows as more products."""
     calls = []
     matmul = GfMatrix.__matmul__
 
@@ -1020,6 +1021,27 @@ def test_report_bytes_pinned(tmp_path):
         out = tmp_path / name
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == report, name
+
+
+# SHA-256 of the CLI's verify report at each stretch point, past the
+# default grid, where most of a speed-up shows.  Together they take about
+# 10 s of CPU, so they run only on request: pytest -m stretch
+STRETCH_REPORTS = {
+    "2,5,4,2,11,2 --draws 3": "502ffe6a6d4f93a1d483010c537437a6d67edab2a0fcf76214f8a626033c031d",
+    "4,4,3,1,7,2": "9461be157f584903f8361dcbe049c0fe7d7dfaf2e1080808e6fd72b1298e8017",
+    "2,6,4,2,11,2": "1ee310dea070724957635c36d6d04529504f59067c17e22beb9391db06a0b639",
+    "4,5,4,2,11,2": "cd26b4106bd38f3c653bb00d0831daa373b4c22ea8a22a98517c75eea29f2a7a",
+    "5,4,3,1,7,2 --budget 3000000":
+        "1767668e81d51b5e3b5205d4ae469f13ef928be1f7648c0c9c69e3a7f345baf0",
+}
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("grid", STRETCH_REPORTS)
+def test_stretch_report_bytes_pinned(grid, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--grid", *grid.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STRETCH_REPORTS[grid]
 
 
 def test_render_csv_outputs():

@@ -1370,20 +1370,25 @@ def test_a_row_belongs_to_the_user_whose_columns_hold_every_nonzero(ctx):
     ids=["2,4,3,1,7,2", "3,4,3,2,11,1"],
 )
 def test_a_transcript_splits_each_helpers_rows_once(params, pattern, monkeypatch):
-    """A full sweep of one transcript (every user subset, every helper
-    subset, oversized ones included, and each bounded subset's sharing
-    query) hands ``by_user`` each helper's uploads, stored masks and
-    received shares once, however many collusions hold that helper; a
-    second sweep splits and eliminates nothing, and makes equal records."""
+    """Each distinct content of a helper group (its uploads, its stored
+    masks or the shares it receives) reaches ``by_user`` at most once
+    per rank store.  A full sweep of one transcript on a fresh context
+    (every user subset, every helper subset, oversized ones included,
+    and each bounded subset's sharing query) splits exactly its helpers'
+    distinct group contents.  A second transcript of the same pattern on
+    the same context splits and eliminates nothing, and makes equal
+    records; the collusions of other patterns split only contents not
+    split before."""
     ctx = setup(params)
+    patterns = list(enumerate_patterns(params))
     if isinstance(pattern, int):
-        pattern = list(enumerate_patterns(params))[pattern]
+        pattern = patterns[pattern]
     tv = build_linear_transcript(ctx, pattern)
     split_rows, inserted = [], []
     by_user, insert = leakage._RankStore.by_user, RowSpace.insert
     monkeypatch.setattr(
         leakage._RankStore, "by_user",
-        lambda store, observed: split_rows.append(len(_rows(observed))) or by_user(store, observed),
+        lambda store, observed: split_rows.append(tuple(_rows(observed))) or by_user(store, observed),
     )
     monkeypatch.setattr(
         RowSpace, "insert", lambda space, row: inserted.append(row) or insert(space, row)
@@ -1392,7 +1397,7 @@ def test_a_transcript_splits_each_helpers_rows_once(params, pattern, monkeypatch
     user_sets = [u for size in range(len(users) + 1) for u in combinations(users, size)]
     tsets = [t for size in range(len(helpers) + 1) for t in combinations(helpers, size)]
 
-    def sweep():
+    def sweep(tv):
         records = [
             check(ctx, pattern, uset, tset, tvars=tv)
             for uset in user_sets for tset in tsets
@@ -1401,13 +1406,21 @@ def test_a_transcript_splits_each_helpers_rows_once(params, pattern, monkeypatch
         bounded = [t for t in tsets if len(t) <= params.collusion]
         return records + [check_sharing_leakage(ctx, pattern, t, tvars=tv) for t in bounded]
 
-    first = sweep()
-    one_pass = sum(len(_rows(helper_observation(tv, (t,)))) for t in helpers)
-    assert sum(split_rows) == one_pass and len(split_rows) == 3 * len(helpers)
-    assert inserted
+    first = sweep(tv)
+    contents = {tuple(_rows(group)) for t in helpers for group in tv.groups(t)}
+    assert len(split_rows) == len(set(split_rows)) == len(contents)
+    assert set(split_rows) == contents and inserted
     split_rows.clear(), inserted.clear()
-    assert sweep() == first
+    assert sweep(build_linear_transcript(ctx, pattern)) == first
     assert split_rows == [] and inserted == []
+    done = set(contents)
+    for other in patterns[:8]:
+        other_tv = build_linear_transcript(ctx, other)
+        for tset in tsets:
+            other_tv.collusion(tset)
+        contents |= {tuple(_rows(group)) for t in helpers for group in other_tv.groups(t)}
+    assert len(split_rows) == len(set(split_rows)) and done.isdisjoint(split_rows)
+    assert done | set(split_rows) == contents != done
 
 
 def test_records_are_dataclasses_compared_by_field(ctx, tvars):
@@ -1507,6 +1520,71 @@ def test_per_user_path_matches_incremental_path(params, scheme, monkeypatch):
         assert views["whole"] == 0 and oversized_leaks > 0
     elif scheme == "user1-mask-mixes-user2-noise":
         assert views["whole"] == len(patterns) * (tsets - 1)  # every view but the empty one
+
+
+def _collusion_mismatches(ctx):
+    """Each (pattern, T, part) whose collusion reduction, the prefix's,
+    the view's or the master's set's, differs from ``_split_observed`` of
+    its rows joined, over every pattern and helper subset within the
+    bound.  The reference uses no store and is memoized by row content,
+    of which it is a function."""
+    params, layout = ctx.params, SourceLayout(ctx.params)
+    helpers = range(1, params.num_helpers + 1)
+    tsets = [t for size in range(params.collusion + 1) for t in combinations(helpers, size)]
+    reference, mismatches = {}, []
+    for pattern in enumerate_patterns(params):
+        tv = build_linear_transcript(ctx, pattern)
+        responses = tuple(tv[f"Y[{n}]"] for n in sorted(pattern.active_helpers))
+        for tset in tsets:
+            c, view = tv.collusion(tset), helper_observation(tv, tset)
+            prefix = tuple(v for v in view if not v.name.startswith("M["))
+            for part, observed, got in (
+                ("prefix", prefix, c.prefix_reduction),
+                ("view", view, c.view_reduction),
+                ("master", view + responses, c.master_reduction),
+            ):
+                rows = tuple(_rows(observed))
+                if rows not in reference:
+                    reference[rows] = _split_observed(rows, layout, ctx.field)
+                if got != reference[rows]:
+                    mismatches.append((tv.label, tset, part))
+    return mismatches
+
+
+@pytest.mark.parametrize("scheme", PER_USER_SCHEMES)
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_collusions_found_by_block_identity_match_a_storeless_reference(
+    params, scheme, monkeypatch
+):
+    """Every collusion the store assembles from held splits, found by
+    their identities, equals the reduction of its rows joined, on one
+    context whose store every pattern fills, for each scheme."""
+    ctx = PER_USER_SCHEMES[scheme](setup(params), monkeypatch)
+    assert _collusion_mismatches(ctx) == []
+
+
+@pytest.mark.parametrize("key", ["helper set", "group position"])
+def test_collusions_keyed_by_helper_set_or_group_position_fail_the_reference(key, monkeypatch):
+    """Negative control: a collusion found by its helper set across
+    transcripts, or an assembly found by its groups' positions and row
+    counts, instead of by the identities of the held splits, reads
+    another pattern's reduction, and the storeless reference catches it."""
+    memo = {}
+    if key == "helper set":
+        collusion = LinearTranscript.collusion
+        monkeypatch.setattr(
+            LinearTranscript, "collusion",
+            lambda tv, tset: memo.get(tset) or memo.setdefault(tset, collusion(tv, tset)),
+        )
+    else:
+        assembled = leakage._RankStore.assembled
+
+        def by_position(store, splits):
+            found = memo.get(k := tuple((i, len(rows)) for i, (rows, _) in enumerate(splits)))
+            return found or memo.setdefault(k, assembled(store, splits))
+
+        monkeypatch.setattr(leakage._RankStore, "assembled", by_position)
+    assert _collusion_mismatches(setup(EXAMPLE)) != []
 
 
 def _respond_with_first_upload_twice(ctx, monkeypatch):

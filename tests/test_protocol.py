@@ -449,9 +449,12 @@ def test_every_round_payload_is_a_canonical_residue(params, data):
 @given(st.sampled_from(_CANONICAL_POINTS), st.data())
 def test_whole_vector_arithmetic_matches_the_matrix_products(params, data):
     """On unreduced and negative integers, ``_vec_add`` gives a row of
-    ones times the stacked vectors, and ``helper_recover`` the first row
-    of the chosen senders' decode inverse times their stacked shares, as
-    ``GfMatrix`` computes them.  A share of another length still raises."""
+    ones times the stacked vectors, ``helper_recover`` the first row of
+    the chosen senders' decode inverse times their stacked shares, and
+    ``master_decode`` the first ``block_count`` rows of the chosen
+    responders' upload inverse times their stacked responses, joined, as
+    ``GfMatrix`` computes them.  A share or response of another length
+    still raises."""
     ctx = setup(params)
     field, q = ctx.field, params.modulus
     width = data.draw(st.integers(1, 5))
@@ -473,6 +476,21 @@ def test_whole_vector_arithmetic_matches_the_matrix_products(params, data):
     ragged = {**shares, bad: data.draw(st.sampled_from([shares[bad] + (0,), shares[bad][1:]]))}
     with pytest.raises(DimensionMismatch):
         helper_recover(ctx, pattern, n, k, ragged)
+
+    helpers = range(1, params.num_helpers + 1)
+    ids = data.draw(st.lists(st.sampled_from(helpers), min_size=params.resiliency, unique=True))
+    responses = [protocol.HelperResponse(i, data.draw(vec)) for i in ids]
+    chosen = sorted(ids)[:params.resiliency]
+    solved = ctx.upload_matrix.select_rows([i - 1 for i in chosen]).inv() @ GfMatrix(
+        field, [r.payload for r in sorted(responses, key=lambda r: r.helper)[:len(chosen)]]
+    )
+    expected = tuple(s for i in range(params.block_count) for s in solved.row(i))
+    assert master_decode(ctx, responses) == expected
+    bad = data.draw(st.sampled_from(range(len(chosen))))
+    ragged = [replace(r, payload=r.payload + (0,)) if r.helper == chosen[bad] else r
+              for r in responses]
+    with pytest.raises(DimensionMismatch):
+        master_decode(ctx, ragged)
 
 
 def test_roundtrip_exhaustive_at_small_point():
