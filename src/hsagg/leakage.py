@@ -623,19 +623,6 @@ def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.nd
     }
 
 
-def _linear_vars(ctx: SchemeContext, values: Mapping[str, tuple[int, ...]], width: int) -> dict:
-    """Each value of a run on the identity as a ``LinearVar``: the first
-    ``dim`` columns of each ``width``-wide chunk are one coefficient row,
-    and a payload is one chunk."""
-    layout = SourceLayout(ctx.params)
-    dim = layout.dim
-    out = {}
-    for name, v in values.items():
-        rows = (v[:dim],) if len(v) == width else tuple(v[i:i + dim] for i in range(0, len(v), width))
-        out[name] = LinearVar(name, layout, GfMatrix.of_reduced(ctx.field, rows))
-    return out
-
-
 class UnitRound:
     """The round of ``concrete_transcript_values`` on the identity, run
     up to where the pattern enters and bound to the context it ran at.
@@ -644,26 +631,40 @@ class UnitRound:
     ``probes[s]`` (all as long, or none).  The roles act on each payload
     column alike and linearly, so column ``s < dim`` of a payload is its
     coefficient on slot ``s``, and its columns from ``dim`` on are a
-    round on the probes.  A campaign keeps it in locals, never in a
+    round on the probes.  Every variable it reads off shares one
+    ``SourceLayout`` object.  A campaign keeps it in locals, never in a
     context's memo, so that a role patched between two campaigns on one
     context runs again.
     """
 
     def __init__(self, ctx: SchemeContext, probes: Sequence[Sequence[int]] = ()):
-        self.ctx, self.dim = ctx, SourceLayout(ctx.params).dim
+        self.ctx, self._layout = ctx, SourceLayout(ctx.params)
+        self.dim = self._layout.dim
         self._width = self.dim + (len(probes[0]) if probes else 0)
         assignment = []
         for s, probe in enumerate(probes or [()] * self.dim):
             assignment += [0] * s + [1] + [0] * (self.dim - s - 1) + list(probe)
         self._wide = ctx.widened(self._width * ctx.params.block_count)
         self._keys, self._uploads, values = _round_prefix(self._wide, assignment)
-        self._tvars = _linear_vars(ctx, values, self._width)
+        self._tvars = self._linear_vars(values)
+
+    def _linear_vars(self, values: Mapping[str, tuple[int, ...]]) -> dict:
+        """Each value of the run as a ``LinearVar`` over the round's layout:
+        the first ``dim`` columns of each ``width``-wide chunk are one
+        coefficient row, and a payload is one chunk."""
+        dim, width, layout, field = self.dim, self._width, self._layout, self.ctx.field
+        out = {}
+        for name, v in values.items():
+            rows = (v[:dim],) if len(v) == width else tuple(
+                v[i:i + dim] for i in range(0, len(v), width))
+            out[name] = LinearVar(name, layout, GfMatrix.of_reduced(field, rows))
+        return out
 
     def run(self, pattern: CommPattern) -> tuple[RoundTranscript, LinearTranscript]:
         """The helper phase under ``pattern`` and the linear transcript read
         off it, which answers only for this context and ``pattern``."""
         t = run_helpers(self._wide, pattern, self._uploads, self._keys)
-        tvars = {**self._tvars, **_linear_vars(self.ctx, _pattern_values(t), self._width)}
+        tvars = {**self._tvars, **self._linear_vars(_pattern_values(t))}
         return t, LinearTranscript(self.ctx, pattern, tvars)
 
 
@@ -697,14 +698,12 @@ def _common_layout(variables: Iterable[LinearVar]) -> SourceLayout | None:
 
 
 def joint_rank(variables: Sequence[LinearVar]) -> int:
-    """Rank of the stacked coefficient rows of the given variables."""
-    layout = _common_layout(variables)
-    if layout is None:
+    """Rank of the stacked coefficient rows of the given variables, by
+    forward elimination (``_forward_echelon``)."""
+    if _common_layout(variables) is None:
         return 0
-    space = RowSpace(variables[0].coeffs.field, layout.dim)
-    for v in variables:
-        space.insert_matrix(v.coeffs)
-    return space.rank
+    rows = [r for v in variables for r in v.rows]
+    return len(_forward_echelon([], rows, variables[0].coeffs.field))
 
 
 def entropy_rank(variables: Sequence[LinearVar]) -> int:
@@ -722,8 +721,9 @@ def all_subset_entropies_rank(
     """Every subset of the variables, by name, with ``entropy_rank`` of
     it, in depth-first order (that of
     ``BruteForceOracle.all_subset_entropies`` over the same names): a
-    subset's row space is its parent's, cloned, with its last variable
-    inserted.  The variables' names must be distinct."""
+    subset's forward echelon is a copy of its parent's list of (pivot,
+    row) pairs, extended by its last variable's rows
+    (``_forward_echelon``).  The variables' names must be distinct."""
     by_name = {v.name: v for v in variables}
     if len(by_name) != len(variables):
         raise ValueError("variables must have distinct names")
@@ -732,14 +732,11 @@ def all_subset_entropies_rank(
         yield (), 0
         return
 
-    def grow(space: RowSpace, name: str) -> RowSpace:
-        child = space.clone()
-        child.insert_matrix(by_name[name].coeffs)
-        return child
+    def grow(echelon: list, name: str) -> list:
+        return _forward_echelon(list(echelon), by_name[name].rows, variables[0].coeffs.field)
 
-    root = RowSpace(variables[0].coeffs.field, layout.dim)
-    for subset, space in _depth_first(tuple(by_name), root, grow):
-        yield subset, space.rank * layout.block_len
+    for subset, echelon in _depth_first(tuple(by_name), [], grow):
+        yield subset, len(echelon) * layout.block_len
 
 
 @dataclass(frozen=True)
@@ -828,13 +825,14 @@ def _extended_kernel(
     return _kernel(space, 0)
 
 
-def _forward_echelon(echelon: list, rows: Sequence[list[int]], field: PrimeField) -> list:
+def _forward_echelon(echelon: list, rows: Sequence[Sequence[int]], field: PrimeField) -> list:
     """``echelon``, pairs of a pivot and a row that is 1 there and 0
     before it, extended in place by ``rows`` of canonical residues,
     forward only: each row is reduced against the pairs in order, with
-    no back-substitution.  Sorted by pivot, the rows are a row echelon
-    form, so the pivots before any column count the rank of the
-    projection onto the columns before it.  No row changes in place."""
+    no back-substitution; its length is the rank.  Sorted by pivot, the
+    rows are a row echelon form, so the pivots before any column count
+    the rank of the projection onto the columns before it.  No row
+    changes in place."""
     q = field.q
     for r in rows:
         if len(echelon) == len(r):  # full: every row lies in it
@@ -896,10 +894,7 @@ def _sharing_ranks(
     def rank_with_a(kernel) -> int:
         if user_dim in (len(kernel_a), len(kernel)):  # one of them spans every column
             return user_dim
-        space = RowSpace(field, user_dim)
-        for row in kernel_a + kernel:
-            space.insert(row)
-        return space.rank
+        return len(_forward_echelon([], kernel_a + kernel, field))
 
     (noise_c, kernel_c), (noise_bc, kernel_bc) = given, joined
     return (

@@ -172,10 +172,12 @@ class RowSpace:
 
     Maintains a reduced-echelon basis, and each basis row's nonzero
     columns in ``support``, so that ``insert`` costs one elimination
-    pass over those columns.  Designed for the many rank queries made
-    by the leakage verifier; ``clone`` lets a conditioning set be
-    reduced once and extended along several branches.  Clones share
-    basis rows: only ``insert`` changes one, and it copies it first.
+    pass over those columns.  The reduced echelon form is unique, so the
+    leakage verifier reads it where a span keys a memo and in its
+    reference rank quadruple; a rank alone it finds by forward
+    elimination.  ``clone`` lets a conditioning set be reduced once and
+    extended along several branches.  Clones share basis rows: only
+    ``insert`` changes one, and it copies it first.
     """
 
     __slots__ = ("field", "width", "pivots", "basis", "support")

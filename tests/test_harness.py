@@ -542,14 +542,21 @@ def test_estimate_covers_every_counted_check(params):
 
 
 # RowSpace (insert, clone) calls, _split_quadruple calls and the rows
-# they and the _split_query preparations reduce into forward echelons,
-# in each point's one-draw campaign; the same under any PYTHONHASHSEED
+# reduced into forward echelons, in each point's one-draw campaign; the
+# same under any PYTHONHASHSEED.  RowSpace builds only the memo-keyed
+# split kernels; the rank-only queries (joint_rank and the sharing ranks),
+# the split quadruples and the _split_query preparations pass their rows
+# to _forward_echelon.  A row moved from one elimination to the other
+# moves between the insert and echelon-row counts, so RANK_ROWS bounds
+# their sum by its value when the rank-only queries inserted into a
+# RowSpace: 158 + 37, 366 + 65, 761 + 383 and 1460 + 275.
 RANK_WORK = {
-    "2,3,2,1,5,1": (158, 8, 20, 37),
-    "2,4,3,1,7,2": (366, 10, 25, 65),
-    "3,4,3,2,11,1": (761, 15, 99, 383),
-    "2,5,4,2,11,2": (1460, 12, 80, 275),
+    "2,3,2,1,5,1": (101, 8, 20, 94),
+    "2,4,3,1,7,2": (206, 10, 25, 225),
+    "3,4,3,2,11,1": (491, 15, 99, 653),
+    "2,5,4,2,11,2": (960, 12, 80, 775),
 }
+RANK_ROWS = {"2,3,2,1,5,1": 195, "2,4,3,1,7,2": 431, "3,4,3,2,11,1": 1144, "2,5,4,2,11,2": 1735}
 
 
 @pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
@@ -590,6 +597,7 @@ def test_rank_work_does_not_grow(params, monkeypatch):
     verify_point(params, RunConfig(mode="verify", draws=1))
     bounds = dict(zip(calls, RANK_WORK[params.label()]))
     assert all(calls[name] <= bounds[name] for name in calls), calls
+    assert calls["insert"] + calls["echelon rows"] <= RANK_ROWS[params.label()], calls
     assert len({id(store) for store in stores}) == 1
     n_tsets = sum(1 for _ in enumerate_patterns(params)) * sum(
         comb(params.num_helpers, size) for size in range(params.collusion + 1)

@@ -44,6 +44,7 @@ from hsagg.leakage import (
     entropy_rank,
     helper_observation,
     infeasibility_witness,
+    joint_rank,
     rank_quadruple,
     response_entropy_given_sum,
 )
@@ -951,6 +952,84 @@ def test_subset_walks_are_depth_first(tvars):
     assert all(h == entropy_rank([tvars[n] for n in subset]) for subset, h in walk)
     with pytest.raises(ValueError, match="distinct names"):
         list(all_subset_entropies_rank([tvars["W"], tvars["W"]]))
+
+
+# q = 2, where every nonzero pivot is 1 already, two small primes, and two
+# at or above 2**31, whose residues are Python ints past any machine word
+RANK_MODULI = (2, 5, 11, 2**31 - 1, 2**61 - 1)
+
+
+def _rank_mismatches(q):
+    """Random canonical matrices over GF(q) as the variables of a 1,3,2,1,q,1
+    layout (5 columns, block length 1), with each subset's ``joint_rank``
+    and its rank in the subset walk set against ``RowSpace``'s; the
+    subsets where either differs.  Every row is a random combination of a
+    few random rows, so that dependent rows, repeats and zero rows occur."""
+    layout, field = SourceLayout(SchemeParams(1, 3, 2, 1, q, 1)), PrimeField(q)
+    rng, found = random.Random(q), []
+    for _ in range(40):
+        span = [[rng.randrange(q) for _ in range(layout.dim)] for _ in range(rng.randrange(1, 5))]
+
+        def row():
+            coeffs = [rng.choice((0, 1, rng.randrange(q))) for _ in span]
+            return [sum(c * r[j] for c, r in zip(coeffs, span)) % q for j in range(layout.dim)]
+
+        variables = [
+            LinearVar(f"v{i}", layout, GfMatrix(field, [row() for _ in range(rng.randrange(1, 4))]))
+            for i in range(rng.randrange(1, 6))
+        ]
+        by_name = {v.name: v for v in variables}
+        for subset, h in all_subset_entropies_rank(variables):
+            chosen = [by_name[n] for n in subset]
+            space = RowSpace(field, layout.dim)
+            for v in chosen:
+                space.insert_matrix(v.coeffs)
+            if not h == joint_rank(chosen) == space.rank:
+                found.append((subset, h, joint_rank(chosen), space.rank))
+    return found
+
+
+@pytest.mark.parametrize("q", RANK_MODULI)
+def test_forward_ranks_match_row_space_ranks(q):
+    """``joint_rank`` and the subset walk eliminate forward; on random
+    canonical matrices both give ``RowSpace``'s rank, exactly, at every
+    modulus: past 2**31 too, where the entries are wider than a machine
+    word."""
+    assert _rank_mismatches(q) == []
+
+
+@pytest.mark.parametrize("q", RANK_MODULI[1:])
+def test_forward_ranks_without_unit_pivots_fail_the_comparison(q, monkeypatch):
+    """Negative control: a forward echelon that keeps each pivot as found,
+    instead of scaling it to 1, leaves a dependent row nonzero and counts
+    it.  At q = 2 every pivot is 1, so only the other moduli show it."""
+    def unscaled(echelon, rows, field):
+        for r in rows:
+            for p, base in echelon:
+                if c := r[p]:
+                    r = [(x - c * y) % field.q for x, y in zip(r, base)]
+            if any(r):
+                echelon.append((next(j for j, c in enumerate(r) if c), r))
+        return echelon
+
+    monkeypatch.setattr(leakage, "_forward_echelon", unscaled)
+    assert _rank_mismatches(q) != []
+
+
+def test_a_unit_rounds_variables_share_one_layout_object(ctx, monkeypatch):
+    """Every variable of every transcript one ``UnitRound`` runs holds the
+    same ``SourceLayout`` object, so ``_common_layout`` compares them by
+    identity and never runs the dataclass ``__eq__``."""
+    unit = UnitRound(ctx)
+    transcripts = [unit.run(p)[1] for p in list(enumerate_patterns(EXAMPLE))[:3]]
+    assert len({id(v.layout) for tv in transcripts for v in tv.values()}) == 1
+
+    def refuse(self, other):
+        raise AssertionError("layouts compared by value")
+
+    monkeypatch.setattr(SourceLayout, "__eq__", refuse)
+    everything = [v for tv in transcripts for v in tv.values()]
+    assert entropy_rank(everything) == SourceLayout(EXAMPLE).dim * EXAMPLE.block_len
 
 
 def test_rank_quadruple_shape(tvars):

@@ -6,8 +6,9 @@ or an export behind fails here.  The modules that read outside input
 never build a matrix without reducing its entries, no module uses
 ``numpy.random``, numpy loads only inside ``leakage``'s functions (the
 brute-force oracle), only ``matrix`` writes a ``RowSpace``'s state, and no
-module reads another's private name.  Inside ``leakage`` only the rank
-store's methods and ``_security_record`` read its ``givens`` and
+module reads another's private name.  ``leakage`` builds a ``RowSpace``
+only for the memo-keyed split kernels and the reference quadruple.
+Inside ``leakage`` only the rank store's methods and ``_security_record`` read its ``givens`` and
 ``quadruples`` tables, and in the package only ``protocol.run_helpers``
 runs the helper roles.  Only ``patterns`` takes
 ``itertools.combinations``: its ``subsets`` is the one enumeration of
@@ -283,6 +284,28 @@ def rowspace_state_writes(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+# where leakage builds a RowSpace: the split kernels, which key the rank
+# store's memos in their canonical reduced echelon form, and the reference
+# quadruple; a query that reads only a rank eliminates forward instead
+ROWSPACE_BUILDERS = ("_split_observed", "_extended_kernel", "rank_quadruple")
+
+
+def rowspace_builds(tree: ast.Module, allowed: tuple[str, ...]) -> list[int]:
+    """Lines that call ``RowSpace(...)`` or name ``of_echelon`` outside the
+    top-level classes and functions named in ``allowed``."""
+    return sorted(
+        {
+            sub.lineno
+            for node in tree.body
+            if getattr(node, "name", None) not in allowed
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and "RowSpace" in (
+                getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+            or isinstance(sub, ast.Attribute) and sub.attr == "of_echelon"
+        }
+    )
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
@@ -539,6 +562,16 @@ def test_only_matrix_writes_rowspace_state():
     assert {module: lines for module, lines in found.items() if lines} == {}
 
 
+def test_leakage_builds_row_spaces_only_for_kernels_and_the_reference():
+    """A reduced echelon form is built only where it is read: the split
+    kernels that key the rank store's memos, and ``rank_quadruple``, the
+    independent reference the split paths are tested against.  Every
+    query that needs only a rank runs ``_forward_echelon``."""
+    leakage = _package()["leakage"]
+    assert rowspace_builds(leakage, ROWSPACE_BUILDERS) == []
+    assert rowspace_builds(leakage, ()) != []
+
+
 def test_no_module_reads_another_modules_private_name():
     """A module's private names are its own: the rank store's internals
     stay inside ``leakage``."""
@@ -716,6 +749,22 @@ def test_the_checks_catch_what_they_look_for():
             "space.support: list = []\n"
         )
     ) == [1, 2, 3, 4, 5, 6, 10]
+    assert rowspace_builds(
+        ast.parse(
+            "def _split_observed(rows):\n"
+            "    return RowSpace(field, 4)\n"
+            "def joint_rank(variables):\n"
+            "    space = RowSpace(field, 4)\n"
+            "    return matrix.RowSpace(field, 4).rank\n"
+            "def _kernel(space: RowSpace, cut):\n"
+            "    return RowSpace.of_echelon(field, 4, space.basis)\n"
+            "seed = RowSpace.of_echelon\n"
+            "class Walk:\n"
+            "    def grow(self, space: RowSpace):\n"
+            "        return space.clone()\n"
+        ),
+        ("_split_observed",),
+    ) == [4, 5, 7, 8]
     assert foreign_private_reads(
         ast.parse(
             "from . import leakage as lk\n"
