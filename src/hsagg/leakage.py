@@ -187,6 +187,11 @@ class LinearVar:
         return self.coeffs.data
 
 
+def _rows(variables: Iterable[LinearVar]) -> tuple:
+    """The coefficient rows of ``variables``, in order."""
+    return tuple([r for v in variables for r in v.rows])
+
+
 class _RankStore:
     """Rank work that the transcripts of one scheme context share.
 
@@ -204,9 +209,9 @@ class _RankStore:
     Every other key is coefficient-row content, never a name, a
     pattern or a helper id, so that a transcript whose rows differ (a
     broken scheme run under the same context) never reads another's
-    entry; only ``names``, each helper's group names, is keyed by helper
-    and active set.  ``splits`` holds each group's rows and ``by_user``
-    blocks, ``reductions`` the split reduction ``(r_noise, K)`` of each
+    entry: its methods take rows, never a ``LinearVar`` or a name.
+    ``splits`` holds each group's rows and ``by_user`` blocks,
+    ``reductions`` the split reduction ``(r_noise, K)`` of each
     user-local block and set reduced whole, ``assemblies`` and ``joined``
     those of held splits or blocks joined, by identity, ``kernels`` each
     kernel assembled from per-user kernels, and ``extensions`` each
@@ -237,7 +242,7 @@ class _RankStore:
         self._sum = (frozenset(range(parts)), ()) if k_all == 1 else (frozenset(), rows)
         self.splits, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
         self.quadruples, self.split_queries, self.givens, self._held = {}, {}, {}, {}
-        self.assemblies, self.joined, self.names = {}, {}, {}
+        self.assemblies, self.joined = {}, {}
         self.own = tuple(frozenset(cols[:self.local.user_dim]) for cols in self.columns)
         self._user_of = {j: k for k, cols in enumerate(self.columns) for j in cols}
         self.gradients, self._own_gradients, self._nothing = self._hold(
@@ -271,26 +276,24 @@ class _RankStore:
             found = self.reductions[self._hold(rows)] = r_noise, kernel
         return found
 
-    def by_user(self, observed: Sequence[LinearVar]) -> tuple | None:
-        """Each user's rows of ``observed`` in user-local coordinates, in
-        order, each user's held; None if a row spans users.  A row belongs
-        to the user of its first nonzero column, a zero row to user 1."""
+    def by_user(self, rows: Sequence[tuple]) -> tuple | None:
+        """Each user's ``rows`` in user-local coordinates, in order, each
+        user's held; None if a row spans users.  A row belongs to the
+        user of its first nonzero column, a zero row to user 1."""
         columns, user_of = self.columns, self._user_of
         blocks = [[] for _ in columns]
-        for v in observed:
-            for row in v.rows:
-                # the first nonzero's column; a zero row's 0 sits in column 0, user 1's
-                k = user_of[row.index(next(filter(None, row), 0))]
-                local = tuple([row[j] for j in columns[k]])
-                if len(local) - local.count(0) != len(row) - row.count(0):
-                    return None  # the row spans users
-                blocks[k].append(local)
+        for row in rows:
+            # the first nonzero's column; a zero row's 0 sits in column 0, user 1's
+            k = user_of[row.index(next(filter(None, row), 0))]
+            local = tuple([row[j] for j in columns[k]])
+            if len(local) - local.count(0) != len(row) - row.count(0):
+                return None  # the row spans users
+            blocks[k].append(local)
         return self._hold(map(tuple, blocks))
 
-    def split(self, group: Sequence[LinearVar]) -> tuple:
-        """``group``'s rows and ``by_user`` blocks, one object per row content."""
-        rows = tuple(r for v in group for r in v.rows)
-        return self.splits.get(rows) or self.splits.setdefault(rows, (rows, self.by_user(group)))
+    def split(self, rows: tuple) -> tuple:
+        """A group's ``rows`` and ``by_user`` blocks, one object per row content."""
+        return self.splits.get(rows) or self.splits.setdefault(rows, (rows, self.by_user(rows)))
 
     def assembled(self, splits: Sequence[tuple]) -> tuple:
         """The split reduction of groups, each as ``split`` holds it, joined
@@ -323,24 +326,10 @@ class _RankStore:
         found = self.joined.get(key := tuple(map(id, blocks)))
         return found or self.joined.setdefault(key, self.reduction(sum(blocks, ())))
 
-    def group_names(self, t: int, active: frozenset) -> tuple:
-        """Helper ``t``'s group names while the helpers ``active`` are: its
-        uploads, its stored masks and every share it may receive."""
-        found = self.names.get((t, active))
-        if found is None:
-            params = self.layout.params
-            users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
-            found = self.names[t, active] = (
-                tuple(f"X[{k},{t}]" for k in users),
-                tuple(f"Z[{t},{n},{k}]" for n in helpers if n != t for k in users),
-                tuple(f"M[{i}->{t},{k}]" for i in sorted(active) if i != t for k in users))
-        return found
-
-    def responses(self, responses: Sequence[LinearVar]) -> tuple:
-        """The rows of ``responses``, one object per content, and whether
+    def responses(self, rows: tuple) -> tuple:
+        """The response rows ``rows``, one object per content, and whether
         they all lie in the user columns: what ``extended`` needs of a
         transcript's responses, found once per transcript."""
-        rows = tuple(r for v in responses for r in v.rows)
         in_user_columns = not any(any(row[self.layout.user_dim:]) for row in rows)
         return self._held.setdefault(rows, rows), in_user_columns
 
@@ -417,18 +406,18 @@ class _Collusion:
 class LinearTranscript(Mapping):
     """A round's variables by name, plus the work its queries share.
 
-    Built only by ``UnitRound.run``, it keeps the ``ctx`` and
-    the ``pattern`` it was built from, the pattern's ``label`` and
-    ``block_len`` and the context's rank store, and answers only for
-    that context and pattern (``require``).  It keeps the rows of the
-    responses ``Y[n]`` (``_RankStore.responses``) and, read-only,
-    memoizes for its own life: each helper's
-    ``groups`` as the store's splits (``_RankStore.split``), every
-    colluding set's split reductions (``collusion``, by helper subset)
-    and the uploads' kernel, each once.  Reductions are found by row
-    content in the rank store (``_RankStore``), never by names; the
-    helper and master queries' targets and givens come from the store's
-    layout.
+    Built only by ``UnitRound.run``, from its unit round, it keeps the
+    ``ctx`` and the ``pattern`` it was built from, the pattern's
+    ``label`` and ``block_len`` and the context's rank store, and answers
+    only for that context and pattern (``require``).  It keeps the rows
+    of the responses ``Y[n]`` (``_RankStore.responses``) and, read-only,
+    memoizes for its own life: each helper's ``groups`` as the store's
+    splits, its received shares split here (``_RankStore.split``) and its
+    uploads and masks by its unit round (``UnitRound.splits``), and every
+    colluding set's split reductions (``collusion``, by helper subset),
+    each once.  Reductions are found by row content in the rank store
+    (``_RankStore``), never by names; the helper and master queries'
+    targets and givens come from the store's layout.
 
     The split paths answer every check, for every context, broken ones
     included: the identity run makes each ``W[k]`` and ``F[k]`` a unit
@@ -436,14 +425,12 @@ class LinearTranscript(Mapping):
     (w; f)`` never see dealer noise.
     """
 
-    def __init__(self, ctx: SchemeContext, pattern: CommPattern, tvars: dict[str, LinearVar]):
-        self.ctx, self.pattern = ctx, pattern
-        self.label, self.block_len = format_pattern(pattern), ctx.params.block_len
-        self._vars = tvars
-        self._store = _rank_store(ctx)
-        self._responses = self._store.responses(
-            [tvars[f"Y[{n}]"] for n in sorted(pattern.active_helpers)]
-        )
+    def __init__(self, unit: UnitRound, pattern: CommPattern, tvars: dict[str, LinearVar]):
+        self.ctx, self.pattern, self._unit = unit.ctx, pattern, unit
+        self.label, self.block_len = format_pattern(pattern), unit.ctx.params.block_len
+        self._vars, self._store = tvars, unit._store
+        responses = _rows(tvars[f"Y[{n}]"] for n in sorted(pattern.active_helpers))
+        self._responses = self._store.responses(responses)
         self._splits: dict[int, tuple] = {}  # by helper
         self._collusions: dict[tuple[int, ...], _Collusion] = {}  # by helper subset
 
@@ -470,12 +457,13 @@ class LinearTranscript(Mapping):
             )
 
     def groups(self, t: int) -> tuple[tuple[LinearVar, ...], ...]:
-        """Helper ``t``'s uploads ``X[k,t]``, its stored masks ``Z[t,n,k]``
-        and the shares ``M[i->t,k]`` it receives from the other active
-        helpers, each in order, by names the store builds once."""
-        uploads, masks, shares = self._store.group_names(t, self.pattern.active_helpers)
-        return (*(tuple(map(self._vars.__getitem__, names)) for names in (uploads, masks)),
-                tuple(v for n in shares if (v := self._vars.get(n))))
+        """Helper ``t``'s uploads ``X[k,t]`` and stored masks ``Z[t,n,k]``,
+        as its unit round resolved them, and the shares ``M[i->t,k]`` it
+        receives from the other active helpers, each in order."""
+        users = range(1, self.ctx.params.num_users + 1)
+        shares = (self._vars.get(f"M[{i}->{t},{k}]")
+                  for i in sorted(self.pattern.active_helpers) if i != t for k in users)
+        return (*self._unit._prefix[t], tuple(v for v in shares if v is not None))
 
     def collusion(self, tset: tuple[int, ...]) -> _Collusion:
         """The split reductions of the prefix, view and master's set of
@@ -483,17 +471,16 @@ class LinearTranscript(Mapping):
         (``helper_observation``) is every helper's uploads, then masks,
         then received shares, and the prefix its uploads and masks.  Each
         helper's ``groups`` are found once per transcript as the store's
-        splits (``_RankStore.split``, once per row content), and the
-        prefix and the view are assembled from them by their identities
-        (``_RankStore.assembled``), or reduced whole if a row spans
-        users.  The master's set extends the view's kernel by the
-        responses (``_RankStore.extended``)."""
+        splits, and the prefix and the view are assembled from them by
+        their identities (``_RankStore.assembled``), or reduced whole if
+        a row spans users.  The master's set extends the view's kernel by
+        the responses (``_RankStore.extended``)."""
         found = self._collusions.get(tset)
         if found is None:
             _check_ids("helpers", tset, self.ctx.params.num_helpers)
             store = self._store
             for t in set(tset) - self._splits.keys():
-                self._splits[t] = tuple(map(store.split, self.groups(t)))
+                self._splits[t] = (*self._unit.splits(t), store.split(_rows(self.groups(t)[2])))
             splits = [self._splits[t] for t in tset]
             prefix = [s[g] for g in (0, 1) for s in splits]
             view = prefix + [s[2] for s in splits]
@@ -504,15 +491,6 @@ class LinearTranscript(Mapping):
                 store.extended(view, view_reduction, self._responses), users,
             )
         return found
-
-    @cached_property
-    def uploads_kernel(self) -> tuple:
-        """The kernel of the split reduction of every upload ``X[k,n]``,
-        found in the rank store by content."""
-        params = self.ctx.params
-        users, helpers = range(1, params.num_users + 1), range(1, params.num_helpers + 1)
-        rows = tuple(row for k in users for n in helpers for row in self._vars[f"X[{k},{n}]"].rows)
-        return self._store.reduction(rows)[1]
 
 
 # -- the transcript: the roles run on a source assignment ----------------
@@ -529,19 +507,10 @@ def _round_prefix(ctx: SchemeContext, assignment: Sequence[int]) -> tuple:
     def slot(i: int) -> tuple[int, ...]:
         return tuple(assignment[i * l:(i + 1) * l])
 
-    gradients = [
-        Gradient(
-            k,
-            tuple(slot(layout.w_slot(k, i)) for i in range(1, params.block_count + 1)),
-        )
-        for k in users
-    ]
-    noises = [
-        UserRandomness(
-            k, tuple(slot(layout.f_slot(k, j)) for j in range(1, params.collusion + 1))
-        )
-        for k in users
-    ]
+    parts, randomness = range(1, params.block_count + 1), range(1, params.collusion + 1)
+    gradients = [Gradient(k, tuple(slot(layout.w_slot(k, i)) for i in parts)) for k in users]
+    noises = [UserRandomness(k, tuple(slot(layout.f_slot(k, j)) for j in randomness))
+              for k in users]
     dealer_noise = {
         (n, j, k): slot(layout.q_slot(n, j, k))
         for n in range(1, params.num_helpers + 1)
@@ -635,6 +604,10 @@ class UnitRound:
     ``SourceLayout`` object.  A campaign keeps it in locals, never in a
     context's memo, so that a role patched between two campaigns on one
     context runs again.
+
+    For its transcripts it holds what no pattern changes: each helper
+    ``t``'s uploads ``X[k,t]`` and masks ``Z[t,n,k]`` (n ≠ t), resolved
+    once, and their ``splits`` and the ``uploads_kernel``, on first need.
     """
 
     def __init__(self, ctx: SchemeContext, probes: Sequence[Sequence[int]] = ()):
@@ -646,7 +619,15 @@ class UnitRound:
             assignment += [0] * s + [1] + [0] * (self.dim - s - 1) + list(probe)
         self._wide = ctx.widened(self._width * ctx.params.block_count)
         self._keys, self._uploads, values = _round_prefix(self._wide, assignment)
-        self._tvars = self._linear_vars(values)
+        tvars = self._tvars = self._linear_vars(values)
+        self._store = _rank_store(ctx)
+        users, helpers = range(1, ctx.params.num_users + 1), range(1, ctx.params.num_helpers + 1)
+        self._prefix = {
+            t: (tuple(tvars[f"X[{k},{t}]"] for k in users),
+                tuple(tvars[f"Z[{t},{n},{k}]"] for n in helpers if n != t for k in users))
+            for t in helpers
+        }
+        self._splits: dict[int, tuple] = {}  # by helper
 
     def _linear_vars(self, values: Mapping[str, tuple[int, ...]]) -> dict:
         """Each value of the run as a ``LinearVar`` over the round's layout:
@@ -660,12 +641,26 @@ class UnitRound:
             out[name] = LinearVar(name, layout, GfMatrix.of_reduced(field, rows))
         return out
 
+    def splits(self, t: int) -> tuple:
+        """The store's splits of helper ``t``'s uploads and stored masks,
+        made on first need."""
+        if t not in self._splits:
+            self._splits[t] = tuple(self._store.split(_rows(g)) for g in self._prefix[t])
+        return self._splits[t]
+
+    @cached_property
+    def uploads_kernel(self) -> tuple:
+        """The kernel of the split reduction of every upload ``X[k,n]``,
+        k-major, found in the rank store by content."""
+        per_user = zip(*(uploads for uploads, _ in self._prefix.values()))  # X[k,1], X[k,2], ...
+        return self._store.reduction(_rows(v for uploads in per_user for v in uploads))[1]
+
     def run(self, pattern: CommPattern) -> tuple[RoundTranscript, LinearTranscript]:
         """The helper phase under ``pattern`` and the linear transcript read
         off it, which answers only for this context and ``pattern``."""
         t = run_helpers(self._wide, pattern, self._uploads, self._keys)
         tvars = {**self._tvars, **self._linear_vars(_pattern_values(t))}
-        return t, LinearTranscript(self.ctx, pattern, tvars)
+        return t, LinearTranscript(self, pattern, tvars)
 
 
 def build_linear_transcript(ctx: SchemeContext, pattern: CommPattern) -> LinearTranscript:
@@ -912,11 +907,8 @@ def _mi_from_ranks(ranks: tuple[int, int, int, int], block_len: int) -> int:
 
 def cond_mutual_info(query: MiQuery) -> int:
     """Exact I(target; observed | given) in q-ary units."""
-    everything = list(query.target) + list(query.observed) + list(query.given)
-    layout = _common_layout(everything)
-    if layout is None:
-        return 0
-    return _mi_from_ranks(rank_quadruple(query), layout.block_len)
+    block_len = next((v.layout.block_len for v in (*query.target, *query.observed)), 0)
+    return _mi_from_ranks(rank_quadruple(query), block_len)
 
 
 # -- the scheme's security statements --------------------------------------
@@ -945,7 +937,8 @@ def helper_observation(tvars: LinearTranscript, tset: Sequence[int]) -> tuple[Li
     context and pattern, read from each helper's ``groups`` in ascending
     order: all uploads addressed to it, its stored masks (together the
     prefix, K·N variables per helper), then the shares it receives from
-    the other active helpers."""
+    the other active helpers.  A repeated or unknown helper: ``BadSubset``."""
+    _check_ids("helpers", tset, tvars.ctx.params.num_helpers)
     groups = [tvars.groups(t) for t in sorted(tset)]
     return tuple(v for g in range(3) for own in groups for v in own[g])
 
@@ -1072,8 +1065,8 @@ def check_sharing_leakage(
     be the transcript of ``ctx`` and ``pattern``."""
 
     tset, tv, oversized, c = _resolved(ctx, pattern, tset, tvars)
-    u = tv._store.layout.user_dim
-    ranks = _sharing_ranks(tv.uploads_kernel, c.prefix_reduction, c.view_reduction, u, ctx.field)
+    ranks = _sharing_ranks(tv._unit.uploads_kernel, c.prefix_reduction, c.view_reduction,
+                           tv._store.layout.user_dim, ctx.field)
     return LeakageRecord(
         "sharing", (), tset, tv.label, ranks, _mi_from_ranks(ranks, tv.block_len), oversized
     )

@@ -404,6 +404,8 @@ def test_checks_reject_colluding_ids_out_of_range(users, tset, named):
             check_sharing_leakage(ctx, pattern, tset, tvars=tv)
         with pytest.raises(BadSubset, match=named):
             response_entropy_given_sum(build_static_vars(ctx), tset)
+        with pytest.raises(BadSubset, match=named):
+            helper_observation(tv, tset)
     rec = check_security_helpers(ctx, pattern, [2], [1], tvars=tv)
     assert rec.colluding_users == (2,) and rec.value == 0
 
@@ -431,6 +433,9 @@ def test_checks_reject_a_repeated_colluding_id(ctx, kind, users, tset, named):
     assert distinct.colluding_helpers == (3,) and distinct.value == 0
     with pytest.raises(BadSubset, match=named):
         record(users, tset)
+    if len(set(tset)) < len(tset):  # a view would hold each variable twice
+        with pytest.raises(BadSubset, match=named):
+            helper_observation(tv, tset)
 
 
 def test_another_patterns_transcript_cannot_hide_a_leak(ctx, monkeypatch):
@@ -1173,21 +1178,23 @@ def test_sharing_queries_take_their_tuples_from_the_transcript():
     assert all(record.value == 0 for record in first)
 
 
-def test_transcript_splits_each_target_and_given_and_finds_the_uploads_kernel_once(
+def test_store_derives_each_given_once_and_the_unit_round_finds_the_uploads_kernel_once(
     monkeypatch,
 ):
     """The store derives each user subset's given once, with and without
     the sum, however many queries and transcripts read it, and the
-    uploads' kernel is found once per transcript; the uploads are never
-    split."""
+    uploads' kernel, of every upload's rows in k-major order, is found
+    once per unit round, however many of its transcripts ask; the
+    uploads are never split."""
     params = SchemeParams(3, 4, 3, 2, 11, 1)
     ctx = setup(params)
-    pattern = list(enumerate_patterns(params))[7]
-    tv = build_linear_transcript(ctx, pattern)
+    patterns = list(enumerate_patterns(params))[7:9]
+    unit = UnitRound(ctx)
+    transcripts = [unit.run(pattern)[1] for pattern in patterns]
     upload_lookups = []
     reduction = leakage._RankStore.reduction
-    uploads = [tv[f"X[{k},{n}]"] for k in (1, 2, 3) for n in (1, 2, 3, 4)]
-    upload_rows = tuple(row for v in uploads for row in v.rows)
+    uploads = [transcripts[0][f"X[{k},{n}]"] for k in (1, 2, 3) for n in (1, 2, 3, 4)]
+    upload_rows = tuple(_rows(uploads))
 
     def counted_reduction(store, rows):
         if rows == upload_rows:
@@ -1199,17 +1206,53 @@ def test_transcript_splits_each_target_and_given_and_finds_the_uploads_kernel_on
     tsets = [t for size in range(params.collusion + 1) for t in combinations(helpers, size)]
     user_sets = [u for size in range(4) for u in combinations(range(1, 4), size)]
     for _ in range(2):
-        for uset in user_sets:
+        for pattern, tv in zip(patterns, transcripts):
+            for uset in user_sets:
+                for tset in tsets:
+                    check_security_helpers(ctx, pattern, uset, tset, tvars=tv)
+                    check_security_master(ctx, pattern, uset, tset, tvars=tv)
             for tset in tsets:
-                check_security_helpers(ctx, pattern, uset, tset, tvars=tv)
-                check_security_master(ctx, pattern, uset, tset, tvars=tv)
-        for tset in tsets:
-            check_sharing_leakage(ctx, pattern, tset, tvars=tv)
+                check_sharing_leakage(ctx, pattern, tset, tvars=tv)
     # each user subset's given with and without the sum
-    assert sorted(tv._store.givens) == sorted(
+    assert sorted(unit._store.givens) == sorted(
         (with_sum, uset) for with_sum in (False, True) for uset in user_sets
     )
     assert len(upload_lookups) == 1
+    assert upload_rows not in unit._store.splits
+    # a transcript of another unit round finds the kernel again, in the store
+    other = build_linear_transcript(ctx, patterns[0])
+    check_sharing_leakage(ctx, patterns[0], (1,), tvars=other)
+    assert len(upload_lookups) == 2 and other._unit.uploads_kernel is unit.uploads_kernel
+
+
+def test_a_second_transcript_of_a_unit_round_splits_only_its_shares(monkeypatch):
+    """The unit round splits each helper's uploads and stored masks the
+    first time one of its transcripts' collusions needs that helper, and
+    keeps the splits: a second transcript of the round, swept over every
+    helper subset, calls ``_RankStore.split`` once per helper, on the
+    rows of the shares that helper receives under its own pattern, and
+    its collusions are those a fresh round gives."""
+    params = SchemeParams(3, 4, 3, 2, 11, 1)
+    ctx = setup(params)
+    patterns = list(enumerate_patterns(params))
+    helpers = range(1, params.num_helpers + 1)
+    tsets = [t for size in range(len(helpers) + 1) for t in combinations(helpers, size)]
+    unit = UnitRound(ctx)
+    first = unit.run(patterns[7])[1]
+    for tset in tsets:
+        first.collusion(tset)
+    split_rows, split = [], leakage._RankStore.split
+    monkeypatch.setattr(
+        leakage._RankStore, "split", lambda store, rows: split_rows.append(rows) or split(store, rows)
+    )
+    second = unit.run(patterns[8])[1]
+    got = [second.collusion(tset) for tset in tsets]
+    shares = [tuple(_rows(second.groups(t)[2])) for t in helpers]
+    assert len(split_rows) == len(helpers) and sorted(split_rows) == sorted(shares)
+    split_rows.clear()
+    fresh = build_linear_transcript(ctx, patterns[8])
+    assert [fresh.collusion(tset) for tset in tsets] == got
+    assert len(split_rows) == 3 * len(helpers)  # a fresh round splits its prefixes too
 
 
 SPLIT_PARAMS = {q: SchemeParams(2, 4, 3, 1, q, 2) for q in (5, 11)}
@@ -1392,7 +1435,7 @@ def test_collusion_assembles_its_chain_from_per_user_blocks(monkeypatch):
     prefix = tuple(v for v in view if not v.name.startswith("M["))  # uploads and masks
     store = tv._store
     assert store.local == local  # the store is built for the context's parameters
-    prefix_blocks, view_blocks = store.by_user(prefix), store.by_user(view)
+    prefix_blocks, view_blocks = store.by_user(_rows(prefix)), store.by_user(_rows(view))
     # the store reduced each user's blocks, and no set whole
     assert set(store.reductions) == set(prefix_blocks + view_blocks)
     assert collusion.users == tuple(store.reductions[rows] for rows in view_blocks)
@@ -1421,11 +1464,8 @@ def test_a_row_belongs_to_the_user_whose_columns_hold_every_nonzero(ctx):
     store = leakage._RankStore(ctx.params, ctx.field)
     layout = store.layout
 
-    def var(row):
-        return LinearVar("r", layout, GfMatrix.of_reduced(ctx.field, (tuple(row),)))
-
     def row(entries):
-        return var([entries.get(column, 0) for column in range(layout.dim)])
+        return tuple(entries.get(column, 0) for column in range(layout.dim))
 
     user2 = row({layout.w_slot(2, 1): 3, layout.f_slot(2, 1): 4, layout.q_slot(3, 2, 2): 5})
     local2 = (3, 0, 4, 0, 0, 0, 0, 0, 5, 0, 0)
@@ -1439,7 +1479,7 @@ def test_a_row_belongs_to_the_user_whose_columns_hold_every_nonzero(ctx):
     for r in (r for v in build_linear_transcript(ctx, EXAMPLE_PATTERN).values() for r in v.rows):
         local = [tuple(r[j] for j in cols) for cols in store.columns]
         owner = next((k for k, u in enumerate(local) if sum(map(bool, u)) == sum(map(bool, r))), None)
-        assert store.by_user([var(r)]) == (None if owner is None else tuple(
+        assert store.by_user([r]) == (None if owner is None else tuple(
             (u,) if k == owner else () for k, u in enumerate(local)))
 
 
@@ -1467,7 +1507,7 @@ def test_a_transcript_splits_each_helpers_rows_once(params, pattern, monkeypatch
     by_user, insert = leakage._RankStore.by_user, RowSpace.insert
     monkeypatch.setattr(
         leakage._RankStore, "by_user",
-        lambda store, observed: split_rows.append(tuple(_rows(observed))) or by_user(store, observed),
+        lambda store, rows: split_rows.append(rows) or by_user(store, rows),
     )
     monkeypatch.setattr(
         RowSpace, "insert", lambda space, row: inserted.append(row) or insert(space, row)

@@ -9,7 +9,8 @@ brute-force oracle), only ``matrix`` writes a ``RowSpace``'s state, and no
 module reads another's private name.  ``leakage`` builds a ``RowSpace``
 only for the memo-keyed split kernels and the reference quadruple.
 Inside ``leakage`` only the rank store's methods and ``_security_record`` read its ``givens`` and
-``quadruples`` tables, and in the package only ``protocol.run_helpers``
+``quadruples`` tables, the rank store's body builds no f-string and reads
+no ``.rows``, and in the package only ``protocol.run_helpers``
 runs the helper roles.  Only ``patterns`` takes
 ``itertools.combinations``: its ``subsets`` is the one enumeration of
 user and helper subsets.  ``leakage`` never names ``master_decode``: the
@@ -407,6 +408,20 @@ def reads_outside(tree: ast.Module, names: tuple[str, ...], allowed: tuple[str, 
     )
 
 
+def rank_store_name_work(tree: ast.Module) -> list[int] | None:
+    """Lines in the body of class ``_RankStore`` that build an f-string or
+    read an attribute ``rows``; None if the module defines no such class."""
+    store = next((node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_RankStore"), None)
+    if store is None:
+        return None
+    return sorted({
+        sub.lineno
+        for sub in ast.walk(store)
+        if isinstance(sub, ast.JoinedStr) or isinstance(sub, ast.Attribute) and sub.attr == "rows"
+    })
+
+
 OPTION_KEYS = {"parse", "help", "modes", "flag", "choices"}
 
 
@@ -617,6 +632,14 @@ def test_one_record_function_reads_the_rank_store_tables():
     }
     assert {module: lines for module, lines in found.items() if lines} == {}
     assert reads_outside(package["leakage"], STORE_TABLES, ("_RankStore",)) != []
+
+
+def test_the_rank_store_sees_only_row_content():
+    """``_RankStore`` builds no variable name (no f-string) and never
+    sees a ``LinearVar`` (no ``.rows``): its methods take row tuples, and
+    row content is all it keys.  Names are the unit round's and the
+    transcript's."""
+    assert rank_store_name_work(_package()["leakage"]) == []
 
 
 def test_only_the_helper_phase_runs_the_helper_roles():
@@ -844,6 +867,20 @@ def test_the_checks_catch_what_they_look_for():
         HELPER_ROLES,
         ("run_helpers",),
     ) == [4, 5]
+    assert rank_store_name_work(
+        ast.parse(
+            "class _RankStore:\n"
+            "    def group_names(self, t):\n"
+            "        return f'X[{t}]', 'Z'\n"
+            "    def split(self, group):\n"
+            "        return tuple(r for v in group for r in v.rows)\n"
+            "    def by_user(self, rows):\n"
+            "        return [row for row in rows]\n"
+            "def groups(tv, t):\n"
+            "    return f'M[{t}]', tv.rows\n"
+        )
+    ) == [3, 5]
+    assert rank_store_name_work(ast.parse("class RankStore:\n    name = f'{1}'\n")) is None
 
     @dataclass
     class Config:
