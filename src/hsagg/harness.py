@@ -485,29 +485,37 @@ def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]
                 yield check(ctx, pattern, uset, tset, tvars=tvars)
 
 
-def _decode_cases(ctx: proto.SchemeContext, responses, survivor_sets, expected, draws) -> list:
-    """Every (survivor set, draw) decode case of a pattern's ``responses``,
-    which carry ``draws`` stacked draws whose sum is ``expected``: draw
-    ``d`` is columns ``[d * l, (d + 1) * l)`` of every part.  The master
-    decodes once per survivor set, with one inverse; a decode that raises
-    fails every case of its set.  Each case is its survivor set and whether
-    its decode equals its draw's sum, ordered by survivor set, then draw."""
-    l, parts = ctx.params.block_len, ctx.params.block_count
+def _decode_cases(ctx: proto.SchemeContext, responses, survivor_sets, expected, draws,
+                  decodes: dict) -> list:
+    """Each survivor set of a pattern's ``responses``, which carry
+    ``draws`` stacked draws whose sum is ``expected`` (draw ``d`` is
+    columns ``[d * l, (d + 1) * l)`` of every part), with its ``draws``
+    decode cases: whether each draw's decode equals its sum.  The master
+    is handed the responses it reads, the Nr lowest-numbered survivors',
+    and decodes them with one inverse; a decode that raises fails every
+    case of its set.  Each chosen set's draw matches are found once in
+    ``decodes``, keyed by the chosen helpers and the identities of their
+    payloads (one object per content, which the caller keeps alive): the
+    whole input of the decode."""
+    l, parts, nr = ctx.params.block_len, ctx.params.block_count, ctx.params.resiliency
     width = draws * l  # part i of the sum is its columns [i * width, (i + 1) * width)
-    matches = []
+    columns = [[slice(i * width + d, i * width + d + l) for i in range(parts)]
+               for d in range(0, width, l)]  # each draw's
+    cases = []
     for survivors in survivor_sets:
-        try:
-            decoded = proto.master_decode(ctx, [r for r in responses if r.helper in survivors])
-        except (MatrixError, proto.ProtocolError):
-            matches += [(survivors, False)] * draws
-            continue
-        if decoded == expected:  # every draw's columns match
-            matches += [(survivors, True)] * draws
-            continue
-        for d in range(0, width, l):
-            cols = [slice(i * width + d, i * width + d + l) for i in range(parts)]
-            matches.append((survivors, all(decoded[c] == expected[c] for c in cols)))
-    return matches
+        by_helper = {r.helper: r for r in responses if r.helper in survivors}
+        chosen = [by_helper[n] for n in sorted(by_helper)[:nr]]
+        key = tuple((r.helper, id(r.payload)) for r in chosen)
+        found = decodes.get(key)
+        if found is None:
+            try:
+                decoded = proto.master_decode(ctx, chosen)
+            except (MatrixError, proto.ProtocolError):
+                decoded = ()  # matches no draw
+            found = decodes[key] = (True,) * draws if decoded == expected else tuple(
+                all(decoded[c] == expected[c] for c in cols) for cols in columns)
+        cases.append((survivors, found))
+    return cases
 
 
 def _checked_point(params: SchemeParams) -> bool:
@@ -556,21 +564,20 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
              for k in range(1, params.num_users + 1)]
     expected = proto.gradient_sum(grads, q)
     unit = lk.UnitRound(ctx, probes)
+    payloads, decodes = {}, {}  # each probed payload once per content, and its decodes
 
     for pattern in pt.enumerate_patterns(params):
         report.patterns += 1
         survivor_sets = list(pt.enumerate_survivors(pattern, params))
         transcript, tvars = unit.run(pattern)
-        probed = [proto.HelperResponse(r.helper, r.payload[unit.dim:]) for r in transcript.responses]
-        matches = _decode_cases(ctx, probed, survivor_sets, expected, draws)
+        probed = [proto.HelperResponse(r.helper, payloads.setdefault(p := r.payload[unit.dim:], p))
+                  for r in transcript.responses]
         report.survivor_sets += len(survivor_sets)
-        report.decode_cases += len(matches)
-        for survivors, match in matches:
-            if not match:
-                full = pattern.with_survivors(survivors)
-                report.failures.append(
-                    f"decode mismatch at pattern {pt.format_pattern(full)}"
-                )
+        report.decode_cases += len(survivor_sets) * draws
+        for survivors, found in _decode_cases(ctx, probed, survivor_sets, expected, draws, decodes):
+            if not all(found):  # a line per failed case
+                full = pt.format_pattern(pattern.with_survivors(survivors))
+                report.failures += [f"decode mismatch at pattern {full}"] * found.count(False)
 
         for rec in _security_sweep(tvars, user_sets, helper_sets):
             report.security_queries += 1

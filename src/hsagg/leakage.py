@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 
 from .field import PrimeField
 from .matrix import GfMatrix, RowSpace
@@ -192,6 +193,15 @@ def _rows(variables: Iterable[LinearVar]) -> tuple:
     return tuple([r for v in variables for r in v.rows])
 
 
+def _gather(indices: Sequence[int]) -> itemgetter:
+    """A gather of a tuple's items at ``indices``, in order, as a tuple,
+    run in C.  ``itemgetter`` takes no index list shorter than two (none
+    raises, one returns the bare item), so those slice."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
 class _RankStore:
     """Rank work that the transcripts of one scheme context share.
 
@@ -200,7 +210,11 @@ class _RankStore:
     one user) and the ``field``, so no query passes them.  ``columns``
     holds per user the columns its local columns stand for, in order:
     gradient parts, randomness parts (``own``, as a set), dealer noise
-    by (helper, mixing slot).  Every helper and master query's target
+    by (helper, mixing slot); per user, ``_project`` gathers those
+    columns of a full row and ``_embed`` places a user-local kernel row,
+    followed by one zero, in user width, each a gather prepared here
+    (``_gather``), so no row is walked column by column in Python.
+    Every helper and master query's target
     and given are the users' own input symbols, unit rows of the layout
     in every scheme: ``gradients`` is the target's unit columns (every
     gradient slot) and ``given(with_sum, users)`` each given's unit
@@ -243,8 +257,14 @@ class _RankStore:
         self.splits, self.reductions, self.kernels, self.extensions = {}, {}, {}, {}
         self.quadruples, self.split_queries, self.givens, self._held = {}, {}, {}, {}
         self.assemblies, self.joined = {}, {}
-        self.own = tuple(frozenset(cols[:self.local.user_dim]) for cols in self.columns)
+        n = self.local.user_dim
+        self.own = tuple(frozenset(cols[:n]) for cols in self.columns)
         self._user_of = {j: k for k, cols in enumerate(self.columns) for j in cols}
+        self._project = tuple(map(_gather, self.columns))
+        # column j of user width: its position in user k's local row, else the appended zero's
+        self._embed = tuple(
+            _gather([cols.index(j) if j in own else n for j in range(layout.user_dim)])
+            for cols, own in zip(self.columns, self.own))
         self.gradients, self._own_gradients, self._nothing = self._hold(
             [frozenset(range(k_all * parts)), frozenset(range(parts)), (frozenset(), ())])
         self.views = {"assembled": 0, "whole": 0}
@@ -280,12 +300,12 @@ class _RankStore:
         """Each user's ``rows`` in user-local coordinates, in order, each
         user's held; None if a row spans users.  A row belongs to the
         user of its first nonzero column, a zero row to user 1."""
-        columns, user_of = self.columns, self._user_of
-        blocks = [[] for _ in columns]
+        project, user_of = self._project, self._user_of
+        blocks = [[] for _ in project]
         for row in rows:
             # the first nonzero's column; a zero row's 0 sits in column 0, user 1's
             k = user_of[row.index(next(filter(None, row), 0))]
-            local = tuple([row[j] for j in columns[k]])
+            local = project[k](row)
             if len(local) - local.count(0) != len(row) - row.count(0):
                 return None  # the row spans users
             blocks[k].append(local)
@@ -313,8 +333,8 @@ class _RankStore:
             kernel = self.kernels.get(kernel_key := tuple(id(kernel) for _, kernel in users))
             if kernel is None:
                 kernel = tuple(sorted(
-                    (tuple(dict(zip(cols, row)).get(j, 0) for j in range(self.layout.user_dim))
-                     for cols, (_, rows) in zip(self.columns, users) for row in rows),
+                    (embed(row + (0,))
+                     for embed, (_, rows) in zip(self._embed, users) for row in rows),
                     key=lambda row: row.index(1),  # each row's first nonzero is 1
                 ))
                 kernel = self.kernels[kernel_key] = self._held.setdefault(kernel, kernel)
@@ -410,12 +430,13 @@ class LinearTranscript(Mapping):
     ``ctx`` and the ``pattern`` it was built from, the pattern's
     ``label`` and ``block_len`` and the context's rank store, and answers
     only for that context and pattern (``require``).  It keeps the rows
-    of the responses ``Y[n]`` (``_RankStore.responses``) and, read-only,
-    memoizes for its own life: each helper's ``groups`` as the store's
-    splits, its received shares split here (``_RankStore.split``) and its
-    uploads and masks by its unit round (``UnitRound.splits``), and every
-    colluding set's split reductions (``collusion``, by helper subset),
-    each once.  Reductions are found by row content in the rank store
+    of the responses ``Y[n]`` (``_RankStore.responses``) and each
+    helper's received shares as ``UnitRound.run`` grouped them, and,
+    read-only, memoizes for its own life: each helper's ``groups`` as the
+    store's splits, its received shares split here (``_RankStore.split``)
+    and its uploads and masks by its unit round (``UnitRound.splits``),
+    and every colluding set's split reductions (``collusion``, by helper
+    subset), each once.  Reductions are found by row content in the rank store
     (``_RankStore``), never by names; the helper and master queries'
     targets and givens come from the store's layout.
 
@@ -425,10 +446,11 @@ class LinearTranscript(Mapping):
     (w; f)`` never see dealer noise.
     """
 
-    def __init__(self, unit: UnitRound, pattern: CommPattern, tvars: dict[str, LinearVar]):
+    def __init__(self, unit: UnitRound, pattern: CommPattern, tvars: dict[str, LinearVar],
+                 shares: dict[int, tuple[LinearVar, ...]]):
         self.ctx, self.pattern, self._unit = unit.ctx, pattern, unit
         self.label, self.block_len = format_pattern(pattern), unit.ctx.params.block_len
-        self._vars, self._store = tvars, unit._store
+        self._vars, self._shares, self._store = tvars, shares, unit._store
         responses = _rows(tvars[f"Y[{n}]"] for n in sorted(pattern.active_helpers))
         self._responses = self._store.responses(responses)
         self._splits: dict[int, tuple] = {}  # by helper
@@ -458,12 +480,10 @@ class LinearTranscript(Mapping):
 
     def groups(self, t: int) -> tuple[tuple[LinearVar, ...], ...]:
         """Helper ``t``'s uploads ``X[k,t]`` and stored masks ``Z[t,n,k]``,
-        as its unit round resolved them, and the shares ``M[i->t,k]`` it
-        receives from the other active helpers, each in order."""
-        users = range(1, self.ctx.params.num_users + 1)
-        shares = (self._vars.get(f"M[{i}->{t},{k}]")
-                  for i in sorted(self.pattern.active_helpers) if i != t for k in users)
-        return (*self._unit._prefix[t], tuple(v for v in shares if v is not None))
+        as its unit round resolved them, and the shares ``M[i->t,k]`` the
+        other active helpers send it, by sender, then user, as
+        ``UnitRound.run`` grouped them."""
+        return (*self._unit._prefix[t], self._shares.get(t, ()))
 
     def collusion(self, tset: tuple[int, ...]) -> _Collusion:
         """The split reductions of the prefix, view and master's set of
@@ -532,18 +552,22 @@ def _round_prefix(ctx: SchemeContext, assignment: Sequence[int]) -> tuple:
     return keys, uploads, vals
 
 
-def _pattern_values(t: RoundTranscript) -> dict[str, tuple[int, ...]]:
+def _pattern_values(t: RoundTranscript) -> tuple[dict[str, tuple[int, ...]], dict]:
     """The values of ``M``, ``Xhat`` and ``Y`` in a helper phase's
-    transcript ``t``."""
+    transcript ``t``, and by receiver the names of the shares it
+    receives, by (sender, user)."""
     vals: dict[str, tuple[int, ...]] = {}
+    received: dict[int, dict[tuple[int, int], str]] = {}
     for m in t.messages:
+        names = received.setdefault(m.receiver, {})
         for k, vec in m.payloads.items():
-            vals[f"M[{m.sender}->{m.receiver},{k}]"] = vec
+            name = names[m.sender, k] = f"M[{m.sender}->{m.receiver},{k}]"
+            vals[name] = vec
     for (k, n), vec in t.recovered.items():
         vals[f"Xhat[{k},{n}]"] = vec
     for r in t.responses:
         vals[f"Y[{r.helper}]"] = r.payload
-    return vals
+    return vals, received
 
 
 def concrete_transcript_values(
@@ -559,7 +583,7 @@ def concrete_transcript_values(
     random assignments checks that the roles are linear.
     """
     keys, uploads, vals = _round_prefix(ctx, assignment)
-    return {**vals, **_pattern_values(run_helpers(ctx, pattern, uploads, keys))}
+    return {**vals, **_pattern_values(run_helpers(ctx, pattern, uploads, keys))[0]}
 
 
 def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.ndarray) -> dict:
@@ -597,7 +621,8 @@ class UnitRound:
     up to where the pattern enters and bound to the context it ran at.
 
     Source slot ``s`` holds the unit vector ``e_s`` followed by
-    ``probes[s]`` (all as long, or none).  The roles act on each payload
+    ``probes[s]``: one probe per slot, all as long, or none (else
+    ``ValueError``).  The roles act on each payload
     column alike and linearly, so column ``s < dim`` of a payload is its
     coefficient on slot ``s``, and its columns from ``dim`` on are a
     round on the probes.  Every variable it reads off shares one
@@ -613,6 +638,10 @@ class UnitRound:
     def __init__(self, ctx: SchemeContext, probes: Sequence[Sequence[int]] = ()):
         self.ctx, self._layout = ctx, SourceLayout(ctx.params)
         self.dim = self._layout.dim
+        lengths = sorted({len(p) for p in probes})
+        if probes and (len(probes) != self.dim or len(lengths) != 1):
+            raise ValueError(f"expected {self.dim} probes of one length, one per source slot;"
+                             f" got {len(probes)} of lengths {lengths}")
         self._width = self.dim + (len(probes[0]) if probes else 0)
         assignment = []
         for s, probe in enumerate(probes or [()] * self.dim):
@@ -657,10 +686,14 @@ class UnitRound:
 
     def run(self, pattern: CommPattern) -> tuple[RoundTranscript, LinearTranscript]:
         """The helper phase under ``pattern`` and the linear transcript read
-        off it, which answers only for this context and ``pattern``."""
+        off it, which answers only for this context and ``pattern``, with
+        the shares each receiver is sent grouped once, by sender, then user."""
         t = run_helpers(self._wide, pattern, self._uploads, self._keys)
-        tvars = {**self._tvars, **self._linear_vars(_pattern_values(t))}
-        return t, LinearTranscript(self, pattern, tvars)
+        values, received = _pattern_values(t)
+        tvars = {**self._tvars, **self._linear_vars(values)}
+        shares = {n: tuple(tvars[name] for _, name in sorted(names.items()))
+                  for n, names in received.items()}
+        return t, LinearTranscript(self, pattern, tvars, shares)
 
 
 def build_linear_transcript(ctx: SchemeContext, pattern: CommPattern) -> LinearTranscript:
@@ -851,15 +884,16 @@ def _split_query(target: frozenset, given: tuple, width: int, field: PrimeField)
     ``target``, and unit-split C at ``width`` shares: unit rows on columns
     E condition by deleting those columns, and the others are ordered
     outside E_AC first, then E_A - E_C, so that the pivots before ``cut``
-    count the rank with E_AC deleted too.  Holds the order, ``cut``,
-    |E_C|, |E_AC|, C's other rows' forward echelon, rank(AC), rank(C)."""
+    count the rank with E_AC deleted too.  Holds the reorder, a gather
+    of those columns prepared once (``_gather``), ``cut``, |E_C|,
+    |E_AC|, C's other rows' forward echelon, rank(AC), rank(C)."""
     e_c, rest_c = given
     e_ac = target | e_c
-    order = [j for j in range(width) if j not in e_ac] + sorted(target - e_c)
+    reorder = _gather([j for j in range(width) if j not in e_ac] + sorted(target - e_c))
     cut = width - len(e_ac)
-    base = _forward_echelon([], [[row[j] for j in order] for row in rest_c], field)
+    base = _forward_echelon([], list(map(reorder, rest_c)), field)
     r_ac = len(e_ac) + sum(p < cut for p, _ in base)
-    return order, cut, len(e_c), len(e_ac), base, r_ac, len(e_c) + len(base)
+    return reorder, cut, len(e_c), len(e_ac), base, r_ac, len(e_c) + len(base)
 
 
 def _split_quadruple(query: tuple, kernel: Sequence[tuple], field: PrimeField) -> tuple:
@@ -868,8 +902,8 @@ def _split_quadruple(query: tuple, kernel: Sequence[tuple], field: PrimeField) -
     r_noise + rank(K, C), rank(ABC) = r_noise + rank(K, A, C).  A copy
     of C's echelon takes K's rows that are not zero outside E_C, and its
     pivots before ``cut`` count rank(K, A, C) less |E_AC|."""
-    order, cut, n_c, n_ac, base, r_ac, r_c = query
-    rows = [r for row in kernel if any(r := [row[j] for j in order])]
+    reorder, cut, n_c, n_ac, base, r_ac, r_c = query
+    rows = list(filter(any, map(reorder, kernel)))
     echelon = _forward_echelon(list(base), rows, field)
     return (r_ac, n_c + len(echelon), n_ac + sum(p < cut for p, _ in echelon), r_c)
 
@@ -966,9 +1000,16 @@ def _security_record(ctx: SchemeContext, pattern: CommPattern, users: Sequence[i
                      with_sum: bool) -> LeakageRecord:
     """The helper record, or the master's if ``with_sum``: the view's
     reduction or the master's set's, given ``users``' own inputs, and the
-    sum if ``with_sum``.  It reads the store's tables directly, the
-    givens as ``_resolved`` reads the collusions."""
-    tset, tv, oversized, c = _resolved(ctx, pattern, tset, tvars)
+    sum if ``with_sum``.  On the same ``ctx`` and ``pattern`` objects as
+    its transcript's, a collusion the transcript holds is read directly;
+    otherwise ``_resolved`` finds it.  It reads the store's tables
+    directly, the givens as ``_resolved`` reads the collusions."""
+    c = tvars is not None and tvars.ctx is ctx and tvars.pattern is pattern and (
+        tvars._collusions.get(tset := tuple(tset)))
+    if c:  # its own transcript, a collusion it holds: the sweep's path
+        tv, oversized = tvars, len(tset) > ctx.params.collusion
+    else:
+        tset, tv, oversized, c = _resolved(ctx, pattern, tset, tvars)
     store, (r_noise, kernel) = tv._store, c.master_reduction if with_sum else c.view_reduction
     given = store.givens.get((with_sum, users := tuple(users))) or store.given(
         with_sum, users := tuple(sorted(users)))

@@ -13,6 +13,7 @@ Row and column indices are 0-based throughout this module.  Protocol
 code translates 1-based helper/user ids before calling in.
 """
 
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .field import ModulusMismatch, PrimeField
@@ -195,7 +196,7 @@ class RowSpace:
         form already, taken as its basis with no elimination."""
         space = cls(field, width)
         space.basis = [list(row) for row in rows]
-        space.support = [[j for j, v in enumerate(row) if v] for row in space.basis]
+        space.support = [list(compress(range(width), row)) for row in space.basis]
         space.pivots = [cols[0] for cols in space.support]  # each row's first nonzero is 1
         return space
 
@@ -223,7 +224,7 @@ class RowSpace:
             if c:
                 for j in cols:
                     r[j] = (r[j] - c * base[j]) % q
-        support = [j for j, v in enumerate(r) if v]
+        support = list(compress(range(self.width), r))
         if not support:
             return False
         p = support[0]
@@ -240,7 +241,7 @@ class RowSpace:
                 for j in support:
                     base[j] = (base[j] - c * r[j]) % q
                 basis[i] = base
-                supports[i] = [j for j, v in enumerate(base) if v]
+                supports[i] = list(compress(range(self.width), base))
         self.pivots.append(p)
         basis.append(r)
         supports.append(support)

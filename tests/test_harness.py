@@ -661,6 +661,37 @@ def test_product_work_does_not_grow(params, monkeypatch):
     assert len(calls) <= PRODUCT_WORK[params.label()], len(calls)
 
 
+# master_decode calls of each point's one-draw campaign: one per chosen
+# response set, keyed by the chosen helpers and their probed payloads, so
+# C(N, Nr) in the correct scheme, whose responses are the same under every
+# pattern; one decode per pattern and survivor set made (55, 109, 609, 191)
+DECODE_WORK = {
+    "2,3,2,1,5,1": 3,
+    "2,4,3,1,7,2": 4,
+    "3,4,3,2,11,1": 4,
+    "2,5,4,2,11,2": 5,
+}
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=SchemeParams.label)
+def test_decode_work_does_not_grow(params, monkeypatch):
+    """A campaign that decodes again a response set it has decoded, in
+    place of reading the point's memo, shows as more decodes; each
+    decode is handed only the Nr responses the master reads."""
+    calls = []
+    decode = protocol.master_decode
+
+    def counted(ctx, responses):
+        calls.append(sorted(r.helper for r in responses))
+        return decode(ctx, responses)
+
+    monkeypatch.setattr(protocol, "master_decode", counted)
+    report = verify_point(params, RunConfig(mode="verify", draws=1))
+    assert report.failures == []
+    assert len(calls) <= DECODE_WORK[params.label()], len(calls)
+    assert all(len(helpers) == params.resiliency for helpers in calls)
+
+
 # Calls of each point's one-draw campaign to dealer_generate (none: the
 # probes hold the dealer noise), UnitRound, encode_uploads and
 # keys_from_noise: the work that no pattern changes, so the counts do not

@@ -52,6 +52,7 @@ from hsagg.matrix import GfMatrix, RowSpace, Singular
 from hsagg.patterns import (
     enumerate_patterns,
     enumerate_survivors,
+    no_straggler_pattern,
     parse_pattern,
 )
 from hsagg.protocol import HelperResponse, InterHelperMessage, SchemeParams, setup
@@ -521,6 +522,25 @@ def test_a_shared_unit_round_gives_each_pattern_a_fresh_transcripts_rows(params,
             assert (shared.ctx, shared.pattern) == (ctx, pattern)
             assert list(shared) == list(fresh)
             assert all(shared[name].rows == fresh[name].rows for name in fresh)
+
+
+@pytest.mark.parametrize("shape", ["one-short", "ragged", "one-over"])
+def test_a_unit_round_refuses_probes_that_are_not_one_per_slot_of_one_length(shape):
+    """A unit round takes one probe per source slot, all of one length,
+    or none.  Too few probes would shift every later slot's unit column,
+    and the transcript's rows would no longer be its coefficients; a
+    ragged or a surplus probe has no slot of its own.  Each is refused,
+    naming the expected and the given counts; one probe per slot reads
+    the rows that no probe reads."""
+    params = SchemeParams(2, 3, 2, 1, 5, 1)
+    ctx, dim = setup(params), SourceLayout(params).dim
+    probes = {"one-short": [[1]] * (dim - 1), "ragged": [[1]] * (dim - 1) + [[1, 2]],
+              "one-over": [[1]] * (dim + 1)}[shape]
+    with pytest.raises(ValueError, match=rf"expected {dim} probes .* got {len(probes)} of"):
+        UnitRound(ctx, probes)
+    pattern = no_straggler_pattern(params)
+    plain, probed = (UnitRound(ctx, p).run(pattern)[1] for p in ((), [[1]] * dim))
+    assert all(probed[name].rows == plain[name].rows for name in plain)
 
 
 def test_a_unit_rounds_transcript_answers_only_for_its_context(ctx, monkeypatch):
@@ -1481,6 +1501,91 @@ def test_a_row_belongs_to_the_user_whose_columns_hold_every_nonzero(ctx):
         owner = next((k for k, u in enumerate(local) if sum(map(bool, u)) == sum(map(bool, r))), None)
         assert store.by_user([r]) == (None if owner is None else tuple(
             (u,) if k == owner else () for k, u in enumerate(local)))
+
+
+def _dict_embedding(columns, row, width):
+    """A user-local row in user width, column by column, as the rank
+    store built it before its embeddings became gathers: the reference."""
+    return tuple(dict(zip(columns, row)).get(j, 0) for j in range(width))
+
+
+@pytest.mark.parametrize("q", [2, 5, 11, 2**31 - 1])
+def test_the_store_gathers_match_the_per_column_construction(q):
+    """At K = 3, ``_RankStore``'s gathers against per-column Python on the
+    rows of random user-local kernels (``_split_observed``): each user's
+    ``_embed`` of a row and a trailing zero equals ``_dict_embedding``,
+    and ``by_user`` projects the embedded row back onto that user.  A
+    zero row belongs to user 1 and a row that spans users to none.  An
+    embedding shifted by one column fails the same check."""
+    params = SchemeParams(3, 4, 3, 2, q, 1)  # the field sizes only the entries
+    field, store = PrimeField(q), leakage._RankStore(params, PrimeField(q))
+    local, layout = store.local, store.layout
+    rng = random.Random(f"gathers:{q}")
+    def random_row(width):
+        return tuple(rng.randrange(q) for _ in range(width)) + (0,) * (local.dim - width)
+
+    # a few rows in the user columns and a few over every column: kernels of 1 to 3 rows
+    kernels = [_split_observed([random_row(local.user_dim) for _ in range(rng.randrange(1, 3))]
+                               + [random_row(local.dim) for _ in range(rng.randrange(4))],
+                               local, field)[1] for _ in range(30)]
+    rows = [row for kernel in kernels for row in kernel]
+    assert len(rows) > 30 and all(len(row) == local.user_dim for row in rows)
+
+    def mismatches(embed):
+        return [(k, row) for k, columns in enumerate(store.columns) for row in rows
+                if embed[k](row + (0,)) != _dict_embedding(columns, row, layout.user_dim)]
+
+    assert mismatches(store._embed) == []
+    shifted = [lambda row, e=e: (0,) + e(row)[:-1] for e in store._embed]
+    assert len(mismatches(shifted)) == 3 * len(rows)
+
+    def full(local_row, k):
+        return store._embed[k](local_row + (0,)) + (0,) * (layout.dim - layout.user_dim)
+
+    for k in range(3):
+        for row in rows:
+            blocks = store.by_user([full(row, k)])
+            assert blocks == tuple((row + (0,) * (local.dim - local.user_dim),) if u == k else ()
+                                   for u in range(3))
+    zero = (0,) * layout.dim
+    assert store.by_user([zero]) == (((0,) * local.dim,), (), ())
+    spans = tuple(a or b for a, b in zip(full(rows[0], 0), full(rows[0], 2)))  # users 1 and 3
+    assert store.by_user([spans]) is None
+
+
+@pytest.mark.parametrize("kept", [0, 1], ids=["no-column", "one-column"])
+def test_split_quadruple_on_orders_of_zero_and_one_column(kept):
+    """A given whose unit columns leave ``kept`` user columns (none: a
+    master query with every user colluding) makes a split query whose
+    reorder gathers ``kept`` columns, where ``itemgetter`` takes no
+    index or returns a bare item; the split quadruple of random kernels
+    is still ``rank_quadruple``'s."""
+    params = SchemeParams(2, 4, 3, 1, 7, 2)
+    layout, field = SourceLayout(params), PrimeField(7)
+    u, dim = layout.user_dim, layout.dim
+    rng = random.Random(f"orders:{kept}")
+
+    def var(name, rows):
+        return (LinearVar(name, layout, GfMatrix(field, rows, dim)),)
+
+    def unit(j):
+        return tuple(int(i == j) for i in range(dim))
+
+    for _ in range(30):
+        e_c = frozenset(rng.sample(range(u), u - kept))
+        target = frozenset(rng.sample(range(u), rng.randrange(1, u + 1)))
+        rest = tuple(tuple(rng.randrange(7) for _ in range(u)) + (0,) * (dim - u)
+                     for _ in range(rng.randrange(3)))
+        observed = [tuple(rng.randrange(7) for _ in range(u)) + (0,) * (dim - u)
+                    for _ in range(rng.randrange(4))]
+        observed += [tuple(rng.randrange(7) for _ in range(dim)) for _ in range(rng.randrange(3))]
+        r_noise, kernel = _split_observed(observed, layout, field)
+        query = leakage._split_query(target, (e_c, rest), u, field)
+        assert len(query[0](tuple(range(u)))) == kept
+        r_ac, r_bc, r_abc, r_c = _split_quadruple(query, kernel, field)
+        assert (r_ac, r_bc + r_noise, r_abc + r_noise, r_c) == rank_quadruple(MiQuery(
+            target=var("A", [unit(j) for j in sorted(target)]), observed=var("B", observed),
+            given=var("C", [unit(j) for j in sorted(e_c)] + list(rest))))
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ removes one shows."""
 
 import ast
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -422,6 +423,45 @@ def rank_store_name_work(tree: ast.Module) -> list[int] | None:
     })
 
 
+# the rank store and the split quadruple's query and elimination, whose
+# projections, embeddings and reorders are gathers prepared once
+GATHER_OWNERS = ("_RankStore", "_split_query", "_split_quadruple")
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def _own_nodes(node: ast.AST) -> Iterator[ast.AST]:
+    """``node`` and the nodes under it, but not inside a nested comprehension."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, COMPREHENSIONS):
+            yield from _own_nodes(child)
+
+
+def per_column_walks(tree: ast.Module, owners: tuple[str, ...]) -> list[int]:
+    """Lines, inside the top-level classes and functions named in
+    ``owners``, of a comprehension whose element indexes a sequence by
+    one of its own loop variables (``[row[j] for j in order]``), or of a
+    ``dict(zip(...))``."""
+    lines = set()
+    for node in tree.body:
+        if getattr(node, "name", None) not in owners:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "dict" and any(
+                isinstance(a, ast.Call) and getattr(a.func, "id", None) == "zip" for a in sub.args
+            ):
+                lines.add(sub.lineno)
+            if not isinstance(sub, COMPREHENSIONS):
+                continue
+            bound = {n.id for g in sub.generators for n in ast.walk(g.target)
+                     if isinstance(n, ast.Name)}
+            elements = (sub.key, sub.value) if isinstance(sub, ast.DictComp) else (sub.elt,)
+            if any(isinstance(x, ast.Subscript) and getattr(x.slice, "id", None) in bound
+                   for element in elements for x in _own_nodes(element)):
+                lines.add(sub.lineno)
+    return sorted(lines)
+
+
 OPTION_KEYS = {"parse", "help", "modes", "flag", "choices"}
 
 
@@ -640,6 +680,16 @@ def test_the_rank_store_sees_only_row_content():
     row content is all it keys.  Names are the unit round's and the
     transcript's."""
     assert rank_store_name_work(_package()["leakage"]) == []
+
+
+def test_the_split_path_gathers_rows_whole():
+    """The rank store's projections and embeddings and the split
+    quadruple's reorder walk no row column by column in Python: each is
+    an ``itemgetter`` prepared once per store or per split query, which
+    gathers a whole row in C."""
+    leakage = _package()["leakage"]
+    assert {getattr(node, "name", None) for node in leakage.body} >= set(GATHER_OWNERS)
+    assert per_column_walks(leakage, GATHER_OWNERS) == []
 
 
 def test_only_the_helper_phase_runs_the_helper_roles():
@@ -881,6 +931,24 @@ def test_the_checks_catch_what_they_look_for():
         )
     ) == [3, 5]
     assert rank_store_name_work(ast.parse("class RankStore:\n    name = f'{1}'\n")) is None
+    assert per_column_walks(
+        ast.parse(
+            "class _RankStore:\n"
+            "    def by_user(self, row, cols):\n"
+            "        return tuple([row[j] for j in cols])\n"
+            "    def embed(self, cols, row):\n"
+            "        return tuple(dict(zip(cols, row)).get(j, 0) for j in range(9))\n"
+            "    def joined(self, splits):\n"
+            "        return [tuple(b[u] for _, b in splits) for u in range(3)]\n"
+            "def _split_quadruple(order, kernel):\n"
+            "    return [r for row in kernel if any(r := [row[j] % 7 for j in order])]\n"
+            "def _split_query(order, rows):\n"
+            "    return [gather(row) for row in rows], {j: i for i, j in enumerate(order)}\n"
+            "def joint_rank(rows, order):\n"
+            "    return [[row[j] for j in order] for row in rows], dict(zip(order, rows))\n"
+        ),
+        GATHER_OWNERS,
+    ) == [3, 5, 9]
 
     @dataclass
     class Config:
