@@ -25,7 +25,7 @@ split-space kernel, per-user view blocks and the store's keys.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
@@ -61,7 +61,6 @@ __all__ = [
     "build_linear_transcript",
     "joint_rank",
     "entropy_rank",
-    "all_subset_entropies_rank",
     "rank_quadruple",
     "cond_mutual_info",
     "helper_observation",
@@ -275,7 +274,9 @@ class _RankStore:
     def given(self, with_sum: bool, users: tuple[int, ...]) -> tuple:
         """The unit split of the gradient sum ``W`` if ``with_sum``, and
         of each of ``users``' ``W[u]`` and ``F[u]``: their unit columns
-        and the sum's rows, unless they are unit rows (K = 1)."""
+        and the sum's rows, unless they are unit rows (K = 1); kept under
+        the sorted ``users`` only."""
+        users = tuple(sorted(users))
         found = self.givens.get((with_sum, users))
         if found is None:
             _check_ids("users", users, len(self.columns))
@@ -485,9 +486,10 @@ class LinearTranscript(Mapping):
         ``UnitRound.run`` grouped them."""
         return (*self._unit._prefix[t], self._shares.get(t, ()))
 
-    def collusion(self, tset: tuple[int, ...]) -> _Collusion:
+    def collusion(self, tset: Sequence[int]) -> _Collusion:
         """The split reductions of the prefix, view and master's set of
-        ``tset``, a sorted tuple, computed once.  The view
+        ``tset``, computed once and kept under its sorted tuple only: a
+        key the memo holds is sorted and distinct.  The view
         (``helper_observation``) is every helper's uploads, then masks,
         then received shares, and the prefix its uploads and masks.  Each
         helper's ``groups`` are found once per transcript as the store's
@@ -495,6 +497,7 @@ class LinearTranscript(Mapping):
         their identities (``_RankStore.assembled``), or reduced whole if
         a row spans users.  The master's set extends the view's kernel by
         the responses (``_RankStore.extended``)."""
+        tset = tuple(sorted(tset))
         found = self._collusions.get(tset)
         if found is None:
             _check_ids("helpers", tset, self.ctx.params.num_helpers)
@@ -741,30 +744,6 @@ def entropy_rank(variables: Sequence[LinearVar]) -> int:
         return 0
     l = variables[0].layout.block_len
     return joint_rank(variables) * l
-
-
-def all_subset_entropies_rank(
-    variables: Sequence[LinearVar],
-) -> Iterator[tuple[tuple[str, ...], int]]:
-    """Every subset of the variables, by name, with ``entropy_rank`` of
-    it, in depth-first order (that of
-    ``BruteForceOracle.all_subset_entropies`` over the same names): a
-    subset's forward echelon is a copy of its parent's list of (pivot,
-    row) pairs, extended by its last variable's rows
-    (``_forward_echelon``).  The variables' names must be distinct."""
-    by_name = {v.name: v for v in variables}
-    if len(by_name) != len(variables):
-        raise ValueError("variables must have distinct names")
-    layout = _common_layout(variables)
-    if layout is None:
-        yield (), 0
-        return
-
-    def grow(echelon: list, name: str) -> list:
-        return _forward_echelon(list(echelon), by_name[name].rows, variables[0].coeffs.field)
-
-    for subset, echelon in _depth_first(tuple(by_name), [], grow):
-        yield subset, len(echelon) * layout.block_len
 
 
 @dataclass(frozen=True)
@@ -1147,7 +1126,7 @@ def response_entropy_given_sum(tvars: LinearTranscript, tset: Sequence[int]) -> 
     response) in the transcript's rank store, with W's span as the target
     (``_sharing_ranks``)."""
     tvars.require(tvars.ctx, no_straggler_pattern(tvars.ctx.params))
-    c, store = tvars.collusion(tuple(sorted(tset))), tvars._store
+    c, store = tvars.collusion(tset), tvars._store
     w = store.reduction(tvars["W"].rows)[1]
     r_ac, _, r_abc, _ = _sharing_ranks(
         w, c.view_reduction, c.master_reduction, store.layout.user_dim, tvars.ctx.field
@@ -1187,24 +1166,6 @@ def infeasibility_witness(params: SchemeParams) -> int:
 
 
 # -- brute-force oracle -----------------------------------------------------
-
-
-def _depth_first(items: Sequence, root, extend) -> Iterator[tuple[tuple, object]]:
-    """Every subset of ``items`` with a state, in depth-first order.
-
-    A subset comes right before the subsets that extend it, which follow
-    in the order of their next item: the subsets, as tuples of item
-    positions, in lexicographic order.  The empty subset's state is
-    ``root``; any other's is ``extend(state of the subset without its
-    last item, last item)``.
-    """
-    stack = [((), root, 0)]
-    while stack:
-        subset, state, start = stack.pop()
-        yield subset, state
-        for i in range(len(items) - 1, start - 1, -1):
-            item = items[i]
-            stack.append((subset + (item,), extend(state, item), i + 1))
 
 
 def _counted_entropy(keys: np.ndarray, q: int, names: Sequence[str]) -> int:
@@ -1283,14 +1244,14 @@ class BruteForceOracle:
     assignment (``codes``, with its radix ``q**width``), and counting a
     subset's joint key is one sort.  Where every code fits its own bit
     field of one int64 word (``_packed_word``), ``entropy`` takes the
-    key ``word & mask``, one call at any subset size.  Otherwise, and
-    always in ``all_subset_entropies``, the key is the mixed-radix code
-    ``key * radix + code`` of the members in turn: int32 while the span
-    so far, the product of the radices, is below 2**31, which sorts
-    about twice as fast as int64, and int64 beyond.  Before a member
-    would take the span to 2**62, the key is relabelled densely by rank
-    among its values (a bijection, so counts stay exact), and its span
-    becomes their number, at most the assignment count.
+    key ``word & mask``, one call at any subset size.  Otherwise the key
+    is the mixed-radix code ``key * radix + code`` of the members in
+    turn (``_joined``): int32 while the span so far, the product of the
+    radices, is below 2**31, which sorts about twice as fast as int64,
+    and int64 beyond.  Before a member would take the span to 2**62, the
+    key is relabelled densely by rank among its values (a bijection, so
+    counts stay exact), and its span becomes their number, at most the
+    assignment count.
     """
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern):
@@ -1326,13 +1287,11 @@ class BruteForceOracle:
             word, masks = self._packed  # distinct names: their fields sum to the mask
             return _counted_entropy(word & sum(map(masks.get, names)), self.q, names)
         span, code = self.codes[names[0]]
-        keys, _ = self._joined(code.copy(), span, names[1:])
-        return _counted_entropy(keys, self.q, names)
+        return _counted_entropy(self._joined(code.copy(), span, names[1:]), self.q, names)
 
-    def _joined(self, keys: np.ndarray, span: int, names: Sequence[str]) -> tuple:
+    def _joined(self, keys: np.ndarray, span: int, names: Sequence[str]) -> np.ndarray:
         """``keys``, of span ``span``, extended by each of ``names`` in
-        turn, with the span they reach; the keys change in place while
-        their dtype holds."""
+        turn; the keys change in place while their dtype holds."""
         import numpy as np
         for n in names:
             radix, code = self.codes[n]
@@ -1344,24 +1303,7 @@ class BruteForceOracle:
                 keys = keys.astype(np.int64, copy=False)
             keys *= radix
             keys += code
-        return keys, span
-
-    def all_subset_entropies(self) -> Iterator[tuple[tuple[str, ...], int]]:
-        """Every subset of ``names`` with its exact entropy, in the
-        depth-first order of ``all_subset_entropies_rank``.
-
-        A subset's key is a copy of its parent's extended by its last
-        variable, as ``entropy`` builds it, and counted as ``entropy``
-        counts.
-        """
-        import numpy as np
-
-        def extend(state, name):
-            return self._joined(state[0].copy(), state[1], (name,))
-
-        root = (np.zeros(self.count, dtype=np.int32), 1)
-        for subset, (key, _) in _depth_first(self.names, root, extend):
-            yield subset, _counted_entropy(key, self.q, subset)
+        return keys
 
     def cond_mutual_info(
         self,

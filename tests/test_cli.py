@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hsagg import harness
+from hsagg import harness, leakage, protocol
 from hsagg.cli import main
 
 EXAMPLE_ARGS = ["--params", "2,4,3,1,7,2"]
@@ -97,6 +98,51 @@ def test_verify_estimate_counts_the_infeasibility_witness(capsys, monkeypatch):
     )
     assert main(["verify", "--grid", "40,50,3,5,53,1"]) == 3
     assert "40,50,3,5,53,1" in capsys.readouterr().err
+
+
+def test_round_with_a_wrong_decode_exits_1(capsys, monkeypatch):
+    """Negative control: a ``master_decode`` off by one in its first
+    symbol makes ``round`` report no match and exit 1."""
+    decode = protocol.master_decode
+
+    def off_by_one(ctx, responses):
+        decoded = decode(ctx, responses)
+        return ((decoded[0] + 1) % ctx.params.modulus, *decoded[1:])
+
+    monkeypatch.setattr(protocol, "master_decode", off_by_one)
+    assert main(["round", *EXAMPLE_ARGS, "--pattern", PATTERN]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["result"]["match"] is False
+    assert "decode mismatch" in captured.err
+
+
+def test_verify_with_zero_uploads_fails_the_infeasibility_witness(tmp_path, monkeypatch):
+    """Negative control: uploads whose payloads are all zero reveal
+    nothing, so the witness of the infeasible point 2,4,2,2,7,1 falls
+    below L and ``verify`` exits 1 on that one failure."""
+    encode = leakage.encode_round_uploads
+
+    def zero(ctx, gradients, noises):
+        return tuple(dataclasses.replace(m, payload=(0,) * len(m.payload))
+                     for m in encode(ctx, gradients, noises))
+
+    monkeypatch.setattr(leakage, "encode_round_uploads", zero)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--grid", "2,4,2,2,7,1", "--out", str(out)]) == 1
+    [point] = json.loads(out.read_text())["grid"]
+    assert point["failures"] == ["infeasibility witness 0 < 1"]
+
+
+def test_verify_with_rates_off_the_bound_exits_1(tmp_path, monkeypatch):
+    """Negative control: a measured upload rate above the bound is a
+    point failure, and ``verify`` exits 1."""
+    measure = protocol.measure_rates
+    monkeypatch.setattr(
+        protocol, "measure_rates", lambda t: (measure(t)[0] + 1, measure(t)[1]))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--grid", "2,3,2,1,5,1", "--draws", "1", "--out", str(out)]) == 1
+    [point] = json.loads(out.read_text())["grid"]
+    assert point["failures"] == ["rates (2, 1) differ from bound 1"]
 
 
 def test_leakage_budget_exceeded(capsys):
@@ -389,12 +435,16 @@ BAD_INPUTS = {
     "leakage-malformed-uset": ["leakage", "--params", "2,3,2,1,5,1", "--uset", "1,,2"],
     "verify-malformed-budget-in-config": ["verify", "--grid", "2,3,2,1,5,1",
                                           "--config", "BAD_BUDGET_CONFIG"],
+    "gradient-file-a-list": ["round", *EXAMPLE_ARGS, "--gradients", "A_LIST"],
+    "round-pattern-user-count": ["round", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3 hm=1,2,3"],
+    "round-zero-gradient-length": ["round", "--params", "2,3,2,1,5,0"],
 }
 
 GRADIENT_FILES = {
     "NOT_A_LIST": {"1": 5, "2": [1, 2]},
     "BOOLEANS": {"1": [True, False], "2": [1, 2]},
     "UNKNOWN_KEYS": {"1": [1, 2], "2": [3, 4], "3": [5, 6], "x": [1]},
+    "A_LIST": [[1, 2], [3, 4]],
 }
 
 CONFIG_FILES = {
@@ -478,6 +528,10 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
         (["rates", "--seed", "1"], "error: rates does not use seed"),
         (["rates", "--dealer-seed", "1"], "error: rates does not use dealer_seed"),
         (["rates", *EXAMPLE_ARGS, "--config", "SEED_CONFIG"], "error: rates does not use seed"),
+        (BAD_INPUTS["gradient-file-a-list"],
+         "error: gradient file must map user ids to symbol lists"),
+        (BAD_INPUTS["round-pattern-user-count"], "error: pattern has 1 users, params say 2"),
+        (BAD_INPUTS["round-zero-gradient-length"], "error: gradient length must be positive"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
          "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
@@ -487,7 +541,8 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "gradient-unknown-keys",
          "repeated-config-key", "params-and-grid-flags", "params-and-grid-keys", "uset-flag",
          "draws-flag", "gradients-flag", "grid-flag", "malformed-flag", "malformed-key",
-         "rates-seed-flag", "rates-dealer-seed-flag", "rates-seed-key"],
+         "rates-seed-flag", "rates-dealer-seed-flag", "rates-seed-key", "gradient-file-a-list",
+         "round-pattern-user-count", "round-zero-gradient-length"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     assert main(_with_files(argv, tmp_path)) == 2

@@ -1072,6 +1072,7 @@ STRETCH_REPORTS = {
     "4,5,4,2,11,2": "cd26b4106bd38f3c653bb00d0831daa373b4c22ea8a22a98517c75eea29f2a7a",
     "5,4,3,1,7,2 --budget 3000000":
         "1767668e81d51b5e3b5205d4ae469f13ef928be1f7648c0c9c69e3a7f345baf0",
+    "2,7,5,2,13,3": "6145f41aec2e610d57a07a0f5a5ea9bf0b5bb7f08f7080ae91e3f471c4121e8b",
 }
 
 

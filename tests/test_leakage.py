@@ -31,7 +31,6 @@ from hsagg.leakage import (
     _sharing_ranks,
     _split_observed,
     _split_quadruple,
-    all_subset_entropies_rank,
     build_linear_transcript,
     build_static_vars,
     check_mask_independence,
@@ -54,6 +53,7 @@ from hsagg.patterns import (
     enumerate_survivors,
     no_straggler_pattern,
     parse_pattern,
+    subsets,
 )
 from hsagg.protocol import HelperResponse, InterHelperMessage, SchemeParams, setup
 
@@ -653,6 +653,8 @@ def test_infeasibility_witness():
     assert infeasibility_witness(params) >= params.gradient_len == 2
     with pytest.raises(ValueError):
         infeasibility_witness(EXAMPLE)
+    with pytest.raises(ValueError, match="no feasible sibling"):
+        infeasibility_witness(SchemeParams(2, 3, 1, 1, 5, 1))  # Nr = 1 has no sibling
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -721,22 +723,24 @@ def test_oracle_count_rejects_non_uniform_keys():
         assert _counted_entropy(keys, 2, ["x"]) == 3
 
 
-def test_oracle_relabels_a_key_before_its_span_reaches_2_62(tiny_oracle):
+def test_oracle_relabels_a_key_before_its_span_reaches_2_62(tiny_oracle, key_forms):
     """A copy of the TINY oracle whose tables repeat every column 4
-    times has radix 5**4 per variable, so a key of 7 members would span
-    625**7 > 2**62: ``_joined`` relabels the key of the first 6 densely
-    first, so the key it returns stays one int64 column and its span
-    below 2**62.  Its distinct values are as many as the distinct rows
-    of the members' tables, counted apart."""
+    times has radix 5**4 per variable and no packed word, so a key of 7
+    members would span 625**7 > 2**62: ``_joined`` relabels the key of
+    the first 6 densely first, so the key ``entropy`` counts stays one
+    nonnegative int64 column below 2**62.  Its distinct values are as
+    many as the distinct rows of the members' tables, counted apart."""
     wide = _oracle_counting(
         tiny_oracle, {n: np.repeat(t, 4, axis=1) for n, t in tiny_oracle.tables.items()}
     )
+    assert wide._packed is None
     rng = random.Random(3)
     for size in (7, 9, 13, 19):
         subset = rng.sample(wide.names, size)
-        radix, code = wide.codes[subset[0]]
-        keys, span = wide._joined(code.copy(), radix, subset[1:])
-        assert keys.dtype == np.int64 and keys.max() < span < 2**62
+        key_forms.clear()
+        wide.entropy(subset)
+        [(got, keys)] = key_forms
+        assert got == "int64" and 0 <= keys.min() and keys.max() < 2**62
         rows = np.hstack([wide.tables[n] for n in subset])
         assert len(np.unique(keys)) == len(np.unique(rows, axis=0)), subset
 
@@ -778,15 +782,14 @@ def _oracle_counting(oracle, tables):
     return copied
 
 
-def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_forms):
+def test_oracle_counts_the_same_on_every_key_form(tiny_oracle, key_forms):
     """On TINY every variable's code fits a 3-bit field, 57 bits in
     all, so ``entropy`` takes the packed key ``word & mask`` at every
     subset size.  A copy of the oracle whose tables repeat every column
     4 times has the same supports, so the same entropies, but 10-bit
     fields, 190 bits in all: its ``entropy`` falls back to mixed-radix
     keys, whose radix 5**4 puts keys of 1-3 variables on int32 and of 4
-    or more on int64, relabelled densely before the 7th member.
-    ``all_subset_entropies`` builds mixed-radix keys on either."""
+    or more on int64, relabelled densely before the 7th member."""
     assert all(t.shape[1] == 1 for t in tiny_oracle.tables.values())
     assert TINY.modulus == 5 and len(tiny_oracle.names) == 19
 
@@ -812,19 +815,6 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
         assert wide.entropy(subset) == expect
         assert [got for got, _ in key_forms] == [form(size)]
 
-    tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
-    names = list(tiny_oracle.names)[::2]
-    small, small_wide = copy.copy(tiny_oracle), copy.copy(wide)
-    small.tables = {n: tiny_oracle.tables[n] for n in names}
-    small_wide.tables = {n: wide.tables[n] for n in names}
-    key_forms.clear()
-    walk = list(small.all_subset_entropies())
-    assert walk == list(all_subset_entropies_rank([tv[n] for n in names]))
-    assert {got for got, _ in key_forms} == {"int32"}
-    key_forms.clear()
-    assert list(small_wide.all_subset_entropies()) == walk
-    assert [got for got, _ in key_forms] == [form(len(subset)) for subset, _ in walk]
-    assert max(len(subset) for subset, _ in walk) >= 7
 
 
 def test_oracle_refuses_a_skewed_table_on_every_key_form(tiny_oracle, key_forms):
@@ -967,18 +957,6 @@ def test_oracle_matches_rank_where_codes_do_not_pack(key_forms):
         assert oracle.cond_mutual_info(a, b, c) == expect, (a, b, c)
 
 
-def test_subset_walks_are_depth_first(tvars):
-    names = ["W[1]", "W[2]", "X[1,1]"]
-    walk = list(all_subset_entropies_rank([tvars[n] for n in names]))
-    assert [subset for subset, _ in walk] == [
-        (), ("W[1]",), ("W[1]", "W[2]"), ("W[1]", "W[2]", "X[1,1]"), ("W[1]", "X[1,1]"),
-        ("W[2]",), ("W[2]", "X[1,1]"), ("X[1,1]",),
-    ]
-    assert all(h == entropy_rank([tvars[n] for n in subset]) for subset, h in walk)
-    with pytest.raises(ValueError, match="distinct names"):
-        list(all_subset_entropies_rank([tvars["W"], tvars["W"]]))
-
-
 # q = 2, where every nonzero pivot is 1 already, two small primes, and two
 # at or above 2**31, whose residues are Python ints past any machine word
 RANK_MODULI = (2, 5, 11, 2**31 - 1, 2**61 - 1)
@@ -987,9 +965,9 @@ RANK_MODULI = (2, 5, 11, 2**31 - 1, 2**61 - 1)
 def _rank_mismatches(q):
     """Random canonical matrices over GF(q) as the variables of a 1,3,2,1,q,1
     layout (5 columns, block length 1), with each subset's ``joint_rank``
-    and its rank in the subset walk set against ``RowSpace``'s; the
-    subsets where either differs.  Every row is a random combination of a
-    few random rows, so that dependent rows, repeats and zero rows occur."""
+    set against ``RowSpace``'s rank; the subsets where they differ.
+    Every row is a random combination of a few random rows, so that
+    dependent rows, repeats and zero rows occur."""
     layout, field = SourceLayout(SchemeParams(1, 3, 2, 1, q, 1)), PrimeField(q)
     rng, found = random.Random(q), []
     for _ in range(40):
@@ -1003,23 +981,20 @@ def _rank_mismatches(q):
             LinearVar(f"v{i}", layout, GfMatrix(field, [row() for _ in range(rng.randrange(1, 4))]))
             for i in range(rng.randrange(1, 6))
         ]
-        by_name = {v.name: v for v in variables}
-        for subset, h in all_subset_entropies_rank(variables):
-            chosen = [by_name[n] for n in subset]
+        for chosen in subsets(variables):
             space = RowSpace(field, layout.dim)
             for v in chosen:
                 space.insert_matrix(v.coeffs)
-            if not h == joint_rank(chosen) == space.rank:
-                found.append((subset, h, joint_rank(chosen), space.rank))
+            if joint_rank(chosen) != space.rank:
+                found.append(([v.name for v in chosen], joint_rank(chosen), space.rank))
     return found
 
 
 @pytest.mark.parametrize("q", RANK_MODULI)
 def test_forward_ranks_match_row_space_ranks(q):
-    """``joint_rank`` and the subset walk eliminate forward; on random
-    canonical matrices both give ``RowSpace``'s rank, exactly, at every
-    modulus: past 2**31 too, where the entries are wider than a machine
-    word."""
+    """``joint_rank`` eliminates forward; on random canonical matrices
+    it gives ``RowSpace``'s rank, exactly, at every modulus: past 2**31
+    too, where the entries are wider than a machine word."""
     assert _rank_mismatches(q) == []
 
 
@@ -1273,6 +1248,37 @@ def test_a_second_transcript_of_a_unit_round_splits_only_its_shares(monkeypatch)
     fresh = build_linear_transcript(ctx, patterns[8])
     assert [fresh.collusion(tset) for tset in tsets] == got
     assert len(split_rows) == 3 * len(helpers)  # a fresh round splits its prefixes too
+
+
+def test_records_do_not_depend_on_unsorted_sets_asked_before():
+    """A record names the sorted helper and user sets whatever was asked
+    before: after ``collusion`` and ``_RankStore.given`` are called with
+    unsorted sets, the helper, master and sharing records equal those of
+    a fresh context's transcript, which never saw them."""
+    params = SchemeParams(3, 4, 3, 2, 11, 1)
+    pattern = next(enumerate_patterns(params))
+    tsets, usets = [(2, 1), (4, 2), (3, 2, 1)], [(1,), (3, 1)]
+
+    def records(ctx, tv):
+        return [
+            (check_security_helpers(ctx, pattern, users, tset, tvars=tv),
+             check_security_master(ctx, pattern, users, tset, tvars=tv),
+             check_sharing_leakage(ctx, pattern, tset, tv))
+            for tset in tsets for users in usets
+        ]
+
+    fresh_ctx = setup(params)
+    fresh = records(fresh_ctx, build_linear_transcript(fresh_ctx, pattern))
+    assert {rec.colluding_helpers for recs in fresh for rec in recs} == {
+        tuple(sorted(t)) for t in tsets}
+    assert {rec.colluding_users for recs in fresh for rec in recs[:2]} == {(1,), (1, 3)}
+    ctx = setup(params)
+    tv = build_linear_transcript(ctx, pattern)
+    for tset in tsets:
+        tv.collusion(tset)
+    for users, with_sum in product(usets, (False, True)):
+        tv._store.given(with_sum, users)
+    assert records(ctx, tv) == fresh
 
 
 SPLIT_PARAMS = {q: SchemeParams(2, 4, 3, 1, q, 2) for q in (5, 11)}

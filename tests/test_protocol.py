@@ -135,6 +135,8 @@ def test_encode_shape_errors(ctx):
         encode_uploads(ctx, g, UserRandomness(1, ((1,), (2,))))
     with pytest.raises(ShapeMismatch):
         encode_uploads(ctx, Gradient(1, ((1,),)), UserRandomness(1, ((1,),)))
+    with pytest.raises(ShapeMismatch, match="every part must have 1 symbols"):
+        encode_uploads(ctx, g, UserRandomness(1, ((1, 2),)))
     with pytest.raises(ShapeMismatch):
         Gradient.from_symbols(1, [1, 2, 3], EXAMPLE)
 

@@ -513,7 +513,7 @@ OPTIONAL_PARAMETERS = 40
 
 # The ``__all__`` entries over the package: each is a name some caller
 # may come to depend on.  A change that adds one says why.
-PUBLIC_NAMES = 131
+PUBLIC_NAMES = 130
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
