@@ -296,9 +296,8 @@ def transcript_to_json(t: proto.RoundTranscript) -> dict:
             for (i, n, k) in sorted(t.keys.masks)
         ],
         "messages": [
-            {"n": m.sender, "i": m.receiver, "k": k, "payload": list(m.payloads[k])}
-            for m in sorted(t.messages, key=lambda m: (m.sender, m.receiver))
-            for k in sorted(m.payloads)
+            {"n": n, "i": i, "k": k, "payload": list(t.shares[n, i, k])}
+            for (n, i, k) in sorted(t.shares)
         ],
         "responses": [
             {"n": r.helper, "payload": list(r.payload)}

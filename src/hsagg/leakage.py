@@ -561,11 +561,9 @@ def _pattern_values(t: RoundTranscript) -> tuple[dict[str, tuple[int, ...]], dic
     receives, by (sender, user)."""
     vals: dict[str, tuple[int, ...]] = {}
     received: dict[int, dict[tuple[int, int], str]] = {}
-    for m in t.messages:
-        names = received.setdefault(m.receiver, {})
-        for k, vec in m.payloads.items():
-            name = names[m.sender, k] = f"M[{m.sender}->{m.receiver},{k}]"
-            vals[name] = vec
+    for (i, n, k), vec in t.shares.items():
+        name = received.setdefault(n, {})[i, k] = f"M[{i}->{n},{k}]"
+        vals[name] = vec
     for (k, n), vec in t.recovered.items():
         vals[f"Xhat[{k},{n}]"] = vec
     for r in t.responses:

@@ -36,7 +36,6 @@ __all__ = [
     "Infeasible",
     "BadBlockLength",
     "ShapeMismatch",
-    "StragglerHelper",
     "NotEnoughShares",
     "MissingRecovery",
     "NotEnoughResponses",
@@ -47,7 +46,6 @@ __all__ = [
     "gradient_sum",
     "DealerKeys",
     "UploadMessage",
-    "InterHelperMessage",
     "HelperResponse",
     "RoundTranscript",
     "check_params",
@@ -87,16 +85,12 @@ class ShapeMismatch(ProtocolError):
     """A gradient or randomness vector has the wrong part structure."""
 
 
-class StragglerHelper(ProtocolError):
-    """A straggling helper was asked to participate."""
-
-
 class NotEnoughShares(ProtocolError):
     """Fewer inter-helper shares than the resiliency threshold."""
 
 
 class MissingRecovery(ProtocolError):
-    """A helper response was requested before recovering every missing user."""
+    """A helper response was requested without every user's upload, held or recovered."""
 
 
 class NotEnoughResponses(ProtocolError):
@@ -375,18 +369,6 @@ class UploadMessage:
 
 
 @dataclass(frozen=True)
-class InterHelperMessage:
-    """One helper-to-helper transmission: per-user masked uploads."""
-
-    sender: int
-    receiver: int
-    payloads: dict[int, Vector]
-
-    def __post_init__(self):
-        object.__setattr__(self, "payloads", dict(self.payloads))
-
-
-@dataclass(frozen=True)
 class HelperResponse:
     helper: int
     payload: Vector
@@ -394,15 +376,17 @@ class HelperResponse:
 
 @dataclass
 class RoundTranscript:
-    """Every message produced in one round, the uploads each helper
-    recovered (keyed (k, n): user k's upload as rebuilt by helper n),
-    plus the decoded sum, None where the round stops at the responses."""
+    """Every message produced in one round: the shares keyed (i, n, k),
+    helper i's masked copy of user k's upload sent to helper n; the
+    uploads each helper recovered, keyed (k, n), user k's upload as
+    rebuilt by helper n; and the decoded sum, None where the round stops
+    at the responses."""
 
     params: SchemeParams
     pattern: CommPattern
     uploads: tuple[UploadMessage, ...]
     keys: DealerKeys
-    messages: tuple[InterHelperMessage, ...]
+    shares: dict[tuple[int, int, int], Vector]
     responses: tuple[HelperResponse, ...]
     recovered: dict[tuple[int, int], Vector]
     decoded: Vector | None = None
@@ -449,33 +433,19 @@ def encode_round_uploads(
 def helper_share(
     ctx: SchemeContext,
     keys: DealerKeys,
-    pattern: CommPattern,
-    helper: int,
-    received_uploads: Mapping[int, Vector],
-) -> tuple[InterHelperMessage, ...]:
-    """The masked uploads a surviving helper forwards to its peers.
+    user: int,
+    receivers: frozenset[int],
+    uploads: Mapping[int, Vector],
+) -> dict[tuple[int, int], Vector]:
+    """The shares of ``user``'s upload, keyed (sender, receiver).
 
-    Toward helper i the sender covers exactly the users it heard from
-    that i did not; each payload is the upload plus the dealer mask for
-    the (sender, i) pair.  Empty payload maps produce no message.
+    ``receivers`` are the helpers that hold the upload, and ``uploads``
+    maps each to its copy.  Each sends every helper n outside
+    ``receivers`` its copy plus its dealer mask for (n, ``user``).
     """
-    if helper not in pattern.active_helpers:
-        raise StragglerHelper(f"helper {helper} received no uploads")
-    q = ctx.params.modulus
-    own_users = pattern.users_of(helper)
-    out = []
-    for receiver in range(1, ctx.params.num_helpers + 1):
-        if receiver == helper:
-            continue
-        missing = own_users - pattern.users_of(receiver)
-        if not missing:
-            continue
-        payloads = {
-            k: _vec_add(q, received_uploads[k], keys.masks[(helper, receiver, k)])
-            for k in sorted(missing)
-        }
-        out.append(InterHelperMessage(helper, receiver, payloads))
-    return tuple(out)
+    q, helpers = ctx.params.modulus, range(1, ctx.params.num_helpers + 1)
+    return {(i, n): _vec_add(q, uploads[i], keys.masks[(i, n, user)])
+            for i in sorted(receivers) for n in helpers if n not in receivers}
 
 
 def _inverse(ctx: SchemeContext, matrix: GfMatrix, rows: tuple[int, ...]) -> GfMatrix:
@@ -495,52 +465,42 @@ def _inverse(ctx: SchemeContext, matrix: GfMatrix, rows: tuple[int, ...]) -> GfM
 
 def helper_recover(
     ctx: SchemeContext,
-    pattern: CommPattern,
     helper: int,
     user: int,
-    received: Mapping[int, Vector],
+    receivers: frozenset[int],
+    shares: Mapping[int, Vector],
 ) -> Vector:
-    """Reconstruct the upload a helper missed from peers' masked shares.
+    """Rebuild ``user``'s upload at a ``helper`` outside its ``receivers``.
 
-    ``received`` maps sender id to that sender's masked share for
-    ``user``, all of one length.  The first ``resiliency`` senders
-    (ascending) are combined by the first row of their inverse; the masks
-    cancel because this helper's decode-matrix row is the first unit
-    vector, so the result equals the true upload exactly.
+    ``shares`` maps sender id to that sender's masked share, all of one
+    length; senders outside ``receivers`` are ignored.  The first
+    ``resiliency`` senders (ascending) are combined by the first row of
+    their inverse; the masks cancel because this helper's decode-matrix
+    row is the first unit vector, so the result equals the true upload
+    exactly.
     """
-    if user in pattern.users_of(helper):
+    if helper in receivers:
         raise ValueError(f"helper {helper} already holds user {user}'s upload")
-    receivers = pattern.receivers_of(user)
-    senders = sorted(i for i in received if i in receivers and i != helper)
+    senders = sorted(i for i in shares if i in receivers)
     nr = ctx.params.resiliency
     if len(senders) < nr:
-        raise NotEnoughShares(
-            f"{len(senders)} shares for user {user}, need {nr}"
-        )
+        raise NotEnoughShares(f"{len(senders)} shares for user {user}, need {nr}")
     chosen = senders[:nr]
     inverse = _inverse(ctx, ctx.decode_matrices[helper - 1], tuple(i - 1 for i in chosen))
-    shares = [received[i] for i in chosen]
-    return _combine(ctx.params.modulus, inverse.data[0], shares, f"shares for user {user}")
+    return _combine(ctx.params.modulus, inverse.data[0], [shares[i] for i in chosen],
+                    f"shares for user {user}")
 
 
 def helper_respond(
-    ctx: SchemeContext,
-    pattern: CommPattern,
-    helper: int,
-    own_uploads: Mapping[int, Vector],
-    recovered: Mapping[int, Vector],
+    ctx: SchemeContext, helper: int, uploads: Mapping[int, Vector]
 ) -> HelperResponse:
-    """Sum received and recovered uploads into the helper's response."""
-    if helper not in pattern.active_helpers:
-        raise StragglerHelper(f"helper {helper} received no uploads")
-    own_users = pattern.users_of(helper)
-    missing = frozenset(range(1, ctx.params.num_users + 1)) - own_users
-    if not missing <= set(recovered):
-        absent = sorted(missing - set(recovered))
-        raise MissingRecovery(f"no recovered upload for users {absent}")
-    vectors = [own_uploads[k] for k in sorted(own_users)]
-    vectors += [recovered[k] for k in sorted(missing)]
-    return HelperResponse(helper, _vec_add(ctx.params.modulus, *vectors))
+    """Sum the helper's K uploads, held or recovered, keyed by user, into
+    its response."""
+    users = range(1, ctx.params.num_users + 1)
+    absent = [k for k in users if k not in uploads]
+    if absent:
+        raise MissingRecovery(f"helper {helper} has no upload for users {absent}")
+    return HelperResponse(helper, _vec_add(ctx.params.modulus, *(uploads[k] for k in users)))
 
 
 def master_decode(
@@ -568,52 +528,33 @@ def run_helpers(
     uploads: Sequence[UploadMessage],
     keys: DealerKeys,
 ) -> RoundTranscript:
-    """Sharing-and-computation, where the pattern enters a round: each
-    active helper's ``helper_share``, ``helper_recover`` of every user it
-    missed and ``helper_respond``, on a round's uploads and dealer keys.
-    The transcript stops at the responses, so it needs no survivor set,
-    ``decoded`` stays None, and a scheme whose master cannot decode still
-    yields every message it sends."""
-    params = ctx.params
-    patterns_mod.validate(pattern, params)
-    payload = {(msg.user, msg.helper): msg.payload for msg in uploads}
-
+    """Sharing-and-computation, where the pattern enters a round: the one
+    role-level code that reads it.  Per user k with receiver set R_k,
+    ``helper_share`` of the uploads R_k holds, and each active helper
+    outside R_k's ``helper_recover`` of the shares sent to it; then each
+    active helper's ``helper_respond`` of its K uploads, held or
+    recovered.  The transcript stops at the responses, so it needs no
+    survivor set, ``decoded`` stays None, and a scheme whose master
+    cannot decode still yields every message it sends."""
+    patterns_mod.validate(pattern, ctx.params)
+    held = {(msg.user, msg.helper): msg.payload for msg in uploads}
     active = sorted(pattern.active_helpers)
-    received = {
-        n: {k: payload[(k, n)] for k in sorted(pattern.users_of(n))}
-        for n in active
-    }
-
-    messages: list[InterHelperMessage] = []
-    inbox: dict[int, dict[int, dict[int, Vector]]] = {n: {} for n in range(1, params.num_helpers + 1)}
-    for n in active:
-        for msg in helper_share(ctx, keys, pattern, n, received[n]):
-            messages.append(msg)
-            for k, vec in msg.payloads.items():
-                inbox[msg.receiver].setdefault(k, {})[msg.sender] = vec
-
-    responses: list[HelperResponse] = []
+    shares: dict[tuple[int, int, int], Vector] = {}
     recovered: dict[tuple[int, int], Vector] = {}
-    for n in active:
-        missing = sorted(
-            frozenset(range(1, params.num_users + 1)) - pattern.users_of(n)
-        )
-        rebuilt = {
-            k: helper_recover(ctx, pattern, n, k, inbox[n].get(k, {}))
-            for k in missing
-        }
-        recovered.update(((k, n), vec) for k, vec in rebuilt.items())
-        responses.append(helper_respond(ctx, pattern, n, received[n], rebuilt))
-
-    return RoundTranscript(
-        params=params,
-        pattern=pattern,
-        uploads=tuple(uploads),
-        keys=keys,
-        messages=tuple(messages),
-        responses=tuple(responses),
-        recovered=recovered,
+    for k, receivers in enumerate(pattern.receivers, start=1):
+        sent = helper_share(ctx, keys, k, receivers, {i: held[k, i] for i in receivers})
+        shares.update(((i, n, k), vec) for (i, n), vec in sent.items())
+        for n in active:
+            if n not in receivers:
+                to_n = {i: vec for (i, m), vec in sent.items() if m == n}
+                recovered[k, n] = helper_recover(ctx, n, k, receivers, to_n)
+    users = range(1, ctx.params.num_users + 1)
+    responses = tuple(
+        helper_respond(ctx, n, {k: recovered.get((k, n), held[k, n]) for k in users})
+        for n in active
     )
+    return RoundTranscript(params=ctx.params, pattern=pattern, uploads=tuple(uploads), keys=keys,
+                           shares=shares, responses=responses, recovered=recovered)
 
 
 def run_round(
@@ -627,13 +568,16 @@ def run_round(
     (``run_helpers``) and reconstruction: ``master_decode`` of the
     survivors' responses.  Raises, in order: the pattern's error, then
     BadSurvivorSet without a survivor set, then ShapeMismatch unless
-    there is exactly one gradient per user."""
-    params = ctx.params
-    patterns_mod.validate(pattern, params)
+    there is exactly one gradient per user, then ShapeMismatch unless
+    there is exactly one randomness per user."""
+    users = list(range(1, ctx.params.num_users + 1))
+    patterns_mod.validate(pattern, ctx.params)
     if pattern.survivors is None:
         raise patterns_mod.BadSurvivorSet("round execution needs a survivor set to decode")
-    if sorted(g.owner for g in gradients) != list(range(1, params.num_users + 1)):
+    if sorted(g.owner for g in gradients) != users:
         raise ShapeMismatch("need exactly one gradient per user")
+    if sorted(f.owner for f in noises) != users:
+        raise ShapeMismatch("need exactly one randomness per user")
     transcript = run_helpers(ctx, pattern, encode_round_uploads(ctx, gradients, noises), keys)
     survivors = [r for r in transcript.responses if r.helper in pattern.survivors]
     transcript.decoded = master_decode(ctx, survivors)

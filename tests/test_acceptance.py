@@ -94,7 +94,7 @@ def test_criterion_1_worked_example_golden_vectors():
             i: ((uploads[(1, i)][0] + keys.masks[(i, 4, 1)][0]) % 7,)
             for i in (1, 2, 3)
         }
-        recovered = helper_recover(ctx, pattern, 4, 1, shares)
+        recovered = helper_recover(ctx, 4, 1, pattern.receivers_of(1), shares)
         w1, f1 = grads[0], noises[0]
         assert recovered == (
             (w1.parts[0][0] + 4 * w1.parts[1][0] + 2 * f1.parts[0][0]) % 7,

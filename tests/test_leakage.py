@@ -55,7 +55,7 @@ from hsagg.patterns import (
     parse_pattern,
     subsets,
 )
-from hsagg.protocol import HelperResponse, InterHelperMessage, SchemeParams, setup
+from hsagg.protocol import HelperResponse, SchemeParams, setup
 
 EXAMPLE = SchemeParams(2, 4, 3, 1, 7, 2)
 EXAMPLE_PATTERN = parse_pattern("nu=1:1,2,3;2:1,2,4 hm=2,3,4")
@@ -210,11 +210,8 @@ def test_unit_round_decodes_the_sum_symbolically(params, cases):
 def _forward_unmasked_shares(ctx, monkeypatch):
     share = protocol.helper_share
 
-    def unmasked(ctx, keys, pattern, helper, received):
-        return tuple(
-            InterHelperMessage(m.sender, m.receiver, {k: received[k] for k in m.payloads})
-            for m in share(ctx, keys, pattern, helper, received)
-        )
+    def unmasked(ctx, keys, user, receivers, uploads):
+        return {(i, n): uploads[i] for i, n in share(ctx, keys, user, receivers, uploads)}
 
     monkeypatch.setattr(protocol, "helper_share", unmasked)
     return ctx
@@ -1818,13 +1815,13 @@ def test_collusions_keyed_by_helper_set_or_group_position_fail_the_reference(key
 
 
 def _respond_with_first_upload_twice(ctx, monkeypatch):
-    # each helper adds the upload of the lowest-numbered user it holds
-    # once more, so its response is no longer its share of the sum
+    # each helper adds user 1's upload once more, so its response is no
+    # longer its share of the sum
     respond = protocol.helper_respond
 
-    def twice(ctx, pattern, helper, own_uploads, recovered):
-        r = respond(ctx, pattern, helper, own_uploads, recovered)
-        extra, q = own_uploads[min(own_uploads)], ctx.params.modulus
+    def twice(ctx, helper, uploads):
+        r = respond(ctx, helper, uploads)
+        extra, q = uploads[1], ctx.params.modulus
         return HelperResponse(helper, tuple((a + b) % q for a, b in zip(r.payload, extra)))
 
     monkeypatch.setattr(protocol, "helper_respond", twice)
@@ -2026,12 +2023,12 @@ def _responses_with_a_dealer_mask(ctx, monkeypatch):
     share, respond = protocol.helper_share, protocol.helper_respond
     round_keys = {}
 
-    def keep_keys(ctx, keys, *args):
+    def keep_keys(ctx, keys, user, receivers, uploads):
         round_keys["now"] = keys
-        return share(ctx, keys, *args)
+        return share(ctx, keys, user, receivers, uploads)
 
-    def masked(ctx, pattern, helper, *args):
-        payload = respond(ctx, pattern, helper, *args).payload
+    def masked(ctx, helper, uploads):
+        payload = respond(ctx, helper, uploads).payload
         mask = round_keys["now"].masks[helper, helper % ctx.params.num_helpers + 1, 1]
         q = ctx.params.modulus
         return HelperResponse(helper, tuple((a + b) % q for a, b in zip(payload, mask)))
@@ -2061,11 +2058,8 @@ def _responses_without_user_1(ctx, monkeypatch):
     # stay in the user columns but span less than the scheme's
     respond = protocol.helper_respond
 
-    def partial(ctx, pattern, helper, own_uploads, recovered):
-        payload = respond(ctx, pattern, helper, own_uploads, recovered).payload
-        first = own_uploads[1] if 1 in own_uploads else recovered[1]
-        q = ctx.params.modulus
-        return HelperResponse(helper, tuple((a - b) % q for a, b in zip(payload, first)))
+    def partial(ctx, helper, uploads):
+        return respond(ctx, helper, {**uploads, 1: (0,) * len(uploads[1])})
 
     monkeypatch.setattr(protocol, "helper_respond", partial)
     return ctx

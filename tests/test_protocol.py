@@ -30,7 +30,6 @@ from hsagg.protocol import (
     NotEnoughShares,
     SchemeParams,
     ShapeMismatch,
-    StragglerHelper,
     UserRandomness,
     dealer_generate,
     encode_round_uploads,
@@ -211,12 +210,10 @@ def test_share_worked_example(ctx):
     keys = dealer_generate(ctx, 3)
     x = upload_table(ctx, grads, noises)
     sent = {}
-    for n in (1, 2, 3, 4):
-        received = {
-            k: x[(k, n)] for k in sorted(EXAMPLE_PATTERN.users_of(n))
-        }
-        for msg in helper_share(ctx, keys, EXAMPLE_PATTERN, n, received):
-            sent[(msg.sender, msg.receiver)] = msg.payloads
+    for k, receivers in enumerate(EXAMPLE_PATTERN.receivers, start=1):
+        uploads = {i: x[(k, i)] for i in receivers}
+        for (i, n), payload in helper_share(ctx, keys, k, receivers, uploads).items():
+            sent.setdefault((i, n), {})[k] = payload
 
     # helper 3 misses user 2: senders are exactly N_2 = {1, 2, 4}
     for i in (1, 2, 4):
@@ -237,15 +234,9 @@ def test_share_full_pattern_is_silent(ctx):
     grads, noises = make_round_inputs(EXAMPLE, 4)
     keys = dealer_generate(ctx, 4)
     x = upload_table(ctx, grads, noises)
-    for n in range(1, 5):
-        received = {k: x[(k, n)] for k in (1, 2)}
-        assert helper_share(ctx, keys, full, n, received) == ()
-
-
-def test_share_straggler_rejected(ctx):
-    pattern = parse_pattern("nu=1:1,2,3;2:1,2,3 hm=1,2,3")
-    with pytest.raises(StragglerHelper):
-        helper_share(ctx, dealer_generate(ctx, 0), pattern, 4, {})
+    for k, receivers in enumerate(full.receivers, start=1):
+        uploads = {i: x[(k, i)] for i in receivers}
+        assert helper_share(ctx, keys, k, receivers, uploads) == {}
 
 
 def test_recover_equals_direct_upload_worked_example(ctx):
@@ -256,11 +247,11 @@ def test_recover_equals_direct_upload_worked_example(ctx):
     shares_to_3 = {
         i: ((x[(2, i)][0] + keys.masks[(i, 3, 2)][0]) % 7,) for i in (1, 2, 4)
     }
-    assert helper_recover(ctx, pattern, 3, 2, shares_to_3) == x[(2, 3)]
+    assert helper_recover(ctx, 3, 2, pattern.receivers_of(2), shares_to_3) == x[(2, 3)]
     shares_to_4 = {
         i: ((x[(1, i)][0] + keys.masks[(i, 4, 1)][0]) % 7,) for i in (1, 2, 3)
     }
-    assert helper_recover(ctx, pattern, 4, 1, shares_to_4) == x[(1, 4)]
+    assert helper_recover(ctx, 4, 1, pattern.receivers_of(1), shares_to_4) == x[(1, 4)]
 
 
 def test_recover_matches_encoder_on_random_patterns(ctx):
@@ -275,19 +266,20 @@ def test_recover_matches_encoder_on_random_patterns(ctx):
             for k in (1, 2):
                 if k in pattern.users_of(n):
                     continue
+                receivers = pattern.receivers_of(k)
                 shares = {
                     i: ((x[(k, i)][0] + keys.masks[(i, n, k)][0]) % 7,)
-                    for i in pattern.receivers_of(k)
+                    for i in receivers
                 }
-                assert helper_recover(ctx, pattern, n, k, shares) == x[(k, n)]
+                assert helper_recover(ctx, n, k, receivers, shares) == x[(k, n)]
 
 
 def test_recover_errors(ctx):
     pattern = EXAMPLE_PATTERN
     with pytest.raises(NotEnoughShares):
-        helper_recover(ctx, pattern, 3, 2, {1: (0,), 2: (0,)})
+        helper_recover(ctx, 3, 2, pattern.receivers_of(2), {1: (0,), 2: (0,)})
     with pytest.raises(ValueError):
-        helper_recover(ctx, pattern, 1, 2, {})  # helper 1 already has user 2
+        helper_recover(ctx, 1, 2, pattern.receivers_of(2), {})  # helper 1 already has user 2
 
 
 # -- responses and decoding --------------------------------------------------
@@ -297,20 +289,10 @@ def test_respond_golden(ctx):
     grads, noises = make_round_inputs(EXAMPLE, 6)
     keys = dealer_generate(ctx, 6)
     x = upload_table(ctx, grads, noises)
-    resp = helper_respond(
-        ctx, EXAMPLE_PATTERN, 1, {1: x[(1, 1)], 2: x[(2, 1)]}, {}
-    )
+    resp = helper_respond(ctx, 1, {1: x[(1, 1)], 2: x[(2, 1)]})
     assert resp.payload == ((x[(1, 1)][0] + x[(2, 1)][0]) % 7,)
     with pytest.raises(MissingRecovery):
-        helper_respond(ctx, EXAMPLE_PATTERN, 3, {1: x[(1, 3)]}, {})
-    with pytest.raises(StragglerHelper):
-        helper_respond(
-            ctx,
-            parse_pattern("nu=1:1,2,3;2:1,2,3 hm=1,2,3"),
-            4,
-            {},
-            {1: (0,), 2: (0,)},
-        )
+        helper_respond(ctx, 3, {1: x[(1, 3)]})
 
 
 def test_responses_equal_upload_sums_exhaustively(ctx):
@@ -393,13 +375,15 @@ def test_decode_inverses_are_keyed_by_matrix_content(ctx):
     # helper 3 recovers user 2 from helpers 1, 2 and 4 (rows 0, 1, 3)
     x = upload_table(ctx, grads, noises)
     shares = {i: ((x[(2, i)][0] + keys.masks[(i, 3, 2)][0]) % 7,) for i in (1, 2, 4)}
-    assert helper_recover(ctx, EXAMPLE_PATTERN, 3, 2, shares) == x[(2, 3)]
+    assert helper_recover(ctx, 3, 2, EXAMPLE_PATTERN.receivers_of(2), shares) == x[(2, 3)]
     doubled = GfMatrix(ctx.field, [[2 * v for v in row] for row in ctx.decode_matrices[2].data])
     maps = ctx.decode_matrices
     other = replace(ctx, decode_matrices=maps[:2] + (doubled,) + maps[3:])
     # the inverse halves, so helper 3 now rebuilds half the upload
     assert x[(2, 3)] != (0,)
-    assert helper_recover(other, EXAMPLE_PATTERN, 3, 2, shares) == (x[(2, 3)][0] * 4 % 7,)
+    assert helper_recover(other, 3, 2, EXAMPLE_PATTERN.receivers_of(2), shares) == (
+        x[(2, 3)][0] * 4 % 7,
+    )
 
 
 _CANONICAL_POINTS = [
@@ -438,7 +422,7 @@ def test_every_round_payload_is_a_canonical_residue(params, data):
     payloads = (
         [u.payload for u in t.uploads]
         + list(t.keys.masks.values())
-        + [v for m in t.messages for v in m.payloads.values()]
+        + list(t.shares.values())
         + list(t.recovered.values())
         + [r.payload for r in t.responses]
         + [t.decoded]
@@ -469,15 +453,16 @@ def test_whole_vector_arithmetic_matches_the_matrix_products(params, data):
                if len(p.users_of(n)) < params.num_users]
     pattern, n = data.draw(st.sampled_from(missing))
     k = data.draw(st.sampled_from(sorted(set(range(1, params.num_users + 1)) - pattern.users_of(n))))
-    shares = {i: data.draw(vec) for i in sorted(pattern.receivers_of(k))}
+    receivers = pattern.receivers_of(k)
+    shares = {i: data.draw(vec) for i in sorted(receivers)}
     chosen = sorted(shares)[:params.resiliency]
     first = ctx.decode_matrices[n - 1].select_rows([i - 1 for i in chosen]).inv().data[:1]
     expected = GfMatrix.of_reduced(field, first) @ GfMatrix(field, [shares[i] for i in chosen])
-    assert helper_recover(ctx, pattern, n, k, shares) == expected.row(0)
+    assert helper_recover(ctx, n, k, receivers, shares) == expected.row(0)
     bad = data.draw(st.sampled_from(chosen))
     ragged = {**shares, bad: data.draw(st.sampled_from([shares[bad] + (0,), shares[bad][1:]]))}
     with pytest.raises(DimensionMismatch):
-        helper_recover(ctx, pattern, n, k, ragged)
+        helper_recover(ctx, n, k, receivers, ragged)
 
     helpers = range(1, params.num_helpers + 1)
     ids = data.draw(st.lists(st.sampled_from(helpers), min_size=params.resiliency, unique=True))
@@ -541,7 +526,7 @@ def test_message_sizes_are_one_block(ctx):
     l = EXAMPLE.block_len
     assert all(len(u.payload) == l for u in t.uploads)
     assert all(len(r.payload) == l for r in t.responses)
-    assert all(len(v) == l for m in t.messages for v in m.payloads.values())
+    assert all(len(v) == l for v in t.shares.values())
 
 
 def test_measure_rates():
@@ -580,7 +565,9 @@ def test_gradient_recoverable_from_any_resilient_upload_set(ctx):
 
 def test_run_round_validates_inputs(ctx):
     """Errors in order: the pattern's, then a missing survivor set, then
-    a gradient count other than one per user."""
+    a gradient count other than one per user, then randomness other than
+    one per user: for one user only, one user's twice, or for a user the
+    scheme lacks."""
     grads, noises = make_round_inputs(EXAMPLE, 15)
     keys = dealer_generate(ctx, 15)
     short = parse_pattern("nu=1:1,2;2:1,2,4")
@@ -591,6 +578,11 @@ def test_run_round_validates_inputs(ctx):
         run_round(ctx, bare, grads[:1], noises, keys)
     with pytest.raises(ShapeMismatch):
         run_round(ctx, EXAMPLE_PATTERN, grads[:1], noises, keys)
+    with pytest.raises(ShapeMismatch, match="one gradient per user"):
+        run_round(ctx, EXAMPLE_PATTERN, grads[:1], noises[:1], keys)
+    for bad in ([noises[0]], [noises[0], noises[0]], [replace(noises[1], owner=3), noises[0]]):
+        with pytest.raises(ShapeMismatch, match="one randomness per user"):
+            run_round(ctx, EXAMPLE_PATTERN, grads, bad, keys)
     uploads = encode_round_uploads(ctx, grads, noises)
     with pytest.raises(TooFewReceivers):
         run_helpers(ctx, short, uploads, keys)
@@ -598,3 +590,4 @@ def test_run_round_validates_inputs(ctx):
     stopped = run_helpers(ctx, bare, uploads, keys)
     decoded = run_round(ctx, bare.with_survivors({2, 3, 4}), grads, noises, keys)
     assert stopped.decoded is None and stopped.responses == decoded.responses
+

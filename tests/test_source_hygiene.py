@@ -11,7 +11,7 @@ only for the memo-keyed split kernels and the reference quadruple.
 Inside ``leakage`` only the rank store's methods and ``_security_record`` read its ``givens`` and
 ``quadruples`` tables, the rank store's body builds no f-string and reads
 no ``.rows``, and in the package only ``protocol.run_helpers``
-runs the helper roles.  Only ``patterns`` takes
+runs the helper roles, none of which takes or reads a pattern.  Only ``patterns`` takes
 ``itertools.combinations``: its ``subsets`` is the one enumeration of
 user and helper subsets.  ``leakage`` never names ``master_decode``: the
 verifier's round stops at the responses.  ``harness`` never names
@@ -409,6 +409,30 @@ def reads_outside(tree: ast.Module, names: tuple[str, ...], allowed: tuple[str, 
     )
 
 
+# what reading a pattern takes: its class, or one of its members
+PATTERN_READS = ("CommPattern", "receivers", "survivors", "receivers_of", "users_of",
+                 "active_helpers", "with_survivors")
+
+
+def pattern_reads(tree: ast.Module, functions: tuple[str, ...]) -> list[int]:
+    """Lines in the top-level functions named in ``functions`` that take
+    a parameter named ``pattern``, annotate anything with ``CommPattern``,
+    name it, or read one of ``PATTERN_READS`` as an attribute."""
+    lines = set()
+    for node in tree.body:
+        if getattr(node, "name", None) not in functions:
+            continue
+        for sub in ast.walk(node):
+            typed = [a for a in (getattr(sub, "annotation", None), getattr(sub, "returns", None))
+                     if a is not None]
+            if (isinstance(sub, ast.arg) and sub.arg == "pattern"
+                    or any("CommPattern" in _annotation_names(a) for a in typed)
+                    or isinstance(sub, ast.Name) and sub.id == "CommPattern"
+                    or isinstance(sub, ast.Attribute) and sub.attr in PATTERN_READS):
+                lines.add(sub.lineno)
+    return sorted(lines)
+
+
 def rank_store_name_work(tree: ast.Module) -> list[int] | None:
     """Lines in the body of class ``_RankStore`` that build an f-string or
     read an attribute ``rows``; None if the module defines no such class."""
@@ -513,7 +537,7 @@ OPTIONAL_PARAMETERS = 40
 
 # The ``__all__`` entries over the package: each is a name some caller
 # may come to depend on.  A change that adds one says why.
-PUBLIC_NAMES = 130
+PUBLIC_NAMES = 128
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -704,6 +728,17 @@ def test_only_the_helper_phase_runs_the_helper_roles():
     }
     assert {module: lines for module, lines in found.items() if lines} == {}
     assert reads_outside(package["protocol"], HELPER_ROLES, ()) != []
+
+
+def test_no_helper_role_reads_the_pattern():
+    """``helper_share`` and ``helper_recover`` act on one user's receiver
+    set and ``helper_respond`` on one helper's uploads: none takes a
+    ``CommPattern`` or reads one, so ``run_helpers`` is the one
+    role-level code in ``protocol`` that reads the pattern."""
+    protocol = _package()["protocol"]
+    assert {getattr(node, "name", None) for node in protocol.body} >= set(HELPER_ROLES)
+    assert pattern_reads(protocol, HELPER_ROLES) == []
+    assert pattern_reads(protocol, ("run_helpers",)) != []
 
 
 def test_each_option_is_declared_once():
@@ -917,6 +952,20 @@ def test_the_checks_catch_what_they_look_for():
         HELPER_ROLES,
         ("run_helpers",),
     ) == [4, 5]
+    assert pattern_reads(
+        ast.parse(
+            "def helper_share(ctx, keys, pattern, helper, uploads):\n"
+            "    return keys.masks, ctx.params.num_users\n"
+            "def helper_recover(ctx, helper, user, receivers: 'CommPattern', shares):\n"
+            "    return receivers, shares\n"
+            "def helper_respond(ctx, helper, uploads) -> 'CommPattern':\n"
+            "    users = ctx.round.users_of(helper)\n"
+            "    return isinstance(uploads, CommPattern)\n"
+            "def run_helpers(ctx, pattern: CommPattern):\n"
+            "    return pattern.receivers_of(1)\n"
+        ),
+        HELPER_ROLES,
+    ) == [1, 3, 5, 6, 7]
     assert rank_store_name_work(
         ast.parse(
             "class _RankStore:\n"
