@@ -232,7 +232,10 @@ def _load_gradients(
         ]
         return grads, {g.owner: params.gradient_len for g in grads}
     with open(config.gradient_file, "r", encoding="utf-8") as fh:
-        table = json.load(fh)
+        try:
+            table = json.load(fh)
+        except RecursionError:
+            raise ConfigError("gradient file nests too deeply to read") from None
     if not isinstance(table, dict):
         raise ConfigError("gradient file must map user ids to symbol lists")
     unknown = sorted(set(table) - {str(k) for k in range(1, params.num_users + 1)})
@@ -307,10 +310,24 @@ def transcript_to_json(t: proto.RoundTranscript) -> dict:
     }
 
 
+def _seeded_round(config: RunConfig, params: SchemeParams) -> tuple:
+    """The round that ``round`` runs at ``params``: under the config's
+    pattern (else no straggler), on its gradients (``_load_gradients``),
+    with user randomness seeded from ``seed`` and dealer keys from
+    ``dealer_seed``; returned with the gradients and their original lengths."""
+    ctx = proto.setup(params)
+    pattern = _resolve_pattern(config, params)
+    gradients, original = _load_gradients(config, params)
+    rng = random.Random(f"noise:{config.seed}")
+    noises = [UserRandomness.random(k, params, rng) for k in range(1, params.num_users + 1)]
+    keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
+    return proto.run_round(ctx, pattern, gradients, noises, keys), gradients, original
+
+
 def run_single_round(config: RunConfig) -> tuple[proto.RoundTranscript, dict]:
-    """Execute one full round per the config; returns the transcript
-    and a report document whose ``match`` field is the correctness
-    assertion decoded == sum of gradients."""
+    """Execute one full round per the config (``_seeded_round``); returns
+    the transcript and a report document whose ``match`` field is the
+    correctness assertion decoded == sum of gradients."""
     _reject_unused(config, "round")
     if config.params is None:
         raise ConfigError("round mode needs --params")
@@ -318,16 +335,7 @@ def run_single_round(config: RunConfig) -> tuple[proto.RoundTranscript, dict]:
     proto.check_params(params)
     if _round_work(params) > config.budget:
         raise BudgetExceeded(f"a round at {params.label()} exceeds budget {config.budget}")
-    ctx = proto.setup(params)
-    pattern = _resolve_pattern(config, params)
-    gradients, original = _load_gradients(config, params)
-    rng = random.Random(f"noise:{config.seed}")
-    noises = [
-        UserRandomness.random(k, params, rng)
-        for k in range(1, params.num_users + 1)
-    ]
-    keys = proto.dealer_generate(ctx, f"dealer:{config.dealer_seed}")
-    transcript = proto.run_round(ctx, pattern, gradients, noises, keys)
+    transcript, gradients, original = _seeded_round(config, params)
 
     expected = proto.gradient_sum(gradients, params.modulus)
     rate_x, rate_y = proto.measure_rates(transcript)
@@ -484,11 +492,10 @@ def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]
                 yield check(ctx, pattern, uset, tset, tvars=tvars)
 
 
-def _decode_cases(ctx: proto.SchemeContext, responses, survivor_sets, expected, draws,
-                  decodes: dict) -> list:
-    """Each survivor set of a pattern's ``responses``, which carry
-    ``draws`` stacked draws whose sum is ``expected`` (draw ``d`` is
-    columns ``[d * l, (d + 1) * l)`` of every part), with its ``draws``
+def _decode_cases(unit: lk.UnitRound, responses, survivor_sets, draws, decodes: dict) -> list:
+    """Each survivor set of a pattern's probed ``responses``, which carry
+    ``draws`` stacked draws whose sum is ``unit.probed_sum`` (draw ``d``
+    is columns ``[d * l, (d + 1) * l)`` of every part), with its ``draws``
     decode cases: whether each draw's decode equals its sum.  The master
     is handed the responses it reads, the Nr lowest-numbered survivors',
     and decodes them with one inverse; a decode that raises fails every
@@ -496,6 +503,7 @@ def _decode_cases(ctx: proto.SchemeContext, responses, survivor_sets, expected, 
     ``decodes``, keyed by the chosen helpers and the identities of their
     payloads (one object per content, which the caller keeps alive): the
     whole input of the decode."""
+    ctx, expected = unit.ctx, unit.probed_sum
     l, parts, nr = ctx.params.block_len, ctx.params.block_count, ctx.params.resiliency
     width = draws * l  # part i of the sum is its columns [i * width, (i + 1) * width)
     columns = [[slice(i * width + d, i * width + d + l) for i in range(parts)]
@@ -539,8 +547,8 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     one round per pattern: the point's unit round (``lk.UnitRound``)
     carries ``draws`` uniform rounds side by side as probe columns, one
     probe per source slot, and the master decodes the responses' probe
-    columns.  The users' slots are drawn from ``seed``, the dealer
-    noise's from ``dealer_seed``."""
+    columns against the sum's (``probed_sum``).  The users' slots are
+    drawn from ``seed``, the dealer noise's from ``dealer_seed``."""
     if not _checked_point(params):
         report = PointReport(params=params, feasible=False)
         if lk.witness_sibling(params) is not None:
@@ -558,10 +566,6 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     width = draws * params.block_len  # a slot's draws, side by side
     probes = [[(users if s < layout.user_dim else dealer).randrange(q) for _ in range(width)]
               for s in range(layout.dim)]
-    parts = range(1, params.block_count + 1)
-    grads = [Gradient(k, tuple(probes[layout.w_slot(k, i)] for i in parts))
-             for k in range(1, params.num_users + 1)]
-    expected = proto.gradient_sum(grads, q)
     unit = lk.UnitRound(ctx, probes)
     payloads, decodes = {}, {}  # each probed payload once per content, and its decodes
 
@@ -573,7 +577,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                   for r in transcript.responses]
         report.survivor_sets += len(survivor_sets)
         report.decode_cases += len(survivor_sets) * draws
-        for survivors, found in _decode_cases(ctx, probed, survivor_sets, expected, draws, decodes):
+        for survivors, found in _decode_cases(unit, probed, survivor_sets, draws, decodes):
             if not all(found):  # a line per failed case
                 full = pt.format_pattern(pattern.with_survivors(survivors))
                 report.failures += [f"decode mismatch at pattern {full}"] * found.count(False)
@@ -640,8 +644,8 @@ def run_verify(config: RunConfig) -> VerifyReport:
 
 def run_rates(config: RunConfig) -> list[dict]:
     """Measured communication rates per feasible grid point, each from
-    one no-straggler round seeded from the point's label: the rates are
-    payload lengths over L, which no input symbol changes."""
+    the round ``round`` runs there with default seeds (``_seeded_round``):
+    the rates are payload lengths over L, which no input symbol changes."""
     _reject_unused(config, "rates")
     grid = _grid(config)
     feasible = [_checked_point(p) for p in grid]
@@ -652,15 +656,7 @@ def run_rates(config: RunConfig) -> list[dict]:
         if not ok:
             rows.append({"params": params.label(), "feasible": False})
             continue
-        ctx = proto.setup(params)
-        pattern = pt.no_straggler_pattern(params)  # first: a K past an index raises here
-        rng = random.Random(f"rates:{params.label()}")
-        users = range(1, params.num_users + 1)
-        grads = [Gradient.random(k, params, rng) for k in users]
-        noises = [UserRandomness.random(k, params, rng) for k in users]
-        keys = proto.dealer_generate(ctx, f"dealer:{params.label()}")
-        transcript = proto.run_round(ctx, pattern, grads, noises, keys)
-        rx, ry = proto.measure_rates(transcript)
+        rx, ry = proto.measure_rates(_seeded_round(config, params)[0])
         bound = params.rate_bound
         rows.append(
             {

@@ -589,32 +589,27 @@ def concrete_transcript_values(
 
 def _stacked_tables(ctx: SchemeContext, pattern: CommPattern, assignments: np.ndarray) -> dict:
     """Each named value, an int64 table with a row per row of
-    ``assignments`` (a full source assignment each), from one round: the
-    roles act on each payload column alike, so slot ``i`` lays each
-    assignment's ``block_len`` symbols side by side, and a value's
-    ``(parts, count, block_len)`` symbols are its rows.  Past
-    ``_ORACLE_ROUND_LIMIT`` assignments, rounds of at most that many
-    write their rows into tables allocated once, so that only one
-    round's payloads are ever held as Python ints."""
+    ``assignments`` (a full source assignment each), filled by rounds of
+    at most ``_ORACLE_ROUND_LIMIT`` assignments into tables allocated
+    once, so that only one round's payloads are ever held as Python ints.
+    The roles act on each payload column alike, so a round's slot ``i``
+    lays each of its ``n`` assignments' ``block_len`` symbols side by
+    side, and a value's ``(parts, n, block_len)`` symbols are its rows."""
     import numpy as np
     count, l = len(assignments), ctx.params.block_len
-    if count > _ORACLE_ROUND_LIMIT:
-        tables = {}
-        for start in range(0, count, _ORACLE_ROUND_LIMIT):
-            stop = start + _ORACLE_ROUND_LIMIT
-            for name, rows in _stacked_tables(ctx, pattern, assignments[start:stop]).items():
-                if name not in tables:
-                    tables[name] = np.empty((count, rows.shape[1]), dtype=np.int64)
-                tables[name][start:stop] = rows
-        return tables
-    stacked = assignments.reshape(count, -1, l).transpose(1, 0, 2).ravel().tolist()
-    wide = ctx.widened(ctx.params.gradient_len * count)
-    vals = concrete_transcript_values(wide, pattern, stacked)
-    return {
-        name: np.array(vals[name], dtype=np.int64)
-        .reshape(-1, count, l).transpose(1, 0, 2).reshape(count, -1)
-        for name in sorted(vals)
-    }
+    tables = {}
+    for start in range(0, count, _ORACLE_ROUND_LIMIT):
+        chunk = assignments[start:start + _ORACLE_ROUND_LIMIT]
+        n = len(chunk)
+        stacked = chunk.reshape(n, -1, l).transpose(1, 0, 2).ravel().tolist()
+        wide = ctx.widened(ctx.params.gradient_len * n)
+        vals = concrete_transcript_values(wide, pattern, stacked)
+        for name in sorted(vals):
+            rows = np.array(vals[name], dtype=np.int64).reshape(-1, n, l).transpose(1, 0, 2)
+            if name not in tables:
+                tables[name] = np.empty((count, rows[0].size), dtype=np.int64)
+            tables[name][start:start + n] = rows.reshape(n, -1)
+    return tables
 
 
 class UnitRound:
@@ -634,6 +629,8 @@ class UnitRound:
     For its transcripts it holds what no pattern changes: each helper
     ``t``'s uploads ``X[k,t]`` and masks ``Z[t,n,k]`` (n ≠ t), resolved
     once, and their ``splits`` and the ``uploads_kernel``, on first need.
+    ``probed_sum`` is the probe columns of the sum ``W``, part after
+    part: the sum that a decode of the probe columns must give.
     """
 
     def __init__(self, ctx: SchemeContext, probes: Sequence[Sequence[int]] = ()):
@@ -649,6 +646,8 @@ class UnitRound:
             assignment += [0] * s + [1] + [0] * (self.dim - s - 1) + list(probe)
         self._wide = ctx.widened(self._width * ctx.params.block_count)
         self._keys, self._uploads, values = _round_prefix(self._wide, assignment)
+        w, width = values["W"], self._width
+        self.probed_sum = sum((w[i + self.dim:i + width] for i in range(0, len(w), width)), ())
         tvars = self._tvars = self._linear_vars(values)
         self._store = _rank_store(ctx)
         users, helpers = range(1, ctx.params.num_users + 1), range(1, ctx.params.num_helpers + 1)
@@ -1230,8 +1229,9 @@ class BruteForceOracle:
     """Exact entropies on a tiny instance by full source enumeration.
 
     Runs the protocol roles on every assignment of the source vector,
-    each its own columns of one stacked round (``_stacked_tables``), and
-    tabulates the resulting joint distributions.  The linear model is
+    each its own columns of a stacked round of at most
+    ``_ORACLE_ROUND_LIMIT`` (``_stacked_tables``), and tabulates the
+    resulting joint distributions.  The linear model is
     the same roles run on unit inputs, so the oracle does not check the
     protocol's maps; it checks the rank-to-entropy step by counting,
     with no rank arithmetic.  The scheme's variables are uniform over a

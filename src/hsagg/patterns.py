@@ -60,9 +60,8 @@ class CommPattern:
 
     ``receivers[k - 1]`` is the set of helpers that got user k's upload.
     ``survivors`` may be None while enumerating receiver configurations;
-    round execution requires it.  The active helpers and each helper's
-    users are computed once per pattern; equality, hashing and repr
-    read only the two fields.
+    round execution requires it.  The active helpers are computed once
+    per pattern; equality, hashing and repr read only the two fields.
     """
 
     receivers: tuple[frozenset[int], ...]
@@ -77,14 +76,7 @@ class CommPattern:
 
     def users_of(self, helper: int) -> frozenset[int]:
         """The set of users whose upload reached the given helper."""
-        return self._users_by_helper.get(helper, frozenset())
-
-    @cached_property
-    def _users_by_helper(self) -> dict[int, frozenset[int]]:
-        return {
-            n: frozenset(k for k, rs in enumerate(self.receivers, start=1) if n in rs)
-            for n in self.active_helpers
-        }
+        return frozenset(k for k, rs in enumerate(self.receivers, start=1) if helper in rs)
 
     @cached_property
     def active_helpers(self) -> frozenset[int]:

@@ -438,6 +438,7 @@ BAD_INPUTS = {
     "gradient-file-a-list": ["round", *EXAMPLE_ARGS, "--gradients", "A_LIST"],
     "round-pattern-user-count": ["round", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3 hm=1,2,3"],
     "round-zero-gradient-length": ["round", "--params", "2,3,2,1,5,0"],
+    "gradient-file-nested-deeply": ["round", *EXAMPLE_ARGS, "--gradients", "DEEPLY_NESTED"],
 }
 
 GRADIENT_FILES = {
@@ -446,6 +447,8 @@ GRADIENT_FILES = {
     "UNKNOWN_KEYS": {"1": [1, 2], "2": [3, 4], "3": [5, 6], "x": [1]},
     "A_LIST": [[1, 2], [3, 4]],
 }
+# past the JSON reader's recursion limit, which no table above can reach
+DEEPLY_NESTED = "[" * 200_000 + "]" * 200_000
 
 CONFIG_FILES = {
     "CSV_CONFIG": "format = csv\n",
@@ -471,7 +474,7 @@ def _with_files(argv, tmp_path):
     """``argv`` with each gradient or config file name replaced by the
     path of that file, written under ``tmp_path``."""
     files = {name: json.dumps(table) for name, table in GRADIENT_FILES.items()}
-    files.update(CONFIG_FILES)
+    files.update(CONFIG_FILES, DEEPLY_NESTED=DEEPLY_NESTED)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     return [str(tmp_path / a) if a in files else a for a in argv]
@@ -532,6 +535,8 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "error: gradient file must map user ids to symbol lists"),
         (BAD_INPUTS["round-pattern-user-count"], "error: pattern has 1 users, params say 2"),
         (BAD_INPUTS["round-zero-gradient-length"], "error: gradient length must be positive"),
+        (BAD_INPUTS["gradient-file-nested-deeply"],
+         "error: gradient file nests too deeply to read"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
          "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
@@ -542,7 +547,7 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "repeated-config-key", "params-and-grid-flags", "params-and-grid-keys", "uset-flag",
          "draws-flag", "gradients-flag", "grid-flag", "malformed-flag", "malformed-key",
          "rates-seed-flag", "rates-dealer-seed-flag", "rates-seed-key", "gradient-file-a-list",
-         "round-pattern-user-count", "round-zero-gradient-length"],
+         "round-pattern-user-count", "round-zero-gradient-length", "gradient-file-nested-deeply"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     assert main(_with_files(argv, tmp_path)) == 2

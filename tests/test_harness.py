@@ -907,12 +907,19 @@ def test_every_grid_point_is_set_up_before_any_work(monkeypatch, grid, message):
 def test_each_point_is_set_up_once_per_campaign(monkeypatch):
     """``verify`` and ``rates`` check their points with no matrix built,
     charge the budget, then build each feasible point's matrices once;
-    an infeasible point's witness builds its sibling's once."""
+    an infeasible point's witness builds its sibling's once.  ``rates``
+    runs one round per feasible point, the round ``round`` runs there
+    with default seeds, and builds no round report."""
     built, real = Counter(), protocol.setup
+    rounds, run_round = [], protocol.run_round
 
     def counted(params):
         built[params.label()] += 1
         return real(params)
+
+    def recorded(*args):
+        rounds.append(run_round(*args))
+        return rounds[-1]
 
     monkeypatch.setattr(protocol, "setup", counted)
     monkeypatch.setattr(lk, "setup", counted)
@@ -920,8 +927,13 @@ def test_each_point_is_set_up_once_per_campaign(monkeypatch):
     assert run_verify(RunConfig(mode="verify", grid=grid, draws=1)).ok
     assert built == {"2,3,2,1,5,1": 1, "2,4,2,1,7,2": 1, "2,4,3,1,7,2": 1}
     built.clear()
-    run_rates(RunConfig(mode="rates", grid=grid))
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "run_round", recorded)
+        patch.setattr(harness, "transcript_to_json", lambda t: pytest.fail("a round report"))
+        run_rates(RunConfig(mode="rates", grid=grid))
     assert built == {"2,3,2,1,5,1": 1, "2,4,3,1,7,2": 1}
+    assert rounds == [run_single_round(RunConfig(mode="round", params=p))[0]
+                      for p in (grid[0], grid[2])]
 
 
 def test_run_leakage_explicit_query():

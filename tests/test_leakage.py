@@ -507,11 +507,17 @@ def test_a_shared_unit_round_gives_each_pattern_a_fresh_transcripts_rows(params,
     """One unit round, as a campaign shares it across a point's patterns,
     gives every variable of each pattern the rows that a fresh
     ``build_linear_transcript`` gives it, with probe columns beside the
-    identity as without."""
-    ctx = setup(params)
+    identity as without.  Its ``probed_sum`` is the sum of the probes in
+    the gradient slots, part after part, and empty without probes."""
+    ctx, layout, q = setup(params), SourceLayout(params), params.modulus
     rng = random.Random(f"probes:{params.label()}")
-    probes = [[rng.randrange(params.modulus) for _ in range(3)] for _ in range(SourceLayout(params).dim)]
+    probes = [[rng.randrange(q) for _ in range(3)] for _ in range(layout.dim)]
     units = (UnitRound(ctx), UnitRound(ctx, probes))
+    users = range(1, params.num_users + 1)
+    parts = [zip(*(probes[layout.w_slot(k, i)] for k in users))
+             for i in range(1, params.block_count + 1)]
+    assert units[1].probed_sum == tuple(sum(c) % q for part in parts for c in part)
+    assert units[0].probed_sum == ()
     chosen = enumerate_patterns(params) if patterns is None else map(parse_pattern, patterns)
     for pattern in chosen:
         fresh = build_linear_transcript(ctx, pattern)
@@ -878,25 +884,31 @@ def test_oracle_build_in_rounds_gives_the_one_round_tables(tiny_ctx, tiny_oracle
     """Rounds of at most ``_ORACLE_ROUND_LIMIT`` assignments, here a
     non-divisor of the count, fill the tables of one round and of one
     round per assignment, in dtype, shape and values: on every
-    assignment of TINY and on seeded assignments of block length 2."""
-    calls = []
-    tables = leakage._stacked_tables
+    assignment of TINY and on seeded assignments of block length 2.  A
+    round's size is its source assignment's length over one assignment's
+    ``dim * block_len`` symbols."""
+    lengths = []
+    concrete = leakage.concrete_transcript_values
 
-    def counted(ctx, pattern, assignments):
-        calls.append(len(assignments))
-        return tables(ctx, pattern, assignments)
+    def counted(ctx, pattern, assignment):
+        lengths.append(len(assignment))
+        return concrete(ctx, pattern, assignment)
 
-    monkeypatch.setattr(leakage, "_stacked_tables", counted)
+    def sizes(params):
+        return [n // (SourceLayout(params).dim * params.block_len) for n in lengths]
+
+    monkeypatch.setattr(leakage, "concrete_transcript_values", counted)
     monkeypatch.setattr(leakage, "_ORACLE_ROUND_LIMIT", 1000)
     chunked = BruteForceOracle(tiny_ctx, TINY_PATTERN).tables
-    assert calls == [3125, 1000, 1000, 1000, 125]
+    assert sizes(TINY) == [1000, 1000, 1000, 125]
     assert _differing_tables(chunked, tiny_oracle.tables) == []
     every = list(product(range(TINY.modulus), repeat=5))
     assert _differing_tables(chunked, _per_assignment_tables(tiny_ctx, TINY_PATTERN, every)) == []
     monkeypatch.setattr(leakage, "_ORACLE_ROUND_LIMIT", 64)
+    lengths.clear()
     wide, sample = setup(WIDE), _wide_sample()
     got = leakage._stacked_tables(wide, TINY_PATTERN, np.array(sample))
-    assert calls[5:] == [200, 64, 64, 64, 8]
+    assert sizes(WIDE) == [64, 64, 64, 8]
     assert _differing_tables(got, _per_assignment_tables(wide, TINY_PATTERN, sample)) == []
 
 

@@ -16,7 +16,9 @@ runs the helper roles, none of which takes or reads a pattern.  Only ``patterns`
 user and helper subsets.  ``leakage`` never names ``master_decode``: the
 verifier's round stops at the responses.  ``harness`` never names
 ``run_helpers``, ``encode_round_uploads`` or ``DealerKeys``: the
-campaign's one round per pattern is ``leakage.UnitRound``'s.  Each option is declared once,
+campaign's one round per pattern is ``leakage.UnitRound``'s.  ``harness`` names ``run_round``
+and ``dealer_generate`` only in ``_seeded_round``, the one round that ``round`` and ``rates``
+run.  Each option is declared once,
 as a ``RunConfig`` field, and the parser, the config keys, the
 README's key list and its flag table's refusals all follow that table.  The package's optional
 parameters and its public names are counted, so a change that adds or
@@ -388,6 +390,8 @@ def round_builder_uses(tree: ast.Module) -> list[int]:
     return sorted({line for name in ROUND_BUILDERS for line in name_uses(tree, name)})
 
 
+# what seeds and runs a whole round, which harness leaves to its one seeded round
+ROUND_RUNNERS = ("run_round", "dealer_generate")
 # the rank store's memo tables that a security record reads directly
 STORE_TABLES = ("givens", "quadruples")
 # the helper roles, which only the helper phase runs
@@ -684,6 +688,15 @@ def test_the_campaign_builds_no_round_of_its_own():
     assert round_builder_uses(_package()["harness"]) == []
 
 
+def test_the_harness_seeds_one_round():
+    """``harness`` names ``run_round`` and ``dealer_generate`` only in
+    ``_seeded_round``, which does name them: ``round`` reports the round
+    that ``rates`` measures, and neither seeds one of its own."""
+    harness = _package()["harness"]
+    assert reads_outside(harness, ROUND_RUNNERS, ("_seeded_round",)) == []
+    assert reads_outside(harness, ROUND_RUNNERS, ()) != []
+
+
 def test_one_record_function_reads_the_rank_store_tables():
     """Only ``_RankStore``'s own methods and ``_security_record`` read the
     store's ``givens`` and ``quadruples``, so the helper and master
@@ -922,6 +935,21 @@ def test_the_checks_catch_what_they_look_for():
             "phase = run_helpers\n"
         )
     ) == [1, 2, 4, 6, 7]
+    # a rates table that seeds and runs a round of its own
+    assert reads_outside(
+        ast.parse(
+            "def _seeded_round(config, params):\n"
+            "    keys = proto.dealer_generate(ctx, f'dealer:{config.dealer_seed}')\n"
+            "    return proto.run_round(ctx, pattern, grads, noises, keys)\n"
+            "def run_rates(config):\n"
+            "    keys = proto.dealer_generate(ctx, f'dealer:{params.label()}')\n"
+            "    return measure_rates(proto.run_round(ctx, pattern, grads, noises, keys))\n"
+            "runs = run_round\n"
+            "note = 'run_round'\n"
+        ),
+        ROUND_RUNNERS,
+        ("_seeded_round",),
+    ) == [5, 6, 7]
 
     assert reads_outside(
         ast.parse(
