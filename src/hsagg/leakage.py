@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 
 from .field import PrimeField
 from .matrix import GfMatrix, RowSpace
@@ -115,7 +115,7 @@ class TooLargeToEnumerate(LeakageError):
 _ORACLE_ASSIGNMENT_LIMIT = 10**6
 # The most assignments one stacked round of an oracle's build runs: a
 # round holds its payloads as Python ints, and one round of 823,543
-# assignments (1,5,2,1,7,1) peaked at 627 MB RSS, against 406 MB in rounds.
+# assignments (1,5,2,1,7,1) peaked at 640 MB RSS, against 449 MB in rounds.
 _ORACLE_ROUND_LIMIT = 2**14
 
 
@@ -1170,14 +1170,14 @@ def _counted_entropy(keys: np.ndarray, q: int, names: Sequence[str]) -> int:
     likely source assignment.
 
     ``keys`` holds one int32 or int64 code per assignment, equal codes
-    for equal outcomes.  The outcomes must be uniform on their support
-    and the support a power of q, or the entropy is not an exact q-ary
-    integer: LeakageError.
+    for equal outcomes, and is consumed: it is sorted in place.  The
+    outcomes must be uniform on their support and the support a power
+    of q, or the entropy is not an exact q-ary integer: LeakageError.
     On sorted codes with support s, uniformity means ``n % s == 0`` and
     every run of ``n // s`` codes starting at a multiple of it constant.
     """
     import numpy as np
-    keys = np.sort(keys)
+    keys.sort()
     n = len(keys)
     support = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     m = n // support
@@ -1209,20 +1209,53 @@ def _variable_codes(tables: Mapping[str, np.ndarray], q: int) -> dict[str, tuple
     return codes
 
 
+def _first_labels(code: np.ndarray, radix: int) -> tuple:
+    """``code``'s values, each below ``radix``, relabelled 0, 1, ... in
+    order of first occurrence, as int32, and their number.  Two codes get
+    equal labels exactly when they induce the same partition of the
+    assignments."""
+    import numpy as np
+    count = len(code)
+    first = np.full(radix, count, dtype=np.int32)
+    np.minimum.at(first, code, np.arange(count, dtype=np.int32))
+    seen = np.flatnonzero(first < count)
+    relabel = np.zeros(radix, dtype=np.int32)
+    relabel[seen[np.argsort(first[seen])]] = np.arange(len(seen), dtype=np.int32)
+    return relabel.take(code), len(seen)
+
+
 def _packed_word(codes: Mapping[str, tuple]) -> tuple | None:
-    """Every variable's code in its own bit field, ``(radix -
-    1).bit_length()`` bits wide, of one int64 word per assignment, with
-    each name's field mask; None where the fields need more than 63
-    bits."""
-    word, masks, shift = 0, {}, 0
+    """One word per assignment with a bit field for each distinct
+    partition of the assignments that the codes induce, and each name's
+    field mask; None where the fields need more than 63 bits.
+
+    A field holds its names' first-occurrence labels (``_first_labels``)
+    in ``(s - 1).bit_length()`` bits, s labels, so two names share a
+    field exactly when their codes induce the same partition, and a
+    constant code has mask 0 and no bits.  Relabelling a code, or merging
+    names of one partition, leaves every subset's joint partition, so
+    every count, unchanged.  The word is int32 where the fields fit in 31
+    bits, else int64.  Only the word is kept: the labels at every 61st
+    assignment, a stride prime to q unless q = 61, key the candidate
+    fields, and a candidate is taken only where the word's bits equal
+    the labels at every assignment."""
+    import numpy as np
+    count = len(next(iter(codes.values()))[1])
+    word, masks, fields, shift = np.zeros(count, dtype=np.int64), {}, {}, 0
     for name, (radix, code) in codes.items():
-        bits = (radix - 1).bit_length()
-        if shift + bits > 63:
-            return None
-        word = word + (code.astype("int64") << shift)
-        masks[name] = ((1 << bits) - 1) << shift
-        shift += bits
-    return word, masks
+        labels, support = _first_labels(code, radix)
+        found = fields.setdefault(labels[::61].tobytes(), [])
+        mask = next((m for low, m in found if np.array_equal((word & m) >> low, labels)), None)
+        if mask is None:
+            bits = (support - 1).bit_length()
+            if shift + bits > 63:
+                return None
+            word |= labels.astype(np.int64) << shift
+            mask = ((1 << bits) - 1) << shift
+            found.append((shift, mask))
+            shift += bits
+        masks[name] = mask
+    return (word.astype(np.int32) if shift <= 31 else word), masks
 
 
 class BruteForceOracle:
@@ -1240,9 +1273,11 @@ class BruteForceOracle:
 
     Each variable's table is also read once into one base-q code per
     assignment (``codes``, with its radix ``q**width``), and counting a
-    subset's joint key is one sort.  Where every code fits its own bit
-    field of one int64 word (``_packed_word``), ``entropy`` takes the
-    key ``word & mask``, one call at any subset size.  Otherwise the key
+    subset's joint key is one sort.  Where the distinct partitions of
+    the assignments that the codes induce fit a bit field each of one
+    word, int32 up to 31 bits and int64 up to 63 (``_packed_word``),
+    ``entropy`` takes the key ``word & mask``, the mask the OR of the
+    names' field masks, one call at any subset size.  Otherwise the key
     is the mixed-radix code ``key * radix + code`` of the members in
     turn (``_joined``): int32 while the span so far, the product of the
     radices, is below 2**31, which sorts about twice as fast as int64,
@@ -1282,8 +1317,8 @@ class BruteForceOracle:
         if not names:
             return 0
         if self._packed is not None:
-            word, masks = self._packed  # distinct names: their fields sum to the mask
-            return _counted_entropy(word & sum(map(masks.get, names)), self.q, names)
+            word, masks = self._packed  # names of one partition share a field
+            return _counted_entropy(word & reduce(or_, map(masks.get, names)), self.q, names)
         span, code = self.codes[names[0]]
         return _counted_entropy(self._joined(code.copy(), span, names[1:]), self.q, names)
 

@@ -100,8 +100,8 @@ def parse_pattern(text: str) -> CommPattern:
     """Parse the literal form ``nu=1:1,2,3;2:1,2,4 hm=2,3,4``.
 
     The ``hm=`` part is optional; without it the pattern carries no
-    survivor set.  A user listed twice or a helper id repeated within
-    one set raises ``ValueError``.
+    survivor set.  A user listed twice, a helper id repeated within one
+    set or a second ``hm=`` part raises ``ValueError``.
     """
     receivers: dict[int, frozenset[int]] = {}
     survivors = None
@@ -116,6 +116,8 @@ def parse_pattern(text: str) -> CommPattern:
                     raise ValueError(f"duplicate user {user} in pattern literal")
                 receivers[user] = _helper_set(helpers_s, f"user {user}'s receivers")
         elif part.startswith("hm="):
+            if survivors is not None:
+                raise ValueError("pattern literal repeats its hm= component")
             survivors = _helper_set(part[3:], "the survivors")
         else:
             raise ValueError(f"unrecognized pattern component {part!r}")

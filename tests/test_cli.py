@@ -439,6 +439,8 @@ BAD_INPUTS = {
     "round-pattern-user-count": ["round", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,3 hm=1,2,3"],
     "round-zero-gradient-length": ["round", "--params", "2,3,2,1,5,0"],
     "gradient-file-nested-deeply": ["round", *EXAMPLE_ARGS, "--gradients", "DEEPLY_NESTED"],
+    "repeated-survivor-set": ["round", *EXAMPLE_ARGS, "--pattern",
+                              "nu=1:1,2,3;2:1,2,4 hm=2,3,4 hm=1,2,3"],
 }
 
 GRADIENT_FILES = {
@@ -537,6 +539,7 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
         (BAD_INPUTS["round-zero-gradient-length"], "error: gradient length must be positive"),
         (BAD_INPUTS["gradient-file-nested-deeply"],
          "error: gradient file nests too deeply to read"),
+        (BAD_INPUTS["repeated-survivor-set"], "error: pattern literal repeats its hm= component"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
          "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
@@ -547,7 +550,8 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "repeated-config-key", "params-and-grid-flags", "params-and-grid-keys", "uset-flag",
          "draws-flag", "gradients-flag", "grid-flag", "malformed-flag", "malformed-key",
          "rates-seed-flag", "rates-dealer-seed-flag", "rates-seed-key", "gradient-file-a-list",
-         "round-pattern-user-count", "round-zero-gradient-length", "gradient-file-nested-deeply"],
+         "round-pattern-user-count", "round-zero-gradient-length", "gradient-file-nested-deeply",
+         "repeated-survivor-set"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     assert main(_with_files(argv, tmp_path)) == 2

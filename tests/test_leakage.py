@@ -4,8 +4,10 @@ import random
 import weakref
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import comb
+from operator import or_
 
 import numpy as np
 import pytest
@@ -727,25 +729,24 @@ def test_oracle_count_rejects_non_uniform_keys():
 
 
 def test_oracle_relabels_a_key_before_its_span_reaches_2_62(tiny_oracle, key_forms):
-    """A copy of the TINY oracle whose tables repeat every column 4
-    times has radix 5**4 per variable and no packed word, so a key of 7
-    members would span 625**7 > 2**62: ``_joined`` relabels the key of
-    the first 6 densely first, so the key ``entropy`` counts stays one
-    nonnegative int64 column below 2**62.  Its distinct values are as
-    many as the distinct rows of the members' tables, counted apart."""
-    wide = _oracle_counting(
-        tiny_oracle, {n: np.repeat(t, 4, axis=1) for n, t in tiny_oracle.tables.items()}
-    )
-    assert wide._packed is None
+    """The all-pairs copy of TINY (``_all_pairs``) has radix 5**2 per
+    name and no packed word, so a key of 14 members would span
+    25**14 > 2**62: ``_joined`` relabels the key of the first 13 densely
+    first, so the key ``entropy`` counts stays one nonnegative int64
+    column below 2**62, and a key of up to 23 members stays below the
+    assignment count times 25 per member after the 13th.  Its keys
+    induce the partition of the members' table rows."""
+    wide = _stacked_copy(tiny_oracle, _all_pairs(tiny_oracle.names))
+    assert wide._packed is None and 25**13 < 2**62 <= 25**14
     rng = random.Random(3)
-    for size in (7, 9, 13, 19):
+    for size in (14, 15, 19, 23, 60, 171):
         subset = rng.sample(wide.names, size)
         key_forms.clear()
         wide.entropy(subset)
         [(got, keys)] = key_forms
         assert got == "int64" and 0 <= keys.min() and keys.max() < 2**62
-        rows = np.hstack([wide.tables[n] for n in subset])
-        assert len(np.unique(keys)) == len(np.unique(rows, axis=0)), subset
+        assert size > 23 or keys.max() < wide.count * 25 ** (size - 13)
+        assert _keys_match_rows(keys, np.hstack([wide.tables[n] for n in subset])), subset
 
 
 def test_oracle_repeated_and_overlapping_names(tiny_ctx, tiny_oracle):
@@ -785,54 +786,147 @@ def _oracle_counting(oracle, tables):
     return copied
 
 
-def test_oracle_counts_the_same_on_every_key_form(tiny_oracle, key_forms):
-    """On TINY every variable's code fits a 3-bit field, 57 bits in
-    all, so ``entropy`` takes the packed key ``word & mask`` at every
-    subset size.  A copy of the oracle whose tables repeat every column
-    4 times has the same supports, so the same entropies, but 10-bit
-    fields, 190 bits in all: its ``entropy`` falls back to mixed-radix
-    keys, whose radix 5**4 puts keys of 1-3 variables on int32 and of 4
-    or more on int64, relabelled densely before the 7th member."""
+def _stacked_tables_of(oracle, members):
+    """Each name ``n`` of ``members`` with the tables of ``members[n]``,
+    names of ``oracle``, side by side."""
+    return {n: np.hstack([oracle.tables[m] for m in ms]) for n, ms in members.items()}
+
+
+def _stacked_copy(oracle, members):
+    return _oracle_counting(oracle, _stacked_tables_of(oracle, members))
+
+
+def _cyclic_pairs(names):
+    """Each name beside the next, the last beside the first."""
+    return {f"{a}+{b}": (a, b) for a, b in zip(names, names[1:] + names[:1])}
+
+
+def _all_pairs(names):
+    """Every two names side by side: 171 of TINY's 19."""
+    return {f"{a}+{b}": (a, b) for a, b in combinations(names, 2)}
+
+
+def _keys_match_rows(keys, rows):
+    """``keys``, one per row of ``rows``, induce the partition the rows
+    induce: as many distinct keys as distinct rows and as distinct
+    (key, row) pairs."""
+    joint = len(np.unique(np.column_stack([keys, rows]), axis=0))
+    return len(np.unique(keys)) == len(np.unique(rows, axis=0)) == joint
+
+
+def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_forms):
+    """TINY's 19 variables induce 10 distinct nonconstant partitions,
+    3-bit fields, 30 bits in all, so ``entropy`` takes the packed int32
+    key ``word & mask`` at every subset size.  A copy whose names are
+    each TINY name beside the next (``_cyclic_pairs``) packs into an
+    int64 word.  A copy whose names are every two TINY names
+    (``_all_pairs``) needs more than 63 bits, so ``entropy`` falls back
+    to mixed-radix keys, whose radix 5**2 puts keys of 1-6 members on
+    int32 and of 7 or more on int64.  On every form a subset's key
+    induces the partition of its tables' rows, and its entropy is
+    TINY's, and the rank formula's, on the union of its members."""
     assert all(t.shape[1] == 1 for t in tiny_oracle.tables.values())
     assert TINY.modulus == 5 and len(tiny_oracle.names) == 19
-
-    def form(size):
-        return "int32" if size <= 3 else "int64"
-
-    def packed(subset):
-        """The subset's symbols, each in its name's 3-bit field."""
-        names = tiny_oracle.names
-        return sum(tiny_oracle.tables[n][:, 0] << 3 * names.index(n) for n in subset)
-
-    wide = _oracle_counting(
-        tiny_oracle, {n: np.repeat(t, 4, axis=1) for n, t in tiny_oracle.tables.items()}
-    )
+    assert 25**6 < 2**31 <= 25**7
+    tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
+    names = list(tiny_oracle.names)
+    cyclic, pairs = _cyclic_pairs(names), _all_pairs(names)
+    forms = [
+        (tiny_oracle, {n: (n,) for n in names}, lambda size: "int32"),
+        (_stacked_copy(tiny_oracle, cyclic), cyclic, lambda size: "int64"),
+        (_stacked_copy(tiny_oracle, pairs), pairs,
+         lambda size: "int32" if size <= 6 else "int64"),
+    ]
+    assert [oracle._packed and oracle._packed[0].dtype.name for oracle, _, _ in forms] == [
+        "int32", "int64", None
+    ]
     rng = random.Random(7)
-    for size in [1, 2, 3, 4, 5, 6, 7, 8, 12, 19] * 3:
-        subset = rng.sample(tiny_oracle.names, size)
-        key_forms.clear()
-        expect = tiny_oracle.entropy(subset)
-        [(got, keys)] = key_forms
-        assert got == "int64" and (keys == packed(subset)).all()
-        key_forms.clear()
-        assert wide.entropy(subset) == expect
-        assert [got for got, _ in key_forms] == [form(size)]
-
+    for oracle, members, form in forms:
+        for size in [1, 2, 3, 4, 6, 7, 8, 12, 19] * 3:
+            subset = rng.sample(list(members), size)
+            union = sorted({m for n in subset for m in members[n]})
+            key_forms.clear()
+            got = oracle.entropy(subset)
+            [(dtype, keys)] = key_forms
+            assert dtype == form(size)
+            assert _keys_match_rows(keys, np.hstack([oracle.tables[n] for n in subset]))
+            assert got == tiny_oracle.entropy(union) == entropy_rank([tv[n] for n in union])
 
 
 def test_oracle_refuses_a_skewed_table_on_every_key_form(tiny_oracle, key_forms):
-    """Negative control: a copy whose W[1] is 0 in one assignment of 5
-    and 1 otherwise is not uniform, and ``entropy`` says so on the
-    packed key and on the mixed-radix key alike, relabelled or not."""
-    for repeat, forms in ((1, ["int64"] * 3), (4, ["int32", "int32", "int64"])):
-        tables = {n: np.repeat(t, repeat, axis=1) for n, t in tiny_oracle.tables.items()}
-        tables["W[1]"] = np.minimum(tables["W[1]"], 1)
+    """Negative control: a table whose every symbol is 0 in one
+    assignment of 5 and 1 otherwise is not uniform, and ``entropy`` says
+    so on every key form: TINY's packed int32 word (the skewed W[1] has
+    a 1-bit field of its own, 31 bits in all), the cyclic copy's packed
+    int64 word, and the all-pairs copy's mixed-radix keys, int32, int64
+    and relabelled.  The skewed table is the gradient's, and the other
+    members are built from F[1] and the Z masks alone, which are
+    independent of it: members that fixed the whole assignment would
+    make any joint key uniform."""
+    names = list(tiny_oracle.names)
+    pool = {"F[1]", *(n for n in names if n.startswith("Z["))}
+    cases = [
+        ({n: (n,) for n in names}, "W[1]", [1, 2, 8], ["int32"] * 3),
+        (_cyclic_pairs(names), "W+W[1]", [1, 2, 8], ["int64"] * 3),
+        (_all_pairs(names), "W+W[1]", [1, 2, 7, 16], ["int32", "int32", "int64", "int64"]),
+    ]
+    rng = random.Random(5)
+    for members, name, sizes, forms in cases:
+        tables = _stacked_tables_of(tiny_oracle, members)
+        tables[name] = np.minimum(tables[name], 1)
         skewed = _oracle_counting(tiny_oracle, tables)
+        others = [n for n, ms in members.items() if pool.issuperset(ms)]
         key_forms.clear()
-        for subset in (["W[1]"], ["W[1]", "F[1]"], ["W[1]", *skewed.names[-6:]]):
+        for size in sizes:
             with pytest.raises(LeakageError, match="not uniform"):
-                skewed.entropy(subset)
+                skewed.entropy([name, *rng.sample(others, size - 1)])
         assert [got for got, _ in key_forms] == forms
+
+
+def test_oracle_fields_merge_exactly_the_names_of_one_partition(tiny_oracle):
+    """On TINY two names share a field mask exactly when their joint
+    table has as many distinct rows as each table alone, that is when
+    they induce one partition of the assignments, and other names'
+    fields are disjoint.  The constant tables, the self-masks Z[n,n,1],
+    have mask 0; the 10 fields of 3 bits fill 30 bits of an int32 word."""
+    word, masks = tiny_oracle._packed
+    tables, names = tiny_oracle.tables, tiny_oracle.names
+
+    def distinct(*members):
+        return len(np.unique(np.hstack([tables[n] for n in members]), axis=0))
+
+    for a, b in combinations(names, 2):
+        same = distinct(a, b) == distinct(a) == distinct(b)
+        assert (masks[a] == masks[b]) == same, (a, b)
+        assert same or masks[a] & masks[b] == 0, (a, b)
+    constant = ["Z[1,1,1]", "Z[2,2,1]", "Z[3,3,1]"]
+    assert [n for n in names if masks[n] == 0] == [n for n in names if distinct(n) == 1] == constant
+    assert word.dtype == np.int32 and len(set(masks.values()) - {0}) == 10
+    assert reduce(or_, masks.values()) == 2**30 - 1
+
+
+def test_oracle_catches_fields_merged_by_support_alone(tiny_ctx, tiny_oracle, monkeypatch):
+    """Negative control: a labelling that keeps only each code's support
+    size gives every name of 5 values one shared field, and some pair's
+    ``entropy`` then differs from the rank formula, where the real
+    labelling matches it on every pair."""
+    tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
+    pairs = list(combinations(tiny_oracle.names, 2))
+
+    def mismatches(oracle):
+        return [(a, b) for a, b in pairs if oracle.entropy([a, b]) != entropy_rank([tv[a], tv[b]])]
+
+    assert mismatches(tiny_oracle) == []
+    labelled = leakage._first_labels
+
+    def by_support(code, radix):
+        support = labelled(code, radix)[1]
+        return np.arange(len(code), dtype=np.int32) % support, support
+
+    monkeypatch.setattr(leakage, "_first_labels", by_support)
+    merged = _oracle_counting(tiny_oracle, tiny_oracle.tables)
+    assert len(set(merged._packed[1].values()) - {0}) == 1
+    assert mismatches(merged) != []
 
 
 def test_oracle_refuses_unknown_names(tiny_oracle):
@@ -936,30 +1030,28 @@ def test_stacked_tables_catch_a_role_that_mixes_columns(tiny_ctx, monkeypatch):
     assert _differing_tables(got, _per_assignment_tables(wide, TINY_PATTERN, sample)) == responses
 
 
-def test_oracle_matches_rank_where_codes_do_not_pack(key_forms):
+def test_oracle_matches_rank_where_fields_pack_into_int64(key_forms):
     """A second oracle instance: 1,4,2,1,7,1 under ``nu=1:1,2,3 hm=1,2``,
-    7^6 = 117,649 assignments and N = 4.  Its 29 variables' 3-bit codes
-    need 87 bits, so there is no packed word, and ``entropy`` takes
-    mixed-radix keys: int32 for up to 11 members (7^11 < 2^31), int64
-    beyond, relabelled densely before the 23rd member (7^23 > 2^62), so
-    that a key of s > 22 members is below 7^6 * 7^(s - 22).  Seeded
-    subsets of every form and seeded MI queries, 50 comparisons, match
-    the rank formula."""
+    7^6 = 117,649 assignments and N = 4.  Its 29 variables induce 13
+    distinct nonconstant partitions, 3-bit fields, 39 bits in all, so
+    ``entropy`` takes the packed int64 key ``word & mask`` at every
+    subset size.  Seeded subsets of every size and seeded MI queries, 50
+    comparisons, match the rank formula."""
     params = SchemeParams(1, 4, 2, 1, 7, 1)
     ctx, pattern = setup(params), parse_pattern("nu=1:1,2,3 hm=1,2")
     oracle = BruteForceOracle(ctx, pattern)
     tv = build_linear_transcript(ctx, pattern)
     names = list(oracle.names)
     assert oracle.count == 7**6 and len(names) == 29 and set(names) == set(tv)
-    assert oracle._packed is None
-    rng, forms = random.Random(12), set()
+    word, masks = oracle._packed
+    assert word.dtype == np.int64 and len(set(masks.values()) - {0}) == 13
+    assert reduce(or_, masks.values()) == 2**39 - 1
+    rng = random.Random(12)
     for size in [0, 1, 2, 5, 8, 11, 12, 15, 18, 22] * 3 + [23, 24, 25, 26, 27, 29] * 2:
         subset = rng.sample(names, size)
         key_forms.clear()
         assert oracle.entropy(subset) == entropy_rank([tv[n] for n in subset]), subset
-        assert size < 23 or key_forms[0][1].max() < oracle.count * 7 ** (size - 22)
-        forms.update(form for form, _ in key_forms)
-    assert forms == {"int32", "int64"}
+        assert [form for form, _ in key_forms] == (["int64"] if size else [])
     for _ in range(8):
         a, b, c = (rng.sample(names, rng.randrange(1, 7)) for _ in range(3))
         expect = cond_mutual_info(MiQuery(*(tuple(tv[n] for n in part) for part in (a, b, c))))

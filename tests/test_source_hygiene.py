@@ -413,6 +413,26 @@ def reads_outside(tree: ast.Module, names: tuple[str, ...], allowed: tuple[str, 
     )
 
 
+# the rank routines, and the brute-force oracle's code, which names none of
+# them: its counts are the independent check on the rank arithmetic
+RANK_ROUTINES = ("_forward_echelon", "RowSpace", "joint_rank", "entropy_rank",
+                 "rank_quadruple", "_split_observed")
+ORACLE_CODE = ("BruteForceOracle", "_packed_word", "_first_labels", "_variable_codes",
+               "_counted_entropy", "_stacked_tables")
+
+
+def names_within(tree: ast.Module, names: tuple[str, ...], owners: tuple[str, ...]) -> list[int]:
+    """Lines in the top-level classes and functions named in ``owners``
+    whose code names one of ``names`` (see ``name_uses``)."""
+    return sorted({
+        line
+        for node in tree.body
+        if getattr(node, "name", None) in owners
+        for name in names
+        for line in name_uses(node, name)
+    })
+
+
 # what reading a pattern takes: its class, or one of its members
 PATTERN_READS = ("CommPattern", "receivers", "survivors", "receivers_of", "users_of",
                  "active_helpers", "with_survivors")
@@ -754,6 +774,17 @@ def test_no_helper_role_reads_the_pattern():
     assert pattern_reads(protocol, ("run_helpers",)) != []
 
 
+def test_the_oracle_names_no_rank_routine():
+    """The brute-force oracle's code, ``BruteForceOracle`` and the
+    functions that build and count its keys, names no rank routine, so
+    its entropies stay a count independent of the rank arithmetic they
+    check; the rank side does name them."""
+    leakage = _package()["leakage"]
+    assert {getattr(node, "name", None) for node in leakage.body} >= set(ORACLE_CODE)
+    assert names_within(leakage, RANK_ROUTINES, ORACLE_CODE) == []
+    assert names_within(leakage, RANK_ROUTINES, ("entropy_rank", "rank_quadruple")) != []
+
+
 def test_each_option_is_declared_once():
     """Every ``RunConfig`` field but ``mode`` is an option of the table;
     only the table's loop adds a flag, and the CLI names no option
@@ -994,6 +1025,23 @@ def test_the_checks_catch_what_they_look_for():
         ),
         HELPER_ROLES,
     ) == [1, 3, 5, 6, 7]
+    # an oracle that reads its entropies off ranks
+    assert names_within(
+        ast.parse(
+            "class BruteForceOracle:\n"
+            "    def entropy(self, names):\n"
+            "        return entropy_rank([self.tv[n] for n in names])\n"
+            "def _counted_entropy(keys, q, names):\n"
+            "    return RowSpace(keys).rank\n"
+            "def _packed_word(codes):\n"
+            "    return leakage._forward_echelon([], codes, field)\n"
+            "def entropy_rank(variables):\n"
+            "    return joint_rank(variables)\n"
+            "note = 'joint_rank'\n"
+        ),
+        RANK_ROUTINES,
+        ORACLE_CODE,
+    ) == [3, 5, 7]
     assert rank_store_name_work(
         ast.parse(
             "class _RankStore:\n"
