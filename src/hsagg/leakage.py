@@ -115,7 +115,7 @@ class TooLargeToEnumerate(LeakageError):
 _ORACLE_ASSIGNMENT_LIMIT = 10**6
 # The most assignments one stacked round of an oracle's build runs: a
 # round holds its payloads as Python ints, and one round of 823,543
-# assignments (1,5,2,1,7,1) peaked at 640 MB RSS, against 449 MB in rounds.
+# assignments (1,5,2,1,7,1) peaked at 640 MB RSS, against 346 MB in rounds.
 _ORACLE_ROUND_LIMIT = 2**14
 
 
@@ -1198,17 +1198,6 @@ def _counted_entropy(keys: np.ndarray, q: int, names: Sequence[str]) -> int:
     return exponent
 
 
-def _variable_codes(tables: Mapping[str, np.ndarray], q: int) -> dict[str, tuple]:
-    """Each table's radix ``q**width`` and its rows read as int32 base-q
-    codes, the first digit worth 1 (see ``_ORACLE_ASSIGNMENT_LIMIT``)."""
-    import numpy as np
-    codes = {}
-    for name, rows in tables.items():
-        digits = q ** np.arange(rows.shape[1], dtype=np.int64)
-        codes[name] = q ** rows.shape[1], (rows @ digits).astype(np.int32)
-    return codes
-
-
 def _first_labels(code: np.ndarray, radix: int) -> tuple:
     """``code``'s values, each below ``radix``, relabelled 0, 1, ... in
     order of first occurrence, as int32, and their number.  Two codes get
@@ -1224,32 +1213,40 @@ def _first_labels(code: np.ndarray, radix: int) -> tuple:
     return relabel.take(code), len(seen)
 
 
-def _packed_word(codes: Mapping[str, tuple]) -> tuple | None:
+def _packed_word(tables: Mapping[str, np.ndarray], q: int) -> tuple:
     """One word per assignment with a bit field for each distinct
-    partition of the assignments that the codes induce, and each name's
-    field mask; None where the fields need more than 63 bits.
+    partition of the assignments that the tables induce, and each name's
+    field mask; ``TooLargeToEnumerate`` where the fields need more than
+    63 bits.
 
-    A field holds its names' first-occurrence labels (``_first_labels``)
+    Each table's rows are read as one int32 base-q code, the first digit
+    worth 1 (see ``_ORACLE_ASSIGNMENT_LIMIT``); a name's code and labels
+    live only until the next name's replace them, so the build keeps no
+    per-name array but the word.  A
+    field holds its names' first-occurrence labels (``_first_labels``)
     in ``(s - 1).bit_length()`` bits, s labels, so two names share a
     field exactly when their codes induce the same partition, and a
     constant code has mask 0 and no bits.  Relabelling a code, or merging
     names of one partition, leaves every subset's joint partition, so
     every count, unchanged.  The word is int32 where the fields fit in 31
-    bits, else int64.  Only the word is kept: the labels at every 61st
-    assignment, a stride prime to q unless q = 61, key the candidate
-    fields, and a candidate is taken only where the word's bits equal
-    the labels at every assignment."""
+    bits, else int64.  The labels at every 61st assignment, a stride
+    prime to q unless q = 61, key the candidate fields, and a candidate
+    is taken only where the word's bits equal the labels at every
+    assignment."""
     import numpy as np
-    count = len(next(iter(codes.values()))[1])
+    count = len(next(iter(tables.values())))
     word, masks, fields, shift = np.zeros(count, dtype=np.int64), {}, {}, 0
-    for name, (radix, code) in codes.items():
-        labels, support = _first_labels(code, radix)
+    for name, rows in tables.items():
+        code = (rows @ q ** np.arange(rows.shape[1], dtype=np.int64)).astype(np.int32)
+        labels, support = _first_labels(code, q ** rows.shape[1])
         found = fields.setdefault(labels[::61].tobytes(), [])
         mask = next((m for low, m in found if np.array_equal((word & m) >> low, labels)), None)
         if mask is None:
             bits = (support - 1).bit_length()
             if shift + bits > 63:
-                return None
+                raise TooLargeToEnumerate(
+                    f"partition fields take {shift + bits} bits by {name}, past a 63-bit word"
+                )
             word |= labels.astype(np.int64) << shift
             mask = ((1 << bits) - 1) << shift
             found.append((shift, mask))
@@ -1271,20 +1268,12 @@ class BruteForceOracle:
     subspace, so every joint entropy is an exact integer number of q-ary
     symbols; non-uniformity would indicate a broken scheme and raises.
 
-    Each variable's table is also read once into one base-q code per
-    assignment (``codes``, with its radix ``q**width``), and counting a
-    subset's joint key is one sort.  Where the distinct partitions of
-    the assignments that the codes induce fit a bit field each of one
-    word, int32 up to 31 bits and int64 up to 63 (``_packed_word``),
-    ``entropy`` takes the key ``word & mask``, the mask the OR of the
-    names' field masks, one call at any subset size.  Otherwise the key
-    is the mixed-radix code ``key * radix + code`` of the members in
-    turn (``_joined``): int32 while the span so far, the product of the
-    radices, is below 2**31, which sorts about twice as fast as int64,
-    and int64 beyond.  Before a member would take the span to 2**62, the
-    key is relabelled densely by rank among its values (a bijection, so
-    counts stay exact), and its span becomes their number, at most the
-    assignment count.
+    The build packs the distinct partitions of the assignments that the
+    variables induce into a bit field each of one word per assignment,
+    int32 up to 31 bits and int64 up to 63 (``_packed_word``), and an
+    instance whose fields need more raises ``TooLargeToEnumerate``.
+    ``entropy`` counts a subset's key ``word & mask``, the mask the OR
+    of its names' field masks, in one sort at any subset size.
     """
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern):
@@ -1301,8 +1290,7 @@ class BruteForceOracle:
         self.ctx, self.pattern, self.q, self.count = ctx, pattern, q, total
         # every assignment, in ``itertools.product`` order
         self.tables = _stacked_tables(ctx, pattern, np.indices((q,) * width).reshape(width, -1).T)
-        self.codes = _variable_codes(self.tables, q)
-        self._packed = _packed_word(self.codes)
+        self._packed = _packed_word(self.tables, q)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -1310,33 +1298,14 @@ class BruteForceOracle:
 
     def entropy(self, names: Sequence[str]) -> int:
         """Exact joint q-ary entropy of the named variables."""
-        names = list(dict.fromkeys(names))  # a repeated code would add digits
+        names = list(dict.fromkeys(names))
         unknown = [n for n in names if n not in self.tables]
         if unknown:
             raise BadSubset(f"unknown variables {unknown}")
         if not names:
             return 0
-        if self._packed is not None:
-            word, masks = self._packed  # names of one partition share a field
-            return _counted_entropy(word & reduce(or_, map(masks.get, names)), self.q, names)
-        span, code = self.codes[names[0]]
-        return _counted_entropy(self._joined(code.copy(), span, names[1:]), self.q, names)
-
-    def _joined(self, keys: np.ndarray, span: int, names: Sequence[str]) -> np.ndarray:
-        """``keys``, of span ``span``, extended by each of ``names`` in
-        turn; the keys change in place while their dtype holds."""
-        import numpy as np
-        for n in names:
-            radix, code = self.codes[n]
-            if span * radix >= 2**62:
-                values, keys = np.unique(keys, return_inverse=True)
-                span = len(values)  # at most the assignment count, as is every radix
-            span *= radix
-            if span >= 2**31:
-                keys = keys.astype(np.int64, copy=False)
-            keys *= radix
-            keys += code
-        return keys
+        word, masks = self._packed  # names of one partition share a field
+        return _counted_entropy(word & reduce(or_, map(masks.get, names)), self.q, names)
 
     def cond_mutual_info(
         self,

@@ -87,10 +87,19 @@ class CommPattern:
         return replace(self, survivors=frozenset(survivors))
 
 
+def _int(text: str, what: str) -> int:
+    """``text`` as an int, or ``ValueError`` naming ``what``, the part of
+    the pattern literal that holds it."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _helper_set(text: str, what: str) -> frozenset[int]:
     """The comma-separated helper ids of a pattern literal; a repeated
     id raises ``ValueError`` rather than being dropped."""
-    ids = [int(h) for h in text.split(",") if h]
+    ids = [_int(h, what) for h in text.split(",") if h]
     if len(set(ids)) < len(ids):
         raise ValueError(f"{what} repeat a helper id in pattern literal")
     return frozenset(ids)
@@ -101,23 +110,26 @@ def parse_pattern(text: str) -> CommPattern:
 
     The ``hm=`` part is optional; without it the pattern carries no
     survivor set.  A user listed twice, a helper id repeated within one
-    set or a second ``hm=`` part raises ``ValueError``.
+    set, an id that is not an integer or a second ``nu=`` or ``hm=``
+    part raises ``ValueError``.
     """
+    parts = text.split()
+    for key in ("nu=", "hm="):
+        if sum(part.startswith(key) for part in parts) > 1:
+            raise ValueError(f"pattern literal repeats its {key} component")
     receivers: dict[int, frozenset[int]] = {}
     survivors = None
-    for part in text.split():
+    for part in parts:
         if part.startswith("nu="):
             for entry in part[3:].split(";"):
                 if not entry:
                     continue
                 user_s, _, helpers_s = entry.partition(":")
-                user = int(user_s)
+                user = _int(user_s, "a user id")
                 if user in receivers:
                     raise ValueError(f"duplicate user {user} in pattern literal")
                 receivers[user] = _helper_set(helpers_s, f"user {user}'s receivers")
         elif part.startswith("hm="):
-            if survivors is not None:
-                raise ValueError("pattern literal repeats its hm= component")
             survivors = _helper_set(part[3:], "the survivors")
         else:
             raise ValueError(f"unrecognized pattern component {part!r}")

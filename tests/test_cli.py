@@ -441,6 +441,9 @@ BAD_INPUTS = {
     "gradient-file-nested-deeply": ["round", *EXAMPLE_ARGS, "--gradients", "DEEPLY_NESTED"],
     "repeated-survivor-set": ["round", *EXAMPLE_ARGS, "--pattern",
                               "nu=1:1,2,3;2:1,2,4 hm=2,3,4 hm=1,2,3"],
+    "repeated-receiver-part": ["round", *EXAMPLE_ARGS, "--pattern",
+                               "nu=1:1,2,3 nu=2:1,2,4 hm=2,3,4"],
+    "malformed-receiver-id": ["round", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,x hm=1,2,3"],
 }
 
 GRADIENT_FILES = {
@@ -540,6 +543,9 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
         (BAD_INPUTS["gradient-file-nested-deeply"],
          "error: gradient file nests too deeply to read"),
         (BAD_INPUTS["repeated-survivor-set"], "error: pattern literal repeats its hm= component"),
+        (BAD_INPUTS["repeated-receiver-part"], "error: pattern literal repeats its nu= component"),
+        (BAD_INPUTS["malformed-receiver-id"],
+         "error: user 1's receivers: invalid literal for int() with base 10: 'x'"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
          "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
@@ -551,7 +557,7 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "draws-flag", "gradients-flag", "grid-flag", "malformed-flag", "malformed-key",
          "rates-seed-flag", "rates-dealer-seed-flag", "rates-seed-key", "gradient-file-a-list",
          "round-pattern-user-count", "round-zero-gradient-length", "gradient-file-nested-deeply",
-         "repeated-survivor-set"],
+         "repeated-survivor-set", "repeated-receiver-part", "malformed-receiver-id"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     assert main(_with_files(argv, tmp_path)) == 2

@@ -49,7 +49,7 @@ from hsagg.leakage import (
     rank_quadruple,
     response_entropy_given_sum,
 )
-from hsagg.matrix import GfMatrix, RowSpace, Singular
+from hsagg.matrix import FieldTooSmall, GfMatrix, RowSpace, Singular
 from hsagg.patterns import (
     enumerate_patterns,
     enumerate_survivors,
@@ -57,7 +57,7 @@ from hsagg.patterns import (
     parse_pattern,
     subsets,
 )
-from hsagg.protocol import HelperResponse, SchemeParams, setup
+from hsagg.protocol import HelperResponse, ProtocolError, SchemeParams, check_params, setup
 
 EXAMPLE = SchemeParams(2, 4, 3, 1, 7, 2)
 EXAMPLE_PATTERN = parse_pattern("nu=1:1,2,3;2:1,2,4 hm=2,3,4")
@@ -728,32 +728,11 @@ def test_oracle_count_rejects_non_uniform_keys():
         assert _counted_entropy(keys, 2, ["x"]) == 3
 
 
-def test_oracle_relabels_a_key_before_its_span_reaches_2_62(tiny_oracle, key_forms):
-    """The all-pairs copy of TINY (``_all_pairs``) has radix 5**2 per
-    name and no packed word, so a key of 14 members would span
-    25**14 > 2**62: ``_joined`` relabels the key of the first 13 densely
-    first, so the key ``entropy`` counts stays one nonnegative int64
-    column below 2**62, and a key of up to 23 members stays below the
-    assignment count times 25 per member after the 13th.  Its keys
-    induce the partition of the members' table rows."""
-    wide = _stacked_copy(tiny_oracle, _all_pairs(tiny_oracle.names))
-    assert wide._packed is None and 25**13 < 2**62 <= 25**14
-    rng = random.Random(3)
-    for size in (14, 15, 19, 23, 60, 171):
-        subset = rng.sample(wide.names, size)
-        key_forms.clear()
-        wide.entropy(subset)
-        [(got, keys)] = key_forms
-        assert got == "int64" and 0 <= keys.min() and keys.max() < 2**62
-        assert size > 23 or keys.max() < wide.count * 25 ** (size - 13)
-        assert _keys_match_rows(keys, np.hstack([wide.tables[n] for n in subset])), subset
-
-
 def test_oracle_repeated_and_overlapping_names(tiny_ctx, tiny_oracle):
     tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
     assert tiny_oracle.entropy(["W[1]", "W[1]"]) == tiny_oracle.entropy(["W[1]"]) == 1
     assert tiny_oracle.entropy(["X[1,1]", "W", "X[1,1]", "W[1]"]) == 2
-    # q copies of one variable's code would carry into the next one's digits
+    # q copies of one name count as one name, beside another
     names = tiny_oracle.names
     a, b = next((a, b) for a, b in zip(names, names[1:]) if tiny_oracle.entropy([a, b]) == 2)
     assert tiny_oracle.entropy([a] * TINY.modulus + [b]) == 2
@@ -778,11 +757,10 @@ def key_forms(monkeypatch):
 
 
 def _oracle_counting(oracle, tables):
-    """A copy of ``oracle`` over ``tables``, with the codes and packed
-    word ``__init__`` derives from them."""
+    """A copy of ``oracle`` over ``tables``, with the packed word
+    ``__init__`` derives from them."""
     copied = copy.copy(oracle)
-    copied.tables, copied.codes = tables, leakage._variable_codes(tables, oracle.q)
-    copied._packed = leakage._packed_word(copied.codes)
+    copied.tables, copied._packed = tables, leakage._packed_word(tables, oracle.q)
     return copied
 
 
@@ -819,27 +797,19 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
     3-bit fields, 30 bits in all, so ``entropy`` takes the packed int32
     key ``word & mask`` at every subset size.  A copy whose names are
     each TINY name beside the next (``_cyclic_pairs``) packs into an
-    int64 word.  A copy whose names are every two TINY names
-    (``_all_pairs``) needs more than 63 bits, so ``entropy`` falls back
-    to mixed-radix keys, whose radix 5**2 puts keys of 1-6 members on
-    int32 and of 7 or more on int64.  On every form a subset's key
-    induces the partition of its tables' rows, and its entropy is
-    TINY's, and the rank formula's, on the union of its members."""
+    int64 word.  On both forms a subset's key induces the partition of
+    its tables' rows, and its entropy is TINY's, and the rank
+    formula's, on the union of its members."""
     assert all(t.shape[1] == 1 for t in tiny_oracle.tables.values())
     assert TINY.modulus == 5 and len(tiny_oracle.names) == 19
-    assert 25**6 < 2**31 <= 25**7
     tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
     names = list(tiny_oracle.names)
-    cyclic, pairs = _cyclic_pairs(names), _all_pairs(names)
+    cyclic = _cyclic_pairs(names)
     forms = [
-        (tiny_oracle, {n: (n,) for n in names}, lambda size: "int32"),
-        (_stacked_copy(tiny_oracle, cyclic), cyclic, lambda size: "int64"),
-        (_stacked_copy(tiny_oracle, pairs), pairs,
-         lambda size: "int32" if size <= 6 else "int64"),
+        (tiny_oracle, {n: (n,) for n in names}, "int32"),
+        (_stacked_copy(tiny_oracle, cyclic), cyclic, "int64"),
     ]
-    assert [oracle._packed and oracle._packed[0].dtype.name for oracle, _, _ in forms] == [
-        "int32", "int64", None
-    ]
+    assert [oracle._packed[0].dtype.name for oracle, _, _ in forms] == ["int32", "int64"]
     rng = random.Random(7)
     for oracle, members, form in forms:
         for size in [1, 2, 3, 4, 6, 7, 8, 12, 19] * 3:
@@ -848,39 +818,46 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
             key_forms.clear()
             got = oracle.entropy(subset)
             [(dtype, keys)] = key_forms
-            assert dtype == form(size)
+            assert dtype == form
             assert _keys_match_rows(keys, np.hstack([oracle.tables[n] for n in subset]))
             assert got == tiny_oracle.entropy(union) == entropy_rank([tv[n] for n in union])
+
+
+def test_oracle_refuses_fields_past_one_word(tiny_oracle):
+    """Negative control: the copy whose names are every two TINY names
+    (``_all_pairs``, 171 of them) induces more distinct partitions than
+    63 bits of fields hold, so the oracle refuses it rather than count
+    on another key."""
+    with pytest.raises(TooLargeToEnumerate, match="past a 63-bit word"):
+        _stacked_copy(tiny_oracle, _all_pairs(tiny_oracle.names))
 
 
 def test_oracle_refuses_a_skewed_table_on_every_key_form(tiny_oracle, key_forms):
     """Negative control: a table whose every symbol is 0 in one
     assignment of 5 and 1 otherwise is not uniform, and ``entropy`` says
-    so on every key form: TINY's packed int32 word (the skewed W[1] has
-    a 1-bit field of its own, 31 bits in all), the cyclic copy's packed
-    int64 word, and the all-pairs copy's mixed-radix keys, int32, int64
-    and relabelled.  The skewed table is the gradient's, and the other
-    members are built from F[1] and the Z masks alone, which are
+    so on both key forms: TINY's packed int32 word (the skewed W[1] has
+    a 1-bit field of its own, 31 bits in all) and the cyclic copy's
+    packed int64 word.  The skewed table is the gradient's, and the
+    other members are built from F[1] and the Z masks alone, which are
     independent of it: members that fixed the whole assignment would
     make any joint key uniform."""
     names = list(tiny_oracle.names)
     pool = {"F[1]", *(n for n in names if n.startswith("Z["))}
     cases = [
-        ({n: (n,) for n in names}, "W[1]", [1, 2, 8], ["int32"] * 3),
-        (_cyclic_pairs(names), "W+W[1]", [1, 2, 8], ["int64"] * 3),
-        (_all_pairs(names), "W+W[1]", [1, 2, 7, 16], ["int32", "int32", "int64", "int64"]),
+        ({n: (n,) for n in names}, "W[1]", "int32"),
+        (_cyclic_pairs(names), "W+W[1]", "int64"),
     ]
     rng = random.Random(5)
-    for members, name, sizes, forms in cases:
+    for members, name, form in cases:
         tables = _stacked_tables_of(tiny_oracle, members)
         tables[name] = np.minimum(tables[name], 1)
         skewed = _oracle_counting(tiny_oracle, tables)
         others = [n for n, ms in members.items() if pool.issuperset(ms)]
         key_forms.clear()
-        for size in sizes:
+        for size in (1, 2, 8):
             with pytest.raises(LeakageError, match="not uniform"):
                 skewed.entropy([name, *rng.sample(others, size - 1)])
-        assert [got for got, _ in key_forms] == forms
+        assert [got for got, _ in key_forms] == [form] * 3
 
 
 def test_oracle_fields_merge_exactly_the_names_of_one_partition(tiny_oracle):
@@ -1056,6 +1033,71 @@ def test_oracle_matches_rank_where_fields_pack_into_int64(key_forms):
         a, b, c = (rng.sample(names, rng.randrange(1, 7)) for _ in range(3))
         expect = cond_mutual_info(MiQuery(*(tuple(tv[n] for n in part) for part in (a, b, c))))
         assert oracle.cond_mutual_info(a, b, c) == expect, (a, b, c)
+
+
+def _oracle_points():
+    """Every feasible point whose oracle enumerates at most
+    ``_ORACLE_ASSIGNMENT_LIMIT`` assignments.  Feasibility needs T >= 1,
+    so Nr >= 2, N >= 3 and q >= N + Nr >= 5, and a source of
+    ``dim = K Nr + N K (Nr - 1) >= K + N`` slots: 5**9 past the limit
+    bounds K, N and L by 8, and 16**5 past it bounds q below 16."""
+    limit = leakage._ORACLE_ASSIGNMENT_LIMIT
+    assert 5**9 > limit and 16**5 > limit
+    points = []
+    for k, n, q, length in product(range(1, 9), range(3, 9), range(5, 16), range(1, 9)):
+        for nr, t in product(range(2, n), range(1, n)):
+            params = SchemeParams(k, n, nr, t, q, length)
+            if nr <= t or q ** (SourceLayout(params).dim * params.block_len) > limit:
+                continue
+            try:
+                check_params(params)
+            except (ProtocolError, FieldTooSmall):
+                continue
+            points.append(params)
+    return points
+
+
+def _predicted_fields(tv, params):
+    """The oracle's field count and bit width, read off the linear
+    transcript ``tv``: two variables induce one partition of the
+    assignments exactly when their row spans are equal, and a span of
+    rank r splits them into q**(r * block_len) parts."""
+    field, dim = PrimeField(params.modulus), SourceLayout(params).dim
+    ranks = {}
+    for v in tv.values():
+        space = RowSpace(field, dim)
+        space.insert_matrix(v.coeffs)
+        ranks[tuple(map(tuple, space.basis))] = space.rank
+    sizes = [params.modulus ** (r * params.block_len) for r in ranks.values() if r]
+    return len(sizes), sum((s - 1).bit_length() for s in sizes)
+
+
+def test_every_admissible_oracle_packs_into_one_word():
+    """Every instance the oracle admits fits its 63-bit word: the 6
+    points within ``_ORACLE_ASSIGNMENT_LIMIT``, all at K = 1, under each
+    of their 53 patterns, need at most 54 bits of fields.  At TINY and
+    at 1,4,2,1,7,1 the prediction is the built oracle's own field count
+    and bit width."""
+    points = _oracle_points()
+    assert [p.label() for p in points] == [
+        "1,3,2,1,5,1", "1,3,2,1,7,1", "1,3,2,1,11,1", "1,3,2,1,13,1",
+        "1,4,2,1,7,1", "1,5,2,1,7,1",
+    ]
+    widths = []
+    for params in points:
+        ctx = setup(params)
+        for pattern in enumerate_patterns(params):
+            widths.append(_predicted_fields(build_linear_transcript(ctx, pattern), params)[1])
+    assert len(widths) == 53 and max(widths) == 54
+    second = SchemeParams(1, 4, 2, 1, 7, 1)
+    for params, pattern, expect in [
+        (TINY, TINY_PATTERN, (10, 30)),
+        (second, parse_pattern("nu=1:1,2,3 hm=1,2"), (13, 39)),
+    ]:
+        ctx = setup(params)
+        masks = BruteForceOracle(ctx, pattern)._packed[1]
+        built = len(set(masks.values()) - {0}), reduce(or_, masks.values()).bit_length()
+        assert _predicted_fields(build_linear_transcript(ctx, pattern), params) == built == expect
 
 
 # q = 2, where every nonzero pivot is 1 already, two small primes, and two

@@ -417,8 +417,8 @@ def reads_outside(tree: ast.Module, names: tuple[str, ...], allowed: tuple[str, 
 # them: its counts are the independent check on the rank arithmetic
 RANK_ROUTINES = ("_forward_echelon", "RowSpace", "joint_rank", "entropy_rank",
                  "rank_quadruple", "_split_observed")
-ORACLE_CODE = ("BruteForceOracle", "_packed_word", "_first_labels", "_variable_codes",
-               "_counted_entropy", "_stacked_tables")
+ORACLE_CODE = ("BruteForceOracle", "_packed_word", "_first_labels", "_counted_entropy",
+               "_stacked_tables")
 
 
 def names_within(tree: ast.Module, names: tuple[str, ...], owners: tuple[str, ...]) -> list[int]:
@@ -1033,8 +1033,8 @@ def test_the_checks_catch_what_they_look_for():
             "        return entropy_rank([self.tv[n] for n in names])\n"
             "def _counted_entropy(keys, q, names):\n"
             "    return RowSpace(keys).rank\n"
-            "def _packed_word(codes):\n"
-            "    return leakage._forward_echelon([], codes, field)\n"
+            "def _packed_word(tables, q):\n"
+            "    return leakage._forward_echelon([], tables, field)\n"
             "def entropy_rank(variables):\n"
             "    return joint_rank(variables)\n"
             "note = 'joint_rank'\n"
