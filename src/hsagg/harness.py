@@ -485,11 +485,11 @@ def _security_sweep(tvars, user_sets, helper_sets) -> Iterator[lk.LeakageRecord]
     and helper subset under the context and pattern of the transcript
     ``tvars``; the record of a helper subset beyond the bound is flagged
     exploratory."""
-    ctx, pattern = tvars.ctx, tvars.pattern
+    record = tvars.record
     for uset in user_sets:
         for tset in helper_sets:
-            for check in (lk.check_security_helpers, lk.check_security_master):
-                yield check(ctx, pattern, uset, tset, tvars=tvars)
+            yield record(uset, tset, False)
+            yield record(uset, tset, True)
 
 
 def _decode_cases(unit: lk.UnitRound, responses, survivor_sets, draws, decodes: dict) -> list:
@@ -590,7 +590,7 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
                     f" T={rec.colluding_helpers} {rec.pattern}"
                 )
         for tset in helper_sets:
-            rec = lk.check_sharing_leakage(ctx, pattern, tset, tvars=tvars)
+            rec = tvars.sharing(tset)
             report.invariant_checks += 1
             if rec.value != 0:
                 report.failures.append(

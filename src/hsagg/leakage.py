@@ -515,6 +515,38 @@ class LinearTranscript(Mapping):
             )
         return found
 
+    def record(self, users: Sequence[int], tset: Sequence[int], with_sum: bool) -> LeakageRecord:
+        """The helper record of ``users`` and ``tset``, or the master's if
+        ``with_sum``: the view's reduction or the master's set's, given
+        ``users``' own inputs, and the sum if ``with_sum``; exploratory
+        (reported, not judged) for a ``tset`` beyond the bound.  It reads
+        the collusion, the given and the quadruple straight from the memos
+        with the sets as passed, sorted only on a miss: the keys are sorted
+        tuples of distinct ids, so a hit proves the input both, and a miss
+        raises ``BadSubset`` on a repeated id."""
+        c = self._collusions.get(tset := tuple(tset)) or self.collusion(tset := tuple(sorted(tset)))
+        store, (r_noise, kernel) = self._store, c.master_reduction if with_sum else c.view_reduction
+        given = store.givens.get((with_sum, users := tuple(users))) or store.given(
+            with_sum, users := tuple(sorted(users)))
+        ranks = store.quadruples.get((id(kernel), id(store.gradients), id(given)))
+        r_ac, r_bc, r_abc, r_c = ranks or store.quadruple(
+            kernel, store.gradients, given, None if with_sum else c.users)
+        ranks, value = (r_ac, r_bc + r_noise, r_abc + r_noise, r_c), r_ac + r_bc - r_abc - r_c
+        # in field order: keywords would cost about 0.4 us more per record
+        return LeakageRecord("master" if with_sum else "helpers", users, tset, self.label, ranks,
+                             value * self.block_len, len(tset) > self.ctx.params.collusion)
+
+    def sharing(self, tset: Sequence[int]) -> LeakageRecord:
+        """Inter-helper shares reveal nothing new about uploads:
+        I(all uploads; shares seen by tset | tset's uploads and masks) = 0,
+        flagged exploratory for a ``tset`` beyond the bound."""
+        c = self.collusion(tset := tuple(sorted(tset)))
+        ranks = _sharing_ranks(self._unit.uploads_kernel, c.prefix_reduction, c.view_reduction,
+                               self._store.layout.user_dim, self.ctx.field)
+        return LeakageRecord("sharing", (), tset, self.label, ranks,
+                             _mi_from_ranks(ranks, self.block_len),
+                             len(tset) > self.ctx.params.collusion)
+
 
 # -- the transcript: the roles run on a source assignment ----------------
 
@@ -953,49 +985,14 @@ def helper_observation(tvars: LinearTranscript, tset: Sequence[int]) -> tuple[Li
     return tuple(v for g in range(3) for own in groups for v in own[g])
 
 
-def _resolved(ctx: SchemeContext, pattern: CommPattern, tset: Sequence[int],
-              tvars: LinearTranscript | None) -> tuple:
-    """A query's ``tset`` as a sorted tuple, its transcript, whether
-    ``tset`` is beyond the collusion bound (its record is then exploratory:
-    reported, not judged), and the transcript's collusion of it, read from
-    its memo with ``tset`` as passed and sorted only on a miss: the keys
-    are sorted tuples of distinct ids, so a hit proves it both, and a miss
-    raises ``BadSubset`` on a repeated id.  The transcript defaults
-    to the pattern's, and a given one must be that of ``ctx`` and
-    ``pattern``."""
-    oversized = len(tset) > ctx.params.collusion
+def _transcript_of(ctx: SchemeContext, pattern: CommPattern,
+                   tvars: LinearTranscript | None) -> LinearTranscript:
+    """The transcript of ``ctx`` and ``pattern``: ``tvars``, which must be
+    theirs, or, if it is None, the one built for them."""
     if tvars is None:
-        tvars = build_linear_transcript(ctx, pattern)
+        return build_linear_transcript(ctx, pattern)
     tvars.require(ctx, pattern)
-    c = tvars._collusions.get(tset := tuple(tset)) or tvars.collusion(tset := tuple(sorted(tset)))
-    return tset, tvars, oversized, c
-
-
-def _security_record(ctx: SchemeContext, pattern: CommPattern, users: Sequence[int],
-                     tset: Sequence[int], tvars: LinearTranscript | None,
-                     with_sum: bool) -> LeakageRecord:
-    """The helper record, or the master's if ``with_sum``: the view's
-    reduction or the master's set's, given ``users``' own inputs, and the
-    sum if ``with_sum``.  On the same ``ctx`` and ``pattern`` objects as
-    its transcript's, a collusion the transcript holds is read directly;
-    otherwise ``_resolved`` finds it.  It reads the store's tables
-    directly, the givens as ``_resolved`` reads the collusions."""
-    c = tvars is not None and tvars.ctx is ctx and tvars.pattern is pattern and (
-        tvars._collusions.get(tset := tuple(tset)))
-    if c:  # its own transcript, a collusion it holds: the sweep's path
-        tv, oversized = tvars, len(tset) > ctx.params.collusion
-    else:
-        tset, tv, oversized, c = _resolved(ctx, pattern, tset, tvars)
-    store, (r_noise, kernel) = tv._store, c.master_reduction if with_sum else c.view_reduction
-    given = store.givens.get((with_sum, users := tuple(users))) or store.given(
-        with_sum, users := tuple(sorted(users)))
-    ranks = store.quadruples.get((id(kernel), id(store.gradients), id(given)))
-    r_ac, r_bc, r_abc, r_c = ranks or store.quadruple(
-        kernel, store.gradients, given, None if with_sum else c.users)
-    ranks, value = (r_ac, r_bc + r_noise, r_abc + r_noise, r_c), r_ac + r_bc - r_abc - r_c
-    # in field order: keywords would cost about 0.4 us more per record
-    return LeakageRecord("master" if with_sum else "helpers", users, tset, tv.label, ranks,
-                         value * tv.block_len, oversized)
+    return tvars
 
 
 def check_security_helpers(
@@ -1013,7 +1010,7 @@ def check_security_helpers(
     flagged exploratory, its value reported rather than judged.
     ``tvars``, if given, must be the transcript of ``ctx`` and ``pattern``.
     """
-    return _security_record(ctx, pattern, users, tset, tvars, False)
+    return _transcript_of(ctx, pattern, tvars).record(users, tset, False)
 
 
 def check_security_master(
@@ -1030,7 +1027,7 @@ def check_security_master(
     gradient sum itself.  ``tvars``, if given, must be the transcript
     of ``ctx`` and ``pattern``.
     """
-    return _security_record(ctx, pattern, users, tset, tvars, True)
+    return _transcript_of(ctx, pattern, tvars).record(users, tset, True)
 
 
 def check_mask_independence(tvars: LinearTranscript) -> tuple[int, list[str]]:
@@ -1076,17 +1073,9 @@ def check_sharing_leakage(
     tset: Sequence[int],
     tvars: LinearTranscript,
 ) -> LeakageRecord:
-    """Inter-helper shares reveal nothing new about uploads:
-    I(all uploads; shares seen by tset | tset's uploads and masks) = 0,
-    flagged exploratory for a ``tset`` beyond the bound.  ``tvars`` must
-    be the transcript of ``ctx`` and ``pattern``."""
-
-    tset, tv, oversized, c = _resolved(ctx, pattern, tset, tvars)
-    ranks = _sharing_ranks(tv._unit.uploads_kernel, c.prefix_reduction, c.view_reduction,
-                           tv._store.layout.user_dim, ctx.field)
-    return LeakageRecord(
-        "sharing", (), tset, tv.label, ranks, _mi_from_ranks(ranks, tv.block_len), oversized
-    )
+    """The sharing record of ``tset`` (``LinearTranscript.sharing``) in
+    ``tvars``, which must be the transcript of ``ctx`` and ``pattern``."""
+    return _transcript_of(ctx, pattern, tvars).sharing(tset)
 
 
 def check_upload_recoverability(tvars: LinearTranscript) -> tuple[int, list[str]]:

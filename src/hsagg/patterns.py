@@ -97,9 +97,9 @@ def _int(text: str, what: str) -> int:
 
 
 def _helper_set(text: str, what: str) -> frozenset[int]:
-    """The comma-separated helper ids of a pattern literal; a repeated
-    id raises ``ValueError`` rather than being dropped."""
-    ids = [_int(h, what) for h in text.split(",") if h]
+    """The comma-separated helper ids of a pattern literal, none for an
+    empty text; an empty item or a repeated id raises ``ValueError``."""
+    ids = [_int(h, what) for h in text.split(",")] if text else []
     if len(set(ids)) < len(ids):
         raise ValueError(f"{what} repeat a helper id in pattern literal")
     return frozenset(ids)

@@ -444,6 +444,8 @@ BAD_INPUTS = {
     "repeated-receiver-part": ["round", *EXAMPLE_ARGS, "--pattern",
                                "nu=1:1,2,3 nu=2:1,2,4 hm=2,3,4"],
     "malformed-receiver-id": ["round", *EXAMPLE_ARGS, "--pattern", "nu=1:1,2,x hm=1,2,3"],
+    "empty-receiver-id": ["round", "--params", "2,3,2,1,5,1", "--pattern",
+                          "nu=1:1,,2;2:2,3 hm=1,2"],
 }
 
 GRADIENT_FILES = {
@@ -546,6 +548,8 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
         (BAD_INPUTS["repeated-receiver-part"], "error: pattern literal repeats its nu= component"),
         (BAD_INPUTS["malformed-receiver-id"],
          "error: user 1's receivers: invalid literal for int() with base 10: 'x'"),
+        (BAD_INPUTS["empty-receiver-id"],
+         "error: user 1's receivers: invalid literal for int() with base 10: ''"),
     ],
     ids=["format", "seed", "both-seeds", "gradient-file", "unknown-key", "uset-key",
          "grid-key", "draws-key", "empty-grid-in-config", "blank-grid", "negative-budget",
@@ -557,7 +561,8 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
          "draws-flag", "gradients-flag", "grid-flag", "malformed-flag", "malformed-key",
          "rates-seed-flag", "rates-dealer-seed-flag", "rates-seed-key", "gradient-file-a-list",
          "round-pattern-user-count", "round-zero-gradient-length", "gradient-file-nested-deeply",
-         "repeated-survivor-set", "repeated-receiver-part", "malformed-receiver-id"],
+         "repeated-survivor-set", "repeated-receiver-part", "malformed-receiver-id",
+         "empty-receiver-id"],
 )
 def test_refusals_name_what_is_refused(argv, message, tmp_path, capsys):
     assert main(_with_files(argv, tmp_path)) == 2

@@ -35,6 +35,7 @@ from hsagg.harness import (
     verify_point,
 )
 from hsagg import harness, leakage as lk, protocol
+from hsagg.field import is_prime
 from hsagg.matrix import GfMatrix, RowSpace
 from hsagg.patterns import (
     enumerate_patterns,
@@ -1094,6 +1095,48 @@ def test_stretch_report_bytes_pinned(grid, tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--grid", *grid.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STRETCH_REPORTS[grid]
+
+
+def small_points(users: int, max_helpers: int) -> tuple[SchemeParams, ...]:
+    """Every small point at ``users`` users, as the README states the
+    rule: N from 2 to ``max_helpers``, then Nr from 1 to N - 1, then T
+    from 1 to N, with q the smallest prime at least N + Nr and
+    L = max(Nr - T, 1)."""
+    points = []
+    for n in range(2, max_helpers + 1):
+        for nr in range(1, n):
+            q = next(p for p in range(n + nr, 2 * (n + nr)) if is_prime(p))
+            points += [SchemeParams(users, n, nr, t, q, max(nr - t, 1)) for t in range(1, n + 1)]
+    return tuple(points)
+
+
+# SHA-256 of the verify report over every small point at K users, with
+# (points, feasible, with a witness): feasible exactly when Nr > T, an
+# infeasible one passing through its witness or, at Nr = 1, having none
+SMALL_POINT_REPORTS = {
+    2: (5, (40, 10, 16), "7b415b1ea19177cc7bde1725f2e7182dad5899eb36c1ba96f3455fe3f207388d"),
+    3: (4, (20, 4, 7), "c27a589ab83094d37a852078355819d6db711927e04b46734ae490d19a92c039"),
+}
+
+
+@pytest.mark.parametrize("users", SMALL_POINT_REPORTS)
+def test_every_small_point_passes(users):
+    """The paper's statements over the whole small space at ``users``
+    users: every feasible point decodes with zero leakage at rate
+    1/(Nr - T), every infeasible one's witness shows no scheme exists,
+    and the report's bytes are pinned.  It reaches Nr = 1, T = N and
+    T >= Nr, which no default or stretch point does."""
+    max_helpers, counts, digest = SMALL_POINT_REPORTS[users]
+    grid = small_points(users, max_helpers)
+    report = run_verify(RunConfig(mode="verify", grid=grid, budget=10**9))
+    points = report.points
+    assert report.to_json()["pass"]
+    assert (len(points), sum(p.feasible for p in points),
+            sum(p.witness_value is not None for p in points)) == counts
+    assert all(p.feasible == (p.params.resiliency > p.params.collusion) for p in points)
+    assert all(p.feasible or (p.witness_value is None) == (p.params.resiliency == 1)
+               for p in points)
+    assert hashlib.sha256(render_json(report.to_json())).hexdigest() == digest
 
 
 def test_render_csv_outputs():

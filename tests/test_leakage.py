@@ -1895,6 +1895,38 @@ def test_per_user_path_matches_incremental_path(params, scheme, monkeypatch):
         assert views["whole"] == len(patterns) * (tsets - 1)  # every view but the empty one
 
 
+@pytest.mark.parametrize("scheme", PER_USER_SCHEMES)
+def test_the_record_methods_and_the_public_checks_cannot_drift(scheme, monkeypatch):
+    """Every helper, master and sharing record of every user subset and
+    helper subset up to T + 1, at EXAMPLE, is the same whether asked of
+    the transcript's ``record`` and ``sharing``, of the public checks
+    given the transcript, or of the public checks given none, and
+    whether the sets come unsorted, asked first, or sorted: the public
+    checks resolve a transcript, then call the methods."""
+    params = EXAMPLE
+    ctx = PER_USER_SCHEMES[scheme](setup(params), monkeypatch)
+    helpers, users = range(1, params.num_helpers + 1), range(1, params.num_users + 1)
+    tsets = [t for size in range(params.collusion + 2) for t in combinations(helpers, size)]
+    usets = [u for size in range(params.num_users + 1) for u in combinations(users, size)]
+    patterns = list(enumerate_patterns(params))
+    for pattern in (patterns[0], patterns[-1]):
+        tv = build_linear_transcript(ctx, pattern)
+        paths = (
+            lambda u, t: (tv.record(u, t, False), tv.record(u, t, True), tv.sharing(t)),
+            lambda u, t: (check_security_helpers(ctx, pattern, u, t, tvars=tv),
+                          check_security_master(ctx, pattern, u, t, tvars=tv),
+                          check_sharing_leakage(ctx, pattern, t, tv)),
+            lambda u, t: (check_security_helpers(ctx, pattern, u, t),
+                          check_security_master(ctx, pattern, u, t),
+                          check_sharing_leakage(ctx, pattern, t, None)),
+        )
+        for uset, tset in product(usets, tsets):
+            got = [path(u, t) for u, t in ((uset[::-1], tset[::-1]), (uset, tset))
+                   for path in paths]
+            assert all(records == got[-1] for records in got), (tv.label, uset, tset)
+            assert [r.colluding_helpers for r in got[0]] == [tset] * 3
+
+
 def _collusion_mismatches(ctx):
     """Each (pattern, T, part) whose collusion reduction, the prefix's,
     the view's or the master's set's, differs from ``_split_observed`` of

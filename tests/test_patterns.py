@@ -50,6 +50,26 @@ def test_parse_rejects_repeated_helper_ids(text):
         parse_pattern(text)
 
 
+@pytest.mark.parametrize(
+    "text, part",
+    [("nu=1:1,,2;2:2,3 hm=1,2", "user 1's receivers"),
+     ("nu=1:1,2,;2:2,3 hm=1,2", "user 1's receivers"),
+     ("nu=1:1,2;2:2,3 hm=1,,2", "the survivors")],
+)
+def test_parse_rejects_empty_helper_ids(text, part):
+    """An empty item in a helper set is refused, naming its part, not
+    dropped; an empty set text is the empty set, which ``validate``
+    refuses."""
+    with pytest.raises(ValueError, match=f"^{part}: invalid literal for int"):
+        parse_pattern(text)
+
+
+def test_an_empty_helper_set_text_is_the_empty_set():
+    pattern = parse_pattern("nu=1:;2:2,3 hm=")
+    assert pattern.receivers == (frozenset(), frozenset({2, 3}))
+    assert pattern.survivors == frozenset()
+
+
 def test_validate_worked_example():
     pattern = parse_pattern("nu=1:1,2,3;2:1,2,4 hm=2,3,4")
     validate(pattern, EXAMPLE)  # no error

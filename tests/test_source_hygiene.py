@@ -8,8 +8,8 @@ never build a matrix without reducing its entries, no module uses
 brute-force oracle), only ``matrix`` writes a ``RowSpace``'s state, and no
 module reads another's private name.  ``leakage`` builds a ``RowSpace``
 only for the memo-keyed split kernels and the reference quadruple.
-Inside ``leakage`` only the rank store's methods and ``_security_record`` read its ``givens`` and
-``quadruples`` tables, the rank store's body builds no f-string and reads
+Inside ``leakage`` only the rank store's methods and ``LinearTranscript.record`` read its
+``givens`` and ``quadruples`` tables, the rank store's body builds no f-string and reads
 no ``.rows``, and in the package only ``protocol.run_helpers``
 runs the helper roles, none of which takes or reads a pattern.  Only ``patterns`` takes
 ``itertools.combinations``: its ``subsets`` is the one enumeration of
@@ -400,12 +400,19 @@ HELPER_ROLES = ("helper_share", "helper_recover", "helper_respond")
 
 def reads_outside(tree: ast.Module, names: tuple[str, ...], allowed: tuple[str, ...]) -> list[int]:
     """Lines that read one of ``names``, as an attribute or a bare name,
-    outside the top-level classes and functions named in ``allowed``."""
+    outside the top-level classes and functions named in ``allowed`` and
+    the methods it names as ``Class.method``."""
+    split = {owner.partition(".")[0] for owner in allowed if "." in owner}
+    owned = [
+        (f"{node.name}.{getattr(item, 'name', '')}", item)
+        for node in tree.body if getattr(node, "name", None) in split for item in node.body
+    ] + [(getattr(node, "name", None), node) for node in tree.body
+         if getattr(node, "name", None) not in split]
     return sorted(
         {
             sub.lineno
-            for node in tree.body
-            if getattr(node, "name", None) not in allowed
+            for owner, node in owned
+            if owner not in allowed
             for sub in ast.walk(node)
             if isinstance(sub, ast.Attribute) and sub.attr in names
             or isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in names
@@ -718,11 +725,12 @@ def test_the_harness_seeds_one_round():
 
 
 def test_one_record_function_reads_the_rank_store_tables():
-    """Only ``_RankStore``'s own methods and ``_security_record`` read the
-    store's ``givens`` and ``quadruples``, so the helper and master
-    records keep one path; ``_security_record`` does read them."""
+    """Only ``_RankStore``'s own methods and ``LinearTranscript.record``
+    read the store's ``givens`` and ``quadruples``, so the helper and
+    master records keep one path; ``LinearTranscript.record`` does read
+    them, and no other ``LinearTranscript`` method does."""
     package = _package()
-    owners = ("_RankStore", "_security_record")
+    owners = ("_RankStore", "LinearTranscript.record")
     found = {
         module: reads_outside(tree, STORE_TABLES, owners if module == "leakage" else ())
         for module, tree in package.items()
@@ -997,6 +1005,22 @@ def test_the_checks_catch_what_they_look_for():
         STORE_TABLES,
         ("_RankStore", "_security_record"),
     ) == [7, 8]
+    # a read in a transcript method other than the one allowed
+    assert reads_outside(
+        ast.parse(
+            "class LinearTranscript:\n"
+            "    def record(self, key):\n"
+            "        return self._store.quadruples.get(key)\n"
+            "    def sharing(self, users):\n"
+            "        return self._store.givens.get(users)\n"
+            "    memo = givens\n"
+            "class _RankStore:\n"
+            "    def given(self, users):\n"
+            "        return self.givens.get(users)\n"
+        ),
+        STORE_TABLES,
+        ("_RankStore", "LinearTranscript.record"),
+    ) == [5, 6]
     assert reads_outside(
         ast.parse(
             "def run_helpers(ctx, pattern, uploads, keys):\n"
