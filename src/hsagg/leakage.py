@@ -1071,10 +1071,11 @@ def check_sharing_leakage(
     ctx: SchemeContext,
     pattern: CommPattern,
     tset: Sequence[int],
-    tvars: LinearTranscript,
+    tvars: LinearTranscript | None,
 ) -> LeakageRecord:
     """The sharing record of ``tset`` (``LinearTranscript.sharing``) in
-    ``tvars``, which must be the transcript of ``ctx`` and ``pattern``."""
+    ``tvars``, which must be the transcript of ``ctx`` and ``pattern``, or,
+    if it is None, in the one built for them."""
     return _transcript_of(ctx, pattern, tvars).sharing(tset)
 
 
@@ -1204,9 +1205,10 @@ def _first_labels(code: np.ndarray, radix: int) -> tuple:
 
 def _packed_word(tables: Mapping[str, np.ndarray], q: int) -> tuple:
     """One word per assignment with a bit field for each distinct
-    partition of the assignments that the tables induce, and each name's
-    field mask; ``TooLargeToEnumerate`` where the fields need more than
-    63 bits.
+    partition of the assignments that the tables induce, each name's
+    field mask, and an empty dict for the entropies counted on the word,
+    by mask; ``TooLargeToEnumerate`` where the fields need more than 63
+    bits.
 
     Each table's rows are read as one int32 base-q code, the first digit
     worth 1 (see ``_ORACLE_ASSIGNMENT_LIMIT``); a name's code and labels
@@ -1241,7 +1243,7 @@ def _packed_word(tables: Mapping[str, np.ndarray], q: int) -> tuple:
             found.append((shift, mask))
             shift += bits
         masks[name] = mask
-    return (word.astype(np.int32) if shift <= 31 else word), masks
+    return (word.astype(np.int32) if shift <= 31 else word), masks, {}
 
 
 class BruteForceOracle:
@@ -1262,7 +1264,11 @@ class BruteForceOracle:
     int32 up to 31 bits and int64 up to 63 (``_packed_word``), and an
     instance whose fields need more raises ``TooLargeToEnumerate``.
     ``entropy`` counts a subset's key ``word & mask``, the mask the OR
-    of its names' field masks, in one sort at any subset size.
+    of its names' field masks, in one sort at any subset size, the first
+    time it sees that mask, and reads the count back for every later
+    subset of the same mask.  The counts live beside the word they count
+    (``_packed``), and a subset that raises is not kept, so it raises
+    again on every call.
     """
 
     def __init__(self, ctx: SchemeContext, pattern: CommPattern):
@@ -1293,8 +1299,11 @@ class BruteForceOracle:
             raise BadSubset(f"unknown variables {unknown}")
         if not names:
             return 0
-        word, masks = self._packed  # names of one partition share a field
-        return _counted_entropy(word & reduce(or_, map(masks.get, names)), self.q, names)
+        word, masks, counted = self._packed  # names of one partition share a field
+        mask = reduce(or_, map(masks.get, names))
+        if mask not in counted:
+            counted[mask] = _counted_entropy(word & mask, self.q, names)
+        return counted[mask]
 
     def cond_mutual_info(
         self,

@@ -1,8 +1,10 @@
 import copy
 import gc
 import random
+import re
 import weakref
 from dataclasses import fields, is_dataclass, replace
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -764,6 +766,11 @@ def _oracle_counting(oracle, tables):
     return copied
 
 
+def _mask_of(oracle, names):
+    """The OR of ``names``' field masks in ``oracle``'s packed word."""
+    return reduce(or_, map(oracle._packed[1].get, names))
+
+
 def _stacked_tables_of(oracle, members):
     """Each name ``n`` of ``members`` with the tables of ``members[n]``,
     names of ``oracle``, side by side."""
@@ -797,30 +804,41 @@ def test_oracle_counts_the_same_on_every_key_form(tiny_ctx, tiny_oracle, key_for
     3-bit fields, 30 bits in all, so ``entropy`` takes the packed int32
     key ``word & mask`` at every subset size.  A copy whose names are
     each TINY name beside the next (``_cyclic_pairs``) packs into an
-    int64 word.  On both forms a subset's key induces the partition of
-    its tables' rows, and its entropy is TINY's, and the rank
-    formula's, on the union of its members."""
+    int64 word.  On both forms, counted afresh from TINY's tables,
+    ``entropy`` counts a mask's key on the first subset with that mask
+    and reads the count back on every later one.  The key counted for a
+    mask induces the partition of the rows of every subset's tables with
+    that mask, and a subset's entropy is TINY's, and the rank formula's,
+    on the union of its members."""
     assert all(t.shape[1] == 1 for t in tiny_oracle.tables.values())
     assert TINY.modulus == 5 and len(tiny_oracle.names) == 19
     tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
     names = list(tiny_oracle.names)
     cyclic = _cyclic_pairs(names)
     forms = [
-        (tiny_oracle, {n: (n,) for n in names}, "int32"),
+        (_oracle_counting(tiny_oracle, tiny_oracle.tables), {n: (n,) for n in names}, "int32"),
         (_stacked_copy(tiny_oracle, cyclic), cyclic, "int64"),
     ]
     assert [oracle._packed[0].dtype.name for oracle, _, _ in forms] == ["int32", "int64"]
     rng = random.Random(7)
     for oracle, members, form in forms:
+        first, hits = {}, 0  # each mask's counted key and entropy
         for size in [1, 2, 3, 4, 6, 7, 8, 12, 19] * 3:
             subset = rng.sample(list(members), size)
             union = sorted({m for n in subset for m in members[n]})
+            mask = _mask_of(oracle, subset)
             key_forms.clear()
             got = oracle.entropy(subset)
-            [(dtype, keys)] = key_forms
-            assert dtype == form
-            assert _keys_match_rows(keys, np.hstack([oracle.tables[n] for n in subset]))
+            if mask in first:
+                hits += 1
+                assert key_forms == [] and got == first[mask][1]
+            else:
+                [(dtype, keys)] = key_forms
+                assert dtype == form
+                first[mask] = keys, got
+            assert _keys_match_rows(first[mask][0], np.hstack([oracle.tables[n] for n in subset]))
             assert got == tiny_oracle.entropy(union) == entropy_rank([tv[n] for n in union])
+        assert hits >= 2  # the whole set, thrice
 
 
 def test_oracle_refuses_fields_past_one_word(tiny_oracle):
@@ -840,7 +858,8 @@ def test_oracle_refuses_a_skewed_table_on_every_key_form(tiny_oracle, key_forms)
     packed int64 word.  The skewed table is the gradient's, and the
     other members are built from F[1] and the Z masks alone, which are
     independent of it: members that fixed the whole assignment would
-    make any joint key uniform."""
+    make any joint key uniform.  A subset that raises is never kept, so
+    each call counts its own key and the copy keeps no count."""
     names = list(tiny_oracle.names)
     pool = {"F[1]", *(n for n in names if n.startswith("Z["))}
     cases = [
@@ -858,6 +877,83 @@ def test_oracle_refuses_a_skewed_table_on_every_key_form(tiny_oracle, key_forms)
             with pytest.raises(LeakageError, match="not uniform"):
                 skewed.entropy([name, *rng.sample(others, size - 1)])
         assert [got for got, _ in key_forms] == [form] * 3
+        assert skewed._packed[2] == {}
+
+
+def test_oracle_counts_each_mask_once(tiny_ctx, tiny_oracle, monkeypatch):
+    """Every subset of TINY's names of at most 4, 5,036 of them, on an
+    oracle counting afresh: ``_counted_entropy`` runs exactly once for
+    each of the 386 distinct masks, where an oracle that counted every
+    call would run 5,035 times, and every subset's entropy is the rank
+    formula's on its variables."""
+    tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
+    oracle = _oracle_counting(tiny_oracle, tiny_oracle.tables)
+    counts, counted = Counter(), leakage._counted_entropy
+
+    def spy(keys, q, names):
+        counts[_mask_of(oracle, names)] += 1
+        return counted(keys, q, names)
+
+    monkeypatch.setattr(leakage, "_counted_entropy", spy)
+    seen, compared = set(), 0
+    for subset in subsets(oracle.names, hi=4):
+        assert oracle.entropy(subset) == entropy_rank([tv[n] for n in subset]), subset
+        compared += 1
+        if subset:
+            seen.add(_mask_of(oracle, subset))
+    assert compared == sum(comb(19, size) for size in range(5)) == 5036
+    assert set(counts) == seen and len(seen) == 386
+    assert set(counts.values()) == {1}
+
+
+def test_oracle_copies_count_their_own_masks(tiny_ctx, tiny_oracle, key_forms):
+    """Negative control: a copy over other tables counts afresh a mask
+    value the oracle it was copied from has counted, since the counts
+    live with the packed word that the copy replaces.  Two copies meet
+    a counted mask with another answer: TINY's tables in reverse order,
+    where F[1], W, X[1,1] (entropy 2) have the mask of six names of
+    entropy 3, and a W[1] zeroed wherever F[1] is 0, not uniform, whose
+    3-bit field is X[1,1]'s mask in TINY.  (The cyclic pairs and the
+    1-bit skew share no mask value with TINY on which the answers
+    differ.)  An oracle whose copies shared its counts would return 2
+    and 1 here."""
+    tv = build_linear_transcript(tiny_ctx, TINY_PATTERN)
+    names = list(tiny_oracle.names)
+    oracle = _oracle_counting(tiny_oracle, tiny_oracle.tables)
+    reverse = _oracle_counting(oracle, {n: tiny_oracle.tables[n] for n in reversed(names)})
+    tables = dict(tiny_oracle.tables)
+    tables["W[1]"] = np.where(tables["F[1]"] == 0, 0, tables["W[1]"])
+    skewed = _oracle_counting(oracle, tables)
+    counted = ["F[1]", "W", "X[1,1]"]
+    other = ["X[1,1]", "X[1,2]", "Y[1]", "Y[2]", "Z[1,2,1]", "Z[3,2,1]"]
+    assert oracle.entropy(counted) == entropy_rank([tv[n] for n in counted]) == 2
+    assert oracle.entropy(["X[1,1]"]) == 1
+    assert _mask_of(reverse, other) == _mask_of(oracle, counted)
+    assert _mask_of(skewed, ["W[1]"]) == _mask_of(oracle, ["X[1,1]"])
+    key_forms.clear()
+    assert reverse.entropy(other) == entropy_rank([tv[n] for n in other]) == 3
+    with pytest.raises(LeakageError, match="not uniform"):
+        skewed.entropy(["W[1]"])
+    assert [form for form, _ in key_forms] == ["int32", "int64"]  # 33 bits in the skewed copy
+
+
+def test_oracle_recounts_a_failing_mask_on_every_call(tiny_oracle, key_forms):
+    """Negative control: on the skewed W[1] table (0 in one assignment
+    of 5, else 1) three calls of one mask, the names reordered and
+    joined by a constant, each count their key and raise with their own
+    names, and no count is kept: an oracle that kept the failure, or a
+    value after it, answers the second call otherwise."""
+    tables = dict(tiny_oracle.tables)
+    tables["W[1]"] = np.minimum(tables["W[1]"], 1)
+    skewed = _oracle_counting(tiny_oracle, tables)
+    calls = [["W[1]", "F[1]"], ["F[1]", "W[1]"], ["F[1]", "Z[1,1,1]", "W[1]", "F[1]"]]
+    assert len({_mask_of(skewed, names) for names in calls}) == 1
+    key_forms.clear()
+    for names in calls:
+        listed = re.escape(str(list(dict.fromkeys(names))))
+        with pytest.raises(LeakageError, match=f"{listed} is not uniform"):
+            skewed.entropy(names)
+    assert len(key_forms) == 3 and skewed._packed[2] == {}
 
 
 def test_oracle_fields_merge_exactly_the_names_of_one_partition(tiny_oracle):
@@ -866,7 +962,7 @@ def test_oracle_fields_merge_exactly_the_names_of_one_partition(tiny_oracle):
     they induce one partition of the assignments, and other names'
     fields are disjoint.  The constant tables, the self-masks Z[n,n,1],
     have mask 0; the 10 fields of 3 bits fill 30 bits of an int32 word."""
-    word, masks = tiny_oracle._packed
+    word, masks, _ = tiny_oracle._packed
     tables, names = tiny_oracle.tables, tiny_oracle.names
 
     def distinct(*members):
@@ -1012,7 +1108,8 @@ def test_oracle_matches_rank_where_fields_pack_into_int64(key_forms):
     7^6 = 117,649 assignments and N = 4.  Its 29 variables induce 13
     distinct nonconstant partitions, 3-bit fields, 39 bits in all, so
     ``entropy`` takes the packed int64 key ``word & mask`` at every
-    subset size.  Seeded subsets of every size and seeded MI queries, 50
+    subset size, counted on a mask's first subset and read back on later
+    ones.  Seeded subsets of every size and seeded MI queries, 50
     comparisons, match the rank formula."""
     params = SchemeParams(1, 4, 2, 1, 7, 1)
     ctx, pattern = setup(params), parse_pattern("nu=1:1,2,3 hm=1,2")
@@ -1020,15 +1117,24 @@ def test_oracle_matches_rank_where_fields_pack_into_int64(key_forms):
     tv = build_linear_transcript(ctx, pattern)
     names = list(oracle.names)
     assert oracle.count == 7**6 and len(names) == 29 and set(names) == set(tv)
-    word, masks = oracle._packed
+    word, masks, _ = oracle._packed
     assert word.dtype == np.int64 and len(set(masks.values()) - {0}) == 13
     assert reduce(or_, masks.values()) == 2**39 - 1
     rng = random.Random(12)
+    first = {}  # each counted mask's entropy
     for size in [0, 1, 2, 5, 8, 11, 12, 15, 18, 22] * 3 + [23, 24, 25, 26, 27, 29] * 2:
         subset = rng.sample(names, size)
         key_forms.clear()
-        assert oracle.entropy(subset) == entropy_rank([tv[n] for n in subset]), subset
-        assert [form for form, _ in key_forms] == (["int64"] if size else [])
+        got = oracle.entropy(subset)
+        assert got == entropy_rank([tv[n] for n in subset]), subset
+        counted = [form for form, _ in key_forms]
+        if size:
+            mask = _mask_of(oracle, subset)
+            assert counted == ([] if mask in first else ["int64"])
+            assert first.setdefault(mask, got) == got
+        else:
+            assert counted == []
+    assert len(first) < 39  # of 39 nonempty subsets: some read their count back
     for _ in range(8):
         a, b, c = (rng.sample(names, rng.randrange(1, 7)) for _ in range(3))
         expect = cond_mutual_info(MiQuery(*(tuple(tv[n] for n in part) for part in (a, b, c))))
