@@ -500,8 +500,7 @@ def _decode_cases(unit: lk.UnitRound, responses, survivor_sets, draws, decodes: 
     is handed the responses it reads, the Nr lowest-numbered survivors',
     and decodes them with one inverse; a decode that raises fails every
     case of its set.  Each chosen set's draw matches are found once in
-    ``decodes``, keyed by the chosen helpers and the identities of their
-    payloads (one object per content, which the caller keeps alive): the
+    ``decodes``, keyed by the chosen helpers and their payloads: the
     whole input of the decode."""
     ctx, expected = unit.ctx, unit.probed_sum
     l, parts, nr = ctx.params.block_len, ctx.params.block_count, ctx.params.resiliency
@@ -512,7 +511,7 @@ def _decode_cases(unit: lk.UnitRound, responses, survivor_sets, draws, decodes: 
     for survivors in survivor_sets:
         by_helper = {r.helper: r for r in responses if r.helper in survivors}
         chosen = [by_helper[n] for n in sorted(by_helper)[:nr]]
-        key = tuple((r.helper, id(r.payload)) for r in chosen)
+        key = tuple((r.helper, r.payload) for r in chosen)
         found = decodes.get(key)
         if found is None:
             try:
@@ -567,13 +566,13 @@ def verify_point(params: SchemeParams, config: RunConfig) -> PointReport:
     probes = [[(users if s < layout.user_dim else dealer).randrange(q) for _ in range(width)]
               for s in range(layout.dim)]
     unit = lk.UnitRound(ctx, probes)
-    payloads, decodes = {}, {}  # each probed payload once per content, and its decodes
+    decodes = {}  # each chosen set's draw matches, by content
 
     for pattern in pt.enumerate_patterns(params):
         report.patterns += 1
         survivor_sets = list(pt.enumerate_survivors(pattern, params))
         transcript, tvars = unit.run(pattern)
-        probed = [proto.HelperResponse(r.helper, payloads.setdefault(p := r.payload[unit.dim:], p))
+        probed = [proto.HelperResponse(r.helper, r.payload[unit.dim:])
                   for r in transcript.responses]
         report.survivor_sets += len(survivor_sets)
         report.decode_cases += len(survivor_sets) * draws
@@ -746,50 +745,30 @@ def render_json(doc) -> bytes:
     return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode()
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
+def _csv(header: Sequence[str], rows: Iterable[dict]) -> bytes:
+    """A header line, then a line per row dict of a mode's JSON document,
+    each cell read by its column's name: a fraction (``_frac``) gives its
+    exact value, a list is joined with spaces, an absent field is empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for row in rows:
+        cells = (row.get(name, "") for name in header)
+        writer.writerow(c["value"] if isinstance(c, dict)
+                        else " ".join(map(str, c)) if isinstance(c, list) else c for c in cells)
     return buf.getvalue().encode()
 
 
 def render_rates_csv(rows: list[dict]) -> bytes:
-    return _csv(
-        ["params", "feasible", "rate_x", "rate_y", "bound", "equal"],
-        (
-            [
-                row["params"],
-                True,
-                row["rate_x"]["value"],
-                row["rate_y"]["value"],
-                row["bound"]["value"],
-                row["equal"],
-            ]
-            if row["feasible"]
-            else [row["params"], False, "", "", "", ""]
-            for row in rows
-        ),
-    )
+    return _csv(["params", "feasible", "rate_x", "rate_y", "bound", "equal"], rows)
 
 
 def render_leakage_csv(doc: dict) -> bytes:
+    ranks = ("rank_ac", "rank_bc", "rank_abc", "rank_c")
     return _csv(
-        ["kind", "pattern", "colluding_users", "colluding_helpers",
-         "rank_ac", "rank_bc", "rank_abc", "rank_c", "value", "exploratory", "pass"],
-        (
-            [
-                rec["kind"],
-                rec["pattern"],
-                " ".join(str(u) for u in rec["colluding_users"]),
-                " ".join(str(t) for t in rec["colluding_helpers"]),
-                *rec["ranks"],
-                rec["value"]["value"],
-                rec["exploratory"],
-                rec["pass"],
-            ]
-            for rec in doc["records"]
-        ),
+        ["kind", "pattern", "colluding_users", "colluding_helpers", *ranks, "value",
+         "exploratory", "pass"],
+        (rec | dict(zip(ranks, rec["ranks"])) for rec in doc["records"]),
     )
 
 
@@ -798,20 +777,5 @@ def render_verify_csv(report: VerifyReport) -> bytes:
         ["params", "feasible", "patterns", "survivor_sets", "decode_cases",
          "security_queries", "invariant_checks", "failures", "rate_x", "rate_y",
          "rates_equal"],
-        (
-            [
-                p.params.label(),
-                p.feasible,
-                p.patterns,
-                p.survivor_sets,
-                p.decode_cases,
-                p.security_queries,
-                p.invariant_checks,
-                len(p.failures),
-                str(p.rate_x) if p.rate_x is not None else "",
-                str(p.rate_y) if p.rate_y is not None else "",
-                p.rates_equal if p.rates_equal is not None else "",
-            ]
-            for p in report.points
-        ),
+        (p | {"failures": len(p["failures"])} for p in report.to_json()["grid"]),
     )

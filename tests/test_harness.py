@@ -1,5 +1,7 @@
 import ast
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -1044,6 +1046,20 @@ PINNED_REPORTS = {
         ["verify", "--grid", "4,4,3,1,7,2"],
         "9461be157f584903f8361dcbe049c0fe7d7dfaf2e1080808e6fd72b1298e8017",
     ),
+    "verify-csv": (  # feasible; infeasible with a witness; infeasible without
+        lambda: render_verify_csv(
+            run_verify(
+                RunConfig(
+                    mode="verify",
+                    grid=(SMALL, SchemeParams(2, 3, 2, 2, 5, 1), SchemeParams(2, 3, 1, 2, 5, 1)),
+                    draws=2,
+                )
+            )
+        ),
+        ["verify", "--grid", "2,3,2,1,5,1;2,3,2,2,5,1;2,3,1,2,5,1", "--draws", "2",
+         "--format", "csv"],
+        "905a67cd07d96599c92de92907d847d5575e08ca1050756006cfdc4d4b095c15",
+    ),
     "leakage": (
         lambda: render_leakage_csv(run_leakage(RunConfig(mode="leakage", params=EXAMPLE))),
         ["leakage", "--params", "2,4,3,1,7,2", "--format", "csv"],
@@ -1160,3 +1176,61 @@ def test_render_csv_outputs():
     verify_lines = render_verify_csv(report).decode().splitlines()
     assert verify_lines[0].startswith("params,feasible,")
     assert len(verify_lines) == 2
+
+
+RANK_COLUMNS = ("rank_ac", "rank_bc", "rank_abc", "rank_c")
+
+
+def _csv_cell(row: dict, column: str) -> str:
+    """The CSV cell of a JSON row's column, as the README states it: a
+    fraction gives its exact value, a list is space-joined, ``failures``
+    is a count, ``ranks`` is four columns and an absent field is empty."""
+    if column in RANK_COLUMNS:
+        return str(row["ranks"][RANK_COLUMNS.index(column)])
+    if column not in row:
+        return ""
+    value = row[column]
+    if column == "failures":
+        return str(len(value))
+    if isinstance(value, dict):
+        return value["value"]
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+# each mode's arguments, the key of its JSON rows, and what its rows must
+# cover for the projection to be seen on every kind of row
+CSV_PROJECTIONS = {
+    "verify": (
+        ["verify", "--grid",
+         ";".join(p.label() for p in (*DEFAULT_GRID, SchemeParams(2, 3, 2, 2, 5, 1)))],
+        "grid",
+        lambda rows: {r["feasible"] for r in rows} == {True, False},
+    ),
+    "rates": (
+        ["rates", "--grid", "2,4,3,1,7,2;2,4,2,2,7,2"],
+        "rates",
+        lambda rows: {r["feasible"] for r in rows} == {True, False},
+    ),
+    "leakage": (
+        ["leakage", "--params", "2,4,3,1,7,2", "--tset", "3,1,2", "--uset", "2,1"],
+        "records",
+        lambda rows: {r["exploratory"] for r in rows} == {True},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", CSV_PROJECTIONS)
+def test_each_csv_cell_is_its_json_field(mode, tmp_path):
+    argv, key, covers = CSV_PROJECTIONS[mode]
+    as_json, as_csv = tmp_path / "report.json", tmp_path / "report.csv"
+    assert main([*argv, "--out", str(as_json)]) == main(
+        [*argv, "--format", "csv", "--out", str(as_csv)]
+    )
+    rows = json.loads(as_json.read_text())[key]
+    header, *lines = csv.reader(io.StringIO(as_csv.read_text()))
+    assert covers(rows)
+    # every column names a field of some row, so none reads empty by a slip
+    assert all(any(c in row for row in rows) for c in header if c not in RANK_COLUMNS)
+    assert lines == [[_csv_cell(row, column) for column in header] for row in rows]

@@ -20,7 +20,9 @@ campaign's one round per pattern is ``leakage.UnitRound``'s.  ``harness`` names 
 and ``dealer_generate`` only in ``_seeded_round``, the one round that ``round`` and ``rates``
 run.  Each option is declared once,
 as a ``RunConfig`` field, and the parser, the config keys, the
-README's key list and its flag table's refusals all follow that table.  The package's optional
+README's key list and its flag table's refusals all follow that table.  Only
+``harness._csv`` builds a ``csv.writer``, and ``cli`` names no CSV column: each CSV
+report is read off its JSON document in one place.  The package's optional
 parameters and its public names are counted, so a change that adds or
 removes one shows."""
 
@@ -30,7 +32,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from hsagg.harness import OPTIONS, RunConfig
+from hsagg.harness import (
+    OPTIONS,
+    RunConfig,
+    VerifyReport,
+    render_leakage_csv,
+    render_rates_csv,
+    render_verify_csv,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hsagg"
@@ -561,6 +570,49 @@ def option_name_literals(tree: ast.Module, names) -> list[int]:
     )
 
 
+# the csv module's writers, which only ``harness._csv`` builds
+CSV_WRITERS = ("writer", "DictWriter")
+
+
+def csv_writer_builds(tree: ast.Module, allowed: tuple[str, ...]) -> list[int]:
+    """Lines outside the top-level functions named in ``allowed`` that
+    name one of ``CSV_WRITERS`` as an attribute or import from ``csv``."""
+    return sorted(
+        {
+            sub.lineno
+            for node in tree.body
+            if getattr(node, "name", None) not in allowed
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr in CSV_WRITERS
+            or isinstance(sub, ast.ImportFrom) and sub.module == "csv"
+        }
+    )
+
+
+def csv_columns() -> set[str]:
+    """Every column of the three CSV reports, read off their header lines."""
+    headers = (
+        render_rates_csv([]),
+        render_leakage_csv({"records": []}),
+        render_verify_csv(VerifyReport(points=[])),
+    )
+    return {column for header in headers for column in header.decode().strip().split(",")}
+
+
+def column_literals(tree: ast.Module, columns) -> list[int]:
+    """Lines with a string literal that is one of ``columns``, other than
+    as a subscript's key: ``row["feasible"]`` reads a field of a JSON
+    document, where a bare literal lays out a report of its own."""
+    keys = {id(node.slice) for node in ast.walk(tree) if isinstance(node, ast.Subscript)}
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in columns and id(node) not in keys
+        }
+    )
+
+
 # Function and method defaults plus defaulted dataclass fields in the
 # package: each is a switch that some caller may leave at its default.
 # A change that removes some lowers this; one that adds some says why.
@@ -803,6 +855,18 @@ def test_each_option_is_declared_once():
     assert option_name_literals(_package()["cli"], OPTIONS) == []
 
 
+def test_one_writer_lays_out_every_csv_report():
+    """Only ``harness._csv`` builds a ``csv.writer``, and the CLI names no
+    CSV column: what a report holds is its JSON document's fields."""
+    package = _package()
+    found = {
+        module: csv_writer_builds(tree, ("_csv",) if module == "harness" else ())
+        for module, tree in package.items()
+    }
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    assert column_literals(package["cli"], csv_columns()) == []
+
+
 def test_the_readme_lists_every_config_key():
     text = (ROOT / "README.md").read_text()
     listed = re.search(r"can hold any of:\s*`([^`]*)`", text).group(1)
@@ -836,6 +900,27 @@ def test_the_checks_catch_what_they_look_for():
         "    return x\n"
     )
     assert unused_imports(tree) == ["weakref", "replace"]
+    # a CSV report laid out beside the one writer
+    assert csv_writer_builds(
+        ast.parse(
+            "import csv\n"
+            "from csv import DictWriter\n"
+            "def _csv(header, rows):\n"
+            "    return csv.writer(buf)\n"
+            "def render_rates_csv(rows):\n"
+            "    out = csv.writer(buf, lineterminator='\\n')\n"
+            "    return DictWriter(buf, ['params'])\n"
+        ),
+        ("_csv",),
+    ) == [2, 6]
+    assert column_literals(
+        ast.parse(
+            "ok = all(r['equal'] for r in rows if r['feasible'])\n"
+            "header = ['params', 'feasible', 'rate_x']\n"
+            "cells = {'pass': doc.get('pass')}\n"
+        ),
+        {"params", "feasible", "rate_x", "equal", "pass"},
+    ) == [2, 3]
     trees = {
         "a": ast.parse("_LIMIT = 3\n_used = 1\ndef _helper():\n    return _helper()\n"),
         "b": ast.parse("from a import _used\nprint(_used)\n"),
